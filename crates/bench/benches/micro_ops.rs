@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use dumbnet_controller::{DiscoveryConfig, DiscoveryState};
 use dumbnet_packet::{DumbNetFrame, LabelStack};
-use dumbnet_sim::{LinkParams, World};
+use dumbnet_sim::{Engine, LinkParams, World};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_topology::{generators, k_shortest_routes, pathgraph, PathGraphParams};
 use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimTime, SwitchId};

@@ -23,12 +23,13 @@
 //! byte-identical to the single-world run by the engine's determinism
 //! contract, so a sharded soak row exercises the cross-shard window
 //! machinery under crash, partition, and gray faults. With `--hybrid`
-//! the matrix runs on the hybrid flow/packet engine instead: two
-//! flow-plane elephants cross spine trunks for the whole soak,
-//! controller quarantine is mirrored into the flow plane at every
+//! the matrix runs with the hybrid flow plane layered over that packet
+//! engine: two flow-plane elephants cross spine trunks for the whole
+//! soak, controller quarantine is mirrored into the flow plane at every
 //! settle checkpoint, and each row additionally asserts that boundary
 //! cap events reached the flow plane and that no elephant is left
-//! starved after the faults heal.
+//! starved after the faults heal. The two flags compose: `--hybrid
+//! --shards 4` prints the same per-seed lines as `--hybrid`.
 
 use dumbnet_controller::{Controller, ControllerConfig, GrayFaultConfig};
 use dumbnet_core::{check_gray_invariants, check_invariants, Fabric, FabricConfig};
@@ -36,7 +37,7 @@ use dumbnet_host::agent::AppAction;
 use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
 use dumbnet_sim::{
     ChaosPlan, CrashSchedule, Engine, FaultProfile, FlowId, HybridWorld, NodeAddr,
-    PartitionSchedule,
+    PartitionSchedule, ShardedWorld, World,
 };
 use dumbnet_switch::DumbSwitchConfig;
 use dumbnet_topology::{generators, Route};
@@ -142,8 +143,8 @@ struct HybridPlane {
     elephants: Vec<FlowId>,
 }
 
-impl PlaneHooks<HybridWorld> for HybridPlane {
-    fn start(&mut self, fabric: &mut Fabric<HybridWorld>) {
+impl<W: Engine> PlaneHooks<HybridWorld<W>> for HybridPlane {
+    fn start(&mut self, fabric: &mut Fabric<HybridWorld<W>>) {
         let spines: Vec<SwitchId> = fabric
             .topology
             .switches()
@@ -174,11 +175,11 @@ impl PlaneHooks<HybridWorld> for HybridPlane {
         }
     }
 
-    fn tick(&mut self, fabric: &mut Fabric<HybridWorld>) {
+    fn tick(&mut self, fabric: &mut Fabric<HybridWorld<W>>) {
         fabric.sync_quarantine();
     }
 
-    fn check(&mut self, fabric: &mut Fabric<HybridWorld>) -> Result<String, String> {
+    fn check(&mut self, fabric: &mut Fabric<HybridWorld<W>>) -> Result<String, String> {
         let stats = fabric.world.hybrid_stats();
         if stats.cap_events == 0 {
             return Err(
@@ -237,27 +238,29 @@ fn violation_dump<W: Engine>(
 /// schedule and the gray invariants are checked mid-fault and
 /// post-heal.
 fn soak_one(seed: u64, gray: bool, shards: u32, hybrid: bool) -> Result<String, String> {
-    let g = generators::testbed();
-    let cfg = soak_config(gray);
-    if hybrid {
-        let fabric = Fabric::build_hybrid_full(g.topology, cfg, soak_host(gray), soak_controller)
-            .expect("fabric builds");
-        run_soak(fabric, seed, gray, "hybrid-", HybridPlane::default())
-    } else if shards <= 1 {
-        let fabric = Fabric::build_full(g.topology, cfg, soak_host(gray), soak_controller)
-            .expect("fabric builds");
-        run_soak(fabric, seed, gray, "", PacketOnly)
+    let engine_seed = soak_config(gray).seed;
+    if shards > 1 {
+        let packet = ShardedWorld::new(engine_seed, shards as usize);
+        soak_on(packet, seed, gray, hybrid)
     } else {
-        let fabric = Fabric::build_sharded_full(
-            g.topology,
-            cfg,
-            &g.groups,
-            shards,
-            soak_host(gray),
-            soak_controller,
-        )
-        .expect("fabric builds");
-        run_soak(fabric, seed, gray, "", PacketOnly)
+        soak_on(World::new(engine_seed), seed, gray, hybrid)
+    }
+}
+
+/// Builds the soak fabric on the packet engine `packet` — under the
+/// hybrid flow plane when `hybrid` — and runs the soak body on it.
+fn soak_on<W: Engine>(packet: W, seed: u64, gray: bool, hybrid: bool) -> Result<String, String> {
+    fn fabric<E: Engine>(world: E, gray: bool) -> Fabric<E> {
+        let g = generators::testbed();
+        let (cfg, mk_host) = (soak_config(gray), soak_host(gray));
+        Fabric::assemble(world, g.topology, cfg, &g.groups, mk_host, soak_controller)
+            .expect("fabric builds")
+    }
+    if hybrid {
+        let fabric = fabric(HybridWorld::new(packet), gray).bind_flow_edges();
+        run_soak(fabric, seed, gray, "hybrid-", HybridPlane::default())
+    } else {
+        run_soak(fabric(packet, gray), seed, gray, "", PacketOnly)
     }
 }
 
@@ -473,10 +476,6 @@ fn main() {
             hybrid = true;
         }
     }
-    if hybrid && shards > 1 {
-        eprintln!("--hybrid runs single-cell; drop --shards");
-        std::process::exit(2);
-    }
     let mut failed = false;
     for seed in 0..seeds {
         for gray in [false, true] {
@@ -493,7 +492,7 @@ fn main() {
         std::process::exit(1);
     }
     let engine = if hybrid {
-        "the hybrid flow/packet engine".to_owned()
+        format!("the hybrid flow/packet engine over {shards} shard(s)")
     } else {
         format!("{shards} shard(s)")
     };

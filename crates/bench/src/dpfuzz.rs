@@ -36,7 +36,7 @@ use dumbnet_packet::{
     crc32, DumbNetFrame, EthernetFrame, LabelStack, Packet, ETHERTYPE_DUMBNET, ETHERTYPE_IPV4,
     ETHERTYPE_MPLS,
 };
-use dumbnet_sim::{Ctx, LinkParams, Node, World};
+use dumbnet_sim::{Ctx, Engine, LinkParams, Node, World};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_types::{MacAddr, Path, PortId, PortNo, SimTime, SwitchId, Tag};
 use rand::rngs::StdRng;

@@ -11,7 +11,7 @@ use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{DatapathModel, DatapathVariant, HostAgent};
 use dumbnet_packet::{Packet, Payload};
-use dumbnet_sim::{Ctx, LinkParams, Node, World};
+use dumbnet_sim::{Ctx, Engine, LinkParams, Node, World};
 use dumbnet_switch::{StpConfig, StpSwitch};
 use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimDuration, SimTime};

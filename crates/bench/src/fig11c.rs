@@ -12,10 +12,11 @@
 //! Output is JSON (one object, `series` keyed by loss rate) so plots
 //! can be regenerated without parsing tables.
 
+use dumbnet_controller::Controller;
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{HostAgent, HostAgentConfig};
-use dumbnet_sim::{ChaosPlan, Engine, FaultProfile, LinkParams, WireId};
+use dumbnet_sim::{ChaosPlan, Engine, FaultProfile, LinkParams, ShardedWorld, WireId};
 use dumbnet_telemetry::NodeKind;
 use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime, SwitchId};
@@ -88,9 +89,10 @@ pub fn chaos_recovery_point_sharded(p: f64, shards: u32) -> ChaosRecoveryPoint {
                 Fabric::build_with(g.topology, cfg, stream_actions).expect("fabric builds");
             run_spine(fabric, p, t_fail, &spines, &leaves, spine_ix)
         } else {
-            let fabric =
-                Fabric::build_sharded_with(g.topology, cfg, &g.groups, shards, stream_actions)
-                    .expect("fabric builds");
+            let world = ShardedWorld::new(cfg.seed, shards as usize);
+            let (topo, mk_ctrl) = (g.topology, Controller::new);
+            let fabric = Fabric::assemble(world, topo, cfg, &g.groups, stream_actions, mk_ctrl)
+                .expect("fabric builds");
             run_spine(fabric, p, t_fail, &spines, &leaves, spine_ix)
         };
         if let Some(pt) = point {

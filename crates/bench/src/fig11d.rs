@@ -23,7 +23,7 @@
 use dumbnet_controller::{Controller, ControllerConfig};
 use dumbnet_core::{check_invariants, Fabric, FabricConfig};
 use dumbnet_host::HostAgent;
-use dumbnet_sim::{ChaosPlan, CrashSchedule, NodeAddr, PartitionSchedule};
+use dumbnet_sim::{ChaosPlan, CrashSchedule, Engine, NodeAddr, PartitionSchedule};
 use dumbnet_topology::generators;
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 

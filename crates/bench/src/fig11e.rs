@@ -29,7 +29,7 @@ use dumbnet_controller::GrayFaultConfig;
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{GrayDetectConfig, HostAgent};
-use dumbnet_sim::{FaultProfile, LinkParams};
+use dumbnet_sim::{Engine, FaultProfile, LinkParams};
 use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime};
 

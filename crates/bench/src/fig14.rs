@@ -27,11 +27,12 @@
 //! update against the O(F·E) reference solver and asserts bit-identical
 //! rates (slow; a debug gate, not the CI path).
 
+use dumbnet_controller::Controller;
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_ext::ecn::EcnFlowletRouting;
 use dumbnet_host::agent::AppAction;
-use dumbnet_host::HostAgent;
-use dumbnet_sim::{EdgeId, Engine, FaultProfile, FlowId, HybridWorld};
+use dumbnet_host::{HostAgent, HostAgentConfig};
+use dumbnet_sim::{EdgeId, Engine, FaultProfile, FlowId, HybridWorld, World};
 use dumbnet_topology::{generators, spath, Topology};
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -205,7 +206,8 @@ pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> 
         ..FabricConfig::default()
     };
     let mice_sources: Vec<(HostId, HostId)> = mice_pairs.clone();
-    let mut fabric = Fabric::build_hybrid_with(g.topology, cfg, move |id, mut hc| {
+    let world = HybridWorld::new(World::new(cfg.seed));
+    let mk_host = move |id, mut hc: HostAgentConfig| {
         if let Some(&(_, dst)) = mice_sources.iter().find(|&&(src, _)| src == id) {
             hc.actions = vec![AppAction::DataStream {
                 at: SimDuration::from_millis(30),
@@ -224,8 +226,10 @@ pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> 
                 SimDuration::from_micros(200),
             )),
         )
-    })
-    .expect("fat-tree fabric builds");
+    };
+    let mut fabric = Fabric::assemble(world, g.topology, cfg, &g.groups, mk_host, Controller::new)
+        .expect("fat-tree fabric builds")
+        .bind_flow_edges();
     let _ = victim_mac;
     if check_full_solve {
         fabric.world.flow_mut().set_check_full_solve(true);

@@ -13,7 +13,7 @@
 
 use dumbnet_controller::{Controller, ControllerConfig, ReplicaRole};
 use dumbnet_packet::{ControlMessage, Packet};
-use dumbnet_sim::World;
+use dumbnet_sim::{Engine, World};
 use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime};
 
 fn at_ms(ms: u64) -> SimTime {

@@ -7,7 +7,7 @@ use dumbnet_host::{HostAgent, HostAgentConfig};
 use dumbnet_sim::{EdgeId, Engine, HybridWorld, LinkParams, NodeAddr, ShardedWorld, WireId, World};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_telemetry::TraceEvent;
-use dumbnet_topology::partition::{assign_cells, CellAssignment};
+use dumbnet_topology::partition::assign_cells;
 use dumbnet_topology::{EdgeKind, EdgeMap, Route, Topology};
 use dumbnet_types::{DumbNetError, HostId, MacAddr, PortNo, Result, SimTime, SwitchId};
 
@@ -55,9 +55,12 @@ impl Default for FabricConfig {
 /// A fully wired emulated deployment.
 ///
 /// Generic over the event [`Engine`]: `Fabric<World>` (the default) is
-/// the classic single-threaded deployment, `Fabric<ShardedWorld>` (via
-/// [`Fabric::build_sharded`]) partitions the topology into cells and
-/// executes them on the multi-core PDES engine with identical results.
+/// the classic single-threaded deployment, `Fabric<ShardedWorld>`
+/// partitions the topology into cells and executes them on the
+/// multi-core PDES engine with identical results, and
+/// `Fabric<HybridWorld<W>>` adds a flow plane over either.
+/// [`Fabric::assemble`] builds on any engine value; the `build*`
+/// functions are shorthands for the common ones.
 pub struct Fabric<W: Engine = World> {
     /// The discrete-event world. Exposed for advanced experiments.
     pub world: W,
@@ -110,8 +113,9 @@ impl Fabric<World> {
         F: FnMut(HostId, HostAgentConfig) -> HostAgent,
         G: FnMut(HostId, ControllerConfig) -> Controller,
     {
-        let world = World::new(config.seed);
-        Fabric::assemble(world, topology, config, mk_host, mk_controller, None)
+        // One cell needs no partition, so no generator groups either.
+        let (world, groups) = (World::new(config.seed), BTreeMap::new());
+        Fabric::assemble(world, topology, config, &groups, mk_host, mk_controller)
     }
 
     /// The world's telemetry registry (trace ring access).
@@ -122,13 +126,10 @@ impl Fabric<World> {
 }
 
 impl Fabric<ShardedWorld> {
-    /// Builds a fabric on the sharded multi-core engine.
-    ///
-    /// The topology is partitioned into `cells` cells with
-    /// [`assign_cells`] (pod-aware when `groups` has `"podN"` entries —
-    /// the fat-tree generator publishes them — balanced BFS otherwise)
-    /// and each cell becomes one shard. Results are byte-identical to
-    /// the equivalent `Fabric<World>` run at any cell count.
+    /// Builds a fabric on the sharded multi-core engine with `cells`
+    /// shards; see [`Fabric::assemble`] for how `groups` steers the
+    /// partition. Results are byte-identical to the equivalent
+    /// `Fabric<World>` run at any cell count.
     ///
     /// # Errors
     ///
@@ -143,120 +144,43 @@ impl Fabric<ShardedWorld> {
         groups: &BTreeMap<String, Vec<SwitchId>>,
         cells: u32,
     ) -> Result<Fabric<ShardedWorld>> {
-        Fabric::build_sharded_with(topology, config, groups, cells, HostAgent::new)
-    }
-
-    /// [`Fabric::build_sharded`] with a custom host-agent constructor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wiring failures.
-    pub fn build_sharded_with<F>(
-        topology: Topology,
-        config: FabricConfig,
-        groups: &BTreeMap<String, Vec<SwitchId>>,
-        cells: u32,
-        mk_host: F,
-    ) -> Result<Fabric<ShardedWorld>>
-    where
-        F: FnMut(HostId, HostAgentConfig) -> HostAgent,
-    {
-        Fabric::build_sharded_full(topology, config, groups, cells, mk_host, Controller::new)
-    }
-
-    /// [`Fabric::build_sharded`] with full control over both host
-    /// agents and controllers — the sharded counterpart of
-    /// [`Fabric::build_full`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates wiring failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is zero.
-    pub fn build_sharded_full<F, G>(
-        topology: Topology,
-        config: FabricConfig,
-        groups: &BTreeMap<String, Vec<SwitchId>>,
-        cells: u32,
-        mk_host: F,
-        mk_controller: G,
-    ) -> Result<Fabric<ShardedWorld>>
-    where
-        F: FnMut(HostId, HostAgentConfig) -> HostAgent,
-        G: FnMut(HostId, ControllerConfig) -> Controller,
-    {
-        let assignment = assign_cells(&topology, groups, cells);
-        let world = ShardedWorld::new(config.seed, assignment.cells() as usize);
+        let world = ShardedWorld::new(config.seed, cells as usize);
         Fabric::assemble(
             world,
             topology,
             config,
-            mk_host,
-            mk_controller,
-            Some(&assignment),
+            groups,
+            HostAgent::new,
+            Controller::new,
         )
     }
 }
 
 impl Fabric<HybridWorld> {
-    /// Builds a fabric on the hybrid flow/packet engine: the packet
-    /// plane is assembled exactly as [`Fabric::build`] would, then every
-    /// directed edge of the shared wire↔edge mapping is bound to its
-    /// wire direction so elephants can run flow-level over the same
-    /// fabric.
+    /// Builds a fabric on the hybrid flow/packet engine over a plain
+    /// [`World`]: the packet plane is assembled exactly as
+    /// [`Fabric::build`] would, then bound to the flow plane with
+    /// [`Fabric::bind_flow_edges`].
     ///
     /// # Errors
     ///
     /// Propagates wiring failures.
     pub fn build_hybrid(topology: Topology, config: FabricConfig) -> Result<Fabric<HybridWorld>> {
-        Fabric::build_hybrid_with(topology, config, HostAgent::new)
+        let (world, groups) = (HybridWorld::new(World::new(config.seed)), BTreeMap::new());
+        let (mk_host, mk_controller) = (HostAgent::new, Controller::new);
+        Fabric::assemble(world, topology, config, &groups, mk_host, mk_controller)
+            .map(Fabric::bind_flow_edges)
     }
+}
 
-    /// [`Fabric::build_hybrid`] with a custom host-agent constructor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wiring failures.
-    pub fn build_hybrid_with<F>(
-        topology: Topology,
-        config: FabricConfig,
-        mk_host: F,
-    ) -> Result<Fabric<HybridWorld>>
-    where
-        F: FnMut(HostId, HostAgentConfig) -> HostAgent,
-    {
-        Fabric::build_hybrid_full(topology, config, mk_host, Controller::new)
-    }
-
-    /// [`Fabric::build_hybrid`] with full control over both host agents
-    /// and controllers — the hybrid counterpart of
-    /// [`Fabric::build_full`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates wiring failures.
-    pub fn build_hybrid_full<F, G>(
-        topology: Topology,
-        config: FabricConfig,
-        mk_host: F,
-        mk_controller: G,
-    ) -> Result<Fabric<HybridWorld>>
-    where
-        F: FnMut(HostId, HostAgentConfig) -> HostAgent,
-        G: FnMut(HostId, ControllerConfig) -> Controller,
-    {
-        let world = HybridWorld::new(config.seed);
-        let mut fabric = Fabric::assemble(world, topology, config, mk_host, mk_controller, None)?;
-        fabric.bind_flow_edges();
-        Ok(fabric)
-    }
-
-    /// Binds every edge of the canonical enumeration to the wire
-    /// direction it models. Must run after `assemble` (the wires exist)
-    /// and before any flows start (edge ids are dense from zero).
-    fn bind_flow_edges(&mut self) {
+impl<W: Engine> Fabric<HybridWorld<W>> {
+    /// Binds every directed edge of the shared wire↔edge enumeration
+    /// to the wire direction it models, so elephants can run flow-level
+    /// over the same fabric. Call once, straight after
+    /// [`Fabric::assemble`] and before any flow starts (edge ids are
+    /// dense from zero); the other hybrid accessors need the binding.
+    #[must_use]
+    pub fn bind_flow_edges(mut self) -> Self {
         let map = EdgeMap::build(&self.topology);
         for (ix, kind) in map.edges() {
             let (wire, dir) = match kind {
@@ -284,18 +208,19 @@ impl Fabric<HybridWorld> {
             assert_eq!(id.0, ix.0, "flow edges must mirror the enumeration");
         }
         self.edge_map = Some(map);
+        self
     }
 
     /// The shared wire↔edge mapping this fabric was bound with.
     ///
     /// # Panics
     ///
-    /// Never — hybrid fabrics always carry a map.
+    /// Panics when [`Fabric::bind_flow_edges`] has not run.
     #[must_use]
     pub fn edge_map(&self) -> &EdgeMap {
         self.edge_map
             .as_ref()
-            .expect("hybrid fabrics always carry an edge map")
+            .expect("bind_flow_edges ran after assemble")
     }
 
     /// The flow-plane edge path a `src` → `dst` flow takes along
@@ -333,23 +258,36 @@ impl Fabric<HybridWorld> {
 }
 
 impl<W: Engine> Fabric<W> {
-    /// Places and wires every node of `topology` into `world`.
+    /// Places and wires every node of `topology` into `world` — the
+    /// one constructor, on whatever engine the caller hands in (its
+    /// seed should be `config.seed`).
     ///
-    /// `cells` maps switches and hosts onto engine cells; `None` puts
-    /// everything in cell 0 (the single-world case).
-    fn assemble<F, G>(
+    /// On an engine with more than one cell the topology is
+    /// partitioned into `world.cell_count()` cells with
+    /// [`assign_cells`]: pod-aware when `groups` has `"podN"` entries
+    /// (the fat-tree generator publishes them), balanced BFS
+    /// otherwise. Each cell becomes one shard.
+    ///
+    /// # Errors
+    ///
+    /// Propagates wiring failures (which indicate an inconsistent input
+    /// topology).
+    pub fn assemble<F, G>(
         mut world: W,
         topology: Topology,
         config: FabricConfig,
+        groups: &BTreeMap<String, Vec<SwitchId>>,
         mut mk_host: F,
         mut mk_controller: G,
-        cells: Option<&CellAssignment>,
     ) -> Result<Fabric<W>>
     where
         F: FnMut(HostId, HostAgentConfig) -> HostAgent,
         G: FnMut(HostId, ControllerConfig) -> Controller,
     {
         let controllers: HashSet<HostId> = config.controllers.iter().copied().collect();
+        let cell_count = u32::try_from(world.cell_count()).expect("cell count fits in u32");
+        let cells = (cell_count > 1).then(|| assign_cells(&topology, groups, cell_count));
+        let cells = cells.as_ref();
 
         // Switches.
         let mut switch_addr = Vec::with_capacity(topology.switch_count());
@@ -727,21 +665,25 @@ mod tests {
                 fabric.telemetry_snapshot().to_json()
             )
         }
-        let g = generators::testbed();
-        let mut single =
-            Fabric::build_with(g.topology.clone(), FabricConfig::default(), actions).unwrap();
-        let want = digest(&mut single);
-        for cells in [1u32, 2, 4] {
-            let mut sharded = Fabric::build_sharded_with(
-                g.topology.clone(),
-                FabricConfig::default(),
-                &g.groups,
-                cells,
-                actions,
-            )
-            .unwrap();
-            assert_eq!(digest(&mut sharded), want, "{cells}-cell fabric diverged");
+        fn on<W: dumbnet_sim::Engine>(world: W) -> String {
+            let g = generators::testbed();
+            let cfg = FabricConfig::default();
+            let mut fabric =
+                Fabric::assemble(world, g.topology, cfg, &g.groups, actions, Controller::new)
+                    .unwrap();
+            digest(&mut fabric)
         }
+        let want = on(World::new(0));
+        for cells in [1, 2, 4] {
+            assert_eq!(
+                on(ShardedWorld::new(0, cells)),
+                want,
+                "{cells}-cell fabric diverged"
+            );
+        }
+        // The flow plane is a layer: idle, it changes nothing below it.
+        assert_eq!(on(HybridWorld::new(World::new(0))), want);
+        assert_eq!(on(HybridWorld::new(ShardedWorld::new(0, 4))), want);
     }
 
     #[test]

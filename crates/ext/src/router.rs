@@ -146,7 +146,7 @@ pub fn combined_path(to_border: &Path, from_border: &Path) -> Result<Path> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dumbnet_sim::{LinkParams, NodeAddr, World};
+    use dumbnet_sim::{Engine, LinkParams, NodeAddr, World};
     use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
     use dumbnet_types::{SimTime, SwitchId};
 

@@ -10,7 +10,7 @@
 use dumbnet_host::agent::{HostAgent, HostAgentConfig};
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet};
-use dumbnet_sim::World;
+use dumbnet_sim::{Engine, World};
 use dumbnet_types::{HostId, MacAddr, Path, PortId, PortNo, SimDuration, SimTime, SwitchId};
 
 fn at_us(us: u64) -> SimTime {

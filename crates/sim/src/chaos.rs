@@ -11,9 +11,9 @@
 
 use dumbnet_types::{SimDuration, SimTime};
 
+use crate::engine::Engine;
 use crate::engine::{LinkStats, WireId, WorldStats};
 use crate::faults::ChaosPlan;
-use crate::shard::Engine;
 
 /// Outcome of a chaos run.
 #[derive(Debug, Clone)]

@@ -23,7 +23,7 @@
 //! scheduling (injections, chaos plans). Same-instant events fire in
 //! ascending key order, which depends only on *what was emitted*, never
 //! on which queue it was pushed into — so an N-shard
-//! [`ShardedWorld`](crate::ShardedWorld)(crate::shard::ShardedWorld) run pops the exact same
+//! [`ShardedWorld`](crate::ShardedWorld) run pops the exact same
 //! per-node event sequence as a single `World`. For the same reason all
 //! randomness is decentralized: [`Ctx::rng`] draws from a per-node
 //! stream and fault coin-flips from a per-(wire, direction) stream,
@@ -34,6 +34,16 @@
 //! the full node/wire tables but only its own cell's nodes, and
 //! cross-cell arrivals detour through an outbox exchanged at
 //! synchronization windows instead of the local queue.
+//!
+//! # One driving surface
+//!
+//! Every engine is a slice of such cells, and [`Engine`] is written
+//! once over that slice: an engine supplies its cells and how it
+//! executes them ([`Engine::run_until`], [`Engine::run_to_idle`]);
+//! construction, scheduling and observation are provided methods that
+//! place a node in its owner cell, mirror wiring and admin events into
+//! every cell under one shared key, and sum or merge what the cells
+//! observed. A plain `World` is the one-cell case of the same code.
 
 use std::any::Any;
 
@@ -41,7 +51,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dumbnet_packet::Packet;
-use dumbnet_telemetry::{Counter, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory};
+use dumbnet_telemetry::{
+    Counter, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory, TraceEvent,
+};
 use dumbnet_types::{Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
 use crate::event::EventQueue;
@@ -101,7 +113,7 @@ impl LinkParams {
 /// Behaviour plugged into the engine: a switch, host, or controller.
 ///
 /// `Send` is a supertrait so a node can live inside a
-/// [`ShardedWorld`](crate::ShardedWorld)(crate::shard::ShardedWorld) shard that executes on
+/// [`ShardedWorld`](crate::ShardedWorld) shard that executes on
 /// a worker thread. Nodes never share state across threads — each is
 /// owned by exactly one shard — so `Send` (not `Sync`) is all the
 /// engine asks for.
@@ -119,12 +131,12 @@ pub trait Node: Send {
     fn on_link_change(&mut self, _ctx: &mut Ctx<'_>, _port: PortNo, _up: bool) {}
 
     /// The node came back after a crash scheduled via
-    /// [`World::schedule_restart`]. All timers armed before the crash
+    /// [`Engine::schedule_restart`]. All timers armed before the crash
     /// are gone; persistent state (fields) survives, volatile progress
     /// does not. The default does nothing — stateless nodes just resume.
     fn on_restart(&mut self, _ctx: &mut Ctx<'_>) {}
 
-    /// Called by [`World::telemetry_snapshot`] immediately before the
+    /// Called by [`Engine::telemetry_snapshot`] immediately before the
     /// registry is read, so nodes can sync derived values (cache
     /// hit/miss totals, table sizes) into their registered handles.
     /// Must not touch simulation state; the default does nothing.
@@ -302,7 +314,35 @@ pub struct WorldStats {
     pub ecn_marked: u64,
 }
 
-/// Per-wire counters, queryable after a run via [`World::link_stats`].
+/// Sums another cell's view into this one. The exhaustive destructuring
+/// makes a counter added to the struct a compile error here until it
+/// is summed, so the merged view cannot silently drop it.
+impl std::ops::AddAssign for WorldStats {
+    fn add_assign(&mut self, rhs: WorldStats) {
+        let WorldStats {
+            events,
+            packets_sent,
+            packets_delivered,
+            drops_down,
+            drops_queue,
+            drops_loss,
+            drops_corrupt,
+            drops_crashed,
+            ecn_marked,
+        } = rhs;
+        self.events += events;
+        self.packets_sent += packets_sent;
+        self.packets_delivered += packets_delivered;
+        self.drops_down += drops_down;
+        self.drops_queue += drops_queue;
+        self.drops_loss += drops_loss;
+        self.drops_corrupt += drops_corrupt;
+        self.drops_crashed += drops_crashed;
+        self.ecn_marked += ecn_marked;
+    }
+}
+
+/// Per-wire counters, queryable after a run via [`Engine::link_stats`].
 ///
 /// A packet that the wire *accepts* increments `sent`; every accepted
 /// packet ends in exactly one of `delivered`, `drops_loss`,
@@ -330,6 +370,36 @@ pub struct LinkStats {
     pub ecn_marked: u64,
     /// Packets whose delivery was delayed by jitter.
     pub jittered: u64,
+}
+
+/// Sums another cell's view of the same wire into this one (direction
+/// counters accrue on the sending cell, delivery counters on the
+/// receiving one). Exhaustive for the same reason as [`WorldStats`]'s.
+impl std::ops::AddAssign for LinkStats {
+    fn add_assign(&mut self, rhs: LinkStats) {
+        let LinkStats {
+            sent,
+            delivered,
+            drops_down,
+            drops_queue,
+            drops_loss,
+            drops_corrupt,
+            drops_burst,
+            drops_crashed,
+            ecn_marked,
+            jittered,
+        } = rhs;
+        self.sent += sent;
+        self.delivered += delivered;
+        self.drops_down += drops_down;
+        self.drops_queue += drops_queue;
+        self.drops_loss += drops_loss;
+        self.drops_corrupt += drops_corrupt;
+        self.drops_burst += drops_burst;
+        self.drops_crashed += drops_crashed;
+        self.ecn_marked += ecn_marked;
+        self.jittered += jittered;
+    }
 }
 
 /// Live engine counters: [`Counter`] handles registered with the
@@ -383,8 +453,8 @@ impl WorldCounters {
 }
 
 /// Live per-wire counters, registered under
-/// `(NodeKind::Link, wire index, name)`; [`World::link_stats`]
-/// assembles the [`LinkStats`] view.
+/// `(NodeKind::Link, wire index, name)`; [`Engine::link_stats`]
+/// sums the per-cell [`LinkStats`] views.
 #[derive(Debug, Default, Clone)]
 struct LinkCounters {
     sent: Counter,
@@ -615,7 +685,7 @@ pub struct Core {
     /// utilization so packet-plane endpoints see elephant congestion.
     ext_congestion: Vec<[bool; 2]>,
     /// Cell (shard) assignment per node; all zeros standalone.
-    cells: Vec<u32>,
+    node_cells: Vec<u32>,
     /// Which cell this world instance executes (0 standalone).
     my_cell: u32,
     /// True when this world is one shard of a `ShardedWorld`: arrivals
@@ -690,7 +760,7 @@ impl World {
                 fault_seed: seed ^ FAULT_SEED_SALT,
                 fault_rngs: Vec::new(),
                 ext_congestion: Vec::new(),
-                cells: Vec::new(),
+                node_cells: Vec::new(),
                 my_cell,
                 sharded,
                 outbox: Vec::new(),
@@ -708,31 +778,12 @@ impl World {
         &self.telemetry
     }
 
-    /// Reads every registered metric into an ordered snapshot, after
-    /// giving each node a [`Node::publish_telemetry`] pass to sync
-    /// derived values. Deterministic: same seed, same event sequence ⇒
-    /// byte-identical [`TelemetrySnapshot::to_json`].
-    pub fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
-        for slot in &mut self.nodes {
-            if let Some(node) = slot.as_mut() {
-                node.publish_telemetry();
-            }
-        }
-        self.telemetry.snapshot()
-    }
-
-    /// Adds a node and returns its address.
-    pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr {
-        let cell = self.my_cell;
-        self.add_slot(Some(node), cell)
-    }
-
-    /// Adds a node recorded as belonging to `cell`. On a standalone
-    /// world the cell has no execution effect (everything runs here);
-    /// it exists so cell-partitioned construction code works against
-    /// [`Engine`](crate::shard::Engine) regardless of the engine.
-    pub fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr {
-        self.add_slot(Some(node), cell)
+    /// The counters of this cell alone (a view assembled from the
+    /// telemetry handles). On a standalone world that is everything;
+    /// [`Engine::stats`] sums it over the cells of any engine.
+    #[must_use]
+    pub fn stats(&self) -> WorldStats {
+        self.stats.view()
     }
 
     /// Adds a node table slot assigned to `cell`. In a sharded run
@@ -740,7 +791,7 @@ impl World {
     /// the node itself (`Some`); foreign slots are `None` and dispatch
     /// to them is a no-op. RNG streams and emission counters exist for
     /// every slot so indices line up across shards.
-    pub(crate) fn add_slot(&mut self, node: Option<Box<dyn Node>>, cell: u32) -> NodeAddr {
+    fn add_slot(&mut self, node: Option<Box<dyn Node>>, cell: u32) -> NodeAddr {
         let addr = NodeAddr(self.nodes.len());
         self.nodes.push(node);
         self.crashed.push(false);
@@ -750,30 +801,13 @@ impl World {
             .node_rngs
             .push(StdRng::seed_from_u64(derive_seed(seed, addr.0 as u64 + 1)));
         self.core.emit_seq.push(0);
-        self.core.cells.push(cell);
+        self.core.node_cells.push(cell);
         addr
     }
 
-    /// The cell a node was assigned to (0 for every node of a
-    /// standalone world).
-    #[must_use]
-    pub fn node_cell(&self, addr: NodeAddr) -> u32 {
-        self.cells.get(addr.0).copied().unwrap_or(0)
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Wires `a:pa` to `b:pb`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DumbNetError::PortInUse`] if either port is already
-    /// wired, and [`DumbNetError::UnknownNode`] for bad addresses.
-    pub fn wire(
+    /// Adds one wire to this cell's wiring table (every cell of an
+    /// engine holds the full table; see [`Engine::wire`]).
+    fn add_wire(
         &mut self,
         a: NodeAddr,
         pa: PortNo,
@@ -834,263 +868,6 @@ impl World {
         ]
     }
 
-    /// Physical parameters of a wire (the sharded engine reads link
-    /// latencies from here to compute its lookahead bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range wire ID.
-    #[must_use]
-    pub fn wire_params(&self, wire: WireId) -> LinkParams {
-        self.wiring.wires[wire.0].params
-    }
-
-    /// Number of wires.
-    #[must_use]
-    pub fn wire_count(&self) -> usize {
-        self.wiring.wires.len()
-    }
-
-    /// The two `(node, port)` endpoints of a wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range wire ID.
-    #[must_use]
-    pub fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo)) {
-        let w = &self.wiring.wires[wire.0];
-        (w.a, w.b)
-    }
-
-    /// Whether a wire is currently up.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range wire ID.
-    #[must_use]
-    pub fn wire_up(&self, wire: WireId) -> bool {
-        self.wiring.wires[wire.0].up
-    }
-
-    /// Installs (or replaces) the fault profile of a wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range wire ID.
-    pub fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
-        self.faults[wire.0] = if profile.is_benign() {
-            None
-        } else {
-            Some(profile)
-        };
-    }
-
-    /// Reseeds every per-(wire, direction) fault stream (normally done
-    /// through [`ChaosPlan::apply`](crate::faults::ChaosPlan::apply)).
-    /// Wires created later derive from the new seed too.
-    pub fn set_fault_seed(&mut self, seed: u64) {
-        self.fault_seed = seed;
-        for (ix, rngs) in self.core.fault_rngs.iter_mut().enumerate() {
-            *rngs = Self::wire_fault_rngs(seed, WireId(ix));
-        }
-    }
-
-    /// Per-wire counters accumulated so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range wire ID.
-    #[must_use]
-    pub fn link_stats(&self, wire: WireId) -> LinkStats {
-        self.link_stats[wire.0].view()
-    }
-
-    /// Schedules `node` to crash at `at`.
-    pub fn schedule_crash(&mut self, at: SimTime, node: NodeAddr) {
-        let key = self.ext_key();
-        self.schedule_crash_keyed(at, node, key, true);
-    }
-
-    /// Schedules `node` to come back at `at` (no-op unless crashed).
-    pub fn schedule_restart(&mut self, at: SimTime, node: NodeAddr) {
-        let key = self.ext_key();
-        self.schedule_restart_keyed(at, node, key, true);
-    }
-
-    pub(crate) fn schedule_crash_keyed(
-        &mut self,
-        at: SimTime,
-        node: NodeAddr,
-        key: u64,
-        counted: bool,
-    ) {
-        self.queue.push(at, key, Event::Crash { node, counted });
-    }
-
-    pub(crate) fn schedule_restart_keyed(
-        &mut self,
-        at: SimTime,
-        node: NodeAddr,
-        key: u64,
-        counted: bool,
-    ) {
-        self.queue.push(at, key, Event::Restart { node, counted });
-    }
-
-    /// Whether `node` is currently crashed.
-    #[must_use]
-    pub fn is_crashed(&self, node: NodeAddr) -> bool {
-        self.crashed.get(node.0).copied().unwrap_or(false)
-    }
-
-    /// The wire on `(node, port)`, if any.
-    #[must_use]
-    pub fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        self.wiring.at(node, port)
-    }
-
-    /// Schedules an administrative wire state change at `at` (both
-    /// endpoint nodes get carrier notifications when it happens).
-    pub fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool) {
-        let key = self.ext_key();
-        self.schedule_link_state_keyed(at, wire, up, key, true);
-    }
-
-    pub(crate) fn schedule_link_state_keyed(
-        &mut self,
-        at: SimTime,
-        wire: WireId,
-        up: bool,
-        key: u64,
-        counted: bool,
-    ) {
-        self.queue
-            .push(at, key, Event::AdminLink { wire, up, counted });
-    }
-
-    /// Schedules `wire`'s fault profile to be replaced at `at` —
-    /// the mid-run half of [`World::set_fault_profile`], used by
-    /// [`ChaosPlan`](crate::faults::ChaosPlan) profile changes so gray
-    /// faults can heal or worsen while the world runs. No carrier
-    /// notification: the wire stays administratively up throughout.
-    pub fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
-        let key = self.ext_key();
-        self.schedule_fault_profile_keyed(at, wire, profile, key, true);
-    }
-
-    pub(crate) fn schedule_fault_profile_keyed(
-        &mut self,
-        at: SimTime,
-        wire: WireId,
-        profile: FaultProfile,
-        key: u64,
-        counted: bool,
-    ) {
-        self.queue.push(
-            at,
-            key,
-            Event::AdminFault {
-                wire,
-                profile: Box::new(profile),
-                counted,
-            },
-        );
-    }
-
-    /// Injects a packet arrival at `(node, port)` at time `at`, as if it
-    /// had come off a wire.
-    pub fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet) {
-        let key = self.ext_key();
-        self.inject_keyed(at, node, port, pkt, key);
-    }
-
-    pub(crate) fn inject_keyed(
-        &mut self,
-        at: SimTime,
-        node: NodeAddr,
-        port: PortNo,
-        pkt: Packet,
-        key: u64,
-    ) {
-        self.queue.push(
-            at,
-            key,
-            Event::Arrive {
-                node,
-                port,
-                pkt,
-                via: None,
-            },
-        );
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Engine counters (a view assembled from the telemetry handles).
-    #[must_use]
-    pub fn stats(&self) -> WorldStats {
-        self.stats.view()
-    }
-
-    /// Immutable downcast access to a node's concrete type.
-    #[must_use]
-    pub fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T> {
-        self.nodes
-            .get(addr.0)?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
-    }
-
-    /// Mutable downcast access to a node's concrete type.
-    #[must_use]
-    pub fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T> {
-        self.nodes
-            .get_mut(addr.0)?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
-    }
-
-    /// Runs until the event queue drains or `max_events` fire, whichever
-    /// comes first. Returns the stats snapshot.
-    pub fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
-        self.ensure_started();
-        let mut fired = 0;
-        while fired < max_events {
-            let Some((t, ev)) = self.queue.pop() else {
-                break;
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.dispatch(ev);
-            fired += 1;
-        }
-        self.stats.view()
-    }
-
-    /// Runs all events with timestamps ≤ `until`, then sets the clock to
-    /// `until`.
-    pub fn run_until(&mut self, until: SimTime) -> WorldStats {
-        self.ensure_started();
-        while let Some((t, ev)) = self.queue.pop_before(until) {
-            self.now = t;
-            self.dispatch(ev);
-        }
-        self.now = until;
-        self.stats.view()
-    }
-
-    /// Timestamp of the next pending event.
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Runs every local event with a timestamp strictly before `end`
     /// (one synchronization window) and returns how many fired. Events
     /// at `end` or later stay queued: a cross-shard arrival generated
@@ -1140,11 +917,6 @@ impl World {
         std::mem::take(&mut self.core.outbox)
     }
 
-    /// Earliest buffered cross-shard arrival, if any.
-    pub(crate) fn outbox_earliest(&self) -> Option<SimTime> {
-        self.core.outbox.iter().map(|c| c.at).min()
-    }
-
     /// Enqueues an arrival received from another shard, preserving the
     /// key its sender assigned.
     pub(crate) fn push_crossing(&mut self, c: Crossing) {
@@ -1158,13 +930,6 @@ impl World {
                 via: Some(c.via),
             },
         );
-    }
-
-    /// Allocates the next external (origin-0) ordering key. The sharded
-    /// driver allocates external keys itself so mirrored copies of one
-    /// admin event share a key across shards.
-    pub(crate) fn alloc_ext_key(&mut self) -> u64 {
-        self.core.ext_key()
     }
 
     pub(crate) fn ensure_started(&mut self) {
@@ -1270,7 +1035,7 @@ impl World {
                         ),
                     );
                 }
-                self.set_fault_profile(wire, *profile);
+                self.install_fault(wire, *profile);
             }
             Event::Crash {
                 node: addr,
@@ -1384,6 +1149,15 @@ impl Core {
         u64::from(seq)
     }
 
+    /// Installs (or replaces) the fault profile of a wire.
+    fn install_fault(&mut self, wire: WireId, profile: FaultProfile) {
+        self.faults[wire.0] = if profile.is_benign() {
+            None
+        } else {
+            Some(profile)
+        };
+    }
+
     /// Puts a packet onto the wire at `(from, port)` at the current time.
     fn transmit(&mut self, from: NodeAddr, port: PortNo, mut pkt: Packet) {
         let Some(wid) = self.wiring.at(from, port) else {
@@ -1491,7 +1265,7 @@ impl Core {
             }
         }
         let key = self.next_key(from);
-        if self.sharded && self.cells[dest.0 .0] != self.my_cell {
+        if self.sharded && self.node_cells[dest.0 .0] != self.my_cell {
             // Destination lives on another shard: buffer the arrival
             // for the window-barrier exchange. The key travels with it,
             // so the receiving shard merges it into exactly the slot a
@@ -1516,6 +1290,388 @@ impl Core {
                 via: Some(wid),
             },
         );
+    }
+}
+
+/// Queues one admin event in every cell under a single external key.
+/// Wire and crash state must change everywhere at the same `(time,
+/// key)` slot, but only the `owner` cell's copy is counted and traced,
+/// so merged totals match a one-cell run. The key comes from cell 0's
+/// counter: the n-th external event gets the same key on every engine.
+fn mirror_admin(cells: &mut [World], at: SimTime, owner: usize, event: impl Fn(bool) -> Event) {
+    let key = cells[0].core.ext_key();
+    for (ix, cell) in cells.iter_mut().enumerate() {
+        cell.core.queue.push(at, key, event(ix == owner));
+    }
+}
+
+/// The driving surface of every engine: a [`World`], a
+/// [`ShardedWorld`](crate::ShardedWorld), or a
+/// [`HybridWorld`](crate::HybridWorld) layered over either.
+///
+/// Everything the fabric builder, chaos harness and invariant checkers
+/// need: construction (nodes, wires), scheduling (injections, admin
+/// events), execution (windows of virtual time) and observation
+/// (stats, telemetry, traces). Code written against `Engine` runs
+/// unmodified on one core or many.
+///
+/// An engine *is* its slice of cells plus a way to execute them, and
+/// those four methods are all an implementation must supply. Every
+/// other method is provided, written once over the slice: a node lives
+/// in its owner cell, wiring and admin events are mirrored into every
+/// cell, counters are summed and telemetry merged. A layer that
+/// intervenes in an operation (the hybrid engine's flow plane watching
+/// admin events) overrides that method and calls the engine beneath.
+pub trait Engine {
+    /// The cells this engine executes, in cell order. Never empty; a
+    /// plain [`World`] is its own single cell.
+    fn cells(&self) -> &[World];
+
+    /// Mutable access to the cells. Driving one cell of a multi-cell
+    /// engine on its own breaks the engine's synchronization; this is
+    /// the hook the provided methods are built on, not a second API.
+    fn cells_mut(&mut self) -> &mut [World];
+
+    /// Runs all events with timestamps ≤ `until`, then sets the clock
+    /// to `until`.
+    fn run_until(&mut self, until: SimTime) -> WorldStats;
+
+    /// Runs until idle or roughly `max_events` dispatches.
+    ///
+    /// A sharded engine stops at the first synchronization barrier at
+    /// or past the budget, so it can overshoot a finite `max_events` by
+    /// up to one window; `u64::MAX` (run to completion) is exact on
+    /// every engine.
+    fn run_to_idle(&mut self, max_events: u64) -> WorldStats;
+
+    /// Adds a node to cell 0 and returns its address.
+    fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr {
+        self.add_node_in_cell(node, 0)
+    }
+
+    /// Adds a node assigned to `cell` and returns its address.
+    ///
+    /// The cell selects the owning shard. Cells beyond the engine's
+    /// cell count wrap round-robin (`cell % cell_count()`), so a
+    /// topology partitioned into more cells than the machine has cores
+    /// still maps deterministically — and on a plain [`World`] every
+    /// node lands in cell 0.
+    fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr {
+        let cells = self.cells_mut();
+        let cell = cell % u32::try_from(cells.len()).expect("cell count fits in u32");
+        let mut node = Some(node);
+        let mut addr = NodeAddr(0);
+        for (ix, c) in cells.iter_mut().enumerate() {
+            let slot = if ix == cell as usize {
+                node.take()
+            } else {
+                None
+            };
+            addr = c.add_slot(slot, cell);
+        }
+        addr
+    }
+
+    /// Wires `a:pa` to `b:pb`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DumbNetError::PortInUse`] if either port is already
+    /// wired, and [`DumbNetError::UnknownNode`] for bad addresses.
+    fn wire(
+        &mut self,
+        a: NodeAddr,
+        pa: PortNo,
+        b: NodeAddr,
+        pb: PortNo,
+        params: LinkParams,
+    ) -> Result<WireId> {
+        let mut id = WireId(0);
+        for cell in self.cells_mut() {
+            id = cell.add_wire(a, pa, b, pb, params)?;
+        }
+        Ok(id)
+    }
+
+    /// Immutable downcast access to a node's concrete type.
+    fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T> {
+        self.cells()[self.node_cell(addr) as usize]
+            .nodes
+            .get(addr.0)?
+            .as_ref()?
+            .as_any()
+            .downcast_ref::<T>()
+    }
+
+    /// Mutable downcast access to a node's concrete type.
+    fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T> {
+        let owner = self.node_cell(addr) as usize;
+        self.cells_mut()[owner]
+            .nodes
+            .get_mut(addr.0)?
+            .as_mut()?
+            .as_any_mut()
+            .downcast_mut::<T>()
+    }
+
+    /// Number of node slots.
+    fn node_count(&self) -> usize {
+        self.cells()[0].nodes.len()
+    }
+
+    /// The cell that owns a node (cell 0 for an unknown address);
+    /// always below [`Engine::cell_count`].
+    fn node_cell(&self, addr: NodeAddr) -> u32 {
+        self.cells()[0].node_cells.get(addr.0).copied().unwrap_or(0)
+    }
+
+    /// Number of cells this engine executes (1 for a plain world).
+    fn cell_count(&self) -> usize {
+        self.cells().len()
+    }
+
+    /// Number of wires.
+    fn wire_count(&self) -> usize {
+        self.cells()[0].wiring.wires.len()
+    }
+
+    /// The wire on `(node, port)`, if any.
+    fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
+        self.cells()[0].wiring.at(node, port)
+    }
+
+    /// The two `(node, port)` endpoints of a wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range wire ID.
+    fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo)) {
+        let w = &self.cells()[0].wiring.wires[wire.0];
+        (w.a, w.b)
+    }
+
+    /// Whether a wire is administratively up (admin changes are
+    /// mirrored everywhere, so every cell agrees).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range wire ID.
+    fn wire_up(&self, wire: WireId) -> bool {
+        self.cells()[0].wiring.wires[wire.0].up
+    }
+
+    /// Physical parameters of a wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range wire ID.
+    fn wire_params(&self, wire: WireId) -> LinkParams {
+        self.cells()[0].wiring.wires[wire.0].params
+    }
+
+    /// Accumulated per-wire counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range wire ID.
+    fn link_stats(&self, wire: WireId) -> LinkStats {
+        let mut total = LinkStats::default();
+        for cell in self.cells() {
+            total += cell.link_stats[wire.0].view();
+        }
+        total
+    }
+
+    /// Whether `node` is currently crashed.
+    fn is_crashed(&self, node: NodeAddr) -> bool {
+        let owner = &self.cells()[self.node_cell(node) as usize];
+        owner.crashed.get(node.0).copied().unwrap_or(false)
+    }
+
+    /// Current virtual time. Between runs all cells agree; mid-run
+    /// observers get the furthest clock.
+    fn now(&self) -> SimTime {
+        self.cells()
+            .iter()
+            .map(|c| c.now)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Accumulated engine counters, summed over the cells.
+    fn stats(&self) -> WorldStats {
+        let mut total = WorldStats::default();
+        for cell in self.cells() {
+            total += cell.stats();
+        }
+        total
+    }
+
+    /// Timestamp of the earliest pending event, if any. Outboxes are
+    /// drained at barriers, so they are empty between runs; they are
+    /// included for mid-run observers.
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.cells()
+            .iter()
+            .flat_map(|c| {
+                let crossings = c.outbox.iter().map(|x| x.at);
+                c.queue.peek_time().into_iter().chain(crossings)
+            })
+            .min()
+    }
+
+    /// Injects a packet arrival at `(node, port)` at time `at`, as if
+    /// it had come off a wire.
+    fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet) {
+        let owner = self.node_cell(node) as usize;
+        let cells = self.cells_mut();
+        let key = cells[0].core.ext_key();
+        let arrive = Event::Arrive {
+            node,
+            port,
+            pkt,
+            via: None,
+        };
+        cells[owner].core.queue.push(at, key, arrive);
+    }
+
+    /// Schedules `node` to crash at `at`.
+    fn schedule_crash(&mut self, at: SimTime, node: NodeAddr) {
+        let owner = self.node_cell(node) as usize;
+        mirror_admin(self.cells_mut(), at, owner, |counted| Event::Crash {
+            node,
+            counted,
+        });
+    }
+
+    /// Schedules `node` to come back at `at` (no-op unless crashed).
+    fn schedule_restart(&mut self, at: SimTime, node: NodeAddr) {
+        let owner = self.node_cell(node) as usize;
+        mirror_admin(self.cells_mut(), at, owner, |counted| Event::Restart {
+            node,
+            counted,
+        });
+    }
+
+    /// Schedules an administrative wire state change at `at` (both
+    /// endpoint nodes get carrier notifications when it happens).
+    fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool) {
+        let owner = self.node_cell(self.wire_endpoints(wire).0 .0) as usize;
+        mirror_admin(self.cells_mut(), at, owner, |counted| Event::AdminLink {
+            wire,
+            up,
+            counted,
+        });
+    }
+
+    /// Schedules `wire`'s fault profile to be replaced at `at` — the
+    /// mid-run half of [`Engine::set_fault_profile`], used by
+    /// [`ChaosPlan`](crate::faults::ChaosPlan) profile changes so gray
+    /// faults can heal or worsen while the world runs. No carrier
+    /// notification: the wire stays administratively up throughout.
+    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
+        let owner = self.node_cell(self.wire_endpoints(wire).0 .0) as usize;
+        mirror_admin(self.cells_mut(), at, owner, |counted| Event::AdminFault {
+            wire,
+            profile: Box::new(profile.clone()),
+            counted,
+        });
+    }
+
+    /// Installs (or replaces) the fault profile of a wire immediately.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range wire ID.
+    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
+        for cell in self.cells_mut() {
+            cell.install_fault(wire, profile.clone());
+        }
+    }
+
+    /// Reseeds every per-(wire, direction) fault stream (normally done
+    /// through [`ChaosPlan::apply`](crate::faults::ChaosPlan::apply)).
+    /// Wires created later derive from the new seed too.
+    fn set_fault_seed(&mut self, seed: u64) {
+        for cell in self.cells_mut() {
+            cell.fault_seed = seed;
+            for (ix, rngs) in cell.core.fault_rngs.iter_mut().enumerate() {
+                *rngs = World::wire_fault_rngs(seed, WireId(ix));
+            }
+        }
+    }
+
+    /// Reads every registered metric into an ordered snapshot, after
+    /// giving each node a [`Node::publish_telemetry`] pass to sync
+    /// derived values. Per-cell registries are merged key-wise, so the
+    /// result is byte-identical at any cell count: same seed, same
+    /// scenario ⇒ same [`TelemetrySnapshot::to_json`].
+    fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
+        TelemetrySnapshot::merged(self.cells_mut().iter_mut().map(|cell| {
+            for node in cell.nodes.iter_mut().flatten() {
+                node.publish_telemetry();
+            }
+            cell.telemetry.snapshot()
+        }))
+    }
+
+    /// The most recent `n` trace events and the count of older ones
+    /// dropped from the ring. Per-cell rings are merged by timestamp;
+    /// the interleaving of same-instant events across cells is
+    /// diagnostic-quality only (determinism guarantees cover counters
+    /// and snapshots, not trace interleavings).
+    fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
+        let mut merged: Vec<(SimTime, usize, TraceEvent)> = Vec::new();
+        let mut dropped = 0;
+        for (ix, cell) in self.cells().iter().enumerate() {
+            let (tail, d) = cell.telemetry.trace_tail(n);
+            dropped += d;
+            merged.extend(tail.into_iter().map(|e| (e.at, ix, e)));
+        }
+        merged.sort_by_key(|e| (e.0, e.1));
+        if merged.len() > n {
+            let cut = merged.len() - n;
+            dropped += cut as u64;
+            merged.drain(..cut);
+        }
+        (merged.into_iter().map(|(_, _, e)| e).collect(), dropped)
+    }
+}
+
+/// A plain world is the one-cell engine: its own single cell, executed
+/// by popping its queue directly.
+impl Engine for World {
+    fn cells(&self) -> &[World] {
+        std::slice::from_ref(self)
+    }
+
+    fn cells_mut(&mut self) -> &mut [World] {
+        std::slice::from_mut(self)
+    }
+
+    fn run_until(&mut self, until: SimTime) -> WorldStats {
+        self.ensure_started();
+        while let Some((t, ev)) = self.queue.pop_before(until) {
+            self.now = t;
+            self.dispatch(ev);
+        }
+        self.now = until;
+        self.stats.view()
+    }
+
+    fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
+        self.ensure_started();
+        let mut fired = 0;
+        while fired < max_events {
+            let Some((t, ev)) = self.queue.pop() else {
+                break;
+            };
+            debug_assert!(t >= self.now, "time went backwards");
+            self.now = t;
+            self.dispatch(ev);
+            fired += 1;
+        }
+        self.stats.view()
     }
 }
 

@@ -30,8 +30,8 @@
 
 use dumbnet_types::{SimDuration, SimTime};
 
+use crate::engine::Engine;
 use crate::engine::{NodeAddr, WireId};
-use crate::shard::Engine;
 
 /// Per-wire fault behaviour. The default profile is fault-free.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -1,8 +1,9 @@
 //! The hybrid flow/packet engine: one fabric, two coupled planes.
 //!
-//! [`HybridWorld`] wraps a packet-level [`World`] and a flow-level
-//! [`FlowSim`] over the *same* fabric: every directed flow edge is bound
-//! to (one direction of) a packet-plane wire through the shared
+//! [`HybridWorld`] layers a flow-level [`FlowSim`] over any packet-level
+//! [`Engine`] — a [`World`] or a [`ShardedWorld`](crate::ShardedWorld)
+//! — modelling the *same* fabric: every directed flow edge is bound to
+//! (one direction of) a packet-plane wire through the shared
 //! wire↔edge mapping (`dumbnet_topology::EdgeMap`, materialized by the
 //! fabric builder). Long-lived elephants run in the flow plane at
 //! max-min rates; mice and control frames stay packet-level. The planes
@@ -20,7 +21,8 @@
 //! * **Congestion flows upward.** Whenever a re-solve changes an edge's
 //!   allocated load, edges whose utilization crosses the configured
 //!   threshold assert external ECN on their wire direction
-//!   ([`World::set_external_congestion`]): packet-plane mice crossing an
+//!   ([`World::set_external_congestion`](crate::World::set_external_congestion),
+//!   mirrored into every cell): packet-plane mice crossing an
 //!   elephant-saturated link get ECN-marked, their receivers echo the
 //!   marks, and `ext::ecn`-style routing functions reroute them — the
 //!   flow plane steering the packet plane without simulating a single
@@ -33,14 +35,11 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use dumbnet_packet::Packet;
-use dumbnet_telemetry::{TelemetrySnapshot, TraceEvent};
-use dumbnet_types::{Bandwidth, PortNo, Result, SimTime};
+use dumbnet_types::{Bandwidth, SimTime};
 
-use crate::engine::{LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
+use crate::engine::{Engine, NodeAddr, WireId, World, WorldStats};
 use crate::faults::FaultProfile;
 use crate::flowsim::{EdgeId, FlowEvent, FlowId, FlowSim, SolverStats};
-use crate::shard::Engine;
 
 /// Counters describing boundary-coupling activity.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +66,7 @@ struct EdgeBinding {
     dir: usize,
     /// Healthy-link capacity.
     nominal: Bandwidth,
-    /// Administrative wire state (mirrors `World::wire_up`).
+    /// Administrative wire state (mirrors `Engine::wire_up`).
     admin_up: bool,
     /// True while either wire endpoint is crashed.
     endpoint_down: bool,
@@ -91,10 +90,14 @@ enum CapEvent {
     FaultScale(WireId, [f64; 2]),
 }
 
-/// The hybrid engine. Implements [`Engine`], so fabric construction,
-/// chaos plans and invariant checkers drive it unmodified.
-pub struct HybridWorld {
-    world: World,
+/// The hybrid engine: a flow plane layered over the packet engine `W`.
+///
+/// Implements [`Engine`] by lending out the inner engine's cells, so
+/// fabric construction, chaos plans and invariant checkers drive it
+/// unmodified; it overrides only the operations the flow plane must
+/// see (execution, admin scheduling, fault installs).
+pub struct HybridWorld<W: Engine = World> {
+    inner: W,
     flow: FlowSim,
     edges: Vec<EdgeBinding>,
     /// Wire → flow edges bound to it.
@@ -104,28 +107,24 @@ pub struct HybridWorld {
     pending_caps: BTreeMap<SimTime, Vec<CapEvent>>,
     /// Flow completions not yet drained by the caller.
     pending_events: Vec<FlowEvent>,
-    /// Utilization at or above which an edge asserts external ECN on
-    /// its wire; `None` disables the upward coupling.
-    ecn_util_threshold: Option<f64>,
     stats: HybridStats,
 }
 
-impl HybridWorld {
-    /// Fraction of capacity an elephant-loaded edge must reach before
-    /// its wire starts ECN-marking packet-plane traffic.
-    pub const DEFAULT_ECN_UTILIZATION: f64 = 0.95;
+/// Fraction of capacity an elephant-loaded edge must reach before its
+/// wire starts ECN-marking packet-plane traffic.
+pub const DEFAULT_ECN_UTILIZATION: f64 = 0.95;
 
-    /// Creates a hybrid world with a deterministic seed.
+impl<W: Engine> HybridWorld<W> {
+    /// Layers an empty flow plane over the packet engine `inner`.
     #[must_use]
-    pub fn new(seed: u64) -> HybridWorld {
+    pub fn new(inner: W) -> HybridWorld<W> {
         HybridWorld {
-            world: World::new(seed),
+            inner,
             flow: FlowSim::new(),
             edges: Vec::new(),
             wire_edges: BTreeMap::new(),
             pending_caps: BTreeMap::new(),
             pending_events: Vec::new(),
-            ecn_util_threshold: Some(HybridWorld::DEFAULT_ECN_UTILIZATION),
             stats: HybridStats::default(),
         }
     }
@@ -151,18 +150,6 @@ impl HybridWorld {
             self.wire_edges.entry(w).or_default().push(id.0);
         }
         id
-    }
-
-    /// The packet plane (a plain [`World`]); all [`Engine`] methods
-    /// delegate here, so this is only needed for world-specific extras.
-    #[must_use]
-    pub fn world(&self) -> &World {
-        &self.world
-    }
-
-    /// Mutable packet-plane access.
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
     }
 
     /// The flow plane. Capacities of bound edges are owned by the
@@ -191,28 +178,14 @@ impl HybridWorld {
         self.flow.solver_stats()
     }
 
-    /// Sets (or disables) the utilization threshold for upward ECN
-    /// coupling.
-    pub fn set_ecn_utilization_threshold(&mut self, threshold: Option<f64>) {
-        self.ecn_util_threshold = threshold;
-    }
-
     /// Starts an elephant of `bytes` along `path` (shared-enumeration
     /// edge ids) at the current time.
     pub fn start_elephant(&mut self, path: Vec<EdgeId>, bytes: u64) -> FlowId {
-        let now = self.world.now();
+        let now = self.inner.now();
         self.sync_flow_to(now);
         let id = self.flow.start_flow(path, bytes);
         self.refresh_marks();
         id
-    }
-
-    /// Re-routes an active elephant (flowlet switching / failover).
-    pub fn reroute_elephant(&mut self, flow: FlowId, path: Vec<EdgeId>) {
-        let now = self.world.now();
-        self.sync_flow_to(now);
-        self.flow.reroute(flow, path);
-        self.refresh_marks();
     }
 
     /// The elephant's current max-min rate.
@@ -240,16 +213,6 @@ impl HybridWorld {
     /// Fraction of an edge's effective capacity allocated to elephants.
     pub fn edge_utilization(&mut self, edge: EdgeId) -> f64 {
         self.flow.edge_utilization(edge)
-    }
-
-    /// The worst (maximum) edge utilization along a path — the signal
-    /// utilization-aware flowlet placement ranks candidate paths by.
-    pub fn path_utilization(&mut self, path: &[EdgeId]) -> f64 {
-        let mut worst: f64 = 0.0;
-        for &e in path {
-            worst = worst.max(self.flow.edge_utilization(e));
-        }
-        worst
     }
 
     /// Replaces the set of quarantined flow edges (absolute, idempotent
@@ -282,7 +245,7 @@ impl HybridWorld {
             if let Some(t) = self.flow.next_completion_time() {
                 target = target.min(t);
             }
-            self.world.run_until(target);
+            self.inner.run_until(target);
             self.sync_flow_to(target);
             if !self.pending_events.is_empty() || target >= until {
                 return self.drain_flow_events();
@@ -320,7 +283,7 @@ impl HybridWorld {
     fn apply_cap(&mut self, ev: &CapEvent) {
         match *ev {
             CapEvent::WireSync(wire) => {
-                let up = self.world.wire_up(wire);
+                let up = self.inner.wire_up(wire);
                 for ix in self.bound_edges(wire) {
                     if self.edges[ix].admin_up != up {
                         self.edges[ix].admin_up = up;
@@ -336,12 +299,12 @@ impl HybridWorld {
                     let Some(wire) = self.edges[ix].wire else {
                         continue;
                     };
-                    let ((a, _), (b, _)) = self.world.wire_endpoints(wire);
+                    let ((a, _), (b, _)) = self.inner.wire_endpoints(wire);
                     if a != node && b != node {
                         continue;
                     }
-                    let down = self.world.is_crashed(a) || self.world.is_crashed(b);
-                    let up = self.world.wire_up(wire);
+                    let down = self.inner.is_crashed(a) || self.inner.is_crashed(b);
+                    let up = self.inner.wire_up(wire);
                     let e = &mut self.edges[ix];
                     if e.endpoint_down != down || e.admin_up != up {
                         e.endpoint_down = down;
@@ -382,32 +345,22 @@ impl HybridWorld {
     /// Pushes external ECN marks for every edge whose allocated load
     /// changed since the last refresh.
     fn refresh_marks(&mut self) {
-        let Some(threshold) = self.ecn_util_threshold else {
-            return;
-        };
         for edge in self.flow.take_changed_edges() {
             let util = self.flow.edge_utilization(edge);
             let e = &mut self.edges[edge.0];
-            let want = util >= threshold;
+            let want = util >= DEFAULT_ECN_UTILIZATION;
             if e.marked != want {
                 e.marked = want;
                 if let Some(wire) = e.wire {
-                    self.world.set_external_congestion(wire, e.dir, want);
+                    // The sending cell does the marking; which one that
+                    // is depends on the partition, so assert everywhere.
+                    for cell in self.inner.cells_mut() {
+                        cell.set_external_congestion(wire, e.dir, want);
+                    }
                     self.stats.ecn_mark_flips += 1;
                 }
             }
         }
-    }
-
-    /// The goodput scale a fault profile imposes on each wire
-    /// direction, sampled at `at`.
-    fn profile_scales(profile: &FaultProfile, at: SimTime) -> [f64; 2] {
-        let corrupt = profile.corrupt_at(at).clamp(0.0, 1.0);
-        let scale = |dir: usize| {
-            let loss = profile.loss_at(at, dir).clamp(0.0, 1.0);
-            (1.0 - loss) * (1.0 - corrupt)
-        };
-        [scale(0), scale(1)]
     }
 
     fn push_cap(&mut self, at: SimTime, ev: CapEvent) {
@@ -415,84 +368,24 @@ impl HybridWorld {
     }
 }
 
-impl Engine for HybridWorld {
-    fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr {
-        self.world.add_node(node)
+/// The goodput scale a fault profile imposes on each wire direction,
+/// sampled at `at`.
+fn profile_scales(profile: &FaultProfile, at: SimTime) -> [f64; 2] {
+    let corrupt = profile.corrupt_at(at).clamp(0.0, 1.0);
+    let scale = |dir: usize| {
+        let loss = profile.loss_at(at, dir).clamp(0.0, 1.0);
+        (1.0 - loss) * (1.0 - corrupt)
+    };
+    [scale(0), scale(1)]
+}
+
+impl<W: Engine> Engine for HybridWorld<W> {
+    fn cells(&self) -> &[World] {
+        self.inner.cells()
     }
 
-    fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr {
-        self.world.add_node_in_cell(node, cell)
-    }
-
-    fn wire(
-        &mut self,
-        a: NodeAddr,
-        pa: PortNo,
-        b: NodeAddr,
-        pb: PortNo,
-        params: LinkParams,
-    ) -> Result<WireId> {
-        self.world.wire(a, pa, b, pb, params)
-    }
-
-    fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T> {
-        self.world.node(addr)
-    }
-
-    fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T> {
-        self.world.node_mut(addr)
-    }
-
-    fn node_count(&self) -> usize {
-        self.world.node_count()
-    }
-
-    fn node_cell(&self, addr: NodeAddr) -> u32 {
-        self.world.node_cell(addr)
-    }
-
-    fn cell_count(&self) -> usize {
-        1
-    }
-
-    fn wire_count(&self) -> usize {
-        self.world.wire_count()
-    }
-
-    fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        self.world.wire_at(node, port)
-    }
-
-    fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo)) {
-        self.world.wire_endpoints(wire)
-    }
-
-    fn wire_up(&self, wire: WireId) -> bool {
-        self.world.wire_up(wire)
-    }
-
-    fn wire_params(&self, wire: WireId) -> LinkParams {
-        self.world.wire_params(wire)
-    }
-
-    fn link_stats(&self, wire: WireId) -> LinkStats {
-        self.world.link_stats(wire)
-    }
-
-    fn is_crashed(&self, node: NodeAddr) -> bool {
-        self.world.is_crashed(node)
-    }
-
-    fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    fn stats(&self) -> WorldStats {
-        self.world.stats()
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.world.next_event_time()
+    fn cells_mut(&mut self) -> &mut [World] {
+        self.inner.cells_mut()
     }
 
     fn run_until(&mut self, until: SimTime) -> WorldStats {
@@ -502,73 +395,61 @@ impl Engine for HybridWorld {
             if t > until {
                 break;
             }
-            self.world.run_until(t);
+            self.inner.run_until(t);
             self.sync_flow_to(t);
         }
-        let stats = self.world.run_until(until);
+        let stats = self.inner.run_until(until);
         self.sync_flow_to(until);
         stats
     }
 
     fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
-        let stats = self.world.run_to_idle(max_events);
-        let now = self.world.now();
+        let stats = self.inner.run_to_idle(max_events);
+        let now = self.inner.now();
         self.sync_flow_to(now);
         stats
     }
 
-    fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet) {
-        self.world.inject(at, node, port, pkt);
-    }
-
     fn schedule_crash(&mut self, at: SimTime, node: NodeAddr) {
-        self.world.schedule_crash(at, node);
+        self.inner.schedule_crash(at, node);
         self.push_cap(at, CapEvent::NodeSync(node));
     }
 
     fn schedule_restart(&mut self, at: SimTime, node: NodeAddr) {
-        self.world.schedule_restart(at, node);
+        self.inner.schedule_restart(at, node);
         self.push_cap(at, CapEvent::NodeSync(node));
     }
 
     fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool) {
-        self.world.schedule_link_state(at, wire, up);
+        self.inner.schedule_link_state(at, wire, up);
         self.push_cap(at, CapEvent::WireSync(wire));
     }
 
     fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
-        let scales = HybridWorld::profile_scales(&profile, at);
-        self.world.schedule_fault_profile(at, wire, profile);
+        let scales = profile_scales(&profile, at);
+        self.inner.schedule_fault_profile(at, wire, profile);
         self.push_cap(at, CapEvent::FaultScale(wire, scales));
     }
 
     fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
-        let now = self.world.now();
-        let scales = HybridWorld::profile_scales(&profile, now);
-        self.world.set_fault_profile(wire, profile);
+        let now = self.inner.now();
+        let scales = profile_scales(&profile, now);
+        self.inner.set_fault_profile(wire, profile);
         self.sync_flow_to(now);
         self.apply_cap(&CapEvent::FaultScale(wire, scales));
         self.refresh_marks();
-    }
-
-    fn set_fault_seed(&mut self, seed: u64) {
-        self.world.set_fault_seed(seed);
-    }
-
-    fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
-        self.world.telemetry_snapshot()
-    }
-
-    fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        Engine::trace_tail(&self.world, n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dumbnet_types::SimDuration;
+    use dumbnet_packet::Packet;
+    use dumbnet_types::{PortNo, SimDuration};
     use std::any::Any;
+
+    use crate::engine::{LinkParams, Node};
+    use crate::shard::ShardedWorld;
 
     /// A node that swallows everything (the packet plane is incidental
     /// to these tests).
@@ -589,11 +470,14 @@ mod tests {
         SimTime::ZERO.after(SimDuration::from_secs_f64(secs))
     }
 
+    type Rig<W> = (HybridWorld<W>, WireId, EdgeId, EdgeId);
+
     /// Two sinks joined by one wire; both directions bound as edges.
-    fn rig() -> (HybridWorld, WireId, EdgeId, EdgeId) {
-        let mut h = HybridWorld::new(7);
-        let a = h.add_node(Box::new(Sink));
-        let b = h.add_node(Box::new(Sink));
+    /// The sinks sit in different cells wherever the engine has two.
+    fn rig<W: Engine>(inner: W) -> Rig<W> {
+        let mut h = HybridWorld::new(inner);
+        let a = h.add_node_in_cell(Box::new(Sink), 0);
+        let b = h.add_node_in_cell(Box::new(Sink), 1);
         let p = PortNo::new(1).unwrap();
         let wire = h.wire(a, p, b, p, LinkParams::ten_gig()).unwrap();
         let e0 = h.bind_edge(Some(wire), 0, Bandwidth::gbps(10));
@@ -601,9 +485,21 @@ mod tests {
         (h, wire, e0, e1)
     }
 
-    #[test]
-    fn elephants_run_at_wire_capacity() {
-        let (mut h, _w, e0, _e1) = rig();
+    /// Declares a test running `$body` on a [`rig`] over a plain world
+    /// and again over a two-shard world: the flow plane must couple to
+    /// either packet engine the same way.
+    macro_rules! on_both_engines {
+        ($name:ident, |$rig:pat_param| $body:block) => {
+            #[test]
+            fn $name() {
+                fn case<W: Engine>($rig: Rig<W>) $body
+                case(rig(World::new(7)));
+                case(rig(ShardedWorld::new(7, 2)));
+            }
+        };
+    }
+
+    on_both_engines!(elephants_run_at_wire_capacity, |(mut h, _w, e0, _e1)| {
         let f = h.start_elephant(vec![e0], 12_500_000_000); // 100 Gbit = 10 s.
         assert_eq!(h.elephant_rate(f).bits_per_sec(), 10_000_000_000);
         let events = h.advance(t(20.0));
@@ -612,11 +508,14 @@ mod tests {
         let done = h.finished_at(f).unwrap().as_secs_f64();
         assert!((done - 10.0).abs() < 1e-6, "finished at {done}");
         assert_eq!(h.now(), events[0].at, "planes stop together");
-    }
+    });
 
-    #[test]
-    fn scheduled_link_down_starves_the_flow_plane() {
-        let (mut h, w, e0, _e1) = rig();
+    on_both_engines!(scheduled_link_down_starves_the_flow_plane, |(
+        mut h,
+        w,
+        e0,
+        _e1,
+    )| {
         let f = h.start_elephant(vec![e0], u64::MAX / 16);
         h.schedule_link_state(t(1.0), w, false);
         let events = h.advance(t(2.0));
@@ -627,11 +526,14 @@ mod tests {
         h.advance(t(4.0));
         assert_eq!(h.elephant_rate(f).bits_per_sec(), 10_000_000_000);
         assert!(h.hybrid_stats().cap_events >= 2);
-    }
+    });
 
-    #[test]
-    fn crash_and_restart_reach_flow_capacity() {
-        let (mut h, _w, e0, _e1) = rig();
+    on_both_engines!(crash_and_restart_reach_flow_capacity, |(
+        mut h,
+        _w,
+        e0,
+        _e1,
+    )| {
         let victim = NodeAddr(0);
         let f = h.start_elephant(vec![e0], u64::MAX / 16);
         h.schedule_crash(t(1.0), victim);
@@ -640,11 +542,9 @@ mod tests {
         h.schedule_restart(t(3.0), victim);
         h.run_until(t(4.0));
         assert_eq!(h.elephant_rate(f).bits_per_sec(), 10_000_000_000);
-    }
+    });
 
-    #[test]
-    fn lossy_profile_scales_capacity() {
-        let (mut h, w, e0, e1) = rig();
+    on_both_engines!(lossy_profile_scales_capacity, |(mut h, w, e0, e1)| {
         let f0 = h.start_elephant(vec![e0], u64::MAX / 16);
         let f1 = h.start_elephant(vec![e1], u64::MAX / 16);
         h.set_fault_profile(w, FaultProfile::lossy(0.25));
@@ -654,11 +554,9 @@ mod tests {
         h.set_fault_profile(w, FaultProfile::lossy_dir(1, 0.5));
         assert_eq!(h.elephant_rate(f0).bits_per_sec(), 10_000_000_000);
         assert_eq!(h.elephant_rate(f1).bits_per_sec(), 5_000_000_000);
-    }
+    });
 
-    #[test]
-    fn quarantine_zeroes_and_releases() {
-        let (mut h, _w, e0, _e1) = rig();
+    on_both_engines!(quarantine_zeroes_and_releases, |(mut h, _w, e0, _e1)| {
         let f = h.start_elephant(vec![e0], u64::MAX / 16);
         let mut q = BTreeSet::new();
         q.insert(e0);
@@ -667,11 +565,14 @@ mod tests {
         h.set_quarantined(&BTreeSet::new());
         assert_eq!(h.elephant_rate(f).bits_per_sec(), 10_000_000_000);
         assert_eq!(h.hybrid_stats().quarantine_flips, 2);
-    }
+    });
 
-    #[test]
-    fn saturated_edge_asserts_external_ecn() {
-        let (mut h, _w, e0, _e1) = rig();
+    on_both_engines!(saturated_edge_asserts_external_ecn, |(
+        mut h,
+        _w,
+        e0,
+        _e1,
+    )| {
         assert_eq!(h.hybrid_stats().ecn_mark_flips, 0);
         let f = h.start_elephant(vec![e0], u64::MAX / 16);
         // One elephant saturates the edge → mark asserted.
@@ -682,11 +583,9 @@ mod tests {
         h.set_quarantined(&q);
         assert_eq!(h.hybrid_stats().ecn_mark_flips, 2);
         let _ = f;
-    }
+    });
 
-    #[test]
-    fn run_until_buffers_completions() {
-        let (mut h, _w, e0, e1) = rig();
+    on_both_engines!(run_until_buffers_completions, |(mut h, _w, e0, e1)| {
         let a = h.start_elephant(vec![e0], 1_250_000_000); // 1 s.
         let b = h.start_elephant(vec![e1], 2_500_000_000); // 2 s.
         h.run_until(t(5.0));
@@ -696,5 +595,5 @@ mod tests {
         assert_eq!(events[1].flow, b);
         assert!(events[0].at < events[1].at);
         assert_eq!(h.hybrid_stats().completions, 2);
-    }
+    });
 }

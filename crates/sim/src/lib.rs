@@ -34,10 +34,10 @@ pub mod hybrid;
 pub mod shard;
 
 pub use chaos::{ChaosReport, ChaosRunner};
-pub use engine::{Ctx, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
+pub use engine::{Ctx, Engine, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
 pub use faults::{
     BurstWindow, ChaosPlan, CrashSchedule, FaultProfile, FlapSchedule, PartitionSchedule,
 };
 pub use flowsim::{EdgeId, FlowEvent, FlowId, FlowSim, SolverStats};
 pub use hybrid::{HybridStats, HybridWorld};
-pub use shard::{Engine, ShardedWorld};
+pub use shard::ShardedWorld;

@@ -51,242 +51,17 @@
 //!   one copy marked `counted`, so wire state stays consistent
 //!   everywhere while merged counters match the single-world run.
 //!
-//! The [`Engine`] trait abstracts over [`World`] and [`ShardedWorld`]
-//! so fabrics, chaos plans and invariant checkers drive either engine
-//! unchanged; `shards = 1` is the degenerate case and behaves
-//! event-for-event like the legacy single world.
+//! [`Engine`] is written once over a slice of cells, so a
+//! `ShardedWorld` supplies only its shards and this window loop;
+//! fabrics, chaos plans and invariant checkers drive it exactly as they
+//! drive a [`World`]. `shards = 1` is the degenerate case and behaves
+//! event-for-event like the single world it wraps.
 
 use std::sync::mpsc;
 
-use dumbnet_packet::Packet;
-use dumbnet_telemetry::{TelemetrySnapshot, TraceEvent};
-use dumbnet_types::{PortNo, Result, SimDuration, SimTime};
+use dumbnet_types::{SimDuration, SimTime};
 
-use crate::engine::{Crossing, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
-use crate::faults::FaultProfile;
-
-/// Common driving surface of [`World`] and [`ShardedWorld`].
-///
-/// Everything the fabric builder, chaos harness and invariant checkers
-/// need: construction (nodes, wires), scheduling (injections, admin
-/// events), execution (windows of virtual time) and observation
-/// (stats, telemetry, traces). Code written against `Engine` runs
-/// unmodified on one core or many.
-pub trait Engine {
-    /// Adds a node to the default cell and returns its address.
-    fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr;
-
-    /// Adds a node assigned to `cell` and returns its address.
-    ///
-    /// On a plain [`World`] the cell is recorded but has no execution
-    /// effect; on a [`ShardedWorld`] it selects the owning shard, with
-    /// cells beyond the shard count wrapping round-robin onto shards
-    /// (`cell % shards`) so a topology partitioned into more cells than
-    /// the machine has cores still maps deterministically.
-    fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr;
-
-    /// Wires `a:pa` to `b:pb`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a port is already wired or an address is unknown.
-    fn wire(
-        &mut self,
-        a: NodeAddr,
-        pa: PortNo,
-        b: NodeAddr,
-        pb: PortNo,
-        params: LinkParams,
-    ) -> Result<WireId>;
-
-    /// Immutable downcast access to a node's concrete type.
-    fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T>;
-
-    /// Mutable downcast access to a node's concrete type.
-    fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T>;
-
-    /// Number of node slots.
-    fn node_count(&self) -> usize;
-
-    /// The cell a node was assigned to.
-    fn node_cell(&self, addr: NodeAddr) -> u32;
-
-    /// Number of cells this engine executes (1 for a plain world).
-    fn cell_count(&self) -> usize;
-
-    /// Number of wires.
-    fn wire_count(&self) -> usize;
-
-    /// The wire on `(node, port)`, if any.
-    fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId>;
-
-    /// The two `(node, port)` endpoints of a wire.
-    fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo));
-
-    /// Whether a wire is administratively up.
-    fn wire_up(&self, wire: WireId) -> bool;
-
-    /// Physical parameters of a wire.
-    fn wire_params(&self, wire: WireId) -> LinkParams;
-
-    /// Accumulated per-wire counters.
-    fn link_stats(&self, wire: WireId) -> LinkStats;
-
-    /// Whether `node` is currently crashed.
-    fn is_crashed(&self, node: NodeAddr) -> bool;
-
-    /// Current virtual time.
-    fn now(&self) -> SimTime;
-
-    /// Accumulated engine counters.
-    fn stats(&self) -> WorldStats;
-
-    /// Timestamp of the earliest pending event, if any.
-    fn next_event_time(&self) -> Option<SimTime>;
-
-    /// Runs all events with timestamps ≤ `until`, then sets the clock
-    /// to `until`.
-    fn run_until(&mut self, until: SimTime) -> WorldStats;
-
-    /// Runs until idle or roughly `max_events` dispatches.
-    ///
-    /// A sharded engine stops at the first synchronization barrier at
-    /// or past the budget, so it can overshoot a finite `max_events` by
-    /// up to one window; `u64::MAX` (run to completion) is exact on
-    /// every engine.
-    fn run_to_idle(&mut self, max_events: u64) -> WorldStats;
-
-    /// Injects a packet arrival at `(node, port)` at time `at`.
-    fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet);
-
-    /// Schedules `node` to crash at `at`.
-    fn schedule_crash(&mut self, at: SimTime, node: NodeAddr);
-
-    /// Schedules `node` to restart at `at` (no-op unless crashed).
-    fn schedule_restart(&mut self, at: SimTime, node: NodeAddr);
-
-    /// Schedules an administrative wire state change at `at`.
-    fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool);
-
-    /// Schedules `wire`'s fault profile to be replaced at `at`.
-    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile);
-
-    /// Installs (or replaces) the fault profile of a wire immediately.
-    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile);
-
-    /// Reseeds every per-(wire, direction) fault stream.
-    fn set_fault_seed(&mut self, seed: u64);
-
-    /// Deterministic snapshot of every registered metric, after a
-    /// publish pass over all nodes. On a sharded engine the per-shard
-    /// registries are merged key-wise; the result is byte-identical to
-    /// the single-world snapshot of the same run.
-    fn telemetry_snapshot(&mut self) -> TelemetrySnapshot;
-
-    /// The most recent `n` trace events and the count of older ones
-    /// dropped from the ring. A sharded engine merges per-shard rings
-    /// by timestamp; the interleaving of same-instant events across
-    /// shards is diagnostic-quality only (determinism guarantees cover
-    /// counters and snapshots, not trace interleavings).
-    fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64);
-}
-
-impl Engine for World {
-    fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr {
-        World::add_node(self, node)
-    }
-    fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr {
-        World::add_node_in_cell(self, node, cell)
-    }
-    fn wire(
-        &mut self,
-        a: NodeAddr,
-        pa: PortNo,
-        b: NodeAddr,
-        pb: PortNo,
-        params: LinkParams,
-    ) -> Result<WireId> {
-        World::wire(self, a, pa, b, pb, params)
-    }
-    fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T> {
-        World::node(self, addr)
-    }
-    fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T> {
-        World::node_mut(self, addr)
-    }
-    fn node_count(&self) -> usize {
-        World::node_count(self)
-    }
-    fn node_cell(&self, addr: NodeAddr) -> u32 {
-        World::node_cell(self, addr)
-    }
-    fn cell_count(&self) -> usize {
-        1
-    }
-    fn wire_count(&self) -> usize {
-        World::wire_count(self)
-    }
-    fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        World::wire_at(self, node, port)
-    }
-    fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo)) {
-        World::wire_endpoints(self, wire)
-    }
-    fn wire_up(&self, wire: WireId) -> bool {
-        World::wire_up(self, wire)
-    }
-    fn wire_params(&self, wire: WireId) -> LinkParams {
-        World::wire_params(self, wire)
-    }
-    fn link_stats(&self, wire: WireId) -> LinkStats {
-        World::link_stats(self, wire)
-    }
-    fn is_crashed(&self, node: NodeAddr) -> bool {
-        World::is_crashed(self, node)
-    }
-    fn now(&self) -> SimTime {
-        World::now(self)
-    }
-    fn stats(&self) -> WorldStats {
-        World::stats(self)
-    }
-    fn next_event_time(&self) -> Option<SimTime> {
-        World::next_event_time(self)
-    }
-    fn run_until(&mut self, until: SimTime) -> WorldStats {
-        World::run_until(self, until)
-    }
-    fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
-        World::run_to_idle(self, max_events)
-    }
-    fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet) {
-        World::inject(self, at, node, port, pkt);
-    }
-    fn schedule_crash(&mut self, at: SimTime, node: NodeAddr) {
-        World::schedule_crash(self, at, node);
-    }
-    fn schedule_restart(&mut self, at: SimTime, node: NodeAddr) {
-        World::schedule_restart(self, at, node);
-    }
-    fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool) {
-        World::schedule_link_state(self, at, wire, up);
-    }
-    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
-        World::schedule_fault_profile(self, at, wire, profile);
-    }
-    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
-        World::set_fault_profile(self, wire, profile);
-    }
-    fn set_fault_seed(&mut self, seed: u64) {
-        World::set_fault_seed(self, seed);
-    }
-    fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
-        World::telemetry_snapshot(self)
-    }
-    fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        self.telemetry().trace_tail(n)
-    }
-}
+use crate::engine::{Crossing, Engine, NodeAddr, WireId, World, WorldStats};
 
 /// A world partitioned into cells, one [`World`] shard per cell,
 /// synchronized with conservative time windows.
@@ -297,25 +72,24 @@ impl Engine for World {
 /// single-world run of the same scenario at any shard count.
 pub struct ShardedWorld {
     shards: Vec<World>,
-    /// Minimum latency over inter-cell wires (the PDES lookahead);
-    /// `None` until a cross-cell wire exists (independent shards).
+    /// Minimum latency over the first `wires_seen` wires that cross
+    /// cells (the PDES lookahead); `None` while none does (independent
+    /// shards).
     lookahead: Option<SimDuration>,
+    /// How many wires `lookahead` covers. Wiring goes straight to the
+    /// cells, so each run folds in the wires added since the last one.
+    wires_seen: usize,
     /// `Some(true)` forces worker threads, `Some(false)` forces
     /// sequential windows, `None` picks by available parallelism.
     parallel: Option<bool>,
 }
 
-/// One synchronization-window command to a shard worker thread.
-enum WindowCmd {
-    /// Merge `crossings`, run the window ending at `end` (exclusive),
-    /// reply with `(shard, fired, outbox, next peek)`.
-    Run {
-        crossings: Vec<Crossing>,
-        end: SimTime,
-    },
-}
+/// One synchronization-window command to a shard worker thread: merge
+/// the crossings, run the window ending at the time (exclusive), reply.
+type WindowCmd = (Vec<Crossing>, SimTime);
 
-/// A worker's reply after one window.
+/// A worker's reply after one window: `(shard, fired, outbox, next
+/// peek)`.
 type WindowReply = (usize, u64, Vec<Crossing>, Option<(SimTime, u64)>);
 
 impl ShardedWorld {
@@ -335,6 +109,7 @@ impl ShardedWorld {
                 .map(|c| World::new_cell(seed, c, true))
                 .collect(),
             lookahead: None,
+            wires_seen: 0,
             parallel: None,
         }
     }
@@ -352,17 +127,15 @@ impl ShardedWorld {
     /// `None` while the shards are not connected to each other.
     #[must_use]
     pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
-    /// Read access to one shard's world (diagnostics and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range cell index.
-    #[must_use]
-    pub fn shard(&self, cell: usize) -> &World {
-        &self.shards[cell]
+        (self.wires_seen..self.wire_count())
+            .map(WireId::from_raw)
+            .filter(|&w| {
+                let ((a, _), (b, _)) = self.wire_endpoints(w);
+                self.node_cell(a) != self.node_cell(b)
+            })
+            .map(|w| self.wire_params(w).latency)
+            .chain(self.lookahead)
+            .min()
     }
 
     /// Per-shard dispatched-event counts, for load-balance diagnostics
@@ -373,7 +146,7 @@ impl ShardedWorld {
     }
 
     fn owner(&self, node: NodeAddr) -> usize {
-        self.shards[0].node_cell(node) as usize
+        self.node_cell(node) as usize
     }
 
     /// Routes every shard's buffered cross-shard arrivals to their
@@ -401,6 +174,9 @@ impl ShardedWorld {
     /// budget is spent, or (when `until` is set) no pending event is ≤
     /// `until`.
     fn run_windows(&mut self, until: Option<SimTime>, max_events: u64) {
+        // Fold the wires added since the last run into the cached bound.
+        self.lookahead = self.lookahead();
+        self.wires_seen = self.wire_count();
         for s in &mut self.shards {
             s.ensure_started();
         }
@@ -494,8 +270,8 @@ impl ShardedWorld {
         self.exchange();
         let mut peeks: Vec<Option<(SimTime, u64)>> =
             self.shards.iter().map(World::peek_head).collect();
-        let owner_of: Vec<u32> = (0..self.shards[0].node_count())
-            .map(|n| self.shards[0].node_cell(NodeAddr(n)))
+        let owner_of: Vec<u32> = (0..self.node_count())
+            .map(|n| self.node_cell(NodeAddr(n)))
             .collect();
         std::thread::scope(|scope| {
             let (reply_tx, reply_rx) = mpsc::channel::<WindowReply>();
@@ -505,7 +281,7 @@ impl ShardedWorld {
                 cmd_txs.push(tx);
                 let reply_tx = reply_tx.clone();
                 scope.spawn(move || {
-                    while let Ok(WindowCmd::Run { crossings, end }) = rx.recv() {
+                    while let Ok((crossings, end)) = rx.recv() {
                         for c in crossings {
                             shard.push_crossing(c);
                         }
@@ -540,8 +316,7 @@ impl ShardedWorld {
                 }
                 for (ix, tx) in cmd_txs.iter().enumerate() {
                     let crossings = std::mem::take(&mut pending[ix]);
-                    tx.send(WindowCmd::Run { crossings, end })
-                        .expect("shard worker alive");
+                    tx.send((crossings, end)).expect("shard worker alive");
                 }
                 for _ in 0..cmd_txs.len() {
                     let (ix, fired, out, peek) = reply_rx.recv().expect("shard worker reply");
@@ -583,156 +358,15 @@ impl ShardedWorld {
             fired_total += 1;
         }
     }
-
-    /// Sums a per-shard stats view into the merged totals.
-    fn merged_stats(&self) -> WorldStats {
-        let mut total = WorldStats::default();
-        for s in &self.shards {
-            let v = s.stats();
-            total.events += v.events;
-            total.packets_sent += v.packets_sent;
-            total.packets_delivered += v.packets_delivered;
-            total.drops_down += v.drops_down;
-            total.drops_queue += v.drops_queue;
-            total.drops_loss += v.drops_loss;
-            total.drops_corrupt += v.drops_corrupt;
-            total.drops_crashed += v.drops_crashed;
-            total.ecn_marked += v.ecn_marked;
-        }
-        total
-    }
 }
 
 impl Engine for ShardedWorld {
-    fn add_node(&mut self, node: Box<dyn Node>) -> NodeAddr {
-        self.add_node_in_cell(node, 0)
+    fn cells(&self) -> &[World] {
+        &self.shards
     }
 
-    fn add_node_in_cell(&mut self, node: Box<dyn Node>, cell: u32) -> NodeAddr {
-        let cell = cell % u32::try_from(self.shards.len()).expect("shard count fits in u32");
-        let mut node = Some(node);
-        let mut addr = NodeAddr(0);
-        for (ix, shard) in self.shards.iter_mut().enumerate() {
-            let slot = if ix == cell as usize {
-                node.take()
-            } else {
-                None
-            };
-            addr = shard.add_slot(slot, cell);
-        }
-        addr
-    }
-
-    fn wire(
-        &mut self,
-        a: NodeAddr,
-        pa: PortNo,
-        b: NodeAddr,
-        pb: PortNo,
-        params: LinkParams,
-    ) -> Result<WireId> {
-        let mut id = WireId::from_raw(0);
-        for shard in &mut self.shards {
-            id = shard.wire(a, pa, b, pb, params)?;
-        }
-        if self.shards[0].node_cell(a) != self.shards[0].node_cell(b) {
-            self.lookahead = Some(match self.lookahead {
-                Some(l) => l.min(params.latency),
-                None => params.latency,
-            });
-        }
-        Ok(id)
-    }
-
-    fn node<T: 'static>(&self, addr: NodeAddr) -> Option<&T> {
-        self.shards[self.owner(addr)].node(addr)
-    }
-
-    fn node_mut<T: 'static>(&mut self, addr: NodeAddr) -> Option<&mut T> {
-        let owner = self.owner(addr);
-        self.shards[owner].node_mut(addr)
-    }
-
-    fn node_count(&self) -> usize {
-        self.shards[0].node_count()
-    }
-
-    fn node_cell(&self, addr: NodeAddr) -> u32 {
-        self.shards[0].node_cell(addr)
-    }
-
-    fn cell_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn wire_count(&self) -> usize {
-        self.shards[0].wire_count()
-    }
-
-    fn wire_at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        self.shards[0].wire_at(node, port)
-    }
-
-    fn wire_endpoints(&self, wire: WireId) -> ((NodeAddr, PortNo), (NodeAddr, PortNo)) {
-        self.shards[0].wire_endpoints(wire)
-    }
-
-    fn wire_up(&self, wire: WireId) -> bool {
-        // Admin changes are mirrored everywhere, so every shard agrees.
-        self.shards[0].wire_up(wire)
-    }
-
-    fn wire_params(&self, wire: WireId) -> LinkParams {
-        self.shards[0].wire_params(wire)
-    }
-
-    fn link_stats(&self, wire: WireId) -> LinkStats {
-        // Direction counters accrue on the sending shard, delivery
-        // counters on the receiving one: the merged view is the sum.
-        let mut total = LinkStats::default();
-        for s in &self.shards {
-            let v = s.link_stats(wire);
-            total.sent += v.sent;
-            total.delivered += v.delivered;
-            total.drops_down += v.drops_down;
-            total.drops_queue += v.drops_queue;
-            total.drops_loss += v.drops_loss;
-            total.drops_corrupt += v.drops_corrupt;
-            total.drops_burst += v.drops_burst;
-            total.drops_crashed += v.drops_crashed;
-            total.ecn_marked += v.ecn_marked;
-            total.jittered += v.jittered;
-        }
-        total
-    }
-
-    fn is_crashed(&self, node: NodeAddr) -> bool {
-        self.shards[self.owner(node)].is_crashed(node)
-    }
-
-    fn now(&self) -> SimTime {
-        // Between runs all shards agree; mid-construction they are all
-        // at zero. Report the furthest clock.
-        self.shards
-            .iter()
-            .map(World::now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    fn stats(&self) -> WorldStats {
-        self.merged_stats()
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        let local = self.shards.iter().filter_map(World::next_event_time).min();
-        // Outboxes are drained at barriers, so they are empty between
-        // runs; include them anyway for mid-run observers.
-        let crossing = self.shards.iter().filter_map(World::outbox_earliest).min();
-        match (local, crossing) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    fn cells_mut(&mut self) -> &mut [World] {
+        &mut self.shards
     }
 
     fn run_until(&mut self, until: SimTime) -> WorldStats {
@@ -740,98 +374,17 @@ impl Engine for ShardedWorld {
         for s in &mut self.shards {
             s.set_clock(until);
         }
-        self.merged_stats()
+        self.stats()
     }
 
     fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
         self.run_windows(None, max_events);
         // Settle every clock at the global maximum so `now` agrees.
-        let max_now = self
-            .shards
-            .iter()
-            .map(World::now)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let max_now = self.now();
         for s in &mut self.shards {
             s.set_clock(max_now);
         }
-        self.merged_stats()
-    }
-
-    fn inject(&mut self, at: SimTime, node: NodeAddr, port: PortNo, pkt: Packet) {
-        // External keys come from shard 0's counter so the sequence —
-        // and therefore the ordering key of the n-th external event —
-        // matches a single-world run exactly.
-        let key = self.shards[0].alloc_ext_key();
-        let owner = self.owner(node);
-        self.shards[owner].inject_keyed(at, node, port, pkt, key);
-    }
-
-    fn schedule_crash(&mut self, at: SimTime, node: NodeAddr) {
-        let key = self.shards[0].alloc_ext_key();
-        let owner = self.owner(node);
-        for (ix, shard) in self.shards.iter_mut().enumerate() {
-            shard.schedule_crash_keyed(at, node, key, ix == owner);
-        }
-    }
-
-    fn schedule_restart(&mut self, at: SimTime, node: NodeAddr) {
-        let key = self.shards[0].alloc_ext_key();
-        let owner = self.owner(node);
-        for (ix, shard) in self.shards.iter_mut().enumerate() {
-            shard.schedule_restart_keyed(at, node, key, ix == owner);
-        }
-    }
-
-    fn schedule_link_state(&mut self, at: SimTime, wire: WireId, up: bool) {
-        let key = self.shards[0].alloc_ext_key();
-        let ((a, _), _) = self.shards[0].wire_endpoints(wire);
-        let owner = self.owner(a);
-        for (ix, shard) in self.shards.iter_mut().enumerate() {
-            shard.schedule_link_state_keyed(at, wire, up, key, ix == owner);
-        }
-    }
-
-    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
-        let key = self.shards[0].alloc_ext_key();
-        let ((a, _), _) = self.shards[0].wire_endpoints(wire);
-        let owner = self.owner(a);
-        for (ix, shard) in self.shards.iter_mut().enumerate() {
-            shard.schedule_fault_profile_keyed(at, wire, profile.clone(), key, ix == owner);
-        }
-    }
-
-    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
-        for shard in &mut self.shards {
-            shard.set_fault_profile(wire, profile.clone());
-        }
-    }
-
-    fn set_fault_seed(&mut self, seed: u64) {
-        for shard in &mut self.shards {
-            shard.set_fault_seed(seed);
-        }
-    }
-
-    fn telemetry_snapshot(&mut self) -> TelemetrySnapshot {
-        TelemetrySnapshot::merged(self.shards.iter_mut().map(World::telemetry_snapshot))
-    }
-
-    fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        let mut merged: Vec<(SimTime, usize, TraceEvent)> = Vec::new();
-        let mut dropped = 0;
-        for (ix, s) in self.shards.iter().enumerate() {
-            let (tail, d) = s.telemetry().trace_tail(n);
-            dropped += d;
-            merged.extend(tail.into_iter().map(|e| (e.at, ix, e)));
-        }
-        merged.sort_by_key(|e| (e.0, e.1));
-        if merged.len() > n {
-            let cut = merged.len() - n;
-            dropped += cut as u64;
-            merged.drain(..cut);
-        }
-        (merged.into_iter().map(|(_, _, e)| e).collect(), dropped)
+        self.stats()
     }
 }
 
@@ -841,10 +394,11 @@ mod tests {
     use rand::Rng;
 
     use dumbnet_packet::{Packet, Payload};
-    use dumbnet_types::{Bandwidth, MacAddr, Path};
+    use dumbnet_types::{Bandwidth, MacAddr, Path, PortNo};
 
-    use crate::engine::Ctx;
+    use crate::engine::{Ctx, LinkParams, Node};
     use crate::faults::{BurstWindow, ChaosPlan, CrashSchedule, FaultProfile, FlapSchedule};
+    use crate::hybrid::HybridWorld;
 
     const P1: PortNo = match PortNo::new(1) {
         Some(p) => p,
@@ -991,6 +545,10 @@ mod tests {
         slices: bool,
     ) -> String {
         let (hub, pingers, wires) = build_star(&mut w, cells, latency, jitter);
+        for n in 0..w.node_count() {
+            let cell = w.node_cell(NodeAddr(n)) as usize;
+            assert!(cell < w.cell_count(), "node {n} recorded in cell {cell}");
+        }
         if let Some(plan) = plan {
             plan.apply(&mut w);
         }
@@ -1060,22 +618,40 @@ mod tests {
         boundary_plan(&wires, pingers[1], latency_us)
     }
 
-    #[test]
-    fn single_shard_equals_legacy_world() {
-        let single = fingerprint(World::new(11), 3, us(5), true, None, false);
-        let sharded = fingerprint(ShardedWorld::new(11, 1), 3, us(5), true, None, false);
-        assert_eq!(single, sharded);
+    /// A sharded world that runs its windows on the calling thread.
+    fn sequential(seed: u64, cells: usize) -> ShardedWorld {
+        let mut w = ShardedWorld::new(seed, cells);
+        w.set_parallel(Some(false));
+        w
+    }
+
+    /// One scenario, every engine shape, one fingerprint: the plain
+    /// world is the reference; shard counts below, at and above the
+    /// star's four cells must match it, and so must an idle flow plane
+    /// layered over either packet engine.
+    fn assert_engines_agree(
+        latency: SimDuration,
+        jitter: bool,
+        plan: Option<&ChaosPlan>,
+        slices: bool,
+    ) -> String {
+        let want = fingerprint(World::new(11), 4, latency, jitter, plan, slices);
+        for cells in [1usize, 2, 4, 8] {
+            let got = fingerprint(sequential(11, cells), 4, latency, jitter, plan, slices);
+            assert_eq!(want, got, "sequential {cells}-shard run diverged");
+        }
+        let over_world = HybridWorld::new(World::new(11));
+        let got = fingerprint(over_world, 4, latency, jitter, plan, slices);
+        assert_eq!(want, got, "hybrid over a plain world diverged");
+        let over_shards = HybridWorld::new(sequential(11, 4));
+        let got = fingerprint(over_shards, 4, latency, jitter, plan, slices);
+        assert_eq!(want, got, "hybrid over 4 shards diverged");
+        want
     }
 
     #[test]
     fn shard_counts_are_observationally_identical() {
-        let single = fingerprint(World::new(11), 4, us(5), true, None, false);
-        for cells in [2usize, 4] {
-            let mut w = ShardedWorld::new(11, cells);
-            w.set_parallel(Some(false));
-            let got = fingerprint(w, 4, us(5), true, None, false);
-            assert_eq!(single, got, "sequential {cells}-shard run diverged");
-        }
+        assert_engines_agree(us(5), true, None, false);
     }
 
     #[test]
@@ -1115,13 +691,7 @@ mod tests {
     fn chaos_on_window_boundaries_is_shard_invariant() {
         let lat_us = 5;
         let plan = plan_for(4, us(lat_us), lat_us);
-        let single = fingerprint(World::new(11), 4, us(lat_us), false, Some(&plan), true);
-        for cells in [2usize, 4] {
-            let mut w = ShardedWorld::new(11, cells);
-            w.set_parallel(Some(false));
-            let got = fingerprint(w, 4, us(lat_us), false, Some(&plan), true);
-            assert_eq!(single, got, "chaos {cells}-shard run diverged");
-        }
+        let single = assert_engines_agree(us(lat_us), false, Some(&plan), true);
         // Threaded execution under chaos, too.
         let mut w = ShardedWorld::new(11, 4);
         w.set_parallel(Some(true));

@@ -549,7 +549,7 @@ impl Node for DumbSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dumbnet_sim::{LinkParams, NodeAddr, World};
+    use dumbnet_sim::{Engine, LinkParams, NodeAddr, World};
     use dumbnet_types::{Path, Tag};
 
     /// Sink node recording everything it receives.

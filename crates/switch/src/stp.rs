@@ -300,7 +300,7 @@ impl Node for StpSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dumbnet_sim::{LinkParams, NodeAddr, World};
+    use dumbnet_sim::{Engine, LinkParams, NodeAddr, World};
 
     struct Sink {
         got: Vec<(SimTime, u64)>,

@@ -675,10 +675,12 @@ impl TelemetrySnapshot {
     }
 
     /// Merges an iterator of per-shard snapshots with
-    /// [`TelemetrySnapshot::absorb`].
+    /// [`TelemetrySnapshot::absorb`]. The first snapshot is the base,
+    /// so merging a single one (a one-cell engine) copies nothing.
     #[must_use]
     pub fn merged<I: IntoIterator<Item = TelemetrySnapshot>>(parts: I) -> TelemetrySnapshot {
-        let mut out = TelemetrySnapshot::default();
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_default();
         for p in parts {
             out.absorb(&p);
         }

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use dumbnet::ext::router::{combined_path, L3Router, RouterConfig, Subnet};
 use dumbnet::packet::{Packet, Payload};
-use dumbnet::sim::{Ctx, LinkParams, Node, World};
+use dumbnet::sim::{Ctx, Engine, LinkParams, Node, World};
 use dumbnet::switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet::types::{MacAddr, Path, PortNo, SimTime, SwitchId};
 

@@ -7,6 +7,7 @@ use dumbnet::controller::ControllerConfig;
 use dumbnet::fabric::{Fabric, FabricConfig};
 use dumbnet::host::agent::AppAction;
 use dumbnet::host::HostAgent;
+use dumbnet::sim::Engine;
 use dumbnet::topology::generators;
 use dumbnet::types::{HostId, MacAddr, SimDuration, SimTime};
 

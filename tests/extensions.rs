@@ -8,7 +8,7 @@ use dumbnet::host::agent::AppAction;
 use dumbnet::host::HostAgent;
 use dumbnet::packet::control::PortStat;
 use dumbnet::packet::{ControlMessage, Packet};
-use dumbnet::sim::LinkParams;
+use dumbnet::sim::{Engine, LinkParams};
 use dumbnet::topology::generators;
 use dumbnet::types::{Bandwidth, HostId, MacAddr, Path, SimDuration, SimTime, Tag};
 

@@ -10,7 +10,7 @@ use dumbnet::controller::{Controller, ControllerConfig};
 use dumbnet::fabric::chaos::check_invariants;
 use dumbnet::fabric::{Fabric, FabricConfig};
 use dumbnet::host::HostAgent;
-use dumbnet::sim::{ChaosPlan, CrashSchedule, NodeAddr, PartitionSchedule};
+use dumbnet::sim::{ChaosPlan, CrashSchedule, Engine, NodeAddr, PartitionSchedule};
 use dumbnet::topology::generators;
 use dumbnet::types::{HostId, MacAddr, SimDuration, SimTime};
 

@@ -10,7 +10,7 @@ use dumbnet::fpga::refmodel::{self, RefDrop, RefVerdict};
 use dumbnet::host::agent::AppAction;
 use dumbnet::host::HostAgent;
 use dumbnet::packet::{crc32, DumbNetFrame, EthernetFrame, LabelStack, Packet, ETHERTYPE_IPV4};
-use dumbnet::sim::{Ctx, LinkParams, Node, World};
+use dumbnet::sim::{Ctx, Engine, LinkParams, Node, World};
 use dumbnet::switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet::topology::generators;
 use dumbnet::types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId, Tag};
