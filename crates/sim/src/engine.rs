@@ -189,12 +189,13 @@ struct Wiring {
 }
 
 impl Wiring {
+    /// `node`'s port table (empty for an unknown or unwired node).
+    fn ports(&self, node: NodeAddr) -> &[Option<WireId>] {
+        self.port_map.get(node.0).map_or(&[], Vec::as_slice)
+    }
+
     fn at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        *self
-            .port_map
-            .get(node.0)?
-            .get(usize::from(port.get()))
-            .unwrap_or(&None)
+        *self.ports(node).get(usize::from(port.get()))?
     }
 
     fn map_port(&mut self, node: NodeAddr, port: PortNo, id: WireId) {
@@ -210,19 +211,26 @@ impl Wiring {
     }
 }
 
+/// A queued event. The packet-carrying variants hold their node and
+/// wire as `u32` indices (the node and wire tables are capped below
+/// `u32::MAX` entries where they grow), which keeps the whole enum
+/// within 128 bytes (asserted below): at that size the compiler moves
+/// an event with inline vector copies, one byte more and every move is
+/// a `memcpy` call.
 enum Event {
     Start(NodeAddr),
     Arrive {
-        node: NodeAddr,
+        node: u32,
+        /// Index of the wire that carried the packet ([`INJECTED`] for
+        /// injections).
+        via: u32,
         port: PortNo,
         pkt: Packet,
-        /// The wire that carried the packet (`None` for injections).
-        via: Option<WireId>,
     },
     /// A deferred transmission reaching the wire (models host-stack
     /// latency before the NIC).
     Egress {
-        node: NodeAddr,
+        node: u32,
         port: PortNo,
         pkt: Packet,
     },
@@ -262,6 +270,15 @@ enum Event {
         counted: bool,
     },
 }
+
+/// The `via` of an [`Event::Arrive`] that no wire carried.
+const INJECTED: u32 = u32::MAX;
+
+// The size budget of a queued event (see `Event`). The packet is what
+// an event spends it on: a field added to either must show up here, not
+// as a silent return of the `memcpy` calls.
+const _: () = assert!(std::mem::size_of::<Event>() <= 128);
+const _: () = assert!(std::mem::size_of::<Packet>() == 104);
 
 impl Event {
     /// Whether this event increments the world `events` counter (and
@@ -536,9 +553,11 @@ impl Ctx<'_> {
 
     /// Puts `pkt` on the wire out of `port`. Dropped silently (and
     /// counted) if the port is unwired or its wire is down — exactly like
-    /// pushing bytes into a dead NIC.
-    pub fn send(&mut self, port: PortNo, pkt: Packet) {
-        self.core.transmit(self.addr, port, pkt);
+    /// pushing bytes into a dead NIC. Returns the packet's on-wire
+    /// length, which the link model needs anyway, so a sender keeping
+    /// byte counters does not compute it a second time.
+    pub fn send(&mut self, port: PortNo, pkt: Packet) -> usize {
+        self.core.transmit(self.addr, port, pkt)
     }
 
     /// Like [`Ctx::send`], but the packet reaches the wire only after
@@ -550,7 +569,7 @@ impl Ctx<'_> {
             at,
             key,
             Event::Egress {
-                node: self.addr,
+                node: self.addr.0 as u32,
                 port,
                 pkt,
             },
@@ -573,22 +592,17 @@ impl Ctx<'_> {
         );
     }
 
-    /// The ports of this node that are wired, in ascending order.
-    #[must_use]
-    pub fn wired_ports(&self) -> Vec<PortNo> {
-        self.core
-            .wiring
-            .port_map
-            .get(self.addr.0)
-            .map(|ports| {
-                ports
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.is_some())
-                    .filter_map(|(ix, _)| PortNo::new(u8::try_from(ix).ok()?))
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Calls `f` with this context and each wired port of this node, in
+    /// ascending port order. The context is handed back so `f` can send
+    /// on the port; nothing is allocated, so a switch can flood per
+    /// packet (wiring cannot change while a handler runs).
+    pub fn for_each_wired_port(&mut self, mut f: impl FnMut(&mut Self, PortNo)) {
+        let slots = self.core.wiring.ports(self.addr).len();
+        for port in (0..slots).filter_map(|ix| PortNo::new(u8::try_from(ix).ok()?)) {
+            if self.core.wiring.at(self.addr, port).is_some() {
+                f(self, port);
+            }
+        }
     }
 
     /// Whether `port` currently has an up wire.
@@ -793,6 +807,9 @@ impl World {
     /// every slot so indices line up across shards.
     fn add_slot(&mut self, node: Option<Box<dyn Node>>, cell: u32) -> NodeAddr {
         let addr = NodeAddr(self.nodes.len());
+        // Events carry node addresses as `u32`, and ordering keys shift
+        // `addr + 1` into their high half.
+        assert!(addr.0 < u32::MAX as usize, "node table outgrew u32");
         self.nodes.push(node);
         self.crashed.push(false);
         self.epoch.push(0);
@@ -826,6 +843,7 @@ impl World {
             }
         }
         let id = WireId(self.wiring.wires.len());
+        assert!(id.0 < INJECTED as usize, "wire table outgrew u32");
         self.wiring.wires.push(Wire {
             a: (a, pa),
             b: (b, pb),
@@ -912,9 +930,13 @@ impl World {
         }
     }
 
-    /// Drains the cross-shard arrivals generated since the last call.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Crossing> {
-        std::mem::take(&mut self.core.outbox)
+    /// Takes the cross-shard arrivals generated since the last call,
+    /// leaving `spare` (an emptied buffer from an earlier exchange) to
+    /// collect the next window's: the buffers circulate, so a shard
+    /// with crossings does not allocate a fresh one per window.
+    pub(crate) fn swap_outbox(&mut self, spare: Vec<Crossing>) -> Vec<Crossing> {
+        debug_assert!(spare.is_empty(), "a spare outbox buffer must be drained");
+        std::mem::replace(&mut self.core.outbox, spare)
     }
 
     /// Enqueues an arrival received from another shard, preserving the
@@ -924,10 +946,10 @@ impl World {
             c.at,
             c.key,
             Event::Arrive {
-                node: c.node,
+                node: c.node.0 as u32,
+                via: c.via.0 as u32,
                 port: c.port,
                 pkt: c.pkt,
-                via: Some(c.via),
             },
         );
     }
@@ -960,25 +982,33 @@ impl World {
             }
             Event::Arrive {
                 node,
+                via,
                 port,
                 pkt,
-                via,
             } => {
-                if self.crashed.get(node.0).copied().unwrap_or(false) {
-                    self.stats.drops_crashed.inc();
-                    if let Some(w) = via {
-                        self.link_stats[w.0].drops_crashed.inc();
+                let node = NodeAddr(node as usize);
+                let link = (via != INJECTED).then(|| &self.core.link_stats[via as usize]);
+                if self.core.node_crashed(node) {
+                    self.core.stats.drops_crashed.inc();
+                    if let Some(link) = link {
+                        link.drops_crashed.inc();
                     }
                     return;
                 }
-                self.stats.packets_delivered.inc();
-                if let Some(w) = via {
-                    self.link_stats[w.0].delivered.inc();
+                self.core.stats.packets_delivered.inc();
+                if let Some(link) = link {
+                    link.delivered.inc();
                 }
-                self.with_node(node, |n, ctx| n.on_packet(ctx, port, pkt));
+                // No closure here: the packet goes from the popped
+                // event to the handler without a stop in a capture.
+                if let Some(mut n) = self.checkout(node) {
+                    n.on_packet(&mut self.core.ctx(node), port, pkt);
+                    self.nodes[node.0] = Some(n);
+                }
             }
             Event::Egress { node, port, pkt } => {
-                if self.crashed.get(node.0).copied().unwrap_or(false) {
+                let node = NodeAddr(node as usize);
+                if self.core.node_crashed(node) {
                     self.stats.drops_crashed.inc();
                     return;
                 }
@@ -1061,7 +1091,7 @@ impl World {
                 node: addr,
                 counted,
             } => {
-                if !self.crashed.get(addr.0).copied().unwrap_or(false) {
+                if !self.core.node_crashed(addr) {
                     return;
                 }
                 self.crashed[addr.0] = false;
@@ -1104,31 +1134,44 @@ impl World {
         }
     }
 
+    /// Runs `f` on the node at `addr` unless it is crashed (or lives in
+    /// another cell).
     fn with_node<F: FnOnce(&mut Box<dyn Node>, &mut Ctx<'_>)>(&mut self, addr: NodeAddr, f: F) {
-        if self.core.crashed.get(addr.0).copied().unwrap_or(false) {
+        if self.core.node_crashed(addr) {
             return;
         }
-        let Some(slot) = self.nodes.get_mut(addr.0) else {
-            return;
-        };
-        let Some(mut node) = slot.take() else {
-            return;
-        };
-        // With the node out of the table, the context can borrow the
-        // whole core: handler side effects apply immediately, in emit
-        // order — the same order the old action buffer replayed them in.
-        let mut ctx = Ctx {
-            now: self.core.now,
-            addr,
-            epoch: self.core.epoch.get(addr.0).copied().unwrap_or(0),
-            core: &mut self.core,
-        };
-        f(&mut node, &mut ctx);
-        self.nodes[addr.0] = Some(node);
+        if let Some(mut node) = self.checkout(addr) {
+            f(&mut node, &mut self.core.ctx(addr));
+            self.nodes[addr.0] = Some(node);
+        }
+    }
+
+    /// Takes the node at `addr` out of the table for one handler call
+    /// (`None` for a foreign cell's slot or an unknown address); the
+    /// caller puts it back. With the node out, its [`Ctx`] can borrow
+    /// the whole core: handler side effects apply immediately, in emit
+    /// order — the same order the old action buffer replayed them in.
+    fn checkout(&mut self, addr: NodeAddr) -> Option<Box<dyn Node>> {
+        self.nodes.get_mut(addr.0)?.take()
     }
 }
 
 impl Core {
+    /// Whether `node` is crashed (an unknown address is not).
+    fn node_crashed(&self, node: NodeAddr) -> bool {
+        self.crashed.get(node.0).copied().unwrap_or(false)
+    }
+
+    /// The handler-side view of this core for the node at `addr`.
+    fn ctx(&mut self, addr: NodeAddr) -> Ctx<'_> {
+        Ctx {
+            now: self.now,
+            addr,
+            epoch: self.epoch.get(addr.0).copied().unwrap_or(0),
+            core: self,
+        }
+    }
+
     /// Ordering key for the next event caused by node `origin`:
     /// `(origin + 1) << 32 | seq`. Content-based, so it is identical at
     /// any shard count.
@@ -1158,17 +1201,19 @@ impl Core {
         };
     }
 
-    /// Puts a packet onto the wire at `(from, port)` at the current time.
-    fn transmit(&mut self, from: NodeAddr, port: PortNo, mut pkt: Packet) {
+    /// Puts a packet onto the wire at `(from, port)` at the current
+    /// time. Returns its on-wire length (also when it is dropped).
+    fn transmit(&mut self, from: NodeAddr, port: PortNo, mut pkt: Packet) -> usize {
+        let wire_len = pkt.wire_len();
         let Some(wid) = self.wiring.at(from, port) else {
             self.stats.drops_down.inc();
-            return;
+            return wire_len;
         };
         let wire = &mut self.wiring.wires[wid.0];
         if !wire.up {
             self.stats.drops_down.inc();
             self.link_stats[wid.0].drops_down.inc();
-            return;
+            return wire_len;
         }
         let (dir, dest) = if wire.a == (from, port) {
             (0, wire.b)
@@ -1180,7 +1225,7 @@ impl Core {
         if queue_delay > wire.params.max_queue {
             self.stats.drops_queue.inc();
             self.link_stats[wid.0].drops_queue.inc();
-            return;
+            return wire_len;
         }
         let queue_congested = wire
             .params
@@ -1191,7 +1236,7 @@ impl Core {
             self.stats.ecn_marked.inc();
             self.link_stats[wid.0].ecn_marked.inc();
         }
-        let ser = wire.params.bandwidth.serialization_delay(pkt.wire_len());
+        let ser = wire.params.bandwidth.serialization_delay(wire_len);
         let departed = depart_start + ser;
         wire.busy[dir] = departed;
         let mut arrival = departed + wire.params.latency;
@@ -1224,7 +1269,7 @@ impl Core {
                         "burst-window drop",
                     );
                 }
-                return;
+                return wire_len;
             }
             let p_loss = profile.loss_at(departed, dir);
             if p_loss > 0.0 && fault_rng.gen_bool(p_loss) {
@@ -1239,7 +1284,7 @@ impl Core {
                         "loss drop",
                     );
                 }
-                return;
+                return wire_len;
             }
             let p_corrupt = profile.corrupt_at(departed);
             if p_corrupt > 0.0 && fault_rng.gen_bool(p_corrupt) {
@@ -1254,7 +1299,7 @@ impl Core {
                         "corruption drop",
                     );
                 }
-                return;
+                return wire_len;
             }
             if profile.jitter > SimDuration::ZERO {
                 let extra = fault_rng.gen_range(0..=profile.jitter.nanos());
@@ -1278,18 +1323,19 @@ impl Core {
                 pkt,
                 via: wid,
             });
-            return;
+            return wire_len;
         }
         self.queue.push(
             arrival,
             key,
             Event::Arrive {
-                node: dest.0,
+                node: dest.0 .0 as u32,
+                via: wid.0 as u32,
                 port: dest.1,
                 pkt,
-                via: Some(wid),
             },
         );
+        wire_len
     }
 }
 
@@ -1484,8 +1530,7 @@ pub trait Engine {
 
     /// Whether `node` is currently crashed.
     fn is_crashed(&self, node: NodeAddr) -> bool {
-        let owner = &self.cells()[self.node_cell(node) as usize];
-        owner.crashed.get(node.0).copied().unwrap_or(false)
+        self.cells()[self.node_cell(node) as usize].node_crashed(node)
     }
 
     /// Current virtual time. Between runs all cells agree; mid-run
@@ -1526,11 +1571,13 @@ pub trait Engine {
         let owner = self.node_cell(node) as usize;
         let cells = self.cells_mut();
         let key = cells[0].core.ext_key();
+        // An address beyond the node table is delivered to no one, at
+        // any width.
         let arrive = Event::Arrive {
-            node,
+            node: u32::try_from(node.0).unwrap_or(u32::MAX),
+            via: INJECTED,
             port,
             pkt,
-            via: None,
         };
         cells[owner].core.queue.push(at, key, arrive);
     }
@@ -1965,7 +2012,7 @@ mod tests {
         }
         impl Node for Introspect {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.seen = ctx.wired_ports();
+                ctx.for_each_wired_port(|_, port| self.seen.push(port));
                 self.up = ctx.link_up(P1);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortNo, _: Packet) {}

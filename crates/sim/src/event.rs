@@ -87,6 +87,39 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// Where `(at, key)` goes in the ascending `items`, searched from the
+/// tail. A fresh push belongs at or near it — handlers schedule at
+/// times ≥ now with growing per-node counters, so it is usually the
+/// latest entry but for a few pre-scheduled ones — and a binary search
+/// over the whole bucket pays its full depth in mispredicted branches
+/// to find that out. Galloping back from the tail costs O(log d) for an
+/// entry `d` places from it, at worst twice the binary search.
+fn sorted_pos(items: &VecDeque<(SimTime, u64, u32)>, at: SimTime, key: u64) -> usize {
+    let after = |ix: usize| (items[ix].0, items[ix].1) > (at, key);
+    // Every entry at `hi` or beyond sorts after the new one, every
+    // entry before `lo` does not.
+    let (mut lo, mut hi, mut step) = (0, items.len(), 1);
+    while hi > lo {
+        let probe = hi.saturating_sub(step);
+        if after(probe) {
+            hi = probe;
+            step *= 2;
+        } else {
+            lo = probe + 1;
+            break;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if after(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 fn vb_of(at: SimTime) -> u64 {
     at.nanos() >> BUCKET_SHIFT
 }
@@ -114,9 +147,10 @@ impl<E> EventQueue<E> {
     }
 
     fn take(&mut self, slot: u32) -> E {
-        let e = self.slab[slot as usize].take().expect("occupied slot");
+        // Free-list push first: with nothing fallible after the move,
+        // the payload goes from the slab straight to the caller.
         self.free.push(slot);
-        e
+        self.slab[slot as usize].take().expect("occupied slot")
     }
 
     /// Schedules `event` at `at` with ordering key `key`. Same-instant
@@ -133,17 +167,9 @@ impl<E> EventQueue<E> {
             let bucket = &mut self.wheel[slot_of(vb)];
             if bucket.sorted && !bucket.items.is_empty() {
                 // The cursor already sorted this bucket (ascending);
-                // keep the invariant. A fresh push usually carries the
-                // largest key at its instant (per-node counters grow
-                // monotonically), so this is typically an O(1) tail
-                // append.
-                let back = bucket.items.back().expect("non-empty sorted bucket");
-                if (at, key) >= (back.0, back.1) {
-                    bucket.items.push_back((at, key, slot));
-                } else {
-                    let pos = bucket.items.partition_point(|e| (e.0, e.1) < (at, key));
-                    bucket.items.insert(pos, (at, key, slot));
-                }
+                // keep the invariant.
+                let pos = sorted_pos(&bucket.items, at, key);
+                bucket.items.insert(pos, (at, key, slot));
             } else {
                 bucket.sorted = false;
                 bucket.items.push_back((at, key, slot));
@@ -447,6 +473,37 @@ mod tests {
         q.push(t(6_500), 3, "behind");
         assert_eq!(q.pop(), Some((t(6_500), "behind")));
         assert_eq!(q.pop(), Some((t(7_000), "wheel")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pushes_into_the_draining_bucket_keep_it_sorted() {
+        use std::collections::BTreeSet;
+        let mut q = EventQueue::new();
+        let t = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        let mut model = BTreeSet::new();
+        // One bucket's worth of standing events, then a pop so the
+        // cursor sorts it: every later push is a sorted insert.
+        for i in 0..40u64 {
+            q.push(t(100 + 10 * i), i, i);
+            model.insert((t(100 + 10 * i), i));
+        }
+        let mut now = 0;
+        for j in 0..400u64 {
+            if j % 3 == 0 {
+                let (at, key) = model.pop_first().expect("model non-empty");
+                assert_eq!(q.pop(), Some((at, key)));
+                now = at.nanos();
+            }
+            // Anywhere from the head of the bucket to past its tail,
+            // colliding with standing instants under larger keys.
+            let at = t(now + (j * 37) % 450);
+            q.push(at, 40 + j, 40 + j);
+            model.insert((at, 40 + j));
+        }
+        for (at, key) in model {
+            assert_eq!(q.pop(), Some((at, key)));
+        }
         assert!(q.is_empty());
     }
 

@@ -86,6 +86,7 @@ pub struct ShardedWorld {
 
 /// One synchronization-window command to a shard worker thread: merge
 /// the crossings, run the window ending at the time (exclusive), reply.
+/// The drained crossings buffer becomes the worker's next outbox.
 type WindowCmd = (Vec<Crossing>, SimTime);
 
 /// A worker's reply after one window: `(shard, fired, outbox, next
@@ -150,14 +151,16 @@ impl ShardedWorld {
     }
 
     /// Routes every shard's buffered cross-shard arrivals to their
-    /// owners.
+    /// owners. Each outbox is drained and handed back, so it keeps its
+    /// capacity from window to window.
     fn exchange(&mut self) {
         for ix in 0..self.shards.len() {
-            let out = self.shards[ix].take_outbox();
-            for c in out {
+            let mut out = self.shards[ix].swap_outbox(Vec::new());
+            for c in out.drain(..) {
                 let owner = self.owner(c.node);
                 self.shards[owner].push_crossing(c);
             }
+            self.shards[ix].swap_outbox(out);
         }
     }
 
@@ -264,8 +267,12 @@ impl ShardedWorld {
         horizon: Option<SimTime>,
         max_events: u64,
     ) {
-        // Crossings buffered from the previous window, per owner shard.
+        // Crossings buffered from the previous window, per owner shard,
+        // and one emptied buffer per shard to take their place. Three
+        // buffers per shard circulate (pending → worker inbox → worker
+        // outbox → spare → pending), so no window allocates one.
         let mut pending: Vec<Vec<Crossing>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut spare: Vec<Vec<Crossing>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         // Seed the initial exchange + peeks from the coordinator side.
         self.exchange();
         let mut peeks: Vec<Option<(SimTime, u64)>> =
@@ -281,12 +288,12 @@ impl ShardedWorld {
                 cmd_txs.push(tx);
                 let reply_tx = reply_tx.clone();
                 scope.spawn(move || {
-                    while let Ok((crossings, end)) = rx.recv() {
-                        for c in crossings {
+                    while let Ok((mut crossings, end)) = rx.recv() {
+                        for c in crossings.drain(..) {
                             shard.push_crossing(c);
                         }
                         let fired = shard.run_window(end);
-                        let out = shard.take_outbox();
+                        let out = shard.swap_outbox(crossings);
                         let peek = shard.peek_head();
                         if reply_tx.send((ix, fired, out, peek)).is_err() {
                             break;
@@ -315,16 +322,18 @@ impl ShardedWorld {
                     end = end.min(h);
                 }
                 for (ix, tx) in cmd_txs.iter().enumerate() {
-                    let crossings = std::mem::take(&mut pending[ix]);
+                    let crossings =
+                        std::mem::replace(&mut pending[ix], std::mem::take(&mut spare[ix]));
                     tx.send((crossings, end)).expect("shard worker alive");
                 }
                 for _ in 0..cmd_txs.len() {
-                    let (ix, fired, out, peek) = reply_rx.recv().expect("shard worker reply");
+                    let (ix, fired, mut out, peek) = reply_rx.recv().expect("shard worker reply");
                     fired_total += fired;
                     peeks[ix] = peek;
-                    for c in out {
+                    for c in out.drain(..) {
                         pending[owner_of[c.node.0] as usize].push(c);
                     }
+                    spare[ix] = out;
                 }
             }
             drop(cmd_txs);

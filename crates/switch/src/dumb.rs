@@ -334,14 +334,14 @@ impl DumbSwitch {
                     return;
                 };
                 self.counters.forwarded.inc();
-                if let Some(mon) = self.monitors.get_mut(port.index()) {
-                    mon.tx_packets += 1;
-                    mon.tx_bytes += pkt.wire_len() as u64;
-                }
                 if let Some(wire) = shadow {
                     self.shadow_compare(ctx, &wire, "forward", Some(port), Some(&pkt));
                 }
-                ctx.send(port, pkt);
+                let wire_len = ctx.send(port, pkt);
+                if let Some(mon) = self.monitors.get_mut(port.index()) {
+                    mon.tx_packets += 1;
+                    mon.tx_bytes += wire_len as u64;
+                }
             }
         }
     }
@@ -386,9 +386,9 @@ impl DumbSwitch {
 
     /// Floods a notification out of every wired port except `except`.
     fn broadcast(&mut self, ctx: &mut Ctx<'_>, except: Option<PortNo>, msg: ControlMessage) {
-        for port in ctx.wired_ports() {
+        ctx.for_each_wired_port(|ctx, port| {
             if Some(port) == except {
-                continue;
+                return;
             }
             let pkt = Packet::control(
                 MacAddr::BROADCAST,
@@ -397,7 +397,7 @@ impl DumbSwitch {
                 msg.clone(),
             );
             ctx.send(port, pkt);
-        }
+        });
     }
 }
 

@@ -162,7 +162,7 @@ impl StpSwitch {
 
         // Port roles.
         let mut new_roles = HashMap::new();
-        for port in ctx.wired_ports() {
+        ctx.for_each_wired_port(|_, port| {
             let role = if Some(port) == self.root_port {
                 Role::Root
             } else {
@@ -188,7 +188,7 @@ impl StpSwitch {
                 self.forwarding_since.remove(&port);
             }
             new_roles.insert(port, role);
-        }
+        });
         self.roles = new_roles;
     }
 
@@ -198,7 +198,7 @@ impl StpSwitch {
             cost: self.root_cost,
             sender: self.id,
         };
-        for port in ctx.wired_ports() {
+        ctx.for_each_wired_port(|ctx, port| {
             ctx.send(
                 port,
                 Packet::control(
@@ -208,7 +208,7 @@ impl StpSwitch {
                     msg.clone(),
                 ),
             );
-        }
+        });
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx<'_>, in_port: PortNo, pkt: Packet) {
@@ -229,11 +229,11 @@ impl StpSwitch {
             }
             _ => {
                 self.flooded += 1;
-                for port in ctx.wired_ports() {
+                ctx.for_each_wired_port(|ctx, port| {
                     if port != in_port && self.may_forward(port, now) {
                         ctx.send(port, pkt.clone());
                     }
-                }
+                });
             }
         }
     }

@@ -14,22 +14,40 @@
 //! and *registered* into the world's [`Telemetry`] registry under a
 //! [`MetricKey`] of `(NodeKind, node id, metric name)`. The handle is
 //! the storage: the node increments through the handle on its hot path
-//! (one relaxed atomic add), and a [`TelemetrySnapshot`] reads the same
-//! storage through the registry. Registration is idempotent, so a node
-//! that is crash-restarted re-registers the same handles without losing
-//! counts.
+//! (a plain load and store, no lookup), and a [`TelemetrySnapshot`]
+//! reads the same storage through the registry. Registration is
+//! idempotent, so a node that is crash-restarted re-registers the same
+//! handles without losing counts.
+//!
+//! # The single-writer contract
+//!
+//! A handle is written by the one thread that owns its cell (the world
+//! shard its node or wire lives in) and read only at a barrier or
+//! snapshot, when no shard is running. Under that contract a write needs
+//! no read-modify-write instruction and no lock: [`Counter::add`],
+//! [`Gauge::add`] and [`Histogram::observe`] are a relaxed load followed
+//! by a relaxed store on `AtomicU64` cells. The cells are atomics only so
+//! that handles stay `Send + Sync` in safe code — a worker thread can
+//! carry its shard's handles, and the barrier that hands the shard back
+//! (a channel receive, a scope join) is what publishes the values. Two
+//! threads writing one handle concurrently is a contract violation that
+//! loses updates (never memory safety); the workspace's
+//! `tests/telemetry.rs` runs a storm on forced worker threads and
+//! compares every counter with the single-world run to catch exactly
+//! that.
 //!
 //! # Sharded worlds
 //!
-//! Handles and the registry are `Send + Sync` (`Arc` over atomics, a
-//! mutex for histograms and the registry map), so the sharded PDES
-//! engine gives every shard its *own* registry and merges at snapshot
-//! time with [`TelemetrySnapshot::absorb`]: counters and gauges sum,
-//! histograms sum bucket-wise. Each increment happens on exactly one
-//! shard (the one that owns the incrementing node, or the sending side
-//! of a wire), so the merged snapshot of an N-shard run equals the
-//! single-registry snapshot of the same seed — the cross-shard
-//! determinism gate in `perf_hotpath` pins this byte-for-byte.
+//! The sharded PDES engine gives every shard its *own* registry and
+//! merges at snapshot time with [`TelemetrySnapshot::absorb`]: counters
+//! and gauges sum, histograms sum bucket-wise. Each increment happens on
+//! exactly one shard (the one that owns the incrementing node, or the
+//! sending side of a wire), so the merged snapshot of an N-shard run
+//! equals the single-registry snapshot of the same seed — the
+//! cross-shard determinism gate in `perf_hotpath` pins this
+//! byte-for-byte. The registry map and trace ring sit behind one mutex,
+//! taken for registration, snapshots and trace events only — never on
+//! the per-event path.
 //!
 //! # Determinism rules
 //!
@@ -128,11 +146,10 @@ impl fmt::Display for MetricKey {
 
 /// A monotonically increasing `u64` metric handle.
 ///
-/// Cloning shares the underlying atomic; the registry holds one clone
-/// and the owning node another, so hot-path increments are a single
-/// relaxed atomic add with no registry lookup. Relaxed ordering is
-/// sufficient: within a shard all accesses are single-threaded, and
-/// across shards reads only happen at synchronization barriers.
+/// Cloning shares the underlying cell; the registry holds one clone and
+/// the owning node another, so a hot-path increment is a load and a
+/// store with no registry lookup. Single-writer (see the crate docs):
+/// one thread writes, reads happen at barriers.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -152,7 +169,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.store(self.get().wrapping_add(n), Ordering::Relaxed);
     }
 
     /// Overwrites the value. For totals maintained elsewhere and
@@ -172,7 +189,7 @@ impl Counter {
 }
 
 /// A signed, settable metric handle (levels: queue depths, leadership,
-/// version numbers).
+/// version numbers). Single-writer, like [`Counter`].
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -192,7 +209,7 @@ impl Gauge {
     /// Adjusts the level by `d` (may be negative).
     #[inline]
     pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
+        self.0.store(self.get().wrapping_add(d), Ordering::Relaxed);
     }
 
     /// Current level.
@@ -203,7 +220,7 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram state shared behind a [`Histogram`] handle.
+/// A point-in-time copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bounds, strictly increasing. A value `v` lands
@@ -227,12 +244,21 @@ impl HistogramSnapshot {
     }
 }
 
+/// The cells behind a [`Histogram`] handle: immutable bounds, one count
+/// cell per bucket (the last is the overflow bucket) and the value sum.
+#[derive(Debug)]
+struct HistogramCells {
+    bounds: Vec<u64>,
+    counts: Vec<AtomicU64>,
+    sum: AtomicU64,
+}
+
 /// A fixed-bucket histogram handle (see [`HistogramSnapshot`] for the
-/// bucket semantics). Cloning shares the underlying state. Observations
-/// take a mutex, but within a shard the handle is only ever touched
-/// from that shard's thread, so the lock is uncontended.
+/// bucket semantics). Cloning shares the underlying cells.
+/// Single-writer, like [`Counter`]: an observation is a bucket search
+/// over the immutable bounds plus two load/store pairs, no lock.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<Mutex<HistogramSnapshot>>);
+pub struct Histogram(Arc<HistogramCells>);
 
 impl Histogram {
     /// Creates a histogram with the given inclusive upper `bounds`.
@@ -247,13 +273,12 @@ impl Histogram {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        let counts = vec![0; bounds.len() + 1];
-        Histogram(Arc::new(Mutex::new(HistogramSnapshot {
+        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        Histogram(Arc::new(HistogramCells {
             bounds,
             counts,
-            count: 0,
-            sum: 0,
-        })))
+            sum: AtomicU64::new(0),
+        }))
     }
 
     /// Doubling bounds: `first, first*2, …` for `buckets` bounds.
@@ -279,17 +304,26 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        let mut h = self.0.lock().expect("histogram lock");
-        let ix = h.bucket_for(v);
-        h.counts[ix] += 1;
-        h.count += 1;
-        h.sum = h.sum.wrapping_add(v);
+        let h = &*self.0;
+        let bucket = &h.counts[h.bounds.partition_point(|&b| b < v)];
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        h.sum.store(
+            h.sum.load(Ordering::Relaxed).wrapping_add(v),
+            Ordering::Relaxed,
+        );
     }
 
     /// A copy of the current state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.0.lock().expect("histogram lock").clone()
+        let h = &*self.0;
+        let counts: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        HistogramSnapshot {
+            bounds: h.bounds.clone(),
+            count: counts.iter().sum(),
+            counts,
+            sum: h.sum.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -428,9 +462,9 @@ struct Registry {
 /// One per world shard; cloned into every `Ctx` so nodes register
 /// handles without manual plumbing. Cloning is cheap (an `Arc` bump)
 /// and all clones observe the same registry. The handle is `Send`, so
-/// sharded worlds can carry their registries across worker threads;
-/// within a shard all access is single-threaded, so the internal mutex
-/// is uncontended.
+/// sharded worlds can carry their registries across worker threads.
+/// The internal mutex guards registration, snapshots and the trace
+/// ring only; metric writes go through the handles and never take it.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     inner: Arc<Mutex<Registry>>,

@@ -48,6 +48,48 @@ proptest! {
     }
 
     #[test]
+    fn clones_share_one_set_of_cells(
+        bounds in bounds_strategy(),
+        values in vec(0u64..10_000, 1..64),
+    ) {
+        // The node's handle and the registry's clone are one histogram:
+        // observations through either show up in both, exactly as if
+        // one handle had taken them all.
+        let (node, registry) = {
+            let h = Histogram::new(bounds.clone());
+            (h.clone(), h)
+        };
+        let alone = Histogram::new(bounds);
+        for (i, &v) in values.iter().enumerate() {
+            if i % 2 == 0 { &node } else { &registry }.observe(v);
+            alone.observe(v);
+        }
+        prop_assert_eq!(node.snapshot(), registry.snapshot());
+        prop_assert_eq!(node.snapshot(), alone.snapshot());
+    }
+
+    #[test]
+    fn a_snapshot_holds_every_earlier_write(
+        bounds in bounds_strategy(),
+        before in vec(0u64..10_000, 0..32),
+        after in vec(0u64..10_000, 1..32),
+    ) {
+        // No lock orders a write before a read any more; on one thread
+        // program order does, write by write.
+        let h = Histogram::new(bounds);
+        let mut expect = (0u64, 0u64);
+        for batch in [&before, &after] {
+            for &v in batch {
+                h.observe(v);
+                expect = (expect.0 + 1, expect.1 + v);
+            }
+            let snap = h.snapshot();
+            prop_assert_eq!((snap.count, snap.sum), expect);
+            prop_assert_eq!(snap.counts.iter().sum::<u64>(), snap.count);
+        }
+    }
+
+    #[test]
     fn bounds_are_inclusive_upper_edges(bounds in bounds_strategy()) {
         let snap = Histogram::new(bounds.clone()).snapshot();
         prop_assert_eq!(snap.bucket_for(0), 0);
