@@ -17,18 +17,19 @@
 //! A naive solver re-runs progressive filling over *every* flow on every
 //! arrival, departure, re-route or capacity change — O(F·E) per event,
 //! which dominates wall time once tens of thousands of flows are active.
-//! This implementation instead maintains per-edge active-flow sets and a
-//! dirty-edge set, and on each query re-solves only the **saturation
+//! This implementation instead maintains per-edge active-flow lists and a
+//! dirty-edge list, and on each query re-solves only the **saturation
 //! component** reachable from the dirty edges: the transitive closure of
 //! "shares an edge with" over the flow↔edge incidence graph. Flows in
 //! other components provably keep their previous max-min rates (the
 //! allocation of one component never depends on another), so their stored
 //! values stay exact.
 //!
-//! Within a component the filling itself uses a lazy min-heap keyed on
-//! `(fair-share, edge index)` plus incrementally maintained unfixed
-//! counts, replacing the reference solver's per-round full rescans. The
-//! floating-point operations — bottleneck selection with
+//! Within a component the filling itself uses an indexed min-heap keyed
+//! on `(fair-share, edge index)` — one live entry per loaded edge, moved
+//! in place when the edge's share changes — plus incrementally maintained
+//! unfixed counts, replacing the reference solver's per-round full
+//! rescans. The floating-point operations — bottleneck selection with
 //! lowest-index-wins tie-breaks, freeze order, per-edge capacity
 //! subtraction order — are performed in exactly the reference order, so
 //! the incremental rates are **bit-identical** to a from-scratch solve,
@@ -36,10 +37,12 @@
 //! mode that asserts this equivalence after every re-solve, and
 //! [`FlowSim::set_force_full_solve`] pins the solver to the O(F·E)
 //! reference path (the baseline for the `flowsim_incremental` perf
-//! entries).
+//! entries). The incidence is flat — sorted member `Vec`s, one path
+//! arena, dense rates — and every per-solve buffer is reused, so a
+//! steady-state re-solve allocates nothing.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 use dumbnet_types::{Bandwidth, SimDuration, SimTime};
 
@@ -82,20 +85,151 @@ const UNCONSTRAINED_BPS: f64 = f64::MAX / 4.0;
 #[derive(Debug, Clone, Default)]
 struct Edge {
     capacity_bps: f64,
-    /// Active flows crossing this edge → path multiplicity.
-    members: BTreeMap<u32, u32>,
+    /// Active flows crossing this edge as `(flow, path multiplicity)`,
+    /// ascending by flow (an arrival carries the highest index so far,
+    /// so it lands at the tail).
+    members: Vec<(u32, u32)>,
     /// Σ rate × multiplicity over members; refreshed when the edge's
     /// component is re-solved.
     load_bps: f64,
+    /// The edge is on [`FlowSim::dirty`].
+    dirty: bool,
+    /// The edge is on [`FlowSim::changed`].
+    changed: bool,
+}
+
+impl Edge {
+    /// Recomputes the allocated load from the member list (ascending
+    /// flow order — a stable accumulation order).
+    fn refresh_load(&mut self, rates: &[f64]) {
+        let mut sum = 0.0;
+        for &(fx, mult) in &self.members {
+            sum += rates[fx as usize] * f64::from(mult);
+        }
+        self.load_bps = sum;
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Flow {
-    path: Vec<EdgeId>,
+    /// Where the path sits in [`FlowSim::paths`].
+    path_at: u32,
+    path_len: u32,
     remaining_bits: f64,
-    rate_bps: f64,
     started: SimTime,
     finished: Option<SimTime>,
+}
+
+impl Flow {
+    fn path(&self) -> Range<usize> {
+        self.path_at as usize..(self.path_at + self.path_len) as usize
+    }
+}
+
+/// Appends `e` to a flag-stamped edge list unless its flag says it is
+/// already there.
+fn stamp(list: &mut Vec<u32>, flag: &mut bool, e: u32) {
+    if !*flag {
+        *flag = true;
+        list.push(e);
+    }
+}
+
+/// [`BottleneckHeap::pos`] of an edge with no live entry.
+const ABSENT: u32 = u32::MAX;
+
+/// Indexed binary min-heap of `(fair-share bits, edge index)`: at most
+/// one entry per edge, found through a per-edge position table so a
+/// changed share moves its entry in place instead of queueing a second
+/// one. Keys are unique (the edge breaks ties), so the pop order is a
+/// function of the live key set alone, not of the update order.
+#[derive(Debug, Default)]
+struct BottleneckHeap {
+    slots: Vec<(u64, u32)>,
+    /// Slot of each edge's entry, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl BottleneckHeap {
+    /// Inserts `edge`, or moves its entry to `bits`.
+    fn set(&mut self, edge: u32, bits: u64) {
+        let at = self.pos[edge as usize];
+        if at == ABSENT {
+            self.slots.push((bits, edge));
+            self.sift_up(self.slots.len() - 1);
+        } else {
+            self.overwrite(at as usize, (bits, edge));
+        }
+    }
+
+    /// Drops `edge`'s entry, if it has one.
+    fn remove(&mut self, edge: u32) {
+        let at = std::mem::replace(&mut self.pos[edge as usize], ABSENT) as usize;
+        if at == ABSENT as usize {
+            return;
+        }
+        let last = self.slots.pop().expect("a positioned entry is stored");
+        if at < self.slots.len() {
+            self.overwrite(at, last);
+        }
+    }
+
+    /// Puts `item` in slot `at` and restores the heap order around it.
+    fn overwrite(&mut self, at: usize, item: (u64, u32)) {
+        if item < std::mem::replace(&mut self.slots[at], item) {
+            self.sift_up(at);
+        } else {
+            self.sift_down(at);
+        }
+    }
+
+    /// Removes and returns the minimal `(bits, edge)`.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let top = *self.slots.first()?;
+        self.remove(top.1);
+        Some(top)
+    }
+
+    fn clear(&mut self) {
+        for &(_, edge) in &self.slots {
+            self.pos[edge as usize] = ABSENT;
+        }
+        self.slots.clear();
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let item = self.slots[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.slots[parent] <= item {
+                break;
+            }
+            self.place(at, self.slots[parent]);
+            at = parent;
+        }
+        self.place(at, item);
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        let item = self.slots[at];
+        loop {
+            let mut child = 2 * at + 1;
+            if child + 1 < self.slots.len() && self.slots[child + 1] < self.slots[child] {
+                child += 1;
+            }
+            if child >= self.slots.len() || item <= self.slots[child] {
+                break;
+            }
+            self.place(at, self.slots[child]);
+            at = child;
+        }
+        self.place(at, item);
+    }
+
+    fn place(&mut self, at: usize, item: (u64, u32)) {
+        self.slots[at] = item;
+        self.pos[item.1 as usize] = at as u32;
+    }
 }
 
 /// Reusable solver scratch space (per-edge/per-flow arrays stamped with
@@ -109,18 +243,19 @@ struct Scratch {
     count: Vec<u32>,
     /// BFS visit stamp per edge.
     edge_seen: Vec<u64>,
-    /// BFS visit stamp per flow.
-    flow_seen: Vec<u64>,
-    /// "Rate frozen in this solve" stamp per flow.
-    flow_fixed: Vec<u64>,
-    /// Per-round "already queued for re-push" stamp per edge.
-    edge_touched: Vec<u64>,
+    /// Per flow: equals the solve epoch from the BFS visit until the
+    /// flow's rate is frozen.
+    flow_unfixed: Vec<u64>,
     /// Current solve epoch (bumped per solve).
     epoch: u64,
-    /// Current round epoch (bumped per filling round).
-    round: u64,
-    /// Lazy bottleneck heap: `(fair-share bits, edge index)`, min-first.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The component's edges in discovery order; doubles as the BFS queue.
+    comp_edges: Vec<u32>,
+    /// Edges whose share changed in the current round and whose heap
+    /// entry is owed an update; empty between solves.
+    touched: Vec<u32>,
+    /// Per edge: the edge is on `touched`.
+    edge_touched: Vec<bool>,
+    heap: BottleneckHeap,
 }
 
 /// The flow-level simulator.
@@ -128,13 +263,19 @@ struct Scratch {
 pub struct FlowSim {
     edges: Vec<Edge>,
     flows: Vec<Flow>,
+    /// Current max-min rate per flow slot; 0 once finished, so rate
+    /// queries need not look the flow up.
+    rates: Vec<f64>,
+    /// Path arena: every flow's edge indices, at [`Flow::path`].
+    paths: Vec<u32>,
     /// Unfinished flows, ascending.
     active: BTreeSet<u32>,
-    /// Edges whose constraint set changed since the last solve.
-    dirty: BTreeSet<u32>,
+    /// Edges whose constraint set changed since the last solve, each
+    /// listed once ([`Edge::dirty`]).
+    dirty: Vec<u32>,
     /// Edges whose load was recomputed since the last
-    /// [`FlowSim::take_changed_edges`] drain.
-    changed: BTreeSet<u32>,
+    /// [`FlowSim::take_changed_edges`] drain ([`Edge::changed`]).
+    changed: Vec<u32>,
     now: SimTime,
     force_full: bool,
     check_full: bool,
@@ -152,10 +293,12 @@ impl FlowSim {
     /// Adds a capacitated edge.
     pub fn add_edge(&mut self, capacity: Bandwidth) -> EdgeId {
         let id = EdgeId(self.edges.len());
+        // Members, paths and the solver scratch carry edges as `u32`,
+        // and the heap's position table reserves `u32::MAX`.
+        assert!(id.0 < u32::MAX as usize, "edge table outgrew u32");
         self.edges.push(Edge {
             capacity_bps: capacity.bits_per_sec() as f64,
-            members: BTreeMap::new(),
-            load_bps: 0.0,
+            ..Edge::default()
         });
         id
     }
@@ -174,8 +317,9 @@ impl FlowSim {
     /// Panics on an unknown edge — edges are created by this simulator,
     /// so an out-of-range ID is a caller bug.
     pub fn set_capacity(&mut self, edge: EdgeId, capacity: Bandwidth) {
-        self.edges[edge.0].capacity_bps = capacity.bits_per_sec() as f64;
-        self.dirty.insert(edge.0 as u32);
+        let e = &mut self.edges[edge.0];
+        e.capacity_bps = capacity.bits_per_sec() as f64;
+        stamp(&mut self.dirty, &mut e.dirty, edge.0 as u32);
     }
 
     /// An edge's configured capacity in bits per second.
@@ -193,8 +337,8 @@ impl FlowSim {
     pub fn set_force_full_solve(&mut self, on: bool) {
         self.force_full = on;
         // Conservatively invalidate everything on a mode switch.
-        for e in 0..self.edges.len() {
-            self.dirty.insert(e as u32);
+        for (e, edge) in self.edges.iter_mut().enumerate() {
+            stamp(&mut self.dirty, &mut edge.dirty, e as u32);
         }
     }
 
@@ -221,23 +365,21 @@ impl FlowSim {
     /// An empty path means both endpoints share an uncontended segment;
     /// such flows complete instantly on the next advance.
     pub fn start_flow(&mut self, path: Vec<EdgeId>, bytes: u64) -> FlowId {
+        // Members and the solver scratch carry flows as `u32`.
+        assert!(
+            self.flows.len() < u32::MAX as usize,
+            "flow table outgrew u32"
+        );
         let ix = self.flows.len() as u32;
-        let rate = if path.is_empty() {
-            UNCONSTRAINED_BPS
-        } else {
-            0.0
-        };
-        for e in &path {
-            *self.edges[e.0].members.entry(ix).or_insert(0) += 1;
-            self.dirty.insert(e.0 as u32);
-        }
         self.flows.push(Flow {
-            path,
+            path_at: 0,
+            path_len: 0,
             remaining_bits: bytes as f64 * 8.0,
-            rate_bps: rate,
             started: self.now,
             finished: None,
         });
+        self.rates.push(0.0);
+        self.attach(ix, &path);
         self.active.insert(ix);
         FlowId(ix as usize)
     }
@@ -245,40 +387,61 @@ impl FlowSim {
     /// Re-routes an active flow onto a new path (flowlet switching /
     /// failover). No-op for finished flows.
     pub fn reroute(&mut self, flow: FlowId, path: Vec<EdgeId>) {
-        let ix = flow.0 as u32;
-        let Some(f) = self.flows.get(flow.0) else {
-            return;
-        };
-        if f.finished.is_some() {
+        if self.flows.get(flow.0).is_none_or(|f| f.finished.is_some()) {
             return;
         }
-        let old = std::mem::take(&mut self.flows[flow.0].path);
-        for e in &old {
-            self.edges[e.0].members.remove(&ix);
-            self.dirty.insert(e.0 as u32);
+        self.detach(flow.0 as u32);
+        self.attach(flow.0 as u32, &path);
+    }
+
+    /// Puts flow `ix` on `path`: stores the path (over the flow's old
+    /// arena run when it fits, else at the arena's tail), joins every
+    /// edge's member list, and resets the rate for the next solve.
+    fn attach(&mut self, ix: u32, path: &[EdgeId]) {
+        let flow = &mut self.flows[ix as usize];
+        if path.len() > flow.path_len as usize {
+            assert!(
+                self.paths.len() + path.len() <= u32::MAX as usize,
+                "path arena outgrew u32"
+            );
+            flow.path_at = self.paths.len() as u32;
+            self.paths.resize(self.paths.len() + path.len(), 0);
         }
-        for e in &path {
-            *self.edges[e.0].members.entry(ix).or_insert(0) += 1;
-            self.dirty.insert(e.0 as u32);
+        flow.path_len = path.len() as u32;
+        let run = flow.path();
+        for (slot, e) in self.paths[run].iter_mut().zip(path) {
+            let edge = &mut self.edges[e.0];
+            match edge.members.binary_search_by_key(&ix, |m| m.0) {
+                Ok(at) => edge.members[at].1 += 1,
+                Err(at) => edge.members.insert(at, (ix, 1)),
+            }
+            *slot = e.0 as u32;
+            stamp(&mut self.dirty, &mut edge.dirty, e.0 as u32);
         }
-        self.flows[flow.0].rate_bps = if path.is_empty() {
+        self.rates[ix as usize] = if path.is_empty() {
             UNCONSTRAINED_BPS
         } else {
             0.0
         };
-        self.flows[flow.0].path = path;
+    }
+
+    /// Takes flow `ix` off every edge of its path and marks those edges
+    /// dirty so the freed bandwidth is re-shared.
+    fn detach(&mut self, ix: u32) {
+        for &e in &self.paths[self.flows[ix as usize].path()] {
+            let edge = &mut self.edges[e as usize];
+            if let Ok(at) = edge.members.binary_search_by_key(&ix, |m| m.0) {
+                edge.members.remove(at);
+            }
+            stamp(&mut self.dirty, &mut edge.dirty, e);
+        }
     }
 
     /// The flow's current max-min rate.
     #[must_use]
     pub fn flow_rate(&mut self, flow: FlowId) -> Bandwidth {
         self.ensure_rates();
-        Bandwidth::bps(
-            self.flows
-                .get(flow.0)
-                .filter(|f| f.finished.is_none())
-                .map_or(0.0, |f| f.rate_bps) as u64,
-        )
+        Bandwidth::bps(self.rates.get(flow.0).map_or(0.0, |&r| r) as u64)
     }
 
     /// When the flow finished, if it has.
@@ -333,9 +496,12 @@ impl FlowSim {
     /// only the congestion marks that could have moved.
     pub fn take_changed_edges(&mut self) -> Vec<EdgeId> {
         self.ensure_rates();
-        let drained: Vec<EdgeId> = self.changed.iter().map(|&e| EdgeId(e as usize)).collect();
-        self.changed.clear();
-        drained
+        self.changed.sort_unstable();
+        let drained = self.changed.drain(..).map(|e| {
+            self.edges[e as usize].changed = false;
+            EdgeId(e as usize)
+        });
+        drained.collect()
     }
 
     /// The instant the next completion would occur if nothing else
@@ -360,17 +526,18 @@ impl FlowSim {
         self.active
             .iter()
             .filter_map(|&ix| {
-                let f = &self.flows[ix as usize];
-                if f.rate_bps <= 0.0 {
+                let remaining = self.flows[ix as usize].remaining_bits;
+                let rate = self.rates[ix as usize];
+                if rate <= 0.0 {
                     // Starved flow (all paths at zero capacity): never
                     // completes on its own.
-                    if f.remaining_bits <= 0.0 {
+                    if remaining <= 0.0 {
                         Some(0.0)
                     } else {
                         None
                     }
                 } else {
-                    Some(f.remaining_bits / f.rate_bps)
+                    Some(remaining / rate)
                 }
             })
             .fold(f64::INFINITY, f64::min)
@@ -399,12 +566,8 @@ impl FlowSim {
                 until
             };
             let dt = (step_end - self.now).as_secs_f64();
-            {
-                let flows = &mut self.flows;
-                for &ix in &self.active {
-                    let f = &mut flows[ix as usize];
-                    f.remaining_bits -= f.rate_bps * dt;
-                }
+            for &ix in &self.active {
+                self.flows[ix as usize].remaining_bits -= self.rates[ix as usize] * dt;
             }
             self.now = step_end;
             // Mark completions: exactly drained, or less than one
@@ -414,8 +577,8 @@ impl FlowSim {
                 .iter()
                 .copied()
                 .filter(|&ix| {
-                    let f = &self.flows[ix as usize];
-                    f.remaining_bits <= 0.5 || f.remaining_bits <= f.rate_bps * 1e-9
+                    let remaining = self.flows[ix as usize].remaining_bits;
+                    remaining <= 0.5 || remaining <= self.rates[ix as usize] * 1e-9
                 })
                 .collect();
             for &ix in &done {
@@ -434,19 +597,13 @@ impl FlowSim {
         events
     }
 
-    /// Retires a completed flow: releases its edge memberships and marks
-    /// the edges dirty so the freed bandwidth is re-shared.
+    /// Retires a completed flow and releases its edge memberships.
     fn finish_flow(&mut self, ix: u32) {
         let f = &mut self.flows[ix as usize];
         f.finished = Some(self.now);
         f.remaining_bits = 0.0;
-        f.rate_bps = 0.0;
-        let path = std::mem::take(&mut self.flows[ix as usize].path);
-        for e in &path {
-            self.edges[e.0].members.remove(&ix);
-            self.dirty.insert(e.0 as u32);
-        }
-        self.flows[ix as usize].path = path;
+        self.rates[ix as usize] = 0.0;
+        self.detach(ix);
         self.active.remove(&ix);
     }
 
@@ -458,22 +615,7 @@ impl FlowSim {
     /// [`FlowSim::active_flows`].
     pub fn run_until_idle(&mut self) -> Vec<FlowEvent> {
         let mut events = Vec::new();
-        loop {
-            self.ensure_rates();
-            let next = self
-                .active
-                .iter()
-                .map(|&ix| &self.flows[ix as usize])
-                .filter(|f| f.rate_bps > 0.0)
-                .map(|f| f.remaining_bits / f.rate_bps)
-                .fold(f64::INFINITY, f64::min);
-            if !next.is_finite() {
-                break;
-            }
-            let target = self.now + SimDuration::from_secs_f64(next);
-            // Nudge past float truncation so the completing flow's
-            // remaining bits actually reach ~zero.
-            let target = target + SimDuration::from_nanos(1);
+        while let Some(target) = self.next_completion_time() {
             events.extend(self.advance_to(target));
         }
         events
@@ -484,12 +626,7 @@ impl FlowSim {
     #[must_use]
     pub fn aggregate_rate(&mut self, flows: &[FlowId]) -> Bandwidth {
         self.ensure_rates();
-        let sum: f64 = flows
-            .iter()
-            .filter_map(|f| self.flows.get(f.0))
-            .filter(|f| f.finished.is_none())
-            .map(|f| f.rate_bps)
-            .sum();
+        let sum: f64 = flows.iter().filter_map(|f| self.rates.get(f.0)).sum();
         Bandwidth::bps(sum as u64)
     }
 
@@ -506,11 +643,12 @@ impl FlowSim {
             self.stats.edges_resolved += self.edges.len() as u64;
             let rates = self.solve_full_rates();
             for &ix in &self.active {
-                self.flows[ix as usize].rate_bps = rates[ix as usize];
+                self.rates[ix as usize] = rates[ix as usize];
             }
-            for e in 0..self.edges.len() {
-                self.refresh_edge_load(e);
-                self.changed.insert(e as u32);
+            for (e, edge) in self.edges.iter_mut().enumerate() {
+                edge.refresh_load(&self.rates);
+                edge.dirty = false;
+                stamp(&mut self.changed, &mut edge.changed, e as u32);
             }
             self.dirty.clear();
             return;
@@ -527,150 +665,124 @@ impl FlowSim {
     /// Performs the reference solver's floating-point operations in the
     /// reference order, so results are bit-identical to a full solve.
     fn solve_incremental(&mut self) {
-        let n_edges = self.edges.len();
-        let n_flows = self.flows.len();
-        let sc = &mut self.scratch;
-        sc.rem.resize(n_edges, 0.0);
-        sc.count.resize(n_edges, 0);
-        sc.edge_seen.resize(n_edges, 0);
-        sc.edge_touched.resize(n_edges, 0);
-        sc.flow_seen.resize(n_flows, 0);
-        sc.flow_fixed.resize(n_flows, 0);
+        let FlowSim {
+            edges,
+            flows,
+            rates,
+            paths,
+            dirty,
+            changed,
+            stats,
+            scratch: sc,
+            ..
+        } = self;
+        sc.rem.resize(edges.len(), 0.0);
+        sc.count.resize(edges.len(), 0);
+        sc.edge_seen.resize(edges.len(), 0);
+        sc.edge_touched.resize(edges.len(), false);
+        sc.heap.pos.resize(edges.len(), ABSENT);
+        sc.flow_unfixed.resize(flows.len(), 0);
         sc.epoch += 1;
         let epoch = sc.epoch;
 
         // --- Component discovery: BFS over flow↔edge incidence from the
         // dirty edges. Only flows transitively sharing an edge with a
-        // dirty edge can see their max-min rate change.
-        let mut comp_edges: Vec<u32> = Vec::new();
-        let mut comp_flows: Vec<u32> = Vec::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for &e in &self.dirty {
-            if self.edges[e as usize].members.is_empty() {
+        // dirty edge can see their max-min rate change. An edge enters
+        // with fresh waterfilling state (identical to the reference
+        // solver's initial state restricted to the component) and each
+        // discovered flow counts itself onto its path.
+        sc.comp_edges.clear();
+        for e in dirty.drain(..) {
+            let edge = &mut edges[e as usize];
+            edge.dirty = false;
+            if edge.members.is_empty() {
                 // No active flows cross it: its load is zero and nothing
                 // else depends on it.
-                if self.edges[e as usize].load_bps != 0.0 {
-                    self.edges[e as usize].load_bps = 0.0;
-                }
-                self.changed.insert(e);
+                edge.load_bps = 0.0;
+                stamp(changed, &mut edge.changed, e);
             } else if sc.edge_seen[e as usize] != epoch {
                 sc.edge_seen[e as usize] = epoch;
-                comp_edges.push(e);
-                queue.push_back(e);
+                sc.rem[e as usize] = edge.capacity_bps;
+                sc.count[e as usize] = 0;
+                sc.comp_edges.push(e);
             }
         }
-        self.dirty.clear();
-        while let Some(e) = queue.pop_front() {
-            for &fx in self.edges[e as usize].members.keys() {
-                if sc.flow_seen[fx as usize] == epoch {
+        let mut unfixed = 0usize;
+        let mut head = 0;
+        while let Some(&e) = sc.comp_edges.get(head) {
+            head += 1;
+            for &(fx, _) in &edges[e as usize].members {
+                if sc.flow_unfixed[fx as usize] == epoch {
                     continue;
                 }
-                sc.flow_seen[fx as usize] = epoch;
-                comp_flows.push(fx);
-                for pe in &self.flows[fx as usize].path {
-                    let pe = pe.0 as u32;
+                sc.flow_unfixed[fx as usize] = epoch;
+                unfixed += 1;
+                for &pe in &paths[flows[fx as usize].path()] {
                     if sc.edge_seen[pe as usize] != epoch {
                         sc.edge_seen[pe as usize] = epoch;
-                        comp_edges.push(pe);
-                        queue.push_back(pe);
+                        sc.rem[pe as usize] = edges[pe as usize].capacity_bps;
+                        sc.count[pe as usize] = 0;
+                        sc.comp_edges.push(pe);
                     }
+                    sc.count[pe as usize] += 1;
                 }
             }
         }
-        self.stats.flows_resolved += comp_flows.len() as u64;
-        self.stats.edges_resolved += comp_edges.len() as u64;
-        self.stats.max_component_flows =
-            self.stats.max_component_flows.max(comp_flows.len() as u64);
+        stats.flows_resolved += unfixed as u64;
+        stats.edges_resolved += sc.comp_edges.len() as u64;
+        stats.max_component_flows = stats.max_component_flows.max(unfixed as u64);
 
-        // --- Fresh waterfilling state for the component (identical to
-        // the reference solver's initial state restricted to it).
-        for &e in &comp_edges {
-            sc.rem[e as usize] = self.edges[e as usize].capacity_bps;
-            sc.count[e as usize] = 0;
-        }
-        for &fx in &comp_flows {
-            for pe in &self.flows[fx as usize].path {
-                sc.count[pe.0] += 1;
-            }
-        }
-        sc.heap.clear();
-        for &e in &comp_edges {
-            let count = sc.count[e as usize];
-            if count > 0 {
-                let fair = sc.rem[e as usize].max(0.0) / f64::from(count);
-                sc.heap.push(Reverse((fair.to_bits(), e)));
-            }
+        // Every component edge is loaded: by its members (a dirty seed)
+        // or by the flow whose path discovered it.
+        let fair_bits = |rem: f64, count: u32| (rem.max(0.0) / f64::from(count)).to_bits();
+        for &e in &sc.comp_edges {
+            sc.heap
+                .set(e, fair_bits(sc.rem[e as usize], sc.count[e as usize]));
         }
 
         // --- Progressive filling. Each round pops the bottleneck (the
         // loaded edge with the minimal fair share, lowest index on
-        // ties — exactly the reference scan's pick), freezes its unfixed
-        // flows in ascending flow order, and charges each frozen flow's
-        // rate along its path in path order. Stale heap entries are
-        // skipped by recomputing the popped edge's current fair share;
-        // every loaded edge always has an entry for its current value,
-        // so the first valid pop is the true minimum.
-        let mut unfixed = comp_flows.len();
-        let mut freeze_buf: Vec<u32> = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
-        while let Some(Reverse((bits, e))) = sc.heap.pop() {
-            let count = sc.count[e as usize];
-            if count == 0 {
-                continue;
+        // ties — exactly the reference scan's pick, because every loaded
+        // edge holds exactly one entry, at its current share), freezes
+        // its unfixed flows in ascending flow order, and charges each
+        // frozen flow's rate along its path in path order. Edges whose
+        // share moved have their entry moved before the next pop, or
+        // dropped once no unfixed flow loads them.
+        while unfixed > 0 {
+            for pe in sc.touched.drain(..) {
+                sc.edge_touched[pe as usize] = false;
+                match sc.count[pe as usize] {
+                    0 => sc.heap.remove(pe),
+                    count => sc.heap.set(pe, fair_bits(sc.rem[pe as usize], count)),
+                }
             }
-            let fair = sc.rem[e as usize].max(0.0) / f64::from(count);
-            if fair.to_bits() != bits {
-                continue; // Stale entry; the current one is still queued.
-            }
-            sc.round += 1;
-            let round = sc.round;
-            freeze_buf.clear();
-            freeze_buf.extend(
-                self.edges[e as usize]
-                    .members
-                    .keys()
-                    .copied()
-                    .filter(|&fx| sc.flow_fixed[fx as usize] != epoch),
-            );
-            touched.clear();
-            for &fx in &freeze_buf {
-                sc.flow_fixed[fx as usize] = epoch;
-                self.flows[fx as usize].rate_bps = fair;
+            let (bits, e) = sc.heap.pop().expect("an unfixed flow loads an edge");
+            let fair = f64::from_bits(bits);
+            for &(fx, _) in &edges[e as usize].members {
+                if sc.flow_unfixed[fx as usize] != epoch {
+                    continue;
+                }
+                sc.flow_unfixed[fx as usize] = 0;
+                rates[fx as usize] = fair;
                 unfixed -= 1;
-                for pe in &self.flows[fx as usize].path {
-                    let pe = pe.0;
-                    sc.rem[pe] -= fair;
-                    sc.count[pe] -= 1;
-                    if sc.edge_touched[pe] != round {
-                        sc.edge_touched[pe] = round;
-                        touched.push(pe as u32);
-                    }
-                }
-            }
-            for &pe in &touched {
-                let count = sc.count[pe as usize];
-                if count > 0 {
-                    let fair = sc.rem[pe as usize].max(0.0) / f64::from(count);
-                    sc.heap.push(Reverse((fair.to_bits(), pe)));
+                for &pe in &paths[flows[fx as usize].path()] {
+                    sc.rem[pe as usize] -= fair;
+                    sc.count[pe as usize] -= 1;
+                    stamp(&mut sc.touched, &mut sc.edge_touched[pe as usize], pe);
                 }
             }
         }
-        debug_assert_eq!(unfixed, 0, "progressive filling left unfixed flows");
-
-        for &e in &comp_edges {
-            self.refresh_edge_load(e as usize);
-            self.changed.insert(e);
+        // The last round's moves are never settled: nothing is left to pop.
+        for pe in sc.touched.drain(..) {
+            sc.edge_touched[pe as usize] = false;
         }
-    }
+        sc.heap.clear();
 
-    /// Recomputes an edge's allocated load from its member set
-    /// (ascending flow order — a stable accumulation order).
-    fn refresh_edge_load(&mut self, e: usize) {
-        let mut sum = 0.0;
-        for (&fx, &mult) in &self.edges[e].members {
-            sum += self.flows[fx as usize].rate_bps * f64::from(mult);
+        for &e in &sc.comp_edges {
+            let edge = &mut edges[e as usize];
+            edge.refresh_load(rates);
+            stamp(changed, &mut edge.changed, e);
         }
-        self.edges[e].load_bps = sum;
     }
 
     /// The O(F·E) reference: from-scratch progressive filling over every
@@ -678,6 +790,7 @@ impl FlowSim {
     /// Returns the rate for every flow slot (finished slots stay 0).
     fn solve_full_rates(&self) -> Vec<f64> {
         let n_edges = self.edges.len();
+        let path = |ix: usize| &self.paths[self.flows[ix].path()];
         let mut rates: Vec<f64> = vec![0.0; self.flows.len()];
         let active: Vec<usize> = self
             .flows
@@ -690,7 +803,7 @@ impl FlowSim {
         // Flows with empty paths are unconstrained: give them an
         // effectively infinite rate so they complete immediately.
         for &ix in &active {
-            if self.flows[ix].path.is_empty() {
+            if path(ix).is_empty() {
                 rates[ix] = UNCONSTRAINED_BPS;
                 fixed[ix] = true;
             }
@@ -701,8 +814,8 @@ impl FlowSim {
             unfixed_count.fill(0);
             for &ix in &active {
                 if !fixed[ix] {
-                    for e in &self.flows[ix].path {
-                        unfixed_count[e.0] += 1;
+                    for &e in path(ix) {
+                        unfixed_count[e as usize] += 1;
                     }
                 }
             }
@@ -722,11 +835,11 @@ impl FlowSim {
             // Freeze every unfixed flow crossing the bottleneck at the
             // fair share; charge their rate to all their edges.
             for &ix in &active {
-                if !fixed[ix] && self.flows[ix].path.contains(&EdgeId(bottleneck)) {
+                if !fixed[ix] && path(ix).contains(&(bottleneck as u32)) {
                     rates[ix] = fair;
                     fixed[ix] = true;
-                    for e in &self.flows[ix].path {
-                        remaining_cap[e.0] -= fair;
+                    for &e in path(ix) {
+                        remaining_cap[e as usize] -= fair;
                     }
                 }
             }
@@ -743,7 +856,7 @@ impl FlowSim {
     fn assert_matches_reference(&self) {
         let reference = self.solve_full_rates();
         for &ix in &self.active {
-            let got = self.flows[ix as usize].rate_bps;
+            let got = self.rates[ix as usize];
             let want = reference[ix as usize];
             assert!(
                 got.to_bits() == want.to_bits(),
@@ -1051,5 +1164,147 @@ mod tests {
         assert_eq!(events[0].flow, f);
         assert_eq!(events[0].at, horizon);
         assert!(s.next_completion_time().is_none());
+    }
+
+    #[test]
+    fn drained_flow_on_dead_edge_finishes_under_both_drivers() {
+        // Regression: `run_until_idle` folded its own completion horizon
+        // with a `rate > 0` filter, so a flow with nothing left to send
+        // on a zero-capacity edge stayed active forever, while
+        // `advance_to` / `next_completion_time` retired it.
+        let drained_on_dead_edge = || {
+            let mut s = FlowSim::new();
+            let dead = s.add_edge(Bandwidth::ZERO);
+            let f = s.start_flow(vec![dead], 0);
+            (s, f)
+        };
+        let (mut s, f) = drained_on_dead_edge();
+        assert_eq!(s.run_until_idle().len(), 1);
+        assert_eq!((s.active_flows(), s.finished_at(f)), (0, Some(s.now())));
+        let (mut s, f) = drained_on_dead_edge();
+        let horizon = s.next_completion_time().expect("a drained flow completes");
+        assert_eq!(s.advance_to(horizon).len(), 1);
+        assert_eq!((s.active_flows(), s.finished_at(f)), (0, Some(horizon)));
+        // Bytes still owed on a dead edge is a stall, not a completion.
+        let mut s = FlowSim::new();
+        let dead = s.add_edge(Bandwidth::ZERO);
+        let _ = s.start_flow(vec![dead], 1);
+        assert!(s.run_until_idle().is_empty());
+        assert_eq!(s.active_flows(), 1);
+    }
+
+    #[test]
+    fn multi_component_churn_pins_solver_stats() {
+        // Three disjoint 4-edge islands, six flows each (two edges per
+        // flow, so an island is one saturation component), then churn
+        // that touches one island, two islands, and finally bridges two
+        // of them. The exact work counters are pinned: component
+        // accounting must not drift.
+        let mut s = FlowSim::new();
+        let edges: Vec<EdgeId> = (0..12)
+            .map(|i| s.add_edge(Bandwidth::mbps(100 + 10 * i)))
+            .collect();
+        let island = |k: usize, i: usize| edges[4 * k + i % 4];
+        let mut flows = Vec::new();
+        for k in 0..3 {
+            for i in 0..6 {
+                flows.push(s.start_flow(vec![island(k, i), island(k, i + 1)], u64::MAX / 16));
+            }
+        }
+        let stats = |s: &mut FlowSim| {
+            let _ = s.aggregate_rate(&[]);
+            let st = s.solver_stats();
+            (
+                st.solves,
+                st.flows_resolved,
+                st.edges_resolved,
+                st.max_component_flows,
+            )
+        };
+        // One solve over all three islands at once.
+        assert_eq!(stats(&mut s), (1, 18, 12, 18));
+        // Nothing dirty: a query is not a solve.
+        assert_eq!(stats(&mut s), (1, 18, 12, 18));
+        // Island 1 alone.
+        s.set_capacity(island(1, 0), Bandwidth::mbps(5));
+        assert_eq!(stats(&mut s), (2, 24, 16, 18));
+        // Islands 0 and 2 in one solve; island 1 untouched.
+        s.set_capacity(island(0, 2), Bandwidth::ZERO);
+        s.reroute(flows[12], vec![island(2, 3)]);
+        assert_eq!(stats(&mut s), (3, 36, 24, 18));
+        // An idle edge carries no component.
+        let spare = s.add_edge(Bandwidth::gbps(1));
+        s.set_capacity(spare, Bandwidth::mbps(1));
+        assert_eq!(stats(&mut s), (4, 36, 24, 18));
+        // Bridge islands 0 and 1 through the spare edge: one component
+        // of twelve flows over nine edges.
+        s.reroute(flows[0], vec![island(0, 0), spare, island(1, 0)]);
+        assert_eq!(stats(&mut s), (5, 48, 33, 18));
+        assert_eq!(s.solver_stats().full_solves, 0);
+        assert_eq!(
+            s.take_changed_edges(),
+            edges.iter().copied().chain([spare]).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn bottleneck_heap_matches_ordered_set_model() {
+        // Random insert / raise / lower / remove / pop against a
+        // `BTreeSet<(key, edge)>` oracle. After every step the position
+        // table must name each live entry's slot and nothing else, the
+        // heap order must hold, and the two minima must agree.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const EDGES: u32 = 48;
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut heap = BottleneckHeap::default();
+        heap.pos.resize(EDGES as usize, ABSENT);
+        let mut model: BTreeSet<(u64, u32)> = BTreeSet::new();
+        let mut key_of: Vec<Option<u64>> = vec![None; EDGES as usize];
+        for step in 0..20_000 {
+            let edge = rng.gen_range(0..EDGES);
+            // Few distinct keys, so ties on the edge index are common.
+            let key = rng.gen_range(0..32u64);
+            match rng.gen_range(0..8) {
+                0..=4 => {
+                    if let Some(old) = key_of[edge as usize].replace(key) {
+                        model.remove(&(old, edge));
+                    }
+                    model.insert((key, edge));
+                    heap.set(edge, key);
+                }
+                5 => {
+                    if let Some(old) = key_of[edge as usize].take() {
+                        model.remove(&(old, edge));
+                    }
+                    heap.remove(edge);
+                }
+                _ => {
+                    let want = model.pop_first();
+                    if let Some((_, e)) = want {
+                        key_of[e as usize] = None;
+                    }
+                    assert_eq!(heap.pop(), want, "step {step}");
+                }
+            }
+            assert_eq!(heap.slots.len(), model.len(), "step {step}");
+            assert_eq!(heap.slots.first(), model.first(), "step {step}");
+            for (at, &(key, e)) in heap.slots.iter().enumerate() {
+                assert_eq!(heap.pos[e as usize] as usize, at, "step {step}");
+                assert_eq!(key_of[e as usize], Some(key), "step {step}");
+                assert!(
+                    heap.slots[at.saturating_sub(1) / 2] <= (key, e),
+                    "step {step}"
+                );
+            }
+            for e in 0..EDGES {
+                assert_eq!(
+                    heap.pos[e as usize] == ABSENT,
+                    key_of[e as usize].is_none(),
+                    "step {step}"
+                );
+            }
+        }
+        heap.clear();
+        assert!(heap.slots.is_empty() && heap.pos.iter().all(|&p| p == ABSENT));
     }
 }

@@ -8,7 +8,7 @@
 //! any link-cost closure), returning [`Route`]s.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::Rng;
 
@@ -52,9 +52,28 @@ impl DistanceMap {
 }
 
 /// Computes hop distances from `source` to every switch over up links.
+///
+/// With unit costs a FIFO frontier already visits switches in
+/// nondecreasing distance, so this is a plain BFS; the map is the one
+/// [`distances_weighted`] returns for `|_| 1`.
 #[must_use]
 pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
-    distances_weighted(topo, source, |_| 1)
+    let n = topo.switch_count();
+    let mut dist = vec![u64::MAX; n];
+    if (source.get() as usize) < n {
+        dist[source.get() as usize] = 0;
+        let mut frontier = VecDeque::from([source]);
+        while let Some(u) = frontier.pop_front() {
+            let nd = dist[u.get() as usize] + 1;
+            for (_, v, _) in topo.neighbors(u) {
+                if dist[v.get() as usize] == u64::MAX {
+                    dist[v.get() as usize] = nd;
+                    frontier.push_back(v);
+                }
+            }
+        }
+    }
+    DistanceMap { source, dist }
 }
 
 /// Computes weighted distances from `source` with a per-link cost
@@ -102,7 +121,9 @@ pub fn shortest_route<R: Rng>(
     dst: SwitchId,
     rng: &mut R,
 ) -> Option<Route> {
-    shortest_route_weighted(topo, src, dst, |_| 1, rng)
+    // Hop counts are symmetric: the BFS map *from* `dst` is the
+    // distance *to* it.
+    descend(topo, src, dst, |_| 1, |topo| distances(topo, dst), rng)
 }
 
 /// Weighted variant of [`shortest_route`].
@@ -122,6 +143,27 @@ where
     F: Fn((SwitchId, SwitchId)) -> u64,
     R: Rng,
 {
+    // Run Dijkstra from dst so dist[] measures distance *to* dst.
+    let to_dst = |topo: &Topology| distances_weighted(topo, dst, |(a, b)| cost((b, a)));
+    descend(topo, src, dst, &cost, to_dst, rng)
+}
+
+/// Walks forward from `src` along the distance-to-`dst` map `to_dst`
+/// builds, choosing random minimizing next hops. This randomizes
+/// uniformly over next-hop choices at every node.
+fn descend<F, D, R>(
+    topo: &Topology,
+    src: SwitchId,
+    dst: SwitchId,
+    cost: F,
+    to_dst: D,
+    rng: &mut R,
+) -> Option<Route>
+where
+    F: Fn((SwitchId, SwitchId)) -> u64,
+    D: FnOnce(&Topology) -> DistanceMap,
+    R: Rng,
+{
     let n = topo.switch_count();
     if src.get() as usize >= n || dst.get() as usize >= n {
         return None;
@@ -129,20 +171,18 @@ where
     if src == dst {
         return Route::new(vec![src]).ok();
     }
-    // Run Dijkstra from dst so dist[] measures distance *to* dst; then
-    // walk forward from src choosing random minimizing next hops. This
-    // randomizes uniformly over next-hop choices at every node.
-    let dist = distances_weighted(topo, dst, |(a, b)| cost((b, a)));
+    let dist = to_dst(topo);
     dist.dist(src)?;
     let mut route = vec![src];
     let mut cur = src;
+    let mut best: Vec<SwitchId> = Vec::new();
     // Walk at most n hops — a correct descent terminates well before.
     for _ in 0..n {
         if cur == dst {
             return Route::new(route).ok();
         }
         let d_cur = dist.dist(cur)?;
-        let mut best: Vec<SwitchId> = Vec::new();
+        best.clear();
         let mut best_cost = u64::MAX;
         for (_, v, _) in topo.neighbors(cur) {
             if let Some(dv) = dist.dist(v) {
@@ -194,6 +234,21 @@ mod tests {
         assert_eq!(d.dist(s[0]), Some(0));
         assert_eq!(d.dist(s[3]), Some(3));
         assert_eq!(d.reachable().count(), 4);
+    }
+
+    #[test]
+    fn bfs_distances_equal_unit_cost_dijkstra() {
+        // Every source of a fat-tree with a failed trunk and an
+        // unwired switch: the BFS map is Dijkstra's, entry for entry,
+        // so the descent over it draws the same RNG values.
+        let mut t = generators::fat_tree(4, 2, None).topology;
+        let trunk = t.links().next().expect("fat-tree has links").id;
+        t.set_link_state(trunk, false).unwrap();
+        t.add_switch(4);
+        let sources: Vec<SwitchId> = t.switches().map(|s| s.id).collect();
+        for s in sources {
+            assert_eq!(distances(&t, s).dist, distances_weighted(&t, s, |_| 1).dist);
+        }
     }
 
     #[test]

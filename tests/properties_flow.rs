@@ -51,6 +51,50 @@ fn arb_script() -> impl Strategy<Value = Vec<Op>> {
 /// with the edge indices of their current path.
 type Replayed = (FlowSim, Vec<EdgeId>, Vec<(FlowId, Vec<usize>)>);
 
+/// Applies one script step to `fs`, recording started flows and their
+/// current edge indices in `flows`.
+fn apply(fs: &mut FlowSim, edges: &[EdgeId], flows: &mut Vec<(FlowId, Vec<usize>)>, op: &Op) {
+    let resolve = |path: &[usize]| -> (Vec<usize>, Vec<EdgeId>) {
+        let ixs: Vec<usize> = path.iter().map(|&i| i % edges.len()).collect();
+        let p = ixs.iter().map(|&i| edges[i]).collect();
+        (ixs, p)
+    };
+    match op {
+        Op::Start { path, bytes } => {
+            let (ixs, p) = resolve(path);
+            flows.push((fs.start_flow(p, *bytes), ixs));
+        }
+        Op::Reroute { flow, path } => {
+            if !flows.is_empty() {
+                let fx = flow % flows.len();
+                let (ixs, p) = resolve(path);
+                fs.reroute(flows[fx].0, p);
+                flows[fx].1 = ixs;
+            }
+        }
+        Op::SetCap { edge, mbps } => {
+            fs.set_capacity(edges[edge % edges.len()], Bandwidth::mbps(*mbps));
+        }
+        Op::Advance => {
+            if let Some(t) = fs.next_completion_time() {
+                fs.advance_to(t);
+            }
+        }
+    }
+}
+
+/// A solver over `caps` in the given mode, with its edges.
+fn solver(caps: &[u64], check_full: bool, force_full: bool) -> (FlowSim, Vec<EdgeId>) {
+    let mut fs = FlowSim::new();
+    let edges = caps
+        .iter()
+        .map(|&c| fs.add_edge(Bandwidth::mbps(c)))
+        .collect();
+    fs.set_check_full_solve(check_full);
+    fs.set_force_full_solve(force_full);
+    (fs, edges)
+}
+
 /// Replays a churn script. `query_every` forces a solve after every op
 /// (the densest possible dirty-set pattern); without it the script's
 /// own `Advance` ops are the only intermediate solve triggers.
@@ -61,39 +105,10 @@ fn replay(
     force_full: bool,
     query_every: bool,
 ) -> Replayed {
-    let mut fs = FlowSim::new();
-    let edges: Vec<EdgeId> = caps
-        .iter()
-        .map(|&c| fs.add_edge(Bandwidth::mbps(c)))
-        .collect();
-    fs.set_check_full_solve(check_full);
-    fs.set_force_full_solve(force_full);
+    let (mut fs, edges) = solver(caps, check_full, force_full);
     let mut flows: Vec<(FlowId, Vec<usize>)> = Vec::new();
     for op in script {
-        match op {
-            Op::Start { path, bytes } => {
-                let ixs: Vec<usize> = path.iter().map(|&i| i % edges.len()).collect();
-                let p: Vec<EdgeId> = ixs.iter().map(|&i| edges[i]).collect();
-                flows.push((fs.start_flow(p, *bytes), ixs));
-            }
-            Op::Reroute { flow, path } => {
-                if !flows.is_empty() {
-                    let fx = flow % flows.len();
-                    let ixs: Vec<usize> = path.iter().map(|&i| i % edges.len()).collect();
-                    let p: Vec<EdgeId> = ixs.iter().map(|&i| edges[i]).collect();
-                    fs.reroute(flows[fx].0, p);
-                    flows[fx].1 = ixs;
-                }
-            }
-            Op::SetCap { edge, mbps } => {
-                fs.set_capacity(edges[edge % edges.len()], Bandwidth::mbps(*mbps));
-            }
-            Op::Advance => {
-                if let Some(t) = fs.next_completion_time() {
-                    fs.advance_to(t);
-                }
-            }
-        }
+        apply(&mut fs, &edges, &mut flows, op);
         if query_every {
             let ids: Vec<FlowId> = flows.iter().map(|(f, _)| *f).collect();
             let _ = fs.aggregate_rate(&ids);
@@ -209,6 +224,45 @@ proptest! {
                 (load - member_sum).abs() <= member_sum * 1e-9 + 64.0,
                 "edge {e} load {load} bps diverges from member sum {member_sum} bps"
             );
+        }
+    }
+
+    /// Edge loads are part of the bit-identity contract (the hybrid
+    /// engine turns them into congestion marks), and the changed-edge
+    /// drain is how it learns which ones to re-read: after every op,
+    /// each edge's load equals the forced-full replay's bit for bit,
+    /// and the drain is ascending, duplicate-free and names every edge
+    /// whose load differs from what the previous drain left behind.
+    #[test]
+    fn edge_loads_match_reference_and_drains_cover_every_change(
+        caps in arb_caps(),
+        script in arb_script(),
+    ) {
+        let (mut inc, edges) = solver(&caps, false, false);
+        let (mut full, _) = solver(&caps, false, true);
+        let (mut inc_flows, mut full_flows) = (Vec::new(), Vec::new());
+        let mut last = vec![0.0f64.to_bits(); edges.len()];
+        for (step, op) in script.iter().enumerate() {
+            apply(&mut inc, &edges, &mut inc_flows, op);
+            apply(&mut full, &edges, &mut full_flows, op);
+            let drained = inc.take_changed_edges();
+            prop_assert!(
+                drained.windows(2).all(|w| w[0] < w[1]),
+                "step {}: drain {:?} is not strictly ascending", step, drained
+            );
+            for (e, &edge) in edges.iter().enumerate() {
+                let load = inc.edge_load_bps(edge).to_bits();
+                prop_assert_eq!(
+                    load, full.edge_load_bps(edge).to_bits(),
+                    "step {}: edge {} load diverged from the reference", step, e
+                );
+                prop_assert!(
+                    load == last[e] || drained.contains(&edge),
+                    "step {}: edge {} load moved but the drain {:?} omits it", step, e, drained
+                );
+                last[e] = load;
+            }
+            prop_assert!(inc.take_changed_edges().is_empty(), "step {}: drain refilled", step);
         }
     }
 }
