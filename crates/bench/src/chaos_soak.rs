@@ -17,7 +17,7 @@
 //! ring, so a red run carries its own forensics instead of a bare exit
 //! code.
 //!
-//! Usage: `chaos_soak [--seeds N] [--shards N] [--hybrid]` (defaults
+//! Usage: `figures chaos_soak [--seeds N] [--shards N] [--hybrid]` (defaults
 //! 8, 1, off). With `--shards N > 1` the same matrix runs on the
 //! sharded multi-core PDES engine; every invariant and every counter is
 //! byte-identical to the single-world run by the engine's determinism
@@ -42,6 +42,8 @@ use dumbnet_sim::{
 use dumbnet_switch::DumbSwitchConfig;
 use dumbnet_topology::{generators, Route};
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime, SwitchId};
+
+use crate::gates::{Args, Outcome};
 
 const CONTROLLERS: [u64; 3] = [0, 13, 25];
 
@@ -456,47 +458,32 @@ fn run_soak<W: Engine>(
     ))
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut seeds = 8u64;
-    let mut shards = 1u32;
-    let mut hybrid = false;
-    while let Some(a) = args.next() {
-        let numeric = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{flag} requires a number");
-                std::process::exit(2);
-            })
-        };
-        if a == "--seeds" {
-            seeds = numeric(&mut args, "--seeds");
-        } else if a == "--shards" {
-            shards = numeric(&mut args, "--shards") as u32;
-        } else if a == "--hybrid" {
-            hybrid = true;
-        }
-    }
-    let mut failed = false;
+/// Runs the seed matrix: one line per passing row, every violation in
+/// the failure.
+#[must_use]
+pub fn run(args: &Args) -> Outcome {
+    let (seeds, shards) = (args.seeds.unwrap_or(8), args.shards.unwrap_or(1));
+    let mut out = Outcome::default();
+    let mut failed = Vec::new();
     for seed in 0..seeds {
         for gray in [false, true] {
-            match soak_one(seed, gray, shards, hybrid) {
-                Ok(line) => println!("{line}"),
-                Err(violation) => {
-                    eprintln!("FAIL {violation}");
-                    failed = true;
-                }
+            match soak_one(seed, gray, shards, args.hybrid) {
+                Ok(line) => out.stdout += &format!("{line}\n"),
+                Err(violation) => failed.push(format!("FAIL {violation}")),
             }
         }
     }
-    if failed {
-        std::process::exit(1);
+    if !failed.is_empty() {
+        out.failure = Some(failed.join("\n"));
+        return out;
     }
-    let engine = if hybrid {
+    let engine = if args.hybrid {
         format!("the hybrid flow/packet engine over {shards} shard(s)")
     } else {
         format!("{shards} shard(s)")
     };
-    println!(
-        "chaos soak passed: {seeds} seeds x {{base, gray}} on {engine}, zero invariant violations"
+    out.stdout += &format!(
+        "chaos soak passed: {seeds} seeds x {{base, gray}} on {engine}, zero invariant violations\n"
     );
+    out
 }

@@ -42,6 +42,8 @@ use dumbnet_types::{MacAddr, Path, PortId, PortNo, SimTime, SwitchId, Tag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::gates::{Args, Outcome};
+
 /// Ports wired on the single-switch world oracle (egress beyond this
 /// range still counts as forwarded; the frame just has no sink).
 const WORLD_PORTS: u8 = 8;
@@ -1033,6 +1035,46 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
     }
     report.scenario_counts = SCENARIOS.iter().copied().zip(counts).collect();
     report
+}
+
+/// The `dp_fuzz` gate (DESIGN.md §8): fails on any divergence, printing
+/// a shrunk hex counterexample plus the exact `cc <seed> <case>` line to
+/// pin it in `crates/bench/dp_fuzz.regressions`. `--quick` is the
+/// fixed-seed CI gate, `--cases N --seed S --no-world` the budgeted long
+/// mode, `--check-determinism` runs twice and compares the reports.
+#[must_use]
+pub fn figure(args: &Args) -> Outcome {
+    let mut cfg = FuzzConfig {
+        world_oracle: !args.no_world,
+        ..FuzzConfig::default()
+    };
+    if !args.quick {
+        // Quick is the CI gate: the default seed and budget, fully
+        // deterministic whatever else the command line says.
+        cfg.seed = args.seed.unwrap_or(cfg.seed);
+        cfg.cases = args.cases.unwrap_or(cfg.cases);
+    }
+    let report = run(&cfg);
+    let mut out = Outcome {
+        stdout: report.render(),
+        ..Outcome::default()
+    };
+    if !report.passed() {
+        out.failure = Some(format!(
+            "dp_fuzz: {} divergence(s) — pin them in crates/bench/dp_fuzz.regressions",
+            report.divergences.len()
+        ));
+    } else if args.check_determinism {
+        if run(&cfg).render() == out.stdout {
+            out.stdout += "determinism check: two runs rendered byte-identically\n";
+        } else {
+            out.failure = Some(format!(
+                "NONDETERMINISM: two runs of seed {:#x} rendered differently",
+                cfg.seed
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

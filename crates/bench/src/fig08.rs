@@ -44,18 +44,6 @@ pub fn discover(topo: Topology, ctrl: HostId, max_ports: u8, label: &str) -> Dis
     discover_full(topo, ctrl, max_ports, label, None, 1)
 }
 
-/// Like [`discover`], optionally in verify mode against a prior map.
-#[must_use]
-pub fn discover_with_hint(
-    topo: Topology,
-    ctrl: HostId,
-    max_ports: u8,
-    label: &str,
-    hint: Option<Topology>,
-) -> DiscoveryPoint {
-    discover_full(topo, ctrl, max_ports, label, hint, 1)
-}
-
 /// Like [`discover`] with a pipelined probe window: up to `window`
 /// probes in flight per pump tick (DESIGN.md §9). Window 1 is the
 /// paper's per-probe lockstep.
@@ -179,15 +167,10 @@ fn host_on(topo: &Topology, sw: SwitchId) -> HostId {
         .expect("switch has a host")
 }
 
-/// Figure 8(a): discovery time vs. network size.
-#[must_use]
-pub fn run_a(quick: bool) -> Report {
-    run_a_sharded(quick, 1)
-}
-
-/// [`run_a`] on the engine selected by `shards` (`<= 1` = the classic
-/// single world). The figure is identical at any shard count; only the
-/// wall-clock cost of producing it changes.
+/// Figure 8(a): discovery time vs. network size, on the engine selected
+/// by `shards` (`<= 1` = the classic single world). The figure is
+/// identical at any shard count; only the wall-clock cost of producing
+/// it changes.
 #[must_use]
 pub fn run_a_sharded(quick: bool, shards: u32) -> Report {
     let max_ports: u8 = if quick { 16 } else { 64 };

@@ -173,15 +173,7 @@ impl Fig08c {
                 .sum::<u64>()
     }
 
-    /// Wall-clock speedup of the best window over lockstep.
-    #[must_use]
-    pub fn best_window(&self) -> Option<&WindowPoint> {
-        self.windows
-            .iter()
-            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-    }
-
-    /// Hand-rolled JSON document (flat schema, like `BENCH_perf.json`).
+    /// Hand-rolled JSON document (flat schema).
     #[must_use]
     pub fn to_json(&self) -> String {
         let windows: Vec<String> = self

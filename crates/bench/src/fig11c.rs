@@ -191,14 +191,9 @@ fn point_json(pt: &ChaosRecoveryPoint) -> String {
     )
 }
 
-/// Figure 11(c): the loss sweep, as a JSON document.
-#[must_use]
-pub fn run_c(quick: bool) -> String {
-    run_c_sharded(quick, 1)
-}
-
-/// [`run_c`] on the engine selected by `shards` (`<= 1` = the classic
-/// single world). The document is identical at any shard count.
+/// Figure 11(c): the loss sweep, as a JSON document, on the engine
+/// selected by `shards` (`<= 1` = the classic single world). The document
+/// is identical at any shard count.
 #[must_use]
 pub fn run_c_sharded(quick: bool, shards: u32) -> String {
     let rates: &[f64] = if quick {
@@ -308,7 +303,7 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_enough() {
-        let doc = run_c(true);
+        let doc = run_c_sharded(true, 1);
         assert!(doc.starts_with('{') && doc.ends_with('}'));
         assert!(doc.contains("\"figure\": \"11c\""));
         assert!(doc.contains("\"loss\": 0.050"));

@@ -1,32 +1,11 @@
-//! Emulator hot-path wall-clock benchmark (`BENCH_perf.json`).
+//! Emulator hot-path scenarios and determinism gates.
 //!
 //! Unlike the figure harnesses, which report *virtual-time* results from
-//! the paper's experiments, this module measures how much *real* time the
-//! emulator burns producing them — the metric the ROADMAP north star
-//! ("as fast as the hardware allows") cares about. Each point is a
-//! deterministic scenario dominated by one of the engine's hot paths:
-//!
-//! * `fig08a_fat_tree_k20` — full-scale topology discovery (millions of
-//!   probe packets through the event queue and switch forwarding).
-//! * `engine_forward_storm` — a raw packet storm down a switch chain:
-//!   pure event scheduling + per-hop tag popping, no control plane.
-//! * `engine_forward_storm_mt` — the same storm on the 8-shard PDES
-//!   engine, with the load-balance parallelism bound recorded alongside
-//!   the honest wall time.
-//! * `fig10_path_service` — the all-pairs ping mesh with cold caches:
-//!   path-graph construction and path queries on the controller.
-//! * `fig11c_chaos_p05` — the lossy-fabric recovery run: fault-RNG
-//!   draws, retries and failover on top of the data stream.
-//! * `flowsim_incremental` / `flowsim_full_resolve` — the same
-//!   pre-planned churn workload (thousands of active flows on a k=16
-//!   fat-tree with arrivals, completions, reroutes and trunk flaps)
-//!   solved incrementally and with the O(F·E) reference. Allocations
-//!   are bit-identical by the solver's determinism contract; the wall
-//!   ratio is the incremental solver's speedup.
-//!
-//! The `perf_hotpath` binary times the points and emits/merges the JSON.
-
-use std::time::Instant;
+//! the paper's experiments, each scenario here is a deterministic
+//! workload dominated by one of the engine's hot paths, reduced to a
+//! checksum proving the run did the same work — the behaviour-preservation
+//! pins of [`crate::gates::GATES`]. How much *real* time they burn is
+//! measured from outside, by `benchmark/`; nothing here reads a clock.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,41 +19,9 @@ use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimTime, SwitchId}
 use dumbnet_workload::FlowMap;
 
 use crate::fig08;
-use crate::fig08c;
 use crate::fig10;
 use crate::fig11c;
-
-/// One measured hot-path scenario.
-#[derive(Debug, Clone)]
-pub struct PerfPoint {
-    /// Scenario key (stable across PRs; `BENCH_perf.json` joins on it).
-    pub name: String,
-    /// Real time the scenario took, seconds.
-    pub wall_secs: f64,
-    /// Simulator events dispatched, where the scenario exposes a world.
-    pub events: Option<u64>,
-    /// Scenario-specific sanity metric proving the run did the same work
-    /// (probe count, delivery count, …).
-    pub checksum: u64,
-    /// Load-balance parallelism bound for sharded scenarios: total
-    /// events over the busiest shard's events. This is the speedup the
-    /// partition admits on sufficiently many cores, independent of the
-    /// host's core count (CI containers are often single-core, where
-    /// wall-clock speedup is physically impossible to demonstrate).
-    pub parallelism: Option<f64>,
-}
-
-fn time<F: FnOnce() -> (Option<u64>, u64)>(name: &str, f: F) -> PerfPoint {
-    let start = Instant::now();
-    let (events, checksum) = f();
-    PerfPoint {
-        name: name.to_owned(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        events,
-        checksum,
-        parallelism: None,
-    }
-}
+use crate::gates::{Args, Outcome};
 
 /// Chain length of the forward-storm scenario.
 const STORM_CHAIN: u8 = 8;
@@ -99,7 +46,7 @@ impl Node for StormSink {
 /// Stresses event scheduling, wire lookup and per-hop tag consumption
 /// only. The chain is spread in contiguous blocks over the engine's
 /// cells, so every block boundary is a cross-shard wire.
-fn forward_storm_on<E: Engine>(w: &mut E, packets: u64) -> (Option<u64>, u64) {
+fn forward_storm_on<E: Engine>(w: &mut E, packets: u64) -> (u64, u64) {
     let cells = u32::try_from(w.cell_count()).expect("cell count fits");
     let cell_of = |i: u8| u32::from(i) * cells / u32::from(STORM_CHAIN);
     let p = |n: u8| PortNo::new(n).expect("valid port");
@@ -148,19 +95,14 @@ fn forward_storm_on<E: Engine>(w: &mut E, packets: u64) -> (Option<u64>, u64) {
     w.run_to_idle(u64::MAX);
     let delivered = w.node::<StormSink>(sink).expect("sink").got;
     assert_eq!(delivered, packets, "storm must be drop-free");
-    (Some(w.stats().events), delivered)
-}
-
-/// The classic single-threaded storm.
-fn forward_storm(packets: u64) -> (Option<u64>, u64) {
-    let mut w = World::new(7);
-    forward_storm_on(&mut w, packets)
+    (w.stats().events, delivered)
 }
 
 /// The storm on the sharded PDES engine. Returns the usual
 /// `(events, delivered)` pair plus the load-balance parallelism bound
-/// (total events / busiest shard's events).
-fn forward_storm_mt(packets: u64, shards: usize) -> (Option<u64>, u64, f64) {
+/// (total events / busiest shard's events): the speedup the partition
+/// admits on sufficiently many cores, independent of the host's.
+fn forward_storm_mt(packets: u64, shards: usize) -> (u64, u64, f64) {
     let mut w = ShardedWorld::new(7, shards);
     let (events, delivered) = forward_storm_on(&mut w, packets);
     let counts = w.shard_event_counts();
@@ -177,7 +119,7 @@ const CHURN_SEED: u64 = 0xF10C;
 /// Pre-planned flow-solver churn workload: host pairs with a primary and
 /// an alternate ECMP path each, plus the trunk whose capacity flaps
 /// mid-run. Planned once and replayed identically under both solver
-/// modes, so any wall-clock difference is the solver's alone.
+/// modes.
 struct ChurnPlan {
     topo: Topology,
     /// `(primary, alternate)` edge paths per flow slot, in start order.
@@ -242,10 +184,10 @@ fn churn_plan(initial: usize, ops: usize) -> ChurnPlan {
 
 /// Replays the churn plan under one solver mode. Every operation is
 /// followed by an aggregate rate query (the solve trigger). Returns the
-/// solve count as `events` and a checksum folding every queried
-/// aggregate rate plus the completion count — bit-identical rates make
-/// it identical across modes.
-fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (Option<u64>, u64) {
+/// solve count and a checksum folding every queried aggregate rate plus
+/// the completion count — bit-identical rates make it identical across
+/// modes.
+fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (u64, u64) {
     let mut fs = FlowSim::new();
     let map = FlowMap::build(
         &mut fs,
@@ -293,96 +235,99 @@ fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (Option<u64>, u64) {
     }
     let finished = ids.iter().filter(|&&f| fs.finished_at(f).is_some()).count() as u64;
     (
-        Some(fs.solver_stats().solves),
+        fs.solver_stats().solves,
         checksum ^ finished.rotate_left(32),
     )
 }
 
-/// Runs every hot-path scenario. `quick` trims the discovery point to
-/// fat-tree k=8 and shrinks the storm so CI can smoke-run it.
+/// One scenario's outcome: the checksum the gate table pins, and what
+/// it counts.
+fn point(checksum: u64, work: &str) -> Outcome {
+    Outcome {
+        checksum: Some(checksum),
+        ..Outcome::text(format_args!("checksum {checksum}  ({work})"))
+    }
+}
+
+/// `engine_forward_storm`: pure event scheduling + per-hop tag popping,
+/// no control plane, on one world and then on the 8-shard PDES engine.
+/// Checksum: events dispatched. Fails unless the shards
+/// dispatch and deliver exactly what the single world does and the
+/// partition admits at least 3x parallelism.
 #[must_use]
-pub fn run(quick: bool) -> Vec<PerfPoint> {
-    let mut points = Vec::new();
-
-    let storm_packets: u64 = if quick { 20_000 } else { 200_000 };
-    points.push(time("engine_forward_storm", || {
-        forward_storm(storm_packets)
-    }));
-
-    // The same storm on the 8-shard PDES engine. Wall time is honest
-    // (on a single-core host the windowed engine pays synchronization
-    // overhead for nothing); the `parallelism` field records the
-    // speedup bound the partition admits — total events over the
-    // busiest shard — which is what multi-core hosts realize.
-    {
-        const STORM_SHARDS: usize = 8;
-        let start = Instant::now();
-        let (events, delivered, parallelism) = forward_storm_mt(storm_packets, STORM_SHARDS);
-        points.push(PerfPoint {
-            name: "engine_forward_storm_mt".to_owned(),
-            wall_secs: start.elapsed().as_secs_f64(),
-            events,
-            checksum: delivered,
-            parallelism: Some(parallelism),
-        });
+pub fn storm(args: &Args) -> Outcome {
+    const STORM_SHARDS: usize = 8;
+    let packets: u64 = if args.quick { 20_000 } else { 200_000 };
+    let (events, delivered) = forward_storm_on(&mut World::new(7), packets);
+    let (mt_events, mt_delivered, balance) = forward_storm_mt(packets, STORM_SHARDS);
+    if (mt_events, mt_delivered) != (events, delivered) || balance < 3.0 {
+        return Outcome::violation(format!(
+            "{STORM_SHARDS}-shard storm: {mt_events} events, {mt_delivered} delivered, balance \
+             {balance:.2}; want {events} and {delivered} as on one world, and balance >= 3.0"
+        ));
     }
+    let work = format!("events; {delivered} delivered, {STORM_SHARDS}-shard balance {balance:.2}");
+    point(events, &work)
+}
 
-    // The best point of the fig08c window sweep: pipelined discovery
-    // with 16 probes in flight per pump tick. Lockstep (window 1) is
-    // what fig08a *reports* for the paper's figure; the perf point
-    // tracks the fastest supported configuration because that is what
-    // an operator bootstrapping a real fabric would run.
+/// `fig08a_fat_tree`: the best point of the fig08c window sweep —
+/// pipelined discovery with 16 probes in flight per pump tick (lockstep,
+/// window 1, is what fig08a *reports*; an operator bootstrapping a real
+/// fabric would run this). Checksum: probes sent.
+#[must_use]
+pub fn discovery(args: &Args) -> Outcome {
     const FIG08A_WINDOW: usize = 16;
-    let k: usize = if quick { 8 } else { 20 };
-    let max_ports: u8 = if quick { 16 } else { 64 };
-    points.push(time(&format!("fig08a_fat_tree_k{k}"), || {
-        let g = generators::fat_tree(k, 1, Some(max_ports.max(k as u8)));
-        let pt = fig08::discover_windowed(g.topology, HostId(0), max_ports, "perf", FIG08A_WINDOW);
-        assert!(pt.exact, "discovery must still map exactly");
-        (None, pt.probes)
-    }));
-
-    // Batched control plane: the fig08c quick sweep (windowed discovery
-    // on k=8 plus the coalesced-burst convergence scenario). Always the
-    // quick variant — the full sweep re-runs k=20 discovery per window
-    // and is a figure, not a perf point.
-    points.push(time("fig08c_batch_convergence", || {
-        let sweep = fig08c::sweep(true);
-        (None, sweep.checksum())
-    }));
-
-    points.push(time("fig10_path_service", || {
-        let cdf = fig10::ping_mesh(DatapathVariant::DumbNet, 2);
-        (None, cdf.len() as u64)
-    }));
-
-    points.push(time("fig11c_chaos_p05", || {
-        let pt = fig11c::chaos_recovery_point(0.05);
-        (None, pt.drops_loss)
-    }));
-
-    // Incremental max-min vs the O(F·E) reference solver on one shared
-    // churn plan. Full scale is the acceptance scenario (10k active
-    // flows); quick shrinks the flow count so CI can smoke-run the
-    // reference mode, which pays the full-resolve cost per query.
-    let (churn_flows, churn_ops) = if quick { (2_000, 60) } else { (10_000, 100) };
-    let plan = churn_plan(churn_flows, churn_ops);
-    points.push(time("flowsim_incremental", || flowsim_churn(&plan, false)));
-    points.push(time("flowsim_full_resolve", || flowsim_churn(&plan, true)));
-    {
-        let inc = &points[points.len() - 2];
-        let full = &points[points.len() - 1];
-        assert_eq!(
-            inc.checksum, full.checksum,
-            "incremental and full-resolve allocations diverged"
-        );
-        assert_eq!(
-            inc.events, full.events,
-            "incremental and full-resolve solve counts diverged"
-        );
+    let (k, max_ports): (usize, u8) = if args.quick { (8, 16) } else { (20, 64) };
+    let g = generators::fat_tree(k, 1, Some(max_ports.max(k as u8)));
+    let pt = fig08::discover_windowed(g.topology, HostId(0), max_ports, "perf", FIG08A_WINDOW);
+    if !pt.exact {
+        return Outcome::violation(format!("fat-tree k={k} discovery no longer maps exactly"));
     }
+    point(pt.probes, &format!("probes, fat-tree k={k}"))
+}
 
-    points
+/// `fig10_path_service`: the all-pairs ping mesh with cold caches —
+/// path-graph construction and path queries on the controller.
+/// Checksum: RTT samples collected.
+#[must_use]
+pub fn path_service(_: &Args) -> Outcome {
+    let cdf = fig10::ping_mesh(DatapathVariant::DumbNet, 2);
+    point(cdf.len() as u64, "RTT samples")
+}
+
+/// `fig11c_chaos_p05`: the lossy-fabric recovery run — fault-RNG draws,
+/// retries and failover on top of the data stream. Checksum: packets the
+/// loss model dropped.
+#[must_use]
+pub fn chaos_p05(_: &Args) -> Outcome {
+    let pt = fig11c::chaos_recovery_point(0.05);
+    point(pt.drops_loss, "loss-model drops")
+}
+
+/// `flowsim_churn`: incremental max-min vs the O(F·E) reference solver
+/// on one shared churn plan (10k active flows; quick shrinks the flow
+/// count, since the reference mode pays the full-resolve cost per
+/// query). Fails unless both modes agree on every rate and on the solve
+/// count. Checksum: the folded rates.
+#[must_use]
+pub fn flow_churn(args: &Args) -> Outcome {
+    let (flows, ops) = if args.quick {
+        (2_000, 60)
+    } else {
+        (10_000, 100)
+    };
+    let plan = churn_plan(flows, ops);
+    let (inc, full) = (flowsim_churn(&plan, false), flowsim_churn(&plan, true));
+    if inc != full {
+        return Outcome::violation(format!(
+            "incremental and full-resolve solvers diverged: \
+             (solves, checksum) {inc:?} vs {full:?}"
+        ));
+    }
+    point(
+        inc.1,
+        &format!("folded rates; {} solves in both modes", inc.0),
+    )
 }
 
 /// Builds the testbed fabric, runs the full boot + discovery sequence,
@@ -395,58 +340,49 @@ fn telemetry_probe() -> (bool, String) {
     (snap.metrics.is_empty(), snap.to_json())
 }
 
-/// Telemetry determinism smoke (CI gate): the registry must be populated
+/// The `telemetry_determinism` gate: the registry must be populated
 /// after a boot sequence, and two same-seed runs must serialize to
-/// byte-identical snapshot JSON. Returns the document length on success.
-///
-/// # Errors
-///
-/// Returns a description of the failure: an empty registry, or a byte
-/// difference between the two runs' snapshot documents.
-pub fn telemetry_determinism_check() -> Result<usize, String> {
+/// byte-identical snapshot JSON.
+#[must_use]
+pub fn telemetry_determinism(_: &Args) -> Outcome {
     let (empty, a) = telemetry_probe();
     if empty {
-        return Err("telemetry snapshot is empty: no metrics registered".to_owned());
+        return Outcome::violation("telemetry snapshot is empty: no metrics registered".to_owned());
     }
     let (_, b) = telemetry_probe();
     if a != b {
-        return Err(format!(
+        return Outcome::violation(format!(
             "telemetry snapshot JSON diverged between two same-seed runs \
              ({} vs {} bytes)",
             a.len(),
             b.len()
         ));
     }
-    Ok(a.len())
+    Outcome::text(format_args!(
+        "telemetry snapshot deterministic ({} bytes of JSON)",
+        a.len()
+    ))
 }
 
-/// Everything the sharded engine's determinism contract covers, as one
-/// comparable string: merged engine counters plus the merged telemetry
-/// snapshot JSON.
-fn shard_digest(w: &mut ShardedWorld) -> String {
-    format!("{:?}|{}", w.stats(), w.telemetry_snapshot().to_json())
-}
-
-/// Cross-shard determinism gate (CI): the same workload must produce
+/// The `shard_determinism` gate: the same workload must produce
 /// byte-identical observables at 1 shard and at 8 shards, for both the
 /// raw engine storm and a full DumbNet fabric boot on the sharded
 /// engine.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence found.
-pub fn shard_determinism_check() -> Result<usize, String> {
-    // Raw engine: the forward storm.
+#[must_use]
+pub fn shard_determinism(_: &Args) -> Outcome {
+    // Raw engine: the forward storm. A digest is everything the
+    // determinism contract covers: merged engine counters plus the
+    // merged telemetry snapshot JSON.
     let digests: Vec<String> = [1usize, 8]
         .iter()
         .map(|&shards| {
             let mut w = ShardedWorld::new(7, shards);
             forward_storm_on(&mut w, 5_000);
-            shard_digest(&mut w)
+            format!("{:?}|{}", w.stats(), w.telemetry_snapshot().to_json())
         })
         .collect();
     if digests[0] != digests[1] {
-        return Err(format!(
+        return Outcome::violation(format!(
             "forward storm diverged between 1 and 8 shards \
              ({} vs {} digest bytes)",
             digests[0].len(),
@@ -469,74 +405,17 @@ pub fn shard_determinism_check() -> Result<usize, String> {
     };
     let (a, b) = (fabric_digest(1), fabric_digest(8));
     if a != b {
-        return Err(format!(
+        return Outcome::violation(format!(
             "testbed fabric boot diverged between 1 and 8 cells \
              ({} vs {} digest bytes)",
             a.len(),
             b.len()
         ));
     }
-    Ok(digests[0].len() + a.len())
-}
-
-/// Serializes one run (hand-rolled JSON; the schema is flat).
-#[must_use]
-pub fn to_json(label: &str, points: &[PerfPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let events = p.events.map_or("null".to_owned(), |e| e.to_string());
-            let parallelism = p
-                .parallelism
-                .map_or(String::new(), |x| format!(", \"parallelism\": {x:.2}"));
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"wall_secs\": {:.3}, ",
-                    "\"events\": {}, \"checksum\": {}{}}}"
-                ),
-                p.name, p.wall_secs, events, p.checksum, parallelism
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"label\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}",
-        label,
-        rows.join(",\n")
-    )
-}
-
-/// Merges a baseline document (verbatim) with a fresh run into the
-/// `BENCH_perf.json` schema, computing per-point speedups by name.
-#[must_use]
-pub fn merged_json(before_doc: &str, after: &[PerfPoint]) -> String {
-    let speedups: Vec<String> = after
-        .iter()
-        .filter_map(|p| {
-            // Minimal extraction: find the matching name in the baseline
-            // document and read its wall_secs field.
-            let needle = format!("\"name\": \"{}\", \"wall_secs\": ", p.name);
-            let at = before_doc.find(&needle)? + needle.len();
-            let rest = &before_doc[at..];
-            let end = rest.find(',')?;
-            let before_secs: f64 = rest[..end].trim().parse().ok()?;
-            if p.wall_secs > 0.0 {
-                Some(format!(
-                    "    \"{}\": {:.2}",
-                    p.name,
-                    before_secs / p.wall_secs
-                ))
-            } else {
-                None
-            }
-        })
-        .collect();
-    let indent = |doc: &str| doc.replace('\n', "\n  ");
-    format!(
-        "{{\n  \"before\": {},\n  \"after\": {},\n  \"speedup\": {{\n{}\n  }}\n}}",
-        indent(before_doc.trim()),
-        indent(to_json("after", after).trim()),
-        speedups.join(",\n")
-    )
+    Outcome::text(format_args!(
+        "1-shard and 8-shard runs byte-identical ({} digest bytes)",
+        digests[0].len() + a.len()
+    ))
 }
 
 #[cfg(test)]
@@ -544,15 +423,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storm_delivers_everything() {
-        let (events, delivered) = forward_storm(500);
-        assert_eq!(delivered, 500);
-        assert!(events.unwrap() > 500 * 8);
-    }
-
-    #[test]
     fn sharded_storm_matches_single_threaded() {
-        let (events, delivered) = forward_storm(500);
+        let (events, delivered) = forward_storm_on(&mut World::new(7), 500);
         for shards in [1usize, 2, 4, 8] {
             let (mt_events, mt_delivered, parallelism) = forward_storm_mt(500, shards);
             assert_eq!(mt_delivered, delivered, "{shards}-shard storm dropped");
@@ -562,85 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_mode_checksums_are_pinned() {
-        // Behavior-preservation regression gate: the telemetry refactor
-        // (and any future engine change) must not alter what the quick
-        // scenarios compute, only how fast they run.
-        let points = run(true);
-        let get = |name: &str| {
-            points
-                .iter()
-                .find(|p| p.name == name)
-                .unwrap_or_else(|| panic!("missing perf point {name}"))
-        };
-        let storm = get("engine_forward_storm");
-        assert_eq!(storm.checksum, 20_000, "storm delivery count changed");
-        assert_eq!(storm.events, Some(180_009), "storm event count changed");
-        let storm_mt = get("engine_forward_storm_mt");
-        assert_eq!(storm_mt.checksum, 20_000, "sharded storm delivery changed");
-        assert_eq!(storm_mt.events, storm.events, "sharded storm diverged");
-        assert!(
-            storm_mt.parallelism.unwrap_or(0.0) >= 3.0,
-            "storm partition admits < 3x parallelism: {:?}",
-            storm_mt.parallelism
-        );
-        assert_eq!(
-            get("fig08a_fat_tree_k8").checksum,
-            78_865,
-            "discovery probe count changed"
-        );
-        assert_eq!(
-            get("fig08c_batch_convergence").checksum,
-            236_734,
-            "batched control-plane sweep checksum changed"
-        );
-        assert_eq!(
-            get("fig10_path_service").checksum,
-            1_300,
-            "ping-mesh sample count changed"
-        );
-        assert_eq!(
-            get("fig11c_chaos_p05").checksum,
-            7_168,
-            "chaos drop count changed"
-        );
-        let inc = get("flowsim_incremental");
-        assert_eq!(
-            inc.checksum,
-            get("flowsim_full_resolve").checksum,
-            "solver modes diverged"
-        );
-        assert_eq!(
-            inc.checksum, 350_028_950_212_709,
-            "flow-solver churn checksum changed"
-        );
-    }
-
-    #[test]
-    fn telemetry_determinism_gate_passes() {
-        let len = telemetry_determinism_check().expect("snapshots must be deterministic");
+    fn telemetry_snapshot_is_populated() {
+        let len = telemetry_probe().1.len();
         assert!(len > 1_000, "suspiciously small snapshot: {len} bytes");
-    }
-
-    #[test]
-    fn json_round_trip_merges_speedup() {
-        let before = vec![PerfPoint {
-            name: "x".into(),
-            wall_secs: 2.0,
-            events: Some(10),
-            checksum: 3,
-            parallelism: None,
-        }];
-        let after = vec![PerfPoint {
-            name: "x".into(),
-            wall_secs: 1.0,
-            events: Some(10),
-            checksum: 3,
-            parallelism: None,
-        }];
-        let doc = merged_json(&to_json("before", &before), &after);
-        assert!(doc.contains("\"x\": 2.00"), "{doc}");
-        assert!(doc.contains("\"label\": \"before\""));
-        assert!(doc.contains("\"label\": \"after\""));
     }
 }

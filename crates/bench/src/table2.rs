@@ -135,8 +135,7 @@ pub fn find_path_once(fx: &mut Fixtures) {
     black_box(fx.router.shortest(&down).expect("route exists"));
 }
 
-/// Wall-clock measurement used by the summary binary (Criterion covers
-/// the rigorous version).
+/// Wall-clock measurement behind `figures table2_kernel_module`.
 #[must_use]
 pub fn measure(quick: bool) -> Report {
     let mut fx = fixtures(quick);

@@ -21,7 +21,7 @@
 //! * [`refmodel`] — a clarity-first reference interpreter of the
 //!   two-stage pop/demux pipeline over literal bytes-on-wire, used as
 //!   the oracle in differential fuzzing of the production data plane
-//!   (see `dumbnet-bench`'s `dp_fuzz` and DESIGN.md §8).
+//!   (see `dumbnet-bench`'s `figures dp_fuzz` and DESIGN.md §8).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,7 +20,7 @@
 //! fresh reading of §5.1. A bug shared between the production codec and
 //! this model would have to be introduced twice, independently.
 //!
-//! The differential harness (`dumbnet-bench`'s `dp_fuzz`) and the
+//! The differential harness (`dumbnet-bench`'s `figures dp_fuzz`) and the
 //! in-switch shadow check (`DumbSwitchConfig::shadow_check`) both treat
 //! *any* disagreement between this model and the production path — in
 //! egress port, bytes-on-wire, FCS, or drop/accept decision — as a bug.

@@ -1247,16 +1247,6 @@ impl HostAgent {
             ControlMessage::HostFlood { event, .. } => {
                 self.handle_link_event(ctx, event, true);
             }
-            ControlMessage::TopologyPatch {
-                version,
-                delta,
-                term,
-            } => {
-                // The legacy per-entry patch is, by definition, a
-                // complete single-entry batch (the singleton equivalence
-                // law the codec property tests pin).
-                self.handle_patch_batch(ctx, PatchBatch::singleton(version, *delta, term));
-            }
             ControlMessage::TopologyPatchBatch(batch) => {
                 self.handle_patch_batch(ctx, batch);
             }

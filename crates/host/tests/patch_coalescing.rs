@@ -1,7 +1,7 @@
 //! Regression tests for the host-side coalescing writer (DESIGN.md §9).
 //!
 //! The central bug these pin: before monotone-epoch acceptance, a stale
-//! `TopologyPatch` arriving *after* a newer one (redundant flood rounds
+//! patch arriving *after* a newer one (redundant flood rounds
 //! plus jitter reorder) was applied anyway and clobbered the newer
 //! table — a link the controller had already reported healthy stayed
 //! marked down on the host forever. The tests drive the exact reorder
@@ -33,6 +33,11 @@ fn up(a: u64, b: u64) -> TopoDelta {
         up: vec![(port(a, 2), port(b, 3))],
         ..TopoDelta::default()
     }
+}
+
+/// One complete single-entry flood round at term 1.
+fn patch(version: u64, delta: TopoDelta) -> ControlMessage {
+    ControlMessage::TopologyPatchBatch(PatchBatch::singleton(version, delta, 1))
 }
 
 /// One agent in a bare world; patches arrive via `World::inject` at the
@@ -82,22 +87,8 @@ fn stale_patch_after_newer_is_dropped() {
     rig.agent_mut()
         .topocache
         .mark_down(SwitchId(4), SwitchId(7));
-    rig.inject(
-        at_us(100),
-        ControlMessage::TopologyPatch {
-            version: 3,
-            delta: Box::new(up(4, 7)),
-            term: 1,
-        },
-    );
-    rig.inject(
-        at_us(200),
-        ControlMessage::TopologyPatch {
-            version: 2,
-            delta: Box::new(down(4, 7)),
-            term: 1,
-        },
-    );
+    rig.inject(at_us(100), patch(3, up(4, 7)));
+    rig.inject(at_us(200), patch(2, down(4, 7)));
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
     // Before the fix the stale v2 re-marked the edge down and bumped
@@ -127,49 +118,14 @@ fn duplicate_flood_round_is_dropped() {
     // Redundant flood rounds deliver the same version twice; the second
     // copy must be a counted no-op.
     let mut rig = Rig::new();
-    let patch = ControlMessage::TopologyPatch {
-        version: 2,
-        delta: Box::new(down(1, 2)),
-        term: 1,
-    };
-    rig.inject(at_us(100), patch.clone());
-    rig.inject(at_us(150), patch);
+    let round = patch(2, down(1, 2));
+    rig.inject(at_us(100), round.clone());
+    rig.inject(at_us(150), round);
     rig.world.run_until(at_us(500));
     let stats = rig.agent().stats();
     assert_eq!(stats.patch_batches_applied, 1);
     assert_eq!(stats.stale_patch_dropped, 1);
     assert_eq!(rig.agent().topocache.topo_version, 2);
-}
-
-#[test]
-fn singleton_batch_equals_legacy_patch() {
-    // The equivalence law: a host must end in the same state whether the
-    // controller sent the legacy per-entry frame or the one-entry batch.
-    let run = |legacy: bool| {
-        let mut rig = Rig::new();
-        let delta = down(2, 9);
-        let msg = if legacy {
-            ControlMessage::TopologyPatch {
-                version: 4,
-                delta: Box::new(delta),
-                term: 2,
-            }
-        } else {
-            ControlMessage::TopologyPatchBatch(PatchBatch::singleton(4, delta, 2))
-        };
-        rig.inject(at_us(100), msg);
-        rig.world.run_until(at_us(500));
-        let agent = rig.agent();
-        let stats = agent.stats();
-        (
-            agent.topocache.topo_version,
-            agent.topocache.down_edges().clone(),
-            stats.patch_arrivals.clone(),
-            stats.patch_batches_applied,
-            stats.stale_patch_dropped,
-        )
-    };
-    assert_eq!(run(true), run(false));
 }
 
 #[test]
@@ -292,14 +248,7 @@ fn entries_at_or_below_table_version_are_skipped_within_a_batch() {
     // resurrect a link a later, already-applied version took down.
     let mut rig = Rig::new();
     // The host is at version 2: edge (4,7) went down at v2.
-    rig.inject(
-        at_us(100),
-        ControlMessage::TopologyPatch {
-            version: 2,
-            delta: Box::new(down(4, 7)),
-            term: 1,
-        },
-    );
+    rig.inject(at_us(100), patch(2, down(4, 7)));
     // Epoch-4 batch replays v1 (edge up — stale) plus v3, v4.
     rig.inject(
         at_us(200),

@@ -12,7 +12,7 @@
 //! * Failure handling (§4.2): [`ControlMessage::LinkNotification`]
 //!   (switch-originated, hop-limited broadcast),
 //!   [`ControlMessage::HostFlood`] (host-to-host flooding),
-//!   [`ControlMessage::TopologyPatch`] (controller stage-2 flood).
+//!   [`ControlMessage::TopologyPatchBatch`] (controller stage-2 flood).
 //! * Path service (§4.3, §5.2): [`ControlMessage::PathRequest`] /
 //!   [`ControlMessage::PathReply`].
 //! * Controller replication: [`ControlMessage::ReplAppend`] /
@@ -119,8 +119,9 @@ pub struct PatchBatch {
     /// (all segments). Receivers with a table at or past `epoch` drop the
     /// batch as stale.
     pub epoch: u64,
-    /// Leadership term of the flooding controller (same fencing rules as
-    /// [`ControlMessage::TopologyPatch`]).
+    /// Leadership term of the flooding controller. Hosts discard
+    /// batches from a fenced stale leader (lower term than the highest
+    /// they have seen).
     pub term: u64,
     /// Zero-based index of this segment frame.
     pub seg: u16,
@@ -131,10 +132,7 @@ pub struct PatchBatch {
 }
 
 impl PatchBatch {
-    /// Wraps a single legacy-style patch as a one-segment, one-entry
-    /// batch. The equivalence law (enforced by property tests and the
-    /// host agent): a receiver treats `singleton(v, d, t)` exactly like
-    /// `TopologyPatch { version: v, delta: d, term: t }`.
+    /// Wraps a single versioned delta as a one-segment, one-entry batch.
     #[must_use]
     pub fn singleton(version: u64, delta: TopoDelta, term: u64) -> PatchBatch {
         PatchBatch {
@@ -143,18 +141,6 @@ impl PatchBatch {
             seg: 0,
             segs: 1,
             entries: vec![PatchEntry { version, delta }],
-        }
-    }
-
-    /// The legacy triple this batch is equivalent to, when it is a
-    /// complete single-entry batch.
-    #[must_use]
-    pub fn as_singleton(&self) -> Option<(u64, &TopoDelta, u64)> {
-        match self.entries.as_slice() {
-            [e] if self.segs == 1 && self.seg == 0 && e.version == self.epoch => {
-                Some((e.version, &e.delta, self.term))
-            }
-            _ => None,
         }
     }
 
@@ -496,24 +482,10 @@ pub enum ControlMessage {
         /// Per-reporter sequence number for duplicate suppression.
         seq: u64,
     },
-    /// Controller stage-2 flood: authoritative topology changes.
-    TopologyPatch {
-        /// Monotonic topology version after applying the delta.
-        version: u64,
-        /// The changes (boxed: deltas ride in every packet-sized enum
-        /// slot, and the fat variants would otherwise double the memcpy
-        /// bill of the probe-dominated hot path).
-        delta: Box<TopoDelta>,
-        /// Leadership term of the flooding controller. Hosts discard
-        /// patches from a fenced stale leader (lower term than the
-        /// highest they have seen).
-        term: u64,
-    },
     /// Controller stage-2 flood, batched: many versioned deltas under one
-    /// epoch header, possibly split across segment frames. Replaces the
-    /// per-entry [`ControlMessage::TopologyPatch`] on the controller's
-    /// flood path; receivers coalesce segments and apply the batch
-    /// atomically at the epoch boundary.
+    /// epoch header, possibly split across segment frames; receivers
+    /// coalesce segments and apply the batch atomically at the epoch
+    /// boundary.
     TopologyPatchBatch(PatchBatch),
     /// Bootstrap message from the controller to a host: "you exist, here
     /// is how to reach me".
@@ -540,8 +512,9 @@ pub enum ControlMessage {
         index: u64,
         /// Topology version after this entry.
         version: u64,
-        /// The change being replicated (boxed, as in
-        /// [`ControlMessage::TopologyPatch`]).
+        /// The change being replicated (boxed: deltas ride in every
+        /// packet-sized enum slot, and the fat variants would otherwise
+        /// double the memcpy bill of the probe-dominated hot path).
         delta: Box<TopoDelta>,
         /// The leader's identity.
         leader: MacAddr,
@@ -693,13 +666,6 @@ impl ControlMessage {
                     + graph
                         .as_ref()
                         .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
-            }
-            ControlMessage::TopologyPatch { delta, .. } => {
-                1 + 8
-                    + 8
-                    + delta.down.len() * 16
-                    + delta.up.len() * 18
-                    + (delta.quarantine.len() + delta.unquarantine.len()) * 16
             }
             ControlMessage::TopologyPatchBatch(batch) => 1 + batch.wire_len(),
             ControlMessage::PathReplyBatch { replies } => {
@@ -912,19 +878,5 @@ mod tests {
             replies: vec![item.clone(), item.clone()],
         };
         assert_eq!(batch.wire_size(), 1 + 2 + 2 * item.wire_size());
-    }
-
-    #[test]
-    fn singleton_batch_matches_legacy_patch() {
-        let delta = TopoDelta {
-            down: vec![(SwitchId(4), SwitchId(5))],
-            ..TopoDelta::default()
-        };
-        let batch = PatchBatch::singleton(9, delta.clone(), 2);
-        let (version, d, term) = batch.as_singleton().unwrap();
-        assert_eq!((version, term), (9, 2));
-        assert_eq!(d, &delta);
-        // Multi-entry or multi-segment batches are not singletons.
-        assert!(sample_batch().as_singleton().is_none());
     }
 }

@@ -1,11 +1,8 @@
 //! Property tests for the batched-patch wire codec (DESIGN.md §9).
 //!
-//! Three laws: every structurally valid batch survives a wire round
-//! trip unchanged; encoding is deterministic and canonical (the same
-//! batch — or the same seed — always yields byte-identical frames); and
-//! a singleton batch is exactly the legacy `TopologyPatch` triple
-//! (`singleton` / `as_singleton` are inverses, on both sides of the
-//! wire).
+//! Two laws: every structurally valid batch survives a wire round trip
+//! unchanged; and encoding is deterministic and canonical (the same
+//! batch — or the same seed — always yields byte-identical frames).
 
 use proptest::prelude::*;
 
@@ -82,37 +79,6 @@ proptest! {
         prop_assert_eq!(&first, &batch.to_wire());
         let decoded = PatchBatch::from_wire(&first).expect("decodes");
         prop_assert_eq!(decoded.to_wire(), first);
-    }
-
-    /// The singleton equivalence law at the codec level: wrapping a
-    /// legacy `(version, delta, term)` triple and unwrapping it — on
-    /// either side of the wire — returns the identical triple.
-    #[test]
-    fn singleton_batch_is_the_legacy_triple(
-        version in any::<u64>(),
-        term in any::<u64>(),
-        delta in arb_delta(),
-    ) {
-        let batch = PatchBatch::singleton(version, delta.clone(), term);
-        let (v, d, t) = batch.as_singleton().expect("singleton unwraps");
-        prop_assert_eq!(v, version);
-        prop_assert_eq!(d, &delta);
-        prop_assert_eq!(t, term);
-        let over_wire = PatchBatch::from_wire(&batch.to_wire()).expect("round trip");
-        let (v, d, t) = over_wire.as_singleton().expect("still a singleton");
-        prop_assert_eq!(v, version);
-        prop_assert_eq!(d, &delta);
-        prop_assert_eq!(t, term);
-    }
-
-    /// A multi-entry or multi-segment batch never masquerades as a
-    /// legacy frame.
-    #[test]
-    fn only_complete_single_entry_batches_unwrap(batch in arb_batch()) {
-        let is_singleton = batch.segs == 1
-            && batch.entries.len() == 1
-            && batch.entries[0].version == batch.epoch;
-        prop_assert_eq!(batch.as_singleton().is_some(), is_singleton);
     }
 
     /// Every proper prefix of a valid frame is rejected: the entry

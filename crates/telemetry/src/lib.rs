@@ -44,7 +44,7 @@
 //! exactly one shard (the one that owns the incrementing node, or the
 //! sending side of a wire), so the merged snapshot of an N-shard run
 //! equals the single-registry snapshot of the same seed — the
-//! cross-shard determinism gate in `perf_hotpath` pins this
+//! cross-shard determinism gate (`figures gate shards`) pins this
 //! byte-for-byte. The registry map and trace ring sit behind one mutex,
 //! taken for registration, snapshots and trace events only — never on
 //! the per-event path.

@@ -2,7 +2,7 @@
 //! pop/demux interpreter, the production codecs, and the production
 //! switch must agree on every frame — in egress port, bytes-on-wire,
 //! FCS, and drop/accept decision. These are the always-on slice of the
-//! `dp_fuzz` gate, small enough for `cargo test`.
+//! `figures dp_fuzz` gate, small enough for `cargo test`.
 
 use proptest::prelude::*;
 
