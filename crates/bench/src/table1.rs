@@ -8,7 +8,7 @@
 //! |--------------|-----------------|
 //! | Agent        | `crates/host` |
 //! | Disc.        | `crates/controller/src/discovery.rs` |
-//! | Maint.       | rest of `crates/controller` |
+//! | Maint.       | `crates/controller/src` minus `discovery.rs` |
 //! | Graph        | `crates/topology` |
 //! | +Flowlet     | `crates/ext/src/flowlet.rs` |
 //! | +Router      | `crates/ext/src/router.rs` |
@@ -74,11 +74,8 @@ pub fn run(_quick: bool) -> Report {
     let crates = root.join("crates");
     let agent = count_lines(&[crates.join("host/src")]);
     let disc = count_lines(&[crates.join("controller/src/discovery.rs")]);
-    let maint = count_lines(&[
-        crates.join("controller/src/node.rs"),
-        crates.join("controller/src/replication.rs"),
-        crates.join("controller/src/lib.rs"),
-    ]);
+    // Everything else in the crate, so no file can fall out of the count.
+    let maint = count_lines(&[crates.join("controller/src")]) - disc;
     let graph = count_lines(&[crates.join("topology/src")]);
     let flowlet = count_lines(&[crates.join("ext/src/flowlet.rs")]);
     let router = count_lines(&[crates.join("ext/src/router.rs")]);

@@ -13,11 +13,12 @@
 //!   drives discovery at a configurable probe rate (the controller CPU
 //!   is the bottleneck the paper measures in Figure 8), answers path
 //!   requests with path graphs (§4.3), floods stage-2 topology patches
-//!   on failures (§4.2), and replicates the topology log to standby
-//!   controllers.
+//!   on failures (§4.2), scores gray-failure reports, and adapts the
+//!   consensus core to the fabric: packets and timers in, sends out.
 //! * [`replication`] — the ZooKeeper substitute: a leader-driven
-//!   majority-ack replicated log of topology changes with heartbeat
-//!   based leader failover.
+//!   majority-ack replicated log of topology changes and, around it,
+//!   [`Replica`] — heartbeat-based failover, quorum elections and the
+//!   leader lease as one `Ctx`-free state machine, pure like discovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +29,4 @@ pub mod replication;
 
 pub use discovery::{DiscoveryConfig, DiscoveryState, ProbeOut};
 pub use node::{Controller, ControllerConfig, ControllerStats, GrayFaultConfig};
-pub use replication::{ReplicaRole, ReplicatedLog};
+pub use replication::{Replica, ReplicaRole, ReplicatedLog};

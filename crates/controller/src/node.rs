@@ -3,27 +3,31 @@
 //! Drives [`DiscoveryState`] over the real emulated fabric at a
 //! configurable probe rate (the controller's packet processing rate is
 //! the discovery bottleneck the paper identifies in §7.2.1), serves path
-//! graphs, floods stage-2 topology patches, and replicates topology
-//! changes to standby controllers with heartbeat-based takeover.
+//! graphs, floods stage-2 topology patches, and keeps the gray-failure
+//! scoreboard. For replication and leadership it is only the adapter of
+//! the [`Replica`] core: replication and election packets and timers go
+//! in as inputs, and `Controller::step` turns the core's effects into
+//! routed sends, floods and timers (DESIGN.md §6.5).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
-use dumbnet_packet::PathReplyItem;
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Gauge, Histogram, NodeKind, Telemetry, TraceCategory};
 use dumbnet_topology::{
     pathgraph, PathGraph, PathGraphParams, RouteCache, RouteCacheStats, Topology,
 };
-use dumbnet_types::{HostId, MacAddr, Path, PortId, PortNo, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{
+    mix64, norm_edge, HostId, MacAddr, Path, PortId, PortNo, SimDuration, SimTime, SwitchId,
+};
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
-use crate::replication::{LogEntry, ReplicaRole, ReplicatedLog};
+use crate::replication::{Effect, Replica, ReplicaRole, ReplicatedLog, Timer};
 
 /// The controller's NIC port.
 const NIC: PortNo = match PortNo::new(1) {
@@ -33,12 +37,17 @@ const NIC: PortNo = match PortNo::new(1) {
 
 // Timer tokens.
 const T_PUMP: u64 = 1;
-const T_HEARTBEAT: u64 = 2;
-const T_TAKEOVER: u64 = 3;
-const T_ELECTION: u64 = 4;
 const T_PATCH_FLUSH: u64 = 5;
 const T_PROBATION: u64 = 6;
-const T_REPLY_FLUSH: u64 = 7;
+
+/// The token each of the consensus core's timers fires under.
+const fn timer_token(timer: Timer) -> u64 {
+    match timer {
+        Timer::Heartbeat => 2,
+        Timer::Takeover => 3,
+        Timer::Election => 4,
+    }
+}
 
 /// Flood budget for election traffic sent before any topology is known
 /// (switches relay it hop-limited, like link notifications). Covers the
@@ -56,28 +65,11 @@ const GRAPH_CACHE_SALT: u64 = 0x6A21_B01D_FACE_0FF5;
 /// given topology version. A pure function of the key — not of query
 /// arrival order — so cache hits and fresh builds are indistinguishable.
 fn graph_build_seed(salt: u64, version: u64, src: MacAddr, dst: MacAddr) -> u64 {
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
     fn mac64(m: MacAddr) -> u64 {
         let o = m.octets();
         u64::from_be_bytes([0, 0, o[0], o[1], o[2], o[3], o[4], o[5]])
     }
-    mix(salt ^ mix(version) ^ mix(mac64(src) << 1 | 1) ^ mix(mac64(dst) << 1))
-}
-
-/// Normalizes an undirected switch edge to `a.0 <= b.0` order — the
-/// canonical key the suspicion scoreboard and quarantine set share with
-/// host-side gray state.
-fn norm_edge(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
+    mix64(salt ^ mix64(version) ^ mix64(mac64(src) << 1 | 1) ^ mix64(mac64(dst) << 1))
 }
 
 /// Gray-failure scoreboard and quarantine knobs (DESIGN.md §10).
@@ -198,10 +190,6 @@ pub struct ControllerConfig {
     /// Gray-failure detection: suspicion scoreboard, quarantine floods
     /// and probation release. `None` (the default) disables it.
     pub gray: Option<GrayFaultConfig>,
-    /// Coalesce path replies completing in the same service burst into
-    /// one `PathReplyBatch` frame per requester, instead of the legacy
-    /// per-request `PathReply` frames.
-    pub reply_batch: bool,
 }
 
 impl Default for ControllerConfig {
@@ -222,7 +210,6 @@ impl Default for ControllerConfig {
             probe_window: 1,
             patch_batch_max: 32,
             gray: None,
-            reply_batch: false,
         }
     }
 }
@@ -308,8 +295,6 @@ struct ControllerCounters {
     probe_burst_size: Histogram,
     /// Patch entries coalesced per flood round.
     patch_batch_entries: Histogram,
-    /// Path replies coalesced per `PathReplyBatch` frame.
-    reply_batch_size: Histogram,
 }
 
 impl Default for ControllerCounters {
@@ -335,7 +320,6 @@ impl Default for ControllerCounters {
             route_cache_misses: Counter::new(),
             probe_burst_size: Histogram::doubling(1, 8),
             patch_batch_entries: Histogram::doubling(1, 8),
-            reply_batch_size: Histogram::doubling(1, 8),
         }
     }
 }
@@ -365,34 +349,13 @@ impl ControllerCounters {
         }
         telemetry.register_gauge(NodeKind::Controller, node, "is_leader", &self.is_leader);
         telemetry.register_gauge(NodeKind::Controller, node, "term", &self.term);
-        telemetry.register_histogram(
-            NodeKind::Controller,
-            node,
-            "probe_burst_size",
-            &self.probe_burst_size,
-        );
-        telemetry.register_histogram(
-            NodeKind::Controller,
-            node,
-            "patch_batch_entries",
-            &self.patch_batch_entries,
-        );
-        telemetry.register_histogram(
-            NodeKind::Controller,
-            node,
-            "reply_batch_size",
-            &self.reply_batch_size,
-        );
+        for (name, h) in [
+            ("probe_burst_size", &self.probe_burst_size),
+            ("patch_batch_entries", &self.patch_batch_entries),
+        ] {
+            telemetry.register_histogram(NodeKind::Controller, node, name, h);
+        }
     }
-}
-
-/// An in-flight leadership campaign.
-#[derive(Debug, Clone)]
-struct Election {
-    /// The proposed term.
-    term: u64,
-    /// Members whose vote we hold (self included).
-    votes: HashSet<MacAddr>,
 }
 
 /// One memoized path-graph build: the topology version it was built at
@@ -408,16 +371,15 @@ pub struct Controller {
     discovery: Option<DiscoveryState>,
     /// Authoritative topology (post-discovery or preloaded).
     pub topology: Option<Topology>,
-    topo_version: u64,
-    log: ReplicatedLog,
+    /// The consensus core: log, election, lease, topology version and
+    /// the quarantine set the log implies. Stepped only through
+    /// [`Controller::step`].
+    replica: Replica,
+    /// The core's effect buffer, reused across steps.
+    effects: Vec<Effect>,
     /// Query-service queue horizon.
     busy_until: SimTime,
     seen_events: HashSet<(SwitchId, PortNo, bool, u64)>,
-    last_leader_seen: SimTime,
-    election: Option<Election>,
-    /// Campaigns already answered, keyed by `(candidate, term)` —
-    /// flooded queries arrive many times and must draw one reply.
-    answered_queries: HashSet<(MacAddr, u64)>,
     hello_sent: bool,
     /// Patch entries learned since the last flood flush, awaiting the
     /// coalescing timer. Flushed as one [`PatchBatch`] per
@@ -433,20 +395,6 @@ pub struct Controller {
     graph_cache: HashMap<(MacAddr, MacAddr), CachedGraph>,
     /// Gray-failure suspicion scoreboard, keyed by normalized edge.
     gray_board: BTreeMap<(SwitchId, SwitchId), EdgeSuspicion>,
-    /// Edges currently under quarantine: avoided by path builds, but
-    /// distinct from hard-down link state (the topology keeps them up).
-    /// Followers track this too via replicated deltas, so a promoted
-    /// leader inherits the quarantine view.
-    quarantined: BTreeSet<(SwitchId, SwitchId)>,
-    /// Path replies awaiting their service completion under
-    /// `reply_batch` coalescing: `(requester, done-at, item)`.
-    pending_replies: Vec<(MacAddr, SimTime, PathReplyItem)>,
-    /// Leader lease bookkeeping: when each peer replica was last heard
-    /// (acks, sync requests, heartbeat acks). Probation may only mutate
-    /// fabric state while a quorum is in recent contact — a partitioned
-    /// stale leader must not decay evidence into unquarantine appends
-    /// that diverge from the authoritative log.
-    peer_heard: BTreeMap<MacAddr, SimTime>,
     /// When the quarantine set was last asserted as a patch epoch.
     last_gray_refresh: SimTime,
     /// Measurement series (scalar counters live in `counters`).
@@ -456,11 +404,6 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Max entries replayed per `ReplSyncRequest` answer.
-    const RESYNC_BATCH: usize = 64;
-    /// Max unacked entries retransmitted per peer per heartbeat.
-    const RESEND_PER_BEAT: usize = 8;
-
     /// Creates a controller with host identity `id`.
     #[must_use]
     pub fn new(id: HostId, config: ControllerConfig) -> Controller {
@@ -476,7 +419,6 @@ impl Controller {
             ReplicaRole::Follower
         };
         let stats = ControllerStats {
-            is_leader: config.is_leader,
             // The configured leader leads term 1 from birth.
             terms_led: if config.is_leader {
                 vec![1]
@@ -490,22 +432,22 @@ impl Controller {
             mac,
             discovery: None,
             topology: None,
-            topo_version: 0,
-            log: ReplicatedLog::new(mac, members, role),
+            replica: Replica::new(
+                mac,
+                members,
+                role,
+                config.heartbeat,
+                config.takeover_timeout,
+            ),
+            effects: Vec::new(),
             busy_until: SimTime::ZERO,
             seen_events: HashSet::new(),
-            last_leader_seen: SimTime::ZERO,
-            election: None,
-            answered_queries: HashSet::new(),
             hello_sent: false,
             pending_patch: Vec::new(),
             patch_flush_armed: false,
             route_cache: RouteCache::new(ROUTE_CACHE_SALT ^ id.get()),
             graph_cache: HashMap::new(),
             gray_board: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
-            pending_replies: Vec::new(),
-            peer_heard: BTreeMap::new(),
             last_gray_refresh: SimTime::ZERO,
             stats,
             counters: ControllerCounters::default(),
@@ -518,6 +460,7 @@ impl Controller {
     #[must_use]
     pub fn stats(&self) -> ControllerStats {
         let mut stats = self.stats.clone();
+        stats.is_leader = self.replica.is_leader();
         stats.probes_sent = self.counters.probes_sent.get();
         stats.path_requests = self.counters.path_requests.get();
         stats.patches_sent = self.counters.patches_sent.get();
@@ -539,7 +482,7 @@ impl Controller {
     /// invariant audits and benches.
     #[must_use]
     pub fn quarantined_edges(&self) -> Vec<(SwitchId, SwitchId)> {
-        self.quarantined.iter().copied().collect()
+        self.replica.quarantined().iter().copied().collect()
     }
 
     /// Per-edge quarantine flap counts from the scoreboard (the
@@ -558,7 +501,7 @@ impl Controller {
     /// Current topology version.
     #[must_use]
     pub fn topo_version(&self) -> u64 {
-        self.topo_version
+        self.replica.version()
     }
 
     /// Whether discovery (if requested) has completed.
@@ -570,197 +513,137 @@ impl Controller {
     /// Read access to the replicated log (invariant audits).
     #[must_use]
     pub fn replication(&self) -> &ReplicatedLog {
-        &self.log
+        self.replica.log()
     }
 
-    /// This member's rank among the group, ordered by MAC. Takeover
-    /// timers are staggered by rank so the lowest-MAC *live* follower
-    /// campaigns (and therefore promotes) first, deterministically.
-    fn member_rank(&self) -> u64 {
-        let mut macs: Vec<MacAddr> = self.log.members().to_vec();
-        macs.sort_unstable();
-        macs.iter().position(|&m| m == self.mac).unwrap_or(0) as u64
-    }
-
-    /// Arms the takeover timer with the rank stagger.
-    fn arm_takeover(&mut self, ctx: &mut Ctx<'_>) {
-        let stagger = self.config.heartbeat.saturating_mul(self.member_rank());
-        ctx.set_timer(self.config.takeover_timeout + stagger, T_TAKEOVER);
-    }
-
-    /// Records a term observed on the wire; a leader seeing a higher
-    /// term steps down and rejoins as a follower. Adopting a higher term
-    /// also fences any in-flight campaign at or below it — a delayed
-    /// vote for the dead campaign must never promote us into a term the
-    /// group has already moved past — and prunes the answered-queries
-    /// dedup set of terms that can no longer receive a vote (unbounded
-    /// growth over long chaos soaks otherwise).
-    fn note_term(&mut self, ctx: &mut Ctx<'_>, term: u64) {
-        let before = self.log.term();
-        let stepped_down = self.log.observe_term(term);
-        let now = self.log.term();
-        if now > before {
-            if self.election.as_ref().is_some_and(|el| el.term <= now) {
-                // T_ELECTION (already armed) re-arms the takeover clock.
-                self.election = None;
-            }
-            self.answered_queries.retain(|&(_, t)| t >= now);
-        }
-        if stepped_down {
-            self.stats.is_leader = false;
-            self.counters.step_downs.inc();
-            ctx.trace(
-                TraceCategory::Election,
-                NodeKind::Controller,
-                self.id.get(),
-                || format!("controller {} stepped down at term {now}", self.id.get()),
-            );
-            self.election = None;
-            self.last_leader_seen = ctx.now();
-            self.arm_takeover(ctx);
-        }
-    }
-
-    /// Sends an election message to `dst`: source-routed when the
-    /// topology is known, otherwise a hop-limited broadcast flood that
-    /// the switches relay (the candidate may predate the first
-    /// replicated topology). `mk` receives the flood TTL to embed.
-    fn send_election(
+    /// Steps the consensus core with one input and applies the effects
+    /// it emits, in emission order. This `match` is the only place a
+    /// replication or election message meets a route, a send or a timer.
+    fn step(
         &mut self,
         ctx: &mut Ctx<'_>,
-        dst: MacAddr,
-        mk: impl Fn(u8) -> ControlMessage,
+        input: impl FnOnce(&mut Replica, SimTime, &mut Vec<Effect>),
     ) {
-        if let Some(path) = self.path_to(ctx, dst) {
-            self.send_to(ctx, dst, path, mk(0));
-        } else {
-            let pkt = Packet::control(
-                MacAddr::BROADCAST,
-                self.mac,
-                Path::empty(),
-                mk(ELECTION_TTL),
-            );
-            ctx.send(NIC, pkt);
-        }
-    }
-
-    /// Starts a leadership campaign for the next term: vote for
-    /// ourselves, ask every member for theirs, and give up (to retry
-    /// later) if no quorum materializes within a takeover window.
-    fn begin_election(&mut self, ctx: &mut Ctx<'_>) {
-        // Past the current term AND past every vote already cast, so a
-        // losing candidate's retry targets a genuinely fresh term.
-        let term = self.log.term().max(self.log.voted_in()) + 1;
-        let floor = self.log.highest_contiguous();
-        if !self.log.grant_vote(term, floor) {
-            self.arm_takeover(ctx);
-            return;
-        }
-        self.counters.elections_started.inc();
-        ctx.trace(
-            TraceCategory::Election,
-            NodeKind::Controller,
-            self.id.get(),
-            || format!("controller {} campaigns for term {term}", self.id.get()),
-        );
-        let mut votes = HashSet::new();
-        votes.insert(self.mac);
-        self.election = Some(Election { term, votes });
-        let candidate = self.mac;
-        let mk = |ttl: u8| ControlMessage::LeaderQuery {
-            candidate,
-            term,
-            log_floor: floor,
-            ttl,
-        };
-        if self.topology.is_some() {
-            let peers: Vec<MacAddr> = self.log.peers().collect();
-            for peer in peers {
-                self.send_election(ctx, peer, mk);
+        let mut effects = std::mem::take(&mut self.effects);
+        input(&mut self.replica, ctx.now(), &mut effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    if matches!(msg, ControlMessage::ReplSyncRequest { .. }) {
+                        self.counters.repl_sync_requests.inc();
+                    }
+                    self.send_or_flood(ctx, to, msg);
+                }
+                Effect::Replay { to, beat, entries } => {
+                    if let Some(path) = self.path_to(to) {
+                        if let Some(beat) = beat {
+                            self.send_to(ctx, to, path.clone(), beat);
+                        }
+                        for entry in entries {
+                            self.counters.repl_resends.inc();
+                            self.send_to(ctx, to, path.clone(), entry);
+                        }
+                    }
+                }
+                Effect::Campaign { term, msg } => {
+                    self.counters.elections_started.inc();
+                    self.trace(ctx, TraceCategory::Election, || {
+                        format!("campaigns for term {term}")
+                    });
+                    if self.topology.is_some() {
+                        let peers: Vec<MacAddr> = self.replica.log().peers().collect();
+                        for peer in peers {
+                            self.send_or_flood(ctx, peer, msg.clone());
+                        }
+                    } else {
+                        // One flood reaches every member at once.
+                        self.flood(ctx, msg);
+                    }
+                }
+                Effect::Arm { timer, after } => ctx.set_timer(after, timer_token(timer)),
+                Effect::Apply { delta, .. } => self.apply_delta(&delta),
+                Effect::Promoted { term } => {
+                    self.stats.terms_led.push(term);
+                    self.trace(ctx, TraceCategory::Election, || {
+                        format!("won election for term {term}")
+                    });
+                    if self.topology.is_some() {
+                        self.send_hellos(ctx);
+                    } else if self.discovery.is_none() {
+                        // The old leader died before the first topology
+                        // replicated to us: run discovery ourselves
+                        // instead of leading without a map forever.
+                        self.discovery =
+                            Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
+                        ctx.set_timer(self.config.probe_interval, T_PUMP);
+                    }
+                }
+                Effect::SteppedDown => {
+                    self.counters.step_downs.inc();
+                    let term = self.replica.log().term();
+                    self.trace(ctx, TraceCategory::Election, || {
+                        format!("stepped down at term {term}")
+                    });
+                }
+                Effect::Dropped => self.counters.dropped_malformed.inc(),
             }
-        } else {
-            // One flood reaches every member at once.
-            let pkt = Packet::control(
-                MacAddr::BROADCAST,
-                self.mac,
-                Path::empty(),
-                mk(ELECTION_TTL),
-            );
-            ctx.send(NIC, pkt);
         }
-        self.try_win_election(ctx);
-        if self.election.is_some() {
-            ctx.set_timer(self.config.takeover_timeout, T_ELECTION);
+        self.effects = effects;
+    }
+
+    /// Emits the trace line "controller <id> <what>" (built only when
+    /// tracing is on).
+    fn trace(&self, ctx: &Ctx<'_>, category: TraceCategory, what: impl FnOnce() -> String) {
+        let id = self.id.get();
+        ctx.trace(category, NodeKind::Controller, id, || {
+            format!("controller {id} {}", what())
+        });
+    }
+
+    /// Sends `msg` to `to` source-routed when a route is known. Without
+    /// one, election traffic falls back to a flood (the candidate may
+    /// predate the first replicated topology); anything else is lost,
+    /// and the protocol's retries cover it.
+    fn send_or_flood(&mut self, ctx: &mut Ctx<'_>, to: MacAddr, msg: ControlMessage) {
+        match self.path_to(to) {
+            Some(path) => self.send_to(ctx, to, path, msg),
+            None => self.flood(ctx, msg),
         }
     }
 
-    /// Promotes if the current campaign holds an election quorum. A
-    /// campaign whose term the log has already caught up to (a refusal
-    /// or append raised it mid-flight) is abandoned instead: promoting
-    /// into a term the group has moved past would mint a second leader
-    /// for a term someone else may already hold.
-    fn try_win_election(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(el) = self.election.as_ref() else {
+    /// Floods an election message as a hop-limited broadcast the
+    /// switches relay; no other message travels this way.
+    fn flood(&self, ctx: &mut Ctx<'_>, mut msg: ControlMessage) {
+        let (ControlMessage::LeaderQuery { ttl, .. }
+        | ControlMessage::LeaderQueryReply { ttl, .. }) = &mut msg
+        else {
             return;
         };
-        if el.term <= self.log.term() {
-            // T_ELECTION (armed by begin_election) re-arms takeover.
-            self.election = None;
-            return;
-        }
-        if el.votes.len() < self.log.election_quorum() {
-            return;
-        }
-        let term = self.election.take().map_or(0, |el| el.term);
-        self.log.promote_to(term);
-        self.stats.is_leader = true;
-        self.stats.terms_led.push(term);
-        ctx.trace(
-            TraceCategory::Election,
-            NodeKind::Controller,
-            self.id.get(),
-            || format!("controller {} won election for term {term}", self.id.get()),
-        );
-        if self.topology.is_some() {
-            self.send_hellos(ctx);
-        } else if self.discovery.is_none() {
-            // The old leader died before the first topology replicated
-            // to us: run discovery ourselves instead of re-arming the
-            // takeover timer forever behind the missing-topology guard.
-            self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
-            ctx.set_timer(self.config.probe_interval, T_PUMP);
-        }
-        if self.log.peers().next().is_some() {
-            ctx.set_timer(self.config.heartbeat, T_HEARTBEAT);
-        }
+        *ttl = ELECTION_TTL;
+        let pkt = Packet::control(MacAddr::BROADCAST, self.mac, Path::empty(), msg);
+        ctx.send(NIC, pkt);
     }
 
-    fn my_attach(&self) -> Option<(HostId, SwitchId)> {
+    /// Tag path between two hosts over the current topology view.
+    /// Routes come from the seeded [`RouteCache`]: stable per `(pair,
+    /// epoch)`, ECMP-spread across pairs and epochs.
+    fn tag_path(&mut self, from: MacAddr, to: MacAddr) -> Option<Path> {
         let topo = self.topology.as_ref()?;
-        let me = topo.host_by_mac(self.mac)?;
-        Some((me.id, me.attached.switch))
+        let (src, dst) = (topo.host_by_mac(from)?, topo.host_by_mac(to)?);
+        let (src_sw, dst_sw) = (src.attached.switch, dst.attached.switch);
+        let route = self.route_cache.route(topo, src_sw, dst_sw)?;
+        route.to_tag_path(topo, src.id, dst.id).ok()
     }
 
-    /// Tag path from this controller to `dst_mac`, over the current
-    /// topology view. Routes come from the seeded [`RouteCache`]: stable
-    /// per `(pair, epoch)`, ECMP-spread across pairs and epochs.
-    fn path_to(&mut self, _ctx: &mut Ctx<'_>, dst_mac: MacAddr) -> Option<Path> {
-        let (my_id, my_sw) = self.my_attach()?;
-        let topo = self.topology.as_ref()?;
-        let dst = topo.host_by_mac(dst_mac)?;
-        let (dst_id, dst_sw) = (dst.id, dst.attached.switch);
-        let route = self.route_cache.route(topo, my_sw, dst_sw)?;
-        route.to_tag_path(topo, my_id, dst_id).ok()
+    /// Tag path from this controller to `dst`.
+    fn path_to(&mut self, dst: MacAddr) -> Option<Path> {
+        self.tag_path(self.mac, dst)
     }
 
-    /// Tag path from `src_mac` back to this controller.
-    fn path_from(&mut self, _ctx: &mut Ctx<'_>, src_mac: MacAddr) -> Option<Path> {
-        let (my_id, my_sw) = self.my_attach()?;
-        let topo = self.topology.as_ref()?;
-        let src = topo.host_by_mac(src_mac)?;
-        let (src_id, src_sw) = (src.id, src.attached.switch);
-        let route = self.route_cache.route(topo, src_sw, my_sw)?;
-        route.to_tag_path(topo, src_id, my_id).ok()
+    /// Every known host but ourselves: the hello and patch-flood targets.
+    fn other_hosts(&self) -> Vec<MacAddr> {
+        let hosts = self.topology.iter().flat_map(|t| t.hosts());
+        hosts.map(|h| h.mac).filter(|&m| m != self.mac).collect()
     }
 
     /// Applies the cache invalidation rules for a topology delta:
@@ -790,10 +673,10 @@ impl Controller {
     /// Per-pair seeding makes the result byte-identical to on-demand
     /// computation for any worker count.
     fn precompute_routes(&mut self) {
-        let Some((_, my_sw)) = self.my_attach() else {
+        let Some(topo) = self.topology.as_ref() else {
             return;
         };
-        let Some(topo) = self.topology.as_ref() else {
+        let Some(my_sw) = topo.host_by_mac(self.mac).map(|h| h.attached.switch) else {
             return;
         };
         let mut seen = HashSet::new();
@@ -813,48 +696,25 @@ impl Controller {
         ctx.send(NIC, Packet::control(dst, self.mac, path, msg));
     }
 
-    /// Follower: asks `leader` to replay the log after our contiguous
-    /// floor (lost appends or a crash window left us behind).
-    fn request_resync(&mut self, ctx: &mut Ctx<'_>, leader: MacAddr) {
-        self.counters.repl_sync_requests.inc();
-        if let Some(path) = self.path_to(ctx, leader) {
-            self.send_to(
-                ctx,
-                leader,
-                path,
-                ControlMessage::ReplSyncRequest {
-                    after: self.log.highest_contiguous(),
-                    replica: self.mac,
-                    term: self.log.term(),
-                },
-            );
-        }
-    }
-
     /// Broadcasts `ControllerHello` to every known host (bootstrap).
     fn send_hellos(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(topo) = self.topology.as_ref() else {
+        if self.topology.is_none() {
             return;
-        };
-        let hosts: Vec<MacAddr> = topo
-            .hosts()
-            .map(|h| h.mac)
-            .filter(|&m| m != self.mac)
-            .collect();
+        }
         self.precompute_routes();
-        for mac in hosts {
-            let Some(fwd) = self.path_to(ctx, mac) else {
+        for mac in self.other_hosts() {
+            let Some(fwd) = self.path_to(mac) else {
                 continue;
             };
-            let Some(back) = self.path_from(ctx, mac) else {
+            let Some(back) = self.tag_path(mac, self.mac) else {
                 continue;
             };
             let msg = ControlMessage::ControllerHello {
                 controller: self.mac,
                 path_to_controller: back,
-                topo_version: self.topo_version,
-                standby: self.log.role() == ReplicaRole::Follower,
-                term: self.log.term(),
+                topo_version: self.replica.version(),
+                standby: !self.replica.is_leader(),
+                term: self.replica.log().term(),
             };
             self.send_to(ctx, mac, fwd, msg);
         }
@@ -938,7 +798,7 @@ impl Controller {
         match disc.to_topology() {
             Ok(topo) => {
                 self.topology = Some(topo);
-                self.topo_version = 1;
+                self.replica.set_version(1);
                 // A whole-new topology invalidates everything derived.
                 self.route_cache.bump_epoch();
                 self.graph_cache.clear();
@@ -951,15 +811,15 @@ impl Controller {
         }
     }
 
-    /// Applies a link event to the topology; returns the delta if it
-    /// changed anything.
-    fn apply_event(&mut self, event: LinkEvent) -> Option<TopoDelta> {
-        let topo = self.topology.as_mut()?;
-        let link = *topo.link_at(PortId::new(event.switch, event.port))?;
+    /// The delta a link event amounts to, if it changes anything.
+    fn event_delta(&self, event: LinkEvent) -> Option<TopoDelta> {
+        let link = self
+            .topology
+            .as_ref()?
+            .link_at(PortId::new(event.switch, event.port))?;
         if link.up == event.up {
             return None;
         }
-        topo.set_link_state(link.id, event.up).ok()?;
         let mut delta = TopoDelta::default();
         if event.up {
             delta.up.push((link.a, link.b));
@@ -967,6 +827,31 @@ impl Controller {
             delta.down.push((link.a.switch, link.b.switch));
         }
         Some(delta)
+    }
+
+    /// Applies a delta the core handed over ([`Effect::Apply`]) to
+    /// everything derived from the log — the same function on the
+    /// replica that learned the change and on those it replicates to.
+    /// Hard state supersedes suspicion: a link that goes down (or comes
+    /// back from down) sheds its scoreboard entry — hosts drop their
+    /// gray state for the edge on the same patch.
+    fn apply_delta(&mut self, delta: &TopoDelta) {
+        let hard = delta.down.iter().map(|&e| (e, false));
+        let hard = hard.chain(
+            delta
+                .up
+                .iter()
+                .map(|&(pa, pb)| ((pa.switch, pb.switch), true)),
+        );
+        for ((a, b), up) in hard {
+            if let Some(topo) = self.topology.as_mut() {
+                if let Some(l) = topo.link_between(a, b).map(|l| l.id) {
+                    let _ = topo.set_link_state(l, up);
+                }
+            }
+            self.gray_board.remove(&norm_edge(a, b));
+        }
+        self.invalidate_caches(delta);
     }
 
     /// Stage-2 failure handling (§4.2): learn the event, replicate it,
@@ -981,58 +866,21 @@ impl Controller {
         }
         self.counters.link_events.inc();
         self.stats.event_learned_at.push((event, ctx.now()));
-        let Some(delta) = self.apply_event(event) else {
-            return;
-        };
-        // Hard state supersedes suspicion: a link that goes down (or
-        // comes back from down) sheds its quarantine and scoreboard
-        // entry — hosts drop their gray state for the edge on the same
-        // patch, so no unquarantine entry is needed.
-        for &(a, b) in &delta.down {
-            let e = norm_edge(a, b);
-            self.quarantined.remove(&e);
-            self.gray_board.remove(&e);
+        if let Some(delta) = self.event_delta(event) {
+            self.commit_delta(ctx, delta);
         }
-        for &(pa, pb) in &delta.up {
-            let e = norm_edge(pa.switch, pb.switch);
-            self.quarantined.remove(&e);
-            self.gray_board.remove(&e);
-        }
-        self.commit_delta(ctx, delta);
     }
 
-    /// Versions a topology delta, replicates it to the standby group,
-    /// and coalesces it into the pending patch flood. The flush timer
+    /// Versions a topology delta through the core — which applies it
+    /// and, on the leader, replicates it to the standby group — and
+    /// coalesces it into the pending patch flood. The flush timer
     /// charges the stage-2 processing delay once per batch, not once
     /// per event or recipient, and floods everything learned in the
     /// window as one epoch.
     fn commit_delta(&mut self, ctx: &mut Ctx<'_>, delta: TopoDelta) {
-        self.invalidate_caches(&delta);
-        self.topo_version += 1;
-        if self.log.role() == ReplicaRole::Leader {
-            let entry = self.log.append(self.topo_version, delta.clone());
-            let peers: Vec<MacAddr> = self.log.peers().collect();
-            for peer in peers {
-                if let Some(path) = self.path_to(ctx, peer) {
-                    self.send_to(
-                        ctx,
-                        peer,
-                        path,
-                        ControlMessage::ReplAppend {
-                            index: entry.index,
-                            version: entry.version,
-                            delta: Box::new(entry.delta.clone()),
-                            leader: self.mac,
-                            term: self.log.term(),
-                            entry_term: entry.term,
-                            commit: self.log.committed(),
-                        },
-                    );
-                }
-            }
-        }
+        self.step(ctx, |core, _, out| core.propose(delta.clone(), out));
         self.pending_patch.push(PatchEntry {
-            version: self.topo_version,
+            version: self.replica.version(),
             delta,
         });
         if !self.patch_flush_armed {
@@ -1041,21 +889,17 @@ impl Controller {
         }
     }
 
-    /// Quarantines (`enter`) or releases an edge: updates the local
-    /// set and floods a versioned quarantine delta through the same
-    /// log-append and patch-epoch machinery as hard link events.
+    /// Quarantines (`enter`) or releases an edge: floods a versioned
+    /// quarantine delta through the same log-append and patch-epoch
+    /// machinery as hard link events (the core's quarantine set follows
+    /// the delta).
     fn push_quarantine_delta(
         &mut self,
         ctx: &mut Ctx<'_>,
         edge: (SwitchId, SwitchId),
         enter: bool,
     ) {
-        let changed = if enter {
-            self.quarantined.insert(edge)
-        } else {
-            self.quarantined.remove(&edge)
-        };
-        if !changed {
+        if self.replica.quarantined().contains(&edge) == enter {
             return;
         }
         let mut delta = TopoDelta::default();
@@ -1066,20 +910,10 @@ impl Controller {
             delta.unquarantine.push(edge);
             self.counters.unquarantines.inc();
         }
-        ctx.trace(
-            TraceCategory::Route,
-            NodeKind::Controller,
-            self.id.get(),
-            || {
-                format!(
-                    "controller {} {} edge ({}, {})",
-                    self.id.get(),
-                    if enter { "quarantines" } else { "releases" },
-                    edge.0 .0,
-                    edge.1 .0,
-                )
-            },
-        );
+        self.trace(ctx, TraceCategory::Route, || {
+            let verb = if enter { "quarantines" } else { "releases" };
+            format!("{verb} edge ({}, {})", edge.0 .0, edge.1 .0)
+        });
         self.commit_delta(ctx, delta);
         self.last_gray_refresh = ctx.now();
     }
@@ -1100,7 +934,7 @@ impl Controller {
         let Some(cfg) = self.config.gray.clone() else {
             return;
         };
-        if self.log.role() != ReplicaRole::Leader {
+        if !self.replica.is_leader() {
             return;
         }
         let edge = norm_edge(edge.0, edge.1);
@@ -1123,7 +957,7 @@ impl Controller {
         // (no recent quorum contact) must not append: its view may be a
         // partitioned minority's, and the log never truncates a
         // divergent suffix.
-        let lease_ok = self.quorum_alive(now);
+        let lease_ok = self.replica.may_mutate(now);
         let board = self.gray_board.entry(edge).or_default();
         let last = board.last_seq.entry(reporter).or_insert(0);
         if seq <= *last {
@@ -1142,28 +976,13 @@ impl Controller {
         board.reporters.insert(reporter, (loss_permille, now));
         let corroborated =
             board.reporters.len() >= cfg.quorum || loss_permille >= cfg.solo_loss_permille;
-        if corroborated && lease_ok && !self.quarantined.contains(&edge) {
+        if corroborated && lease_ok && !self.replica.quarantined().contains(&edge) {
             board.flaps += 1;
             if board.flaps > cfg.max_flaps {
                 board.sticky = true;
             }
             self.push_quarantine_delta(ctx, edge, true);
         }
-    }
-
-    /// Leader lease: counting ourselves, is a quorum of replicas in
-    /// recent contact? A single-member log is always in contact. The
-    /// window is generous (several heartbeats) — it only has to go
-    /// stale *eventually* on a partitioned leader, before its decayed
-    /// evidence turns into divergent unquarantine appends.
-    fn quorum_alive(&self, now: SimTime) -> bool {
-        let lease = SimDuration(self.config.heartbeat.0 * 4);
-        let heard = 1 + self
-            .peer_heard
-            .iter()
-            .filter(|&(peer, &at)| *peer != self.mac && now - at <= lease)
-            .count();
-        heard >= self.log.quorum()
     }
 
     /// Probation tick: decays stale dirty evidence, grows clean streaks
@@ -1175,8 +994,11 @@ impl Controller {
         let Some(cfg) = self.config.gray.clone() else {
             return;
         };
-        if self.log.role() == ReplicaRole::Leader && self.quorum_alive(ctx.now()) {
-            let now = ctx.now();
+        let now = ctx.now();
+        // Only under the lease: a partitioned stale leader must not
+        // decay evidence into unquarantine appends that diverge from
+        // the authoritative log.
+        if self.replica.may_mutate(now) {
             for board in self.gray_board.values_mut() {
                 board
                     .reporters
@@ -1187,7 +1009,7 @@ impl Controller {
             // elected mid-quarantine inherits the mirrored `quarantined`
             // set but an empty scoreboard, and probation must still be
             // able to release what it inherited.
-            for &edge in &self.quarantined {
+            for &edge in self.replica.quarantined() {
                 let board = self.gray_board.entry(edge).or_default();
                 if board.reporters.is_empty() {
                     board.clean_streak = board.clean_streak.saturating_add(1);
@@ -1196,7 +1018,8 @@ impl Controller {
                 }
             }
             let releasable: Vec<(SwitchId, SwitchId)> = self
-                .quarantined
+                .replica
+                .quarantined()
                 .iter()
                 .copied()
                 .filter(|e| {
@@ -1218,10 +1041,10 @@ impl Controller {
             // idle hosts on a stale view. While anything is quarantined
             // the leader re-asserts the full set each refresh interval;
             // hosts expire entries that stop being refreshed.
-            if !self.quarantined.is_empty() && now - self.last_gray_refresh >= cfg.refresh_interval
-            {
+            let held = self.replica.quarantined();
+            if !held.is_empty() && now - self.last_gray_refresh >= cfg.refresh_interval {
                 let delta = TopoDelta {
-                    quarantine: self.quarantined.iter().copied().collect(),
+                    quarantine: held.iter().copied().collect(),
                     ..TopoDelta::default()
                 };
                 self.commit_delta(ctx, delta);
@@ -1229,31 +1052,6 @@ impl Controller {
             }
         }
         ctx.set_timer(cfg.probation_interval, T_PROBATION);
-    }
-
-    /// Flushes every coalesced path reply whose service time has
-    /// completed, one `PathReplyBatch` frame per requester.
-    fn flush_replies(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let pending = std::mem::take(&mut self.pending_replies);
-        let mut later = Vec::new();
-        let mut by_host: BTreeMap<MacAddr, Vec<PathReplyItem>> = BTreeMap::new();
-        for (mac, done, item) in pending {
-            if done <= now {
-                by_host.entry(mac).or_default().push(item);
-            } else {
-                later.push((mac, done, item));
-            }
-        }
-        self.pending_replies = later;
-        for (mac, replies) in by_host {
-            let Some(path) = self.path_to(ctx, mac) else {
-                continue;
-            };
-            self.counters.reply_batch_size.observe(replies.len() as u64);
-            let msg = ControlMessage::PathReplyBatch { replies };
-            ctx.send(NIC, Packet::control(mac, self.mac, path, msg));
-        }
     }
 
     /// Floods every patch entry coalesced since the last flush as one
@@ -1265,40 +1063,22 @@ impl Controller {
             return;
         }
         let entries = std::mem::take(&mut self.pending_patch);
-        let epoch = entries.last().map_or(self.topo_version, |e| e.version);
-        let term = self.log.term();
-        let hosts: Vec<MacAddr> = self
-            .topology
-            .as_ref()
-            .map(|t| {
-                t.hosts()
-                    .map(|h| h.mac)
-                    .filter(|&m| m != self.mac)
-                    .collect()
-            })
-            .unwrap_or_default();
+        let epoch = entries.last().map_or(self.replica.version(), |e| e.version);
+        let term = self.replica.log().term();
+        let hosts = self.other_hosts();
         self.counters.patch_floods.inc();
         self.counters
             .patch_batch_entries
             .observe(entries.len() as u64);
-        ctx.trace(
-            TraceCategory::Route,
-            NodeKind::Controller,
-            self.id.get(),
-            || {
-                format!(
-                    "controller {} floods patch batch epoch {epoch} ({} entries) to {} hosts",
-                    self.id.get(),
-                    entries.len(),
-                    hosts.len()
-                )
-            },
-        );
+        self.trace(ctx, TraceCategory::Route, || {
+            let (n, to) = (entries.len(), hosts.len());
+            format!("floods patch batch epoch {epoch} ({n} entries) to {to} hosts")
+        });
         let max = self.config.patch_batch_max.max(1);
         let segs = entries.chunks(max).count();
         let segs16 = u16::try_from(segs).unwrap_or(u16::MAX);
         for mac in hosts {
-            let Some(path) = self.path_to(ctx, mac) else {
+            let Some(path) = self.path_to(mac) else {
                 continue;
             };
             for (seg, chunk) in entries.chunks(max).enumerate() {
@@ -1331,7 +1111,7 @@ impl Controller {
         let done = start + self.config.query_service_time;
         self.busy_until = done;
         let delay = done - now;
-        let version = self.topo_version;
+        let version = self.replica.version();
         let graph = match self.graph_cache.get(&(src, dst)) {
             Some((v, g)) if *v == version => g.clone(),
             _ => {
@@ -1346,27 +1126,12 @@ impl Controller {
                 built
             }
         };
-        if self.config.reply_batch {
-            // Coalesce: the reply rides a shared `PathReplyBatch` frame
-            // with every other reply completing by the same flush.
-            self.pending_replies.push((
-                src,
-                done,
-                PathReplyItem {
-                    request_id,
-                    graph,
-                    topo_version: self.topo_version,
-                },
-            ));
-            ctx.set_timer(delay, T_REPLY_FLUSH);
-            return;
-        }
         let reply = ControlMessage::PathReply {
             request_id,
             graph,
-            topo_version: self.topo_version,
+            topo_version: version,
         };
-        if let Some(path) = self.path_to(ctx, src) {
+        if let Some(path) = self.path_to(src) {
             let pkt = Packet::control(src, self.mac, path, reply);
             ctx.send_after(delay, NIC, pkt);
         }
@@ -1381,10 +1146,10 @@ impl Controller {
         let topo = self.topology.as_ref()?;
         let s = topo.host_by_mac(src)?.id;
         let d = topo.host_by_mac(dst)?.id;
-        if !self.quarantined.is_empty() {
+        if !self.replica.quarantined().is_empty() {
             let mut filtered = topo.clone();
             let mut any = false;
-            for &(a, b) in &self.quarantined {
+            for &(a, b) in self.replica.quarantined() {
                 if let Some(l) = filtered.link_between(a, b).map(|l| l.id) {
                     if filtered.set_link_state(l, false).is_ok() {
                         any = true;
@@ -1473,304 +1238,14 @@ impl Controller {
             } => {
                 self.handle_link_suspect(ctx, reporter, edge, loss_permille, seq);
             }
-            ControlMessage::ReplAppend {
-                index,
-                version,
-                delta,
-                leader,
-                term,
-                entry_term,
-                commit,
-            } => {
-                if term < self.log.term() {
-                    // A fenced stale leader (pre-partition, or restarted
-                    // without noticing the election it slept through).
-                    self.counters.dropped_malformed.inc();
-                    return;
-                }
-                if term > self.log.term() {
-                    // First contact from a new leader regime. Our
-                    // uncommitted suffix may be a fenced leader's
-                    // divergence (ours, or one we stored); the log never
-                    // truncates on conflict, so shed it now — before the
-                    // commit watermark can freeze it — and re-fetch the
-                    // authoritative entries via re-sync.
-                    self.log.truncate_uncommitted();
-                }
-                self.note_term(ctx, term);
-                if self.log.role() == ReplicaRole::Leader {
-                    // Equal-term append from another claimed leader —
-                    // impossible with exclusive votes; drop defensively.
-                    self.counters.dropped_malformed.inc();
-                    return;
-                }
-                self.election = None;
-                self.last_leader_seen = ctx.now();
-                if index == 0 {
-                    self.log.note_commit(commit);
-                    // Pure heartbeat. A version ahead of ours means we
-                    // missed appends (lost packets or a crash window):
-                    // ask the leader to re-send from our contiguous
-                    // floor.
-                    if version > self.topo_version && self.log.role() == ReplicaRole::Follower {
-                        self.request_resync(ctx, leader);
-                    }
-                    // Heartbeat ack (index 0): the leader's lease — it
-                    // may only act on decayed gray evidence while it can
-                    // still hear a quorum.
-                    if let Some(path) = self.path_to(ctx, leader) {
-                        self.send_to(
-                            ctx,
-                            leader,
-                            path,
-                            ControlMessage::ReplAck {
-                                index: 0,
-                                replica: self.mac,
-                                term: self.log.term(),
-                            },
-                        );
-                    }
-                }
-                if index > 0 {
-                    let new = self.log.store(LogEntry {
-                        index,
-                        version,
-                        term: entry_term,
-                        delta: (*delta).clone(),
-                    });
-                    // After storing: the entry itself may complete the
-                    // contiguous prefix the leader's commit index covers.
-                    self.log.note_commit(commit);
-                    if new {
-                        // Apply to the local topology view.
-                        if let Some(topo) = self.topology.as_mut() {
-                            for (a, b) in &delta.down {
-                                if let Some(l) = topo.link_between(*a, *b).map(|l| l.id) {
-                                    let _ = topo.set_link_state(l, false);
-                                }
-                            }
-                            for (pa, pb) in &delta.up {
-                                if let Some(l) =
-                                    topo.link_between(pa.switch, pb.switch).map(|l| l.id)
-                                {
-                                    let _ = topo.set_link_state(l, true);
-                                }
-                            }
-                        }
-                        // Mirror the leader's quarantine view so a
-                        // promoted successor inherits it; hard link
-                        // transitions shed the gray state for the edge.
-                        for &(a, b) in &delta.down {
-                            let e = norm_edge(a, b);
-                            self.quarantined.remove(&e);
-                            self.gray_board.remove(&e);
-                        }
-                        for &(pa, pb) in &delta.up {
-                            let e = norm_edge(pa.switch, pb.switch);
-                            self.quarantined.remove(&e);
-                            self.gray_board.remove(&e);
-                        }
-                        for &(a, b) in &delta.quarantine {
-                            self.quarantined.insert(norm_edge(a, b));
-                        }
-                        for &(a, b) in &delta.unquarantine {
-                            self.quarantined.remove(&norm_edge(a, b));
-                        }
-                        self.invalidate_caches(&delta);
-                        if version > self.topo_version {
-                            self.topo_version = version;
-                        }
-                    }
-                    if let Some(path) = self.path_to(ctx, leader) {
-                        self.send_to(
-                            ctx,
-                            leader,
-                            path,
-                            ControlMessage::ReplAck {
-                                index,
-                                replica: self.mac,
-                                term: self.log.term(),
-                            },
-                        );
-                    }
-                    // A hole below this entry means earlier appends were
-                    // lost: request them rather than waiting for the
-                    // next heartbeat to notice.
-                    if self.log.has_gap() {
-                        self.request_resync(ctx, leader);
-                    }
-                }
-            }
-            ControlMessage::ReplAck {
-                index,
-                replica,
-                term,
-            } => {
-                if term > self.log.term() {
-                    // The replica knows a newer leadership than ours.
-                    self.note_term(ctx, term);
-                    return;
-                }
-                if term < self.log.term() || self.log.role() != ReplicaRole::Leader {
-                    // An ack echoing a fenced term, or one addressed to
-                    // a leadership we no longer hold.
-                    self.counters.dropped_malformed.inc();
-                    return;
-                }
-                self.peer_heard.insert(replica, ctx.now());
-                if index > 0 {
-                    let _ = self.log.ack(index, replica);
-                }
-            }
-            // Leader side: replay the requested suffix as ordinary
-            // appends (bounded per request; the follower re-asks if it
-            // is still behind afterwards). A request from a replica
-            // behind on terms is still served — the replayed appends
-            // carry our term and bring it forward.
-            ControlMessage::ReplSyncRequest {
-                after,
-                replica,
-                term,
-            } => {
-                if term > self.log.term() {
-                    self.note_term(ctx, term);
-                    return;
-                }
-                if self.log.role() != ReplicaRole::Leader {
-                    return;
-                }
-                self.peer_heard.insert(replica, ctx.now());
-                let entries: Vec<LogEntry> = self
-                    .log
-                    .entries_after(after)
-                    .take(Controller::RESYNC_BATCH)
-                    .cloned()
-                    .collect();
-                if let Some(path) = self.path_to(ctx, replica) {
-                    for e in entries {
-                        self.counters.repl_resends.inc();
-                        self.send_to(
-                            ctx,
-                            replica,
-                            path.clone(),
-                            ControlMessage::ReplAppend {
-                                index: e.index,
-                                version: e.version,
-                                delta: Box::new(e.delta),
-                                leader: self.mac,
-                                term: self.log.term(),
-                                entry_term: e.term,
-                                commit: self.log.committed(),
-                            },
-                        );
-                    }
-                }
-            }
-            ControlMessage::LeaderQuery {
-                candidate,
-                term,
-                log_floor,
-                ttl: _,
-            } => {
-                if candidate == self.mac {
-                    return; // Our own flooded campaign echoed back.
-                }
-                if !self.answered_queries.insert((candidate, term)) {
-                    return; // Duplicate flood copy; already answered.
-                }
-                let me = self.mac;
-                let (granted, leading) =
-                    if self.log.role() == ReplicaRole::Leader && term <= self.log.term() {
-                        // Still alive and unfenced: tell the candidate
-                        // to stand down.
-                        (false, true)
-                    } else {
-                        let granted = self.log.grant_vote(term, log_floor);
-                        if granted {
-                            // Give the candidate a full takeover window
-                            // to win before we campaign ourselves.
-                            self.last_leader_seen = ctx.now();
-                            self.election = None;
-                        }
-                        // Adopt the campaign term (steps us down if we
-                        // were a fenced leader).
-                        self.note_term(ctx, term);
-                        (granted, false)
-                    };
-                let reply_term = self.log.term();
-                self.send_election(ctx, candidate, |ttl| ControlMessage::LeaderQueryReply {
-                    candidate,
-                    responder: me,
-                    term: reply_term,
-                    granted,
-                    leader: leading,
-                    ttl,
-                });
-            }
-            ControlMessage::LeaderQueryReply {
-                candidate,
-                responder,
-                term,
-                granted,
-                leader,
-                ttl: _,
-            } => {
-                if candidate != self.mac || responder == self.mac {
-                    return; // Flood copy addressed to someone else.
-                }
-                if leader {
-                    // An unfenced leader answered: abandon the campaign
-                    // and treat the reply as a liveness signal.
-                    self.election = None;
-                    self.last_leader_seen = ctx.now();
-                    self.note_term(ctx, term);
-                    return;
-                }
-                if granted {
-                    let counted = match self.election.as_mut() {
-                        Some(el) if el.term == term => {
-                            el.votes.insert(responder);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if counted {
-                        self.try_win_election(ctx);
-                    }
-                } else {
-                    // A refusal carrying a higher term fences us.
-                    self.note_term(ctx, term);
-                }
-            }
-            // Members also hear the leader's host-directed hellos: an
-            // unfenced active leader resets takeover patience.
-            ControlMessage::ControllerHello {
-                controller,
-                standby,
-                term,
-                ..
-            } if controller != self.mac && !standby => {
-                if term >= self.log.term() {
-                    self.last_leader_seen = ctx.now();
-                    self.election = None;
-                }
-                self.note_term(ctx, term);
-            }
-            ControlMessage::ControllerHello { .. } => {}
             ControlMessage::Ping { seq, sent_at } => {
-                if let Some(path) = self.path_to(ctx, src) {
-                    self.send_to(
-                        ctx,
-                        src,
-                        path,
-                        ControlMessage::Pong {
-                            seq,
-                            echo_sent_at: sent_at,
-                        },
-                    );
-                }
+                let echo_sent_at = sent_at;
+                self.send_or_flood(ctx, src, ControlMessage::Pong { seq, echo_sent_at });
             }
-            _ => {}
+            // Replication and election traffic — and the leader's
+            // hellos, which members hear as a liveness signal — is the
+            // core's to judge; it ignores everything else.
+            msg => self.step(ctx, |core, now, out| core.on_message(now, msg, out)),
         }
     }
 }
@@ -1778,28 +1253,22 @@ impl Controller {
 impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.counters.register(ctx.telemetry(), self.id);
-        self.last_leader_seen = ctx.now();
         if self.config.run_discovery && self.config.is_leader {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
             ctx.set_timer(self.config.start_delay, T_PUMP);
         } else if let Some(topo) = self.config.preload.take() {
             self.topology = Some(topo);
-            self.topo_version = 1;
+            self.replica.set_version(1);
             if self.config.is_leader {
                 // Delay the hello so every node has started.
                 ctx.set_timer(self.config.start_delay, T_PUMP);
             }
         }
-        if self.config.is_leader && !self.log.peers().collect::<Vec<_>>().is_empty() {
-            ctx.set_timer(self.config.heartbeat, T_HEARTBEAT);
-        }
-        if !self.config.is_leader {
-            self.arm_takeover(ctx);
-            // Standby replicas announce themselves too so hosts can
-            // spread path queries over the whole controller group.
-            if self.topology.is_some() {
-                ctx.set_timer(self.config.start_delay + self.config.heartbeat, T_PUMP);
-            }
+        self.step(ctx, Replica::on_start);
+        // Standby replicas announce themselves too so hosts can spread
+        // path queries over the whole controller group.
+        if !self.config.is_leader && self.topology.is_some() {
+            ctx.set_timer(self.config.start_delay + self.config.heartbeat, T_PUMP);
         }
         // All replicas keep the probation clock running so a promoted
         // leader evaluates releases without re-arming anything.
@@ -1836,96 +1305,22 @@ impl Node for Controller {
                     self.send_hellos(ctx);
                 }
             }
-            T_PATCH_FLUSH => {
-                self.flush_patches(ctx);
-            }
-            T_PROBATION => {
-                self.probation_tick(ctx);
-            }
-            T_REPLY_FLUSH => {
-                self.flush_replies(ctx);
-            }
-            T_HEARTBEAT if self.log.role() == ReplicaRole::Leader => {
-                let term = self.log.term();
-                let commit = self.log.committed();
-                let peers: Vec<MacAddr> = self.log.peers().collect();
-                for peer in peers {
-                    let Some(path) = self.path_to(ctx, peer) else {
-                        continue;
-                    };
-                    self.send_to(
-                        ctx,
-                        peer,
-                        path.clone(),
-                        ControlMessage::ReplAppend {
-                            index: 0, // Pure heartbeat.
-                            version: self.topo_version,
-                            delta: Box::default(),
-                            leader: self.mac,
-                            term,
-                            entry_term: term,
-                            commit,
-                        },
-                    );
-                    // Ack-less retry: replay entries this peer has
-                    // not acknowledged (lost appends or acks), a
-                    // bounded batch per beat.
-                    let unacked = self.log.unacked_for(peer);
-                    for ix in unacked.into_iter().take(Controller::RESEND_PER_BEAT) {
-                        let Some(e) = self.log.entry(ix).cloned() else {
-                            continue;
-                        };
-                        self.counters.repl_resends.inc();
-                        self.send_to(
-                            ctx,
-                            peer,
-                            path.clone(),
-                            ControlMessage::ReplAppend {
-                                index: e.index,
-                                version: e.version,
-                                delta: Box::new(e.delta),
-                                leader: self.mac,
-                                term,
-                                entry_term: e.term,
-                                commit,
-                            },
-                        );
-                    }
-                }
-                ctx.set_timer(self.config.heartbeat, T_HEARTBEAT);
-            }
-            T_TAKEOVER if self.log.role() == ReplicaRole::Follower => {
-                if self.election.is_some() {
-                    // A campaign is in flight; T_ELECTION owns re-arming.
-                    return;
-                }
-                let silent = ctx.now() - self.last_leader_seen;
-                if silent >= self.config.takeover_timeout {
-                    // The rank stagger on this timer makes the lowest-MAC
-                    // live follower campaign (and so promote) first; the
-                    // vote quorum makes a second same-term leader
-                    // impossible even when the stagger ties.
-                    self.begin_election(ctx);
-                } else {
-                    self.arm_takeover(ctx);
+            T_PATCH_FLUSH => self.flush_patches(ctx),
+            T_PROBATION => self.probation_tick(ctx),
+            _ => {
+                let timers = [Timer::Heartbeat, Timer::Takeover, Timer::Election];
+                if let Some(&timer) = timers.iter().find(|&&t| timer_token(t) == token) {
+                    self.step(ctx, |core, now, out| core.on_timer(now, timer, out));
                 }
             }
-            T_ELECTION => {
-                // The campaign window closed without a quorum (dead
-                // peers, a partition, or a lost race). Fall back to the
-                // takeover clock and retry at a fresh term later.
-                self.election = None;
-                if self.log.role() == ReplicaRole::Follower {
-                    self.arm_takeover(ctx);
-                }
-            }
-            _ => {}
         }
     }
 
     fn publish_telemetry(&mut self) {
-        self.counters.is_leader.set(i64::from(self.stats.is_leader));
-        self.counters.term.set(self.log.term() as i64);
+        self.counters
+            .is_leader
+            .set(i64::from(self.replica.is_leader()));
+        self.counters.term.set(self.replica.log().term() as i64);
         let rc = self.route_cache.stats();
         self.counters.route_cache_hits.set(rc.hits);
         self.counters.route_cache_misses.set(rc.misses);
@@ -1935,16 +1330,11 @@ impl Node for Controller {
         // All pre-crash timers are dead (the engine bumps our epoch), so
         // re-arm the periodic machinery from scratch.
         self.counters.restarts.inc();
-        self.last_leader_seen = ctx.now();
         self.busy_until = ctx.now();
-        self.election = None;
         // The flush timer died with the crash; drop the unflooded batch
         // (post-restart resync re-derives the topology authoritatively).
         self.pending_patch.clear();
         self.patch_flush_armed = false;
-        // Coalesced replies died with their flush timer too; requesters
-        // retry through the normal host-side timeout path.
-        self.pending_replies.clear();
         if let Some(g) = self.config.gray.as_ref() {
             ctx.set_timer(g.probation_interval, T_PROBATION);
         }
@@ -1953,33 +1343,7 @@ impl Node for Controller {
             // retry through the normal backoff path.
             ctx.set_timer(self.config.probe_interval, T_PUMP);
         }
-        match self.log.role() {
-            ReplicaRole::Leader if self.log.peers().next().is_none() => {
-                // Solo controller: nobody could have been elected.
-            }
-            ReplicaRole::Leader => {
-                // A follower may have won an election while we were
-                // down. Rejoin as a follower (keeping our term — a
-                // successor's term is strictly higher) and campaign only
-                // after a silent takeover window proves nobody leads.
-                self.log.demote();
-                self.stats.is_leader = false;
-                self.arm_takeover(ctx);
-                let peers: Vec<MacAddr> = self.log.peers().collect();
-                for peer in peers {
-                    self.request_resync(ctx, peer);
-                }
-            }
-            ReplicaRole::Follower => {
-                self.arm_takeover(ctx);
-                // We may have missed appends while down; ask every peer
-                // for the suffix — only the current leader will answer.
-                let peers: Vec<MacAddr> = self.log.peers().collect();
-                for peer in peers {
-                    self.request_resync(ctx, peer);
-                }
-            }
-        }
+        self.step(ctx, Replica::on_restart);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -2001,6 +1365,7 @@ mod tests {
         assert_eq!(c.mac(), MacAddr::for_host(5));
         assert!(!c.ready());
         assert_eq!(c.topo_version(), 0);
+        assert!(c.stats().is_leader);
     }
 
     #[test]
@@ -2020,7 +1385,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_event_flips_link_state_once() {
+    fn link_event_flips_link_state_once() {
         let g = dumbnet_topology::generators::testbed();
         let link = *g.topology.links().next().unwrap();
         let mut c = Controller::new(HostId(0), ControllerConfig::default());
@@ -2031,14 +1396,17 @@ mod tests {
             up: false,
             seq: 1,
         };
-        let delta = c.apply_event(ev).unwrap();
+        let delta = c.event_delta(ev).unwrap();
         assert_eq!(delta.down, vec![(link.a.switch, link.b.switch)]);
+        c.apply_delta(&delta);
         // Second application: no change.
-        assert!(c.apply_event(ev).is_none());
+        assert!(c.event_delta(ev).is_none());
         // Back up.
         let ev_up = LinkEvent { up: true, ..ev };
-        let delta = c.apply_event(ev_up).unwrap();
+        let delta = c.event_delta(ev_up).unwrap();
         assert_eq!(delta.up, vec![(link.a, link.b)]);
+        c.apply_delta(&delta);
+        assert!(c.topology.as_ref().unwrap().link_at(link.a).unwrap().up);
     }
 
     // Full controller behaviour (discovery over the wire, path service,

@@ -37,20 +37,11 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use dumbnet_types::{HostId, MacAddr, SwitchId};
+use dumbnet_types::{norm_edge, HostId, MacAddr, SwitchId};
 
 use dumbnet_sim::Engine;
 
 use crate::Fabric;
-
-/// Normalizes an undirected switch pair.
-fn edge(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
 
 /// Outcome of a fabric-wide invariant audit.
 #[derive(Debug, Clone, Default)]
@@ -131,7 +122,7 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
                 .trunk_wire(l.a.switch, l.b.switch)
                 .is_some_and(|w| fabric.world.wire_up(w))
         })
-        .map(|l| edge(l.a.switch, l.b.switch))
+        .map(|l| norm_edge(l.a.switch, l.b.switch))
         .collect();
 
     let mut report = InvariantReport {
@@ -150,12 +141,14 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
             continue;
         };
         for l in truth.links() {
-            let physically_up = up_edges.contains(&edge(l.a.switch, l.b.switch));
+            let physically_up = up_edges.contains(&norm_edge(l.a.switch, l.b.switch));
             let agrees = view
                 .link_between(l.a.switch, l.b.switch)
                 .is_some_and(|v| v.up == physically_up);
             if !agrees {
-                report.divergent_links.push(edge(l.a.switch, l.b.switch));
+                report
+                    .divergent_links
+                    .push(norm_edge(l.a.switch, l.b.switch));
             }
         }
     }
@@ -251,7 +244,7 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
                 p.route
                     .switches()
                     .windows(2)
-                    .any(|w| !up_edges.contains(&edge(w[0], w[1])))
+                    .any(|w| !up_edges.contains(&norm_edge(w[0], w[1])))
             });
             if stale {
                 report.stale_paths.push((h.id, dst));
@@ -357,7 +350,7 @@ pub fn check_gray_invariants<W: Engine>(
                 .trunk_wire(l.a.switch, l.b.switch)
                 .is_some_and(|w| fabric.world.wire_up(w))
         })
-        .map(|l| edge(l.a.switch, l.b.switch))
+        .map(|l| norm_edge(l.a.switch, l.b.switch))
         .collect();
     let mut report = GrayInvariantReport::default();
 
@@ -431,7 +424,7 @@ pub fn check_gray_invariants<W: Engine>(
                 p.route
                     .switches()
                     .windows(2)
-                    .all(|w| !gray.contains(&edge(w[0], w[1])))
+                    .all(|w| !gray.contains(&norm_edge(w[0], w[1])))
             });
             if !has_clean {
                 report.blackholed_pairs.push((h.id, dst));

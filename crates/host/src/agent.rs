@@ -17,7 +17,7 @@ use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Histogram, NodeKind, Telemetry};
-use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{norm_edge, HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 
 use crate::pathtable::{FlowKey, PathTable};
 use crate::topocache::TopoCache;
@@ -760,16 +760,6 @@ impl HostAgent {
     /// Path-probe timer token (distinct from retry/flood/action tokens).
     const PROBE_TOKEN: u64 = u64::MAX - 2;
 
-    /// Normalizes an undirected switch pair (same slotting as the
-    /// PathTable quarantine set and the controller scoreboard).
-    fn norm_edge(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
-        if a.0 <= b.0 {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
     /// Folds one probe outcome into the per-path loss EWMA.
     fn health_sample(&mut self, alpha: f64, dst: MacAddr, ix: usize, lost: bool) {
         let h = self.path_health.entry((dst, ix)).or_default();
@@ -794,7 +784,7 @@ impl HostAgent {
 
     /// Hard link state supersedes gray suspicion for the edge.
     fn forget_gray_edge(&mut self, a: SwitchId, b: SwitchId) {
-        let edge = Self::norm_edge(a, b);
+        let edge = norm_edge(a, b);
         self.local_suspects.remove(&edge);
         self.ctrl_quarantined.remove(&edge);
         self.last_report.remove(&edge);
@@ -894,7 +884,7 @@ impl HostAgent {
                     continue;
                 }
                 for w in p.route.switches().windows(2) {
-                    let key = Self::norm_edge(w[0], w[1]);
+                    let key = norm_edge(w[0], w[1]);
                     let dir = u8::from(key != (w[0], w[1]));
                     let slot = edge_worst
                         .entry(key)
@@ -907,7 +897,7 @@ impl HostAgent {
                     bad.push((ix, h.ewma_loss, h.samples));
                 } else if h.ewma_loss <= cfg.clear_threshold {
                     for w in p.route.switches().windows(2) {
-                        good_edges.insert(Self::norm_edge(w[0], w[1]));
+                        good_edges.insert(norm_edge(w[0], w[1]));
                     }
                 }
             }
@@ -922,7 +912,7 @@ impl HostAgent {
                     .route
                     .switches()
                     .windows(2)
-                    .map(|w| Self::norm_edge(w[0], w[1]))
+                    .map(|w| norm_edge(w[0], w[1]))
                     .collect()
             };
             let mut common: HashSet<(SwitchId, SwitchId)> = bad
@@ -936,7 +926,7 @@ impl HostAgent {
             let use_common = common.iter().any(|e| !good_edges.contains(e));
             for (ix, loss, samples) in bad {
                 for w in entry.paths[ix].route.switches().windows(2) {
-                    let key = Self::norm_edge(w[0], w[1]);
+                    let key = norm_edge(w[0], w[1]);
                     if good_edges.contains(&key) {
                         continue;
                     }
@@ -1134,12 +1124,12 @@ impl HostAgent {
                 self.topocache.mark_up(pa.switch, pb.switch);
             }
             for (a, b) in e.delta.quarantine {
-                let edge = Self::norm_edge(a, b);
+                let edge = norm_edge(a, b);
                 self.ctrl_quarantined.insert(edge, ctx.now());
                 self.pathtable.quarantine_edge(edge.0, edge.1);
             }
             for (a, b) in e.delta.unquarantine {
-                let edge = Self::norm_edge(a, b);
+                let edge = norm_edge(a, b);
                 self.ctrl_quarantined.remove(&edge);
                 if !self.local_suspects.contains(&edge) {
                     // Our own evidence may still hold the edge; if not,
@@ -1206,14 +1196,6 @@ impl HostAgent {
                 topo_version,
             } => {
                 self.handle_path_reply(ctx, request_id, graph, topo_version);
-            }
-            ControlMessage::PathReplyBatch { replies } => {
-                // One batched frame per request burst (ROADMAP item 3
-                // follow-up): each item is handled exactly like a
-                // standalone PathReply.
-                for item in replies {
-                    self.handle_path_reply(ctx, item.request_id, item.graph, item.topo_version);
-                }
             }
             ControlMessage::PathProbe { origin, probe_id } => {
                 // Gray-failure probe responder: answer over our own

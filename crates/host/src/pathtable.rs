@@ -9,17 +9,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use dumbnet_topology::Route;
-use dumbnet_types::{MacAddr, Path, SwitchId};
-
-/// Normalizes an undirected switch pair so `(a, b)` and `(b, a)` hit
-/// the same quarantine-set slot.
-fn norm_edge(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
+use dumbnet_types::{norm_edge, MacAddr, Path, SwitchId};
 
 /// Key identifying a transport flow on the sending host. The default
 /// routing function binds each key to one cached path; the flowlet

@@ -38,7 +38,7 @@ pub struct LinkEvent {
 }
 
 /// A batch of topology changes the controller floods in stage 2.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TopoDelta {
     /// Switch pairs whose connecting link went down.
     pub down: Vec<(SwitchId, SwitchId)>,
@@ -330,30 +330,6 @@ impl PatchBatch {
     }
 }
 
-/// One coalesced path answer inside a [`ControlMessage::PathReplyBatch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PathReplyItem {
-    /// Echo of the request's correlation ID.
-    pub request_id: u64,
-    /// The cached subgraph, if the destination exists.
-    pub graph: Option<Box<PathGraph>>,
-    /// Topology version the graph was computed against.
-    pub topo_version: u64,
-}
-
-impl PathReplyItem {
-    /// Approximate serialized size (same accounting as
-    /// [`ControlMessage::PathReply`], minus the discriminant).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        8 + 8
-            + self
-                .graph
-                .as_ref()
-                .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
-    }
-}
-
 /// Per-port transmit counters carried by a statistics reply (§8: soft
 /// state only — counters, no forwarding state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -435,14 +411,6 @@ pub enum ControlMessage {
         graph: Option<Box<PathGraph>>,
         /// Topology version the graph was computed against.
         topo_version: u64,
-    },
-    /// The controller's batched answer to a burst of path requests from
-    /// one host: every graph computed in the service window rides in a
-    /// single frame (ROADMAP item 3 follow-up), amortising per-frame
-    /// overheads exactly like [`ControlMessage::TopologyPatchBatch`].
-    PathReplyBatch {
-        /// The coalesced replies, in request order.
-        replies: Vec<PathReplyItem>,
     },
     /// Host-originated lightweight probe sent along one specific cached
     /// path to measure that path's health (gray-failure detection). The
@@ -668,9 +636,6 @@ impl ControlMessage {
                         .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
             }
             ControlMessage::TopologyPatchBatch(batch) => 1 + batch.wire_len(),
-            ControlMessage::PathReplyBatch { replies } => {
-                1 + 2 + replies.iter().map(PathReplyItem::wire_size).sum::<usize>()
-            }
             ControlMessage::PathProbe { .. } | ControlMessage::PathProbeReply { .. } => 1 + 6 + 8,
             ControlMessage::LinkSuspect { .. } => 1 + 6 + 16 + 2 + 4 + 1 + 8,
             ControlMessage::ControllerHello {
@@ -868,15 +833,5 @@ mod tests {
             probe_id: 7,
         };
         assert_eq!(probe.wire_size(), reply.wire_size());
-        // A reply batch charges the sum of its items plus framing.
-        let item = PathReplyItem {
-            request_id: 1,
-            graph: None,
-            topo_version: 5,
-        };
-        let batch = ControlMessage::PathReplyBatch {
-            replies: vec![item.clone(), item.clone()],
-        };
-        assert_eq!(batch.wire_size(), 1 + 2 + 2 * item.wire_size());
     }
 }

@@ -26,7 +26,7 @@ pub mod header;
 pub mod mpls;
 pub mod packet;
 
-pub use control::{ControlMessage, PatchBatch, PatchEntry, PathReplyItem};
+pub use control::{ControlMessage, PatchBatch, PatchEntry};
 pub use ethernet::{crc32, EthernetFrame, ETHERTYPE_DUMBNET, ETHERTYPE_IPV4, ETHERTYPE_MPLS};
 pub use header::DumbNetFrame;
 pub use mpls::{LabelStack, MplsLabel};

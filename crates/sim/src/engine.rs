@@ -54,7 +54,7 @@ use dumbnet_packet::Packet;
 use dumbnet_telemetry::{
     Counter, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory, TraceEvent,
 };
-use dumbnet_types::{Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
+use dumbnet_types::{mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
 use crate::event::EventQueue;
 use crate::faults::FaultProfile;
@@ -728,15 +728,6 @@ impl std::ops::DerefMut for World {
 
 /// Default fault-RNG domain separator (XORed with the world seed).
 const FAULT_SEED_SALT: u64 = 0xC4A0_5F00_D15E_A5ED;
-
-/// SplitMix64 finalizer, used to derive independent sub-seeds (per
-/// node, per wire direction) from one world seed.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Sub-seed for stream `salt` of base seed `base`. Deterministic and
 /// shard-invariant: it depends only on the identities, never on run

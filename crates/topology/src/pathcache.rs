@@ -30,20 +30,11 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_types::SwitchId;
+use dumbnet_types::{mix64, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
 use crate::spath;
-
-/// Splitmix64 finalizer: decorrelates structured (seed, epoch, pair)
-/// inputs into independent RNG seeds.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Cache effectiveness counters, named so consumers can't transpose
 /// them the way an anonymous `(u64, u64)` invites.
@@ -113,11 +104,11 @@ impl RouteCache {
     /// reason cached and on-demand answers coincide (see module docs).
     #[must_use]
     pub fn pair_seed(&self, src: SwitchId, dst: SwitchId) -> u64 {
-        splitmix(
+        mix64(
             self.seed
-                ^ splitmix(self.epoch)
-                ^ splitmix(src.get().wrapping_mul(2) ^ 1)
-                ^ splitmix(dst.get().wrapping_mul(2)),
+                ^ mix64(self.epoch)
+                ^ mix64(src.get().wrapping_mul(2) ^ 1)
+                ^ mix64(dst.get().wrapping_mul(2)),
         )
     }
 

@@ -27,6 +27,19 @@ pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher64>>;
 /// 2⁶⁴ / φ, the usual Fibonacci-hashing multiplier.
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// SplitMix64 finalizer: decorrelates structured inputs (seed ^ salt,
+/// epoch, switch pair) into independent 64-bit values. Every derived
+/// RNG seed in the workspace goes through this one function, so two
+/// streams can only collide if their inputs do.
+#[inline]
+#[must_use]
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SEED);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// The word-at-a-time multiply-xor hasher. See the module docs.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher64 {
@@ -102,6 +115,13 @@ mod tests {
         // sequential counters must not all land in the same bucket group.
         let tops: FastHashSet<u8> = (0..128u64).map(|n| (hash_of(n) >> 57) as u8).collect();
         assert!(tops.len() > 32, "only {} distinct top-7s", tops.len());
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // First output of the reference SplitMix64 generator seeded 0.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_ne!(mix64(1), mix64(2));
     }
 
     #[test]

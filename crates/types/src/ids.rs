@@ -35,6 +35,20 @@ impl std::fmt::Display for SwitchId {
     }
 }
 
+/// Normalizes an undirected switch pair to `a <= b` order — the one key
+/// every edge-indexed set shares (controller quarantine and scoreboard,
+/// host gray state and PathTable, chaos audits), so `(a, b)` and
+/// `(b, a)` land in the same slot.
+#[inline]
+#[must_use]
+pub fn norm_edge(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// A validated physical port number on a switch, in `1..=254`.
 ///
 /// Value `0` is reserved for the ID-query tag and `255` for the ø marker,
@@ -189,6 +203,14 @@ impl std::fmt::Display for LinkId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn norm_edge_is_order_insensitive() {
+        let (a, b) = (SwitchId(3), SwitchId(9));
+        assert_eq!(norm_edge(a, b), (a, b));
+        assert_eq!(norm_edge(b, a), (a, b));
+        assert_eq!(norm_edge(a, a), (a, a));
+    }
 
     #[test]
     fn port_no_rejects_reserved() {

@@ -33,8 +33,8 @@ pub mod time;
 pub use addr::MacAddr;
 pub use bandwidth::Bandwidth;
 pub use error::{DumbNetError, Result};
-pub use fasthash::{FastHashMap, FastHashSet};
-pub use ids::{HostId, LinkId, PortId, PortNo, SwitchId};
+pub use fasthash::{mix64, FastHashMap, FastHashSet};
+pub use ids::{norm_edge, HostId, LinkId, PortId, PortNo, SwitchId};
 pub use path::Path;
 pub use tag::Tag;
 pub use time::{SimDuration, SimTime};
