@@ -43,7 +43,7 @@ pub struct Fixtures {
     pub verify_path: Path,
     /// A built path graph for the find-path measurement.
     pub graph: PathGraph,
-    /// The host agent's materialized router over that graph.
+    /// The find-path core materialized over that graph.
     pub router: PathGraphRouter,
 }
 
@@ -128,8 +128,9 @@ pub fn verify_once(fx: &Fixtures) {
     black_box(trace_tag_path(&fx.topo, fx.src, &fx.verify_path).expect("verifies"));
 }
 
-/// One find-path on the cached subgraph (the host agent keeps the
-/// router materialized, so this is the steady-state cost).
+/// One find-path on the cached subgraph: one search of the core every
+/// host-side route computation runs (`shortest_within` once, each Yen
+/// spur of `k_shortest_within` once), on an already materialized router.
 pub fn find_path_once(fx: &mut Fixtures) {
     let down = std::collections::HashSet::new();
     black_box(fx.router.shortest(&down).expect("route exists"));

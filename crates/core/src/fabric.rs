@@ -687,6 +687,51 @@ mod tests {
     }
 
     #[test]
+    fn trunk_failure_flood_stays_near_tail_at_any_shard_count() {
+        // Cold caches, every host streaming across pods, one
+        // aggregation–core trunk failing under that load: the switches'
+        // notifications and every host's re-flood land in a couple of
+        // calendar buckets while the cursor drains them.
+        fn stream(id: HostId, mut hc: HostAgentConfig) -> HostAgent {
+            hc.actions = vec![AppAction::DataStream {
+                at: SimDuration::from_millis(10),
+                dst: MacAddr::for_host((id.get() + 9) % 16),
+                flow: id.get(),
+                packets: 200,
+                bytes: 1000,
+                interval: SimDuration::from_micros(20),
+            }];
+            HostAgent::new(id, hc)
+        }
+        fn on<W: Engine>(world: W) -> (dumbnet_sim::WorldStats, dumbnet_sim::QueueStats) {
+            let g = generators::fat_tree(4, 2, None);
+            let (agg, core) = (g.group("agg")[0], g.group("core")[0]);
+            let cfg = FabricConfig::default();
+            let mut fabric =
+                Fabric::assemble(world, g.topology, cfg, &g.groups, stream, Controller::new)
+                    .unwrap();
+            fabric.schedule_link_failure(t(12), agg, core).unwrap();
+            fabric.run_until(t(40));
+            (fabric.world.stats(), fabric.world.queue_stats())
+        }
+        let (want, q) = on(World::new(0));
+        assert!(want.packets_delivered > 16 * 150, "{want:?}");
+        // The flood met a draining bucket longer than the near-tail
+        // window (`sim::event::NEAR_TAIL`, 32), and no in-place insert
+        // moved more than that window.
+        assert!(q.largest_bucket > 32 && q.in_place_inserts > 0, "{q:?}");
+        assert!(q.entries_shifted <= 32 * q.in_place_inserts, "{q:?}");
+        assert!(q.entries_shifted < q.pushes, "{q:?}");
+        // Where a push is held is the queue's business: the simulated
+        // result does not depend on it, nor on how cells split the flood.
+        let (sharded, q4) = on(ShardedWorld::new(0, 4));
+        assert_eq!(sharded, want);
+        // (The scheduled failure is mirrored into every cell.)
+        assert!(q4.pushes >= q.pushes, "{q4:?} vs {q:?}");
+        assert!(q4.entries_shifted <= 32 * q4.in_place_inserts, "{q4:?}");
+    }
+
+    #[test]
     fn hybrid_fabric_binds_every_edge() {
         let g = generators::testbed();
         let fabric = Fabric::build_hybrid(g.topology, FabricConfig::default()).unwrap();

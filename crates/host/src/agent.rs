@@ -17,7 +17,10 @@ use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Histogram, NodeKind, Telemetry};
-use dumbnet_types::{norm_edge, HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{
+    norm_edge, FastHashMap, FastHashSet, HostId, MacAddr, Path, PortNo, SimDuration, SimTime,
+    SwitchId,
+};
 
 use crate::pathtable::{FlowKey, PathTable};
 use crate::topocache::TopoCache;
@@ -340,14 +343,14 @@ pub struct HostAgent {
     controller_group: Vec<(MacAddr, Path)>,
     next_controller: usize,
     /// Packets waiting for a PathReply, keyed by destination.
-    pending: HashMap<MacAddr, VecDeque<Packet>>,
+    pending: FastHashMap<MacAddr, VecDeque<Packet>>,
     /// Outstanding path requests: request id → (destination, sent time).
-    outstanding: HashMap<u64, (MacAddr, SimTime)>,
+    outstanding: FastHashMap<u64, (MacAddr, SimTime)>,
     next_request_id: u64,
     next_ping_seq: u64,
     /// Link events already processed (duplicate suppression for the
     /// longer-than-1s flapping the switch can't suppress).
-    seen_events: HashSet<(SwitchId, PortNo, bool, u64)>,
+    seen_events: FastHashSet<(SwitchId, PortNo, bool, u64)>,
     /// Scheduled action progress (for repeating series).
     action_state: Vec<ActionProgress>,
     /// Whether the pending-queue retry sweep is armed.
@@ -443,11 +446,11 @@ impl HostAgent {
             leader_term: 0,
             controller_group: Vec::new(),
             next_controller: 0,
-            pending: HashMap::new(),
-            outstanding: HashMap::new(),
+            pending: FastHashMap::default(),
+            outstanding: FastHashMap::default(),
             next_request_id: 1,
             next_ping_seq: 1,
-            seen_events: HashSet::new(),
+            seen_events: FastHashSet::default(),
             action_state,
             retry_armed: false,
             flood_backlog: Vec::new(),

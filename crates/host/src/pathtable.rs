@@ -6,10 +6,10 @@
 //! binds a flow to a particular path, except when a customized routing
 //! function tells it to do otherwise."
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dumbnet_topology::Route;
-use dumbnet_types::{norm_edge, MacAddr, Path, SwitchId};
+use dumbnet_types::{norm_edge, FastHashMap, MacAddr, Path, SwitchId};
 
 /// Key identifying a transport flow on the sending host. The default
 /// routing function binds each key to one cached path; the flowlet
@@ -46,7 +46,7 @@ pub struct PathTableEntry {
     /// The failure-disjoint backup (§4.3).
     pub backup: Option<CachedPath>,
     /// Flow → index into `paths` (or `usize::MAX` for the backup).
-    bindings: HashMap<FlowKey, usize>,
+    bindings: FastHashMap<FlowKey, usize>,
 }
 
 /// Index value marking a flow bound to the backup path.
@@ -68,7 +68,7 @@ impl PathTableEntry {
 /// The PathTable.
 #[derive(Debug, Clone, Default)]
 pub struct PathTable {
-    entries: HashMap<MacAddr, PathTableEntry>,
+    entries: FastHashMap<MacAddr, PathTableEntry>,
     /// Switch pairs under quarantine (normalized, ordered): paths over
     /// these edges stay cached (restore must be hitless) but lookups
     /// steer flows away whenever a clean alternative exists.

@@ -6,11 +6,18 @@
 //! not found, it queries the controller and integrates the returned path
 //! graph into its cache. Otherwise, it computes the k shortest paths from
 //! src to dst and randomly chooses one as the path."
+//!
+//! The k-path extraction is `PathGraph::k_shortest_within` — one dense
+//! router built per call, reused by every Yen spur — and is memoized
+//! until a graph arrives or an edge changes state, so a host pays it
+//! once per destination per failure, not per packet. The maps here are
+//! keyed by MACs the emulator hands out, hence `FastHashMap`; the down
+//! set keeps the default hasher because `down_edges` lends it out.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dumbnet_topology::{PathGraph, Route};
-use dumbnet_types::{MacAddr, Path, SwitchId};
+use dumbnet_types::{FastHashMap, MacAddr, Path, SwitchId};
 
 use crate::pathtable::CachedPath;
 
@@ -18,7 +25,7 @@ use crate::pathtable::CachedPath;
 #[derive(Debug, Clone, Default)]
 pub struct TopoCache {
     /// Path graphs keyed by destination MAC.
-    graphs: HashMap<MacAddr, PathGraph>,
+    graphs: FastHashMap<MacAddr, PathGraph>,
     /// Edges the host currently believes are down (from failure
     /// notifications not yet superseded by a topology patch).
     down: HashSet<(SwitchId, SwitchId)>,
@@ -26,7 +33,7 @@ pub struct TopoCache {
     pub topo_version: u64,
     /// Memoized [`TopoCache::k_paths`] results, valid for the current
     /// `(graphs, down)` state; cleared on integrate/mark_down/mark_up.
-    k_memo: HashMap<(MacAddr, usize), (Vec<CachedPath>, Option<CachedPath>)>,
+    k_memo: FastHashMap<(MacAddr, usize), (Vec<CachedPath>, Option<CachedPath>)>,
 }
 
 impl TopoCache {

@@ -56,7 +56,7 @@ use dumbnet_telemetry::{
 };
 use dumbnet_types::{mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, QueueStats};
 use crate::faults::FaultProfile;
 
 /// Address of a node inside a [`World`].
@@ -1539,6 +1539,16 @@ pub trait Engine {
         let mut total = WorldStats::default();
         for cell in self.cells() {
             total += cell.stats();
+        }
+        total
+    }
+
+    /// What the event queues did, folded over the cells (see
+    /// [`QueueStats`] for why this is not a telemetry metric).
+    fn queue_stats(&self) -> QueueStats {
+        let mut total = QueueStats::default();
+        for cell in self.cells() {
+            total += cell.queue.stats();
         }
         total
     }

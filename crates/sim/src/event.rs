@@ -16,19 +16,25 @@
 //! microseconds — land in a fixed ring of buckets indexed by
 //! `time >> BUCKET_SHIFT`. Pushing is an append onto a small vector;
 //! popping sorts the active bucket lazily (once, when the cursor
-//! reaches it) and then pops from its tail. Events beyond the wheel
-//! horizon, or behind the cursor after it advanced past their bucket,
-//! go to the overflow heap; `pop` compares the wheel head against the
-//! overflow head by `(time, key)`, so the total order is exactly the
-//! one a pure-heap implementation would produce.
+//! reaches it) and then pops from its front. A push into the bucket
+//! being drained is inserted in place only when it belongs within the
+//! last `NEAR_TAIL` entries (the near-tail rule). Everything else —
+//! events beyond the wheel horizon, behind the cursor after it advanced
+//! past their bucket, or deeper inside the draining bucket — goes to
+//! the overflow heap; every pop and peek compares the wheel head
+//! against the overflow head by `(time, key)`, so the total order is
+//! exactly the one a pure-heap implementation would produce wherever an
+//! event is held.
 //!
 //! Payloads live in a slab and the wheel/heap carry `(time, key, slot)`
 //! triples: sorting, mid-bucket inserts, and heap sift operations move
 //! 24-byte entries instead of whole events (a `Packet`-carrying event
 //! is ~10× that). The slab recycles slots through a free list, so the
-//! queue stops allocating once it has seen its high-water mark — this
-//! is what keeps burst workloads (pipelined discovery, patch floods)
-//! from going quadratic on same-bucket memmoves.
+//! queue stops allocating once it has seen its high-water mark. What
+//! keeps a burst (a failure flood re-flooded by every host, pipelined
+//! discovery) from going quadratic on same-bucket memmoves is the
+//! near-tail rule: an in-place insert moves at most `NEAR_TAIL` entries
+//! and the rest pay the heap's O(log n). [`EventQueue::stats`] counts both.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -42,6 +48,47 @@ const BUCKET_SHIFT: u32 = 12;
 /// overflow heap, which is no worse than the old implementation.
 const WHEEL_BITS: u32 = 10;
 const WHEEL: usize = 1 << WHEEL_BITS;
+/// A push into the bucket being drained is inserted in place only when
+/// at most this many entries sort after it: 32 × 24 B is twelve cache
+/// lines, the most one insert may move. The storms' draining buckets
+/// never grow past it and discovery's only grow at the tail; a failure
+/// flood's 50 000-entry bucket sends everything deeper to the overflow
+/// heap instead of shifting kilobytes per push.
+const NEAR_TAIL: usize = 32;
+
+/// What the queue did, as plain counters bumped on paths that already
+/// branch. Deliberately *not* in the telemetry registry: which pushes
+/// meet a draining bucket depends on how nodes are spread over cells,
+/// so the values legitimately differ by shard count and would break the
+/// byte-identical snapshot gates. Read them through
+/// `Engine::queue_stats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events pushed.
+    pub pushes: u64,
+    /// Pushes inserted in place into the bucket being drained.
+    pub in_place_inserts: u64,
+    /// Entries those inserts moved (the deque shifts the shorter side);
+    /// at most `NEAR_TAIL` each.
+    pub entries_shifted: u64,
+    /// Pushes that took the overflow heap: beyond the horizon, behind
+    /// the cursor, or too deep inside the draining bucket.
+    pub overflow_pushes: u64,
+    /// Longest any bucket was while the cursor was on it.
+    pub largest_bucket: u64,
+}
+
+impl std::ops::AddAssign for QueueStats {
+    /// Folds another queue's counters in: counts add, `largest_bucket`
+    /// is the larger of the two.
+    fn add_assign(&mut self, other: QueueStats) {
+        self.pushes += other.pushes;
+        self.in_place_inserts += other.in_place_inserts;
+        self.entries_shifted += other.entries_shifted;
+        self.overflow_pushes += other.overflow_pushes;
+        self.largest_bucket = self.largest_bucket.max(other.largest_bucket);
+    }
+}
 
 /// One wheel slot. `sorted` buckets hold items in *ascending*
 /// `(time, key)` order; the earliest event pops off the front in O(1).
@@ -72,6 +119,7 @@ pub struct EventQueue<E> {
     /// entries. `None` slots are free and listed in `free`.
     slab: Vec<Option<E>>,
     free: Vec<u32>,
+    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -83,6 +131,7 @@ impl<E> Default for EventQueue<E> {
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
+            stats: QueueStats::default(),
         }
     }
 }
@@ -157,6 +206,7 @@ impl<E> EventQueue<E> {
     /// events fire in ascending key order regardless of push order.
     pub fn push(&mut self, at: SimTime, key: u64, event: E) {
         let slot = self.store(event);
+        self.stats.pushes += 1;
         let vb = vb_of(at);
         if self.wheel_len == 0 {
             // Empty wheel: the window can be repositioned freely (pop
@@ -165,21 +215,33 @@ impl<E> EventQueue<E> {
         }
         if vb >= self.base_vb && vb - self.base_vb < WHEEL as u64 {
             let bucket = &mut self.wheel[slot_of(vb)];
-            if bucket.sorted && !bucket.items.is_empty() {
-                // The cursor already sorted this bucket (ascending);
-                // keep the invariant.
-                let pos = sorted_pos(&bucket.items, at, key);
-                bucket.items.insert(pos, (at, key, slot));
-            } else {
+            let n = bucket.items.len();
+            if !bucket.sorted || n == 0 {
                 bucket.sorted = false;
                 bucket.items.push_back((at, key, slot));
+                self.wheel_len += 1;
+                return;
             }
-            self.wheel_len += 1;
-        } else {
-            // Beyond the horizon, or behind a cursor that advanced past
-            // this bucket while an earlier overflow event was popping.
-            self.overflow.push(Reverse((at, key, slot)));
+            // The cursor already sorted this bucket (ascending) and is
+            // draining it: keep the invariant, but only near the tail.
+            let near = n <= NEAR_TAIL || {
+                let deep = bucket.items[n - NEAR_TAIL - 1];
+                (deep.0, deep.1) <= (at, key)
+            };
+            if near {
+                let pos = sorted_pos(&bucket.items, at, key);
+                bucket.items.insert(pos, (at, key, slot));
+                self.wheel_len += 1;
+                self.stats.in_place_inserts += 1;
+                self.stats.entries_shifted += pos.min(n - pos) as u64;
+                self.stats.largest_bucket = self.stats.largest_bucket.max(n as u64 + 1);
+                return;
+            }
         }
+        // Beyond the horizon, behind a cursor that an earlier overflow
+        // pop left ahead, or deeper than NEAR_TAIL in the draining bucket.
+        self.stats.overflow_pushes += 1;
+        self.overflow.push(Reverse((at, key, slot)));
     }
 
     /// Advances the cursor to the first non-empty bucket and returns the
@@ -196,6 +258,7 @@ impl<E> EventQueue<E> {
                 .make_contiguous()
                 .sort_unstable_by_key(|x| (x.0, x.1));
             bucket.sorted = true;
+            self.stats.largest_bucket = self.stats.largest_bucket.max(bucket.items.len() as u64);
         }
         let head = bucket.items.front().expect("non-empty bucket");
         (head.0, head.1)
@@ -325,27 +388,13 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let wheel_t = if self.wheel_len > 0 {
-            let mut vb = self.base_vb;
-            loop {
-                let bucket = &self.wheel[slot_of(vb)];
-                if !bucket.items.is_empty() {
-                    break Some(if bucket.sorted {
-                        bucket.items.front().expect("non-empty").0
-                    } else {
-                        bucket.items.iter().map(|e| e.0).min().expect("non-empty")
-                    });
-                }
-                vb += 1;
-            }
-        } else {
-            None
-        };
-        let over_t = self.overflow.peek().map(|Reverse((t, _, _))| *t);
-        match (wheel_t, over_t) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (t, None) | (None, t) => t,
-        }
+        self.peek_head().map(|(at, _)| at)
+    }
+
+    /// What the queue has done since it was created.
+    #[must_use]
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Number of pending events.
@@ -505,6 +554,102 @@ mod tests {
             assert_eq!(q.pop(), Some((at, key)));
         }
         assert!(q.is_empty());
+    }
+
+    /// The failure-flood regime against a `BTreeSet` model: one bucket
+    /// holding 50 000 entries when the cursor sorts it, and two pushes
+    /// per pop while it drains — at its head, middle and tail, past it,
+    /// and beyond the horizon — so the wheel and the overflow heap both
+    /// hold the bucket's instants. Every pop variant takes its turn and
+    /// `peek_head` / `peek_time` / `len` are compared after every step.
+    #[test]
+    fn flood_bucket_matches_the_model_and_shifts_near_tail_only() {
+        use std::collections::BTreeSet;
+        const BUCKET: u64 = 1 << BUCKET_SHIFT;
+        let t = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let (mut key, mut rand) = (0u64, 0x2545_F491_4F6C_DD1Du64);
+        let mut draw = |below: u64| {
+            rand ^= rand << 13;
+            rand ^= rand >> 7;
+            rand ^= rand << 17;
+            rand % below
+        };
+        let mut push = |q: &mut EventQueue<u64>, model: &mut BTreeSet<_>, at: u64| {
+            key += 1;
+            q.push(t(at), key, key);
+            model.insert((t(at), key));
+        };
+        let agree = |q: &EventQueue<u64>, model: &BTreeSet<(SimTime, u64)>| {
+            assert_eq!(q.peek_head(), model.first().copied());
+            assert_eq!(q.peek_time(), model.first().map(|h| h.0));
+            assert_eq!(q.len(), model.len());
+        };
+        // The flood lands in bucket 10 before the cursor gets there;
+        // its last 64 ns are left to the tail pushes below.
+        let (lo, hi) = (10 * BUCKET, 11 * BUCKET);
+        for _ in 0..50_000 {
+            let at = lo + draw(BUCKET - 64);
+            push(&mut q, &mut model, at);
+        }
+        agree(&q, &model);
+        let mut now = lo;
+        for step in 0..120_000u64 {
+            if model.is_empty() {
+                break;
+            }
+            if step < 30_000 {
+                // Re-floods while draining: two pushes per pop. The
+                // first goes anywhere from the head on …
+                let ahead = (hi - 64).saturating_sub(now).max(1);
+                let at = match step % 5 {
+                    0 => now,                            // equal to the head's instant
+                    1 => now + draw(ahead),              // anywhere in the bucket
+                    2 => now + ahead / 2,                // its middle
+                    3 => hi + draw(3 * BUCKET),          // past it
+                    _ => now + 5_000_000 + draw(BUCKET), // beyond the horizon
+                };
+                push(&mut q, &mut model, at);
+                // … the second at a slowly advancing tail instant or the
+                // one before it, which is a near-tail insert while the
+                // newest instant is young and a deep one after.
+                let tail = hi - 64 + step / 512;
+                push(&mut q, &mut model, tail - draw(2));
+                agree(&q, &model);
+            }
+            let (at, k) = *model.first().expect("non-empty");
+            let popped = match step % 4 {
+                0 => q.pop(),
+                1 => q.pop_before(at),
+                2 => {
+                    assert_eq!(q.pop_strictly_before(at), None);
+                    q.pop_strictly_before(at + SimDuration::from_nanos(1))
+                }
+                _ => {
+                    assert_eq!(q.pop_before(t(at.nanos() - 1)), None);
+                    q.pop()
+                }
+            };
+            assert_eq!(popped, Some((at, k)), "step {step}");
+            model.pop_first();
+            now = now.max(at.nanos()).min(hi - 65);
+            agree(&q, &model);
+        }
+        assert!(q.is_empty() && model.is_empty());
+        let s = q.stats();
+        assert_eq!(s.pushes, 50_000 + 2 * 30_000);
+        assert!(s.largest_bucket >= 50_000, "{s:?}");
+        // Both homes were used, and an in-place insert never moved more
+        // than the near-tail window.
+        assert!(
+            s.overflow_pushes > 10_000 && s.in_place_inserts > 10_000,
+            "{s:?}"
+        );
+        assert!(
+            s.entries_shifted <= NEAR_TAIL as u64 * s.in_place_inserts,
+            "{s:?}"
+        );
     }
 
     #[test]

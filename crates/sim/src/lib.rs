@@ -35,6 +35,7 @@ pub mod shard;
 
 pub use chaos::{ChaosReport, ChaosRunner};
 pub use engine::{Ctx, Engine, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
+pub use event::QueueStats;
 pub use faults::{
     BurstWindow, ChaosPlan, CrashSchedule, FaultProfile, FlapSchedule, PartitionSchedule,
 };

@@ -20,10 +20,21 @@ use crate::error::DumbNetError;
 /// assert!(mac.is_locally_administered());
 /// assert!(!mac.is_multicast());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
 pub struct MacAddr(pub [u8; 6]);
+
+impl std::hash::Hash for MacAddr {
+    /// Hashes the address as one 48-bit number. The derived byte-slice
+    /// form puts the octets that tell emulated hosts apart — the last
+    /// ones — into the *high* bits of a little-endian word, which a
+    /// multiply-only hasher ([`crate::FastHashMap`]) never carries down
+    /// into the bits a hash table indexes by: every
+    /// [`MacAddr::for_host`] key would share one probe sequence.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f] = self.0;
+        state.write_u64(u64::from_be_bytes([0, 0, a, b, c, d, e, f]));
+    }
+}
 
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
@@ -118,6 +129,34 @@ impl std::str::FromStr for MacAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_macs_spread_over_both_ends_of_a_fast_hash() {
+        use std::hash::BuildHasher;
+        // A hash table indexes by the low bits and tags by the top
+        // seven; 128 consecutive hosts must not pile up in either.
+        let build = std::hash::BuildHasherDefault::<crate::fasthash::FxHasher64>::default();
+        let hashes: Vec<u64> = (0..128)
+            .map(|n| build.hash_one(MacAddr::for_host(n)))
+            .collect();
+        let distinct = |f: fn(u64) -> u64| {
+            hashes
+                .iter()
+                .map(|&h| f(h))
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+        };
+        assert!(
+            distinct(|h| h & 127) > 64,
+            "low bits: {}",
+            distinct(|h| h & 127)
+        );
+        assert!(
+            distinct(|h| h >> 57) > 32,
+            "top bits: {}",
+            distinct(|h| h >> 57)
+        );
+    }
 
     #[test]
     fn host_mac_round_trip() {
