@@ -33,7 +33,7 @@ use dumbnet_ext::ecn::EcnFlowletRouting;
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{HostAgent, HostAgentConfig};
 use dumbnet_sim::{EdgeId, Engine, FaultProfile, FlowId, HybridWorld, World};
-use dumbnet_topology::{generators, spath, Topology};
+use dumbnet_topology::{generators, spath};
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,28 +123,24 @@ struct Elephants {
 
 fn plan_elephants(
     fabric: &Fabric<HybridWorld>,
-    topo: &Topology,
     fanin: usize,
     background: usize,
     victim: HostId,
 ) -> Elephants {
+    let topo = &fabric.topology;
     let hosts = topo.host_count();
     let mut picker = HostPicker::new(hosts, &[HostId(0), victim]);
-    let route_between = |src: HostId, dst: HostId, salt: u64| {
-        let mut rng = StdRng::seed_from_u64(SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        spath::shortest_route(
-            topo,
-            topo.host(src).expect("src exists").attached.switch,
-            topo.host(dst).expect("dst exists").attached.switch,
-            &mut rng,
-        )
-        .expect("fat-tree is connected")
-    };
+    let switch_of = |h: HostId| topo.host(h).expect("host exists").attached.switch;
+    let salted = |salt: u64| StdRng::seed_from_u64(SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Every incast route ends at the victim's switch: one distance map.
+    let to_victim = spath::distances(topo, switch_of(victim));
     let mut incast = Vec::with_capacity(fanin);
     let stride = hosts / fanin.max(1);
     for i in 0..fanin {
         let src = picker.claim(2 + i * stride.max(1));
-        let route = route_between(src, victim, i as u64);
+        let mut rng = salted(i as u64);
+        let route = spath::shortest_route_over(topo, switch_of(src), &to_victim, &mut rng)
+            .expect("fat-tree is connected");
         let path = fabric
             .flow_path(src, victim, &route)
             .expect("route maps onto flow edges");
@@ -155,7 +151,9 @@ fn plan_elephants(
     for i in 0..background {
         let src = picker.claim(37 + i * 97);
         let dst = picker.claim(71 + i * 193);
-        let route = route_between(src, dst, 0x4000 + i as u64);
+        let mut rng = salted(0x4000 + i as u64);
+        let route = spath::shortest_route(topo, switch_of(src), switch_of(dst), &mut rng)
+            .expect("fat-tree is connected");
         if failed_trunk.is_none() {
             let sw = route.switches();
             if sw.len() >= 2 {
@@ -179,10 +177,9 @@ fn plan_elephants(
 #[must_use]
 pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> IncastPoint {
     let g = generators::fat_tree(K, HOSTS_PER_EDGE, None);
-    let topo = g.topology.clone();
     let victim = HostId(1);
     let victim_mac = MacAddr::for_host(victim.get());
-    let hosts = topo.host_count();
+    let hosts = g.topology.host_count();
 
     // Mice: even streams pile onto the victim (crossing its saturated
     // downlink), odd streams cross pods at random — both with
@@ -235,7 +232,7 @@ pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> 
         fabric.world.flow_mut().set_check_full_solve(true);
     }
 
-    let plan = plan_elephants(&fabric, &topo, fanin, background, victim);
+    let plan = plan_elephants(&fabric, fanin, background, victim);
     let mut incast_flows: Vec<FlowId> = Vec::with_capacity(fanin);
     let mut total_bits = 0u64;
     for (path, bytes) in &plan.incast {

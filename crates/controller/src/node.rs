@@ -679,11 +679,11 @@ impl Controller {
         let Some(my_sw) = topo.host_by_mac(self.mac).map(|h| h.attached.switch) else {
             return;
         };
-        let mut seen = HashSet::new();
+        let mut seen = vec![false; topo.switch_count()];
         let mut pairs = Vec::new();
         for h in topo.hosts() {
             let s = h.attached.switch;
-            if s != my_sw && seen.insert(s) {
+            if s != my_sw && !std::mem::replace(&mut seen[s.get() as usize], true) {
                 pairs.push((my_sw, s));
                 pairs.push((s, my_sw));
             }

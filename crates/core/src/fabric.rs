@@ -179,36 +179,40 @@ impl<W: Engine> Fabric<HybridWorld<W>> {
     /// over the same fabric. Call once, straight after
     /// [`Fabric::assemble`] and before any flow starts (edge ids are
     /// dense from zero); the other hybrid accessors need the binding.
+    /// Linear in the edge count: each trunk edge finds its wire through
+    /// its own switch's ports.
     #[must_use]
     pub fn bind_flow_edges(mut self) -> Self {
         let map = EdgeMap::build(&self.topology);
         for (ix, kind) in map.edges() {
-            let (wire, dir) = match kind {
-                EdgeKind::Trunk { from, to } => {
-                    let wire = self
-                        .trunk_wire(from, to)
-                        .expect("enumerated trunk has a wire");
-                    // Trunk wires are created with `link.a` as the
-                    // a-side; dir 0 is a→b.
-                    let ((a_addr, _), _) = self.world.wire_endpoints(wire);
-                    let dir = usize::from(a_addr != self.switch_addr[from.get() as usize]);
-                    (wire, dir)
-                }
-                // Access wires are created host-side first, so dir 0 is
-                // host → switch (the uplink).
-                EdgeKind::HostUp(h) => {
-                    (self.access_wire(h).expect("enumerated host has a wire"), 0)
-                }
-                EdgeKind::HostDown(h) => {
-                    (self.access_wire(h).expect("enumerated host has a wire"), 1)
-                }
-            };
+            let (wire, dir) = self.flow_edge_wire(kind);
             let nominal = self.world.wire_params(wire).bandwidth;
             let id = self.world.bind_edge(Some(wire), dir, nominal);
             assert_eq!(id.0, ix.0, "flow edges must mirror the enumeration");
         }
         self.edge_map = Some(map);
         self
+    }
+
+    /// The wire a directed flow edge models and which of its directions
+    /// (0 = a→b).
+    fn flow_edge_wire(&self, kind: EdgeKind) -> (WireId, usize) {
+        match kind {
+            EdgeKind::Trunk { from, to } => {
+                let wire = self
+                    .trunk_wire(from, to)
+                    .expect("enumerated trunk has a wire");
+                // Trunk wires are created with `link.a` as the
+                // a-side; dir 0 is a→b.
+                let ((a_addr, _), _) = self.world.wire_endpoints(wire);
+                let dir = usize::from(a_addr != self.switch_addr[from.get() as usize]);
+                (wire, dir)
+            }
+            // Access wires are created host-side first, so dir 0 is
+            // host → switch (the uplink).
+            EdgeKind::HostUp(h) => (self.access_wire(h).expect("enumerated host has a wire"), 0),
+            EdgeKind::HostDown(h) => (self.access_wire(h).expect("enumerated host has a wire"), 1),
+        }
     }
 
     /// The shared wire↔edge mapping this fabric was bound with.
@@ -436,8 +440,9 @@ impl<W: Engine> Fabric<W> {
         Ok(())
     }
 
-    /// Engine wire of the trunk link between switches `a` and `b`, for
-    /// targeting fault profiles and flap schedules.
+    /// Engine wire of the trunk link between switches `a` and `b`
+    /// (the lowest-numbered link of a parallel pair), for targeting
+    /// fault profiles and flap schedules. Costs a scan of `a`'s ports.
     #[must_use]
     pub fn trunk_wire(&self, a: SwitchId, b: SwitchId) -> Option<WireId> {
         let link = self.topology.link_between(a, b)?;
@@ -740,6 +745,35 @@ mod tests {
         assert_eq!(fabric.world.flow_edge_count(), map.len());
         // Full DumbNet stack still boots on the hybrid engine.
         assert!(fabric.controller(HostId(0)).is_some());
+    }
+
+    #[test]
+    fn trunk_edges_bind_to_the_wire_a_link_table_scan_finds() {
+        // The `fabric_mix` shape. Trunk wires are created in link order
+        // with `link.a` on the a-side, so the first link of the table
+        // joining a pair names the wire and the direction outright.
+        let g = generators::fat_tree(8, 4, None);
+        let fabric = Fabric::build_hybrid(g.topology, FabricConfig::default()).unwrap();
+        let mut trunks = 0usize;
+        for (_, kind) in fabric.edge_map().edges() {
+            let EdgeKind::Trunk { from, to } = kind else {
+                continue;
+            };
+            let link = fabric
+                .topology
+                .links()
+                .find(|l| {
+                    (l.a.switch == from && l.b.switch == to)
+                        || (l.a.switch == to && l.b.switch == from)
+                })
+                .expect("enumerated trunk has a link");
+            let wire = WireId::from_raw(link.id.index());
+            let want = (wire, usize::from(link.a.switch != from));
+            assert_eq!(fabric.flow_edge_wire(kind), want, "{from} → {to}");
+            trunks += 1;
+        }
+        assert_eq!(trunks, 2 * fabric.topology.link_count());
+        assert_eq!(fabric.world.flow_edge_count(), fabric.edge_map().len());
     }
 
     #[test]

@@ -4,6 +4,16 @@
 //! just which switches are adjacent but through which port pair each link
 //! runs. Switches and hosts use dense IDs (`SwitchId(0..s)`,
 //! `HostId(0..h)`) so lookups are vector indexing.
+//!
+//! The adjacency has one representation: each switch's port slots. A
+//! trunk port's slot names its link, the switch at the far end and
+//! whether the link is up, so [`Topology::neighbors`] is one scan of the
+//! switch's own ports — in ascending port order, which is contract (the
+//! order of a path graph's edges, and so the bytes of a `PathReply`,
+//! follow from it) — and [`Topology::link_between`] is a scan of one
+//! switch's ports, not of every link. [`Topology::set_link_state`]
+//! keeps the `up` copies on both ends equal to [`Link::up`];
+//! [`Topology::check_invariants`] cross-checks them.
 
 use std::collections::HashMap;
 
@@ -20,6 +30,50 @@ pub enum Attachment {
     Host(HostId),
 }
 
+/// One port of a switch, as stored: what [`Attachment`] says plus, for
+/// a trunk port, the two facts every routing scan wants without a trip
+/// to the link table. Dense switch and host indices are held as `u32`
+/// (the tables assert they fit) so a slot is 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum PortSlot {
+    /// Nothing is wired here.
+    Free,
+    /// The port faces the host with this dense ID.
+    Host(u32),
+    /// The port is one end of link `id`.
+    Link {
+        /// The link's `LinkId`.
+        id: u32,
+        /// The switch at the far end. Both ends of a loop-back cable
+        /// name their own switch.
+        peer: u32,
+        /// Copy of [`Link::up`].
+        up: bool,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<PortSlot>() <= 12);
+
+impl PortSlot {
+    fn attachment(self) -> Option<Attachment> {
+        match self {
+            PortSlot::Free => None,
+            PortSlot::Host(h) => Some(Attachment::Host(HostId::new(u64::from(h)))),
+            PortSlot::Link { id, .. } => Some(Attachment::Link(LinkId::new(id))),
+        }
+    }
+}
+
+/// The port stored at index `ix` of a switch's slots.
+fn port_at(ix: usize) -> PortNo {
+    PortNo::from_index(ix).expect("stored index valid")
+}
+
+/// A dense switch ID as the slots hold it.
+fn dense(sw: SwitchId) -> u32 {
+    u32::try_from(sw.get()).expect("switch table fits in u32")
+}
+
 /// A switch and its port map.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SwitchInfo {
@@ -28,21 +82,23 @@ pub struct SwitchInfo {
     /// Number of physical ports.
     pub ports: u8,
     /// `wiring[p.index()]` describes what port `p` connects to.
-    wiring: Vec<Option<Attachment>>,
+    wiring: Vec<PortSlot>,
 }
 
 impl SwitchInfo {
     /// What the given port is wired to, if anything.
     #[must_use]
     pub fn attachment(&self, port: PortNo) -> Option<Attachment> {
-        self.wiring.get(port.index()).copied().flatten()
+        self.wiring.get(port.index())?.attachment()
     }
 
-    /// Iterates over `(port, attachment)` for all wired ports.
+    /// Iterates over `(port, attachment)` for all wired ports, in
+    /// ascending port order.
     pub fn wired_ports(&self) -> impl Iterator<Item = (PortNo, Attachment)> + '_ {
-        self.wiring.iter().enumerate().filter_map(|(ix, a)| {
-            a.map(|att| (PortNo::from_index(ix).expect("stored index valid"), att))
-        })
+        self.wiring
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, slot)| slot.attachment().map(|att| (port_at(ix), att)))
     }
 
     /// First unwired port, if any (used by generators and tests).
@@ -50,14 +106,17 @@ impl SwitchInfo {
     pub fn free_port(&self) -> Option<PortNo> {
         self.wiring
             .iter()
-            .position(Option::is_none)
+            .position(|&slot| slot == PortSlot::Free)
             .and_then(PortNo::from_index)
     }
 
     /// Number of wired ports.
     #[must_use]
     pub fn degree(&self) -> usize {
-        self.wiring.iter().filter(|a| a.is_some()).count()
+        self.wiring
+            .iter()
+            .filter(|&&slot| slot != PortSlot::Free)
+            .count()
     }
 }
 
@@ -137,13 +196,19 @@ impl Topology {
     ///
     /// Port counts above 254 are clamped: the one-byte tag space cannot
     /// address more ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the switch table would outgrow the `u32` indices the
+    /// port slots hold.
     pub fn add_switch(&mut self, ports: u8) -> SwitchId {
-        let id = SwitchId::new(self.switches.len() as u64);
+        let id = u32::try_from(self.switches.len()).expect("switch table fits in u32");
+        let id = SwitchId::new(u64::from(id));
         let ports = ports.min(0xFE);
         self.switches.push(SwitchInfo {
             id,
             ports,
-            wiring: vec![None; usize::from(ports)],
+            wiring: vec![PortSlot::Free; usize::from(ports)],
         });
         id
     }
@@ -167,6 +232,11 @@ impl Topology {
     ///
     /// Fails if the switch or port does not exist, the port is wired, or
     /// the MAC is already present.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host table would outgrow the `u32` indices the
+    /// port slots hold.
     pub fn add_host_with_mac(
         &mut self,
         switch: SwitchId,
@@ -178,14 +248,15 @@ impl Topology {
                 "duplicate host MAC {mac}"
             )));
         }
-        let id = HostId::new(self.hosts.len() as u64);
+        let dense_id = u32::try_from(self.hosts.len()).expect("host table fits in u32");
+        let id = HostId::new(u64::from(dense_id));
         let slot = self.port_slot_mut(switch, port)?;
-        if slot.is_some() {
+        if *slot != PortSlot::Free {
             return Err(DumbNetError::PortInUse(
                 PortId::new(switch, port).to_string(),
             ));
         }
-        *slot = Some(Attachment::Host(id));
+        *slot = PortSlot::Host(dense_id);
         let info = HostInfo {
             id,
             mac,
@@ -236,17 +307,27 @@ impl Topology {
             )));
         }
         // Validate both before mutating either.
-        if self.port_slot(a.switch, a.port)?.is_some() {
+        if *self.port_slot(a.switch, a.port)? != PortSlot::Free {
             return Err(DumbNetError::PortInUse(a.to_string()));
         }
-        if self.port_slot(b.switch, b.port)?.is_some() {
+        if *self.port_slot(b.switch, b.port)? != PortSlot::Free {
             return Err(DumbNetError::PortInUse(b.to_string()));
         }
-        let id = LinkId::new(self.links.len() as u32);
-        self.links.push(Link { id, a, b, up: true });
-        *self.port_slot_mut(a.switch, a.port)? = Some(Attachment::Link(id));
-        *self.port_slot_mut(b.switch, b.port)? = Some(Attachment::Link(id));
-        Ok(id)
+        let id = u32::try_from(self.links.len()).expect("link table fits in u32");
+        self.links.push(Link {
+            id: LinkId::new(id),
+            a,
+            b,
+            up: true,
+        });
+        for (end, far) in [(a, b), (b, a)] {
+            *self.port_slot_mut(end.switch, end.port)? = PortSlot::Link {
+                id,
+                peer: dense(far.switch),
+                up: true,
+            };
+        }
+        Ok(LinkId::new(id))
     }
 
     /// Connects two switches using each side's first free port.
@@ -350,16 +431,31 @@ impl Topology {
             .links
             .get_mut(id.index())
             .ok_or(DumbNetError::UnknownLink(id.get()))?;
-        Ok(std::mem::replace(&mut link.up, up))
+        let was = std::mem::replace(&mut link.up, up);
+        for end in [link.a, link.b] {
+            match self.port_slot_mut(end.switch, end.port)? {
+                PortSlot::Link { up: slot_up, .. } => *slot_up = up,
+                other => unreachable!("link {id} endpoint {end} wired to {other:?}"),
+            }
+        }
+        Ok(was)
     }
 
-    /// The link between two switches, if one exists (first match for
-    /// multi-link pairs).
+    /// The link between two switches, if one exists, whatever its state
+    /// (the lowest [`LinkId`] for multi-link pairs). Scans `a`'s ports,
+    /// so the cost is `a`'s port count, not the fabric's link count.
     #[must_use]
     pub fn link_between(&self, a: SwitchId, b: SwitchId) -> Option<&Link> {
-        self.links
+        let b = u32::try_from(b.get()).ok()?;
+        let first = self
+            .slots(a)
             .iter()
-            .find(|l| (l.a.switch == a && l.b.switch == b) || (l.a.switch == b && l.b.switch == a))
+            .filter_map(|&slot| match slot {
+                PortSlot::Link { id, peer, .. } if peer == b => Some(id),
+                _ => None,
+            })
+            .min()?;
+        self.links.get(first as usize)
     }
 
     /// The link attached to `(switch, port)`, if that port is a trunk.
@@ -379,26 +475,31 @@ impl Topology {
             .and_then(|s| s.attachment(port.port))
     }
 
-    /// Up-link neighbors of a switch: `(out_port, neighbor, link)`.
+    /// Up-link neighbors of a switch, `(out_port, neighbor, link)` in
+    /// ascending port order: one scan of the switch's own port slots.
     ///
     /// Down links are skipped — this is the routing view.
     pub fn neighbors(&self, sw: SwitchId) -> impl Iterator<Item = (PortNo, SwitchId, LinkId)> + '_ {
-        self.switches
-            .get(sw.get() as usize)
-            .into_iter()
-            .flat_map(move |info| {
-                info.wired_ports().filter_map(move |(port, att)| match att {
-                    Attachment::Link(lid) => {
-                        let link = self.links.get(lid.index())?;
-                        if !link.up {
-                            return None;
-                        }
-                        let (_, remote) = link.from_switch(sw)?;
-                        Some((port, remote.switch, lid))
-                    }
-                    Attachment::Host(_) => None,
-                })
+        self.slots(sw)
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, &slot)| match slot {
+                PortSlot::Link { id, peer, up: true } => {
+                    Some((port_at(ix), SwitchId::new(u64::from(peer)), LinkId::new(id)))
+                }
+                _ => None,
             })
+    }
+
+    /// The switches [`Topology::neighbors`] yields, in the same order,
+    /// for the whole-fabric scans in [`crate::spath`] that use neither
+    /// port nor link: assembling the unused two costs a BFS a third of
+    /// its time.
+    pub(crate) fn peers(&self, sw: SwitchId) -> impl Iterator<Item = SwitchId> + '_ {
+        self.slots(sw).iter().filter_map(|&slot| match slot {
+            PortSlot::Link { peer, up: true, .. } => Some(SwitchId::new(u64::from(peer))),
+            _ => None,
+        })
     }
 
     /// Hosts attached to a switch: `(port, host)`.
@@ -450,6 +551,31 @@ impl Topology {
                 }
             }
         }
+        // Every trunk slot repeats what its link says: the switch at the
+        // far end, and whether the link is up.
+        for info in &self.switches {
+            for (ix, slot) in info.wiring.iter().enumerate() {
+                let PortSlot::Link { id, peer, up } = *slot else {
+                    continue;
+                };
+                let here = PortId::new(info.id, port_at(ix));
+                let far = self.links.get(id as usize).and_then(|l| {
+                    let far = if l.a == here {
+                        l.b
+                    } else if l.b == here {
+                        l.a
+                    } else {
+                        return None;
+                    };
+                    Some((dense(far.switch), l.up))
+                });
+                if far != Some((peer, up)) {
+                    return Err(DumbNetError::TopologyInvariant(format!(
+                        "port {here} holds {slot:?}, its link says {far:?}"
+                    )));
+                }
+            }
+        }
         for host in &self.hosts {
             match self.attachment(host.attached) {
                 Some(Attachment::Host(h)) if h == host.id => {}
@@ -489,14 +615,21 @@ impl Topology {
         key(self) == key(other)
     }
 
-    fn port_slot(&self, sw: SwitchId, port: PortNo) -> Result<&Option<Attachment>> {
+    /// The port slots of `sw`; none for an unknown switch.
+    fn slots(&self, sw: SwitchId) -> &[PortSlot] {
+        self.switches
+            .get(sw.get() as usize)
+            .map_or(&[], |info| &info.wiring)
+    }
+
+    fn port_slot(&self, sw: SwitchId, port: PortNo) -> Result<&PortSlot> {
         let info = self.switch(sw)?;
         info.wiring
             .get(port.index())
             .ok_or(DumbNetError::InvalidPort(port.get()))
     }
 
-    fn port_slot_mut(&mut self, sw: SwitchId, port: PortNo) -> Result<&mut Option<Attachment>> {
+    fn port_slot_mut(&mut self, sw: SwitchId, port: PortNo) -> Result<&mut PortSlot> {
         let info = self
             .switches
             .get_mut(sw.get() as usize)
@@ -510,6 +643,151 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The scan over every link that `link_between` used to be.
+    fn oracle_link_between(t: &Topology, a: SwitchId, b: SwitchId) -> Option<&Link> {
+        t.links
+            .iter()
+            .find(|l| (l.a.switch == a && l.b.switch == b) || (l.a.switch == b && l.b.switch == a))
+    }
+
+    /// The derivation `neighbors` used to be: each wired port's link,
+    /// looked up in the link table and turned round with `from_switch`.
+    fn oracle_neighbors(t: &Topology, sw: SwitchId) -> Vec<(PortNo, SwitchId, LinkId)> {
+        let Ok(info) = t.switch(sw) else {
+            return Vec::new();
+        };
+        info.wired_ports()
+            .filter_map(|(port, att)| match att {
+                Attachment::Link(lid) => {
+                    let link = t.link(lid).ok()?;
+                    if !link.up {
+                        return None;
+                    }
+                    let (_, remote) = link.from_switch(sw)?;
+                    Some((port, remote.switch, lid))
+                }
+                Attachment::Host(_) => None,
+            })
+            .collect()
+    }
+
+    /// Slots against the link table, then both lookups against their
+    /// oracles for every switch pair (one unknown switch included).
+    fn assert_matches_oracles(t: &Topology) {
+        t.check_invariants().unwrap();
+        let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+        for &a in &ids {
+            assert_eq!(
+                t.neighbors(a).collect::<Vec<_>>(),
+                oracle_neighbors(t, a),
+                "neighbors({a})"
+            );
+            for &b in &ids {
+                assert_eq!(
+                    t.link_between(a, b).map(|l| l.id),
+                    oracle_link_between(t, a, b).map(|l| l.id),
+                    "link_between({a}, {b})"
+                );
+            }
+        }
+    }
+
+    /// Two parallel links, a loop-back cable, a down link, and free
+    /// ports left over.
+    fn awkward() -> Topology {
+        let mut t = Topology::new();
+        let s: Vec<SwitchId> = (0..4).map(|_| t.add_switch(8)).collect();
+        t.connect(s[0], 3, s[1], 2).unwrap();
+        t.connect(s[1], 1, s[0], 1).unwrap(); // Parallel, lower ports, higher id.
+        t.connect(s[2], 4, s[2], 2).unwrap(); // Loop-back.
+        let down = t.connect(s[1], 5, s[2], 1).unwrap();
+        t.connect(s[2], 6, s[3], 1).unwrap();
+        t.add_host(s[0], PortNo::new(2).unwrap()).unwrap();
+        t.add_host(s[3], PortNo::new(4).unwrap()).unwrap();
+        t.set_link_state(down, false).unwrap();
+        t
+    }
+
+    #[test]
+    fn lookups_match_their_oracles_through_rewiring() {
+        let mut fat = generators::fat_tree(4, 2, None).topology;
+        // The generated fat-tree has no free port; give the rewiring
+        // below somewhere to land.
+        fat.add_switch(6);
+        fat.add_switch(6);
+        for (seed, mut t) in [generators::testbed().topology, fat, awkward()]
+            .into_iter()
+            .enumerate()
+        {
+            assert_matches_oracles(&t);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            for _ in 0..40 {
+                if rng.gen_bool(0.4) {
+                    // Wire two free ports, loop-backs and parallels welcome.
+                    let free: Vec<PortId> = t
+                        .switches()
+                        .flat_map(|info| {
+                            PortNo::first(info.ports)
+                                .filter(|&p| info.attachment(p).is_none())
+                                .map(|p| PortId::new(info.id, p))
+                        })
+                        .collect();
+                    if free.len() >= 2 {
+                        let a = free[rng.gen_range(0..free.len())];
+                        let b = free[rng.gen_range(0..free.len())];
+                        assert_eq!(t.connect_ports(a, b).is_ok(), a != b);
+                    }
+                } else {
+                    let id = LinkId::new(rng.gen_range(0..t.link_count() as u32));
+                    let was = t.link(id).unwrap().up;
+                    let up = rng.gen_bool(0.5);
+                    assert_eq!(t.set_link_state(id, up).unwrap(), was);
+                }
+                assert_matches_oracles(&t);
+            }
+            // Down, up, down twice on one link: the second "down" is a
+            // no-op that must leave both slots down.
+            let id = LinkId::new(0);
+            t.set_link_state(id, true).unwrap();
+            for (up, was) in [(false, true), (true, false), (false, true), (false, false)] {
+                assert_eq!(t.set_link_state(id, up).unwrap(), was);
+                assert_matches_oracles(&t);
+            }
+        }
+    }
+
+    #[test]
+    fn link_between_prefers_the_lowest_link_id_and_sees_down_links() {
+        let t = awkward();
+        let s: Vec<SwitchId> = t.switches().map(|info| info.id).collect();
+        // The parallel pair: L0 sits on higher ports than L1 at both ends.
+        assert_eq!(t.link_between(s[0], s[1]).unwrap().id, LinkId::new(0));
+        assert_eq!(t.link_between(s[1], s[0]).unwrap().id, LinkId::new(0));
+        assert_eq!(t.link_between(s[2], s[2]).unwrap().id, LinkId::new(2));
+        let down = t.link_between(s[2], s[1]).unwrap();
+        assert!(!down.up);
+        assert_eq!(t.port_towards(s[2], s[1]), None);
+        assert!(t.link_between(s[0], s[3]).is_none());
+    }
+
+    #[test]
+    fn invariants_catch_a_slot_that_disagrees_with_its_link() {
+        let mut t = awkward();
+        t.links[0].up = false; // Behind set_link_state's back.
+        assert!(t.check_invariants().is_err());
+        t.links[0].up = true;
+        t.check_invariants().unwrap();
+        t.switches[3].wiring[5] = PortSlot::Link {
+            id: 0,
+            peer: 0,
+            up: true,
+        };
+        assert!(t.check_invariants().is_err());
+    }
 
     /// Builds the Figure 1 topology from the paper: five switches, the
     /// controller C3 on S3 port 9, hosts as drawn.

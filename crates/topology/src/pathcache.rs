@@ -1,9 +1,12 @@
 //! Seeded, deterministic path caches with explicit invalidation.
 //!
-//! The controller recomputes a shortest route (Dijkstra over the whole
-//! fabric) for every hello, heartbeat, patch flood, and path reply — at
-//! fat-tree k=20 scale that dominates emulator wall-clock. The caches
-//! here memoize those computations per topology *epoch*, with two
+//! The controller recomputes a shortest route (a BFS over the whole
+//! fabric, then a descent) for every hello, heartbeat, patch flood, and
+//! path reply — at fat-tree k=20 scale that dominates emulator
+//! wall-clock. The caches here memoize the *routes* per topology
+//! *epoch*; the distance maps behind them are never kept
+//! ([`RouteCache::precompute`] shares one among the pairs of a batch
+//! that end at the same switch and drops it with the batch). Two
 //! invalidation rules:
 //!
 //! * **Link down** — surgical: only cached routes that traverse the dead
@@ -42,9 +45,12 @@ use crate::spath;
 pub struct RouteCacheStats {
     /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that ran Dijkstra (including precomputed pairs).
+    /// Lookups that computed a route (including precomputed pairs).
     pub misses: u64,
 }
+
+/// What a batch of route computations yields, ready for the memo.
+type Computed = Vec<((SwitchId, SwitchId), Option<Route>)>;
 
 /// A memo of shortest routes keyed `(src, dst)` within one topology
 /// epoch. `None` values cache unreachability.
@@ -55,7 +61,7 @@ pub struct RouteCache {
     routes: HashMap<(SwitchId, SwitchId), Option<Route>>,
     /// Cache effectiveness counters (hits, misses) for experiments.
     pub hits: u64,
-    /// Misses (each one Dijkstra run).
+    /// Misses (each one route computation).
     pub misses: u64,
 }
 
@@ -117,6 +123,26 @@ impl RouteCache {
         spath::shortest_route(topo, src, dst, &mut rng)
     }
 
+    /// [`RouteCache::compute`] for every pair of a batch, with one
+    /// distance map per distinct destination: the batch is grouped by
+    /// `dst`, each group descends over the same map, and one map is
+    /// alive at a time. Every pair still draws from its own
+    /// [`RouteCache::pair_seed`], so the answers are `compute`'s.
+    fn compute_batch(&self, topo: &Topology, pairs: &[(SwitchId, SwitchId)]) -> Computed {
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable_by_key(|&(src, dst)| (dst, src));
+        let mut computed = Vec::with_capacity(pairs.len());
+        for group in pairs.chunk_by(|a, b| a.1 == b.1) {
+            let to_dst = spath::distances(topo, group[0].1);
+            for &(src, dst) in group {
+                let mut rng = StdRng::seed_from_u64(self.pair_seed(src, dst));
+                let route = spath::shortest_route_over(topo, src, &to_dst, &mut rng);
+                computed.push(((src, dst), route));
+            }
+        }
+        computed
+    }
+
     /// The shortest route from `src` to `dst`, memoized. `None` means
     /// unreachable (also memoized).
     pub fn route(&mut self, topo: &Topology, src: SwitchId, dst: SwitchId) -> Option<Route> {
@@ -159,7 +185,9 @@ impl RouteCache {
     /// Because every pair's tie-break RNG is derived from
     /// [`RouteCache::pair_seed`], the result is identical for any thread
     /// count (including 1) and any chunk assignment; threads only change
-    /// wall-clock, never answers. Pairs already cached are skipped.
+    /// wall-clock, never answers. Pairs already cached are skipped. Each
+    /// worker scans the fabric once per distinct destination in its
+    /// share, not once per pair.
     pub fn precompute(&mut self, topo: &Topology, pairs: &[(SwitchId, SwitchId)], threads: usize) {
         let todo: Vec<(SwitchId, SwitchId)> = pairs
             .iter()
@@ -172,25 +200,16 @@ impl RouteCache {
         self.misses += todo.len() as u64;
         let workers = threads.max(1).min(todo.len());
         if workers == 1 {
-            for (src, dst) in todo {
-                let route = self.compute(topo, src, dst);
-                self.routes.insert((src, dst), route);
-            }
+            let computed = self.compute_batch(topo, &todo);
+            self.routes.extend(computed);
             return;
         }
         let chunk = todo.len().div_ceil(workers);
-        type Computed = Vec<((SwitchId, SwitchId), Option<Route>)>;
         let computed: Vec<Computed> = std::thread::scope(|scope| {
             let cache = &*self;
             let handles: Vec<_> = todo
                 .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|&(src, dst)| ((src, dst), cache.compute(topo, src, dst)))
-                            .collect()
-                    })
-                })
+                .map(|part| scope.spawn(move || cache.compute_batch(topo, part)))
                 .collect();
             handles
                 .into_iter()
@@ -278,6 +297,38 @@ mod tests {
         // Precomputed entries must be hits, not recomputations.
         assert_eq!(pooled1.hits, pooled4.hits);
         assert!(pooled1.hits >= (sw.len() * (sw.len() - 1)) as u64);
+    }
+
+    #[test]
+    fn precompute_shares_maps_without_changing_routes() {
+        // The controller's hello-time batch on the `fabric_mix` shape:
+        // its own switch to and from every other host-bearing switch,
+        // so half the pairs end at one switch. 1, 2 and 4 workers.
+        let topo = generators::fat_tree(8, 4, None).topology;
+        let mut edge_switches: Vec<SwitchId> = topo.hosts().map(|h| h.attached.switch).collect();
+        edge_switches.dedup();
+        let my_sw = edge_switches[0];
+        let pairs: Vec<(SwitchId, SwitchId)> = edge_switches[1..]
+            .iter()
+            .flat_map(|&s| [(my_sw, s), (s, my_sw)])
+            .collect();
+        assert_eq!(pairs.len(), 62);
+        let mut on_demand = RouteCache::new(11);
+        let want: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| on_demand.route(&topo, a, b))
+            .collect();
+        for workers in [1, 2, 4] {
+            let mut pooled = RouteCache::new(11);
+            pooled.precompute(&topo, &pairs, workers);
+            assert_eq!(pooled.stats().misses, 62);
+            let got: Vec<_> = pairs
+                .iter()
+                .map(|&(a, b)| pooled.route(&topo, a, b))
+                .collect();
+            assert_eq!(got, want, "{workers} workers");
+            assert_eq!(pooled.stats().hits, 62, "precomputed pairs must hit");
+        }
     }
 
     #[test]

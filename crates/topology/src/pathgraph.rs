@@ -119,26 +119,33 @@ pub fn build<R: Rng>(
     let s_src = src_info.attached.switch;
     let s_dst = dst_info.attached.switch;
 
-    // (1) Primary path: randomized shortest path.
-    let primary = spath::shortest_route(topo, s_src, s_dst, rng).ok_or(DumbNetError::NoRoute {
-        src: src.get(),
-        dst: dst.get(),
-    })?;
+    // (1) Primary path: randomized shortest path. Its map of distances
+    // to `s_dst` is kept: step 3 wants the map of every switch on the
+    // primary, and `s_dst` is the last of them.
+    let to_dst = spath::distances(topo, s_dst);
+    let primary =
+        spath::shortest_route_over(topo, s_src, &to_dst, rng).ok_or(DumbNetError::NoRoute {
+            src: src.get(),
+            dst: dst.get(),
+        })?;
 
     // (2) Backup path: re-run with primary links inflated so they are
-    // reused only when unavoidable.
-    let primary_links: HashSet<(SwitchId, SwitchId)> = primary
+    // reused only when unavoidable. The cost closure runs once per
+    // relaxed arc of the whole fabric; the primary's few directed links
+    // are a sorted slice, not a hash set.
+    let mut primary_links: Vec<(SwitchId, SwitchId)> = primary
         .switches()
         .windows(2)
         .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
         .collect();
+    primary_links.sort_unstable();
     let penalty = topo.switch_count() as u64 + 2;
     let backup = spath::shortest_route_weighted(
         topo,
         s_src,
         s_dst,
         |e| {
-            if primary_links.contains(&e) {
+            if primary_links.binary_search(&e).is_ok() {
                 penalty
             } else {
                 1
@@ -151,20 +158,26 @@ pub fn build<R: Rng>(
 
     // (3) Local detours, Algorithm 1. For each window (a, b) of up to s
     // consecutive hops along the primary, admit every switch x with
-    // dist(a, x) + dist(x, b) ≤ s + ε.
+    // dist(a, x) + dist(x, b) ≤ s + ε. Windows overlap, so each primary
+    // switch's map is computed at most once, when a window first needs
+    // it, and dropped with this call.
     let p = primary.switches();
     let l = p.len() - 1; // Number of hops.
     let s_win = params.s.max(1);
     let mut detour: BTreeSet<SwitchId> = p.iter().copied().collect();
+    let mut maps: Vec<Option<spath::DistanceMap>> = vec![None; p.len()];
+    maps[l] = Some(to_dst);
     let step = (s_win / 2).max(1);
     let mut i = 0usize;
     while i < l {
-        let a = p[i];
-        let b = p[(i + s_win).min(l)];
-        let window_len = (i + s_win).min(l) - i;
-        let da = spath::distances(topo, a);
-        let db = spath::distances(topo, b);
-        let budget = window_len as u64 + params.epsilon;
+        let j = (i + s_win).min(l);
+        for ix in [i, j] {
+            maps[ix].get_or_insert_with(|| spath::distances(topo, p[ix]));
+        }
+        let (Some(da), Some(db)) = (&maps[i], &maps[j]) else {
+            unreachable!("both filled above");
+        };
+        let budget = (j - i) as u64 + params.epsilon;
         for (x, dax) in da.reachable() {
             if let Some(dxb) = db.dist(x) {
                 if dax + dxb <= budget {
@@ -864,6 +877,166 @@ mod tests {
             pairs > 0 && cases > 3 * pairs,
             "{pairs} pairs, {cases} cases"
         );
+    }
+
+    /// `build` as it was before it shared distance maps: one BFS for
+    /// the primary, two more per window, a hash set under the backup's
+    /// cost closure. Kept verbatim as the oracle.
+    fn oracle_build<R: Rng>(
+        topo: &Topology,
+        src: HostId,
+        dst: HostId,
+        params: &PathGraphParams,
+        rng: &mut R,
+    ) -> Result<PathGraph> {
+        let src_info = *topo.host(src)?;
+        let dst_info = *topo.host(dst)?;
+        let s_src = src_info.attached.switch;
+        let s_dst = dst_info.attached.switch;
+
+        // (1) Primary path: randomized shortest path.
+        let primary =
+            spath::shortest_route(topo, s_src, s_dst, rng).ok_or(DumbNetError::NoRoute {
+                src: src.get(),
+                dst: dst.get(),
+            })?;
+
+        // (2) Backup path: re-run with primary links inflated so they are
+        // reused only when unavoidable.
+        let primary_links: HashSet<(SwitchId, SwitchId)> = primary
+            .switches()
+            .windows(2)
+            .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
+            .collect();
+        let penalty = topo.switch_count() as u64 + 2;
+        let backup = spath::shortest_route_weighted(
+            topo,
+            s_src,
+            s_dst,
+            |e| {
+                if primary_links.contains(&e) {
+                    penalty
+                } else {
+                    1
+                }
+            },
+            rng,
+        )
+        // A backup identical to the primary adds nothing; drop it.
+        .filter(|b| b.switches() != primary.switches());
+
+        // (3) Local detours, Algorithm 1. For each window (a, b) of up to s
+        // consecutive hops along the primary, admit every switch x with
+        // dist(a, x) + dist(x, b) ≤ s + ε.
+        let p = primary.switches();
+        let l = p.len() - 1; // Number of hops.
+        let s_win = params.s.max(1);
+        let mut detour: BTreeSet<SwitchId> = p.iter().copied().collect();
+        let step = (s_win / 2).max(1);
+        let mut i = 0usize;
+        while i < l {
+            let a = p[i];
+            let b = p[(i + s_win).min(l)];
+            let window_len = (i + s_win).min(l) - i;
+            let da = spath::distances(topo, a);
+            let db = spath::distances(topo, b);
+            let budget = window_len as u64 + params.epsilon;
+            for (x, dax) in da.reachable() {
+                if let Some(dxb) = db.dist(x) {
+                    if dax + dxb <= budget {
+                        detour.insert(x);
+                    }
+                }
+            }
+            i += step;
+        }
+        if let Some(b) = &backup {
+            detour.extend(b.switches().iter().copied());
+        }
+
+        // (4) Materialize the induced subgraph with port detail.
+        let mut edges = Vec::new();
+        let mut seen: BTreeSet<(PortId, PortId)> = BTreeSet::new();
+        for &sw in &detour {
+            for (port, nb, lid) in topo.neighbors(sw) {
+                if !detour.contains(&nb) {
+                    continue;
+                }
+                let link = topo.link(lid)?;
+                let (a, b) = if link.a <= link.b {
+                    (link.a, link.b)
+                } else {
+                    (link.b, link.a)
+                };
+                if seen.insert((a, b)) {
+                    edges.push(SubEdge { a, b });
+                }
+                let _ = port;
+            }
+        }
+
+        Ok(PathGraph {
+            src: Endpoint {
+                host: src,
+                mac: src_info.mac,
+                attach: src_info.attached,
+            },
+            dst: Endpoint {
+                host: dst,
+                mac: dst_info.mac,
+                attach: dst_info.attached,
+            },
+            primary,
+            backup,
+            switches: detour,
+            edges,
+        })
+    }
+
+    /// Every `stride`-th ordered host pair of `topo`, ε ∈ {0, 1, 2},
+    /// whole `PathGraph` values and the RNG left in the same state —
+    /// intact, then again with the first primary link failed.
+    fn build_differential(topo: &Topology, stride: usize) {
+        let hosts: Vec<HostId> = topo.hosts().map(|h| h.id).collect();
+        let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
+        let mut degraded = topo.clone();
+        let mut pairs = 0usize;
+        for (&a, &b) in hosts
+            .iter()
+            .flat_map(|a| hosts.iter().map(move |b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .step_by(stride)
+        {
+            for eps in [0, 1, 2] {
+                let pg = build(topo, a, b, &params(2, eps), &mut rng).unwrap();
+                let want = oracle_build(topo, a, b, &params(2, eps), &mut oracle_rng).unwrap();
+                assert_eq!(pg, want, "{a} → {b}, ε {eps}");
+                let Some(w) = pg.primary.switches().windows(2).next() else {
+                    continue;
+                };
+                let cut = topo.link_between(w[0], w[1]).expect("primary link").id;
+                degraded.set_link_state(cut, false).unwrap();
+                assert_eq!(
+                    build(&degraded, a, b, &params(2, eps), &mut rng).ok(),
+                    oracle_build(&degraded, a, b, &params(2, eps), &mut oracle_rng).ok(),
+                    "{a} → {b}, ε {eps}, {cut} down"
+                );
+                degraded.set_link_state(cut, true).unwrap();
+            }
+            pairs += 1;
+        }
+        assert!(pairs > 0);
+        assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_the_testbed() {
+        build_differential(&generators::testbed().topology, 1);
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_fat_tree_k8_sampled() {
+        build_differential(&generators::fat_tree(8, 4, None).topology, 97);
     }
 
     #[test]

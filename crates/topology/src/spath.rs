@@ -6,9 +6,16 @@
 //!
 //! The functions here operate at switch granularity on a [`Topology`] (or
 //! any link-cost closure), returning [`Route`]s.
+//!
+//! A [`DistanceMap`] is a whole-fabric scan, so a caller that needs the
+//! map of one switch several times inside one call computes it once and
+//! hands it to [`shortest_route_over`]. A map never outlives the call
+//! that computed it: nothing caches one across calls, so no topology
+//! change has a map to invalidate.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rand::Rng;
 
@@ -62,13 +69,18 @@ pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
     let mut dist = vec![u64::MAX; n];
     if (source.get() as usize) < n {
         dist[source.get() as usize] = 0;
-        let mut frontier = VecDeque::from([source]);
-        while let Some(u) = frontier.pop_front() {
+        // Every switch enters the frontier at most once, so a plain
+        // vector read behind a cursor is the FIFO.
+        let mut frontier = Vec::with_capacity(n);
+        frontier.push(source);
+        let mut next = 0;
+        while let Some(&u) = frontier.get(next) {
+            next += 1;
             let nd = dist[u.get() as usize] + 1;
-            for (_, v, _) in topo.neighbors(u) {
+            for v in topo.peers(u) {
                 if dist[v.get() as usize] == u64::MAX {
                     dist[v.get() as usize] = nd;
-                    frontier.push_back(v);
+                    frontier.push(v);
                 }
             }
         }
@@ -96,7 +108,7 @@ where
             if d > dist[u.get() as usize] {
                 continue;
             }
-            for (_, v, _) in topo.neighbors(u) {
+            for v in topo.peers(u) {
                 let nd = d.saturating_add(cost((u, v)));
                 if nd < dist[v.get() as usize] {
                     dist[v.get() as usize] = nd;
@@ -123,7 +135,21 @@ pub fn shortest_route<R: Rng>(
 ) -> Option<Route> {
     // Hop counts are symmetric: the BFS map *from* `dst` is the
     // distance *to* it.
-    descend(topo, src, dst, |_| 1, |topo| distances(topo, dst), rng)
+    descend(topo, src, dst, |_| 1, || distances(topo, dst), rng)
+}
+
+/// [`shortest_route`] to `to_dst.source()` over a map the caller already
+/// holds — `distances(topo, dst)` of the same `topo` in its current
+/// state. Same route and same RNG draws as [`shortest_route`], minus the
+/// scan.
+#[must_use]
+pub fn shortest_route_over<R: Rng>(
+    topo: &Topology,
+    src: SwitchId,
+    to_dst: &DistanceMap,
+    rng: &mut R,
+) -> Option<Route> {
+    descend(topo, src, to_dst.source(), |_| 1, || to_dst, rng)
 }
 
 /// Weighted variant of [`shortest_route`].
@@ -144,14 +170,15 @@ where
     R: Rng,
 {
     // Run Dijkstra from dst so dist[] measures distance *to* dst.
-    let to_dst = |topo: &Topology| distances_weighted(topo, dst, |(a, b)| cost((b, a)));
+    let to_dst = || distances_weighted(topo, dst, |(a, b)| cost((b, a)));
     descend(topo, src, dst, &cost, to_dst, rng)
 }
 
 /// Walks forward from `src` along the distance-to-`dst` map `to_dst`
-/// builds, choosing random minimizing next hops. This randomizes
-/// uniformly over next-hop choices at every node.
-fn descend<F, D, R>(
+/// yields (built on demand, or borrowed from the caller), choosing
+/// random minimizing next hops. This randomizes uniformly over next-hop
+/// choices at every node.
+fn descend<F, D, M, R>(
     topo: &Topology,
     src: SwitchId,
     dst: SwitchId,
@@ -161,7 +188,8 @@ fn descend<F, D, R>(
 ) -> Option<Route>
 where
     F: Fn((SwitchId, SwitchId)) -> u64,
-    D: FnOnce(&Topology) -> DistanceMap,
+    D: FnOnce() -> M,
+    M: Borrow<DistanceMap>,
     R: Rng,
 {
     let n = topo.switch_count();
@@ -171,7 +199,8 @@ where
     if src == dst {
         return Route::new(vec![src]).ok();
     }
-    let dist = to_dst(topo);
+    let dist = to_dst();
+    let dist: &DistanceMap = dist.borrow();
     dist.dist(src)?;
     let mut route = vec![src];
     let mut cur = src;
@@ -184,7 +213,7 @@ where
         let d_cur = dist.dist(cur)?;
         best.clear();
         let mut best_cost = u64::MAX;
-        for (_, v, _) in topo.neighbors(cur) {
+        for v in topo.peers(cur) {
             if let Some(dv) = dist.dist(v) {
                 let through = cost((cur, v)).saturating_add(dv);
                 if through < best_cost {
@@ -248,6 +277,35 @@ mod tests {
         let sources: Vec<SwitchId> = t.switches().map(|s| s.id).collect();
         for s in sources {
             assert_eq!(distances(&t, s).dist, distances_weighted(&t, s, |_| 1).dist);
+        }
+    }
+
+    #[test]
+    fn descent_over_a_supplied_map_is_shortest_route() {
+        // Every ordered switch pair, one past the table's end included,
+        // with a failed trunk and an unwired switch: same route, and the
+        // RNG left where `shortest_route` leaves it.
+        let mut fat = generators::fat_tree(4, 2, None).topology;
+        let trunk = fat.links().next().expect("fat-tree has links").id;
+        fat.set_link_state(trunk, false).unwrap();
+        fat.add_switch(4);
+        for t in [generators::testbed().topology, fat] {
+            let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+            for seed in [1, 2, 3] {
+                let (mut rng, mut over) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for &dst in &ids {
+                    let to_dst = distances(&t, dst);
+                    for &src in &ids {
+                        assert_eq!(
+                            shortest_route_over(&t, src, &to_dst, &mut over),
+                            shortest_route(&t, src, dst, &mut rng),
+                            "{src} → {dst}, seed {seed}"
+                        );
+                    }
+                }
+                assert_eq!(over.gen::<u64>(), rng.gen::<u64>());
+            }
         }
     }
 
