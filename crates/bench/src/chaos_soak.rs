@@ -31,7 +31,7 @@
 //! starved after the faults heal. The two flags compose: `--hybrid
 //! --shards 4` prints the same per-seed lines as `--hybrid`.
 
-use dumbnet_controller::{Controller, ControllerConfig, GrayFaultConfig};
+use dumbnet_controller::{Controller, ControllerConfig};
 use dumbnet_core::{check_gray_invariants, check_invariants, Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
@@ -83,7 +83,7 @@ fn soak_config(gray: bool) -> FabricConfig {
     };
     if gray {
         cfg.host.gray_detect = Some(GrayDetectConfig::default());
-        cfg.controller.gray = Some(GrayFaultConfig::default());
+        cfg.controller.gray = true;
     }
     cfg
 }
@@ -371,7 +371,7 @@ fn run_soak<W: Engine>(
         // not be flapping.
         fabric.run_until(at_ms(gray_heal - 10));
         hooks.tick(&mut fabric);
-        let mid = check_gray_invariants(&fabric, 4, false);
+        let mid = check_gray_invariants(&fabric, false);
         if !mid.ok() {
             let dump = violation_dump(&mut fabric, &baseline);
             return Err(format!(
@@ -394,7 +394,7 @@ fn run_soak<W: Engine>(
     }
 
     if gray {
-        let after = check_gray_invariants(&fabric, 4, true);
+        let after = check_gray_invariants(&fabric, true);
         if !after.ok() {
             let dump = violation_dump(&mut fabric, &baseline);
             return Err(format!(

@@ -12,7 +12,7 @@ use dumbnet_host::agent::AppAction;
 use dumbnet_host::{DatapathModel, DatapathVariant, HostAgent};
 use dumbnet_packet::{Packet, Payload};
 use dumbnet_sim::{Ctx, Engine, LinkParams, Node, World};
-use dumbnet_switch::{StpConfig, StpSwitch};
+use dumbnet_switch::StpSwitch;
 use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimDuration, SimTime};
 use dumbnet_workload::Cdf;
@@ -388,10 +388,9 @@ pub fn stp_recovery(quick: bool) -> RecoveryRun {
     let topo = &g.topology;
     let mut w = World::new(0);
     // Spanning-tree switches with RSTP-aggressive timers.
-    let stp_cfg = StpConfig::default();
     let sw_addr: Vec<_> = topo
         .switches()
-        .map(|s| w.add_node(Box::new(StpSwitch::new(s.id.get(), stp_cfg))))
+        .map(|s| w.add_node(Box::new(StpSwitch::new(s.id.get()))))
         .collect();
     for l in topo.links() {
         w.wire(

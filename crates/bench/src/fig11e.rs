@@ -25,7 +25,6 @@
 //!
 //! Output is JSON with a deterministic work checksum pinned in CI.
 
-use dumbnet_controller::GrayFaultConfig;
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{GrayDetectConfig, HostAgent};
@@ -50,7 +49,6 @@ fn binary_detector() -> GrayDetectConfig {
         probe_interval: SimDuration::from_millis(20),
         suspect_threshold: 0.95,
         min_samples: 8,
-        ..GrayDetectConfig::default()
     }
 }
 
@@ -135,7 +133,7 @@ pub fn gray_recovery_point(p: f64, gray: bool) -> GrayRecoveryPoint {
     } else {
         binary_detector()
     });
-    cfg.controller.gray = Some(GrayFaultConfig::default());
+    cfg.controller.gray = true;
     // Host 1 is the measured 480 Mbps stream; host 2 runs a light
     // side stream to a different far leaf so the controller can
     // corroborate suspicion across reporters (quorum 2).

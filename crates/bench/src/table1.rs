@@ -52,19 +52,26 @@ pub fn count_lines(paths: &[PathBuf]) -> u64 {
 }
 
 fn count_path(p: &Path) -> u64 {
+    let mut lines = 0;
+    for_each_rust_file(p, &mut |_, text| {
+        lines += text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+    });
+    lines
+}
+
+/// Calls `f(path, text)` for every readable `.rs` file at or under `p`.
+fn for_each_rust_file(p: &Path, f: &mut impl FnMut(&Path, &str)) {
     if p.is_file() {
         if p.extension().is_some_and(|e| e == "rs") {
-            let Ok(text) = std::fs::read_to_string(p) else {
-                return 0;
-            };
-            return text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+            if let Ok(text) = std::fs::read_to_string(p) {
+                f(p, &text);
+            }
         }
-        return 0;
+    } else if let Ok(entries) = std::fs::read_dir(p) {
+        for e in entries.flatten() {
+            for_each_rust_file(&e.path(), f);
+        }
     }
-    let Ok(entries) = std::fs::read_dir(p) else {
-        return 0;
-    };
-    entries.flatten().map(|e| count_path(&e.path())).sum()
 }
 
 /// Runs the Table 1 reproduction.
@@ -124,6 +131,79 @@ mod tests {
         let root = workspace_root();
         let disc = count_lines(&[root.join("crates/controller/src/discovery.rs")]);
         assert!(disc > 300, "discovery.rs has {disc} lines?");
+    }
+
+    /// The body of the brace-balanced `{ … }` opening at or after `from`.
+    fn braced(text: &str, from: usize) -> &str {
+        let open = from + text[from..].find('{').expect("an opening brace");
+        let mut depth = 0;
+        let close = text[open..].char_indices().find(|&(_, c)| {
+            depth += i32::from(c == '{') - i32::from(c == '}');
+            depth == 0
+        });
+        &text[open + 1..open + close.expect("a closing brace").0]
+    }
+
+    /// Whether `text` sets `field` of struct `name` the way a caller
+    /// does: a statement assigning through `.field` or below it (not
+    /// counted in the non-test half of `name`'s `own_file`, which reads
+    /// its config — a `.field =` there is another struct's), or a
+    /// `name { … }` literal naming it that is neither the definition, an
+    /// `impl` header, nor the tail expression of its own `fn default`.
+    fn sets(text: &str, name: &str, field: &str, own_file: bool) -> bool {
+        let tests = text.split_once("#[cfg(test)]").map_or("", |t| t.1);
+        let callers = if own_file { tests } else { text };
+        let path = |c: char| c == '.' || c == '_' || c.is_alphanumeric();
+        let assigned = callers.match_indices(&format!(".{field}")).any(|(i, m)| {
+            let rest = &callers[i + m.len()..];
+            rest.starts_with([' ', '.']) && rest.trim_start_matches(path).starts_with(" = ")
+        });
+        let own_default = format!("fn default() -> {name} {{");
+        let not_a_literal = ["struct", "for", "impl", "->", &own_default];
+        assigned
+            || text.match_indices(&format!("{name} {{")).any(|(i, _)| {
+                let (pre, body) = (text[..i].trim_end(), braced(text, i).replace("::", "@"));
+                let named = body.match_indices(field).any(|(j, _)| {
+                    let after = body[j + field.len()..].trim_start();
+                    body[..j].ends_with([' ', '\n', ','])
+                        && (after.is_empty() || after.starts_with([':', ',']))
+                });
+                named && !not_a_literal.iter().any(|w| pre.ends_with(w))
+            })
+    }
+
+    /// The rule of DESIGN.md "Configuration surface", kept from eroding:
+    /// every `pub` field of a `pub struct *Config` / `*Params` is set by
+    /// a caller somewhere in the tree, tests and the benchmark package
+    /// included. A field only its default sets is a constant, not a knob.
+    #[test]
+    fn every_config_field_is_set_by_some_caller() {
+        let (root, mut sources) = (workspace_root(), Vec::new());
+        for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+            for_each_rust_file(&root.join(dir), &mut |_, text| {
+                sources.push(text.to_owned())
+            });
+        }
+        let mut unset = Vec::new();
+        for text in &sources {
+            for (at, _) in text.match_indices("pub struct ") {
+                let rest = &text[at + 11..];
+                let name = &rest[..rest.find([' ', '{', '<', '(', ';']).unwrap_or(0)];
+                if !(name.ends_with("Config") || name.ends_with("Params")) {
+                    continue;
+                }
+                let fields = braced(text, at)
+                    .lines()
+                    .filter_map(|l| l.trim().strip_prefix("pub "));
+                for field in fields.filter_map(|l| Some(l.split_once(':')?.0)) {
+                    let own = |t| std::ptr::eq(t, text);
+                    if !sources.iter().any(|t| sets(t, name, field, own(t))) {
+                        unset.push(format!("{name}::{field}"));
+                    }
+                }
+            }
+        }
+        assert!(unset.is_empty(), "nothing sets, so constants: {unset:?}");
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub mod node;
 pub mod replication;
 
 pub use discovery::{DiscoveryConfig, DiscoveryState, ProbeOut};
-pub use node::{Controller, ControllerConfig, ControllerStats, GrayFaultConfig};
+pub use node::{Controller, ControllerConfig, ControllerStats, MAX_FLAPS};
 pub use replication::{Replica, ReplicaRole, ReplicatedLog};

@@ -19,11 +19,10 @@ use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Gauge, Histogram, NodeKind, Telemetry, TraceCategory};
-use dumbnet_topology::{
-    pathgraph, PathGraph, PathGraphParams, RouteCache, RouteCacheStats, Topology,
-};
+use dumbnet_topology::{pathgraph, PathGraph, PathGraphParams, RouteCache, Topology};
 use dumbnet_types::{
-    mix64, norm_edge, HostId, MacAddr, Path, PortId, PortNo, SimDuration, SimTime, SwitchId,
+    mix64, norm_edge, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result, SimDuration,
+    SimTime, SwitchId,
 };
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
@@ -72,62 +71,53 @@ fn graph_build_seed(salt: u64, version: u64, src: MacAddr, dst: MacAddr) -> u64 
     mix64(salt ^ mix64(version) ^ mix64(mac64(src) << 1 | 1) ^ mix64(mac64(dst) << 1))
 }
 
-/// Gray-failure scoreboard and quarantine knobs (DESIGN.md §10).
-/// `ControllerConfig::gray = None` disables the subsystem entirely:
-/// `LinkSuspect` reports are dropped and no probation timer runs.
-#[derive(Debug, Clone)]
-pub struct GrayFaultConfig {
-    /// Distinct reporting hosts required to corroborate an edge before
-    /// it is quarantined.
-    pub quorum: usize,
-    /// A single report at or above this loss (permille) quarantines
-    /// immediately, without waiting for corroboration. Values above
-    /// 1000 disable the shortcut (the default): end-to-end probe
-    /// evidence attributes loss to whole paths, so a lone reporter's
-    /// total loss still smears across every edge its bad paths use —
-    /// only cross-host corroboration separates the truly gray edge.
-    pub solo_loss_permille: u16,
-    /// Reports at or below this loss (permille) count as clean
-    /// (exoneration evidence) rather than dirty.
-    pub clear_loss_permille: u16,
-    /// Consecutive clean reports required before a quarantined edge is
-    /// released — the hysteresis that prevents patch-storm oscillation.
-    pub clean_streak: u32,
-    /// Quarantine entries per edge before it is pinned sticky: no more
-    /// automatic release until a hard link event resets the edge.
-    pub max_flaps: u32,
-    /// Probation evaluation cadence (release decisions happen on this
-    /// timer, never inline with report arrival).
-    pub probation_interval: SimDuration,
-    /// How long a dirty report stays on the scoreboard without renewal.
-    /// A reporter whose witness paths all cross some *other* dead edge
-    /// can neither renew its accusation nor vouch clean — its stale
-    /// evidence must decay or the edge stays quarantined forever.
-    pub evidence_ttl: SimDuration,
-    /// While any edge is quarantined, the leader re-asserts the full
-    /// quarantine set as a fresh patch epoch at this cadence. Patch
-    /// floods are at-most-once and hosts skip missed epochs, so
-    /// quarantine is deliberately *soft state*: it must be refreshed or
-    /// the hosts let it decay ([`crate::GrayFaultConfig::evidence_ttl`]
-    /// is the scoreboard analog, `GrayDetectConfig::ctrl_quarantine_ttl`
-    /// the host side).
-    pub refresh_interval: SimDuration,
-}
+// Gray-failure scoreboard and quarantine constants (DESIGN.md §10; all
+// chosen in PR 8). `ControllerConfig::gray` switches the subsystem on.
 
-impl Default for GrayFaultConfig {
-    fn default() -> GrayFaultConfig {
-        GrayFaultConfig {
-            quorum: 2,
-            solo_loss_permille: 1001,
-            clear_loss_permille: 50,
-            clean_streak: 3,
-            max_flaps: 3,
-            probation_interval: SimDuration::from_millis(20),
-            evidence_ttl: SimDuration::from_millis(50),
-            refresh_interval: SimDuration::from_millis(60),
-        }
-    }
-}
+/// Distinct reporting hosts required to corroborate an edge before it
+/// is quarantined. End-to-end probe evidence attributes loss to whole
+/// paths, so a lone reporter's total loss still smears across every
+/// edge its bad paths use — only cross-host corroboration separates the
+/// truly gray edge.
+const GRAY_QUORUM: usize = 2;
+
+/// Reports at or below this loss (permille) count as clean
+/// (exoneration evidence) rather than dirty.
+const CLEAR_LOSS_PERMILLE: u16 = 50;
+
+/// Consecutive clean reports required before a quarantined edge is
+/// released — the hysteresis that prevents patch-storm oscillation.
+const CLEAN_STREAK: u32 = 3;
+
+/// Quarantine entries per edge before it is pinned sticky: no more
+/// automatic release until a hard link event resets the edge.
+pub const MAX_FLAPS: u32 = 3;
+
+/// Probation evaluation cadence (release decisions happen on this
+/// timer, never inline with report arrival).
+const PROBATION_INTERVAL: SimDuration = SimDuration::from_millis(20);
+
+/// How long a dirty report stays on the scoreboard without renewal.
+/// A reporter whose witness paths all cross some *other* dead edge
+/// can neither renew its accusation nor vouch clean — its stale
+/// evidence must decay or the edge stays quarantined forever.
+const EVIDENCE_TTL: SimDuration = SimDuration::from_millis(50);
+
+/// While any edge is quarantined, the leader re-asserts the full
+/// quarantine set as a fresh patch epoch at this cadence. Patch floods
+/// are at-most-once and hosts skip missed epochs, so quarantine is
+/// deliberately *soft state*: it must be refreshed or the hosts let it
+/// decay ([`EVIDENCE_TTL`] is the scoreboard analog, the host agent's
+/// `CTRL_QUARANTINE_TTL` the host side).
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_millis(60);
+
+/// Delay before discovery/bootstrap begins, so every node has started
+/// (seed value).
+const START_DELAY: SimDuration = SimDuration::from_millis(1);
+
+/// Service time per path-graph query (the Figure 10 tail term; seed
+/// value).
+const QUERY_SERVICE_TIME: SimDuration = SimDuration::from_micros(50);
 
 /// Suspicion scoreboard entry for one normalized switch edge.
 #[derive(Debug, Default, Clone)]
@@ -156,16 +146,10 @@ pub struct ControllerConfig {
     pub run_discovery: bool,
     /// Pre-known topology (experiments that start converged).
     pub preload: Option<Topology>,
-    /// Delay before discovery/bootstrap begins.
-    pub start_delay: SimDuration,
     /// Pacing between probe transmissions — models the controller CPU,
     /// the bottleneck of §7.2.1 ("the bottleneck of topology discovery
     /// is the packet processing rate of the controller").
     pub probe_interval: SimDuration,
-    /// Service time per path-graph query (the Figure 10 tail term).
-    pub query_service_time: SimDuration,
-    /// Path-graph construction parameters.
-    pub pathgraph: PathGraphParams,
     /// All controller group members (self included). Empty ⇒ solo.
     pub peers: Vec<MacAddr>,
     /// Whether this replica starts as the leader.
@@ -188,8 +172,8 @@ pub struct ControllerConfig {
     /// split into segment frames receivers reassemble.
     pub patch_batch_max: usize,
     /// Gray-failure detection: suspicion scoreboard, quarantine floods
-    /// and probation release. `None` (the default) disables it.
-    pub gray: Option<GrayFaultConfig>,
+    /// and probation release. Off by default.
+    pub gray: bool,
 }
 
 impl Default for ControllerConfig {
@@ -198,10 +182,7 @@ impl Default for ControllerConfig {
             discovery: DiscoveryConfig::default(),
             run_discovery: false,
             preload: None,
-            start_delay: SimDuration::from_millis(1),
             probe_interval: SimDuration::from_micros(33),
-            query_service_time: SimDuration::from_micros(50),
-            pathgraph: PathGraphParams::default(),
             peers: Vec::new(),
             is_leader: true,
             heartbeat: SimDuration::from_millis(50),
@@ -209,8 +190,33 @@ impl Default for ControllerConfig {
             patch_delay: SimDuration::from_millis(1),
             probe_window: 1,
             patch_batch_max: 32,
-            gray: None,
+            gray: false,
         }
+    }
+}
+
+impl ControllerConfig {
+    /// Rejects values the controller cannot run with: a zero interval
+    /// re-arms its own timer at the same instant forever, a heartbeat
+    /// no shorter than the takeover timeout deposes every healthy
+    /// leader, and a zero window or batch size sends nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DumbNetError::Config`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        let positive = |d: SimDuration| d > SimDuration::ZERO;
+        DumbNetError::config_rule(self.discovery.max_ports >= 1, "discovery.max_ports", ">= 1")?;
+        DumbNetError::config_rule(positive(self.discovery.timeout), "discovery.timeout", "> 0")?;
+        DumbNetError::config_rule(positive(self.probe_interval), "probe_interval", "> 0")?;
+        DumbNetError::config_rule(positive(self.heartbeat), "heartbeat", "> 0")?;
+        DumbNetError::config_rule(
+            self.heartbeat < self.takeover_timeout,
+            "heartbeat",
+            "< takeover_timeout",
+        )?;
+        DumbNetError::config_rule(self.probe_window >= 1, "probe_window", ">= 1")?;
+        DumbNetError::config_rule(self.patch_batch_max >= 1, "patch_batch_max", ">= 1")
     }
 }
 
@@ -661,12 +667,6 @@ impl Controller {
         }
     }
 
-    /// Route-cache effectiveness counters as named fields.
-    #[must_use]
-    pub fn route_cache_stats(&self) -> RouteCacheStats {
-        self.route_cache.stats()
-    }
-
     /// Warms the route cache with every host-facing pair this controller
     /// will route to (hellos, heartbeats, patch floods, reply paths),
     /// fanned out over the [`RouteCache::precompute`] worker pool.
@@ -731,7 +731,7 @@ impl Controller {
     /// the paper's per-probe lockstep exactly.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let window = self.config.probe_window.max(1);
+        let window = self.config.probe_window;
         let Some(disc) = self.discovery.as_mut() else {
             return;
         };
@@ -919,10 +919,9 @@ impl Controller {
     }
 
     /// Feeds one `LinkSuspect` report into the scoreboard and
-    /// quarantines the edge once the evidence corroborates: `quorum`
-    /// distinct dirty reporters, or one reporter above the solo
-    /// threshold. Clean reports retire the reporter's evidence and grow
-    /// the streak probation reads.
+    /// quarantines the edge once the evidence corroborates:
+    /// [`GRAY_QUORUM`] distinct dirty reporters. Clean reports retire the
+    /// reporter's evidence and grow the streak probation reads.
     fn handle_link_suspect(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -931,9 +930,9 @@ impl Controller {
         loss_permille: u16,
         seq: u64,
     ) {
-        let Some(cfg) = self.config.gray.clone() else {
+        if !self.config.gray {
             return;
-        };
+        }
         if !self.replica.is_leader() {
             return;
         }
@@ -965,7 +964,7 @@ impl Controller {
         }
         *last = seq;
         self.counters.link_suspects_rx.inc();
-        if loss_permille <= cfg.clear_loss_permille {
+        if loss_permille <= CLEAR_LOSS_PERMILLE {
             // Clean evidence retires the reporter's accusation; the
             // streak itself grows on probation ticks, one per tick with
             // no live accuser.
@@ -974,11 +973,10 @@ impl Controller {
         }
         board.clean_streak = 0;
         board.reporters.insert(reporter, (loss_permille, now));
-        let corroborated =
-            board.reporters.len() >= cfg.quorum || loss_permille >= cfg.solo_loss_permille;
+        let corroborated = board.reporters.len() >= GRAY_QUORUM;
         if corroborated && lease_ok && !self.replica.quarantined().contains(&edge) {
             board.flaps += 1;
-            if board.flaps > cfg.max_flaps {
+            if board.flaps > MAX_FLAPS {
                 board.sticky = true;
             }
             self.push_quarantine_delta(ctx, edge, true);
@@ -991,9 +989,9 @@ impl Controller {
     /// (flap budget exceeded) are held until a hard link event resets
     /// them.
     fn probation_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(cfg) = self.config.gray.clone() else {
+        if !self.config.gray {
             return;
-        };
+        }
         let now = ctx.now();
         // Only under the lease: a partitioned stale leader must not
         // decay evidence into unquarantine appends that diverge from
@@ -1002,7 +1000,7 @@ impl Controller {
             for board in self.gray_board.values_mut() {
                 board
                     .reporters
-                    .retain(|_, &mut (_, at)| now - at <= cfg.evidence_ttl);
+                    .retain(|_, &mut (_, at)| now - at <= EVIDENCE_TTL);
             }
             // Grow (or start) the clean streak of every quarantined edge
             // with no live accuser. `entry` rather than lookup: a leader
@@ -1024,7 +1022,7 @@ impl Controller {
                 .copied()
                 .filter(|e| {
                     self.gray_board.get(e).is_some_and(|b| {
-                        !b.sticky && b.reporters.is_empty() && b.clean_streak >= cfg.clean_streak
+                        !b.sticky && b.reporters.is_empty() && b.clean_streak >= CLEAN_STREAK
                     })
                 })
                 .collect();
@@ -1042,7 +1040,7 @@ impl Controller {
             // the leader re-asserts the full set each refresh interval;
             // hosts expire entries that stop being refreshed.
             let held = self.replica.quarantined();
-            if !held.is_empty() && now - self.last_gray_refresh >= cfg.refresh_interval {
+            if !held.is_empty() && now - self.last_gray_refresh >= REFRESH_INTERVAL {
                 let delta = TopoDelta {
                     quarantine: held.iter().copied().collect(),
                     ..TopoDelta::default()
@@ -1051,7 +1049,7 @@ impl Controller {
                 self.last_gray_refresh = now;
             }
         }
-        ctx.set_timer(cfg.probation_interval, T_PROBATION);
+        ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
     }
 
     /// Floods every patch entry coalesced since the last flush as one
@@ -1074,7 +1072,7 @@ impl Controller {
             let (n, to) = (entries.len(), hosts.len());
             format!("floods patch batch epoch {epoch} ({n} entries) to {to} hosts")
         });
-        let max = self.config.patch_batch_max.max(1);
+        let max = self.config.patch_batch_max;
         let segs = entries.chunks(max).count();
         let segs16 = u16::try_from(segs).unwrap_or(u16::MAX);
         for mac in hosts {
@@ -1106,9 +1104,9 @@ impl Controller {
     ) {
         self.counters.path_requests.inc();
         let now = ctx.now();
-        // FIFO service queue: each query costs `query_service_time`.
+        // FIFO service queue: each query costs `QUERY_SERVICE_TIME`.
         let start = self.busy_until.max(now);
-        let done = start + self.config.query_service_time;
+        let done = start + QUERY_SERVICE_TIME;
         self.busy_until = done;
         let delay = done - now;
         let version = self.replica.version();
@@ -1141,8 +1139,11 @@ impl Controller {
     /// when possible: the build runs over a filtered view with gray
     /// links removed, and falls back to the full topology when the
     /// filtered view cannot produce a graph (degraded beats blackhole —
-    /// the same rule hosts apply locally).
+    /// the same rule hosts apply locally). Always with the paper's
+    /// evaluation parameters, [`PathGraphParams::default`]; fig12 and
+    /// Table 2 vary them by calling [`pathgraph::build`] themselves.
     fn build_graph(&self, seed: u64, src: MacAddr, dst: MacAddr) -> Option<Box<PathGraph>> {
+        let params = PathGraphParams::default();
         let topo = self.topology.as_ref()?;
         let s = topo.host_by_mac(src)?.id;
         let d = topo.host_by_mac(dst)?.id;
@@ -1158,13 +1159,13 @@ impl Controller {
             }
             if any {
                 let mut rng = StdRng::seed_from_u64(seed);
-                if let Ok(g) = pathgraph::build(&filtered, s, d, &self.config.pathgraph, &mut rng) {
+                if let Ok(g) = pathgraph::build(&filtered, s, d, &params, &mut rng) {
                     return Some(Box::new(g));
                 }
             }
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        pathgraph::build(topo, s, d, &self.config.pathgraph, &mut rng)
+        pathgraph::build(topo, s, d, &params, &mut rng)
             .ok()
             .map(Box::new)
     }
@@ -1255,25 +1256,25 @@ impl Node for Controller {
         self.counters.register(ctx.telemetry(), self.id);
         if self.config.run_discovery && self.config.is_leader {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
-            ctx.set_timer(self.config.start_delay, T_PUMP);
+            ctx.set_timer(START_DELAY, T_PUMP);
         } else if let Some(topo) = self.config.preload.take() {
             self.topology = Some(topo);
             self.replica.set_version(1);
             if self.config.is_leader {
                 // Delay the hello so every node has started.
-                ctx.set_timer(self.config.start_delay, T_PUMP);
+                ctx.set_timer(START_DELAY, T_PUMP);
             }
         }
         self.step(ctx, Replica::on_start);
         // Standby replicas announce themselves too so hosts can spread
         // path queries over the whole controller group.
         if !self.config.is_leader && self.topology.is_some() {
-            ctx.set_timer(self.config.start_delay + self.config.heartbeat, T_PUMP);
+            ctx.set_timer(START_DELAY + self.config.heartbeat, T_PUMP);
         }
         // All replicas keep the probation clock running so a promoted
         // leader evaluates releases without re-arming anything.
-        if let Some(g) = self.config.gray.as_ref() {
-            ctx.set_timer(g.probation_interval, T_PROBATION);
+        if self.config.gray {
+            ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
         }
     }
 
@@ -1335,8 +1336,8 @@ impl Node for Controller {
         // (post-restart resync re-derives the topology authoritatively).
         self.pending_patch.clear();
         self.patch_flush_armed = false;
-        if let Some(g) = self.config.gray.as_ref() {
-            ctx.set_timer(g.probation_interval, T_PROBATION);
+        if self.config.gray {
+            ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
         }
         if self.discovery.as_ref().is_some_and(|d| !d.is_done()) {
             // Resume the probe pump; outstanding probes will expire and

@@ -39,6 +39,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use dumbnet_types::{norm_edge, HostId, MacAddr, SwitchId};
 
+use dumbnet_controller::MAX_FLAPS;
 use dumbnet_sim::Engine;
 
 use crate::Fabric;
@@ -330,16 +331,14 @@ impl GrayInvariantReport {
     }
 }
 
-/// Audits `fabric` against the gray-failure invariants. `flap_bound` is
-/// the maximum tolerated quarantine entries per edge (normally the
-/// controller's `max_flaps` plus one — sticky pinning caps it there).
-/// Pass `expect_clear = true` only after the gray faults have ended and
-/// probation plus host exoneration have had time to run; mid-fault the
-/// quarantines are *supposed* to be held.
+/// Audits `fabric` against the gray-failure invariants. An edge may
+/// enter quarantine at most [`MAX_FLAPS`]` + 1` times — sticky pinning
+/// caps it there. Pass `expect_clear = true` only after the gray faults
+/// have ended and probation plus host exoneration have had time to run;
+/// mid-fault the quarantines are *supposed* to be held.
 #[must_use]
 pub fn check_gray_invariants<W: Engine>(
     fabric: &Fabric<W>,
-    flap_bound: u32,
     expect_clear: bool,
 ) -> GrayInvariantReport {
     let truth = &fabric.topology;
@@ -361,7 +360,7 @@ pub fn check_gray_invariants<W: Engine>(
             continue;
         };
         for (e, flaps) in ctrl.gray_flaps() {
-            if flaps > flap_bound {
+            if flaps > MAX_FLAPS + 1 {
                 report.excess_flaps.push((e, flaps));
             }
         }
@@ -484,7 +483,7 @@ mod tests {
 
     /// Redundant flood rounds are the loss countermeasure; the epoch
     /// dedup is what keeps them from amplifying into alarm storms. Cut
-    /// one trunk on a fabric with the default `flood_repeats = 2` and
+    /// one trunk (agents re-flood `FLOOD_REPEATS` = 2 extra rounds) and
     /// verify every host records each distinct link event exactly once,
     /// even though extra flood rounds demonstrably went out.
     #[test]
@@ -534,7 +533,7 @@ mod tests {
         let leaf = g.group("leaf")[0];
         let mut cfg = FabricConfig::default();
         cfg.host.gray_detect = Some(GrayDetectConfig::default());
-        cfg.controller.gray = Some(dumbnet_controller::GrayFaultConfig::default());
+        cfg.controller.gray = true;
         // Two senders on leaf 0 stream to destinations on *different*
         // far leaves: their bad-path evidence then only overlaps on the
         // shared gray trunk, so cross-host corroboration isolates it.
@@ -583,7 +582,7 @@ mod tests {
             ctrl.stats().link_suspects_rx > 0,
             "no suspicion reports reached the controller"
         );
-        let mid = check_gray_invariants(&fabric, 4, false);
+        let mid = check_gray_invariants(&fabric, false);
         assert!(mid.ok(), "mid-fault gray invariants violated: {mid:?}");
         let failovers: u64 = (1..3)
             .filter_map(|h| fabric.host(dumbnet_types::HostId(h)))
@@ -593,7 +592,7 @@ mod tests {
 
         // Post-heal: probation releases the quarantine everywhere.
         fabric.run_until(t(600));
-        let after = check_gray_invariants(&fabric, 4, true);
+        let after = check_gray_invariants(&fabric, true);
         assert!(after.ok(), "post-heal gray invariants violated: {after:?}");
         let ctrl = fabric.controller(dumbnet_types::HostId(0)).unwrap();
         assert!(ctrl.stats().unquarantines > 0, "quarantine never released");

@@ -9,7 +9,7 @@ use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_telemetry::TraceEvent;
 use dumbnet_topology::partition::assign_cells;
 use dumbnet_topology::{EdgeKind, EdgeMap, Route, Topology};
-use dumbnet_types::{DumbNetError, HostId, MacAddr, PortNo, Result, SimTime, SwitchId};
+use dumbnet_types::{Bandwidth, DumbNetError, HostId, MacAddr, PortNo, Result, SimTime, SwitchId};
 
 /// The host agent's NIC port inside the engine.
 const NIC: PortNo = match PortNo::new(1) {
@@ -24,8 +24,6 @@ pub struct FabricConfig {
     pub seed: u64,
     /// Switch-to-switch link characteristics.
     pub trunk: LinkParams,
-    /// Host-to-switch link characteristics.
-    pub access: LinkParams,
     /// Switch hardware parameters.
     pub switch: DumbSwitchConfig,
     /// Template agent configuration applied to every ordinary host.
@@ -43,12 +41,30 @@ impl Default for FabricConfig {
         FabricConfig {
             seed: 0,
             trunk: LinkParams::ten_gig(),
-            access: LinkParams::ten_gig(),
             switch: DumbSwitchConfig::default(),
             host: HostAgentConfig::default(),
             controllers: vec![HostId(0)],
             controller: ControllerConfig::default(),
         }
+    }
+}
+
+impl FabricConfig {
+    /// Validates every part of the configuration that can be judged
+    /// without the topology ([`Fabric::assemble`] runs this first, then
+    /// checks `controllers` against the topology it was given).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DumbNetError::Config`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        DumbNetError::config_rule(
+            self.trunk.bandwidth > Bandwidth::ZERO,
+            "trunk.bandwidth",
+            "> 0",
+        )?;
+        self.host.validate()?;
+        self.controller.validate()
     }
 }
 
@@ -274,8 +290,10 @@ impl<W: Engine> Fabric<W> {
     ///
     /// # Errors
     ///
-    /// Propagates wiring failures (which indicate an inconsistent input
-    /// topology).
+    /// Returns [`DumbNetError::Config`] when `config` fails
+    /// [`FabricConfig::validate`] or names a controller host the
+    /// topology does not have; propagates wiring failures (which
+    /// indicate an inconsistent input topology).
     pub fn assemble<F, G>(
         mut world: W,
         topology: Topology,
@@ -288,6 +306,11 @@ impl<W: Engine> Fabric<W> {
         F: FnMut(HostId, HostAgentConfig) -> HostAgent,
         G: FnMut(HostId, ControllerConfig) -> Controller,
     {
+        config.validate()?;
+        for c in &config.controllers {
+            let rule = format!("hosts of the topology, {c} is not");
+            DumbNetError::config_rule(topology.host(*c).is_ok(), "controllers", &rule)?;
+        }
         let controllers: HashSet<HostId> = config.controllers.iter().copied().collect();
         let cell_count = u32::try_from(world.cell_count()).expect("cell count fits in u32");
         let cells = (cell_count > 1).then(|| assign_cells(&topology, groups, cell_count));
@@ -325,14 +348,14 @@ impl<W: Engine> Fabric<W> {
                 config.trunk,
             )?;
         }
-        // Access links.
+        // Access links: every host hangs off a 10 GbE cable.
         for h in topology.hosts() {
             world.wire(
                 host_addr[h.id.get() as usize],
                 NIC,
                 switch_addr[h.attached.switch.get() as usize],
                 h.attached.port,
-                config.access,
+                LinkParams::ten_gig(),
             )?;
         }
         Ok(Fabric {
@@ -380,13 +403,6 @@ impl<W: Engine> Fabric<W> {
     pub fn host(&self, id: HostId) -> Option<&HostAgent> {
         let addr = *self.host_addr.get(id.get() as usize)?;
         self.world.node::<HostAgent>(addr)
-    }
-
-    /// Mutable access to a host agent.
-    #[must_use]
-    pub fn host_mut(&mut self, id: HostId) -> Option<&mut HostAgent> {
-        let addr = *self.host_addr.get(id.get() as usize)?;
-        self.world.node_mut::<HostAgent>(addr)
     }
 
     /// Immutable access to a controller.
@@ -508,6 +524,85 @@ mod tests {
         assert!(fabric.host(HostId(0)).is_none(), "host 0 is the controller");
         assert!(fabric.host(HostId(1)).is_some());
         assert!(fabric.switch(SwitchId(0)).is_some());
+    }
+
+    /// A valid fixture, then one row per `validate` rule: the single
+    /// field violated and the exact error `Fabric::build` must return.
+    #[test]
+    fn nonsense_config_is_rejected_with_the_field_named() {
+        use dumbnet_host::GrayDetectConfig;
+        let fixture = || {
+            let mut cfg = FabricConfig::default();
+            cfg.host.gray_detect = Some(GrayDetectConfig::default());
+            cfg.controller.gray = true;
+            cfg
+        };
+        assert_eq!(FabricConfig::default().validate(), Ok(()));
+        assert!(Fabric::build(generators::testbed().topology, fixture()).is_ok());
+        fn gd(cfg: &mut FabricConfig) -> &mut GrayDetectConfig {
+            cfg.host.gray_detect.as_mut().unwrap()
+        }
+        type Violation = fn(&mut FabricConfig);
+        let rows: [(Violation, &str); 13] = [
+            (
+                |c| gd(c).probe_interval = SimDuration::ZERO,
+                "gray_detect.probe_interval must be > 0",
+            ),
+            (
+                |c| gd(c).min_samples = 0,
+                "gray_detect.min_samples must be >= 1",
+            ),
+            (
+                |c| gd(c).suspect_threshold = 0.05,
+                "gray_detect.suspect_threshold must be in (0.05, 1]",
+            ),
+            (
+                |c| gd(c).suspect_threshold = 1.5,
+                "gray_detect.suspect_threshold must be in (0.05, 1]",
+            ),
+            (
+                |c| c.controller.discovery.max_ports = 0,
+                "discovery.max_ports must be >= 1",
+            ),
+            (
+                |c| c.controller.discovery.timeout = SimDuration::ZERO,
+                "discovery.timeout must be > 0",
+            ),
+            (
+                |c| c.controller.probe_interval = SimDuration::ZERO,
+                "probe_interval must be > 0",
+            ),
+            (
+                |c| c.controller.heartbeat = SimDuration::ZERO,
+                "heartbeat must be > 0",
+            ),
+            (
+                |c| c.controller.heartbeat = c.controller.takeover_timeout,
+                "heartbeat must be < takeover_timeout",
+            ),
+            (
+                |c| c.controller.probe_window = 0,
+                "probe_window must be >= 1",
+            ),
+            (
+                |c| c.controller.patch_batch_max = 0,
+                "patch_batch_max must be >= 1",
+            ),
+            (
+                |c| c.trunk.bandwidth = Bandwidth::ZERO,
+                "trunk.bandwidth must be > 0",
+            ),
+            (
+                |c| c.controllers = vec![HostId(0), HostId(99)],
+                "controllers must be hosts of the topology, H99 is not",
+            ),
+        ];
+        for (violate, expected) in rows {
+            let mut cfg = fixture();
+            violate(&mut cfg);
+            let err = Fabric::build(generators::testbed().topology, cfg).err();
+            assert_eq!(err, Some(DumbNetError::Config(expected.to_string())));
+        }
     }
 
     #[test]

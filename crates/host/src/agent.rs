@@ -18,8 +18,8 @@ use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Histogram, NodeKind, Telemetry};
 use dumbnet_types::{
-    norm_edge, FastHashMap, FastHashSet, HostId, MacAddr, Path, PortNo, SimDuration, SimTime,
-    SwitchId,
+    norm_edge, DumbNetError, FastHashMap, FastHashSet, HostId, MacAddr, Path, PortNo, Result,
+    SimDuration, SimTime, SwitchId,
 };
 
 use crate::pathtable::{FlowKey, PathTable};
@@ -94,73 +94,78 @@ pub enum AppAction {
     },
 }
 
+/// A probe unanswered for this long counts as a loss sample (PR 8;
+/// under the default 5 ms round so each sweep judges the round before).
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(4);
+
+/// EWMA smoothing factor for per-path loss (sample weight; PR 8).
+const EWMA_ALPHA: f64 = 0.4;
+
+/// EWMA loss at or below this exonerates a locally quarantined edge
+/// (hysteresis gap: clear < suspect, so health must really recover
+/// before the edge is forgiven; PR 8).
+const CLEAR_THRESHOLD: f64 = 0.05;
+
+/// Minimum gap between successive [`ControlMessage::LinkSuspect`]
+/// reports for the same edge (evidence refresh rate; PR 8).
+const REPORT_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
+/// Controller-flooded quarantine entries not re-asserted within this
+/// window expire locally. Quarantine is soft state: patch floods are
+/// at-most-once and hosts skip missed epochs, so an unquarantine delta
+/// can be lost forever — the leader re-asserts the live set
+/// periodically and silence means release (PR 8; four of the
+/// controller's refresh rounds).
+const CTRL_QUARANTINE_TTL: SimDuration = SimDuration::from_millis(250);
+
 /// Gray-failure detection knobs (DESIGN.md §10). `None` in
 /// [`HostAgentConfig::gray_detect`] disables the whole machinery — no
 /// probes, no health state, no timers — so legacy runs stay
 /// byte-identical.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct GrayDetectConfig {
     /// Gap between path-probe rounds (every round probes every cached
     /// path of every destination, and sweeps the previous round's
     /// timeouts).
     pub probe_interval: SimDuration,
-    /// A probe unanswered for this long counts as a loss sample.
-    pub probe_timeout: SimDuration,
-    /// EWMA smoothing factor for per-path loss (sample weight).
-    pub ewma_alpha: f64,
     /// EWMA loss at or above this suspects the path's distinct edges.
     pub suspect_threshold: f64,
-    /// EWMA loss at or below this exonerates a locally quarantined
-    /// edge (hysteresis gap: clear < suspect, so health must really
-    /// recover before the edge is forgiven).
-    pub clear_threshold: f64,
     /// Minimum samples before the EWMA is trusted either way.
     pub min_samples: u32,
-    /// Minimum gap between successive [`ControlMessage::LinkSuspect`]
-    /// reports for the same edge (evidence refresh rate).
-    pub report_interval: SimDuration,
-    /// Controller-flooded quarantine entries not re-asserted within
-    /// this window expire locally. Quarantine is soft state: patch
-    /// floods are at-most-once and hosts skip missed epochs, so an
-    /// unquarantine delta can be lost forever — the leader re-asserts
-    /// the live set periodically and silence means release.
-    pub ctrl_quarantine_ttl: SimDuration,
 }
 
 impl Default for GrayDetectConfig {
     fn default() -> GrayDetectConfig {
         GrayDetectConfig {
             probe_interval: SimDuration::from_millis(5),
-            probe_timeout: SimDuration::from_millis(4),
-            ewma_alpha: 0.4,
             suspect_threshold: 0.3,
-            clear_threshold: 0.05,
             min_samples: 4,
-            report_interval: SimDuration::from_millis(10),
-            ctrl_quarantine_ttl: SimDuration::from_millis(250),
         }
     }
 }
 
+/// How many paths the TopoCache extracts per destination (the `k` of
+/// §5.2).
+const K_PATHS: usize = 4;
+
+/// How long to wait for a PathReply before re-asking the controller
+/// (replies can be lost during partitions; seed value).
+const PATH_REQUEST_RETRY: SimDuration = SimDuration::from_millis(50);
+
+/// Extra host-flood rounds per link event. Floods are ack-less, so
+/// redundancy is the only defence against loss; receivers dedup on the
+/// event's `(switch, port, up, seq)` epoch (PR 1).
+const FLOOD_REPEATS: u32 = 2;
+
+/// Spacing between redundant flood rounds (PR 1).
+const FLOOD_GAP: SimDuration = SimDuration::from_millis(1);
+
 /// Host agent configuration.
 #[derive(Debug, Clone)]
 pub struct HostAgentConfig {
-    /// How many paths the TopoCache extracts per destination (the `k` of
-    /// §5.2).
-    pub k_paths: usize,
     /// Extra delay applied to every transmission, modeling the host
     /// stack (see [`crate::datapath`]).
     pub stack_delay: SimDuration,
-    /// How long to wait for a PathReply before re-asking the controller
-    /// (replies can be lost during partitions).
-    pub path_request_retry: SimDuration,
-    /// Extra host-flood rounds per link event. Floods are ack-less, so
-    /// redundancy is the only defence against loss; receivers dedup on
-    /// the event's `(switch, port, up, seq)` epoch. Zero restores
-    /// single-shot flooding.
-    pub flood_repeats: u32,
-    /// Spacing between redundant flood rounds.
-    pub flood_gap: SimDuration,
     /// Gray-failure detection; `None` (the default) disables it.
     pub gray_detect: Option<GrayDetectConfig>,
     /// Scheduled application actions.
@@ -170,14 +175,37 @@ pub struct HostAgentConfig {
 impl Default for HostAgentConfig {
     fn default() -> HostAgentConfig {
         HostAgentConfig {
-            k_paths: 4,
             stack_delay: SimDuration::ZERO,
-            path_request_retry: SimDuration::from_millis(50),
-            flood_repeats: 2,
-            flood_gap: SimDuration::from_millis(1),
             gray_detect: None,
             actions: Vec::new(),
         }
+    }
+}
+
+impl HostAgentConfig {
+    /// Rejects values the agent cannot run with: a zero probe interval
+    /// re-arms the probe timer at the same instant forever, and a
+    /// suspect threshold at or under `CLEAR_THRESHOLD` makes an edge
+    /// suspect and exonerated at once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DumbNetError::Config`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        let Some(gd) = &self.gray_detect else {
+            return Ok(());
+        };
+        DumbNetError::config_rule(
+            gd.probe_interval > SimDuration::ZERO,
+            "gray_detect.probe_interval",
+            "> 0",
+        )?;
+        DumbNetError::config_rule(gd.min_samples >= 1, "gray_detect.min_samples", ">= 1")?;
+        DumbNetError::config_rule(
+            gd.suspect_threshold > CLEAR_THRESHOLD && gd.suspect_threshold <= 1.0,
+            "gray_detect.suspect_threshold",
+            &format!("in ({CLEAR_THRESHOLD}, 1]"),
+        )
     }
 }
 
@@ -507,12 +535,6 @@ impl HostAgent {
         self.controller.as_ref().map(|(mac, _)| *mac)
     }
 
-    /// Installs controller reachability directly (used by experiment
-    /// setups that skip the bootstrap phase).
-    pub fn set_controller(&mut self, mac: MacAddr, path: Path) {
-        self.controller = Some((mac, path));
-    }
-
     fn transmit(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if self.config.stack_delay == SimDuration::ZERO {
             ctx.send(NIC, pkt);
@@ -535,7 +557,7 @@ impl HostAgent {
             return Some(path);
         }
         // PathTable miss: consult the TopoCache.
-        if let Some((paths, backup)) = self.topocache.k_paths(dst, self.config.k_paths) {
+        if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
             if !paths.is_empty() || backup.is_some() {
                 self.pathtable.install(dst, paths, backup);
                 let width = self.pathtable.entry(dst).map_or(0, |e| e.paths.len());
@@ -570,13 +592,12 @@ impl HostAgent {
         // One outstanding request per destination — but retry requests
         // whose replies are overdue (lost during failures).
         let now = ctx.now();
-        let retry = self.config.path_request_retry;
         let mut fresh_exists = false;
         self.outstanding.retain(|_, &mut (d, at)| {
             if d != dst {
                 return true;
             }
-            if now - at < retry {
+            if now - at < PATH_REQUEST_RETRY {
                 fresh_exists = true;
                 true
             } else {
@@ -617,7 +638,7 @@ impl HostAgent {
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
         if !self.retry_armed && !self.pending.is_empty() {
             self.retry_armed = true;
-            ctx.set_timer(self.config.path_request_retry, Self::RETRY_TOKEN);
+            ctx.set_timer(PATH_REQUEST_RETRY, Self::RETRY_TOKEN);
         }
     }
 
@@ -679,8 +700,7 @@ impl HostAgent {
                 // Re-install surviving paths for destinations whose cache
                 // shrank, from the (now filtered) TopoCache.
                 for dst in self.topocache_destinations() {
-                    if let Some((paths, backup)) = self.topocache.k_paths(dst, self.config.k_paths)
-                    {
+                    if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
                         if !paths.is_empty() || backup.is_some() {
                             self.pathtable.install(dst, paths, backup);
                             self.drop_health(dst);
@@ -697,10 +717,8 @@ impl HostAgent {
             // Floods are ack-less; schedule redundant rounds so a lossy
             // fabric still gets the word out. Receivers (and we) dedup
             // on the event's sequence epoch.
-            if self.config.flood_repeats > 0 {
-                self.flood_backlog.push((event, self.config.flood_repeats));
-                self.arm_flood(ctx);
-            }
+            self.flood_backlog.push((event, FLOOD_REPEATS));
+            self.arm_flood(ctx);
         }
     }
 
@@ -752,7 +770,7 @@ impl HostAgent {
     fn arm_flood(&mut self, ctx: &mut Ctx<'_>) {
         if !self.flood_armed && !self.flood_backlog.is_empty() {
             self.flood_armed = true;
-            ctx.set_timer(self.config.flood_gap, Self::FLOOD_TOKEN);
+            ctx.set_timer(FLOOD_GAP, Self::FLOOD_TOKEN);
         }
     }
 
@@ -764,13 +782,13 @@ impl HostAgent {
     const PROBE_TOKEN: u64 = u64::MAX - 2;
 
     /// Folds one probe outcome into the per-path loss EWMA.
-    fn health_sample(&mut self, alpha: f64, dst: MacAddr, ix: usize, lost: bool) {
+    fn health_sample(&mut self, dst: MacAddr, ix: usize, lost: bool) {
         let h = self.path_health.entry((dst, ix)).or_default();
         let sample = if lost { 1.0 } else { 0.0 };
         h.ewma_loss = if h.samples == 0 {
             sample
         } else {
-            h.ewma_loss * (1.0 - alpha) + sample * alpha
+            h.ewma_loss * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
         };
         h.samples = h.samples.saturating_add(1);
     }
@@ -798,7 +816,7 @@ impl HostAgent {
     /// needed), then launch a fresh probe along every cached primary
     /// path.
     fn probe_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(cfg) = self.config.gray_detect.clone() else {
+        let Some(cfg) = self.config.gray_detect else {
             return;
         };
         let now = ctx.now();
@@ -807,7 +825,7 @@ impl HostAgent {
         let lapsed: Vec<(SwitchId, SwitchId)> = self
             .ctrl_quarantined
             .iter()
-            .filter(|&(_, &at)| now - at > cfg.ctrl_quarantine_ttl)
+            .filter(|&(_, &at)| now - at > CTRL_QUARANTINE_TTL)
             .map(|(&edge, _)| edge)
             .collect();
         for edge in lapsed {
@@ -819,7 +837,7 @@ impl HostAgent {
         let mut expired: Vec<u64> = self
             .outstanding_probes
             .iter()
-            .filter(|&(_, &(_, _, at))| now - at >= cfg.probe_timeout)
+            .filter(|&(_, &(_, _, at))| now - at >= PROBE_TIMEOUT)
             .map(|(&id, _)| id)
             .collect();
         expired.sort_unstable(); // Hash order must not leak into sends.
@@ -829,9 +847,9 @@ impl HostAgent {
                 .remove(&id)
                 .expect("expired probe id");
             self.counters.probe_losses.inc();
-            self.health_sample(cfg.ewma_alpha, dst, ix, true);
+            self.health_sample(dst, ix, true);
         }
-        self.evaluate_suspicion(ctx, &cfg);
+        self.evaluate_suspicion(ctx, cfg);
         let mut round: Vec<(MacAddr, usize, Path)> = Vec::new();
         for dst in self.pathtable.destinations() {
             if dst == self.mac {
@@ -867,7 +885,7 @@ impl HostAgent {
     /// once their worst sampled EWMA drops under the clear threshold the
     /// host restores them locally and reports the recovery so controller
     /// probation can corroborate.
-    fn evaluate_suspicion(&mut self, ctx: &mut Ctx<'_>, cfg: &GrayDetectConfig) {
+    fn evaluate_suspicion(&mut self, ctx: &mut Ctx<'_>, cfg: GrayDetectConfig) {
         // Worst sampled EWMA per edge (exoneration evidence) and the
         // suspect set (bad-path edges minus healthy-path edges, per
         // destination). BTreeMaps: iteration order feeds sends.
@@ -898,7 +916,7 @@ impl HostAgent {
                 }
                 if h.ewma_loss >= cfg.suspect_threshold {
                     bad.push((ix, h.ewma_loss, h.samples));
-                } else if h.ewma_loss <= cfg.clear_threshold {
+                } else if h.ewma_loss <= CLEAR_THRESHOLD {
                     for w in p.route.switches().windows(2) {
                         good_edges.insert(norm_edge(w[0], w[1]));
                     }
@@ -950,7 +968,7 @@ impl HostAgent {
                 self.pathtable.quarantine_edge(edge.0, edge.1);
                 self.counters.gray_failovers.inc();
             }
-            self.report_edge(ctx, cfg, edge, dir, loss, window);
+            self.report_edge(ctx, edge, dir, loss, window);
         }
         // Exoneration of held edges whose evidence recovered.
         let held: BTreeSet<(SwitchId, SwitchId)> = self
@@ -966,7 +984,7 @@ impl HostAgent {
             let Some(&(worst, window, dir)) = edge_worst.get(&edge) else {
                 continue;
             };
-            if worst > cfg.clear_threshold {
+            if worst > CLEAR_THRESHOLD {
                 continue;
             }
             if self.local_suspects.remove(&edge) && !self.ctrl_quarantined.contains_key(&edge) {
@@ -975,7 +993,7 @@ impl HostAgent {
                 // patch.
                 self.pathtable.restore_edge(edge.0, edge.1);
             }
-            self.report_edge(ctx, cfg, edge, dir, worst, window);
+            self.report_edge(ctx, edge, dir, worst, window);
         }
     }
 
@@ -983,7 +1001,6 @@ impl HostAgent {
     fn report_edge(
         &mut self,
         ctx: &mut Ctx<'_>,
-        cfg: &GrayDetectConfig,
         edge: (SwitchId, SwitchId),
         direction: u8,
         loss: f64,
@@ -993,7 +1010,7 @@ impl HostAgent {
         if self
             .last_report
             .get(&edge)
-            .is_some_and(|&t| now - t < cfg.report_interval)
+            .is_some_and(|&t| now - t < REPORT_INTERVAL)
         {
             return;
         }
@@ -1160,7 +1177,7 @@ impl HostAgent {
         };
         if let Some(graph) = graph {
             self.topocache.integrate(dst, *graph, topo_version);
-            if let Some((paths, backup)) = self.topocache.k_paths(dst, self.config.k_paths) {
+            if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
                 self.pathtable.install(dst, paths, backup);
                 self.drop_health(dst);
             }
@@ -1218,12 +1235,7 @@ impl HostAgent {
             }
             ControlMessage::PathProbeReply { probe_id, .. } => {
                 if let Some((dst, ix, _)) = self.outstanding_probes.remove(&probe_id) {
-                    let alpha = self
-                        .config
-                        .gray_detect
-                        .as_ref()
-                        .map_or(0.0, |c| c.ewma_alpha);
-                    self.health_sample(alpha, dst, ix, false);
+                    self.health_sample(dst, ix, false);
                 }
             }
             ControlMessage::LinkNotification { event, .. } => {

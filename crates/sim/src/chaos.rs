@@ -38,13 +38,6 @@ impl ChaosReport {
     pub fn converged(&self) -> bool {
         self.converged_at.is_some()
     }
-
-    /// Sum of fault-injected drops (loss + burst + corrupt) across all
-    /// wires.
-    #[must_use]
-    pub fn injected_drops(&self) -> u64 {
-        self.stats.drops_loss + self.stats.drops_corrupt
-    }
 }
 
 /// Drives one chaos scenario to convergence or deadline.

@@ -97,17 +97,6 @@ impl LinkParams {
             ecn_threshold: Some(SimDuration::from_micros(50)),
         }
     }
-
-    /// A 1 GbE link (the FPGA prototype's ports).
-    #[must_use]
-    pub fn one_gig() -> LinkParams {
-        LinkParams {
-            latency: SimDuration::from_micros(1),
-            bandwidth: Bandwidth::gbps(1),
-            max_queue: SimDuration::from_millis(2),
-            ecn_threshold: Some(SimDuration::from_micros(500)),
-        }
-    }
 }
 
 /// Behaviour plugged into the engine: a switch, host, or controller.

@@ -285,11 +285,6 @@ pub struct ChaosPlan {
     pub crashes: Vec<CrashSchedule>,
     /// Partition windows.
     pub partitions: Vec<PartitionSchedule>,
-    /// Scheduled mid-run fault-profile replacements: `(at, wire, new
-    /// profile)`. This is how gray faults heal (or worsen) while the
-    /// run is in flight — replacing the profile with a benign one at
-    /// `at` models the optic being reseated.
-    pub profile_changes: Vec<(SimTime, WireId, FaultProfile)>,
 }
 
 impl ChaosPlan {
@@ -327,18 +322,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Schedules `wire`'s fault profile to be replaced with `profile`
-    /// at `at` (mid-run heal or degradation).
-    pub fn with_profile_change(
-        mut self,
-        at: SimTime,
-        wire: WireId,
-        profile: FaultProfile,
-    ) -> ChaosPlan {
-        self.profile_changes.push((at, wire, profile));
-        self
-    }
-
     /// Installs the whole plan into `world`: seeds the fault RNG, sets
     /// the per-wire profiles, and schedules every flap transition and
     /// crash/restart event. Works on any [`Engine`] — on a sharded
@@ -371,9 +354,6 @@ impl ChaosPlan {
                 world.schedule_link_state(partition.start.after(partition.heal_after), wire, true);
             }
         }
-        for (at, wire, profile) in &self.profile_changes {
-            world.schedule_fault_profile(*at, *wire, profile.clone());
-        }
     }
 
     /// The time of the last scheduled (non-probabilistic) fault event:
@@ -405,12 +385,7 @@ impl ChaosPlan {
                 None => update(crash.at),
             }
         }
-        let profiles = self
-            .link_faults
-            .iter()
-            .map(|(_, p)| p)
-            .chain(self.profile_changes.iter().map(|(_, _, p)| p));
-        for profile in profiles {
+        for (_, profile) in &self.link_faults {
             for b in &profile.bursts {
                 update(b.start.after(b.duration));
             }
@@ -420,9 +395,6 @@ impl ChaosPlan {
             for w in &profile.corrupt_windows {
                 update(w.start.after(w.duration));
             }
-        }
-        for (at, _, _) in &self.profile_changes {
-            update(*at);
         }
         for partition in &self.partitions {
             update(partition.start.after(partition.heal_after));
@@ -640,26 +612,24 @@ mod tests {
     #[test]
     fn last_scheduled_event_covers_gray_shapes() {
         let w = WireId::from_raw(0);
-        let plan = ChaosPlan::seeded(1)
-            .with_link_fault(
-                w,
-                FaultProfile {
-                    ramp: Some(LossRamp {
-                        start: t(10),
-                        duration: SimDuration::from_millis(40),
-                        from: 0.0,
-                        to: 0.3,
-                    }),
-                    corrupt_windows: vec![CorruptWindow {
-                        start: t(20),
-                        duration: SimDuration::from_millis(15),
-                        probability: 0.2,
-                    }],
-                    ..FaultProfile::default()
-                },
-            )
-            .with_profile_change(t(120), w, FaultProfile::default());
-        assert_eq!(plan.last_scheduled_event(), Some(t(120)));
+        let plan = ChaosPlan::seeded(1).with_link_fault(
+            w,
+            FaultProfile {
+                ramp: Some(LossRamp {
+                    start: t(10),
+                    duration: SimDuration::from_millis(40),
+                    from: 0.0,
+                    to: 0.3,
+                }),
+                corrupt_windows: vec![CorruptWindow {
+                    start: t(20),
+                    duration: SimDuration::from_millis(15),
+                    probability: 0.2,
+                }],
+                ..FaultProfile::default()
+            },
+        );
+        assert_eq!(plan.last_scheduled_event(), Some(t(50)));
     }
 
     #[test]

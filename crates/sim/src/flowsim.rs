@@ -116,7 +116,6 @@ struct Flow {
     path_at: u32,
     path_len: u32,
     remaining_bits: f64,
-    started: SimTime,
     finished: Option<SimTime>,
 }
 
@@ -375,7 +374,6 @@ impl FlowSim {
             path_at: 0,
             path_len: 0,
             remaining_bits: bytes as f64 * 8.0,
-            started: self.now,
             finished: None,
         });
         self.rates.push(0.0);
@@ -448,13 +446,6 @@ impl FlowSim {
     #[must_use]
     pub fn finished_at(&self, flow: FlowId) -> Option<SimTime> {
         self.flows.get(flow.0).and_then(|f| f.finished)
-    }
-
-    /// Flow completion time (duration from start to finish), if finished.
-    #[must_use]
-    pub fn completion_time(&self, flow: FlowId) -> Option<SimDuration> {
-        let f = self.flows.get(flow.0)?;
-        Some(f.finished? - f.started)
     }
 
     /// Number of unfinished flows.

@@ -23,6 +23,10 @@ use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, NodeKind, Telemetry, TraceCategory};
 use dumbnet_types::{MacAddr, PortNo, SimDuration, SimTime, SwitchId};
 
+/// Minimum spacing of alarms per port ("the switch will send out one
+/// alarm per second per port", §4.2).
+const ALARM_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Tunables for the dumb switch. Everything here models a *hardware*
 /// property, not configuration state: the values are identical for every
 /// switch in a deployment.
@@ -32,9 +36,6 @@ pub struct DumbSwitchConfig {
     /// modern data center topologies often have small diameters, a max of
     /// 5 hops is often enough" (§4.2).
     pub notification_ttl: u8,
-    /// Minimum spacing of alarms per port ("the switch will send out one
-    /// alarm per second per port").
-    pub alarm_interval: SimDuration,
     /// Delay between a physical state change and the alarm going out.
     /// Zero models hardware-based monitoring; the paper's testbed used
     /// "a script on Arista switch to monitor the port state", which the
@@ -55,7 +56,6 @@ impl Default for DumbSwitchConfig {
     fn default() -> DumbSwitchConfig {
         DumbSwitchConfig {
             notification_ttl: 5,
-            alarm_interval: SimDuration::from_secs(1),
             detection_delay: SimDuration::ZERO,
             shadow_check: false,
         }
@@ -506,14 +506,14 @@ impl Node for DumbSwitch {
         }
         if let Some(last) = mon.last_alarm {
             let elapsed = now - last;
-            if elapsed < self.config.alarm_interval {
+            if elapsed < ALARM_INTERVAL {
                 // Flap suppression — but schedule a single re-check at
                 // the window's end so a state that *stays* changed is
                 // eventually announced (still ≤ 1 alarm/s/port).
                 self.counters.alarms_suppressed.inc();
                 if !mon.recheck_pending {
                     mon.recheck_pending = true;
-                    let wait = self.config.alarm_interval - elapsed;
+                    let wait = ALARM_INTERVAL - elapsed;
                     ctx.set_timer(wait, u64::from(port.get()));
                 }
                 return;
@@ -700,7 +700,7 @@ mod tests {
     fn flap_settling_changed_reannounced_once_at_window_end() {
         // Down (alarm), up 100 ms later (suppressed), stays up: the
         // single re-check at the window's end announces the new state —
-        // exactly one extra alarm, at `last_alarm + alarm_interval`.
+        // exactly one extra alarm, at `last_alarm + ALARM_INTERVAL`.
         let (mut w, sw, h1, _h2) = one_switch_world();
         let wid = w.wire_at(sw, p(2)).unwrap();
         let t0 = SimTime::ZERO + SimDuration::from_millis(10);
@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn change_at_exact_window_boundary_not_suppressed() {
-        // `elapsed == alarm_interval` is outside the suppression window
+        // `elapsed == ALARM_INTERVAL` is outside the suppression window
         // ("one alarm per second per port" permits the next second's).
         let (mut w, sw, _h1, _h2) = one_switch_world();
         let wid = w.wire_at(sw, p(2)).unwrap();

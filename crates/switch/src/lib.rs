@@ -20,4 +20,4 @@ pub mod dumb;
 pub mod stp;
 
 pub use dumb::{DumbSwitch, DumbSwitchConfig, DumbSwitchStats};
-pub use stp::{StpConfig, StpSwitch};
+pub use stp::StpSwitch;

@@ -20,28 +20,16 @@ use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_types::{MacAddr, Path, PortNo, SimDuration, SimTime};
 
-/// Protocol timers. Defaults are RSTP-aggressive so the baseline is
-/// *favourably* represented (classic 802.1D's 15 s forward delay would
-/// make DumbNet look hundreds of times faster, not ~5×).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StpConfig {
-    /// BPDU transmission interval.
-    pub hello: SimDuration,
-    /// Time a newly forwarding port stays silent (listening/learning).
-    pub forward_delay: SimDuration,
-    /// Age after which a port's peer information expires.
-    pub max_age: SimDuration,
-}
+// Protocol timers, RSTP-aggressive so the baseline is *favourably*
+// represented (classic 802.1D's 15 s forward delay would make DumbNet
+// look hundreds of times faster, not ~5×).
 
-impl Default for StpConfig {
-    fn default() -> StpConfig {
-        StpConfig {
-            hello: SimDuration::from_millis(50),
-            forward_delay: SimDuration::from_millis(150),
-            max_age: SimDuration::from_millis(200),
-        }
-    }
-}
+/// BPDU transmission interval.
+const HELLO: SimDuration = SimDuration::from_millis(50);
+/// Time a newly forwarding port stays silent (listening/learning).
+const FORWARD_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Age after which a port's peer information expires.
+const MAX_AGE: SimDuration = SimDuration::from_millis(200);
 
 /// Port role in the spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +54,6 @@ struct PeerInfo {
 #[derive(Debug)]
 pub struct StpSwitch {
     id: u64,
-    config: StpConfig,
     peer: HashMap<PortNo, PeerInfo>,
     roles: HashMap<PortNo, Role>,
     forwarding_since: HashMap<PortNo, SimTime>,
@@ -97,10 +84,9 @@ impl StpSwitch {
 
     /// Creates a bridge with the given ID (lower ID wins root election).
     #[must_use]
-    pub fn new(id: u64, config: StpConfig) -> StpSwitch {
+    pub fn new(id: u64) -> StpSwitch {
         StpSwitch {
             id,
-            config,
             peer: HashMap::new(),
             roles: HashMap::new(),
             forwarding_since: HashMap::new(),
@@ -128,14 +114,13 @@ impl StpSwitch {
             && self
                 .forwarding_since
                 .get(&port)
-                .is_some_and(|&since| now - since >= self.config.forward_delay)
+                .is_some_and(|&since| now - since >= FORWARD_DELAY)
     }
 
     fn recompute(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         // Expire stale peer info.
-        let max_age = self.config.max_age;
-        self.peer.retain(|_, info| now - info.heard_at <= max_age);
+        self.peer.retain(|_, info| now - info.heard_at <= MAX_AGE);
 
         // Root selection: the best (root, cost+1, sender, port) seen, or
         // ourselves.
@@ -243,7 +228,7 @@ impl Node for StpSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.recompute(ctx);
         self.send_bpdus(ctx);
-        ctx.set_timer(self.config.hello, Self::HELLO_TOKEN);
+        ctx.set_timer(HELLO, Self::HELLO_TOKEN);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortNo, pkt: Packet) {
@@ -272,7 +257,7 @@ impl Node for StpSwitch {
         if token == Self::HELLO_TOKEN {
             self.recompute(ctx);
             self.send_bpdus(ctx);
-            ctx.set_timer(self.config.hello, Self::HELLO_TOKEN);
+            ctx.set_timer(HELLO, Self::HELLO_TOKEN);
         }
     }
 
@@ -332,9 +317,8 @@ mod tests {
     /// switches 1 and 2: redundant loops that plain flooding would melt.
     fn triangle() -> (World, Vec<NodeAddr>, NodeAddr, NodeAddr) {
         let mut w = World::new(0);
-        let cfg = StpConfig::default();
         let s: Vec<NodeAddr> = (0..3)
-            .map(|i| w.add_node(Box::new(StpSwitch::new(i as u64, cfg))))
+            .map(|i| w.add_node(Box::new(StpSwitch::new(i as u64))))
             .collect();
         let ha = w.add_node(Box::new(Sink { got: vec![] }));
         let hb = w.add_node(Box::new(Sink { got: vec![] }));

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use dumbnet_types::{DumbNetError, HostId, Path, Result, SwitchId};
 
 use crate::graph::{Attachment, Topology};
-use crate::route::Route;
 
 /// The outcome of walking a tag path through the topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,12 +127,6 @@ impl TopologyView {
     #[must_use]
     pub fn permits_host(&self, h: HostId) -> bool {
         self.hosts.is_empty() || self.hosts.contains(&h)
-    }
-
-    /// Checks a switch-level route against the view.
-    #[must_use]
-    pub fn permits_route(&self, route: &Route) -> bool {
-        route.switches().iter().all(|&s| self.permits_switch(s))
     }
 
     /// Fully verifies a tag path for a tenant: traces it against the real

@@ -59,8 +59,25 @@ pub enum DumbNetError {
         /// Acknowledgements required.
         needed: usize,
     },
-    /// Catch-all for configuration errors in experiment setups.
+    /// A config struct's `validate` rejected a field.
     Config(String),
+}
+
+impl DumbNetError {
+    /// The shape every config `validate` rule takes: `Ok` when the rule
+    /// `holds`, else [`DumbNetError::Config`] reading
+    /// `"<field> must be <rule>"`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `Config` error when `holds` is false.
+    pub fn config_rule(holds: bool, field: &str, rule: &str) -> Result<()> {
+        if holds {
+            Ok(())
+        } else {
+            Err(DumbNetError::Config(format!("{field} must be {rule}")))
+        }
+    }
 }
 
 impl std::fmt::Display for DumbNetError {

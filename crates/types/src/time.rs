@@ -87,25 +87,25 @@ impl SimDuration {
 
     /// Constructs from nanoseconds.
     #[must_use]
-    pub fn from_nanos(ns: u64) -> SimDuration {
+    pub const fn from_nanos(ns: u64) -> SimDuration {
         SimDuration(ns)
     }
 
     /// Constructs from microseconds.
     #[must_use]
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us.saturating_mul(1_000))
     }
 
     /// Constructs from milliseconds.
     #[must_use]
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms.saturating_mul(1_000_000))
     }
 
     /// Constructs from whole seconds.
     #[must_use]
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s.saturating_mul(1_000_000_000))
     }
 

@@ -56,12 +56,6 @@ impl FlowMap {
         &self.map
     }
 
-    /// The directed trunk edge `a → b`, if those switches are adjacent.
-    #[must_use]
-    pub fn trunk_edge(&self, a: SwitchId, b: SwitchId) -> Option<EdgeId> {
-        self.map.trunk(a, b).map(|ix| EdgeId(ix.0))
-    }
-
     /// The edge path a flow from `src` to `dst` takes along `route`
     /// (access uplink, trunk hops, access downlink).
     ///
