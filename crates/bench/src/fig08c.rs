@@ -22,7 +22,7 @@ use dumbnet_topology::generators;
 use dumbnet_types::{HostId, SimDuration, SimTime};
 
 use crate::fig08;
-use crate::report::{f, Report};
+use crate::report::{f, json_document, json_object, Json, Report};
 
 /// One probe-window sweep row.
 #[derive(Debug, Clone)]
@@ -173,53 +173,36 @@ impl Fig08c {
                 .sum::<u64>()
     }
 
-    /// Hand-rolled JSON document (flat schema).
+    /// The JSON document: a pure function of the simulated results (host
+    /// wall-clock stays in the human report).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let windows: Vec<String> = self
-            .windows
-            .iter()
-            .map(|w| {
-                format!(
-                    concat!(
-                        "    {{\"window\": {}, \"probes\": {}, ",
-                        "\"virtual_secs\": {:.3}, \"wall_secs\": {:.3}, \"exact\": {}}}"
-                    ),
-                    w.window,
-                    w.probes,
-                    w.time.as_secs_f64(),
-                    w.wall_secs,
-                    w.exact
-                )
-            })
-            .collect();
-        let batches: Vec<String> = self
-            .batches
-            .iter()
-            .map(|b| {
-                format!(
-                    concat!(
-                        "    {{\"batch_max\": {}, \"floods\": {}, ",
-                        "\"frames\": {}, \"converge_ms\": {:.3}}}"
-                    ),
-                    b.batch_max,
-                    b.floods,
-                    b.frames,
-                    b.converge.as_millis_f64()
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\n  \"figure\": \"fig08c_batch_convergence\",\n",
-                "  \"fat_tree_k\": {},\n  \"checksum\": {},\n",
-                "  \"window_sweep\": [\n{}\n  ],\n",
-                "  \"batch_sweep\": [\n{}\n  ]\n}}"
-            ),
-            self.k,
-            self.checksum(),
-            windows.join(",\n"),
-            batches.join(",\n")
+        let windows = self.windows.iter().map(|w| {
+            json_object(&[
+                ("window", Json::Int(w.window as u64)),
+                ("probes", Json::Int(w.probes)),
+                ("virtual_secs", Json::Float(w.time.as_secs_f64(), 3)),
+                ("exact", Json::Bool(w.exact)),
+            ])
+        });
+        let batches = self.batches.iter().map(|b| {
+            json_object(&[
+                ("batch_max", Json::Int(b.batch_max as u64)),
+                ("floods", Json::Int(b.floods)),
+                ("frames", Json::Int(b.frames)),
+                ("converge_ms", Json::Float(b.converge.as_millis_f64(), 3)),
+            ])
+        });
+        json_document(
+            &[
+                ("figure", Json::Str("fig08c_batch_convergence")),
+                ("fat_tree_k", Json::Int(self.k as u64)),
+                ("checksum", Json::Int(self.checksum())),
+            ],
+            &[
+                ("window_sweep", windows.collect()),
+                ("batch_sweep", batches.collect()),
+            ],
         )
     }
 
@@ -299,5 +282,14 @@ mod tests {
                 pair[0].window
             );
         }
+    }
+
+    /// The document carries simulated results only, so two runs agree
+    /// byte for byte (host wall-clock is in the report, not here).
+    #[test]
+    fn json_document_is_equal_across_runs() {
+        let doc = sweep(true).to_json();
+        assert_eq!(doc, sweep(true).to_json());
+        assert!(!doc.contains("wall"), "{doc}");
     }
 }

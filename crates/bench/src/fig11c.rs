@@ -22,6 +22,7 @@ use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime, SwitchId};
 
 use crate::fig11::outage_from_bins;
+use crate::report::{json_document, json_object, Json};
 
 /// One measured point of the loss sweep.
 #[derive(Debug, Clone)]
@@ -171,25 +172,8 @@ fn run_spine<W: Engine>(
     None
 }
 
-/// JSON for one point (no serializer dependency — the schema is flat).
-fn point_json(pt: &ChaosRecoveryPoint) -> String {
-    let outage_ms = pt.outage.map_or("null".to_string(), |o| {
-        format!("{:.3}", o.as_secs_f64() * 1e3)
-    });
-    format!(
-        concat!(
-            "{{\"loss\": {:.3}, \"recovery_ms\": {}, \"recovered\": {}, ",
-            "\"drops_loss\": {}, \"floods_rebroadcast\": {}, ",
-            "\"baseline_mbps\": {:.1}}}"
-        ),
-        pt.loss,
-        outage_ms,
-        pt.outage.is_some(),
-        pt.drops_loss,
-        pt.floods_rebroadcast,
-        pt.baseline_mbps,
-    )
-}
+const TITLE: &str = "failure recovery time vs packet-loss rate";
+const SETUP: &str = "testbed, 480 Mbps stream, one spine-leaf cut at 200 ms, uniform per-wire loss";
 
 /// Figure 11(c): the loss sweep, as a JSON document, on the engine
 /// selected by `shards` (`<= 1` = the classic single world). The document
@@ -201,26 +185,24 @@ pub fn run_c_sharded(quick: bool, shards: u32) -> String {
     } else {
         &[0.0, 0.01, 0.02, 0.05, 0.08, 0.10]
     };
-    let series: Vec<String> = rates
-        .iter()
-        .map(|&p| {
-            format!(
-                "    {}",
-                point_json(&chaos_recovery_point_sharded(p, shards))
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"figure\": \"11c\",\n",
-            "  \"title\": \"failure recovery time vs packet-loss rate\",\n",
-            "  \"setup\": \"testbed, 480 Mbps stream, one spine-leaf cut at ",
-            "200 ms, uniform per-wire loss\",\n",
-            "  \"series\": [\n{}\n  ]\n",
-            "}}"
-        ),
-        series.join(",\n")
+    let series = rates.iter().map(|&p| {
+        let pt = chaos_recovery_point_sharded(p, shards);
+        json_object(&[
+            ("loss", Json::Float(pt.loss, 3)),
+            ("recovery_ms", Json::millis(pt.outage)),
+            ("recovered", Json::Bool(pt.outage.is_some())),
+            ("drops_loss", Json::Int(pt.drops_loss)),
+            ("floods_rebroadcast", Json::Int(pt.floods_rebroadcast)),
+            ("baseline_mbps", Json::Float(pt.baseline_mbps, 1)),
+        ])
+    });
+    json_document(
+        &[
+            ("figure", Json::Str("11c")),
+            ("title", Json::Str(TITLE)),
+            ("setup", Json::Str(SETUP)),
+        ],
+        &[("series", series.collect())],
     )
 }
 

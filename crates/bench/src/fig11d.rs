@@ -27,6 +27,8 @@ use dumbnet_sim::{ChaosPlan, CrashSchedule, Engine, NodeAddr, PartitionSchedule}
 use dumbnet_topology::generators;
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 
+use crate::report::{json_document, json_object, Json};
+
 /// The three controller hosts: leader on leaf 0, standbys on later
 /// leaves (lowest surviving MAC campaigns first).
 const CONTROLLERS: [u64; 3] = [0, 13, 25];
@@ -191,29 +193,9 @@ pub fn failover_point(mode: FailMode, takeover: SimDuration) -> FailoverPoint {
     }
 }
 
-/// JSON for one point (no serializer dependency — the schema is flat).
-fn point_json(pt: &FailoverPoint) -> String {
-    let recovery_ms = pt.recovery.map_or("null".to_string(), |o| {
-        format!("{:.3}", o.as_secs_f64() * 1e3)
-    });
-    let new_leader = pt.new_leader.map_or("null".to_string(), |h| h.to_string());
-    format!(
-        concat!(
-            "{{\"scenario\": \"{}\", \"takeover_ms\": {:.0}, ",
-            "\"recovery_ms\": {}, \"new_leader\": {}, ",
-            "\"elections\": {}, \"step_downs\": {}, ",
-            "\"stale_updates\": {}, \"leadership_ok\": {}}}"
-        ),
-        pt.scenario,
-        pt.takeover.as_secs_f64() * 1e3,
-        recovery_ms,
-        new_leader,
-        pt.elections,
-        pt.step_downs,
-        pt.stale_updates,
-        pt.leadership_ok,
-    )
-}
+const TITLE: &str = "controller failover time vs takeover timeout";
+const SETUP: &str = "testbed, controllers on hosts 0/13/25, leader removed at 100 ms \
+                     by crash or partition (healed at 700 ms)";
 
 /// Figure 11(d): the failover sweep, as a JSON document.
 #[must_use]
@@ -227,20 +209,28 @@ pub fn run_d(quick: bool) -> String {
     for &mode in &[FailMode::Crash, FailMode::Partition] {
         for &ms in timeouts_ms {
             let pt = failover_point(mode, SimDuration::from_millis(ms));
-            series.push(format!("    {}", point_json(&pt)));
+            series.push(json_object(&[
+                ("scenario", Json::Str(pt.scenario)),
+                (
+                    "takeover_ms",
+                    Json::Float(pt.takeover.as_secs_f64() * 1e3, 0),
+                ),
+                ("recovery_ms", Json::millis(pt.recovery)),
+                ("new_leader", pt.new_leader.map_or(Json::Null, Json::Int)),
+                ("elections", Json::Int(pt.elections)),
+                ("step_downs", Json::Int(pt.step_downs)),
+                ("stale_updates", Json::Int(pt.stale_updates)),
+                ("leadership_ok", Json::Bool(pt.leadership_ok)),
+            ]));
         }
     }
-    format!(
-        concat!(
-            "{{\n",
-            "  \"figure\": \"11d\",\n",
-            "  \"title\": \"controller failover time vs takeover timeout\",\n",
-            "  \"setup\": \"testbed, controllers on hosts 0/13/25, leader ",
-            "removed at 100 ms by crash or partition (healed at 700 ms)\",\n",
-            "  \"series\": [\n{}\n  ]\n",
-            "}}"
-        ),
-        series.join(",\n")
+    json_document(
+        &[
+            ("figure", Json::Str("11d")),
+            ("title", Json::Str(TITLE)),
+            ("setup", Json::Str(SETUP)),
+        ],
+        &[("series", series)],
     )
 }
 

@@ -32,6 +32,8 @@ use dumbnet_sim::{Engine, FaultProfile, LinkParams};
 use dumbnet_topology::generators;
 use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime};
 
+use crate::report::{json_document, json_object, Json};
+
 /// The sensitive detector: EWMA threshold low enough to catch ≥10 %
 /// injected loss (probe-level loss at 10 % wire loss is 0.1–0.19
 /// depending on whether the reply path also crosses the trunk).
@@ -263,31 +265,9 @@ pub fn sweep(quick: bool) -> Fig11e {
     Fig11e { points }
 }
 
-fn point_json(pt: &GrayRecoveryPoint) -> String {
-    let recovery_ms = pt.recovery.map_or("null".to_string(), |o| {
-        format!("{:.3}", o.as_secs_f64() * 1e3)
-    });
-    format!(
-        concat!(
-            "{{\"loss\": {:.3}, \"detector\": \"{}\", ",
-            "\"recovery_ms\": {}, \"recovered\": {}, ",
-            "\"baseline_mbps\": {:.1}, \"degraded_mbps\": {:.1}, ",
-            "\"delivered_bytes\": {}, \"probes\": {}, \"suspects\": {}, ",
-            "\"failovers\": {}, \"quarantines\": {}}}"
-        ),
-        pt.loss,
-        pt.detector,
-        recovery_ms,
-        pt.recovery.is_some(),
-        pt.baseline_mbps,
-        pt.degraded_mbps,
-        pt.delivered_bytes,
-        pt.probes,
-        pt.suspects,
-        pt.failovers,
-        pt.quarantines,
-    )
-}
+const TITLE: &str = "gray-failure recovery: binary timeout vs EWMA gray detection";
+const SETUP: &str = "testbed, 480 Mbps stream, gray loss on the stream's trunk at 200 ms, \
+                     recovery = 2 bins back at 95% of pre-fault goodput";
 
 impl Fig11e {
     /// Deterministic work fingerprint: delivered bytes, probe/report/
@@ -312,26 +292,29 @@ impl Fig11e {
     /// The JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let series: Vec<String> = self
-            .points
-            .iter()
-            .map(|pt| format!("    {}", point_json(pt)))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"figure\": \"11e\",\n",
-                "  \"title\": \"gray-failure recovery: binary timeout vs ",
-                "EWMA gray detection\",\n",
-                "  \"setup\": \"testbed, 480 Mbps stream, gray loss on the ",
-                "stream's trunk at 200 ms, recovery = 2 bins back at 95% of ",
-                "pre-fault goodput\",\n",
-                "  \"checksum\": {},\n",
-                "  \"series\": [\n{}\n  ]\n",
-                "}}"
-            ),
-            self.checksum(),
-            series.join(",\n")
+        let series = self.points.iter().map(|pt| {
+            json_object(&[
+                ("loss", Json::Float(pt.loss, 3)),
+                ("detector", Json::Str(pt.detector)),
+                ("recovery_ms", Json::millis(pt.recovery)),
+                ("recovered", Json::Bool(pt.recovery.is_some())),
+                ("baseline_mbps", Json::Float(pt.baseline_mbps, 1)),
+                ("degraded_mbps", Json::Float(pt.degraded_mbps, 1)),
+                ("delivered_bytes", Json::Int(pt.delivered_bytes)),
+                ("probes", Json::Int(pt.probes)),
+                ("suspects", Json::Int(pt.suspects)),
+                ("failovers", Json::Int(pt.failovers)),
+                ("quarantines", Json::Int(pt.quarantines)),
+            ])
+        });
+        json_document(
+            &[
+                ("figure", Json::Str("11e")),
+                ("title", Json::Str(TITLE)),
+                ("setup", Json::Str(SETUP)),
+                ("checksum", Json::Int(self.checksum())),
+            ],
+            &[("series", series.collect())],
         )
     }
 }
@@ -380,11 +363,6 @@ mod tests {
         }
         let again = gray_recovery_point(1.0, true);
         assert_eq!(gray, again, "same-seed runs diverged");
-        assert_eq!(
-            point_json(&gray),
-            point_json(&again),
-            "same-seed JSON diverged"
-        );
     }
 
     #[test]

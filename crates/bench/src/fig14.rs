@@ -38,6 +38,8 @@ use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::report::{json_document, json_object, Json};
+
 /// Fat-tree arity (8192 hosts, 1280 switches at 16 hosts per edge
 /// switch).
 pub const K: usize = 32;
@@ -342,30 +344,10 @@ pub fn sweep(quick: bool, check_full_solve: bool) -> Fig14 {
     Fig14 { points }
 }
 
-fn point_json(pt: &IncastPoint) -> String {
-    format!(
-        concat!(
-            "{{\"fanin\": {}, \"background\": {}, ",
-            "\"storm_fct_ms\": {:.3}, \"mean_fct_ms\": {:.3}, ",
-            "\"agg_gbps\": {:.3}, \"mice_delivered\": {}, ",
-            "\"mice_marks\": {}, \"mice_echoes\": {}, ",
-            "\"solves\": {}, \"full_solves\": {}, ",
-            "\"cap_events\": {}, \"ecn_flips\": {}}}"
-        ),
-        pt.fanin,
-        pt.background,
-        pt.storm_fct.as_secs_f64() * 1e3,
-        pt.mean_fct.as_secs_f64() * 1e3,
-        pt.agg_gbps,
-        pt.mice_delivered,
-        pt.mice_marks,
-        pt.mice_echoes,
-        pt.solves,
-        pt.full_solves,
-        pt.cap_events,
-        pt.ecn_flips,
-    )
-}
+const TITLE: &str = "incast storms and elephant/mice mixes on the hybrid flow/packet engine";
+const SETUP: &str = "k=32 fat-tree (8192 hosts), flow-plane incast + background elephants \
+                     with a mid-storm gray trunk blackhole, packet-plane mice with ECN \
+                     flowlet routing";
 
 impl Fig14 {
     /// Deterministic work fingerprint: completion times, mice bytes and
@@ -391,26 +373,30 @@ impl Fig14 {
     /// The JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let series: Vec<String> = self
-            .points
-            .iter()
-            .map(|pt| format!("    {}", point_json(pt)))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"figure\": \"14\",\n",
-                "  \"title\": \"incast storms and elephant/mice mixes on ",
-                "the hybrid flow/packet engine\",\n",
-                "  \"setup\": \"k=32 fat-tree (8192 hosts), flow-plane ",
-                "incast + background elephants with a mid-storm gray trunk ",
-                "blackhole, packet-plane mice with ECN flowlet routing\",\n",
-                "  \"checksum\": {},\n",
-                "  \"series\": [\n{}\n  ]\n",
-                "}}"
-            ),
-            self.checksum(),
-            series.join(",\n")
+        let series = self.points.iter().map(|pt| {
+            json_object(&[
+                ("fanin", Json::Int(pt.fanin as u64)),
+                ("background", Json::Int(pt.background as u64)),
+                ("storm_fct_ms", Json::millis(Some(pt.storm_fct))),
+                ("mean_fct_ms", Json::millis(Some(pt.mean_fct))),
+                ("agg_gbps", Json::Float(pt.agg_gbps, 3)),
+                ("mice_delivered", Json::Int(pt.mice_delivered)),
+                ("mice_marks", Json::Int(pt.mice_marks)),
+                ("mice_echoes", Json::Int(pt.mice_echoes)),
+                ("solves", Json::Int(pt.solves)),
+                ("full_solves", Json::Int(pt.full_solves)),
+                ("cap_events", Json::Int(pt.cap_events)),
+                ("ecn_flips", Json::Int(pt.ecn_flips)),
+            ])
+        });
+        json_document(
+            &[
+                ("figure", Json::Str("14")),
+                ("title", Json::Str(TITLE)),
+                ("setup", Json::Str(SETUP)),
+                ("checksum", Json::Int(self.checksum())),
+            ],
+            &[("series", series.collect())],
         )
     }
 }
@@ -437,7 +423,6 @@ mod tests {
         assert!(pt.full_solves == 0);
         let again = incast_point(32, 16, false);
         assert_eq!(pt, again, "same-seed runs diverged");
-        assert_eq!(point_json(&pt), point_json(&again));
     }
 
     /// The `--check-full-solve` debug mode must change nothing but the

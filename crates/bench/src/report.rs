@@ -1,4 +1,7 @@
-//! Plain-text report building shared by all harnesses.
+//! Plain-text report building and the one JSON emitter, shared by all
+//! harnesses.
+
+use dumbnet_types::SimDuration;
 
 /// A formatted experiment report: a title, free-form preamble lines, and
 /// an aligned table.
@@ -121,6 +124,67 @@ pub fn f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
 }
 
+/// A scalar in a figure's JSON document. Output is a pure function of
+/// the value: no maps, no host clocks, floats at a stated precision.
+#[derive(Debug, Clone, Copy)]
+pub enum Json<'a> {
+    /// An unsigned integer.
+    Int(u64),
+    /// A float printed with this many decimals.
+    Float(f64, usize),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A quoted string (`"` and `\` escaped).
+    Str(&'a str),
+    /// `null`, for an absent measurement.
+    Null,
+}
+
+impl Json<'_> {
+    /// A duration as milliseconds at three decimals; `null` when absent.
+    #[must_use]
+    pub fn millis(d: Option<SimDuration>) -> Json<'static> {
+        d.map_or(Json::Null, |d| Json::Float(d.as_secs_f64() * 1e3, 3))
+    }
+}
+
+impl std::fmt::Display for Json<'_> {
+    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Json::Int(v) => write!(out, "{v}"),
+            Json::Float(v, digits) => write!(out, "{v:.digits$}"),
+            Json::Bool(v) => write!(out, "{v}"),
+            Json::Str(v) => write!(out, "\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
+            Json::Null => out.write_str("null"),
+        }
+    }
+}
+
+/// One flat object on one line, fields in the order given.
+#[must_use]
+pub fn json_object(fields: &[(&str, Json<'_>)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// The figure envelope: the `head` scalars one per line, then each named
+/// array of [`json_object`] lines.
+#[must_use]
+pub fn json_document(head: &[(&str, Json<'_>)], arrays: &[(&str, Vec<String>)]) -> String {
+    let mut members: Vec<String> = head
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v}"))
+        .collect();
+    for (name, objects) in arrays {
+        let lines: Vec<String> = objects.iter().map(|o| format!("    {o}")).collect();
+        members.push(format!("  \"{name}\": [\n{}\n  ]", lines.join(",\n")));
+    }
+    format!("{{\n{}\n}}", members.join(",\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +207,30 @@ mod tests {
             .map(|l| l.find(['2', 'v']).unwrap())
             .collect::<Vec<_>>();
         assert!(col2.windows(2).all(|w| w[0] == w[1]), "{s}");
+    }
+
+    #[test]
+    fn json_emitter_covers_every_value_kind() {
+        let point = json_object(&[
+            ("n", Json::Int(7)),
+            ("ms", Json::Float(1.23456, 3)),
+            ("whole", Json::Float(99.6, 0)),
+            ("ok", Json::Bool(true)),
+            ("who", Json::Str("a \"b\" \\ c")),
+            ("gone", Json::Null),
+        ]);
+        assert_eq!(
+            point,
+            r#"{"n": 7, "ms": 1.235, "whole": 100, "ok": true, "who": "a \"b\" \\ c", "gone": null}"#
+        );
+        let doc = json_document(
+            &[("figure", Json::Str("x")), ("checksum", Json::Int(3))],
+            &[("series", vec![point.clone(), "{}".to_owned()])],
+        );
+        let want = format!(
+            "{{\n  \"figure\": \"x\",\n  \"checksum\": 3,\n  \"series\": [\n    {point},\n    {{}}\n  ]\n}}"
+        );
+        assert_eq!(doc, want);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +19,7 @@ use rand::SeedableRng;
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
-use dumbnet_telemetry::{Counter, Gauge, Histogram, NodeKind, Telemetry, TraceCategory};
+use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
 use dumbnet_topology::{pathgraph, PathGraph, PathGraphParams, RouteCache, Topology};
 use dumbnet_types::{
     mix64, norm_edge, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result, SimDuration,
@@ -223,8 +224,8 @@ impl ControllerConfig {
 /// Observable controller behaviour for experiments.
 ///
 /// A view returned by [`Controller::stats`]: the series fields live in
-/// the node, the scalar counters are served by telemetry handles
-/// registered under `(NodeKind::Controller, host id, name)`.
+/// the node, the scalar counters are its counter block, registered
+/// under `(NodeKind::Controller, host id)`.
 #[derive(Debug, Default, Clone)]
 pub struct ControllerStats {
     /// Wall-clock (virtual) discovery duration, once finished.
@@ -269,98 +270,28 @@ pub struct ControllerStats {
     pub unquarantines: u64,
 }
 
-/// Live telemetry handles backing the scalar half of
-/// [`ControllerStats`], plus leadership gauges.
-#[derive(Debug, Clone)]
-struct ControllerCounters {
-    probes_sent: Counter,
-    path_requests: Counter,
-    patches_sent: Counter,
-    patch_floods: Counter,
-    link_events: Counter,
-    repl_resends: Counter,
-    repl_sync_requests: Counter,
-    restarts: Counter,
-    elections_started: Counter,
-    step_downs: Counter,
-    dropped_malformed: Counter,
-    link_suspects_rx: Counter,
-    quarantines: Counter,
-    unquarantines: Counter,
-    /// 1 while this replica leads, 0 otherwise (synced in
-    /// `publish_telemetry`).
-    is_leader: Gauge,
-    /// Current leadership term (synced in `publish_telemetry`).
-    term: Gauge,
-    /// Route-cache effectiveness, mirrored from [`RouteCacheStats`] in
-    /// `publish_telemetry`.
-    route_cache_hits: Counter,
-    route_cache_misses: Counter,
-    /// Probes emitted per pump tick (the in-flight window actually
-    /// achieved; capped by `probe_window`).
-    probe_burst_size: Histogram,
-    /// Patch entries coalesced per flood round.
-    patch_batch_entries: Histogram,
-}
-
-impl Default for ControllerCounters {
-    fn default() -> ControllerCounters {
-        ControllerCounters {
-            probes_sent: Counter::new(),
-            path_requests: Counter::new(),
-            patches_sent: Counter::new(),
-            patch_floods: Counter::new(),
-            link_events: Counter::new(),
-            repl_resends: Counter::new(),
-            repl_sync_requests: Counter::new(),
-            restarts: Counter::new(),
-            elections_started: Counter::new(),
-            step_downs: Counter::new(),
-            dropped_malformed: Counter::new(),
-            link_suspects_rx: Counter::new(),
-            quarantines: Counter::new(),
-            unquarantines: Counter::new(),
-            is_leader: Gauge::new(),
-            term: Gauge::new(),
-            route_cache_hits: Counter::new(),
-            route_cache_misses: Counter::new(),
-            probe_burst_size: Histogram::doubling(1, 8),
-            patch_batch_entries: Histogram::doubling(1, 8),
-        }
-    }
-}
-
-impl ControllerCounters {
-    fn register(&self, telemetry: &Telemetry, id: HostId) {
-        let node = id.get();
-        for (name, c) in [
-            ("probes_sent", &self.probes_sent),
-            ("path_requests", &self.path_requests),
-            ("patches_sent", &self.patches_sent),
-            ("patch_floods", &self.patch_floods),
-            ("link_events", &self.link_events),
-            ("repl_resends", &self.repl_resends),
-            ("repl_sync_requests", &self.repl_sync_requests),
-            ("restarts", &self.restarts),
-            ("elections_started", &self.elections_started),
-            ("step_downs", &self.step_downs),
-            ("dropped_malformed", &self.dropped_malformed),
-            ("link_suspects_rx", &self.link_suspects_rx),
-            ("quarantines", &self.quarantines),
-            ("unquarantines", &self.unquarantines),
-            ("route_cache_hits", &self.route_cache_hits),
-            ("route_cache_misses", &self.route_cache_misses),
-        ] {
-            telemetry.register_counter(NodeKind::Controller, node, name, c);
-        }
-        telemetry.register_gauge(NodeKind::Controller, node, "is_leader", &self.is_leader);
-        telemetry.register_gauge(NodeKind::Controller, node, "term", &self.term);
-        for (name, h) in [
-            ("probe_burst_size", &self.probe_burst_size),
-            ("patch_batch_entries", &self.patch_batch_entries),
-        ] {
-            telemetry.register_histogram(NodeKind::Controller, node, name, h);
-        }
+counter_block! {
+    /// Live counters behind the scalar half of [`ControllerStats`].
+    struct ControllerCounters => ControllerStats {
+        probes_sent,
+        path_requests,
+        patches_sent,
+        patch_floods,
+        link_events,
+        repl_resends,
+        repl_sync_requests,
+        restarts,
+        elections_started,
+        step_downs,
+        dropped_malformed,
+        link_suspects_rx,
+        quarantines,
+        unquarantines,
+    } + {
+        /// Route-cache effectiveness, mirrored from [`RouteCacheStats`] in
+        /// `publish_telemetry`.
+        route_cache_hits,
+        route_cache_misses,
     }
 }
 
@@ -405,8 +336,17 @@ pub struct Controller {
     last_gray_refresh: SimTime,
     /// Measurement series (scalar counters live in `counters`).
     stats: ControllerStats,
-    /// Telemetry handles for the scalar counters.
-    counters: ControllerCounters,
+    counters: Arc<ControllerCounters>,
+    /// 1 while this replica leads, 0 otherwise (synced in
+    /// `publish_telemetry`).
+    leader_gauge: Gauge,
+    /// Current leadership term (synced in `publish_telemetry`).
+    term_gauge: Gauge,
+    /// Probes emitted per pump tick (the in-flight window actually
+    /// achieved; capped by `probe_window`).
+    probe_burst_size: Histogram,
+    /// Patch entries coalesced per flood round.
+    patch_batch_entries: Histogram,
 }
 
 impl Controller {
@@ -456,7 +396,11 @@ impl Controller {
             gray_board: BTreeMap::new(),
             last_gray_refresh: SimTime::ZERO,
             stats,
-            counters: ControllerCounters::default(),
+            counters: Arc::default(),
+            leader_gauge: Gauge::new(),
+            term_gauge: Gauge::new(),
+            probe_burst_size: Histogram::doubling(1, 8),
+            patch_batch_entries: Histogram::doubling(1, 8),
             config,
         }
     }
@@ -467,20 +411,7 @@ impl Controller {
     pub fn stats(&self) -> ControllerStats {
         let mut stats = self.stats.clone();
         stats.is_leader = self.replica.is_leader();
-        stats.probes_sent = self.counters.probes_sent.get();
-        stats.path_requests = self.counters.path_requests.get();
-        stats.patches_sent = self.counters.patches_sent.get();
-        stats.patch_floods = self.counters.patch_floods.get();
-        stats.link_events = self.counters.link_events.get();
-        stats.repl_resends = self.counters.repl_resends.get();
-        stats.repl_sync_requests = self.counters.repl_sync_requests.get();
-        stats.restarts = self.counters.restarts.get();
-        stats.elections_started = self.counters.elections_started.get();
-        stats.step_downs = self.counters.step_downs.get();
-        stats.dropped_malformed = self.counters.dropped_malformed.get();
-        stats.link_suspects_rx = self.counters.link_suspects_rx.get();
-        stats.quarantines = self.counters.quarantines.get();
-        stats.unquarantines = self.counters.unquarantines.get();
+        self.counters.fill(&mut stats);
         stats
     }
 
@@ -769,7 +700,7 @@ impl Controller {
             }
         }
         if sent > 0 {
-            self.counters.probe_burst_size.observe(sent as u64);
+            self.probe_burst_size.observe(sent as u64);
             ctx.set_timer(self.config.probe_interval, T_PUMP);
             return;
         }
@@ -1065,9 +996,7 @@ impl Controller {
         let term = self.replica.log().term();
         let hosts = self.other_hosts();
         self.counters.patch_floods.inc();
-        self.counters
-            .patch_batch_entries
-            .observe(entries.len() as u64);
+        self.patch_batch_entries.observe(entries.len() as u64);
         self.trace(ctx, TraceCategory::Route, || {
             let (n, to) = (entries.len(), hosts.len());
             format!("floods patch batch epoch {epoch} ({n} entries) to {to} hosts")
@@ -1253,7 +1182,16 @@ impl Controller {
 
 impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.counters.register(ctx.telemetry(), self.id);
+        let (telemetry, node) = (ctx.telemetry(), self.id.get());
+        telemetry.register_block(NodeKind::Controller, node, self.counters.clone());
+        telemetry.register_gauge(NodeKind::Controller, node, "is_leader", &self.leader_gauge);
+        telemetry.register_gauge(NodeKind::Controller, node, "term", &self.term_gauge);
+        for (name, h) in [
+            ("probe_burst_size", &self.probe_burst_size),
+            ("patch_batch_entries", &self.patch_batch_entries),
+        ] {
+            telemetry.register_histogram(NodeKind::Controller, node, name, h);
+        }
         if self.config.run_discovery && self.config.is_leader {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
             ctx.set_timer(START_DELAY, T_PUMP);
@@ -1318,10 +1256,8 @@ impl Node for Controller {
     }
 
     fn publish_telemetry(&mut self) {
-        self.counters
-            .is_leader
-            .set(i64::from(self.replica.is_leader()));
-        self.counters.term.set(self.replica.log().term() as i64);
+        self.leader_gauge.set(i64::from(self.replica.is_leader()));
+        self.term_gauge.set(self.replica.log().term() as i64);
         let rc = self.route_cache.stats();
         self.counters.route_cache_hits.set(rc.hits);
         self.counters.route_cache_misses.set(rc.misses);

@@ -12,11 +12,12 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
-use dumbnet_telemetry::{Counter, Histogram, NodeKind, Telemetry};
+use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
 use dumbnet_types::{
     norm_edge, DumbNetError, FastHashMap, FastHashSet, HostId, MacAddr, Path, PortNo, Result,
     SimDuration, SimTime, SwitchId,
@@ -213,8 +214,8 @@ impl HostAgentConfig {
 ///
 /// Obtained from [`HostAgent::stats`]: the series fields (RTT samples,
 /// arrival logs, per-flow maps) live in the agent, while the scalar
-/// counters are served by telemetry [`Counter`] handles registered under
-/// `(NodeKind::Host, host id, name)` and copied into the returned view.
+/// counters are the agent's counter block, registered under
+/// `(NodeKind::Host, host id)` and copied into the returned view.
 #[derive(Debug, Default, Clone)]
 pub struct AgentStats {
     /// Data packets delivered to this host: `flow → (packets, bytes)`.
@@ -263,92 +264,30 @@ pub struct AgentStats {
     pub gray_failovers: u64,
 }
 
-/// Live telemetry handles backing the scalar half of [`AgentStats`].
-#[derive(Debug, Clone)]
-struct AgentCounters {
-    path_requests: Counter,
-    queued_on_miss: Counter,
-    ingress_drops: Counter,
-    floods_sent: Counter,
-    floods_rebroadcast: Counter,
-    ecn_echoes: Counter,
-    stale_ctrl_updates: Counter,
-    stale_patch_dropped: Counter,
-    patch_batches_applied: Counter,
-    probes_sent: Counter,
-    probe_losses: Counter,
-    link_suspects_sent: Counter,
-    gray_failovers: Counter,
-    /// Partially assembled multi-segment batches discarded because a
-    /// newer epoch superseded them before completion.
-    coalesce_aborted: Counter,
-    /// Totals over [`AgentStats::delivered`], synced in
-    /// `publish_telemetry` so workload aggregation can read snapshots.
-    delivered_packets: Counter,
-    delivered_bytes: Counter,
-    /// Completed RTT samples, in nanoseconds (1 µs first bucket,
-    /// doubling out to ~33 ms).
-    rtt_ns: Histogram,
-    /// Patch entries applied per coalesced epoch (batch-size visibility
-    /// on the receive side).
-    patch_batch_entries: Histogram,
-}
-
-impl Default for AgentCounters {
-    fn default() -> AgentCounters {
-        AgentCounters {
-            path_requests: Counter::new(),
-            queued_on_miss: Counter::new(),
-            ingress_drops: Counter::new(),
-            floods_sent: Counter::new(),
-            floods_rebroadcast: Counter::new(),
-            ecn_echoes: Counter::new(),
-            stale_ctrl_updates: Counter::new(),
-            stale_patch_dropped: Counter::new(),
-            patch_batches_applied: Counter::new(),
-            probes_sent: Counter::new(),
-            probe_losses: Counter::new(),
-            link_suspects_sent: Counter::new(),
-            gray_failovers: Counter::new(),
-            coalesce_aborted: Counter::new(),
-            delivered_packets: Counter::new(),
-            delivered_bytes: Counter::new(),
-            rtt_ns: Histogram::doubling(1_024, 16),
-            patch_batch_entries: Histogram::doubling(1, 8),
-        }
-    }
-}
-
-impl AgentCounters {
-    fn register(&self, telemetry: &Telemetry, id: HostId) {
-        let node = id.get();
-        for (name, c) in [
-            ("path_requests", &self.path_requests),
-            ("queued_on_miss", &self.queued_on_miss),
-            ("ingress_drops", &self.ingress_drops),
-            ("floods_sent", &self.floods_sent),
-            ("floods_rebroadcast", &self.floods_rebroadcast),
-            ("ecn_echoes", &self.ecn_echoes),
-            ("stale_ctrl_updates", &self.stale_ctrl_updates),
-            ("stale_patch_dropped", &self.stale_patch_dropped),
-            ("patch_batches_applied", &self.patch_batches_applied),
-            ("probes_sent", &self.probes_sent),
-            ("probe_losses", &self.probe_losses),
-            ("link_suspects_sent", &self.link_suspects_sent),
-            ("gray_failovers", &self.gray_failovers),
-            ("coalesce_aborted", &self.coalesce_aborted),
-            ("delivered_packets", &self.delivered_packets),
-            ("delivered_bytes", &self.delivered_bytes),
-        ] {
-            telemetry.register_counter(NodeKind::Host, node, name, c);
-        }
-        telemetry.register_histogram(NodeKind::Host, node, "rtt_ns", &self.rtt_ns);
-        telemetry.register_histogram(
-            NodeKind::Host,
-            node,
-            "patch_batch_entries",
-            &self.patch_batch_entries,
-        );
+counter_block! {
+    /// Live counters behind the scalar half of [`AgentStats`].
+    struct AgentCounters => AgentStats {
+        path_requests,
+        queued_on_miss,
+        ingress_drops,
+        floods_sent,
+        floods_rebroadcast,
+        ecn_echoes,
+        stale_ctrl_updates,
+        stale_patch_dropped,
+        patch_batches_applied,
+        probes_sent,
+        probe_losses,
+        link_suspects_sent,
+        gray_failovers,
+    } + {
+        /// Partially assembled multi-segment batches discarded because a
+        /// newer epoch superseded them before completion.
+        coalesce_aborted,
+        /// Totals over [`AgentStats::delivered`], synced in
+        /// `publish_telemetry` so workload aggregation can read snapshots.
+        delivered_packets,
+        delivered_bytes,
     }
 }
 
@@ -410,8 +349,13 @@ pub struct HostAgent {
     next_suspect_seq: u64,
     /// Measurement series (scalar counters live in `counters`).
     stats: AgentStats,
-    /// Telemetry handles for the scalar counters.
-    counters: AgentCounters,
+    counters: Arc<AgentCounters>,
+    /// Completed RTT samples, in nanoseconds (1 µs first bucket,
+    /// doubling out to ~33 ms).
+    rtt_ns: Histogram,
+    /// Patch entries applied per coalesced epoch (batch-size visibility
+    /// on the receive side).
+    patch_batch_entries: Histogram,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -492,7 +436,9 @@ impl HostAgent {
             last_report: BTreeMap::new(),
             next_suspect_seq: 1,
             stats: AgentStats::default(),
-            counters: AgentCounters::default(),
+            counters: Arc::default(),
+            rtt_ns: Histogram::doubling(1_024, 16),
+            patch_batch_entries: Histogram::doubling(1, 8),
         }
     }
 
@@ -501,19 +447,7 @@ impl HostAgent {
     #[must_use]
     pub fn stats(&self) -> AgentStats {
         let mut stats = self.stats.clone();
-        stats.path_requests = self.counters.path_requests.get();
-        stats.queued_on_miss = self.counters.queued_on_miss.get();
-        stats.ingress_drops = self.counters.ingress_drops.get();
-        stats.floods_sent = self.counters.floods_sent.get();
-        stats.floods_rebroadcast = self.counters.floods_rebroadcast.get();
-        stats.ecn_echoes = self.counters.ecn_echoes.get();
-        stats.stale_ctrl_updates = self.counters.stale_ctrl_updates.get();
-        stats.stale_patch_dropped = self.counters.stale_patch_dropped.get();
-        stats.patch_batches_applied = self.counters.patch_batches_applied.get();
-        stats.probes_sent = self.counters.probes_sent.get();
-        stats.probe_losses = self.counters.probe_losses.get();
-        stats.link_suspects_sent = self.counters.link_suspects_sent.get();
-        stats.gray_failovers = self.counters.gray_failovers.get();
+        self.counters.fill(&mut stats);
         stats
     }
 
@@ -673,7 +607,7 @@ impl HostAgent {
     }
 
     /// Stage-1 failure handling on the host (§4.2).
-    fn handle_link_event(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent, relay: bool) {
+    fn handle_link_event(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent) {
         if !self
             .seen_events
             .insert((event.switch, event.port, event.up, event.seq))
@@ -685,21 +619,18 @@ impl HostAgent {
         self.stats
             .notification_arrivals
             .push((event, ctx.now() + self.config.stack_delay));
-        if event.up {
-            // A recovered port: clear the down-marking so local
-            // resolution can use the edge again.
-            if let Some((a, b)) = self.topocache.edge_of_port(event.switch, event.port) {
+        if let Some((a, b)) = self.topocache.edge_of_port(event.switch, event.port) {
+            if event.up {
+                // A recovered port: clear the down-marking so local
+                // resolution can use the edge again.
                 self.topocache.mark_up(a, b);
-            }
-        }
-        if !event.up {
-            if let Some((a, b)) = self.topocache.edge_of_port(event.switch, event.port) {
+            } else {
                 self.topocache.mark_down(a, b);
                 let orphaned = self.pathtable.invalidate_edge(a, b);
                 self.forget_gray_edge(a, b);
                 // Re-install surviving paths for destinations whose cache
                 // shrank, from the (now filtered) TopoCache.
-                for dst in self.topocache_destinations() {
+                for dst in self.pathtable.destinations() {
                     if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
                         if !paths.is_empty() || backup.is_some() {
                             self.pathtable.install(dst, paths, backup);
@@ -712,14 +643,12 @@ impl HostAgent {
                 }
             }
         }
-        if relay {
-            self.broadcast_flood(ctx, event);
-            // Floods are ack-less; schedule redundant rounds so a lossy
-            // fabric still gets the word out. Receivers (and we) dedup
-            // on the event's sequence epoch.
-            self.flood_backlog.push((event, FLOOD_REPEATS));
-            self.arm_flood(ctx);
-        }
+        self.broadcast_flood(ctx, event);
+        // Floods are ack-less; schedule redundant rounds so a lossy
+        // fabric still gets the word out. Receivers (and we) dedup
+        // on the event's sequence epoch.
+        self.flood_backlog.push((event, FLOOD_REPEATS));
+        self.arm_flood(ctx);
     }
 
     /// One round of stage-1 flooding: controller first, then every peer
@@ -772,10 +701,6 @@ impl HostAgent {
             self.flood_armed = true;
             ctx.set_timer(FLOOD_GAP, Self::FLOOD_TOKEN);
         }
-    }
-
-    fn topocache_destinations(&self) -> Vec<MacAddr> {
-        self.pathtable.destinations()
     }
 
     /// Path-probe timer token (distinct from retry/flood/action tokens).
@@ -1161,7 +1086,7 @@ impl HostAgent {
         }
         self.topocache.topo_version = epoch;
         self.counters.patch_batches_applied.inc();
-        self.counters.patch_batch_entries.observe(applied);
+        self.patch_batch_entries.observe(applied);
     }
 
     /// Integrates one controller path answer (standalone or batched).
@@ -1238,11 +1163,9 @@ impl HostAgent {
                     self.health_sample(dst, ix, false);
                 }
             }
-            ControlMessage::LinkNotification { event, .. } => {
-                self.handle_link_event(ctx, event, true);
-            }
-            ControlMessage::HostFlood { event, .. } => {
-                self.handle_link_event(ctx, event, true);
+            ControlMessage::LinkNotification { event, .. }
+            | ControlMessage::HostFlood { event, .. } => {
+                self.handle_link_event(ctx, event);
             }
             ControlMessage::TopologyPatchBatch(batch) => {
                 self.handle_patch_batch(ctx, batch);
@@ -1291,7 +1214,7 @@ impl HostAgent {
             }
             ControlMessage::Pong { seq, echo_sent_at } => {
                 let rtt = (ctx.now() - echo_sent_at) + self.config.stack_delay;
-                self.counters.rtt_ns.observe(rtt.nanos());
+                self.rtt_ns.observe(rtt.nanos());
                 self.stats.rtts.push((seq, echo_sent_at, rtt));
             }
             ControlMessage::EcnEcho { flow } => {
@@ -1361,7 +1284,15 @@ impl HostAgent {
 
 impl Node for HostAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.counters.register(ctx.telemetry(), self.id);
+        let (telemetry, node) = (ctx.telemetry(), self.id.get());
+        telemetry.register_block(NodeKind::Host, node, self.counters.clone());
+        telemetry.register_histogram(NodeKind::Host, node, "rtt_ns", &self.rtt_ns);
+        telemetry.register_histogram(
+            NodeKind::Host,
+            node,
+            "patch_batch_entries",
+            &self.patch_batch_entries,
+        );
         for (ix, action) in self.config.actions.iter().enumerate() {
             let at = match action {
                 AppAction::PingSeries { at, .. } | AppAction::DataStream { at, .. } => *at,

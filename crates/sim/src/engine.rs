@@ -46,13 +46,14 @@
 //! observed. A plain `World` is the one-cell case of the same code.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dumbnet_packet::Packet;
 use dumbnet_telemetry::{
-    Counter, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory, TraceEvent,
+    counter_block, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory, TraceEvent,
 };
 use dumbnet_types::{mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
@@ -127,7 +128,7 @@ pub trait Node: Send {
 
     /// Called by [`Engine::telemetry_snapshot`] immediately before the
     /// registry is read, so nodes can sync derived values (cache
-    /// hit/miss totals, table sizes) into their registered handles.
+    /// hit/miss totals, table sizes) into their registered cells.
     /// Must not touch simulation state; the default does nothing.
     fn publish_telemetry(&mut self) {}
 
@@ -296,218 +297,71 @@ pub(crate) struct Crossing {
     pub(crate) via: WireId,
 }
 
-/// Counters the engine keeps while running.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorldStats {
-    /// Events dispatched.
-    pub events: u64,
-    /// Packets accepted onto a wire.
-    pub packets_sent: u64,
-    /// Packets handed to a node.
-    pub packets_delivered: u64,
-    /// Packets dropped because the wire was down or the port unwired.
-    pub drops_down: u64,
-    /// Packets dropped by queue overflow.
-    pub drops_queue: u64,
-    /// Packets lost to injected faults (probabilistic loss and burst
-    /// windows; see [`FaultProfile`]).
-    pub drops_loss: u64,
-    /// Packets bit-corrupted in flight and rejected before delivery.
-    pub drops_corrupt: u64,
-    /// Packets discarded because the destination node was crashed.
-    pub drops_crashed: u64,
-    /// Packets ECN-marked for queueing past a link's threshold.
-    pub ecn_marked: u64,
-}
-
-/// Sums another cell's view into this one. The exhaustive destructuring
-/// makes a counter added to the struct a compile error here until it
-/// is summed, so the merged view cannot silently drop it.
-impl std::ops::AddAssign for WorldStats {
-    fn add_assign(&mut self, rhs: WorldStats) {
-        let WorldStats {
-            events,
-            packets_sent,
-            packets_delivered,
-            drops_down,
-            drops_queue,
-            drops_loss,
-            drops_corrupt,
-            drops_crashed,
-            ecn_marked,
-        } = rhs;
-        self.events += events;
-        self.packets_sent += packets_sent;
-        self.packets_delivered += packets_delivered;
-        self.drops_down += drops_down;
-        self.drops_queue += drops_queue;
-        self.drops_loss += drops_loss;
-        self.drops_corrupt += drops_corrupt;
-        self.drops_crashed += drops_crashed;
-        self.ecn_marked += ecn_marked;
+counter_block! {
+    /// Live engine counters, registered as one block under
+    /// `(NodeKind::World, 0)`; [`World::stats`] fills the view from them.
+    struct WorldCounters =>
+    /// Counters the engine keeps while running. `+=` sums another
+    /// cell's view into this one, field by field.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct WorldStats {
+        /// Events dispatched.
+        events,
+        /// Packets accepted onto a wire.
+        packets_sent,
+        /// Packets handed to a node.
+        packets_delivered,
+        /// Packets dropped because the wire was down or the port unwired.
+        drops_down,
+        /// Packets dropped by queue overflow.
+        drops_queue,
+        /// Packets lost to injected faults (probabilistic loss and burst
+        /// windows; see [`FaultProfile`]).
+        drops_loss,
+        /// Packets bit-corrupted in flight and rejected before delivery.
+        drops_corrupt,
+        /// Packets discarded because the destination node was crashed.
+        drops_crashed,
+        /// Packets ECN-marked for queueing past a link's threshold.
+        ecn_marked,
     }
 }
 
-/// Per-wire counters, queryable after a run via [`Engine::link_stats`].
-///
-/// A packet that the wire *accepts* increments `sent`; every accepted
-/// packet ends in exactly one of `delivered`, `drops_loss`,
-/// `drops_corrupt`, `drops_burst`, or `drops_crashed`. Refusals before
-/// acceptance land in `drops_down` / `drops_queue`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Packets accepted onto this wire.
-    pub sent: u64,
-    /// Packets handed to the far-end node.
-    pub delivered: u64,
-    /// Packets refused because the wire was administratively down.
-    pub drops_down: u64,
-    /// Packets refused by queue overflow.
-    pub drops_queue: u64,
-    /// Packets lost to probabilistic loss.
-    pub drops_loss: u64,
-    /// Packets corrupted in flight (dropped before delivery).
-    pub drops_corrupt: u64,
-    /// Packets swallowed by a burst-drop window.
-    pub drops_burst: u64,
-    /// Packets discarded on arrival because the far end was crashed.
-    pub drops_crashed: u64,
-    /// Packets ECN-marked on this wire.
-    pub ecn_marked: u64,
-    /// Packets whose delivery was delayed by jitter.
-    pub jittered: u64,
-}
-
-/// Sums another cell's view of the same wire into this one (direction
-/// counters accrue on the sending cell, delivery counters on the
-/// receiving one). Exhaustive for the same reason as [`WorldStats`]'s.
-impl std::ops::AddAssign for LinkStats {
-    fn add_assign(&mut self, rhs: LinkStats) {
-        let LinkStats {
-            sent,
-            delivered,
-            drops_down,
-            drops_queue,
-            drops_loss,
-            drops_corrupt,
-            drops_burst,
-            drops_crashed,
-            ecn_marked,
-            jittered,
-        } = rhs;
-        self.sent += sent;
-        self.delivered += delivered;
-        self.drops_down += drops_down;
-        self.drops_queue += drops_queue;
-        self.drops_loss += drops_loss;
-        self.drops_corrupt += drops_corrupt;
-        self.drops_burst += drops_burst;
-        self.drops_crashed += drops_crashed;
-        self.ecn_marked += ecn_marked;
-        self.jittered += jittered;
-    }
-}
-
-/// Live engine counters: [`Counter`] handles registered with the
-/// world's [`Telemetry`] registry under `(NodeKind::World, 0, name)`.
-/// [`World::stats`] assembles the [`WorldStats`] view from these.
-#[derive(Debug, Default, Clone)]
-struct WorldCounters {
-    events: Counter,
-    packets_sent: Counter,
-    packets_delivered: Counter,
-    drops_down: Counter,
-    drops_queue: Counter,
-    drops_loss: Counter,
-    drops_corrupt: Counter,
-    drops_crashed: Counter,
-    ecn_marked: Counter,
-}
-
-impl WorldCounters {
-    fn registered(telemetry: &Telemetry) -> WorldCounters {
-        let c = WorldCounters::default();
-        for (name, counter) in [
-            ("events", &c.events),
-            ("packets_sent", &c.packets_sent),
-            ("packets_delivered", &c.packets_delivered),
-            ("drops_down", &c.drops_down),
-            ("drops_queue", &c.drops_queue),
-            ("drops_loss", &c.drops_loss),
-            ("drops_corrupt", &c.drops_corrupt),
-            ("drops_crashed", &c.drops_crashed),
-            ("ecn_marked", &c.ecn_marked),
-        ] {
-            telemetry.register_counter(NodeKind::World, 0, name, counter);
-        }
-        c
-    }
-
-    fn view(&self) -> WorldStats {
-        WorldStats {
-            events: self.events.get(),
-            packets_sent: self.packets_sent.get(),
-            packets_delivered: self.packets_delivered.get(),
-            drops_down: self.drops_down.get(),
-            drops_queue: self.drops_queue.get(),
-            drops_loss: self.drops_loss.get(),
-            drops_corrupt: self.drops_corrupt.get(),
-            drops_crashed: self.drops_crashed.get(),
-            ecn_marked: self.ecn_marked.get(),
-        }
-    }
-}
-
-/// Live per-wire counters, registered under
-/// `(NodeKind::Link, wire index, name)`; [`Engine::link_stats`]
-/// sums the per-cell [`LinkStats`] views.
-#[derive(Debug, Default, Clone)]
-struct LinkCounters {
-    sent: Counter,
-    delivered: Counter,
-    drops_down: Counter,
-    drops_queue: Counter,
-    drops_loss: Counter,
-    drops_corrupt: Counter,
-    drops_burst: Counter,
-    drops_crashed: Counter,
-    ecn_marked: Counter,
-    jittered: Counter,
-}
-
-impl LinkCounters {
-    fn registered(telemetry: &Telemetry, wire: WireId) -> LinkCounters {
-        let c = LinkCounters::default();
-        for (name, counter) in [
-            ("sent", &c.sent),
-            ("delivered", &c.delivered),
-            ("drops_down", &c.drops_down),
-            ("drops_queue", &c.drops_queue),
-            ("drops_loss", &c.drops_loss),
-            ("drops_corrupt", &c.drops_corrupt),
-            ("drops_burst", &c.drops_burst),
-            ("drops_crashed", &c.drops_crashed),
-            ("ecn_marked", &c.ecn_marked),
-            ("jittered", &c.jittered),
-        ] {
-            telemetry.register_counter(NodeKind::Link, wire.0 as u64, name, counter);
-        }
-        c
-    }
-
-    fn view(&self) -> LinkStats {
-        LinkStats {
-            sent: self.sent.get(),
-            delivered: self.delivered.get(),
-            drops_down: self.drops_down.get(),
-            drops_queue: self.drops_queue.get(),
-            drops_loss: self.drops_loss.get(),
-            drops_corrupt: self.drops_corrupt.get(),
-            drops_burst: self.drops_burst.get(),
-            drops_crashed: self.drops_crashed.get(),
-            ecn_marked: self.ecn_marked.get(),
-            jittered: self.jittered.get(),
-        }
+counter_block! {
+    /// Live per-wire counters, registered as one block under
+    /// `(NodeKind::Link, wire index)`; [`Engine::link_stats`] sums the
+    /// per-cell views.
+    struct LinkCounters =>
+    /// Per-wire counters, queryable after a run via [`Engine::link_stats`].
+    ///
+    /// A packet that the wire *accepts* increments `sent`; every accepted
+    /// packet ends in exactly one of `delivered`, `drops_loss`,
+    /// `drops_corrupt`, `drops_burst`, or `drops_crashed`. Refusals before
+    /// acceptance land in `drops_down` / `drops_queue`. `+=` sums another
+    /// cell's view of the same wire into this one (direction counters
+    /// accrue on the sending cell, delivery counters on the receiving one).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct LinkStats {
+        /// Packets accepted onto this wire.
+        sent,
+        /// Packets handed to the far-end node.
+        delivered,
+        /// Packets refused because the wire was administratively down.
+        drops_down,
+        /// Packets refused by queue overflow.
+        drops_queue,
+        /// Packets lost to probabilistic loss.
+        drops_loss,
+        /// Packets corrupted in flight (dropped before delivery).
+        drops_corrupt,
+        /// Packets swallowed by a burst-drop window.
+        drops_burst,
+        /// Packets discarded on arrival because the far end was crashed.
+        drops_crashed,
+        /// Packets ECN-marked on this wire.
+        ecn_marked,
+        /// Packets whose delivery was delayed by jitter.
+        jittered,
     }
 }
 
@@ -613,8 +467,8 @@ impl Ctx<'_> {
         &mut self.core.node_rngs[self.addr.0]
     }
 
-    /// The world's telemetry registry: nodes register metric handles
-    /// here (typically in [`Node::on_start`]) and emit trace events.
+    /// The world's telemetry registry: nodes register their counter
+    /// block here (typically in [`Node::on_start`]) and emit trace events.
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.core.telemetry
@@ -662,7 +516,7 @@ pub struct Core {
     epoch: Vec<u32>,
     wiring: Wiring,
     faults: Vec<Option<FaultProfile>>,
-    link_stats: Vec<LinkCounters>,
+    link_stats: Vec<Arc<LinkCounters>>,
     queue: EventQueue<Event>,
     now: SimTime,
     /// World seed; per-node RNG streams are derived from it.
@@ -697,7 +551,7 @@ pub struct Core {
     /// Cross-shard arrivals awaiting the next window exchange.
     outbox: Vec<Crossing>,
     telemetry: Telemetry,
-    stats: WorldCounters,
+    stats: Arc<WorldCounters>,
     started: bool,
 }
 
@@ -736,7 +590,8 @@ impl World {
     /// (`sharded` = false builds a plain standalone world).
     pub(crate) fn new_cell(seed: u64, my_cell: u32, sharded: bool) -> World {
         let telemetry = Telemetry::default();
-        let stats = WorldCounters::registered(&telemetry);
+        let stats = Arc::<WorldCounters>::default();
+        telemetry.register_block(NodeKind::World, 0, stats.clone());
         World {
             nodes: Vec::new(),
             core: Core {
@@ -772,12 +627,14 @@ impl World {
         &self.telemetry
     }
 
-    /// The counters of this cell alone (a view assembled from the
-    /// telemetry handles). On a standalone world that is everything;
+    /// The counters of this cell alone (a view filled from its counter
+    /// block). On a standalone world that is everything;
     /// [`Engine::stats`] sums it over the cells of any engine.
     #[must_use]
     pub fn stats(&self) -> WorldStats {
-        self.stats.view()
+        let mut view = WorldStats::default();
+        self.stats.fill(&mut view);
+        view
     }
 
     /// Adds a node table slot assigned to `cell`. In a sharded run
@@ -836,7 +693,10 @@ impl World {
         self.core
             .fault_rngs
             .push(Self::wire_fault_rngs(fault_seed, id));
-        let counters = LinkCounters::registered(&self.core.telemetry, id);
+        let counters = Arc::<LinkCounters>::default();
+        self.core
+            .telemetry
+            .register_block(NodeKind::Link, id.0 as u64, counters.clone());
         self.core.link_stats.push(counters);
         self.core.ext_congestion.push([false, false]);
         self.wiring.map_port(a, pa, id);
@@ -1503,7 +1363,9 @@ pub trait Engine {
     fn link_stats(&self, wire: WireId) -> LinkStats {
         let mut total = LinkStats::default();
         for cell in self.cells() {
-            total += cell.link_stats[wire.0].view();
+            let mut part = LinkStats::default();
+            cell.link_stats[wire.0].fill(&mut part);
+            total += part;
         }
         total
     }
@@ -1693,7 +1555,7 @@ impl Engine for World {
             self.dispatch(ev);
         }
         self.now = until;
-        self.stats.view()
+        World::stats(self)
     }
 
     fn run_to_idle(&mut self, max_events: u64) -> WorldStats {
@@ -1708,7 +1570,7 @@ impl Engine for World {
             self.dispatch(ev);
             fired += 1;
         }
-        self.stats.view()
+        World::stats(self)
     }
 }
 

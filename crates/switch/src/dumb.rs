@@ -15,12 +15,13 @@
 //!    re-broadcast with the TTL decremented — still stateless.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use dumbnet_fpga::refmodel::{self, RefDrop, RefVerdict};
 use dumbnet_packet::control::{LinkEvent, PortStat};
 use dumbnet_packet::{ControlMessage, DumbNetFrame, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
-use dumbnet_telemetry::{Counter, NodeKind, Telemetry, TraceCategory};
+use dumbnet_telemetry::{counter_block, NodeKind, TraceCategory};
 use dumbnet_types::{MacAddr, PortNo, SimDuration, SimTime, SwitchId};
 
 /// Minimum spacing of alarms per port ("the switch will send out one
@@ -65,9 +66,9 @@ impl Default for DumbSwitchConfig {
 /// Counters exposed for experiments; real hardware would keep none of
 /// this (it exists so tests can observe behaviour).
 ///
-/// A point-in-time view assembled by [`DumbSwitch::stats`] from the
-/// switch's telemetry [`Counter`] handles, which are registered with
-/// the world's registry under `(NodeKind::Switch, switch id, name)`.
+/// A point-in-time view filled by [`DumbSwitch::stats`] from the
+/// switch's counter block, which is registered with the world's
+/// registry under `(NodeKind::Switch, switch id)`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DumbSwitchStats {
     /// Packets forwarded by tag.
@@ -93,52 +94,21 @@ pub struct DumbSwitchStats {
     pub notifications_relayed: u64,
 }
 
-/// Live counter handles backing [`DumbSwitchStats`].
-#[derive(Debug, Default, Clone)]
-struct SwitchCounters {
-    forwarded: Counter,
-    dropped_exhausted: Counter,
-    dropped_malformed: Counter,
-    ref_divergence: Counter,
-    id_replies: Counter,
-    alarms_sent: Counter,
-    alarms_suppressed: Counter,
-    notifications_relayed: Counter,
-    /// Sum of per-port tx counters, synced in `publish_telemetry`.
-    tx_packets: Counter,
-    tx_bytes: Counter,
-}
-
-impl SwitchCounters {
-    fn register(&self, telemetry: &Telemetry, id: SwitchId) {
-        let node = id.get();
-        for (name, c) in [
-            ("forwarded", &self.forwarded),
-            ("dropped_exhausted", &self.dropped_exhausted),
-            ("dropped_malformed", &self.dropped_malformed),
-            ("ref_divergence", &self.ref_divergence),
-            ("id_replies", &self.id_replies),
-            ("alarms_sent", &self.alarms_sent),
-            ("alarms_suppressed", &self.alarms_suppressed),
-            ("notifications_relayed", &self.notifications_relayed),
-            ("tx_packets", &self.tx_packets),
-            ("tx_bytes", &self.tx_bytes),
-        ] {
-            telemetry.register_counter(NodeKind::Switch, node, name, c);
-        }
-    }
-
-    fn view(&self) -> DumbSwitchStats {
-        DumbSwitchStats {
-            forwarded: self.forwarded.get(),
-            dropped_exhausted: self.dropped_exhausted.get(),
-            dropped_malformed: self.dropped_malformed.get(),
-            ref_divergence: self.ref_divergence.get(),
-            id_replies: self.id_replies.get(),
-            alarms_sent: self.alarms_sent.get(),
-            alarms_suppressed: self.alarms_suppressed.get(),
-            notifications_relayed: self.notifications_relayed.get(),
-        }
+counter_block! {
+    /// Live counters behind [`DumbSwitchStats`].
+    struct SwitchCounters => DumbSwitchStats {
+        forwarded,
+        dropped_exhausted,
+        dropped_malformed,
+        ref_divergence,
+        id_replies,
+        alarms_sent,
+        alarms_suppressed,
+        notifications_relayed,
+    } + {
+        /// Sum of per-port tx counters, synced in `publish_telemetry`.
+        tx_packets,
+        tx_bytes,
     }
 }
 
@@ -170,7 +140,7 @@ pub struct DumbSwitch {
     /// Indexed by `PortNo::index()`; sized at construction from the port
     /// count (a hardware property).
     monitors: Vec<PortMonitor>,
-    counters: SwitchCounters,
+    counters: Arc<SwitchCounters>,
 }
 
 impl DumbSwitch {
@@ -181,7 +151,7 @@ impl DumbSwitch {
             id,
             config,
             monitors: vec![PortMonitor::default(); usize::from(ports.min(0xFE))],
-            counters: SwitchCounters::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -194,7 +164,9 @@ impl DumbSwitch {
     /// Experiment counters.
     #[must_use]
     pub fn stats(&self) -> DumbSwitchStats {
-        self.counters.view()
+        let mut view = DumbSwitchStats::default();
+        self.counters.fill(&mut view);
+        view
     }
 
     /// Serializes the typed packet the way the wire would carry it, with
@@ -403,7 +375,8 @@ impl DumbSwitch {
 
 impl Node for DumbSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.counters.register(ctx.telemetry(), self.id);
+        ctx.telemetry()
+            .register_block(NodeKind::Switch, self.id.get(), self.counters.clone());
     }
 
     fn publish_telemetry(&mut self) {

@@ -9,28 +9,33 @@
 //!
 //! # Model
 //!
-//! Metrics are cheap shared handles — [`Counter`], [`Gauge`],
-//! fixed-bucket [`Histogram`] — created by a node at construction time
-//! and *registered* into the world's [`Telemetry`] registry under a
-//! [`MetricKey`] of `(NodeKind, node id, metric name)`. The handle is
-//! the storage: the node increments through the handle on its hot path
-//! (a plain load and store, no lookup), and a [`TelemetrySnapshot`]
-//! reads the same storage through the registry. Registration is
-//! idempotent, so a node that is crash-restarted re-registers the same
-//! handles without losing counts.
+//! A node's counters are one [`Block`]: a struct of inline [`Cell`]s,
+//! declared — names, storage and stats view together — by one
+//! [`counter_block!`], held by the node as an `Arc` and registered once
+//! with [`Telemetry::register_block`] under `(NodeKind, node id)`. The
+//! block is the storage: the node increments a field on its hot path (a
+//! plain load and store, no lookup), and a [`TelemetrySnapshot`] reads
+//! the same cells through the registry, expanding each block to one
+//! [`MetricKey`] of `(NodeKind, node id, cell name)` per cell — so
+//! snapshot order depends on the names alone, never on how cells are
+//! grouped or listed. What is not a plain per-node counter is a one-off
+//! shared handle registered under its own key: fixed-bucket
+//! [`Histogram`], [`Gauge`], and [`Counter`] (an `Arc<Cell>`).
+//! Registration replaces, so a node that is crash-restarted registers
+//! the same block and handles again without losing counts.
 //!
 //! # The single-writer contract
 //!
-//! A handle is written by the one thread that owns its cell (the world
-//! shard its node or wire lives in) and read only at a barrier or
-//! snapshot, when no shard is running. Under that contract a write needs
-//! no read-modify-write instruction and no lock: [`Counter::add`],
+//! A cell or handle is written by the one thread that owns its world
+//! shard (the one its node or wire lives in) and read only at a barrier
+//! or snapshot, when no shard is running. Under that contract a write
+//! needs no read-modify-write instruction and no lock: [`Cell::add`],
 //! [`Gauge::add`] and [`Histogram::observe`] are a relaxed load followed
-//! by a relaxed store on `AtomicU64` cells. The cells are atomics only so
-//! that handles stay `Send + Sync` in safe code — a worker thread can
-//! carry its shard's handles, and the barrier that hands the shard back
-//! (a channel receive, a scope join) is what publishes the values. Two
-//! threads writing one handle concurrently is a contract violation that
+//! by a relaxed store on an `AtomicU64`. They are atomics only so that
+//! blocks and handles stay `Send + Sync` in safe code — a worker thread
+//! can carry its shard's blocks, and the barrier that hands the shard
+//! back (a channel receive, a scope join) is what publishes the values.
+//! Two threads writing one cell concurrently is a contract violation that
 //! loses updates (never memory safety); the workspace's
 //! `tests/telemetry.rs` runs a storm on forced worker threads and
 //! compares every counter with the single-world run to catch exactly
@@ -45,14 +50,15 @@
 //! sending side of a wire), so the merged snapshot of an N-shard run
 //! equals the single-registry snapshot of the same seed — the
 //! cross-shard determinism gate (`figures gate shards`) pins this
-//! byte-for-byte. The registry map and trace ring sit behind one mutex,
+//! byte-for-byte. The registry maps and trace ring sit behind one mutex,
 //! taken for registration, snapshots and trace events only — never on
 //! the per-event path.
 //!
 //! # Determinism rules
 //!
-//! * The registry is a `BTreeMap`; snapshots, JSON export and diffs
-//!   iterate in key order. No hash-map iteration order anywhere.
+//! * The registry and every snapshot are `BTreeMap`s; snapshots, JSON
+//!   export and diffs iterate in key order. No hash-map iteration
+//!   order anywhere.
 //! * Metric values are integers (counts, nanoseconds, bytes). No
 //!   floats, so no formatting or accumulation-order variance.
 //! * Trace events are stamped with *sim time*, never wall clock.
@@ -144,22 +150,14 @@ impl fmt::Display for MetricKey {
     }
 }
 
-/// A monotonically increasing `u64` metric handle.
-///
-/// Cloning shares the underlying cell; the registry holds one clone and
-/// the owning node another, so a hot-path increment is a load and a
-/// store with no registry lookup. Single-writer (see the crate docs):
-/// one thread writes, reads happen at barriers.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+/// One `u64` counter stored inline in its owner — a field of a
+/// [`counter_block!`] struct, or the target of a [`Counter`] handle.
+/// Single-writer (see the crate docs): one thread writes, reads happen
+/// at barriers.
+#[derive(Debug, Default)]
+pub struct Cell(AtomicU64);
 
-impl Counter {
-    /// Creates a detached counter at zero.
-    #[must_use]
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
+impl Cell {
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -174,7 +172,7 @@ impl Counter {
 
     /// Overwrites the value. For totals maintained elsewhere and
     /// mirrored into the registry (e.g. synced in a publish hook);
-    /// prefer [`Counter::inc`] for live counters.
+    /// prefer [`Cell::inc`] for live counters.
     #[inline]
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
@@ -185,6 +183,88 @@ impl Counter {
     #[must_use]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A node's counters: fixed names and the [`Cell`]s behind them in one
+/// allocation, registered once with [`Telemetry::register_block`].
+/// Implemented by [`counter_block!`], never by hand.
+pub trait Block: Send + Sync + fmt::Debug {
+    /// Calls `f(name, value)` for every cell, in declaration order.
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64));
+}
+
+/// Declares a [`Block`]: a private struct with one [`Cell`] per listed
+/// name, its `Default`, and the `Block` impl that names each cell after
+/// its field.
+///
+/// * `struct B { a, b }` — the block alone.
+/// * `struct B => V { a, b } + { c }` — also `B::fill(&self, &mut V)`,
+///   which copies `a` and `b` into the same-named `u64` fields of the
+///   existing view struct `V`; the cells after `+` are in the registry
+///   but not in the view, and `V` may have fields of its own.
+/// * `struct B => #[derive(..)] pub struct V { /** doc */ a, .. }` —
+///   also declares `V` itself, one documented `pub u64` field per cell,
+///   with an `AddAssign` that sums every field.
+#[macro_export]
+macro_rules! counter_block {
+    ($(#[$m:meta])* struct $B:ident { $($(#[$fm:meta])* $f:ident),* $(,)? }) => {
+        $(#[$m])*
+        #[derive(Debug, Default)]
+        struct $B {
+            $($(#[$fm])* $f: $crate::Cell,)*
+        }
+        impl $crate::Block for $B {
+            fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+                $(f(stringify!($f), self.$f.get());)*
+            }
+        }
+    };
+    ($(#[$m:meta])* struct $B:ident =>
+     $(#[$vm:meta])* pub struct $V:ident { $($(#[$fm:meta])* $f:ident),* $(,)? }) => {
+        $(#[$vm])*
+        pub struct $V {
+            $($(#[$fm])* pub $f: u64,)*
+        }
+        impl std::ops::AddAssign for $V {
+            fn add_assign(&mut self, rhs: $V) {
+                $(self.$f += rhs.$f;)*
+            }
+        }
+        $crate::counter_block! { $(#[$m])* struct $B => $V { $($f),* } }
+    };
+    ($(#[$m:meta])* struct $B:ident => $V:ident { $($(#[$fm:meta])* $f:ident),* $(,)? }
+     $(+ { $($(#[$hm:meta])* $h:ident),* $(,)? })?) => {
+        $crate::counter_block! {
+            $(#[$m])* struct $B { $($(#[$fm])* $f,)* $($($(#[$hm])* $h,)*)? }
+        }
+        impl $B {
+            fn fill(&self, view: &mut $V) {
+                $(view.$f = self.$f.get();)*
+            }
+        }
+    };
+}
+
+/// A one-off counter handle: a shared [`Cell`] registered under its own
+/// name with [`Telemetry::register_counter`]. Cloning shares the cell;
+/// the registry holds one clone and the owner another.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Arc<Cell>);
+
+impl Counter {
+    /// Creates a detached counter at zero.
+    #[must_use]
+    pub fn new() -> Counter {
+        Counter::default()
+    }
+}
+
+impl std::ops::Deref for Counter {
+    type Target = Cell;
+
+    fn deref(&self) -> &Cell {
+        &self.0
     }
 }
 
@@ -453,18 +533,19 @@ impl TraceRing {
 
 #[derive(Debug)]
 struct Registry {
-    metrics: BTreeMap<MetricKey, Handle>,
+    blocks: BTreeMap<(NodeKind, u64), Arc<dyn Block>>,
+    handles: BTreeMap<MetricKey, Handle>,
     trace: TraceRing,
 }
 
 /// The shared telemetry registry handle.
 ///
 /// One per world shard; cloned into every `Ctx` so nodes register
-/// handles without manual plumbing. Cloning is cheap (an `Arc` bump)
-/// and all clones observe the same registry. The handle is `Send`, so
-/// sharded worlds can carry their registries across worker threads.
-/// The internal mutex guards registration, snapshots and the trace
-/// ring only; metric writes go through the handles and never take it.
+/// their blocks without manual plumbing. Cloning is cheap (an `Arc`
+/// bump) and all clones observe the same registry. The handle is
+/// `Send`, so sharded worlds can carry their registries across worker
+/// threads. The internal mutex guards registration, snapshots and the
+/// trace ring only; metric writes go to the cells and never take it.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     inner: Arc<Mutex<Registry>>,
@@ -487,7 +568,8 @@ impl Telemetry {
     pub fn new(trace_cap: usize) -> Telemetry {
         Telemetry {
             inner: Arc::new(Mutex::new(Registry {
-                metrics: BTreeMap::new(),
+                blocks: BTreeMap::new(),
+                handles: BTreeMap::new(),
                 trace: TraceRing {
                     cap: trace_cap,
                     buf: std::collections::VecDeque::new(),
@@ -498,49 +580,57 @@ impl Telemetry {
         }
     }
 
-    /// Registers (or re-registers) a counter handle under `key`.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Registry> {
+        self.inner.lock().expect("telemetry lock")
+    }
+
+    /// Registers a node's counter block: every cell of `block` appears
+    /// in snapshots under `(kind, node, cell name)`. One map entry per
+    /// node; registering the same `(kind, node)` again (a restarted
+    /// node) replaces the entry.
+    pub fn register_block(&self, kind: NodeKind, node: u64, block: Arc<dyn Block>) {
+        self.lock().blocks.insert((kind, node), block);
+    }
+
+    fn register(&self, kind: NodeKind, node: u64, name: &'static str, handle: Handle) {
+        self.lock()
+            .handles
+            .insert(MetricKey::new(kind, node, name), handle);
+    }
+
+    /// Registers (or re-registers) a one-off counter handle.
     /// Idempotent: registering the same handle again is a no-op, and a
-    /// restarted node re-registering a fresh handle simply replaces the
-    /// old one.
+    /// fresh handle under the same key replaces the old one.
     pub fn register_counter(&self, kind: NodeKind, node: u64, name: &'static str, c: &Counter) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .metrics
-            .insert(MetricKey::new(kind, node, name), Handle::Counter(c.clone()));
+        self.register(kind, node, name, Handle::Counter(c.clone()));
     }
 
-    /// Registers (or re-registers) a gauge handle under `key`.
+    /// Registers (or re-registers) a gauge handle.
     pub fn register_gauge(&self, kind: NodeKind, node: u64, name: &'static str, g: &Gauge) {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .metrics
-            .insert(MetricKey::new(kind, node, name), Handle::Gauge(g.clone()));
+        self.register(kind, node, name, Handle::Gauge(g.clone()));
     }
 
-    /// Registers (or re-registers) a histogram handle under `key`.
+    /// Registers (or re-registers) a histogram handle.
     pub fn register_histogram(&self, kind: NodeKind, node: u64, name: &'static str, h: &Histogram) {
-        self.inner.lock().expect("telemetry lock").metrics.insert(
-            MetricKey::new(kind, node, name),
-            Handle::Histogram(h.clone()),
-        );
+        self.register(kind, node, name, Handle::Histogram(h.clone()));
     }
 
-    /// Number of registered metrics.
+    /// Number of registered metrics: one per block cell plus one per
+    /// one-off handle.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("telemetry lock").metrics.len()
+        let reg = self.lock();
+        let mut n = reg.handles.len();
+        for block in reg.blocks.values() {
+            block.visit(&mut |_, _| n += 1);
+        }
+        n
     }
 
     /// Whether no metrics are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .metrics
-            .is_empty()
+        self.len() == 0
     }
 
     /// Whether trace events are being kept (capacity > 0). Callers can
@@ -552,7 +642,7 @@ impl Telemetry {
 
     /// Appends a trace event to the ring.
     pub fn trace(&self, ev: TraceEvent) {
-        self.inner.lock().expect("telemetry lock").trace.push(ev);
+        self.lock().trace.push(ev);
     }
 
     /// Convenience: builds and appends a trace event.
@@ -577,24 +667,27 @@ impl Telemetry {
     /// of older events the ring has already discarded.
     #[must_use]
     pub fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        let reg = self.inner.lock().expect("telemetry lock");
+        let reg = self.lock();
         let skip = reg.trace.buf.len().saturating_sub(n);
         let tail: Vec<TraceEvent> = reg.trace.buf.iter().skip(skip).cloned().collect();
         (tail, reg.trace.dropped + skip as u64)
     }
 
-    /// Reads every registered metric into an ordered snapshot. A pure
+    /// Reads every registered metric into an ordered snapshot: blocks
+    /// expand to one `(kind, node, cell name)` counter per cell, so the
+    /// map's key order — not block layout — fixes the order. A pure
     /// read: no counter is modified.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let reg = self.inner.lock().expect("telemetry lock");
-        TelemetrySnapshot {
-            metrics: reg
-                .metrics
-                .iter()
-                .map(|(k, h)| (k.clone(), h.read()))
-                .collect(),
+        let reg = self.lock();
+        let mut metrics = BTreeMap::new();
+        for (&(kind, node), block) in &reg.blocks {
+            block.visit(&mut |name, v| {
+                metrics.insert(MetricKey::new(kind, node, name), MetricValue::Counter(v));
+            });
         }
+        metrics.extend(reg.handles.iter().map(|(k, h)| (k.clone(), h.read())));
+        TelemetrySnapshot { metrics }
     }
 }
 
@@ -874,6 +967,149 @@ mod tests {
         assert_eq!(tele.snapshot().counter(NodeKind::Host, 3, "pings"), 5);
     }
 
+    counter_block! {
+        /// The block alone: no view.
+        struct Bare { hits, misses }
+    }
+
+    /// A hand-written view with a field of its own (`series`) that the
+    /// block does not fill.
+    #[derive(Debug, Default, PartialEq)]
+    struct PartialView {
+        series: Vec<u64>,
+        sent: u64,
+        dropped: u64,
+    }
+
+    counter_block! {
+        struct Partial => PartialView { sent, dropped } + {
+            /// In the registry, not in the view.
+            tx_packets,
+        }
+    }
+
+    counter_block! {
+        struct Summed =>
+        /// A view the declaration itself produces.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct SummedView {
+            /// Things in.
+            rx,
+            /// Things out.
+            tx,
+        }
+    }
+
+    fn names(block: &dyn Block) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::new();
+        block.visit(&mut |name, v| out.push((name, v)));
+        out
+    }
+
+    #[test]
+    fn block_snapshot_equals_per_handle_registration() {
+        let blocks = Telemetry::new(0);
+        let block = Arc::<Partial>::default();
+        blocks.register_block(NodeKind::Host, 4, block.clone());
+        block.sent.add(5);
+        block.dropped.inc();
+        block.tx_packets.set(9);
+
+        // The oracle: the same names and values, one handle each.
+        let handles = Telemetry::new(0);
+        for (name, v) in [("sent", 5), ("dropped", 1), ("tx_packets", 9)] {
+            let c = Counter::new();
+            c.add(v);
+            handles.register_counter(NodeKind::Host, 4, name, &c);
+        }
+        let (got, want) = (blocks.snapshot(), handles.snapshot());
+        assert_eq!(got, want);
+        assert_eq!(got.to_json(), want.to_json());
+        assert_eq!(blocks.len(), handles.len());
+    }
+
+    #[test]
+    fn reregistered_block_replaces_and_len_counts_names() {
+        let tele = Telemetry::new(0);
+        assert!(tele.is_empty());
+        let block = Arc::<Bare>::default();
+        tele.register_block(NodeKind::Switch, 1, block.clone());
+        block.hits.add(3);
+        // A restart registers the same block again: one entry, counts kept.
+        tele.register_block(NodeKind::Switch, 1, block.clone());
+        assert_eq!(tele.len(), 2);
+        assert_eq!(tele.snapshot().counter(NodeKind::Switch, 1, "hits"), 3);
+        // A fresh block under the same key replaces the old one.
+        tele.register_block(NodeKind::Switch, 1, Arc::<Bare>::default());
+        assert_eq!(tele.len(), 2);
+        assert_eq!(tele.snapshot().counter(NodeKind::Switch, 1, "hits"), 0);
+        // One-off handles count alongside block cells.
+        tele.register_gauge(NodeKind::Switch, 1, "depth", &Gauge::new());
+        assert_eq!(tele.len(), 3);
+        assert_eq!(tele.snapshot().metrics.len(), 3);
+    }
+
+    #[test]
+    fn merged_sums_one_block_key_cell_wise() {
+        // The sharded wire: every shard registers the wire's block and
+        // counts its own direction.
+        let part = |hits: u64, misses: u64| {
+            let tele = Telemetry::new(0);
+            let block = Arc::<Bare>::default();
+            tele.register_block(NodeKind::Link, 7, block.clone());
+            block.hits.add(hits);
+            block.misses.add(misses);
+            tele.snapshot()
+        };
+        let merged = TelemetrySnapshot::merged([part(2, 0), part(5, 1)]);
+        assert_eq!(merged.metrics.len(), 2);
+        assert_eq!(merged.counter(NodeKind::Link, 7, "hits"), 7);
+        assert_eq!(merged.counter(NodeKind::Link, 7, "misses"), 1);
+    }
+
+    #[test]
+    fn counter_block_forms() {
+        // Names are the field names, visited in declaration order.
+        let bare = Bare::default();
+        bare.misses.inc();
+        assert_eq!(names(&bare), vec![("hits", 0), ("misses", 1)]);
+
+        // `=> View`: listed cells are copied, the view's own fields are
+        // left alone, cells after `+` are registry-only.
+        let partial = Partial::default();
+        partial.sent.add(4);
+        partial.tx_packets.add(8);
+        assert_eq!(
+            names(&partial),
+            vec![("sent", 4), ("dropped", 0), ("tx_packets", 8)]
+        );
+        let mut view = PartialView {
+            series: vec![1, 2],
+            sent: 99,
+            dropped: 99,
+        };
+        partial.fill(&mut view);
+        let series = vec![1, 2];
+        assert_eq!(
+            view,
+            PartialView {
+                series,
+                sent: 4,
+                dropped: 0
+            }
+        );
+
+        // `=> pub struct View`: the view, its fill and its field-wise sum.
+        let summed = Summed::default();
+        summed.rx.add(2);
+        summed.tx.add(3);
+        let mut total = SummedView { rx: 10, tx: 20 };
+        let mut part = SummedView::default();
+        summed.fill(&mut part);
+        total += part;
+        assert_eq!(total, SummedView { rx: 12, tx: 23 });
+    }
+
     #[test]
     fn gauge_levels() {
         let g = Gauge::new();
@@ -1006,6 +1242,7 @@ mod tests {
     fn handles_and_registry_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Counter>();
+        assert_send::<Arc<dyn Block>>();
         assert_send::<Gauge>();
         assert_send::<Histogram>();
         assert_send::<Telemetry>();

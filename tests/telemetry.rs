@@ -8,7 +8,7 @@ use dumbnet::host::HostAgent;
 use dumbnet::packet::Packet;
 use dumbnet::sim::{Engine, LinkParams, NodeAddr, ShardedWorld, WireId, World};
 use dumbnet::switch::{DumbSwitch, DumbSwitchConfig};
-use dumbnet::telemetry::NodeKind;
+use dumbnet::telemetry::{MetricValue, NodeKind};
 use dumbnet::topology::generators;
 use dumbnet::types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 
@@ -45,8 +45,8 @@ fn snapshot_agrees_with_stats_views() {
     let mut fabric = booted_fabric();
     let snap = fabric.telemetry_snapshot();
 
-    // Engine totals: the WorldStats view is assembled from the same
-    // handles the snapshot reads.
+    // Engine totals: the WorldStats view is filled from the same
+    // cells the snapshot reads.
     let world = fabric.world.stats();
     assert_eq!(
         snap.counter(NodeKind::World, 0, "packets_delivered"),
@@ -63,17 +63,43 @@ fn snapshot_agrees_with_stats_views() {
     );
     assert!(stats.rtts.len() == 5, "ping series must complete");
     match snap.get(NodeKind::Host, 1, "rtt_ns") {
-        Some(dumbnet::telemetry::MetricValue::Histogram(h)) => {
+        Some(MetricValue::Histogram(h)) => {
             assert_eq!(h.count, stats.rtts.len() as u64);
         }
         other => panic!("rtt_ns must be a histogram, got {other:?}"),
     }
 
-    // Controller: the leader gauge mirrors the stats view.
+    // Controller: one block counter, and the leader gauge.
     let ctrl = fabric.controller(HostId(0)).expect("controller exists");
+    assert!(ctrl.stats().path_requests > 0, "the ping needed a path");
+    assert_eq!(
+        snap.counter(NodeKind::Controller, 0, "path_requests"),
+        ctrl.stats().path_requests
+    );
     assert_eq!(
         snap.gauge(NodeKind::Controller, 0, "is_leader"),
         i64::from(ctrl.stats().is_leader)
+    );
+
+    // Link and switch: the pinger's access wire and the leaf behind it.
+    let wire = fabric.access_wire(HostId(1)).expect("host 1 is wired");
+    let link = fabric.world.link_stats(wire);
+    assert!(link.sent > 0, "the pinger's wire carried its pings");
+    assert_eq!(
+        snap.counter(NodeKind::Link, wire.raw() as u64, "sent"),
+        link.sent
+    );
+    let leaf = fabric
+        .topology
+        .host(HostId(1))
+        .expect("host 1")
+        .attached
+        .switch;
+    let forwarded = fabric.switch(leaf).expect("leaf exists").stats().forwarded;
+    assert!(forwarded > 0, "the leaf forwarded the pings");
+    assert_eq!(
+        snap.counter(NodeKind::Switch, leaf.get(), "forwarded"),
+        forwarded
     );
 
     // Aggregation across hosts matches summing the views by hand.
@@ -82,6 +108,153 @@ fn snapshot_agrees_with_stats_views() {
         .map(|a| a.stats().path_requests)
         .sum();
     assert_eq!(snap.sum_counters(NodeKind::Host, "path_requests"), by_hand);
+}
+
+/// Every metric the fabric registers, by node kind and type. A renamed,
+/// dropped, added or retyped metric fails here by name, not as a moved
+/// checksum somewhere else.
+const METRICS: &[(NodeKind, &str, &[&str])] = &[
+    (
+        NodeKind::World,
+        "counter",
+        &[
+            "events",
+            "packets_sent",
+            "packets_delivered",
+            "drops_down",
+            "drops_queue",
+            "drops_loss",
+            "drops_corrupt",
+            "drops_crashed",
+            "ecn_marked",
+        ],
+    ),
+    (
+        NodeKind::Link,
+        "counter",
+        &[
+            "sent",
+            "delivered",
+            "drops_down",
+            "drops_queue",
+            "drops_loss",
+            "drops_corrupt",
+            "drops_burst",
+            "drops_crashed",
+            "ecn_marked",
+            "jittered",
+        ],
+    ),
+    (
+        NodeKind::Switch,
+        "counter",
+        &[
+            "forwarded",
+            "dropped_exhausted",
+            "dropped_malformed",
+            "ref_divergence",
+            "id_replies",
+            "alarms_sent",
+            "alarms_suppressed",
+            "notifications_relayed",
+            "tx_packets",
+            "tx_bytes",
+        ],
+    ),
+    (
+        NodeKind::Host,
+        "counter",
+        &[
+            "path_requests",
+            "queued_on_miss",
+            "ingress_drops",
+            "floods_sent",
+            "floods_rebroadcast",
+            "ecn_echoes",
+            "stale_ctrl_updates",
+            "stale_patch_dropped",
+            "patch_batches_applied",
+            "probes_sent",
+            "probe_losses",
+            "link_suspects_sent",
+            "gray_failovers",
+            "coalesce_aborted",
+            "delivered_packets",
+            "delivered_bytes",
+        ],
+    ),
+    (
+        NodeKind::Host,
+        "histogram",
+        &["rtt_ns", "patch_batch_entries"],
+    ),
+    (
+        NodeKind::Controller,
+        "counter",
+        &[
+            "probes_sent",
+            "path_requests",
+            "patches_sent",
+            "patch_floods",
+            "link_events",
+            "repl_resends",
+            "repl_sync_requests",
+            "restarts",
+            "elections_started",
+            "step_downs",
+            "dropped_malformed",
+            "link_suspects_rx",
+            "quarantines",
+            "unquarantines",
+            "route_cache_hits",
+            "route_cache_misses",
+        ],
+    ),
+    (NodeKind::Controller, "gauge", &["is_leader", "term"]),
+    (
+        NodeKind::Controller,
+        "histogram",
+        &["probe_burst_size", "patch_batch_entries"],
+    ),
+];
+
+#[test]
+fn snapshot_holds_exactly_the_expected_metric_names() {
+    use std::collections::{BTreeMap, BTreeSet};
+    type Names<'a> = BTreeSet<(&'a str, &'a str)>;
+    let mut want: BTreeMap<NodeKind, Names> = BTreeMap::new();
+    for &(kind, ty, names) in METRICS {
+        let of_kind = want.entry(kind).or_default();
+        of_kind.extend(names.iter().map(|&name| (name, ty)));
+    }
+    // Every node of a kind must carry the kind's whole list, so collect
+    // `(name, type)` per node and compare each node with the table.
+    let snap = booted_fabric().telemetry_snapshot();
+    let mut got: BTreeMap<(NodeKind, u64), Names> = BTreeMap::new();
+    for (key, value) in &snap.metrics {
+        let ty = match value {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) => "gauge",
+            MetricValue::Histogram(_) => "histogram",
+        };
+        let of_node = got.entry((key.kind, key.node)).or_default();
+        of_node.insert((key.name.as_str(), ty));
+    }
+    for kind in want.keys() {
+        assert!(
+            got.keys().any(|(k, _)| k == kind),
+            "the testbed registered no {kind} node"
+        );
+    }
+    for ((kind, node), got) in &got {
+        let want = want.get(kind).cloned().unwrap_or_default();
+        let missing: Vec<_> = want.difference(got).collect();
+        let unexpected: Vec<_> = got.difference(&want).collect();
+        assert!(
+            missing.is_empty() && unexpected.is_empty(),
+            "{kind}/{node}: missing {missing:?}, not in the table {unexpected:?}"
+        );
+    }
 }
 
 /// A packet storm down a chain of eight dumb switches, one per cell of
