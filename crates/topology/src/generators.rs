@@ -380,6 +380,40 @@ fn reconnect_components(n: usize, r: usize, degree: &mut [usize], edges: &mut Ve
     }
 }
 
+/// Irregular graphs the crate's differential tests share.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+
+    /// A k = 4 fat-tree with a failed trunk and an unwired switch.
+    pub(crate) fn degraded_fat_tree() -> Topology {
+        let mut t = fat_tree(4, 2, None).topology;
+        let trunk = t.links().next().expect("fat-tree has links").id;
+        t.set_link_state(trunk, false).unwrap();
+        t.add_switch(4);
+        t
+    }
+
+    /// A line `a – b – c – d` (switches 0 to 3, host 0 on `a` and host
+    /// 1 on `d`) whose `b – c` hop is a bridge, dressed with what
+    /// lookups have to survive: `a – b` doubled, a loop-back cable on
+    /// `c`, and an `a – c` shortcut that is down.
+    pub(crate) fn awkward_line() -> Topology {
+        let mut t = Topology::new();
+        let s = [(); 4].map(|()| t.add_switch(8));
+        for w in s.windows(2) {
+            t.connect_auto(w[0], w[1]).unwrap();
+        }
+        t.connect_auto(s[0], s[1]).unwrap();
+        t.connect(s[2], 7, s[2], 6).unwrap();
+        let shortcut = t.connect_auto(s[0], s[2]).unwrap();
+        t.set_link_state(shortcut, false).unwrap();
+        t.add_host_auto(s[0]).unwrap();
+        t.add_host_auto(s[3]).unwrap();
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -492,9 +492,8 @@ impl Topology {
     }
 
     /// The switches [`Topology::neighbors`] yields, in the same order,
-    /// for the whole-fabric scans in [`crate::spath`] that use neither
-    /// port nor link: assembling the unused two costs a BFS a third of
-    /// its time.
+    /// for the scans in [`crate::spath`] that use neither port nor link:
+    /// assembling the unused two costs a BFS a third of its time.
     pub(crate) fn peers(&self, sw: SwitchId) -> impl Iterator<Item = SwitchId> + '_ {
         self.slots(sw).iter().filter_map(|&slot| match slot {
             PortSlot::Link { peer, up: true, .. } => Some(SwitchId::new(u64::from(peer))),

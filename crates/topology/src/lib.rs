@@ -47,5 +47,5 @@ pub use partition::{assign_cells, CellAssignment};
 pub use pathcache::{RouteCache, RouteCacheStats};
 pub use pathgraph::{PathGraph, PathGraphParams};
 pub use route::Route;
-pub use spath::{shortest_route, shortest_route_over, shortest_route_weighted, DistanceMap};
+pub use spath::{shortest_route, shortest_route_over, DistanceMap};
 pub use views::TopologyView;

@@ -120,8 +120,8 @@ pub fn build<R: Rng>(
     let s_dst = dst_info.attached.switch;
 
     // (1) Primary path: randomized shortest path. Its map of distances
-    // to `s_dst` is kept: step 3 wants the map of every switch on the
-    // primary, and `s_dst` is the last of them.
+    // to `s_dst` is kept whole: the descent reads it wherever `s_src`
+    // lies, and step 3 then has the last primary switch's map for free.
     let to_dst = spath::distances(topo, s_dst);
     let primary =
         spath::shortest_route_over(topo, s_src, &to_dst, rng).ok_or(DumbNetError::NoRoute {
@@ -129,50 +129,41 @@ pub fn build<R: Rng>(
             dst: dst.get(),
         })?;
 
-    // (2) Backup path: re-run with primary links inflated so they are
-    // reused only when unavoidable. The cost closure runs once per
-    // relaxed arc of the whole fabric; the primary's few directed links
-    // are a sorted slice, not a hash set.
-    let mut primary_links: Vec<(SwitchId, SwitchId)> = primary
-        .switches()
-        .windows(2)
-        .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
-        .collect();
-    primary_links.sort_unstable();
+    // (2) Backup path: re-run with the primary's links priced above any
+    // loop-free route, so they are reused only when unavoidable.
     let penalty = topo.switch_count() as u64 + 2;
-    let backup = spath::shortest_route_weighted(
-        topo,
-        s_src,
-        s_dst,
-        |e| {
-            if primary_links.binary_search(&e).is_ok() {
-                penalty
-            } else {
-                1
-            }
-        },
-        rng,
-    )
-    // A backup identical to the primary adds nothing; drop it.
-    .filter(|b| b.switches() != primary.switches());
+    let backup = spath::shortest_route_avoiding(topo, s_src, s_dst, &primary, penalty, rng)
+        // A backup identical to the primary adds nothing; drop it.
+        .filter(|b| b.switches() != primary.switches());
 
     // (3) Local detours, Algorithm 1. For each window (a, b) of up to s
     // consecutive hops along the primary, admit every switch x with
-    // dist(a, x) + dist(x, b) ≤ s + ε. Windows overlap, so each primary
-    // switch's map is computed at most once, when a window first needs
-    // it, and dropped with this call.
+    // dist(a, x) + dist(x, b) ≤ s + ε. Such an x is near both ends:
+    // dist(x, b) ≥ dist(a, x) − dist(a, b), so 2·dist(a, x) ≤ budget +
+    // dist(a, b) ≤ 2·window + ε, and likewise from b. Each primary
+    // switch's map therefore stops at the largest window + ⌊ε/2⌋ over
+    // the windows it bounds; it is computed at most once, when a window
+    // first needs it, and dropped with this call.
     let p = primary.switches();
     let l = p.len() - 1; // Number of hops.
     let s_win = params.s.max(1);
-    let mut detour: BTreeSet<SwitchId> = p.iter().copied().collect();
+    let step = (s_win / 2).max(1);
+    let windows = || (0..l).step_by(step).map(|i| (i, (i + s_win).min(l)));
+    let mut reach = vec![0u64; p.len()];
+    for (i, j) in windows() {
+        for ix in [i, j] {
+            reach[ix] = reach[ix].max((j - i) as u64 + params.epsilon / 2);
+        }
+    }
+    let mut admitted = vec![false; topo.switch_count()];
+    for sw in p {
+        admitted[sw.get() as usize] = true;
+    }
     let mut maps: Vec<Option<spath::DistanceMap>> = vec![None; p.len()];
     maps[l] = Some(to_dst);
-    let step = (s_win / 2).max(1);
-    let mut i = 0usize;
-    while i < l {
-        let j = (i + s_win).min(l);
+    for (i, j) in windows() {
         for ix in [i, j] {
-            maps[ix].get_or_insert_with(|| spath::distances(topo, p[ix]));
+            maps[ix].get_or_insert_with(|| spath::distances_within(topo, p[ix], reach[ix]));
         }
         let (Some(da), Some(db)) = (&maps[i], &maps[j]) else {
             unreachable!("both filled above");
@@ -181,22 +172,31 @@ pub fn build<R: Rng>(
         for (x, dax) in da.reachable() {
             if let Some(dxb) = db.dist(x) {
                 if dax + dxb <= budget {
-                    detour.insert(x);
+                    admitted[x.get() as usize] = true;
                 }
             }
         }
-        i += step;
     }
     if let Some(b) = &backup {
-        detour.extend(b.switches().iter().copied());
+        for sw in b.switches() {
+            admitted[sw.get() as usize] = true;
+        }
     }
 
-    // (4) Materialize the induced subgraph with port detail.
+    // (4) Materialize the induced subgraph with port detail. The walk is
+    // in ascending switch, then port, order — ascending `PortId` — so a
+    // link between two admitted switches is first seen from its lower
+    // end, a loop-back cable included: pushing it there and only there
+    // lists every link once, in first-sight order.
+    let switches: BTreeSet<SwitchId> = (0u64..)
+        .zip(&admitted)
+        .filter(|&(_, &is_in)| is_in)
+        .map(|(ix, _)| SwitchId::new(ix))
+        .collect();
     let mut edges = Vec::new();
-    let mut seen: BTreeSet<(PortId, PortId)> = BTreeSet::new();
-    for &sw in &detour {
+    for &sw in &switches {
         for (port, nb, lid) in topo.neighbors(sw) {
-            if !detour.contains(&nb) {
+            if !admitted[nb.get() as usize] {
                 continue;
             }
             let link = topo.link(lid)?;
@@ -205,10 +205,9 @@ pub fn build<R: Rng>(
             } else {
                 (link.b, link.a)
             };
-            if seen.insert((a, b)) {
+            if PortId::new(sw, port) == a {
                 edges.push(SubEdge { a, b });
             }
-            let _ = port;
         }
     }
 
@@ -225,7 +224,7 @@ pub fn build<R: Rng>(
         },
         primary,
         backup,
-        switches: detour,
+        switches,
         edges,
     })
 }
@@ -391,20 +390,39 @@ impl PathGraph {
             "path graph outgrew u32 indices"
         );
         let index = |s: SwitchId| nodes.binary_search(&s).expect("collected above") as u32;
-        // Both directions of every edge as `(from, to, edge)`, grouped
-        // by `from`.
-        let mut arcs: Vec<(u32, u32, u32)> = (0u32..)
+        // Both directions of every edge as `(from, to, edge)`, in that
+        // sort order — it is the search's tie-break — by two stable
+        // counting passes over arcs listed in edge order: by `to`, then
+        // by `from`. Every edge end is once a `from` and once a `to`, so
+        // one table of group starts, `first`, serves both passes.
+        let directed: Vec<(u32, u32, u32)> = (0u32..)
             .zip(&self.edges)
             .flat_map(|(e, edge)| {
                 let (a, b) = (index(edge.a.switch), index(edge.b.switch));
                 [(a, b, e), (b, a, e)]
             })
             .collect();
-        arcs.sort_unstable();
-        let first = (0..=nodes.len() as u32)
-            .map(|u| arcs.partition_point(|arc| arc.0 < u) as u32)
-            .collect();
-        let arcs = arcs.into_iter().map(|(_, to, e)| (to, e)).collect();
+        let mut first = vec![0u32; nodes.len() + 1];
+        for &(from, ..) in &directed {
+            first[from as usize + 1] += 1;
+        }
+        for u in 0..nodes.len() {
+            first[u + 1] += first[u];
+        }
+        let mut at = first.clone();
+        let mut by_to = vec![(0, 0, 0); directed.len()];
+        for &arc in &directed {
+            let slot = &mut at[arc.1 as usize];
+            by_to[*slot as usize] = arc;
+            *slot += 1;
+        }
+        at.copy_from_slice(&first);
+        let mut arcs = vec![(0, 0); directed.len()];
+        for &(from, to, e) in &by_to {
+            let slot = &mut at[from as usize];
+            arcs[*slot as usize] = (to, e);
+            *slot += 1;
+        }
         PathGraphRouter {
             src: index(self.src.attach.switch),
             dst: index(self.dst.attach.switch),
@@ -535,7 +553,7 @@ impl PathGraphRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::generators::{self, fixtures};
     use dumbnet_types::norm_edge;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -818,9 +836,33 @@ mod tests {
         results
     }
 
+    /// The router's adjacency as it was built before the counting
+    /// passes — both directions of every edge, comparison-sorted as
+    /// `(from, to, edge)` — against what [`PathGraph::router`] holds,
+    /// element for element: arc order is the search's tie-break.
+    fn assert_adjacency_is_the_sorted_one(pg: &PathGraph) {
+        let router = pg.router();
+        let index = |s: SwitchId| router.nodes.binary_search(&s).expect("an edge end") as u32;
+        let mut arcs: Vec<(u32, u32, u32)> = (0u32..)
+            .zip(&pg.edges)
+            .flat_map(|(e, edge)| {
+                let (a, b) = (index(edge.a.switch), index(edge.b.switch));
+                [(a, b, e), (b, a, e)]
+            })
+            .collect();
+        arcs.sort_unstable();
+        let first: Vec<u32> = (0..=router.nodes.len() as u32)
+            .map(|u| arcs.partition_point(|arc| arc.0 < u) as u32)
+            .collect();
+        let arcs: Vec<(u32, u32)> = arcs.into_iter().map(|(_, to, e)| (to, e)).collect();
+        assert_eq!(router.first, first, "{:?} → {:?}", pg.src.host, pg.dst.host);
+        assert_eq!(router.arcs, arcs, "{:?} → {:?}", pg.src.host, pg.dst.host);
+    }
+
     /// New vs oracle on one graph: nothing down, each subgraph edge
     /// down, each pair of primary edges down; k ∈ {1, 2, 4, 8}.
     fn assert_matches_oracle(pg: &PathGraph) -> usize {
+        assert_adjacency_is_the_sorted_one(pg);
         let primary: Vec<_> = pg
             .primary
             .switches()
@@ -879,9 +921,11 @@ mod tests {
         );
     }
 
-    /// `build` as it was before it shared distance maps: one BFS for
-    /// the primary, two more per window, a hash set under the backup's
-    /// cost closure. Kept verbatim as the oracle.
+    /// `build` as it was before it shared or bounded anything: one
+    /// whole-fabric BFS for the primary and two more per window, the
+    /// heap Dijkstra with a hash set under its cost closure for the
+    /// backup, ordered sets for admission and for the links already
+    /// listed. Kept verbatim as the oracle.
     fn oracle_build<R: Rng>(
         topo: &Topology,
         src: HostId,
@@ -993,50 +1037,115 @@ mod tests {
         })
     }
 
-    /// Every `stride`-th ordered host pair of `topo`, ε ∈ {0, 1, 2},
-    /// whole `PathGraph` values and the RNG left in the same state —
-    /// intact, then again with the first primary link failed.
-    fn build_differential(topo: &Topology, stride: usize) {
-        let hosts: Vec<HostId> = topo.hosts().map(|h| h.id).collect();
+    /// `build` against `oracle_build` for `pairs` of `topo`, s ∈ {1, 2,
+    /// 3} and ε ∈ {0, 1, 2, 3} (odd ε exercises the floor in the scan
+    /// bound): whole `PathGraph` values and the RNG left in the same
+    /// state — intact, then again with the first primary link failed.
+    fn build_differential(topo: &Topology, pairs: impl IntoIterator<Item = (HostId, HostId)>) {
         let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
         let mut degraded = topo.clone();
-        let mut pairs = 0usize;
-        for (&a, &b) in hosts
-            .iter()
-            .flat_map(|a| hosts.iter().map(move |b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .step_by(stride)
-        {
-            for eps in [0, 1, 2] {
-                let pg = build(topo, a, b, &params(2, eps), &mut rng).unwrap();
-                let want = oracle_build(topo, a, b, &params(2, eps), &mut oracle_rng).unwrap();
-                assert_eq!(pg, want, "{a} → {b}, ε {eps}");
+        let mut built = 0usize;
+        for (a, b) in pairs {
+            for (s, eps) in [1, 2, 3]
+                .into_iter()
+                .flat_map(|s| (0..=3).map(move |eps| (s, eps)))
+            {
+                let pg = build(topo, a, b, &params(s, eps), &mut rng).unwrap();
+                let want = oracle_build(topo, a, b, &params(s, eps), &mut oracle_rng).unwrap();
+                assert_eq!(pg, want, "{a} → {b}, s {s}, ε {eps}");
+                assert_adjacency_is_the_sorted_one(&pg);
                 let Some(w) = pg.primary.switches().windows(2).next() else {
                     continue;
                 };
                 let cut = topo.link_between(w[0], w[1]).expect("primary link").id;
-                degraded.set_link_state(cut, false).unwrap();
+                let was = degraded.set_link_state(cut, false).unwrap();
                 assert_eq!(
-                    build(&degraded, a, b, &params(2, eps), &mut rng).ok(),
-                    oracle_build(&degraded, a, b, &params(2, eps), &mut oracle_rng).ok(),
-                    "{a} → {b}, ε {eps}, {cut} down"
+                    build(&degraded, a, b, &params(s, eps), &mut rng).ok(),
+                    oracle_build(&degraded, a, b, &params(s, eps), &mut oracle_rng).ok(),
+                    "{a} → {b}, s {s}, ε {eps}, {cut} down"
                 );
-                degraded.set_link_state(cut, true).unwrap();
+                degraded.set_link_state(cut, was).unwrap();
             }
-            pairs += 1;
+            built += 1;
         }
-        assert!(pairs > 0);
+        assert!(built > 0);
         assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+    }
+
+    /// Every `stride`-th ordered pair of distinct hosts.
+    fn host_pairs(topo: &Topology, stride: usize) -> Vec<(HostId, HostId)> {
+        let hosts: Vec<HostId> = topo.hosts().map(|h| h.id).collect();
+        hosts
+            .iter()
+            .flat_map(|&a| hosts.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .step_by(stride)
+            .collect()
     }
 
     #[test]
     fn build_matches_the_oracle_on_the_testbed() {
-        build_differential(&generators::testbed().topology, 1);
+        let t = generators::testbed().topology;
+        build_differential(&t, host_pairs(&t, 1));
     }
 
     #[test]
     fn build_matches_the_oracle_on_fat_tree_k8_sampled() {
-        build_differential(&generators::fat_tree(8, 4, None).topology, 97);
+        let t = generators::fat_tree(8, 4, None).topology;
+        build_differential(&t, host_pairs(&t, 97));
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_irregular_graphs() {
+        // A fat-tree with a failed trunk and an unwired switch, a 4 × 4
+        // mesh, and a sparse random graph whose diameter is well past
+        // any window's reach.
+        let fat = fixtures::degraded_fat_tree();
+        build_differential(&fat, host_pairs(&fat, 1));
+        let mesh = generators::cube(&[4, 4], 1, 8).topology;
+        build_differential(&mesh, host_pairs(&mesh, 1));
+        let mut rng = StdRng::seed_from_u64(23);
+        let sparse = generators::random_regular(24, 3, 1, 8, &mut rng).topology;
+        build_differential(&sparse, host_pairs(&sparse, 1));
+    }
+
+    #[test]
+    fn build_matches_the_oracle_past_a_bridge_and_a_loop_back() {
+        // The `b – c` hop of the line is a bridge, so the backup pays
+        // the penalty and is the primary again. The loop-back on `c` is
+        // listed once, from its lower port.
+        let t = fixtures::awkward_line();
+        let (ha, hd) = (HostId(0), HostId(1));
+        build_differential(&t, [(ha, hd), (hd, ha)]);
+        let mut rng = StdRng::seed_from_u64(2);
+        let pg = build(&t, ha, hd, &params(2, 2), &mut rng).unwrap();
+        assert_eq!(pg.backup, None);
+        let loop_back: Vec<&SubEdge> = pg
+            .edges
+            .iter()
+            .filter(|e| e.a.switch == e.b.switch)
+            .collect();
+        assert_eq!(loop_back.len(), 1);
+        assert!(loop_back[0].a.port < loop_back[0].b.port);
+        assert_eq!(pg.edges.len(), 5);
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_fat_tree_k32() {
+        // The `hybrid_incast` fabric: one cross-pod, one intra-pod and
+        // one same-switch pair (16 hosts per edge switch, 16 edge
+        // switches per pod).
+        let t = generators::fat_tree(32, 16, None).topology;
+        let pairs = [(0, 8191), (0, 255), (0, 15)].map(|(a, b)| (HostId(a), HostId(b)));
+        let hops: Vec<usize> = pairs
+            .iter()
+            .map(|&(a, b)| {
+                let (a, b) = (t.host(a).unwrap(), t.host(b).unwrap());
+                spath::hop_distance(&t, a.attached.switch, b.attached.switch).unwrap() as usize
+            })
+            .collect();
+        assert_eq!(hops, [4, 2, 0]);
+        build_differential(&t, pairs);
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! path algorithm. It also randomizes the choice for equal cost links, so
 //! it generates different shortest paths, useful for load balancing."*
 //!
-//! The functions here operate at switch granularity on a [`Topology`] (or
-//! any link-cost closure), returning [`Route`]s.
+//! The functions here operate at switch granularity on a [`Topology`],
+//! returning [`Route`]s.
 //!
-//! A [`DistanceMap`] is a whole-fabric scan, so a caller that needs the
-//! map of one switch several times inside one call computes it once and
-//! hands it to [`shortest_route_over`]. A map never outlives the call
-//! that computed it: nothing caches one across calls, so no topology
-//! change has a map to invalidate.
+//! A [`DistanceMap`] from [`distances`] is a whole-fabric scan, so a
+//! caller that needs the map of one switch several times inside one call
+//! computes it once and hands it to [`shortest_route_over`], and a caller
+//! that only reads entries up to some hop count asks
+//! [`distances_within`] for that many hops and pays for no more. In a
+//! bounded map `None` means "farther than the limit, or unreachable":
+//! every entry it does hold is the exact distance. A map, bounded or
+//! not, never outlives the call that computed it: nothing caches one
+//! across calls, so no topology change has a map to invalidate.
 
 use std::borrow::Borrow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use rand::Rng;
 
@@ -24,8 +26,9 @@ use dumbnet_types::SwitchId;
 use crate::graph::Topology;
 use crate::route::Route;
 
-/// Per-source shortest-path distances to every switch, from a single
-/// Dijkstra/BFS run.
+/// Shortest-path distances from one source switch, from one search:
+/// to every switch ([`distances`]), or to the switches within a hop
+/// limit ([`distances_within`]).
 #[derive(Debug, Clone)]
 pub struct DistanceMap {
     source: SwitchId,
@@ -39,7 +42,8 @@ impl DistanceMap {
         self.source
     }
 
-    /// Distance to `sw`, or `None` if unreachable.
+    /// Distance to `sw`, or `None` if unreachable (or, in a map from
+    /// [`distances_within`], farther than its limit).
     #[must_use]
     pub fn dist(&self, sw: SwitchId) -> Option<u64> {
         match self.dist.get(sw.get() as usize) {
@@ -48,7 +52,8 @@ impl DistanceMap {
         }
     }
 
-    /// Iterates over `(switch, distance)` for all reachable switches.
+    /// Iterates over `(switch, distance)` for all switches the map
+    /// holds, in ascending switch order.
     pub fn reachable(&self) -> impl Iterator<Item = (SwitchId, u64)> + '_ {
         self.dist
             .iter()
@@ -61,10 +66,18 @@ impl DistanceMap {
 /// Computes hop distances from `source` to every switch over up links.
 ///
 /// With unit costs a FIFO frontier already visits switches in
-/// nondecreasing distance, so this is a plain BFS; the map is the one
-/// [`distances_weighted`] returns for `|_| 1`.
+/// nondecreasing distance, so this is a plain BFS.
 #[must_use]
 pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
+    distances_within(topo, source, u64::MAX)
+}
+
+/// [`distances`], stopped at `limit` hops: the map holds exactly the
+/// switches within `limit` of `source`, each at its true distance.
+/// Switches at depth `limit` are labelled and not expanded, so the scan
+/// costs the ball it returns rather than the fabric.
+#[must_use]
+pub fn distances_within(topo: &Topology, source: SwitchId, limit: u64) -> DistanceMap {
     let n = topo.switch_count();
     let mut dist = vec![u64::MAX; n];
     if (source.get() as usize) < n {
@@ -76,10 +89,15 @@ pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
         let mut next = 0;
         while let Some(&u) = frontier.get(next) {
             next += 1;
-            let nd = dist[u.get() as usize] + 1;
+            let d = dist[u.get() as usize];
+            if d >= limit {
+                // The frontier is in nondecreasing depth: nothing behind
+                // `u` is shallower.
+                break;
+            }
             for v in topo.peers(u) {
                 if dist[v.get() as usize] == u64::MAX {
-                    dist[v.get() as usize] = nd;
+                    dist[v.get() as usize] = d + 1;
                     frontier.push(v);
                 }
             }
@@ -88,16 +106,75 @@ pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
     DistanceMap { source, dist }
 }
 
-/// Computes weighted distances from `source` with a per-link cost
-/// function (`cost(link_id_index)` not exposed; cost takes endpoint pair).
+/// Distances from `source` when every arc costs 1 except the arcs in
+/// `tolled`, which cost `toll`. `tolled` is sorted and holds both
+/// directions of each of its links, so an arc's cost does not depend on
+/// which way the search crosses it.
 ///
+/// Two costs need no heap. Arcs relaxed at cost 1 queue in one FIFO and
+/// tolled arcs in another; the smaller of the two fronts pops next.
+/// Pops are then nondecreasing (nothing pushed is less than the distance
+/// just popped), so each FIFO is itself nondecreasing and the smaller
+/// front is the global minimum — Dijkstra's pop order, hence its map. A
+/// switch relaxed twice leaves a stale entry, skipped when it pops.
+fn distances_tolled(
+    topo: &Topology,
+    source: SwitchId,
+    tolled: &[(SwitchId, SwitchId)],
+    toll: u64,
+) -> DistanceMap {
+    let n = topo.switch_count();
+    let mut dist = vec![u64::MAX; n];
+    if (source.get() as usize) < n {
+        dist[source.get() as usize] = 0;
+        // `queues[0]` takes the unit-arc pushes, `queues[1]` the tolled.
+        let mut queues: [Vec<(u64, SwitchId)>; 2] = [Vec::with_capacity(n), Vec::new()];
+        let mut next = [0usize; 2];
+        queues[0].push((0, source));
+        loop {
+            let live = (0..2).filter(|&q| next[q] < queues[q].len());
+            let Some(q) = live.min_by_key(|&q| queues[q][next[q]].0) else {
+                break;
+            };
+            let (d, u) = queues[q][next[q]];
+            next[q] += 1;
+            if d > dist[u.get() as usize] {
+                continue;
+            }
+            // Empty unless `u` is an end of a tolled link.
+            let tolled_here = arcs_from(tolled, u);
+            for v in topo.peers(u) {
+                let is_tolled = tolled_here.iter().any(|&(_, to)| to == v);
+                let nd = d.saturating_add(if is_tolled { toll } else { 1 });
+                if nd < dist[v.get() as usize] {
+                    dist[v.get() as usize] = nd;
+                    queues[usize::from(is_tolled)].push((nd, v));
+                }
+            }
+        }
+    }
+    DistanceMap { source, dist }
+}
+
+/// The run of `arcs` (sorted) that leave `from`.
+fn arcs_from(arcs: &[(SwitchId, SwitchId)], from: SwitchId) -> &[(SwitchId, SwitchId)] {
+    let start = arcs.partition_point(|&(a, _)| a < from);
+    let len = arcs[start..].partition_point(|&(a, _)| a == from);
+    &arcs[start..start + len]
+}
+
+/// The heap Dijkstra over an arbitrary arc cost, kept as the oracle
+/// [`distances_within`] and [`distances_tolled`] are compared against.
 /// Costs are per *edge traversal*; the function receives the edge's
-/// `(from, to)` switch pair so asymmetric costs are possible.
-#[must_use]
-pub fn distances_weighted<F>(topo: &Topology, source: SwitchId, cost: F) -> DistanceMap
+/// `(from, to)` switch pair.
+#[cfg(test)]
+fn distances_weighted<F>(topo: &Topology, source: SwitchId, cost: F) -> DistanceMap
 where
     F: Fn((SwitchId, SwitchId)) -> u64,
 {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     let n = topo.switch_count();
     let mut dist = vec![u64::MAX; n];
     if (source.get() as usize) < n {
@@ -152,13 +229,42 @@ pub fn shortest_route_over<R: Rng>(
     descend(topo, src, to_dst.source(), |_| 1, || to_dst, rng)
 }
 
-/// Weighted variant of [`shortest_route`].
-///
-/// The cost function receives the `(from, to)` switch pair of each edge;
-/// the path-graph backup computation uses this to inflate primary-path
-/// links (§4.3).
+/// [`shortest_route`] when crossing a link of `avoid`, in either
+/// direction, costs `toll` instead of 1: the path-graph backup (§4.3),
+/// which reuses a primary link only where every alternative costs more
+/// than the toll.
 #[must_use]
-pub fn shortest_route_weighted<F, R>(
+pub fn shortest_route_avoiding<R: Rng>(
+    topo: &Topology,
+    src: SwitchId,
+    dst: SwitchId,
+    avoid: &Route,
+    toll: u64,
+    rng: &mut R,
+) -> Option<Route> {
+    let mut tolled: Vec<(SwitchId, SwitchId)> = avoid
+        .switches()
+        .windows(2)
+        .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
+        .collect();
+    tolled.sort_unstable();
+    let cost = |arc| {
+        if tolled.binary_search(&arc).is_ok() {
+            toll
+        } else {
+            1
+        }
+    };
+    // Searched from `dst`, so the map measures distance *to* it; the
+    // costs are symmetric.
+    let to_dst = || distances_tolled(topo, dst, &tolled, toll);
+    descend(topo, src, dst, cost, to_dst, rng)
+}
+
+/// [`shortest_route`] over an arbitrary arc cost and the heap Dijkstra:
+/// what [`shortest_route_avoiding`] replaced, kept as its oracle.
+#[cfg(test)]
+pub(crate) fn shortest_route_weighted<F, R>(
     topo: &Topology,
     src: SwitchId,
     dst: SwitchId,
@@ -248,7 +354,10 @@ pub fn hop_distance(topo: &Topology, a: SwitchId, b: SwitchId) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::generators::{
+        self,
+        fixtures::{awkward_line, degraded_fat_tree},
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -265,18 +374,147 @@ mod tests {
         assert_eq!(d.reachable().count(), 4);
     }
 
+    fn all_switches(t: &Topology) -> Vec<SwitchId> {
+        t.switches().map(|s| s.id).collect()
+    }
+
     #[test]
-    fn bfs_distances_equal_unit_cost_dijkstra() {
-        // Every source of a fat-tree with a failed trunk and an
-        // unwired switch: the BFS map is Dijkstra's, entry for entry,
-        // so the descent over it draws the same RNG values.
-        let mut t = generators::fat_tree(4, 2, None).topology;
-        let trunk = t.links().next().expect("fat-tree has links").id;
-        t.set_link_state(trunk, false).unwrap();
-        t.add_switch(4);
-        let sources: Vec<SwitchId> = t.switches().map(|s| s.id).collect();
-        for s in sources {
-            assert_eq!(distances(&t, s).dist, distances_weighted(&t, s, |_| 1).dist);
+    fn a_bounded_scan_is_the_full_scan_cut_at_the_limit() {
+        // Every source and every limit from 0 to past the diameter,
+        // against the heap Dijkstra's map with entries beyond the limit
+        // read as absent.
+        let mut rng = StdRng::seed_from_u64(23);
+        let sparse = generators::random_regular(24, 3, 1, 8, &mut rng).topology;
+        let graphs = [
+            generators::testbed().topology,
+            degraded_fat_tree(),
+            generators::cube(&[4, 4], 1, 8).topology,
+            sparse,
+        ];
+        for (g, t) in graphs.iter().enumerate() {
+            let ids = all_switches(t);
+            let full: Vec<DistanceMap> = ids
+                .iter()
+                .map(|&s| distances_weighted(t, s, |_| 1))
+                .collect();
+            let diameter = full
+                .iter()
+                .flat_map(|m| m.reachable().map(|(_, d)| d))
+                .max()
+                .expect("non-empty");
+            assert!(diameter >= 2, "graph {g}: truncation never bites");
+            for want in &full {
+                for limit in 0..=diameter + 1 {
+                    let cut = distances_within(t, want.source(), limit);
+                    for &x in &ids {
+                        assert_eq!(
+                            cut.dist(x),
+                            want.dist(x).filter(|&d| d <= limit),
+                            "graph {g}: {} → {x} within {limit}",
+                            want.source()
+                        );
+                    }
+                }
+                assert_eq!(distances(t, want.source()).dist, want.dist);
+            }
+        }
+        // The sparse graph is the one whose diameter dwarfs a window's
+        // reach.
+        let far = distances(&graphs[3], SwitchId::new(0));
+        assert!(far.reachable().any(|(_, d)| d > 3));
+    }
+
+    /// Both directions of every hop of `route`, sorted: the tolled set
+    /// [`shortest_route_avoiding`] derives.
+    fn both_ways(route: &[SwitchId]) -> Vec<(SwitchId, SwitchId)> {
+        let mut arcs: Vec<_> = route
+            .windows(2)
+            .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
+            .collect();
+        arcs.sort_unstable();
+        arcs
+    }
+
+    /// Two-queue map against the heap Dijkstra's, entry for entry, from
+    /// every source.
+    fn assert_tolled_matches_heap(t: &Topology, route: &[SwitchId], toll: u64) {
+        let tolled = both_ways(route);
+        for s in all_switches(t) {
+            let want = distances_weighted(t, s, |arc| if tolled.contains(&arc) { toll } else { 1 });
+            assert_eq!(
+                distances_tolled(t, s, &tolled, toll).dist,
+                want.dist,
+                "from {s}, tolled {route:?} at {toll}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_two_queue_search_is_dijkstra() {
+        // The bridge is tolled: there is no way round, so the far side
+        // is reached through the toll and only through it.
+        let line = awkward_line();
+        let s = all_switches(&line);
+        for toll in [1, 2, 6, u64::MAX] {
+            assert_tolled_matches_heap(&line, &s, toll);
+            assert_tolled_matches_heap(&line, &s[1..3], toll);
+        }
+        let across = distances_tolled(&line, s[0], &both_ways(&s[1..3]), 6);
+        assert_eq!(across.dist(s[1]), Some(1));
+        assert_eq!(across.dist(s[2]), Some(7));
+        assert_eq!(across.dist(s[3]), Some(8));
+        // A tolled pair takes every parallel link with it.
+        assert_eq!(
+            distances_tolled(&line, s[0], &both_ways(&s[..2]), 6).dist(s[1]),
+            Some(6)
+        );
+        // Fabrics with a way round: every shortest route tolled in turn.
+        let mut rng = StdRng::seed_from_u64(5);
+        for t in [generators::testbed().topology, degraded_fat_tree()] {
+            let ids = all_switches(&t);
+            let toll = t.switch_count() as u64 + 2;
+            for &a in &ids {
+                for &b in &ids {
+                    if let Some(route) = shortest_route(&t, a, b, &mut rng) {
+                        assert_tolled_matches_heap(&t, route.switches(), toll);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avoiding_a_route_is_the_weighted_route() {
+        // Same backup and the RNG left where the heap version leaves it,
+        // for every ordered pair, one past the table's end included.
+        for t in [
+            generators::testbed().topology,
+            degraded_fat_tree(),
+            awkward_line(),
+        ] {
+            let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+            let toll = t.switch_count() as u64 + 2;
+            let (mut rng, mut heap_rng) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for &a in &ids {
+                for &b in &ids {
+                    let Some(primary) = shortest_route(&t, a, b, &mut rng) else {
+                        assert!(shortest_route(&t, a, b, &mut heap_rng).is_none());
+                        continue;
+                    };
+                    assert_eq!(
+                        shortest_route(&t, a, b, &mut heap_rng),
+                        Some(primary.clone())
+                    );
+                    let tolled = both_ways(primary.switches());
+                    let cost = |arc| if tolled.contains(&arc) { toll } else { 1 };
+                    assert_eq!(
+                        shortest_route_avoiding(&t, a, b, &primary, toll, &mut rng),
+                        shortest_route_weighted(&t, a, b, cost, &mut heap_rng),
+                        "{a} → {b} avoiding {primary}"
+                    );
+                }
+            }
+            assert_eq!(rng.gen::<u64>(), heap_rng.gen::<u64>());
         }
     }
 
@@ -285,11 +523,7 @@ mod tests {
         // Every ordered switch pair, one past the table's end included,
         // with a failed trunk and an unwired switch: same route, and the
         // RNG left where `shortest_route` leaves it.
-        let mut fat = generators::fat_tree(4, 2, None).topology;
-        let trunk = fat.links().next().expect("fat-tree has links").id;
-        fat.set_link_state(trunk, false).unwrap();
-        fat.add_switch(4);
-        for t in [generators::testbed().topology, fat] {
+        for t in [generators::testbed().topology, degraded_fat_tree()] {
             let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
             for seed in [1, 2, 3] {
                 let (mut rng, mut over) =
