@@ -34,7 +34,7 @@
 use dumbnet_controller::{Controller, ControllerConfig};
 use dumbnet_core::{check_gray_invariants, check_invariants, Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
-use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
+use dumbnet_host::{FlowKey, GrayDetectConfig, HostAgent, HostAgentConfig};
 use dumbnet_sim::{
     ChaosPlan, CrashSchedule, Engine, FaultProfile, FlowId, HybridWorld, NodeAddr,
     PartitionSchedule, ShardedWorld, World,
@@ -320,9 +320,8 @@ fn run_soak<W: Engine>(
     if gray {
         // Warm up until the first stream's path is cached and its flow
         // bound (the crash/partition schedule starts at ≥100 ms), then
-        // poison the trunk that bound path actually crosses — mirroring
-        // the PathTable's `hash(flow) % k` binding so the fault is
-        // guaranteed to hit live traffic. Even seeds black-hole the
+        // poison the trunk that bound path actually crosses, so the
+        // fault is guaranteed to hit live traffic. Even seeds black-hole the
         // trunk entirely; odd seeds leave it limping at 60 % loss.
         fabric.run_until(at_ms(60));
         let src = HostId(GRAY_STREAMS[0].0);
@@ -335,12 +334,8 @@ fn run_soak<W: Engine>(
             .switch;
         let spine = {
             let agent = fabric.host(src).expect("stream source is a host");
-            let entry = agent
-                .pathtable
-                .entry(dst)
-                .expect("stream path cached after warmup");
-            let ix = 7usize.wrapping_mul(0x9E37_79B9) % entry.paths.len().max(1);
-            let bound = entry.paths[ix].clone();
+            let bound = agent.pathtable.bound_path(dst, FlowKey(7));
+            let bound = bound.expect("stream bound to a cached path after warmup");
             fabric
                 .topology
                 .links()

@@ -11,12 +11,13 @@ use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{DatapathModel, DatapathVariant, HostAgent};
 use dumbnet_packet::{Packet, Payload};
-use dumbnet_sim::{Ctx, Engine, LinkParams, Node, World};
+use dumbnet_sim::{Ctx, Engine, Node, World};
 use dumbnet_switch::StpSwitch;
 use dumbnet_topology::generators;
-use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimDuration, SimTime};
+use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime};
 use dumbnet_workload::Cdf;
 
+use crate::recovery::{self, Curve};
 use crate::report::{f, Report};
 
 /// Measured stage-1/stage-2 delay distributions for one configuration.
@@ -253,137 +254,33 @@ impl Node for PlainHost {
     }
 }
 
-/// One recovery measurement: throughput bins and the derived outage.
-#[derive(Debug, Clone)]
-pub struct RecoveryRun {
-    /// Label ("DumbNet" / "STP").
-    pub label: String,
-    /// Mbps per bin.
-    pub bins_mbps: Vec<f64>,
-    /// Bin width.
-    pub bin_width: SimDuration,
-    /// Failure time.
-    pub t_fail: SimTime,
-    /// Outage: failure → first bin back at ≥80 % of pre-failure rate.
-    pub outage: Option<SimDuration>,
-}
-
-pub(crate) fn outage_from_bins(
-    bins: &[f64],
-    bin_width: SimDuration,
-    t_fail: SimTime,
-) -> Option<SimDuration> {
-    let fail_bin = (t_fail.nanos() / bin_width.nanos()) as usize;
-    let pre: Vec<f64> = bins[..fail_bin.min(bins.len())]
-        .iter()
-        .rev()
-        .take(5)
-        .copied()
-        .collect();
-    if pre.is_empty() {
-        return None;
-    }
-    let base = pre.iter().sum::<f64>() / pre.len() as f64;
-    for (ix, &b) in bins.iter().enumerate().skip(fail_bin + 1) {
-        if b >= 0.8 * base {
-            let t = (ix as u64) * bin_width.nanos();
-            return Some(SimDuration::from_nanos(t.saturating_sub(t_fail.nanos())));
-        }
-    }
-    None
+/// Outage: failure → first bin back at ≥ 80 % of the pre-failure rate.
+#[must_use]
+pub fn outage(curve: &Curve) -> Option<SimDuration> {
+    curve.recovered_after(0.8, 1)
 }
 
 /// The DumbNet side of Figure 11(b), on the packet-level fabric.
 #[must_use]
-pub fn dumbnet_recovery(quick: bool) -> RecoveryRun {
-    let bin_width = SimDuration::from_millis(10);
-    let t_fail = SimTime::ZERO + SimDuration::from_millis(200);
-    // 0.5 Gbps network cap, as the paper does to saturate the link.
-    let trunk = LinkParams {
-        latency: SimDuration::from_micros(1),
-        bandwidth: Bandwidth::mbps(500),
-        max_queue: SimDuration::from_millis(5),
-        ecn_threshold: None,
-    };
-    // Try failing spine 0's link first; if the flow had hashed onto
-    // spine 1 the dip won't show, so fall back to the other spine.
-    for spine_ix in 0..2 {
-        let g = generators::testbed();
-        let spines = g.group("spine").to_vec();
-        let leaves = g.group("leaf").to_vec();
+pub fn dumbnet_recovery() -> Curve {
+    let (_, curve) = recovery::spine_cut(|g| {
         let mut cfg = FabricConfig {
-            trunk,
+            trunk: recovery::trunk(),
             ..FabricConfig::default()
         };
         // The paper's testbed monitored ports with a switch-side script;
         // model that detection latency (§7.3: "These packets can be sent
         // even faster if it's done by hardware").
         cfg.switch.detection_delay = SimDuration::from_millis(30);
-        let _ = quick;
-        let packets = 30_000;
-        let mut fabric = Fabric::build_with(g.topology, cfg, |id, mut hc| {
-            if id == HostId(1) {
-                hc.actions = vec![AppAction::DataStream {
-                    at: SimDuration::from_millis(20),
-                    dst: MacAddr::for_host(26),
-                    flow: 7,
-                    packets,
-                    bytes: 1_200,
-                    // ≈480 Mbps at 1 200 B payload.
-                    interval: SimDuration::from_micros(20),
-                }];
-            }
-            HostAgent::new(id, hc)
-        })
-        .expect("fabric builds");
-        fabric
-            .schedule_link_failure(t_fail, leaves[0], spines[spine_ix])
-            .expect("link exists");
-        // Receiver-side binning comes from delivered counters sampled by
-        // stepping the clock.
-        let horizon = SimTime::ZERO + SimDuration::from_millis(700);
-        let mut bins = Vec::new();
-        let mut last_bytes = 0u64;
-        let mut t = SimTime::ZERO;
-        while t < horizon {
-            t = t + bin_width;
-            fabric.run_until(t);
-            let total = fabric
-                .host(HostId(26))
-                .and_then(|a| a.stats().delivered.get(&7).copied())
-                .map_or(0, |(_, b)| b);
-            bins.push((total - last_bytes) as f64 * 8.0 / bin_width.as_secs_f64() / 1e6);
-            last_bytes = total;
-        }
-        let outage = outage_from_bins(&bins, bin_width, t_fail);
-        // A dip confirms the flow used the failed spine.
-        let fail_bin = (t_fail.nanos() / bin_width.nanos()) as usize;
-        let dipped = bins
-            .get(fail_bin + 1)
-            .is_some_and(|&b| b < 0.5 * bins[fail_bin - 1].max(1.0));
-        if dipped || spine_ix == 1 {
-            return RecoveryRun {
-                label: "DumbNet".into(),
-                bins_mbps: bins,
-                bin_width,
-                t_fail,
-                outage,
-            };
-        }
-    }
-    unreachable!("one of the two spines carries the flow");
+        Fabric::build_with(g.topology, cfg, recovery::stream_host).expect("fabric builds")
+    });
+    curve
 }
 
 /// The STP side of Figure 11(b): same topology, spanning-tree switches.
 #[must_use]
-pub fn stp_recovery(quick: bool) -> RecoveryRun {
-    let bin_width = SimDuration::from_millis(10);
-    let trunk = LinkParams {
-        latency: SimDuration::from_micros(1),
-        bandwidth: Bandwidth::mbps(500),
-        max_queue: SimDuration::from_millis(5),
-        ecn_threshold: None,
-    };
+pub fn stp_recovery() -> Curve {
+    let (bin_width, trunk) = (recovery::BIN, recovery::trunk());
     let g = generators::testbed();
     let topo = &g.topology;
     let mut w = World::new(0);
@@ -404,7 +301,6 @@ pub fn stp_recovery(quick: bool) -> RecoveryRun {
     }
     // Sender on leaf 0 (host 1's port), receiver on leaf 4 (host 26's).
     let t_fail = SimTime::ZERO + SimDuration::from_millis(1_500);
-    let _ = quick;
     let packets = 30_000;
     let sender = w.add_node(Box::new(PlainHost::new(
         MacAddr::for_host(1),
@@ -453,52 +349,34 @@ pub fn stp_recovery(quick: bool) -> RecoveryRun {
         .expect("wire");
     w.schedule_link_state(t_fail, wid, false);
     w.run_until(SimTime::ZERO + SimDuration::from_millis(2_400));
-    let bins_bytes = w
-        .node::<PlainHost>(receiver)
-        .expect("receiver")
-        .bins
-        .clone();
-    let bins: Vec<f64> = bins_bytes
-        .iter()
-        .map(|&b| b as f64 * 8.0 / bin_width.as_secs_f64() / 1e6)
-        .collect();
-    let outage = outage_from_bins(&bins, bin_width, t_fail);
-    RecoveryRun {
-        label: "STP".into(),
-        bins_mbps: bins,
-        bin_width,
-        t_fail,
-        outage,
-    }
+    let receiver = w.node::<PlainHost>(receiver).expect("receiver");
+    Curve::from_bytes(receiver.bins.iter().copied(), t_fail)
 }
 
 /// Figure 11(b): recovery comparison.
 #[must_use]
-pub fn run_b(quick: bool) -> Report {
-    let dn = dumbnet_recovery(quick);
-    let stp = stp_recovery(quick);
+pub fn run_b(_quick: bool) -> Report {
+    let (dn, stp) = (dumbnet_recovery(), stp_recovery());
     let mut r = Report::new("Figure 11(b) — throughput through a link failure");
     r.note("480 Mbps stream on a 500 Mbps-capped fabric; one spine–leaf link");
     r.note("cut mid-stream. Paper: DumbNet recovers ≈4.7× faster than STP.");
     r.header(["t rel. failure (ms)", "DumbNet (Mbps)", "STP (Mbps)"]);
-    let show = |run: &RecoveryRun, off_ms: i64| -> f64 {
-        let bin = run.t_fail.nanos() as i64 / run.bin_width.nanos() as i64 + off_ms / 10;
-        run.bins_mbps
-            .get(usize::try_from(bin).unwrap_or(usize::MAX))
-            .copied()
-            .unwrap_or(0.0)
+    let show = |curve: &Curve, off_ms: i64| -> f64 {
+        let bin = curve.fail_bin() as i64 + off_ms / 10;
+        let bin = usize::try_from(bin).unwrap_or(usize::MAX);
+        curve.mbps.get(bin).copied().unwrap_or(0.0)
     };
     for off in (-40i64..=300).step_by(20) {
         r.row([off.to_string(), f(show(&dn, off), 0), f(show(&stp, off), 0)]);
     }
     r.note(String::new());
-    let describe = |run: &RecoveryRun| match run.outage {
-        Some(o) => format!("{} outage: {}", run.label, o),
-        None => format!("{} outage: did not recover in window", run.label),
+    let describe = |label: &str, curve: &Curve| match outage(curve) {
+        Some(o) => format!("{label} outage: {o}"),
+        None => format!("{label} outage: did not recover in window"),
     };
-    r.note(describe(&dn));
-    r.note(describe(&stp));
-    if let (Some(a), Some(b)) = (dn.outage, stp.outage) {
+    r.note(describe("DumbNet", &dn));
+    r.note(describe("STP", &stp));
+    if let (Some(a), Some(b)) = (outage(&dn), outage(&stp)) {
         r.note(format!(
             "STP/DumbNet recovery ratio: {:.1}× (paper: ≈4.7×)",
             b.as_secs_f64() / a.as_secs_f64().max(1e-9)
@@ -513,10 +391,9 @@ mod tests {
 
     #[test]
     fn dumbnet_recovers_faster_than_stp() {
-        let dn = dumbnet_recovery(true);
-        let stp = stp_recovery(true);
-        let a = dn.outage.expect("dumbnet recovers");
-        let b = stp.outage.expect("stp recovers");
+        let (dn, stp) = (dumbnet_recovery(), stp_recovery());
+        let a = outage(&dn).expect("dumbnet recovers");
+        let b = outage(&stp).expect("stp recovers");
         assert!(b > a, "STP outage {b} should exceed DumbNet outage {a}");
     }
 }

@@ -14,14 +14,12 @@
 
 use dumbnet_controller::Controller;
 use dumbnet_core::{Fabric, FabricConfig};
-use dumbnet_host::agent::AppAction;
-use dumbnet_host::{HostAgent, HostAgentConfig};
-use dumbnet_sim::{ChaosPlan, Engine, FaultProfile, LinkParams, ShardedWorld, WireId};
+use dumbnet_sim::{ChaosPlan, Engine, FaultProfile, ShardedWorld, WireId};
 use dumbnet_telemetry::NodeKind;
-use dumbnet_topology::generators;
-use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime, SwitchId};
+use dumbnet_topology::generators::Generated;
+use dumbnet_types::SimDuration;
 
-use crate::fig11::outage_from_bins;
+use crate::recovery;
 use crate::report::{json_document, json_object, Json};
 
 /// One measured point of the loss sweep.
@@ -46,130 +44,63 @@ pub fn chaos_recovery_point(p: f64) -> ChaosRecoveryPoint {
     chaos_recovery_point_sharded(p, 1)
 }
 
-/// The host-1 DataStream action shared by every fig11c run.
-fn stream_actions(id: HostId, mut hc: HostAgentConfig) -> HostAgent {
-    if id == HostId(1) {
-        hc.actions = vec![AppAction::DataStream {
-            at: SimDuration::from_millis(20),
-            dst: MacAddr::for_host(26),
-            flow: 7,
-            packets: 30_000,
-            bytes: 1_200,
-            interval: SimDuration::from_micros(20),
-        }];
-    }
-    HostAgent::new(id, hc)
-}
-
 /// [`chaos_recovery_point`] with an engine choice: `shards <= 1` runs
 /// the classic single world, larger values run the sharded PDES engine
 /// (pod-unaware testbed, so the BFS partition). Results are identical
 /// at any shard count — that is the engine's determinism contract.
 #[must_use]
 pub fn chaos_recovery_point_sharded(p: f64, shards: u32) -> ChaosRecoveryPoint {
-    let t_fail = SimTime::ZERO + SimDuration::from_millis(200);
-    let trunk = LinkParams {
-        latency: SimDuration::from_micros(1),
-        bandwidth: Bandwidth::mbps(500),
-        max_queue: SimDuration::from_millis(5),
-        ecn_threshold: None,
+    let mut cfg = FabricConfig {
+        trunk: recovery::trunk(),
+        ..FabricConfig::default()
     };
-    // Like fig11(b): the flow hashes onto one of the two spines; cut
-    // spine 0 first and fall back to spine 1 if the flow dodged it.
-    for spine_ix in 0..2 {
-        let g = generators::testbed();
-        let spines = g.group("spine").to_vec();
-        let leaves = g.group("leaf").to_vec();
-        let mut cfg = FabricConfig {
-            trunk,
-            ..FabricConfig::default()
-        };
-        cfg.switch.detection_delay = SimDuration::from_millis(30);
-        let point = if shards <= 1 {
-            let fabric =
-                Fabric::build_with(g.topology, cfg, stream_actions).expect("fabric builds");
-            run_spine(fabric, p, t_fail, &spines, &leaves, spine_ix)
-        } else {
+    cfg.switch.detection_delay = SimDuration::from_millis(30);
+    let (cfg, host) = (&cfg, recovery::stream_host);
+    if shards <= 1 {
+        lossy_point(p, |g| Fabric::build_with(g.topology, cfg.clone(), host))
+    } else {
+        lossy_point(p, |g| {
             let world = ShardedWorld::new(cfg.seed, shards as usize);
-            let (topo, mk_ctrl) = (g.topology, Controller::new);
-            let fabric = Fabric::assemble(world, topo, cfg, &g.groups, stream_actions, mk_ctrl)
-                .expect("fabric builds");
-            run_spine(fabric, p, t_fail, &spines, &leaves, spine_ix)
-        };
-        if let Some(pt) = point {
-            return pt;
-        }
+            let (topo, cfg) = (g.topology, cfg.clone());
+            Fabric::assemble(world, topo, cfg, &g.groups, host, Controller::new)
+        })
     }
-    unreachable!("one of the two spines carries the flow");
 }
 
-/// One spine-cut attempt on an already built fabric. Returns `None`
-/// when the flow dodged the cut spine (the caller then cuts the other).
-fn run_spine<W: Engine>(
-    mut fabric: Fabric<W>,
+/// One point on the fabric `build` makes: uniform loss `p` on every
+/// wire (trunk and access alike — data, notifications, and patches all
+/// face the same odds), then the spine cut. Seed 12: under the
+/// per-(wire, direction) fault streams, seed 11 drops the sender's
+/// single flooded controller hello at p ≥ 0.05, so the stream never
+/// starts and the figure would measure bootstrap fragility instead of
+/// recovery under loss.
+fn lossy_point<W: Engine>(
     p: f64,
-    t_fail: SimTime,
-    spines: &[SwitchId],
-    leaves: &[SwitchId],
-    spine_ix: usize,
-) -> Option<ChaosRecoveryPoint> {
-    let bin_width = SimDuration::from_millis(10);
-    // Uniform loss on every wire (trunk and access alike): data,
-    // notifications, and patches all face the same odds. Seed 12:
-    // under the per-(wire, direction) fault streams, seed 11 drops
-    // the sender's single flooded controller hello at p ≥ 0.05, so
-    // the stream never starts and the figure would measure bootstrap
-    // fragility instead of recovery under loss.
-    let mut plan = ChaosPlan::seeded(12);
-    for ix in 0..fabric.world.wire_count() {
-        plan = plan.with_link_fault(WireId::from_raw(ix), FaultProfile::lossy(p));
+    build: impl Fn(Generated) -> dumbnet_types::Result<Fabric<W>>,
+) -> ChaosRecoveryPoint {
+    let (mut fabric, curve) = recovery::spine_cut(|g| {
+        let mut fabric = build(g).expect("fabric builds");
+        let mut plan = ChaosPlan::seeded(12);
+        for ix in 0..fabric.world.wire_count() {
+            plan = plan.with_link_fault(WireId::from_raw(ix), FaultProfile::lossy(p));
+        }
+        plan.apply(&mut fabric.world);
+        fabric
+    });
+    // Aggregate over the telemetry snapshot instead of poking each
+    // agent: every host publishes `floods_rebroadcast` under
+    // `NodeKind::Host` and the engine publishes the fault-injection
+    // drop counter under `NodeKind::World`.
+    let snap = fabric.telemetry_snapshot();
+    let floods = snap.counters_by_node(NodeKind::Host, "floods_rebroadcast");
+    let floods = floods.iter().filter(|(node, _)| *node != 0);
+    ChaosRecoveryPoint {
+        loss: p,
+        outage: crate::fig11::outage(&curve),
+        drops_loss: snap.counter(NodeKind::World, 0, "drops_loss"),
+        floods_rebroadcast: floods.map(|(_, v)| v).sum(),
+        baseline_mbps: curve.baseline(),
     }
-    plan.apply(&mut fabric.world);
-    fabric
-        .schedule_link_failure(t_fail, leaves[0], spines[spine_ix])
-        .expect("link exists");
-    let horizon = SimTime::ZERO + SimDuration::from_millis(700);
-    let mut bins = Vec::new();
-    let mut last_bytes = 0u64;
-    let mut t = SimTime::ZERO;
-    while t < horizon {
-        t = t + bin_width;
-        fabric.run_until(t);
-        let total = fabric
-            .host(HostId(26))
-            .and_then(|a| a.stats().delivered.get(&7).copied())
-            .map_or(0, |(_, b)| b);
-        bins.push((total - last_bytes) as f64 * 8.0 / bin_width.as_secs_f64() / 1e6);
-        last_bytes = total;
-    }
-    let outage = outage_from_bins(&bins, bin_width, t_fail);
-    let fail_bin = (t_fail.nanos() / bin_width.nanos()) as usize;
-    let baseline: Vec<f64> = bins[..fail_bin].iter().rev().take(5).copied().collect();
-    let baseline_mbps = baseline.iter().sum::<f64>() / baseline.len().max(1) as f64;
-    let dipped = bins
-        .get(fail_bin + 1)
-        .is_some_and(|&b| b < 0.5 * bins[fail_bin - 1].max(1.0));
-    if dipped || spine_ix == 1 {
-        // Aggregate over the telemetry snapshot instead of poking
-        // each agent: every host publishes `floods_rebroadcast`
-        // under `NodeKind::Host` and the engine publishes the
-        // fault-injection drop counter under `NodeKind::World`.
-        let snap = fabric.telemetry_snapshot();
-        let floods_rebroadcast = snap
-            .counters_by_node(NodeKind::Host, "floods_rebroadcast")
-            .into_iter()
-            .filter(|&(node, _)| node != 0)
-            .map(|(_, v)| v)
-            .sum();
-        return Some(ChaosRecoveryPoint {
-            loss: p,
-            outage,
-            drops_loss: snap.counter(NodeKind::World, 0, "drops_loss"),
-            floods_rebroadcast,
-            baseline_mbps,
-        });
-    }
-    None
 }
 
 const TITLE: &str = "failure recovery time vs packet-loss rate";
@@ -237,6 +168,8 @@ mod tests {
         // Two full chaos runs must agree on every world counter and every
         // per-wire counter.
         use dumbnet_sim::{LinkStats, WorldStats};
+        use dumbnet_topology::generators;
+        use dumbnet_types::SimTime;
 
         fn run_once(p: f64) -> (WorldStats, Vec<LinkStats>) {
             let g = generators::testbed();
@@ -244,17 +177,10 @@ mod tests {
             let leaves = g.group("leaf").to_vec();
             let mut fabric =
                 Fabric::build_with(g.topology, FabricConfig::default(), |id, mut hc| {
-                    if id == HostId(1) {
-                        hc.actions = vec![AppAction::DataStream {
-                            at: SimDuration::from_millis(20),
-                            dst: MacAddr::for_host(26),
-                            flow: 7,
-                            packets: 5_000,
-                            bytes: 1_200,
-                            interval: SimDuration::from_micros(20),
-                        }];
+                    if id.get() == 1 {
+                        hc.actions = vec![recovery::stream(26, 5_000, 1_200, 20)];
                     }
-                    HostAgent::new(id, hc)
+                    dumbnet_host::HostAgent::new(id, hc)
                 })
                 .expect("fabric builds");
             let mut plan = ChaosPlan::seeded(11);

@@ -26,12 +26,13 @@
 //! Output is JSON with a deterministic work checksum pinned in CI.
 
 use dumbnet_core::{Fabric, FabricConfig};
-use dumbnet_host::agent::AppAction;
-use dumbnet_host::{GrayDetectConfig, HostAgent};
-use dumbnet_sim::{Engine, FaultProfile, LinkParams};
+use dumbnet_host::pathtable::FlowKey;
+use dumbnet_host::GrayDetectConfig;
+use dumbnet_sim::{Engine, FaultProfile};
 use dumbnet_topology::generators;
-use dumbnet_types::{Bandwidth, HostId, MacAddr, SimDuration, SimTime};
+use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 
+use crate::recovery;
 use crate::report::{json_document, json_object, Json};
 
 /// The sensitive detector: EWMA threshold low enough to catch ≥10 %
@@ -63,6 +64,9 @@ pub struct GrayRecoveryPoint {
     pub detector: &'static str,
     /// Fault → first of two consecutive bins at ≥95 % of the pre-fault
     /// goodput; `None` if the stream never got back inside the window.
+    /// Stricter than the 80 % / one bin of hard failures: a 10 %-lossy
+    /// path still clears 80 %, and a single lucky bin under random loss
+    /// must not count as recovered.
     pub recovery: Option<SimDuration>,
     /// Mean goodput over the last five pre-fault bins, Mbps.
     pub baseline_mbps: f64,
@@ -80,54 +84,16 @@ pub struct GrayRecoveryPoint {
     pub quarantines: u64,
 }
 
-/// Fault → recovery, defined as the first of two consecutive bins back
-/// at ≥95 % of the pre-fault mean. Stricter than
-/// [`crate::fig11::outage_from_bins`]'s 80 % bar: a 10 %-lossy path
-/// still clears 80 %, and a single lucky bin under random loss must not
-/// count as recovered.
-fn recovery_from_bins(
-    bins: &[f64],
-    bin_width: SimDuration,
-    t_fail: SimTime,
-) -> Option<SimDuration> {
-    let fail_bin = (t_fail.nanos() / bin_width.nanos()) as usize;
-    let pre: Vec<f64> = bins[..fail_bin.min(bins.len())]
-        .iter()
-        .rev()
-        .take(5)
-        .copied()
-        .collect();
-    if pre.is_empty() {
-        return None;
-    }
-    let base = pre.iter().sum::<f64>() / pre.len() as f64;
-    for ix in (fail_bin + 1)..bins.len().saturating_sub(1) {
-        if bins[ix] >= 0.95 * base && bins[ix + 1] >= 0.95 * base {
-            let t = (ix as u64) * bin_width.nanos();
-            return Some(SimDuration::from_nanos(t.saturating_sub(t_fail.nanos())));
-        }
-    }
-    None
-}
-
 /// Runs one point: a 480 Mbps stream plus a light corroborating stream
 /// from a second sender, gray loss `p` injected at 200 ms on the trunk
 /// the main stream's bound path crosses. Deterministic per `(p, gray)`.
 #[must_use]
 pub fn gray_recovery_point(p: f64, gray: bool) -> GrayRecoveryPoint {
-    let bin_width = SimDuration::from_millis(10);
-    let t_fail = SimTime::ZERO + SimDuration::from_millis(200);
-    let trunk = LinkParams {
-        latency: SimDuration::from_micros(1),
-        bandwidth: Bandwidth::mbps(500),
-        max_queue: SimDuration::from_millis(5),
-        ecn_threshold: None,
-    };
     let g = generators::testbed();
     let leaf = g.group("leaf")[0];
     let spines = g.group("spine").to_vec();
     let mut cfg = FabricConfig {
-        trunk,
+        trunk: recovery::trunk(),
         ..FabricConfig::default()
     };
     cfg.host.gray_detect = Some(if gray {
@@ -140,76 +106,38 @@ pub fn gray_recovery_point(p: f64, gray: bool) -> GrayRecoveryPoint {
     // side stream to a different far leaf so the controller can
     // corroborate suspicion across reporters (quorum 2).
     let mut fabric = Fabric::build_with(g.topology, cfg, |id, mut hc| {
-        match id.get() {
-            1 => {
-                hc.actions = vec![AppAction::DataStream {
-                    at: SimDuration::from_millis(20),
-                    dst: MacAddr::for_host(26),
-                    flow: 7,
-                    packets: 30_000,
-                    bytes: 1_200,
-                    interval: SimDuration::from_micros(20),
-                }];
-            }
-            2 => {
-                hc.actions = vec![AppAction::DataStream {
-                    at: SimDuration::from_millis(20),
-                    dst: MacAddr::for_host(16),
-                    flow: 7,
-                    packets: 2_000,
-                    bytes: 200,
-                    interval: SimDuration::from_micros(250),
-                }];
-            }
-            _ => {}
+        if id == HostId(2) {
+            hc.actions = vec![recovery::stream(16, 2_000, 200, 250)];
         }
-        HostAgent::new(id, hc)
+        recovery::stream_host(id, hc)
     })
     .expect("fabric builds");
 
     // Warm up until the stream's path is cached and its flow bound,
-    // then poison the trunk that bound path actually crosses — the
-    // PathTable binds a fresh flow by `hash(flow) % k`, mirrored here
-    // so the fault is guaranteed to hit the measured stream.
+    // then poison the trunk that bound path actually crosses, so the
+    // fault is guaranteed to hit the measured stream.
     fabric.run_until(SimTime::ZERO + SimDuration::from_millis(100));
+    let (sink, flow) = recovery::SINK;
     let spine = {
         let a = fabric.host(HostId(1)).expect("host 1");
-        let entry = a
+        let bound = a
             .pathtable
-            .entry(MacAddr::for_host(26))
-            .expect("stream path cached after warmup");
-        let ix = 7usize.wrapping_mul(0x9E37_79B9) % entry.paths.len().max(1);
-        let bound = &entry.paths[ix];
+            .bound_path(MacAddr::for_host(sink.get()), FlowKey(flow));
+        let bound = bound.expect("stream bound to a cached path after warmup");
         *spines
             .iter()
             .find(|&&s| bound.uses_edge(leaf, s))
             .expect("bound path crosses a spine trunk")
     };
     let wire = fabric.trunk_wire(leaf, spine).expect("trunk exists");
+    let t_fail = recovery::T_FAIL;
     fabric
         .world
         .schedule_fault_profile(t_fail, wire, FaultProfile::lossy(p));
 
-    let horizon = SimTime::ZERO + SimDuration::from_millis(700);
-    let mut bins = Vec::new();
-    let mut last_bytes = 0u64;
-    let mut t = SimTime::ZERO;
-    while t < horizon {
-        t = t + bin_width;
-        fabric.run_until(t);
-        let total = fabric
-            .host(HostId(26))
-            .and_then(|a| a.stats().delivered.get(&7).copied())
-            .map_or(0, |(_, b)| b);
-        bins.push((total - last_bytes) as f64 * 8.0 / bin_width.as_secs_f64() / 1e6);
-        last_bytes = total;
-    }
-
-    let fail_bin = (t_fail.nanos() / bin_width.nanos()) as usize;
-    let pre: Vec<f64> = bins[..fail_bin].iter().rev().take(5).copied().collect();
-    let baseline_mbps = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-    let post: Vec<f64> = bins[fail_bin + 1..].iter().take(3).copied().collect();
-    let degraded_mbps = post.iter().sum::<f64>() / post.len().max(1) as f64;
+    let curve = recovery::sample(&mut fabric, recovery::SINK, t_fail, recovery::HORIZON);
+    let post = curve.mbps[curve.fail_bin() + 1..].iter().take(3);
+    let degraded_mbps = post.clone().sum::<f64>() / post.count().max(1) as f64;
     let delivered_bytes: u64 = [26u64, 16]
         .iter()
         .filter_map(|&h| fabric.host(HostId(h)))
@@ -231,8 +159,8 @@ pub fn gray_recovery_point(p: f64, gray: bool) -> GrayRecoveryPoint {
     GrayRecoveryPoint {
         loss: p,
         detector: if gray { "gray" } else { "binary" },
-        recovery: recovery_from_bins(&bins, bin_width, t_fail),
-        baseline_mbps,
+        recovery: curve.recovered_after(0.95, 2),
+        baseline_mbps: curve.baseline(),
         degraded_mbps,
         delivered_bytes,
         probes,

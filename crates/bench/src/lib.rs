@@ -29,6 +29,7 @@ pub mod fig13;
 pub mod fig14;
 pub mod gates;
 pub mod perf;
+pub mod recovery;
 pub mod report;
 pub mod table1;
 pub mod table2;

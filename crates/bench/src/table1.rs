@@ -172,20 +172,56 @@ mod tests {
             })
     }
 
+    /// Every `.rs` file under `dirs`, read once: the one source reader
+    /// behind the config-field, public-surface and purity rules.
+    fn sources(dirs: &[&str]) -> Vec<(PathBuf, String)> {
+        let (root, mut files) = (workspace_root(), Vec::new());
+        for dir in dirs {
+            for_each_rust_file(&root.join(dir), &mut |path, text| {
+                let path = path.strip_prefix(&root).expect("under the root");
+                files.push((path.to_path_buf(), text.to_owned()));
+            });
+        }
+        files
+    }
+
+    /// What ships of `text`: comments and every `#[cfg(test)]` item
+    /// removed — as rustfmt lays items out, from the attribute to the
+    /// first line that ends the item at the attribute's indentation.
+    fn production(text: &str) -> String {
+        let (mut out, mut in_test_item) = (String::new(), None);
+        for line in text.lines() {
+            let code = line.split(" // ").next().unwrap_or(line).trim_end();
+            let indent = code.len() - code.trim_start().len();
+            match in_test_item {
+                _ if code.trim_start().starts_with("//") => {}
+                None if code.trim_start() == "#[cfg(test)]" => in_test_item = Some(indent),
+                None => out.extend([code, "\n"]),
+                Some(at) if at == indent && code.ends_with([';', '}']) => in_test_item = None,
+                Some(_) => {}
+            }
+        }
+        out
+    }
+
+    /// How often `name` occurs in `text` as a whole identifier.
+    fn mentions(text: &str, name: &str) -> usize {
+        let ident = |c: char| c == '_' || c.is_alphanumeric();
+        let whole = |&(i, _): &(usize, &str)| {
+            !text[..i].ends_with(ident) && !text[i + name.len()..].starts_with(ident)
+        };
+        text.match_indices(name).filter(whole).count()
+    }
+
     /// The rule of DESIGN.md "Configuration surface", kept from eroding:
     /// every `pub` field of a `pub struct *Config` / `*Params` is set by
     /// a caller somewhere in the tree, tests and the benchmark package
     /// included. A field only its default sets is a constant, not a knob.
     #[test]
     fn every_config_field_is_set_by_some_caller() {
-        let (root, mut sources) = (workspace_root(), Vec::new());
-        for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
-            for_each_rust_file(&root.join(dir), &mut |_, text| {
-                sources.push(text.to_owned())
-            });
-        }
+        let sources = sources(&["crates", "src", "tests", "examples", "benchmark/src"]);
         let mut unset = Vec::new();
-        for text in &sources {
+        for (_, text) in &sources {
             for (at, _) in text.match_indices("pub struct ") {
                 let rest = &text[at + 11..];
                 let name = &rest[..rest.find([' ', '{', '<', '(', ';']).unwrap_or(0)];
@@ -197,13 +233,83 @@ mod tests {
                     .filter_map(|l| l.trim().strip_prefix("pub "));
                 for field in fields.filter_map(|l| Some(l.split_once(':')?.0)) {
                     let own = |t| std::ptr::eq(t, text);
-                    if !sources.iter().any(|t| sets(t, name, field, own(t))) {
+                    if !sources.iter().any(|(_, t)| sets(t, name, field, own(t))) {
                         unset.push(format!("{name}::{field}"));
                     }
                 }
             }
         }
         assert!(unset.is_empty(), "nothing sets, so constants: {unset:?}");
+    }
+
+    /// ROADMAP item 9, kept from eroding: a `pub fn` under `crates/*/src`
+    /// is named somewhere besides its own definition and its own crate's
+    /// `#[cfg(test)]` code — by shipped code anywhere, a `tests/`
+    /// directory, or another crate's unit tests. One that is not is test
+    /// scaffolding on the public surface (or dead): delete it, or move
+    /// it into the test module that needs it.
+    #[test]
+    fn no_pub_fn_exists_only_for_its_own_crates_tests() {
+        let sources = sources(&["crates", "src", "tests", "examples", "benchmark/src"]);
+        let crate_of = |p: &Path| p.iter().nth(1).map(ToOwned::to_owned);
+        let in_src = |p: &Path| p.starts_with("crates") && p.iter().nth(2) == Some("src".as_ref());
+        let shipped: Vec<(&Path, String)> = sources
+            .iter()
+            .map(|(p, t)| (p.as_path(), production(t)))
+            .collect();
+        let mut test_only = Vec::new();
+        for (path, code) in shipped.iter().filter(|(p, _)| in_src(p)) {
+            for (at, _) in code.match_indices("pub fn ") {
+                let rest = &code[at + 7..];
+                let name = &rest[..rest.find(['(', '<']).unwrap_or(0)];
+                let elsewhere = sources.iter().zip(&shipped).any(|((p, full), (_, code))| {
+                    let foreign = !in_src(p) || crate_of(p) != crate_of(path);
+                    mentions(if foreign { full } else { code }, name) > usize::from(p == path)
+                });
+                if !elsewhere {
+                    test_only.push(format!("{}::{name}", path.display()));
+                }
+            }
+        }
+        assert!(
+            test_only.is_empty(),
+            "only their own tests call: {test_only:#?}"
+        );
+    }
+
+    /// The seam the pure cores stand on (DESIGN.md §6.5, §9.3, §10): each
+    /// must stay steppable without a simulator, so nothing it ships may
+    /// reach for one, for telemetry, for randomness or for a clock.
+    #[test]
+    fn cores_are_pure() {
+        const CORES: [(&str, &str); 4] = [
+            ("Replica", "crates/controller/src/replication.rs"),
+            ("GrayBoard", "crates/controller/src/gray.rs"),
+            ("PatchAcceptor", "crates/host/src/failure.rs"),
+            ("GrayDetector", "crates/host/src/failure.rs"),
+        ];
+        let sources = sources(&["crates/controller/src", "crates/host/src"]);
+        for (core, file) in CORES {
+            let text = sources.iter().find(|(p, _)| p == Path::new(file));
+            let code = production(&text.unwrap_or_else(|| panic!("{file} exists")).1);
+            assert!(
+                code.contains(&format!("pub struct {core}")),
+                "{core} left {file}"
+            );
+            let crates = [
+                "dumbnet_sim",
+                "dumbnet_topology",
+                "dumbnet_telemetry",
+                "rand",
+            ];
+            for needle in crates.into_iter().chain(["Ctx", "ctx", "now()"]) {
+                let clean = mentions(&code, needle) == 0;
+                assert!(
+                    clean,
+                    "{core}: {file} mentions `{needle}` outside its tests"
+                );
+            }
+        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ mod tests {
     fn fixtures_build_and_operations_work() {
         let mut fx = fixtures(true);
         assert_eq!(fx.topo.switch_count(), 5 * 16 * 16 / 4);
-        assert_eq!(fx.table.len(), 10_000);
+        assert_eq!(fx.table.destinations().len(), 10_000);
         lookup_once(&mut fx, 3);
         verify_once(&fx);
         find_path_once(&mut fx);

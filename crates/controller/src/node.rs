@@ -3,14 +3,16 @@
 //! Drives [`DiscoveryState`] over the real emulated fabric at a
 //! configurable probe rate (the controller's packet processing rate is
 //! the discovery bottleneck the paper identifies in §7.2.1), serves path
-//! graphs, floods stage-2 topology patches, and keeps the gray-failure
-//! scoreboard. For replication and leadership it is only the adapter of
-//! the [`Replica`] core: replication and election packets and timers go
-//! in as inputs, and `Controller::step` turns the core's effects into
-//! routed sends, floods and timers (DESIGN.md §6.5).
+//! graphs and floods stage-2 topology patches. For replication and
+//! leadership it is only the adapter of the [`Replica`] core —
+//! replication and election packets and timers go in as inputs, and
+//! `Controller::step` turns the core's effects into routed sends,
+//! floods and timers (DESIGN.md §6.5) — and for gray failures of the
+//! [`GrayBoard`] core, whose effects `Controller::judge` commits
+//! (DESIGN.md §10.3).
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -27,6 +29,7 @@ use dumbnet_types::{
 };
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
+use crate::gray::{self, GrayBoard};
 use crate::replication::{Effect, Replica, ReplicaRole, ReplicatedLog, Timer};
 
 /// The controller's NIC port.
@@ -72,45 +75,9 @@ fn graph_build_seed(salt: u64, version: u64, src: MacAddr, dst: MacAddr) -> u64 
     mix64(salt ^ mix64(version) ^ mix64(mac64(src) << 1 | 1) ^ mix64(mac64(dst) << 1))
 }
 
-// Gray-failure scoreboard and quarantine constants (DESIGN.md §10; all
-// chosen in PR 8). `ControllerConfig::gray` switches the subsystem on.
-
-/// Distinct reporting hosts required to corroborate an edge before it
-/// is quarantined. End-to-end probe evidence attributes loss to whole
-/// paths, so a lone reporter's total loss still smears across every
-/// edge its bad paths use — only cross-host corroboration separates the
-/// truly gray edge.
-const GRAY_QUORUM: usize = 2;
-
-/// Reports at or below this loss (permille) count as clean
-/// (exoneration evidence) rather than dirty.
-const CLEAR_LOSS_PERMILLE: u16 = 50;
-
-/// Consecutive clean reports required before a quarantined edge is
-/// released — the hysteresis that prevents patch-storm oscillation.
-const CLEAN_STREAK: u32 = 3;
-
-/// Quarantine entries per edge before it is pinned sticky: no more
-/// automatic release until a hard link event resets the edge.
-pub const MAX_FLAPS: u32 = 3;
-
 /// Probation evaluation cadence (release decisions happen on this
 /// timer, never inline with report arrival).
 const PROBATION_INTERVAL: SimDuration = SimDuration::from_millis(20);
-
-/// How long a dirty report stays on the scoreboard without renewal.
-/// A reporter whose witness paths all cross some *other* dead edge
-/// can neither renew its accusation nor vouch clean — its stale
-/// evidence must decay or the edge stays quarantined forever.
-const EVIDENCE_TTL: SimDuration = SimDuration::from_millis(50);
-
-/// While any edge is quarantined, the leader re-asserts the full
-/// quarantine set as a fresh patch epoch at this cadence. Patch floods
-/// are at-most-once and hosts skip missed epochs, so quarantine is
-/// deliberately *soft state*: it must be refreshed or the hosts let it
-/// decay ([`EVIDENCE_TTL`] is the scoreboard analog, the host agent's
-/// `CTRL_QUARANTINE_TTL` the host side).
-const REFRESH_INTERVAL: SimDuration = SimDuration::from_millis(60);
 
 /// Delay before discovery/bootstrap begins, so every node has started
 /// (seed value).
@@ -119,24 +86,6 @@ const START_DELAY: SimDuration = SimDuration::from_millis(1);
 /// Service time per path-graph query (the Figure 10 tail term; seed
 /// value).
 const QUERY_SERVICE_TIME: SimDuration = SimDuration::from_micros(50);
-
-/// Suspicion scoreboard entry for one normalized switch edge.
-#[derive(Debug, Default, Clone)]
-struct EdgeSuspicion {
-    /// Latest dirty evidence per reporter: `(loss permille, when)`.
-    reporters: BTreeMap<MacAddr, (u16, SimTime)>,
-    /// Highest report sequence seen per reporter; stale or reordered
-    /// reports below the fence are ignored.
-    last_seq: BTreeMap<MacAddr, u64>,
-    /// Consecutive clean reports since the last dirty one, counted only
-    /// while no dirty evidence is outstanding.
-    clean_streak: u32,
-    /// Times this edge entered quarantine (flap audit).
-    flaps: u32,
-    /// Exceeded the flap budget: held in quarantine until a hard link
-    /// event resets the edge.
-    sticky: bool,
-}
 
 /// Controller configuration.
 #[derive(Debug, Clone)]
@@ -330,10 +279,9 @@ pub struct Controller {
     /// Memoized path graphs for the query service, validated per entry
     /// against the topology version they were built at.
     graph_cache: HashMap<(MacAddr, MacAddr), CachedGraph>,
-    /// Gray-failure suspicion scoreboard, keyed by normalized edge.
-    gray_board: BTreeMap<(SwitchId, SwitchId), EdgeSuspicion>,
-    /// When the quarantine set was last asserted as a patch epoch.
-    last_gray_refresh: SimTime,
+    /// The gray-failure scoreboard core. Stepped only through
+    /// [`Controller::judge`].
+    board: GrayBoard,
     /// Measurement series (scalar counters live in `counters`).
     stats: ControllerStats,
     counters: Arc<ControllerCounters>,
@@ -393,8 +341,7 @@ impl Controller {
             patch_flush_armed: false,
             route_cache: RouteCache::new(ROUTE_CACHE_SALT ^ id.get()),
             graph_cache: HashMap::new(),
-            gray_board: BTreeMap::new(),
-            last_gray_refresh: SimTime::ZERO,
+            board: GrayBoard::default(),
             stats,
             counters: Arc::default(),
             leader_gauge: Gauge::new(),
@@ -426,7 +373,7 @@ impl Controller {
     /// bounded-flap invariant reads these).
     #[must_use]
     pub fn gray_flaps(&self) -> Vec<((SwitchId, SwitchId), u32)> {
-        self.gray_board.iter().map(|(e, b)| (*e, b.flaps)).collect()
+        self.board.flaps()
     }
 
     /// The controller's MAC.
@@ -780,7 +727,7 @@ impl Controller {
                     let _ = topo.set_link_state(l, up);
                 }
             }
-            self.gray_board.remove(&norm_edge(a, b));
+            self.board.forget(norm_edge(a, b));
         }
         self.invalidate_caches(delta);
     }
@@ -820,167 +767,70 @@ impl Controller {
         }
     }
 
-    /// Quarantines (`enter`) or releases an edge: floods a versioned
-    /// quarantine delta through the same log-append and patch-epoch
-    /// machinery as hard link events (the core's quarantine set follows
-    /// the delta).
-    fn push_quarantine_delta(
+    /// Steps the gray scoreboard with one input and commits what it
+    /// decides, in emission order: quarantine deltas go through the same
+    /// log-append and patch-epoch machinery as hard link events (the
+    /// core's quarantine set follows the delta).
+    fn judge(
         &mut self,
         ctx: &mut Ctx<'_>,
-        edge: (SwitchId, SwitchId),
-        enter: bool,
+        input: impl FnOnce(&mut GrayBoard, SimTime, &Replica, &mut Vec<gray::Effect>),
     ) {
-        if self.replica.quarantined().contains(&edge) == enter {
-            return;
+        let mut effects = Vec::new();
+        input(&mut self.board, ctx.now(), &self.replica, &mut effects);
+        for effect in effects {
+            let mut delta = TopoDelta::default();
+            match effect {
+                gray::Effect::Accepted => {
+                    self.counters.link_suspects_rx.inc();
+                    continue;
+                }
+                gray::Effect::Mark(edge, quarantined) => {
+                    let verb = if quarantined {
+                        delta.quarantine.push(edge);
+                        self.counters.quarantines.inc();
+                        "quarantines"
+                    } else {
+                        delta.unquarantine.push(edge);
+                        self.counters.unquarantines.inc();
+                        "releases"
+                    };
+                    self.trace(ctx, TraceCategory::Route, || {
+                        format!("{verb} edge ({}, {})", edge.0 .0, edge.1 .0)
+                    });
+                }
+                gray::Effect::Refresh(held) => delta.quarantine = held,
+            }
+            self.commit_delta(ctx, delta);
         }
-        let mut delta = TopoDelta::default();
-        if enter {
-            delta.quarantine.push(edge);
-            self.counters.quarantines.inc();
-        } else {
-            delta.unquarantine.push(edge);
-            self.counters.unquarantines.inc();
-        }
-        self.trace(ctx, TraceCategory::Route, || {
-            let verb = if enter { "quarantines" } else { "releases" };
-            format!("{verb} edge ({}, {})", edge.0 .0, edge.1 .0)
-        });
-        self.commit_delta(ctx, delta);
-        self.last_gray_refresh = ctx.now();
     }
 
-    /// Feeds one `LinkSuspect` report into the scoreboard and
-    /// quarantines the edge once the evidence corroborates:
-    /// [`GRAY_QUORUM`] distinct dirty reporters. Clean reports retire the
-    /// reporter's evidence and grow the streak probation reads.
+    /// Hands one `LinkSuspect` report to the scoreboard, if this replica
+    /// keeps one, leads, and knows the edge as a link that is up.
     fn handle_link_suspect(
         &mut self,
         ctx: &mut Ctx<'_>,
-        reporter: MacAddr,
+        from: (MacAddr, u64),
         edge: (SwitchId, SwitchId),
         loss_permille: u16,
-        seq: u64,
     ) {
-        if !self.config.gray {
-            return;
-        }
-        if !self.replica.is_leader() {
+        if !self.config.gray || !self.replica.is_leader() {
             return;
         }
         let edge = norm_edge(edge.0, edge.1);
         // Evidence about an unknown or hard-down link is dropped: the
         // topology's hard state supersedes suspicion.
-        let Some(up) = self
-            .topology
-            .as_ref()
+        let topo = self.topology.as_ref();
+        match topo
             .and_then(|t| t.link_between(edge.0, edge.1))
             .map(|l| l.up)
-        else {
-            self.counters.dropped_malformed.inc();
-            return;
-        };
-        if !up {
-            return;
+        {
+            None => self.counters.dropped_malformed.inc(),
+            Some(false) => {}
+            Some(true) => self.judge(ctx, |board, now, replica, out| {
+                board.on_report(now, replica, from, edge, loss_permille, out);
+            }),
         }
-        let now = ctx.now();
-        // Evidence is always recorded, but a leader whose lease lapsed
-        // (no recent quorum contact) must not append: its view may be a
-        // partitioned minority's, and the log never truncates a
-        // divergent suffix.
-        let lease_ok = self.replica.may_mutate(now);
-        let board = self.gray_board.entry(edge).or_default();
-        let last = board.last_seq.entry(reporter).or_insert(0);
-        if seq <= *last {
-            return; // Replayed or reordered report.
-        }
-        *last = seq;
-        self.counters.link_suspects_rx.inc();
-        if loss_permille <= CLEAR_LOSS_PERMILLE {
-            // Clean evidence retires the reporter's accusation; the
-            // streak itself grows on probation ticks, one per tick with
-            // no live accuser.
-            board.reporters.remove(&reporter);
-            return;
-        }
-        board.clean_streak = 0;
-        board.reporters.insert(reporter, (loss_permille, now));
-        let corroborated = board.reporters.len() >= GRAY_QUORUM;
-        if corroborated && lease_ok && !self.replica.quarantined().contains(&edge) {
-            board.flaps += 1;
-            if board.flaps > MAX_FLAPS {
-                board.sticky = true;
-            }
-            self.push_quarantine_delta(ctx, edge, true);
-        }
-    }
-
-    /// Probation tick: decays stale dirty evidence, grows clean streaks
-    /// for quarantined edges with no live accuser, and releases the
-    /// edges whose streak cleared the hysteresis bar. Sticky edges
-    /// (flap budget exceeded) are held until a hard link event resets
-    /// them.
-    fn probation_tick(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.config.gray {
-            return;
-        }
-        let now = ctx.now();
-        // Only under the lease: a partitioned stale leader must not
-        // decay evidence into unquarantine appends that diverge from
-        // the authoritative log.
-        if self.replica.may_mutate(now) {
-            for board in self.gray_board.values_mut() {
-                board
-                    .reporters
-                    .retain(|_, &mut (_, at)| now - at <= EVIDENCE_TTL);
-            }
-            // Grow (or start) the clean streak of every quarantined edge
-            // with no live accuser. `entry` rather than lookup: a leader
-            // elected mid-quarantine inherits the mirrored `quarantined`
-            // set but an empty scoreboard, and probation must still be
-            // able to release what it inherited.
-            for &edge in self.replica.quarantined() {
-                let board = self.gray_board.entry(edge).or_default();
-                if board.reporters.is_empty() {
-                    board.clean_streak = board.clean_streak.saturating_add(1);
-                } else {
-                    board.clean_streak = 0;
-                }
-            }
-            let releasable: Vec<(SwitchId, SwitchId)> = self
-                .replica
-                .quarantined()
-                .iter()
-                .copied()
-                .filter(|e| {
-                    self.gray_board.get(e).is_some_and(|b| {
-                        !b.sticky && b.reporters.is_empty() && b.clean_streak >= CLEAN_STREAK
-                    })
-                })
-                .collect();
-            for edge in releasable {
-                self.push_quarantine_delta(ctx, edge, false);
-                // Re-quarantining needs fresh corroboration; releasing
-                // again needs a fresh streak.
-                if let Some(b) = self.gray_board.get_mut(&edge) {
-                    b.clean_streak = 0;
-                }
-            }
-            // Quarantine is soft state: patch floods are at-most-once
-            // and hosts skip missed epochs, so a delta alone strands
-            // idle hosts on a stale view. While anything is quarantined
-            // the leader re-asserts the full set each refresh interval;
-            // hosts expire entries that stop being refreshed.
-            let held = self.replica.quarantined();
-            if !held.is_empty() && now - self.last_gray_refresh >= REFRESH_INTERVAL {
-                let delta = TopoDelta {
-                    quarantine: held.iter().copied().collect(),
-                    ..TopoDelta::default()
-                };
-                self.commit_delta(ctx, delta);
-                self.last_gray_refresh = now;
-            }
-        }
-        ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
     }
 
     /// Floods every patch entry coalesced since the last flush as one
@@ -1162,12 +1012,9 @@ impl Controller {
                 reporter,
                 edge,
                 loss_permille,
-                window: _,
-                direction: _,
                 seq,
-            } => {
-                self.handle_link_suspect(ctx, reporter, edge, loss_permille, seq);
-            }
+                ..
+            } => self.handle_link_suspect(ctx, (reporter, seq), edge, loss_permille),
             ControlMessage::Ping { seq, sent_at } => {
                 let echo_sent_at = sent_at;
                 self.send_or_flood(ctx, src, ControlMessage::Pong { seq, echo_sent_at });
@@ -1245,7 +1092,12 @@ impl Node for Controller {
                 }
             }
             T_PATCH_FLUSH => self.flush_patches(ctx),
-            T_PROBATION => self.probation_tick(ctx),
+            T_PROBATION => {
+                // Every replica keeps the clock running (see `on_start`);
+                // the board acts only on a leader under its lease.
+                self.judge(ctx, GrayBoard::on_probation);
+                ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
+            }
             _ => {
                 let timers = [Timer::Heartbeat, Timer::Takeover, Timer::Election];
                 if let Some(&timer) = timers.iter().find(|&&t| timer_token(t) == token) {

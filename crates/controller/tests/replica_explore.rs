@@ -447,29 +447,6 @@ fn explore(bounds: Bounds, strict: bool) -> Result<Coverage, String> {
     Ok(search.cover)
 }
 
-/// The seam this file stands on: the consensus core must stay steppable
-/// without a simulator, so nothing above its test module may reach for
-/// one, for a topology, for telemetry, for randomness or for a clock.
-#[test]
-fn core_is_pure() {
-    let source = include_str!("../src/replication.rs");
-    let production = source.split("#[cfg(test)]").next().expect("a first piece");
-    for needle in [
-        "dumbnet_sim",
-        "dumbnet_topology",
-        "dumbnet_telemetry",
-        "rand",
-        "Ctx",
-        ".now()",
-    ] {
-        let clean = !production.contains(needle);
-        assert!(
-            clean,
-            "replication.rs mentions `{needle}` outside its tests"
-        );
-    }
-}
-
 /// Tier 1, with a log: seconds in a debug build.
 const TIER1: Bounds = Bounds {
     max_term: 3,

@@ -11,10 +11,10 @@
 //! flowlet-TE extension (§6.2) installs.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry};
+use dumbnet_packet::control::{LinkEvent, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
@@ -23,6 +23,9 @@ use dumbnet_types::{
     SimDuration, SimTime, SwitchId,
 };
 
+use crate::failure::{
+    Edge, Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, CLEAR_THRESHOLD,
+};
 use crate::pathtable::{FlowKey, PathTable};
 use crate::topocache::TopoCache;
 
@@ -95,56 +98,6 @@ pub enum AppAction {
     },
 }
 
-/// A probe unanswered for this long counts as a loss sample (PR 8;
-/// under the default 5 ms round so each sweep judges the round before).
-const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(4);
-
-/// EWMA smoothing factor for per-path loss (sample weight; PR 8).
-const EWMA_ALPHA: f64 = 0.4;
-
-/// EWMA loss at or below this exonerates a locally quarantined edge
-/// (hysteresis gap: clear < suspect, so health must really recover
-/// before the edge is forgiven; PR 8).
-const CLEAR_THRESHOLD: f64 = 0.05;
-
-/// Minimum gap between successive [`ControlMessage::LinkSuspect`]
-/// reports for the same edge (evidence refresh rate; PR 8).
-const REPORT_INTERVAL: SimDuration = SimDuration::from_millis(10);
-
-/// Controller-flooded quarantine entries not re-asserted within this
-/// window expire locally. Quarantine is soft state: patch floods are
-/// at-most-once and hosts skip missed epochs, so an unquarantine delta
-/// can be lost forever — the leader re-asserts the live set
-/// periodically and silence means release (PR 8; four of the
-/// controller's refresh rounds).
-const CTRL_QUARANTINE_TTL: SimDuration = SimDuration::from_millis(250);
-
-/// Gray-failure detection knobs (DESIGN.md §10). `None` in
-/// [`HostAgentConfig::gray_detect`] disables the whole machinery — no
-/// probes, no health state, no timers — so legacy runs stay
-/// byte-identical.
-#[derive(Debug, Clone, Copy)]
-pub struct GrayDetectConfig {
-    /// Gap between path-probe rounds (every round probes every cached
-    /// path of every destination, and sweeps the previous round's
-    /// timeouts).
-    pub probe_interval: SimDuration,
-    /// EWMA loss at or above this suspects the path's distinct edges.
-    pub suspect_threshold: f64,
-    /// Minimum samples before the EWMA is trusted either way.
-    pub min_samples: u32,
-}
-
-impl Default for GrayDetectConfig {
-    fn default() -> GrayDetectConfig {
-        GrayDetectConfig {
-            probe_interval: SimDuration::from_millis(5),
-            suspect_threshold: 0.3,
-            min_samples: 4,
-        }
-    }
-}
-
 /// How many paths the TopoCache extracts per destination (the `k` of
 /// §5.2).
 const K_PATHS: usize = 4;
@@ -162,25 +115,15 @@ const FLOOD_REPEATS: u32 = 2;
 const FLOOD_GAP: SimDuration = SimDuration::from_millis(1);
 
 /// Host agent configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HostAgentConfig {
     /// Extra delay applied to every transmission, modeling the host
-    /// stack (see [`crate::datapath`]).
+    /// stack (see [`crate::datapath`]); zero by default.
     pub stack_delay: SimDuration,
     /// Gray-failure detection; `None` (the default) disables it.
     pub gray_detect: Option<GrayDetectConfig>,
     /// Scheduled application actions.
     pub actions: Vec<AppAction>,
-}
-
-impl Default for HostAgentConfig {
-    fn default() -> HostAgentConfig {
-        HostAgentConfig {
-            stack_delay: SimDuration::ZERO,
-            gray_detect: None,
-            actions: Vec::new(),
-        }
-    }
 }
 
 impl HostAgentConfig {
@@ -302,10 +245,6 @@ pub struct HostAgent {
     /// The PathTable.
     pub pathtable: PathTable,
     controller: Option<(MacAddr, Path)>,
-    /// Highest leadership term heard from any controller. Updates
-    /// stamped with a lower term are from a fenced stale leader and are
-    /// discarded (counted in [`AgentStats::stale_ctrl_updates`]).
-    leader_term: u64,
     /// All live controllers (primary + standbys) for query spreading.
     controller_group: Vec<(MacAddr, Path)>,
     next_controller: usize,
@@ -326,27 +265,13 @@ pub struct HostAgent {
     flood_backlog: Vec<(LinkEvent, u32)>,
     /// Whether the flood-repeat timer is armed.
     flood_armed: bool,
-    /// Multi-segment patch batch under assembly by the coalescing
-    /// writer. Only the newest epoch is kept; entries apply atomically
-    /// once every segment has arrived.
-    patch_assembly: Option<PatchAssembly>,
-    /// Gray detector: per-(destination, path index) loss EWMA.
-    path_health: HashMap<(MacAddr, usize), PathHealth>,
-    /// Outstanding path probes: probe id → (destination, path index,
-    /// sent time).
-    outstanding_probes: HashMap<u64, (MacAddr, usize, SimTime)>,
-    next_probe_id: u64,
-    /// Edges this host quarantined on its own evidence (local fast
-    /// reroute, before — or without — controller confirmation).
-    local_suspects: BTreeSet<(SwitchId, SwitchId)>,
-    /// Edges the controller has flooded as quarantined, by the time
-    /// the quarantine was last (re-)asserted; the host keeps probing
-    /// them and reports health so probation can clear them, and
-    /// expires entries the leader stops refreshing.
-    ctrl_quarantined: BTreeMap<(SwitchId, SwitchId), SimTime>,
-    /// Last `LinkSuspect` report time per edge (rate limiting).
-    last_report: BTreeMap<(SwitchId, SwitchId), SimTime>,
-    next_suspect_seq: u64,
+    /// The coalescing writer's acceptance core; also owns the term
+    /// fence leader hellos pass.
+    patches: PatchAcceptor,
+    /// The gray-failure core; absent when detection is off.
+    pub gray: Option<Box<GrayDetector>>,
+    /// The cores' effect buffer, reused across steps.
+    effects: Vec<Effect>,
     /// Measurement series (scalar counters live in `counters`).
     stats: AgentStats,
     counters: Arc<AgentCounters>,
@@ -361,25 +286,6 @@ pub struct HostAgent {
 #[derive(Debug, Clone, Copy)]
 struct ActionProgress {
     remaining: u64,
-}
-
-/// Per-path loss EWMA the gray detector maintains from probe outcomes.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathHealth {
-    ewma_loss: f64,
-    samples: u32,
-}
-
-/// Segments of one multi-frame [`PatchBatch`] epoch, buffered until the
-/// set is complete so the table never reflects half a batch.
-#[derive(Debug, Clone)]
-struct PatchAssembly {
-    epoch: u64,
-    term: u64,
-    /// Per-segment entry lists, indexed by segment number.
-    parts: Vec<Option<Vec<PatchEntry>>>,
-    /// Segments received so far.
-    got: usize,
 }
 
 impl HostAgent {
@@ -407,15 +313,17 @@ impl HostAgent {
                 },
             })
             .collect();
+        let mac = MacAddr::for_host(id.get());
+        let gray = config
+            .gray_detect
+            .map(|cfg| Box::new(GrayDetector::new(mac, cfg)));
         HostAgent {
             id,
-            mac: MacAddr::for_host(id.get()),
-            config,
+            mac,
             routing,
             topocache: TopoCache::new(),
             pathtable: PathTable::new(),
             controller: None,
-            leader_term: 0,
             controller_group: Vec::new(),
             next_controller: 0,
             pending: FastHashMap::default(),
@@ -427,14 +335,10 @@ impl HostAgent {
             retry_armed: false,
             flood_backlog: Vec::new(),
             flood_armed: false,
-            patch_assembly: None,
-            path_health: HashMap::new(),
-            outstanding_probes: HashMap::new(),
-            next_probe_id: 1,
-            local_suspects: BTreeSet::new(),
-            ctrl_quarantined: BTreeMap::new(),
-            last_report: BTreeMap::new(),
-            next_suspect_seq: 1,
+            patches: PatchAcceptor::default(),
+            gray,
+            effects: Vec::new(),
+            config,
             stats: AgentStats::default(),
             counters: Arc::default(),
             rtt_ns: Histogram::doubling(1_024, 16),
@@ -477,33 +381,43 @@ impl HostAgent {
         }
     }
 
-    /// Resolves a path for `(dst, flow)` through the two-level cache,
-    /// falling back to a controller query. Returns `None` if the packet
-    /// had to be queued (or dropped for lack of a controller).
-    fn resolve_path(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr, flow: FlowKey) -> Option<Path> {
+    /// The PathTable lookup for `(dst, flow)`, with the routing
+    /// function's preference among the cached paths.
+    fn lookup(&mut self, now: SimTime, dst: MacAddr, flow: FlowKey) -> Option<Path> {
         let width = self.pathtable.entry(dst).map_or(0, |e| e.paths.len());
-        let preferred = if width > 0 {
-            self.routing.choose(dst, flow, ctx.now(), width)
-        } else {
-            None
+        let preferred = (width > 0).then(|| self.routing.choose(dst, flow, now, width));
+        self.pathtable.lookup(dst, flow, preferred.flatten())
+    }
+
+    /// Re-installs `dst` from what the TopoCache still offers it, if
+    /// anything. The detector's health is keyed by path index, so the
+    /// new path set starts unsampled.
+    fn reinstall(&mut self, dst: MacAddr) -> bool {
+        let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) else {
+            return false;
         };
-        if let Some(path) = self.pathtable.lookup(dst, flow, preferred) {
+        if paths.is_empty() && backup.is_none() {
+            return false;
+        }
+        self.pathtable.install(dst, paths, backup);
+        if let Some(gray) = &mut self.gray {
+            gray.forget_dst(dst);
+        }
+        true
+    }
+
+    /// Resolves a path for `(dst, flow)` through the two-level cache: the
+    /// PathTable, on a miss whatever the TopoCache can install. `None`
+    /// sends the caller to the controller.
+    fn resolve_path(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr, flow: FlowKey) -> Option<Path> {
+        let now = ctx.now();
+        if let Some(path) = self.lookup(now, dst, flow) {
             return Some(path);
         }
-        // PathTable miss: consult the TopoCache.
-        if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
-            if !paths.is_empty() || backup.is_some() {
-                self.pathtable.install(dst, paths, backup);
-                let width = self.pathtable.entry(dst).map_or(0, |e| e.paths.len());
-                let preferred = if width > 0 {
-                    self.routing.choose(dst, flow, ctx.now(), width)
-                } else {
-                    None
-                };
-                return self.pathtable.lookup(dst, flow, preferred);
-            }
+        if !self.reinstall(dst) {
+            return None;
         }
-        None
+        self.lookup(now, dst, flow)
     }
 
     /// Sends `pkt` (whose `path` is empty) to `pkt.dst`, resolving the
@@ -526,19 +440,9 @@ impl HostAgent {
         // One outstanding request per destination — but retry requests
         // whose replies are overdue (lost during failures).
         let now = ctx.now();
-        let mut fresh_exists = false;
-        self.outstanding.retain(|_, &mut (d, at)| {
-            if d != dst {
-                return true;
-            }
-            if now - at < PATH_REQUEST_RETRY {
-                fresh_exists = true;
-                true
-            } else {
-                false // Stale: drop so a new request goes out.
-            }
-        });
-        if fresh_exists {
+        self.outstanding
+            .retain(|_, &mut (d, at)| d != dst || now - at < PATH_REQUEST_RETRY);
+        if self.outstanding.values().any(|&(d, _)| d == dst) {
             return;
         }
         // Round-robin new queries over the controller group (§4's
@@ -625,18 +529,12 @@ impl HostAgent {
                 // resolution can use the edge again.
                 self.topocache.mark_up(a, b);
             } else {
-                self.topocache.mark_down(a, b);
-                let orphaned = self.pathtable.invalidate_edge(a, b);
-                self.forget_gray_edge(a, b);
-                // Re-install surviving paths for destinations whose cache
-                // shrank, from the (now filtered) TopoCache.
+                let orphaned = self.edge_down(a, b);
+                // Stage 1 only (a stage-2 patch does neither): re-install
+                // what the filtered TopoCache still offers every cached
+                // destination, and re-ask for those left with nothing.
                 for dst in self.pathtable.destinations() {
-                    if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
-                        if !paths.is_empty() || backup.is_some() {
-                            self.pathtable.install(dst, paths, backup);
-                            self.drop_health(dst);
-                        }
-                    }
+                    self.reinstall(dst);
                 }
                 for dst in orphaned {
                     self.request_path(ctx, dst);
@@ -657,38 +555,15 @@ impl HostAgent {
         // Make sure the controller learns (stage 2 trigger): "the
         // controller will eventually learn about the failure during
         // the flooding".
-        if let Some((ctrl_mac, ctrl_path)) = self.controller.clone() {
-            let pkt = Packet::control(
-                ctrl_mac,
-                self.mac,
-                ctrl_path,
-                ControlMessage::HostFlood {
-                    event,
-                    from: self.mac,
-                },
-            );
-            self.transmit(ctx, pkt);
-        }
+        let from = self.mac;
+        self.send_to_controller(ctx, ControlMessage::HostFlood { event, from });
         // Host-to-host flooding: tell every peer we have a path to.
-        let peers: Vec<MacAddr> = self
-            .pathtable
-            .destinations()
-            .into_iter()
-            .filter(|&m| m != self.mac)
-            .collect();
-        for peer in peers {
+        let peers = self.pathtable.destinations();
+        for peer in peers.into_iter().filter(|&m| m != from) {
             if let Some(path) = self.pathtable.lookup(peer, FlowKey(event.seq), None) {
                 self.counters.floods_sent.inc();
-                let pkt = Packet::control(
-                    peer,
-                    self.mac,
-                    path,
-                    ControlMessage::HostFlood {
-                        event,
-                        from: self.mac,
-                    },
-                );
-                self.transmit(ctx, pkt);
+                let msg = ControlMessage::HostFlood { event, from };
+                self.transmit(ctx, Packet::control(peer, from, path, msg));
             }
         }
     }
@@ -706,387 +581,106 @@ impl HostAgent {
     /// Path-probe timer token (distinct from retry/flood/action tokens).
     const PROBE_TOKEN: u64 = u64::MAX - 2;
 
-    /// Folds one probe outcome into the per-path loss EWMA.
-    fn health_sample(&mut self, dst: MacAddr, ix: usize, lost: bool) {
-        let h = self.path_health.entry((dst, ix)).or_default();
-        let sample = if lost { 1.0 } else { 0.0 };
-        h.ewma_loss = if h.samples == 0 {
-            sample
+    /// What "the edge `a`–`b` went hard-down" means to both failure
+    /// stages: the TopoCache stops offering it, cached paths over it
+    /// die, and link state supersedes gray suspicion. Returns the
+    /// destinations left without any path.
+    fn edge_down(&mut self, a: SwitchId, b: SwitchId) -> Vec<MacAddr> {
+        self.topocache.mark_down(a, b);
+        let orphaned = self.pathtable.invalidate_edge(a, b);
+        if let Some(gray) = &mut self.gray {
+            gray.forget_edge(norm_edge(a, b));
+        }
+        orphaned
+    }
+
+    /// Mirrors whether anything — this host's evidence or the
+    /// controller's quarantine — holds `edge` into the PathTable's
+    /// avoid set. The one place that set is written. Quarantine is soft
+    /// state only the detector can age out, so a host without one holds
+    /// nothing.
+    fn settle(&mut self, edge: Edge) {
+        if self.gray.as_ref().is_some_and(|g| g.holds(edge)) {
+            self.pathtable.quarantine_edge(edge.0, edge.1);
         } else {
-            h.ewma_loss * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
-        };
-        h.samples = h.samples.saturating_add(1);
-    }
-
-    /// Drops gray-health state for `dst`: the path set (and hence the
-    /// index keying) just changed, so old samples would misattribute.
-    fn drop_health(&mut self, dst: MacAddr) {
-        if self.config.gray_detect.is_none() {
-            return;
-        }
-        self.path_health.retain(|&(d, _), _| d != dst);
-        self.outstanding_probes.retain(|_, &mut (d, _, _)| d != dst);
-    }
-
-    /// Hard link state supersedes gray suspicion for the edge.
-    fn forget_gray_edge(&mut self, a: SwitchId, b: SwitchId) {
-        let edge = norm_edge(a, b);
-        self.local_suspects.remove(&edge);
-        self.ctrl_quarantined.remove(&edge);
-        self.last_report.remove(&edge);
-    }
-
-    /// One gray-detector round: sweep the previous round's timeouts into
-    /// loss samples, evaluate suspicion (failing over and reporting as
-    /// needed), then launch a fresh probe along every cached primary
-    /// path.
-    fn probe_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(cfg) = self.config.gray_detect else {
-            return;
-        };
-        let now = ctx.now();
-        // Expire controller quarantine the leader stopped refreshing
-        // (the release flood may have been lost; silence means pardon).
-        let lapsed: Vec<(SwitchId, SwitchId)> = self
-            .ctrl_quarantined
-            .iter()
-            .filter(|&(_, &at)| now - at > CTRL_QUARANTINE_TTL)
-            .map(|(&edge, _)| edge)
-            .collect();
-        for edge in lapsed {
-            self.ctrl_quarantined.remove(&edge);
-            if !self.local_suspects.contains(&edge) {
-                self.pathtable.restore_edge(edge.0, edge.1);
-            }
-        }
-        let mut expired: Vec<u64> = self
-            .outstanding_probes
-            .iter()
-            .filter(|&(_, &(_, _, at))| now - at >= PROBE_TIMEOUT)
-            .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable(); // Hash order must not leak into sends.
-        for id in expired {
-            let (dst, ix, _) = self
-                .outstanding_probes
-                .remove(&id)
-                .expect("expired probe id");
-            self.counters.probe_losses.inc();
-            self.health_sample(dst, ix, true);
-        }
-        self.evaluate_suspicion(ctx, cfg);
-        let mut round: Vec<(MacAddr, usize, Path)> = Vec::new();
-        for dst in self.pathtable.destinations() {
-            if dst == self.mac {
-                continue;
-            }
-            if let Some(entry) = self.pathtable.entry(dst) {
-                for (ix, p) in entry.paths.iter().enumerate() {
-                    round.push((dst, ix, p.tags.clone()));
-                }
-            }
-        }
-        for (dst, ix, tags) in round {
-            let probe_id = self.next_probe_id;
-            self.next_probe_id += 1;
-            self.outstanding_probes.insert(probe_id, (dst, ix, now));
-            self.counters.probes_sent.inc();
-            let msg = ControlMessage::PathProbe {
-                origin: self.mac,
-                probe_id,
-            };
-            let pkt = Packet::control(dst, self.mac, tags, msg);
-            self.transmit(ctx, pkt);
-        }
-        ctx.set_timer(cfg.probe_interval, Self::PROBE_TOKEN);
-    }
-
-    /// The suspicion threshold logic: a path whose loss EWMA crossed the
-    /// threshold implicates its edges, minus every edge a demonstrably
-    /// healthy path of the same destination also crosses — what remains
-    /// is quarantined locally (immediate failover, no controller
-    /// round-trip) and reported as `LinkSuspect` evidence. Edges held
-    /// quarantined (locally or by the controller) keep getting probed;
-    /// once their worst sampled EWMA drops under the clear threshold the
-    /// host restores them locally and reports the recovery so controller
-    /// probation can corroborate.
-    fn evaluate_suspicion(&mut self, ctx: &mut Ctx<'_>, cfg: GrayDetectConfig) {
-        // Worst sampled EWMA per edge (exoneration evidence) and the
-        // suspect set (bad-path edges minus healthy-path edges, per
-        // destination). BTreeMaps: iteration order feeds sends.
-        let mut edge_worst: BTreeMap<(SwitchId, SwitchId), (f64, u32, u8)> = BTreeMap::new();
-        let mut suspects: BTreeMap<(SwitchId, SwitchId), (f64, u32, u8)> = BTreeMap::new();
-        for dst in self.pathtable.destinations() {
-            let Some(entry) = self.pathtable.entry(dst) else {
-                continue;
-            };
-            let mut good_edges: HashSet<(SwitchId, SwitchId)> = HashSet::new();
-            let mut bad: Vec<(usize, f64, u32)> = Vec::new();
-            for (ix, p) in entry.paths.iter().enumerate() {
-                let Some(h) = self.path_health.get(&(dst, ix)) else {
-                    continue;
-                };
-                if h.samples < cfg.min_samples {
-                    continue;
-                }
-                for w in p.route.switches().windows(2) {
-                    let key = norm_edge(w[0], w[1]);
-                    let dir = u8::from(key != (w[0], w[1]));
-                    let slot = edge_worst
-                        .entry(key)
-                        .or_insert((h.ewma_loss, h.samples, dir));
-                    if h.ewma_loss > slot.0 {
-                        *slot = (h.ewma_loss, h.samples, dir);
-                    }
-                }
-                if h.ewma_loss >= cfg.suspect_threshold {
-                    bad.push((ix, h.ewma_loss, h.samples));
-                } else if h.ewma_loss <= CLEAR_THRESHOLD {
-                    for w in p.route.switches().windows(2) {
-                        good_edges.insert(norm_edge(w[0], w[1]));
-                    }
-                }
-            }
-            // Common-cause attribution: one gray edge poisons every
-            // path crossing it, so the edges shared by *all* bad paths
-            // are the suspects. Only when the bad paths share nothing
-            // usable (distinct causes, or the shared edges are all
-            // demonstrably healthy) fall back to the blunt union —
-            // never implicating a healthy path's edges either way.
-            let path_edges = |ix: usize| -> HashSet<(SwitchId, SwitchId)> {
-                entry.paths[ix]
-                    .route
-                    .switches()
-                    .windows(2)
-                    .map(|w| norm_edge(w[0], w[1]))
-                    .collect()
-            };
-            let mut common: HashSet<(SwitchId, SwitchId)> = bad
-                .first()
-                .map(|&(ix, _, _)| path_edges(ix))
-                .unwrap_or_default();
-            for &(ix, _, _) in bad.iter().skip(1) {
-                let edges = path_edges(ix);
-                common.retain(|e| edges.contains(e));
-            }
-            let use_common = common.iter().any(|e| !good_edges.contains(e));
-            for (ix, loss, samples) in bad {
-                for w in entry.paths[ix].route.switches().windows(2) {
-                    let key = norm_edge(w[0], w[1]);
-                    if good_edges.contains(&key) {
-                        continue;
-                    }
-                    if use_common && !common.contains(&key) {
-                        continue;
-                    }
-                    let dir = u8::from(key != (w[0], w[1]));
-                    let slot = suspects.entry(key).or_insert((loss, samples, dir));
-                    if loss > slot.0 {
-                        *slot = (loss, samples, dir);
-                    }
-                }
-            }
-        }
-        // Local fast reroute + dirty evidence reports.
-        for (&edge, &(loss, window, dir)) in &suspects.clone() {
-            if self.local_suspects.insert(edge) {
-                self.pathtable.quarantine_edge(edge.0, edge.1);
-                self.counters.gray_failovers.inc();
-            }
-            self.report_edge(ctx, edge, dir, loss, window);
-        }
-        // Exoneration of held edges whose evidence recovered.
-        let held: BTreeSet<(SwitchId, SwitchId)> = self
-            .local_suspects
-            .iter()
-            .copied()
-            .chain(self.ctrl_quarantined.keys().copied())
-            .collect();
-        for edge in held {
-            if suspects.contains_key(&edge) {
-                continue;
-            }
-            let Some(&(worst, window, dir)) = edge_worst.get(&edge) else {
-                continue;
-            };
-            if worst > CLEAR_THRESHOLD {
-                continue;
-            }
-            if self.local_suspects.remove(&edge) && !self.ctrl_quarantined.contains_key(&edge) {
-                // Only a locally held quarantine lifts locally; a
-                // controller-flooded one waits for the unquarantine
-                // patch.
-                self.pathtable.restore_edge(edge.0, edge.1);
-            }
-            self.report_edge(ctx, edge, dir, worst, window);
+            self.pathtable.restore_edge(edge.0, edge.1);
         }
     }
 
-    /// Sends one rate-limited `LinkSuspect` evidence report.
-    fn report_edge(
+    /// Steps a failure-path core ([`PatchAcceptor`], [`GrayDetector`])
+    /// and applies the effects it emits, in emission order. This `match`
+    /// is the only place their decisions meet a send, a timer, a counter
+    /// or the two-level cache.
+    fn step<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
-        edge: (SwitchId, SwitchId),
-        direction: u8,
-        loss: f64,
-        window: u32,
-    ) {
-        let now = ctx.now();
-        if self
-            .last_report
-            .get(&edge)
-            .is_some_and(|&t| now - t < REPORT_INTERVAL)
-        {
-            return;
-        }
-        let Some((ctrl_mac, ctrl_path)) = self.controller.clone() else {
-            return;
-        };
-        self.last_report.insert(edge, now);
-        let seq = self.next_suspect_seq;
-        self.next_suspect_seq += 1;
-        self.counters.link_suspects_sent.inc();
-        let msg = ControlMessage::LinkSuspect {
-            reporter: self.mac,
-            edge,
-            loss_permille: (loss * 1000.0).round().min(1000.0) as u16,
-            window,
-            direction,
-            seq,
-        };
-        let pkt = Packet::control(ctrl_mac, self.mac, ctrl_path, msg);
-        self.transmit(ctx, pkt);
-    }
-
-    /// The coalescing writer (§4.2 stage 2, receive side): accepts a
-    /// topology patch batch and applies it **atomically** at its epoch
-    /// boundary.
-    ///
-    /// Acceptance rules, in order:
-    /// 1. Term fencing — a batch from a fenced stale leader is dropped
-    ///    (`stale_ctrl_updates`), exactly like every other controller
-    ///    update.
-    /// 2. Monotone epochs — a batch whose epoch is at or below the table
-    ///    version this host already holds is a redundant flood round or
-    ///    a jitter-reordered older patch; applying it would clobber the
-    ///    newer table, so it is dropped (`stale_patch_dropped`).
-    /// 3. Multi-segment batches buffer in [`PatchAssembly`] until every
-    ///    segment has arrived; only the newest epoch is kept under
-    ///    assembly (`coalesce_aborted` counts superseded partials). The
-    ///    table moves from its previous version to `epoch` in one step —
-    ///    it never reflects half a batch.
-    fn handle_patch_batch(&mut self, ctx: &mut Ctx<'_>, batch: PatchBatch) {
-        if batch.term < self.leader_term {
-            // A fenced stale leader is still flooding patches from its
-            // side of a partition; its topology view no longer
-            // sequences ours.
-            self.counters.stale_ctrl_updates.inc();
-            return;
-        }
-        self.leader_term = batch.term;
-        if batch.epoch <= self.topocache.topo_version {
-            self.counters.stale_patch_dropped.inc();
-            return;
-        }
-        let segs = usize::from(batch.segs.max(1));
-        if segs == 1 {
-            self.apply_patch_epoch(ctx, batch.epoch, batch.entries);
-            return;
-        }
-        let seg = usize::from(batch.seg);
-        if seg >= segs {
-            return; // Malformed segment index (codec rejects on the wire).
-        }
-        match &self.patch_assembly {
-            Some(asm) if asm.epoch > batch.epoch => {
-                // A newer epoch is already assembling; this segment is a
-                // straggler of an epoch it supersedes.
-                self.counters.stale_patch_dropped.inc();
-                return;
-            }
-            Some(asm)
-                if asm.epoch < batch.epoch || asm.term != batch.term || asm.parts.len() != segs =>
-            {
-                // Superseded (or inconsistently framed) partial: drop it
-                // and start over on the incoming epoch.
-                self.counters.coalesce_aborted.inc();
-                self.patch_assembly = None;
-            }
-            _ => {}
-        }
-        let asm = self.patch_assembly.get_or_insert_with(|| PatchAssembly {
-            epoch: batch.epoch,
-            term: batch.term,
-            parts: vec![None; segs],
-            got: 0,
-        });
-        if asm.parts[seg].is_none() {
-            asm.parts[seg] = Some(batch.entries);
-            asm.got += 1;
-        }
-        if asm.got < segs {
-            return; // Keep buffering; the table stays untouched.
-        }
-        let asm = self.patch_assembly.take().expect("assembly just filled");
-        let entries: Vec<PatchEntry> = asm.parts.into_iter().flatten().flatten().collect();
-        self.apply_patch_epoch(ctx, asm.epoch, entries);
-    }
-
-    /// Applies one complete batch epoch to the two-level cache. Entries
-    /// at or below the current table version are skipped — re-applying
-    /// them could resurrect link state a version between them and the
-    /// table has since overwritten.
-    fn apply_patch_epoch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, mut entries: Vec<PatchEntry>) {
-        // A partial assembly at or below this epoch can never complete
-        // usefully — its stragglers will fail the monotone-epoch check.
-        if self
-            .patch_assembly
-            .as_ref()
-            .is_some_and(|a| a.epoch <= epoch)
-        {
-            self.counters.coalesce_aborted.inc();
-            self.patch_assembly = None;
-        }
-        let from = self.topocache.topo_version;
-        entries.sort_by_key(|e| e.version);
-        let mut applied = 0u64;
-        for e in entries {
-            if e.version <= from {
-                continue;
-            }
-            // Stamp the *software-visible* arrival of each version the
-            // batch carried us through (the fig11 stage-2 series).
-            self.stats
-                .patch_arrivals
-                .push((e.version, ctx.now() + self.config.stack_delay));
-            for (a, b) in e.delta.down {
-                self.topocache.mark_down(a, b);
-                self.pathtable.invalidate_edge(a, b);
-                // Hard-down supersedes any gray suspicion on the edge.
-                self.forget_gray_edge(a, b);
-            }
-            for (pa, pb) in e.delta.up {
-                self.topocache.mark_up(pa.switch, pb.switch);
-            }
-            for (a, b) in e.delta.quarantine {
-                let edge = norm_edge(a, b);
-                self.ctrl_quarantined.insert(edge, ctx.now());
-                self.pathtable.quarantine_edge(edge.0, edge.1);
-            }
-            for (a, b) in e.delta.unquarantine {
-                let edge = norm_edge(a, b);
-                self.ctrl_quarantined.remove(&edge);
-                if !self.local_suspects.contains(&edge) {
-                    // Our own evidence may still hold the edge; if not,
-                    // the controller's pardon reopens it.
-                    self.pathtable.restore_edge(edge.0, edge.1);
+        input: impl FnOnce(&mut HostAgent, &mut Vec<Effect>) -> R,
+    ) -> R {
+        let mut effects = std::mem::take(&mut self.effects);
+        let result = input(self, &mut effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Fenced => self.counters.stale_ctrl_updates.inc(),
+                Effect::Stale => self.counters.stale_patch_dropped.inc(),
+                Effect::Aborted => self.counters.coalesce_aborted.inc(),
+                Effect::Apply { epoch, entries } => {
+                    self.patch_batch_entries.observe(entries.len() as u64);
+                    for entry in entries {
+                        self.apply_patch_entry(ctx.now(), entry);
+                    }
+                    self.topocache.topo_version = epoch;
+                    self.counters.patch_batches_applied.inc();
                 }
+                Effect::ProbeLost => self.counters.probe_losses.inc(),
+                Effect::Failover(edge) => {
+                    self.counters.gray_failovers.inc();
+                    self.settle(edge);
+                }
+                Effect::Settle(edge) => self.settle(edge),
+                Effect::Report(evidence) => {
+                    self.counters.link_suspects_sent.inc();
+                    self.send_to_controller(ctx, evidence);
+                }
+                Effect::Probe(probe) => {
+                    self.counters.probes_sent.inc();
+                    self.transmit(ctx, probe);
+                }
+                Effect::Arm(after) => ctx.set_timer(after, Self::PROBE_TOKEN),
             }
-            applied += 1;
         }
-        self.topocache.topo_version = epoch;
-        self.counters.patch_batches_applied.inc();
-        self.patch_batch_entries.observe(applied);
+        self.effects = effects;
+        result
+    }
+
+    /// Applies one entry of an accepted epoch to the two-level cache.
+    fn apply_patch_entry(&mut self, now: SimTime, entry: PatchEntry) {
+        // Stamp the *software-visible* arrival of each version the batch
+        // carried us through (the fig11 stage-2 series).
+        let seen = now + self.config.stack_delay;
+        self.stats.patch_arrivals.push((entry.version, seen));
+        for (a, b) in entry.delta.down {
+            self.edge_down(a, b);
+        }
+        for (pa, pb) in entry.delta.up {
+            self.topocache.mark_up(pa.switch, pb.switch);
+        }
+        let soft = entry.delta.quarantine.into_iter().map(|e| (e, true));
+        let soft = soft.chain(entry.delta.unquarantine.into_iter().map(|e| (e, false)));
+        for ((a, b), quarantined) in soft {
+            let edge = norm_edge(a, b);
+            if let Some(gray) = &mut self.gray {
+                gray.on_verdict(now, edge, quarantined);
+            }
+            self.settle(edge);
+        }
+    }
+
+    /// Sends `msg` to the primary controller, if one is known.
+    fn send_to_controller(&mut self, ctx: &mut Ctx<'_>, msg: ControlMessage) {
+        if let Some((ctrl_mac, ctrl_path)) = self.controller.clone() {
+            let pkt = Packet::control(ctrl_mac, self.mac, ctrl_path, msg);
+            self.transmit(ctx, pkt);
+        }
     }
 
     /// Integrates one controller path answer (standalone or batched).
@@ -1102,10 +696,7 @@ impl HostAgent {
         };
         if let Some(graph) = graph {
             self.topocache.integrate(dst, *graph, topo_version);
-            if let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) {
-                self.pathtable.install(dst, paths, backup);
-                self.drop_health(dst);
-            }
+            self.reinstall(dst);
         }
         self.flush_pending(ctx, dst);
     }
@@ -1146,30 +737,27 @@ impl HostAgent {
                 // Gray-failure probe responder: answer over our own
                 // routed path (the forward path under test was consumed
                 // on the way here).
-                let reply = Packet {
-                    dst: origin,
-                    src: self.mac,
-                    path: Path::empty(),
-                    payload: Payload::Control(ControlMessage::PathProbeReply {
-                        responder: self.mac,
-                        probe_id,
-                    }),
-                    ecn: false,
+                let responder = self.mac;
+                let reply = ControlMessage::PathProbeReply {
+                    responder,
+                    probe_id,
                 };
+                let reply = Packet::control(origin, self.mac, Path::empty(), reply);
                 self.send_routed(ctx, reply, FlowKey(probe_id ^ 0x9B0B_E000));
             }
             ControlMessage::PathProbeReply { probe_id, .. } => {
-                if let Some((dst, ix, _)) = self.outstanding_probes.remove(&probe_id) {
-                    self.health_sample(dst, ix, false);
+                if let Some(gray) = &mut self.gray {
+                    gray.on_reply(probe_id);
                 }
             }
             ControlMessage::LinkNotification { event, .. }
             | ControlMessage::HostFlood { event, .. } => {
                 self.handle_link_event(ctx, event);
             }
-            ControlMessage::TopologyPatchBatch(batch) => {
-                self.handle_patch_batch(ctx, batch);
-            }
+            ControlMessage::TopologyPatchBatch(batch) => self.step(ctx, |agent, out| {
+                let held = agent.topocache.topo_version;
+                agent.patches.on_batch(held, batch, out);
+            }),
             ControlMessage::ControllerHello {
                 controller,
                 path_to_controller,
@@ -1178,12 +766,9 @@ impl HostAgent {
                 term,
             } => {
                 if !standby {
-                    if term < self.leader_term {
-                        // Leadership claim from a fenced stale leader.
-                        self.counters.stale_ctrl_updates.inc();
-                        return;
+                    if !self.step(ctx, |agent, out| agent.patches.admit_term(term, out)) {
+                        return; // Leadership claim from a fenced stale leader.
                     }
-                    self.leader_term = term;
                     self.controller = Some((controller, path_to_controller.clone()));
                 }
                 // Maintain the query-spreading group (replace same MAC).
@@ -1200,16 +785,9 @@ impl HostAgent {
                 }
             }
             ControlMessage::Ping { seq, sent_at } => {
-                let reply = Packet {
-                    dst: src,
-                    src: self.mac,
-                    path: Path::empty(),
-                    payload: Payload::Control(ControlMessage::Pong {
-                        seq,
-                        echo_sent_at: sent_at,
-                    }),
-                    ecn: false,
-                };
+                let echo_sent_at = sent_at;
+                let reply = ControlMessage::Pong { seq, echo_sent_at };
+                let reply = Packet::control(src, self.mac, Path::empty(), reply);
                 self.send_routed(ctx, reply, FlowKey(seq ^ 0xFFFF_0000));
             }
             ControlMessage::Pong { seq, echo_sent_at } => {
@@ -1240,29 +818,18 @@ impl HostAgent {
     }
 
     fn run_action(&mut self, ctx: &mut Ctx<'_>, ix: usize) {
-        let action = self.config.actions[ix].clone();
         if self.action_state[ix].remaining == 0 {
             return;
         }
         self.action_state[ix].remaining -= 1;
-        match action {
+        let remaining = self.action_state[ix].remaining;
+        let (pkt, flow, interval) = match self.config.actions[ix] {
             AppAction::PingSeries { dst, interval, .. } => {
-                let seq = self.next_ping_seq;
+                let (seq, sent_at) = (self.next_ping_seq, ctx.now());
                 self.next_ping_seq += 1;
-                let pkt = Packet {
-                    dst,
-                    src: self.mac,
-                    path: Path::empty(),
-                    payload: Payload::Control(ControlMessage::Ping {
-                        seq,
-                        sent_at: ctx.now(),
-                    }),
-                    ecn: false,
-                };
-                self.send_routed(ctx, pkt, FlowKey(0x5049_4E47)); // "PING"
-                if self.action_state[ix].remaining > 0 {
-                    ctx.set_timer(interval, ix as u64);
-                }
+                let ping = ControlMessage::Ping { seq, sent_at };
+                let pkt = Packet::control(dst, self.mac, Path::empty(), ping);
+                (pkt, 0x5049_4E47, interval) // "PING"
             }
             AppAction::DataStream {
                 dst,
@@ -1271,13 +838,13 @@ impl HostAgent {
                 interval,
                 ..
             } => {
-                let seq = self.action_state[ix].remaining;
-                let pkt = Packet::data(dst, self.mac, Path::empty(), flow, seq, bytes);
-                self.send_routed(ctx, pkt, FlowKey(flow));
-                if self.action_state[ix].remaining > 0 {
-                    ctx.set_timer(interval, ix as u64);
-                }
+                let pkt = Packet::data(dst, self.mac, Path::empty(), flow, remaining, bytes);
+                (pkt, flow, interval)
             }
+        };
+        self.send_routed(ctx, pkt, FlowKey(flow));
+        if remaining > 0 {
+            ctx.set_timer(interval, ix as u64);
         }
     }
 }
@@ -1333,13 +900,8 @@ impl Node for HostAgent {
                     // Echo the congestion mark to the sender (§8): it can
                     // then move the flow at the next flowlet boundary.
                     *self.stats.ecn_marked.entry(flow).or_insert(0) += 1;
-                    let echo = Packet {
-                        dst: src_mac,
-                        src: self.mac,
-                        path: Path::empty(),
-                        payload: Payload::Control(ControlMessage::EcnEcho { flow }),
-                        ecn: false,
-                    };
+                    let echo = ControlMessage::EcnEcho { flow };
+                    let echo = Packet::control(src_mac, self.mac, Path::empty(), echo);
                     self.send_routed(ctx, echo, FlowKey(flow ^ 0xECE0_0000));
                 }
             }
@@ -1371,8 +933,13 @@ impl Node for HostAgent {
             return;
         }
         if token == Self::PROBE_TOKEN {
-            self.probe_tick(ctx);
-            return;
+            let now = ctx.now();
+            return self.step(ctx, |agent, out| {
+                if let Some(gray) = &mut agent.gray {
+                    let can_report = agent.controller.is_some();
+                    gray.on_tick(now, &agent.pathtable, can_report, out);
+                }
+            });
         }
         if token == Self::RETRY_TOKEN {
             self.retry_armed = false;

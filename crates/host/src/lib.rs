@@ -4,15 +4,24 @@
 //! contains:
 //!
 //! * [`pathtable`] — the PathTable: the per-destination cache of k tag
-//!   paths plus a backup path, with per-flow path binding. The hot-path
-//!   structure of Table 2's "PathTable Lookup".
-//! * [`topocache`] — the TopoCache: merged path graphs received from the
-//!   controller, the down-edge set, and k-shortest-path extraction.
+//!   paths plus a backup path, with per-flow path binding, hard
+//!   invalidation on link failure and a soft avoid set for quarantined
+//!   edges. The hot-path structure of Table 2's "PathTable Lookup".
+//! * [`topocache`] — the TopoCache: path graphs received from the
+//!   controller, the down-edge set, and memoized k-shortest-path
+//!   extraction inside one graph.
+//! * [`failure`] — the failure path's decisions as pure cores, stepped
+//!   without a simulator: [`PatchAcceptor`] (term fence, monotone
+//!   epochs, whole-epoch assembly of stage-2 patch batches) and
+//!   [`GrayDetector`] (probe ledger, per-path loss EWMA, common-cause
+//!   attribution, local suspects and the controller's soft-state
+//!   quarantine), with the [`failure::Effect`]s they emit.
 //! * [`agent`] — the [`agent::HostAgent`] simulation node: the
-//!   kernel-module analog (tag insertion/removal, EtherType filtering),
-//!   path-cache queries with controller fallback, failure flooding and
-//!   local failover, ping measurement, and a pluggable routing function
-//!   (the extension point flowlet TE uses, §6.2).
+//!   kernel-module analog (tag insertion/removal, ingress check),
+//!   path-cache queries with controller fallback and retry, stage-1
+//!   failure flooding and local failover, the adapter that applies the
+//!   cores' effects, ping / ECN-echo / probe responders, and a pluggable
+//!   routing function (the extension point flowlet TE uses, §6.2).
 //! * [`datapath`] — the per-packet CPU cost model calibrated against the
 //!   paper's DPDK measurements, used by the Figure 9/10 reproductions.
 
@@ -21,10 +30,12 @@
 
 pub mod agent;
 pub mod datapath;
+pub mod failure;
 pub mod pathtable;
 pub mod topocache;
 
-pub use agent::{AgentStats, GrayDetectConfig, HostAgent, HostAgentConfig, RoutingFn};
+pub use agent::{AgentStats, HostAgent, HostAgentConfig, RoutingFn};
 pub use datapath::{DatapathModel, DatapathVariant};
+pub use failure::{GrayDetectConfig, GrayDetector, PatchAcceptor};
 pub use pathtable::{FlowKey, PathTable, PathTableEntry};
 pub use topocache::TopoCache;

@@ -63,6 +63,15 @@ impl PathTableEntry {
     pub fn width(&self) -> usize {
         self.paths.len() + usize::from(self.backup.is_some())
     }
+
+    /// The path a binding index names.
+    fn at(&self, ix: usize) -> Option<&CachedPath> {
+        if ix == BACKUP_IX {
+            self.backup.as_ref()
+        } else {
+            self.paths.get(ix)
+        }
+    }
 }
 
 /// The PathTable.
@@ -101,27 +110,10 @@ impl PathTable {
         }
     }
 
-    /// Removes the entry for `dst` entirely.
-    pub fn evict(&mut self, dst: MacAddr) {
-        self.entries.remove(&dst);
-    }
-
     /// The entry for `dst`, if cached.
     #[must_use]
     pub fn entry(&self, dst: MacAddr) -> Option<&PathTableEntry> {
         self.entries.get(&dst)
-    }
-
-    /// Number of destinations cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Destinations currently cached, in MAC order. Sorted at the
@@ -147,39 +139,19 @@ impl PathTable {
         flow: FlowKey,
         preferred: Option<usize>,
     ) -> Option<Path> {
-        let Some(entry) = self.entries.get_mut(&dst) else {
+        let Some(entry) = self.entries.get_mut(&dst).filter(|e| e.width() > 0) else {
             self.misses += 1;
             return None;
         };
-        if entry.paths.is_empty() && entry.backup.is_none() {
-            self.misses += 1;
-            return None;
-        }
         self.hits += 1;
-        let ix = match preferred {
-            Some(p) if !entry.paths.is_empty() => p % entry.paths.len(),
-            Some(_) => BACKUP_IX,
-            None => *entry
-                .bindings
-                .get(&flow)
-                .filter(|&&ix| ix == BACKUP_IX || ix < entry.paths.len())
-                .unwrap_or(if entry.paths.is_empty() {
-                    &BACKUP_IX
-                } else {
-                    // Sticky default: spread new flows over the k paths by
-                    // flow-key hash.
-                    &0
-                }),
-        };
-        let ix = if preferred.is_none() && !entry.bindings.contains_key(&flow) {
+        let n = entry.paths.len();
+        let ix = match (preferred, entry.bindings.get(&flow)) {
+            _ if n == 0 => BACKUP_IX,
+            (Some(p), _) => p % n,
+            (None, Some(&bound)) if bound == BACKUP_IX || bound < n => bound,
+            (None, Some(_)) => 0,
             // First packet of the flow: hash it over the available paths.
-            if entry.paths.is_empty() {
-                BACKUP_IX
-            } else {
-                (flow.0 as usize).wrapping_mul(0x9E37_79B9) % entry.paths.len()
-            }
-        } else {
-            ix
+            (None, None) => (flow.0 as usize).wrapping_mul(0x9E37_79B9) % n,
         };
         // Gray-failure steering: if the chosen path crosses a
         // quarantined edge and a clean alternative exists, rebind the
@@ -192,12 +164,14 @@ impl PathTable {
             Self::steer_clean(entry, &self.quarantined, ix)
         };
         entry.bindings.insert(flow, ix);
-        let path = if ix == BACKUP_IX {
-            entry.backup.as_ref()
-        } else {
-            entry.paths.get(ix)
-        };
-        path.map(|p| p.tags.clone())
+        entry.at(ix).map(|p| p.tags.clone())
+    }
+
+    /// The cached path `flow` is bound to for `dst`, if it is bound.
+    #[must_use]
+    pub fn bound_path(&self, dst: MacAddr, flow: FlowKey) -> Option<&CachedPath> {
+        let entry = self.entries.get(&dst)?;
+        entry.at(*entry.bindings.get(&flow)?)
     }
 
     /// Whether `p` avoids every quarantined edge.
@@ -215,12 +189,10 @@ impl PathTable {
         quarantined: &BTreeSet<(SwitchId, SwitchId)>,
         ix: usize,
     ) -> usize {
-        let chosen = if ix == BACKUP_IX {
-            entry.backup.as_ref()
-        } else {
-            entry.paths.get(ix)
-        };
-        if chosen.is_none_or(|p| Self::path_clean(quarantined, p)) {
+        if entry
+            .at(ix)
+            .is_none_or(|p| Self::path_clean(quarantined, p))
+        {
             return ix;
         }
         let n = entry.paths.len();

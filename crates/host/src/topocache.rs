@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use dumbnet_topology::{PathGraph, Route};
-use dumbnet_types::{FastHashMap, MacAddr, Path, SwitchId};
+use dumbnet_types::{norm_edge, FastHashMap, MacAddr, SwitchId};
 
 use crate::pathtable::CachedPath;
 
@@ -55,42 +55,10 @@ impl TopoCache {
         self.k_memo.clear();
     }
 
-    /// Whether the cache knows the location of `dst`.
-    #[must_use]
-    pub fn knows(&self, dst: MacAddr) -> bool {
-        self.graphs.contains_key(&dst)
-    }
-
-    /// The cached graph for `dst`.
-    #[must_use]
-    pub fn graph(&self, dst: MacAddr) -> Option<&PathGraph> {
-        self.graphs.get(&dst)
-    }
-
-    /// Number of destinations with cached graphs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.graphs.len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.graphs.is_empty()
-    }
-
-    /// Total switches cached across all graphs (the storage-overhead
-    /// metric of §7.3).
-    #[must_use]
-    pub fn cached_switches(&self) -> usize {
-        self.graphs.values().map(PathGraph::switch_count).sum()
-    }
-
     /// Marks an edge down (failure notification). Returns `true` if this
     /// was new information.
     pub fn mark_down(&mut self, a: SwitchId, b: SwitchId) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let new = self.down.insert(key);
+        let new = self.down.insert(norm_edge(a, b));
         if new {
             self.k_memo.clear();
         }
@@ -99,8 +67,7 @@ impl TopoCache {
 
     /// Marks an edge back up (topology patch).
     pub fn mark_up(&mut self, a: SwitchId, b: SwitchId) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if self.down.remove(&key) {
+        if self.down.remove(&norm_edge(a, b)) {
             self.k_memo.clear();
         }
     }
@@ -168,24 +135,9 @@ impl TopoCache {
         Some((cached, backup))
     }
 
-    /// The single best live route and tag path for `dst`.
-    #[must_use]
-    pub fn best_path(&self, dst: MacAddr) -> Option<(Route, Path)> {
-        let graph = self.graphs.get(&dst)?;
-        let route = graph.shortest_within(&self.down)?;
-        let tags = graph.tag_path(&route).ok()?;
-        Some((route, tags))
-    }
-
     fn route_alive(&self, route: &Route) -> bool {
-        route.switches().windows(2).all(|w| {
-            let key = if w[0] <= w[1] {
-                (w[0], w[1])
-            } else {
-                (w[1], w[0])
-            };
-            !self.down.contains(&key)
-        })
+        let mut hops = route.switches().windows(2);
+        hops.all(|w| !self.down.contains(&norm_edge(w[0], w[1])))
     }
 }
 
@@ -216,15 +168,13 @@ mod tests {
     fn integrate_then_query() {
         let (pg, dst) = testbed_graph(0, 26);
         let mut tc = TopoCache::new();
-        assert!(!tc.knows(dst));
+        assert!(tc.k_paths(dst, 4).is_none());
         tc.integrate(dst, pg, 3);
-        assert!(tc.knows(dst));
         assert_eq!(tc.topo_version, 3);
         let (paths, backup) = tc.k_paths(dst, 4).unwrap();
         assert!(paths.len() >= 2, "testbed has 2 spines: {}", paths.len());
         assert!(backup.is_some() || paths.len() >= 2);
-        let (_, best) = tc.best_path(dst).unwrap();
-        assert_eq!(best.len(), 3); // leaf→spine→leaf→host port.
+        assert_eq!(paths[0].tags.len(), 3); // leaf→spine→leaf→host port.
     }
 
     #[test]
@@ -236,8 +186,9 @@ mod tests {
         let p = primary.switches();
         assert!(tc.mark_down(p[0], p[1]));
         assert!(!tc.mark_down(p[1], p[0]), "idempotent marking");
-        let (route, _) = tc.best_path(dst).unwrap();
-        assert!(route
+        let (paths, _) = tc.k_paths(dst, 1).unwrap();
+        assert!(paths[0]
+            .route
             .switches()
             .windows(2)
             .all(|w| (w[0] != p[0] || w[1] != p[1]) && (w[0] != p[1] || w[1] != p[0])));
@@ -261,21 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_switch_accounting() {
-        let (pg1, d1) = testbed_graph(0, 26);
-        let (pg2, d2) = testbed_graph(1, 20);
-        let mut tc = TopoCache::new();
-        let total = pg1.switch_count() + pg2.switch_count();
-        tc.integrate(d1, pg1, 1);
-        tc.integrate(d2, pg2, 2);
-        assert_eq!(tc.cached_switches(), total);
-        assert_eq!(tc.len(), 2);
-    }
-
-    #[test]
     fn unknown_destination_returns_none() {
         let mut tc = TopoCache::new();
         assert!(tc.k_paths(MacAddr::for_host(5), 4).is_none());
-        assert!(tc.best_path(MacAddr::for_host(5)).is_none());
     }
 }

@@ -6,6 +6,14 @@
 //! table — a link the controller had already reported healthy stayed
 //! marked down on the host forever. The tests drive the exact reorder
 //! through `World::inject` and assert the newer table survives.
+//!
+//! Only the cases that need the wire live here: what an accepted or
+//! refused batch does to the two-level cache, the arrival series and
+//! the counters. The acceptance rules themselves are pinned effect by
+//! effect in `failure_cores.rs` — the duplicate flood round by
+//! `acceptor_drops_stale_reorders_and_replayed_entries`, the superseded
+//! partial and its straggler by
+//! `acceptor_abandons_superseded_partials_and_their_stragglers`.
 
 use dumbnet_host::agent::{HostAgent, HostAgentConfig};
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
@@ -114,21 +122,6 @@ fn stale_patch_after_newer_is_dropped() {
 }
 
 #[test]
-fn duplicate_flood_round_is_dropped() {
-    // Redundant flood rounds deliver the same version twice; the second
-    // copy must be a counted no-op.
-    let mut rig = Rig::new();
-    let round = patch(2, down(1, 2));
-    rig.inject(at_us(100), round.clone());
-    rig.inject(at_us(150), round);
-    rig.world.run_until(at_us(500));
-    let stats = rig.agent().stats();
-    assert_eq!(stats.patch_batches_applied, 1);
-    assert_eq!(stats.stale_patch_dropped, 1);
-    assert_eq!(rig.agent().topocache.topo_version, 2);
-}
-
-#[test]
 fn multi_segment_batch_applies_atomically() {
     // A two-segment epoch: nothing may be visible until both segments
     // have arrived, then the whole epoch applies in one step.
@@ -177,47 +170,6 @@ fn multi_segment_batch_applies_atomically() {
     assert_eq!(agent.topocache.down_edges().len(), 2);
     assert_eq!(agent.topocache.topo_version, 2);
     assert_eq!(agent.stats().patch_batches_applied, 1);
-}
-
-#[test]
-fn newer_epoch_supersedes_partial_assembly() {
-    // Segment 0 of epoch 2 arrives, then the controller moves on: a
-    // complete epoch-4 batch starts landing before epoch 2 finishes.
-    // The partial must be abandoned (counted), the newer epoch applied,
-    // and the epoch-2 straggler dropped as stale.
-    let mut rig = Rig::new();
-    let part = |epoch: u64, seg: u16, v: u64, d: TopoDelta| {
-        ControlMessage::TopologyPatchBatch(PatchBatch {
-            epoch,
-            term: 1,
-            seg,
-            segs: 2,
-            entries: vec![PatchEntry {
-                version: v,
-                delta: d,
-            }],
-        })
-    };
-    rig.inject(at_us(100), part(2, 0, 1, down(1, 2)));
-    rig.inject(at_us(200), part(4, 0, 3, down(5, 6)));
-    rig.inject(at_us(300), part(4, 1, 4, down(7, 8)));
-    rig.inject(at_us(400), part(2, 1, 2, down(3, 4))); // Straggler.
-    rig.world.run_until(at_us(800));
-    let agent = rig.agent();
-    assert_eq!(agent.topocache.topo_version, 4);
-    // Only epoch 4's edges: the abandoned epoch-2 entries never applied.
-    assert_eq!(agent.topocache.down_edges().len(), 2);
-    assert!(agent
-        .topocache
-        .down_edges()
-        .contains(&(SwitchId(5), SwitchId(6))));
-    assert!(agent
-        .topocache
-        .down_edges()
-        .contains(&(SwitchId(7), SwitchId(8))));
-    let stats = agent.stats();
-    assert_eq!(stats.patch_batches_applied, 1);
-    assert_eq!(stats.stale_patch_dropped, 1, "straggler not counted");
 }
 
 #[test]

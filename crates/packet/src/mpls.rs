@@ -189,15 +189,6 @@ impl LabelStack {
     }
 }
 
-/// Header overhead of the MPLS encoding for a path of `hops` tags, in
-/// bytes — used by the MTU accounting: the paper sets host MTU to 1450
-/// "to make packet shorter, and this leaves space for the MPLS labels in
-/// the header".
-#[must_use]
-pub fn mpls_overhead(hops: usize) -> usize {
-    (hops + 1) * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,12 +273,5 @@ mod tests {
         let sentinel = stack.pop().unwrap();
         assert!(sentinel.bottom);
         assert!(stack.pop().is_none());
-    }
-
-    #[test]
-    fn overhead_fits_reserved_mtu_headroom() {
-        // 1500 - 1450 = 50 bytes of headroom fits 11 hops + sentinel.
-        assert!(mpls_overhead(11) <= 50);
-        assert!(mpls_overhead(12) > 50);
     }
 }

@@ -1769,7 +1769,11 @@ mod tests {
         let b = w.add_node(Box::new(Echo::new(true)));
         let wid = w.wire(a, P1, b, P1, LinkParams::ten_gig()).unwrap();
         // Direction 0 is a→b in wire-endpoint order; kill it entirely.
-        w.set_fault_profile(wid, FaultProfile::lossy_dir(0, 1.0));
+        let one_way = FaultProfile {
+            loss_dir: [1.0, 0.0],
+            ..FaultProfile::default()
+        };
+        w.set_fault_profile(wid, one_way);
         // b echoes toward a (direction 1, clean); a's echo back dies.
         // b's count of 1 is the injected packet itself.
         w.inject(SimTime::ZERO, b, P1, data(9, 100));

@@ -74,18 +74,6 @@ impl FaultProfile {
         }
     }
 
-    /// A profile that loses packets in one direction only (the
-    /// asymmetric gray failure: dir 0 is a→b on the wire, 1 is b→a).
-    #[must_use]
-    pub fn lossy_dir(dir: usize, p: f64) -> FaultProfile {
-        let mut loss_dir = [0.0, 0.0];
-        loss_dir[dir.min(1)] = p;
-        FaultProfile {
-            loss_dir,
-            ..FaultProfile::default()
-        }
-    }
-
     /// Whether this profile can ever affect a packet.
     #[must_use]
     pub fn is_benign(&self) -> bool {
@@ -555,7 +543,10 @@ mod tests {
 
     #[test]
     fn directional_loss_only_hits_one_direction() {
-        let p = FaultProfile::lossy_dir(1, 0.3);
+        let p = FaultProfile {
+            loss_dir: [0.0, 0.3],
+            ..FaultProfile::default()
+        };
         assert!(!p.is_benign());
         assert!((p.loss_at(t(0), 0) - 0.0).abs() < f64::EPSILON);
         assert!((p.loss_at(t(0), 1) - 0.3).abs() < f64::EPSILON);

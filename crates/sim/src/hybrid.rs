@@ -551,7 +551,11 @@ mod tests {
         assert_eq!(h.elephant_rate(f0).bits_per_sec(), 7_500_000_000);
         assert_eq!(h.elephant_rate(f1).bits_per_sec(), 7_500_000_000);
         // Direction-selective loss only scales one edge.
-        h.set_fault_profile(w, FaultProfile::lossy_dir(1, 0.5));
+        let one_way = FaultProfile {
+            loss_dir: [0.0, 0.5],
+            ..FaultProfile::default()
+        };
+        h.set_fault_profile(w, one_way);
         assert_eq!(h.elephant_rate(f0).bits_per_sec(), 10_000_000_000);
         assert_eq!(h.elephant_rate(f1).bits_per_sec(), 5_000_000_000);
     });

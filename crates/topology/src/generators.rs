@@ -434,7 +434,7 @@ mod tests {
         for &a in leaves {
             for &b in leaves {
                 if a != b {
-                    assert_eq!(spath::hop_distance(t, a, b), Some(2));
+                    assert_eq!(spath::distances(t, a).dist(b), Some(2));
                 }
             }
         }
@@ -453,9 +453,9 @@ mod tests {
         t.check_invariants().unwrap();
         // Edge-to-edge across pods is 4 hops.
         let e = g.group("edge");
-        assert_eq!(spath::hop_distance(t, e[0], e[7]), Some(4));
+        assert_eq!(spath::distances(t, e[0]).dist(e[7]), Some(4));
         // Within a pod: 2 hops.
-        assert_eq!(spath::hop_distance(t, e[0], e[1]), Some(2));
+        assert_eq!(spath::distances(t, e[0]).dist(e[1]), Some(2));
     }
 
     #[test]
@@ -486,7 +486,7 @@ mod tests {
         assert_eq!(t.switch(center).unwrap().degree(), 6);
         // Corner-to-opposite-corner distance is 21 hops.
         let far = SwitchId::new(511);
-        assert_eq!(spath::hop_distance(t, corner, far), Some(21));
+        assert_eq!(spath::distances(t, corner).dist(far), Some(21));
     }
 
     #[test]
@@ -523,7 +523,7 @@ mod tests {
         let g = cube(&[4], 1, 4);
         assert_eq!(g.topology.link_count(), 3);
         assert_eq!(
-            spath::hop_distance(&g.topology, g.group("corner")[0], SwitchId::new(3)),
+            spath::distances(&g.topology, g.group("corner")[0]).dist(SwitchId::new(3)),
             Some(3)
         );
     }

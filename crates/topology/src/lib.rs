@@ -14,8 +14,10 @@
 //!   edges (the wire↔edge mapping shared by the packet and flow planes).
 //! * [`spath`] — BFS/Dijkstra shortest paths with randomized equal-cost
 //!   tie-breaking (§4.3: "randomizes the choice for equal cost links").
-//! * [`ksp`] — Yen's k-shortest loopless paths, used by the host
-//!   TopoCache to extract the `k` paths the PathTable caches.
+//! * [`ksp`] — Yen's k-shortest loopless paths over a whole
+//!   [`Topology`] (the flowlet-TE example and the benchmark's `ksp4`
+//!   kernel; the host TopoCache extracts its `k` paths inside one cached
+//!   path graph, with [`PathGraph::k_shortest_within`]).
 //! * [`pathgraph`] — the paper's Algorithm 1: primary path, `s`-step
 //!   ε-good local detours, and a backup path computed with inflated
 //!   primary-link costs.

@@ -57,25 +57,6 @@ impl CellAssignment {
     pub fn host_cell(&self, host: HostId) -> u32 {
         self.host_cells.get(&host).copied().unwrap_or(0)
     }
-
-    /// Switch + host population of each cell, indexed by cell number.
-    #[must_use]
-    pub fn cell_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.cells as usize];
-        for &c in self.switch_cells.values().chain(self.host_cells.values()) {
-            sizes[c as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Number of switch-to-switch links whose endpoints sit in different
-    /// cells — the links that bound the sharded engine's lookahead.
-    #[must_use]
-    pub fn cross_cell_links(&self, topo: &Topology) -> usize {
-        topo.links()
-            .filter(|l| self.switch_cell(l.a.switch) != self.switch_cell(l.b.switch))
-            .count()
-    }
 }
 
 /// Partitions `topo` into `cells` cells.
@@ -179,6 +160,25 @@ fn assign_bfs(topo: &Topology, cells: u32, out: &mut BTreeMap<SwitchId, u32>) {
 mod tests {
     use super::*;
     use crate::generators;
+
+    impl CellAssignment {
+        /// Switch + host population of each cell, indexed by cell number.
+        fn cell_sizes(&self) -> Vec<usize> {
+            let mut sizes = vec![0usize; self.cells as usize];
+            for &c in self.switch_cells.values().chain(self.host_cells.values()) {
+                sizes[c as usize] += 1;
+            }
+            sizes
+        }
+
+        /// Switch-to-switch links whose endpoints sit in different cells
+        /// — the links that bound the sharded engine's lookahead.
+        fn cross_cell_links(&self, topo: &Topology) -> usize {
+            topo.links()
+                .filter(|l| self.switch_cell(l.a.switch) != self.switch_cell(l.b.switch))
+                .count()
+        }
+    }
 
     #[test]
     fn fat_tree_pods_drive_the_partition() {

@@ -220,17 +220,6 @@ impl RouteCache {
             self.routes.extend(part);
         }
     }
-
-    /// Precomputes all ordered pairs over `switches` (all-pairs warm-up
-    /// for small fabrics; quadratic, so callers gate it by size).
-    pub fn precompute_all_pairs(&mut self, topo: &Topology, switches: &[SwitchId], threads: usize) {
-        let pairs: Vec<(SwitchId, SwitchId)> = switches
-            .iter()
-            .flat_map(|&a| switches.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        self.precompute(topo, &pairs, threads);
-    }
 }
 
 #[cfg(test)]
@@ -242,6 +231,18 @@ mod tests {
         let g = generators::testbed();
         let switches: Vec<SwitchId> = g.topology.switches().map(|s| s.id).collect();
         (g.topology, switches)
+    }
+
+    impl RouteCache {
+        /// Precomputes all ordered pairs over `switches`.
+        fn precompute_all_pairs(&mut self, topo: &Topology, switches: &[SwitchId], threads: usize) {
+            let pairs: Vec<(SwitchId, SwitchId)> = switches
+                .iter()
+                .flat_map(|&a| switches.iter().map(move |&b| (a, b)))
+                .filter(|(a, b)| a != b)
+                .collect();
+            self.precompute(topo, &pairs, threads);
+        }
     }
 
     #[test]

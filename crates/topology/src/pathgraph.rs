@@ -358,16 +358,6 @@ impl PathGraph {
         self.edges.iter().any(|e| e.key() == key)
     }
 
-    /// Removes an edge (both directions) from the cache — the host-side
-    /// reaction to a link-failure notification. Returns `true` if the
-    /// edge was present.
-    pub fn remove_edge(&mut self, a: SwitchId, b: SwitchId) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let before = self.edges.len();
-        self.edges.retain(|e| e.key() != key);
-        self.edges.len() != before
-    }
-
     /// Materializes the find-path engine over this subgraph: dense
     /// node indices, flat adjacency and preallocated scratch, so the
     /// spurs of one [`PathGraph::k_shortest_within`] — or repeated
@@ -1141,7 +1131,9 @@ mod tests {
             .iter()
             .map(|&(a, b)| {
                 let (a, b) = (t.host(a).unwrap(), t.host(b).unwrap());
-                spath::hop_distance(&t, a.attached.switch, b.attached.switch).unwrap() as usize
+                spath::distances(&t, a.attached.switch)
+                    .dist(b.attached.switch)
+                    .unwrap() as usize
             })
             .collect();
         assert_eq!(hops, [4, 2, 0]);
@@ -1236,17 +1228,5 @@ mod tests {
         bare.edges.clear();
         assert_eq!(bare.shortest_within(&HashSet::new()), None);
         assert_eq!(bare.k_shortest_within(0, &HashSet::new()), []);
-    }
-
-    #[test]
-    fn removed_edge_disappears() {
-        let g = generators::testbed();
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut pg = build(&g.topology, HostId(0), HostId(26), &params(2, 2), &mut rng).unwrap();
-        let p = pg.primary.switches().to_vec();
-        assert!(pg.contains_edge(p[0], p[1]));
-        assert!(pg.remove_edge(p[0], p[1]));
-        assert!(!pg.contains_edge(p[0], p[1]));
-        assert!(!pg.remove_edge(p[0], p[1]));
     }
 }

@@ -120,21 +120,6 @@ impl Route {
         path = path.push(dst_info.attached.port.into())?;
         Ok(path)
     }
-
-    /// Total weighted cost of this route under a per-link cost function.
-    ///
-    /// Missing links cost `u64::MAX` (the route is unusable).
-    #[must_use]
-    pub fn cost_with<F: Fn(SwitchId, SwitchId) -> Option<u64>>(&self, cost: F) -> u64 {
-        let mut total: u64 = 0;
-        for w in self.switches.windows(2) {
-            match cost(w[0], w[1]) {
-                Some(c) => total = total.saturating_add(c),
-                None => return u64::MAX,
-            }
-        }
-        total
-    }
 }
 
 impl std::fmt::Display for Route {
@@ -218,12 +203,5 @@ mod tests {
         assert!(!r.is_simple());
         let r = Route::new(vec![SwitchId(0), SwitchId(1), SwitchId(2)]).unwrap();
         assert!(r.is_simple());
-    }
-
-    #[test]
-    fn cost_with_missing_link_unusable() {
-        let r = Route::new(vec![SwitchId(0), SwitchId(1)]).unwrap();
-        assert_eq!(r.cost_with(|_, _| Some(3)), 3);
-        assert_eq!(r.cost_with(|_, _| None), u64::MAX);
     }
 }

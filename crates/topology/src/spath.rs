@@ -345,12 +345,6 @@ where
     (cur == dst).then(|| Route::new(route).ok()).flatten()
 }
 
-/// Hop distance between two switches, if connected.
-#[must_use]
-pub fn hop_distance(topo: &Topology, a: SwitchId, b: SwitchId) -> Option<u64> {
-    distances(topo, a).dist(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +542,7 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_switch(4);
         let b = t.add_switch(4);
-        assert_eq!(hop_distance(&t, a, b), None);
+        assert_eq!(distances(&t, a).dist(b), None);
         let mut rng = StdRng::seed_from_u64(0);
         assert!(shortest_route(&t, a, b, &mut rng).is_none());
     }
@@ -624,6 +618,6 @@ mod tests {
         let b = t.add_switch(4);
         let l = t.connect_auto(a, b).unwrap();
         t.set_link_state(l, false).unwrap();
-        assert_eq!(hop_distance(&t, a, b), None);
+        assert_eq!(distances(&t, a).dist(b), None);
     }
 }

@@ -98,12 +98,6 @@ pub struct TopologyView {
 }
 
 impl TopologyView {
-    /// The unrestricted view.
-    #[must_use]
-    pub fn unrestricted() -> TopologyView {
-        TopologyView::default()
-    }
-
     /// A view restricted to the given switches and hosts.
     #[must_use]
     pub fn restricted<S, H>(switches: S, hosts: H) -> TopologyView
@@ -265,7 +259,7 @@ mod tests {
         );
         assert!(view.verify_tag_path(&t, HostId(0), &path).is_err());
         // Unrestricted passes.
-        let trace = TopologyView::unrestricted()
+        let trace = TopologyView::default()
             .verify_tag_path(&t, HostId(0), &path)
             .unwrap();
         assert_eq!(trace.delivered_to, Some(HostId(26)));

@@ -17,8 +17,7 @@ use crate::error::DumbNetError;
 ///
 /// let mac: MacAddr = "02:00:00:00:00:2a".parse().unwrap();
 /// assert_eq!(mac.to_string(), "02:00:00:00:00:2a");
-/// assert!(mac.is_locally_administered());
-/// assert!(!mac.is_multicast());
+/// assert!(!mac.is_broadcast());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
 pub struct MacAddr(pub [u8; 6]);
@@ -59,40 +58,16 @@ impl MacAddr {
         MacAddr([0x02, b[3], b[4], b[5], b[6], b[7]])
     }
 
-    /// Recovers the host number from an address created by
-    /// [`MacAddr::for_host`], or `None` for foreign addresses.
-    #[must_use]
-    pub fn host_number(self) -> Option<u64> {
-        if self.0[0] != 0x02 {
-            return None;
-        }
-        let mut b = [0u8; 8];
-        b[3..8].copy_from_slice(&self.0[1..6]);
-        Some(u64::from_be_bytes(b))
-    }
-
     /// Raw octets.
     #[must_use]
     pub fn octets(self) -> [u8; 6] {
         self.0
     }
 
-    /// Returns `true` for group (multicast/broadcast) addresses.
-    #[must_use]
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Returns `true` for the all-ones broadcast address.
     #[must_use]
     pub fn is_broadcast(self) -> bool {
         self == MacAddr::BROADCAST
-    }
-
-    /// Returns `true` if the locally-administered bit is set.
-    #[must_use]
-    pub fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 }
 
@@ -159,12 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn host_mac_round_trip() {
+    fn host_macs_are_local_unicast_and_carry_the_number() {
         for n in [0u64, 1, 27, 1_000_000, 0xFF_FFFF_FFFF] {
-            let mac = MacAddr::for_host(n);
-            assert_eq!(mac.host_number(), Some(n & 0xFF_FFFF_FFFF));
-            assert!(!mac.is_multicast());
-            assert!(mac.is_locally_administered());
+            let octets = MacAddr::for_host(n).octets();
+            assert_eq!(octets[0], 0x02, "locally administered, unicast");
+            assert_eq!(octets[1..], n.to_be_bytes()[3..]);
         }
     }
 
@@ -185,8 +159,6 @@ mod tests {
     #[test]
     fn broadcast_classification() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
         assert!(!MacAddr::for_host(1).is_broadcast());
-        assert_eq!(MacAddr::BROADCAST.host_number(), None);
     }
 }

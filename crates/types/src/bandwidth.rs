@@ -73,13 +73,6 @@ impl Bandwidth {
         let ns = bytes as u128 * 8_000_000_000 / u128::from(self.0);
         SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
-
-    /// Bytes transferable in `d` at this bandwidth.
-    #[must_use]
-    pub fn bytes_in(self, d: SimDuration) -> u64 {
-        let bits = u128::from(self.0) * u128::from(d.nanos()) / 1_000_000_000;
-        u64::try_from(bits / 8).unwrap_or(u64::MAX)
-    }
 }
 
 impl std::fmt::Display for Bandwidth {
@@ -109,15 +102,6 @@ mod tests {
     #[test]
     fn zero_bandwidth_never_delivers() {
         assert_eq!(Bandwidth::ZERO.serialization_delay(1).nanos(), u64::MAX);
-        assert_eq!(Bandwidth::ZERO.bytes_in(SimDuration::from_secs(1)), 0);
-    }
-
-    #[test]
-    fn bytes_in_inverts_delay() {
-        let bw = Bandwidth::mbps(500);
-        let d = bw.serialization_delay(10_000);
-        let b = bw.bytes_in(d);
-        assert!((b as i64 - 10_000).abs() <= 1, "got {b}");
     }
 
     #[test]

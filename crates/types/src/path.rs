@@ -217,13 +217,6 @@ impl Path {
         self.len() == 0
     }
 
-    /// Number of *forwarding* hops, i.e. port tags (ID-query tags consume
-    /// a switch visit but not a link traversal).
-    #[must_use]
-    pub fn hop_count(&self) -> usize {
-        self.tags().iter().filter(|t| t.is_port()).count()
-    }
-
     /// The remaining tags, in forwarding order.
     #[must_use]
     pub fn tags(&self) -> &[Tag] {
@@ -512,7 +505,6 @@ mod tests {
         // The discovery probe 0-9-ø from §4.1.
         let p = Path::from_tags([Tag::ID_QUERY, Tag(9)]).unwrap();
         assert_eq!(p.to_string(), "0-9-ø");
-        assert_eq!(p.hop_count(), 1);
         assert_eq!(p.len(), 2);
     }
 
@@ -581,7 +573,6 @@ mod tests {
         assert_eq!(p.to_wire(), fresh.to_wire());
         assert_eq!(p.tags(), fresh.tags());
         assert_eq!(p[0], fresh[0]);
-        assert_eq!(p.hop_count(), 2);
         let hash = |path: &Path| {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();

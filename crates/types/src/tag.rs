@@ -24,7 +24,6 @@ use crate::ids::PortNo;
 /// use dumbnet_types::Tag;
 ///
 /// let t = Tag::port(3).unwrap();
-/// assert!(t.is_port());
 /// assert_eq!(t.as_port().unwrap().get(), 3);
 /// assert!(Tag::END.is_end());
 /// assert!(Tag::ID_QUERY.is_id_query());
@@ -63,12 +62,6 @@ impl Tag {
     #[must_use]
     pub fn from_port(p: PortNo) -> Tag {
         Tag(p.get())
-    }
-
-    /// Returns `true` if this tag denotes an output port.
-    #[must_use]
-    pub fn is_port(self) -> bool {
-        self.0 != 0 && self.0 != 0xFF
     }
 
     /// Returns `true` if this is the switch-ID query marker.
@@ -120,7 +113,6 @@ mod tests {
     fn port_tags_round_trip() {
         for n in 1..=0xFEu8 {
             let t = Tag::port(n).unwrap();
-            assert!(t.is_port());
             assert!(!t.is_end());
             assert!(!t.is_id_query());
             assert_eq!(t.as_port().unwrap().get(), n);
@@ -136,10 +128,8 @@ mod tests {
     #[test]
     fn markers_classify() {
         assert!(Tag::END.is_end());
-        assert!(!Tag::END.is_port());
         assert_eq!(Tag::END.as_port(), None);
         assert!(Tag::ID_QUERY.is_id_query());
-        assert!(!Tag::ID_QUERY.is_port());
         assert_eq!(Tag::ID_QUERY.as_port(), None);
     }
 

@@ -153,16 +153,6 @@ impl Job {
         Job { kind, stages }
     }
 
-    /// Total bytes the job moves over the network.
-    #[must_use]
-    pub fn network_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.flows)
-            .map(|f| f.bytes)
-            .sum()
-    }
-
     /// Total compute time across barriers (the network-independent floor
     /// of the job's duration).
     #[must_use]
@@ -179,6 +169,14 @@ mod tests {
 
     fn hosts() -> Vec<HostId> {
         (1..27).map(HostId).collect()
+    }
+
+    impl Job {
+        /// Total bytes the job moves over the network.
+        fn network_bytes(&self) -> u64 {
+            let flows = self.stages.iter().flat_map(|s| &s.flows);
+            flows.map(|f| f.bytes).sum()
+        }
     }
 
     #[test]

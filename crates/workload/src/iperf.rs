@@ -4,9 +4,6 @@
 //! through the flow-level simulator: greedy long-lived flows like iperf's
 //! TCP mode, arranged in the patterns §7.2.2 uses.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
 use dumbnet_types::HostId;
 
 /// One flow to be placed on the fabric.
@@ -51,39 +48,9 @@ pub fn paired(senders: &[HostId], receivers: &[HostId], bytes: u64) -> Vec<FlowS
         .collect()
 }
 
-/// All-to-all among one host set (the Figure 10 ping mesh shape).
-#[must_use]
-pub fn all_to_all(hosts: &[HostId], bytes: u64) -> Vec<FlowSpec> {
-    bipartite(hosts, hosts, bytes)
-}
-
-/// Random permutation traffic: every host sends to exactly one other
-/// host, derangement-style (no self-loops).
-#[must_use]
-pub fn permutation<R: Rng>(hosts: &[HostId], bytes: u64, rng: &mut R) -> Vec<FlowSpec> {
-    if hosts.len() < 2 {
-        return Vec::new();
-    }
-    let mut dsts: Vec<HostId> = hosts.to_vec();
-    // Re-shuffle until no host maps to itself (expected ~e tries).
-    loop {
-        dsts.shuffle(rng);
-        if hosts.iter().zip(&dsts).all(|(a, b)| a != b) {
-            break;
-        }
-    }
-    hosts
-        .iter()
-        .zip(&dsts)
-        .map(|(&src, &dst)| FlowSpec { src, dst, bytes })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn hosts(range: std::ops::Range<u64>) -> Vec<HostId> {
         range.map(HostId).collect()
@@ -106,40 +73,11 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_count() {
-        let flows = all_to_all(&hosts(0..27), 1);
-        assert_eq!(flows.len(), 27 * 26);
-    }
-
-    #[test]
     fn paired_lines_up() {
         let a = hosts(0..5);
         let b = hosts(5..10);
         let flows = paired(&a, &b, 7);
         assert_eq!(flows.len(), 5);
         assert!(flows.iter().all(|f| f.dst.get() == f.src.get() + 5));
-    }
-
-    #[test]
-    fn permutation_is_derangement() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let h = hosts(0..20);
-        for _ in 0..10 {
-            let flows = permutation(&h, 1, &mut rng);
-            assert_eq!(flows.len(), 20);
-            assert!(flows.iter().all(|f| f.src != f.dst));
-            // Destinations are a permutation: all distinct.
-            let mut d: Vec<u64> = flows.iter().map(|f| f.dst.get()).collect();
-            d.sort_unstable();
-            d.dedup();
-            assert_eq!(d.len(), 20);
-        }
-    }
-
-    #[test]
-    fn tiny_sets() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(permutation(&hosts(0..1), 1, &mut rng).is_empty());
-        assert!(all_to_all(&hosts(0..1), 1).is_empty());
     }
 }

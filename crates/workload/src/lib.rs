@@ -1,8 +1,8 @@
 //! Workload generators and statistics helpers for the evaluation.
 //!
-//! * [`iperf`] — iperf-style synthetic flows: all-to-all meshes,
-//!   leaf-to-leaf aggregates (the 18.5 Gbps experiment of §7.2.2),
-//!   random permutation traffic.
+//! * [`iperf`] — iperf-style synthetic flows: bipartite meshes and
+//!   paired leaf-to-leaf aggregates (the 18.5 Gbps experiment of
+//!   §7.2.2).
 //! * [`hibench`] — HiBench-style big-data jobs (§7.4): each of the five
 //!   benchmark tasks (Aggregation, Join, Pagerank, Terasort, Wordcount)
 //!   modeled as a barrier-synchronized DAG of shuffle stages with the

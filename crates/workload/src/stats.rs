@@ -60,21 +60,6 @@ impl Cdf {
         n as f64 / self.sorted.len() as f64
     }
 
-    /// `(value, cumulative_fraction)` pairs at `points` evenly spaced
-    /// quantiles — the rows of a printed CDF figure.
-    #[must_use]
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        (1..=points)
-            .map(|i| {
-                let p = i as f64 / points as f64;
-                (self.quantile(p).expect("non-empty"), p)
-            })
-            .collect()
-    }
-
     /// Summary statistics.
     #[must_use]
     pub fn summary(&self) -> Option<Summary> {
@@ -135,18 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn curve_is_monotone() {
-        let c = Cdf::new([5.0, 1.0, 3.0, 2.0, 4.0]);
-        let pts = c.curve(5);
-        assert_eq!(pts.len(), 5);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
     fn summary_fields() {
         let s = Cdf::new([1.0, 2.0, 3.0]).summary().unwrap();
         assert_eq!(s.count, 3);
@@ -162,7 +135,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), None);
         assert!(c.summary().is_none());
-        assert!(c.curve(10).is_empty());
     }
 
     #[test]

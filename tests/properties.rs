@@ -202,11 +202,7 @@ proptest! {
             prop_assert!(pg.contains_edge(w[0], w[1]));
         }
         // Primary is genuinely shortest.
-        let d = spath::hop_distance(
-            topo,
-            topo.host(HostId(src)).unwrap().attached.switch,
-            topo.host(HostId(dst)).unwrap().attached.switch,
-        ).unwrap();
+        let d = spath::distances(topo, topo.host(HostId(src)).unwrap().attached.switch).dist(topo.host(HostId(dst)).unwrap().attached.switch).unwrap();
         prop_assert_eq!(pg.primary.link_hops() as u64, d);
 
         // Tag path traces to the destination through the real fabric.
@@ -243,7 +239,7 @@ proptest! {
         let g = generators::random_regular(20, 3, 0, 6, &mut rng);
         let (sa, sb) = (SwitchId(a), SwitchId(b));
         let routes = k_shortest_routes(&g.topology, sa, sb, 5);
-        match spath::hop_distance(&g.topology, sa, sb) {
+        match spath::distances(&g.topology, sa).dist(sb) {
             None => prop_assert!(routes.is_empty()),
             Some(d) => {
                 prop_assert_eq!(routes[0].link_hops() as u64, d);
