@@ -36,8 +36,8 @@ use dumbnet_core::{check_gray_invariants, check_invariants, Fabric, FabricConfig
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{FlowKey, GrayDetectConfig, HostAgent, HostAgentConfig};
 use dumbnet_sim::{
-    ChaosPlan, CrashSchedule, Engine, FaultProfile, FlowId, HybridWorld, NodeAddr,
-    PartitionSchedule, ShardedWorld, World,
+    ChaosPlan, CrashSchedule, Engine, FlowId, HybridWorld, NodeAddr, PartitionSchedule,
+    ShardedWorld, World,
 };
 use dumbnet_switch::DumbSwitchConfig;
 use dumbnet_topology::{generators, Route};
@@ -353,12 +353,8 @@ fn run_soak<W: Engine>(
         let rate = if seed.is_multiple_of(2) { 1.0 } else { 0.6 };
         let gray_at = 150 + (seed % 3) * 40;
         let gray_heal = gray_at + 230 + (seed % 4) * 30;
-        fabric
-            .world
-            .schedule_fault_profile(at_ms(gray_at), wire, FaultProfile::lossy(rate));
-        fabric
-            .world
-            .schedule_fault_profile(at_ms(gray_heal), wire, FaultProfile::default());
+        fabric.world.schedule_loss(at_ms(gray_at), wire, rate);
+        fabric.world.schedule_loss(at_ms(gray_heal), wire, 0.0);
         last = last.max(gray_heal);
 
         // Mid-fault: detection has had ≥200 ms — nobody may be

@@ -14,7 +14,7 @@
 
 use dumbnet_controller::Controller;
 use dumbnet_core::{Fabric, FabricConfig};
-use dumbnet_sim::{ChaosPlan, Engine, FaultProfile, ShardedWorld, WireId};
+use dumbnet_sim::{ChaosPlan, Engine, ShardedWorld, WireId};
 use dumbnet_telemetry::NodeKind;
 use dumbnet_topology::generators::Generated;
 use dumbnet_types::SimDuration;
@@ -82,7 +82,7 @@ fn lossy_point<W: Engine>(
         let mut fabric = build(g).expect("fabric builds");
         let mut plan = ChaosPlan::seeded(12);
         for ix in 0..fabric.world.wire_count() {
-            plan = plan.with_link_fault(WireId::from_raw(ix), FaultProfile::lossy(p));
+            plan = plan.with_link_fault(WireId::from_raw(ix), p);
         }
         plan.apply(&mut fabric.world);
         fabric
@@ -185,7 +185,7 @@ mod tests {
                 .expect("fabric builds");
             let mut plan = ChaosPlan::seeded(11);
             for ix in 0..fabric.world.wire_count() {
-                plan = plan.with_link_fault(WireId::from_raw(ix), FaultProfile::lossy(p));
+                plan = plan.with_link_fault(WireId::from_raw(ix), p);
             }
             plan.apply(&mut fabric.world);
             fabric

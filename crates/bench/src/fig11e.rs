@@ -28,7 +28,7 @@
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::pathtable::FlowKey;
 use dumbnet_host::GrayDetectConfig;
-use dumbnet_sim::{Engine, FaultProfile};
+use dumbnet_sim::Engine;
 use dumbnet_topology::generators;
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 
@@ -131,9 +131,7 @@ pub fn gray_recovery_point(p: f64, gray: bool) -> GrayRecoveryPoint {
     };
     let wire = fabric.trunk_wire(leaf, spine).expect("trunk exists");
     let t_fail = recovery::T_FAIL;
-    fabric
-        .world
-        .schedule_fault_profile(t_fail, wire, FaultProfile::lossy(p));
+    fabric.world.schedule_loss(t_fail, wire, p);
 
     let curve = recovery::sample(&mut fabric, recovery::SINK, t_fail, recovery::HORIZON);
     let post = curve.mbps[curve.fail_bin() + 1..].iter().take(3);

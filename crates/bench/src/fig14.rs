@@ -32,7 +32,7 @@ use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_ext::ecn::EcnFlowletRouting;
 use dumbnet_host::agent::AppAction;
 use dumbnet_host::{HostAgent, HostAgentConfig};
-use dumbnet_sim::{EdgeId, Engine, FaultProfile, FlowId, HybridWorld, World};
+use dumbnet_sim::{EdgeId, Engine, FlowId, HybridWorld, World};
 use dumbnet_topology::{generators, spath};
 use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -246,7 +246,7 @@ pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> 
         total_bits += bytes * 8;
     }
     // One mid-storm *gray* blackhole + heal on a background route — the
-    // downward coupling under load. A fault profile (unlike an
+    // downward coupling under load. Injected loss (unlike an
     // administrative link-down) is silent in the packet plane: no
     // port-down event, no fabric-wide notification flood across 8192
     // hosts — only the hybrid boundary carries it into flow capacities.
@@ -254,12 +254,8 @@ pub fn incast_point(fanin: usize, background: usize, check_full_solve: bool) -> 
         let t_fail = SimTime::ZERO + SimDuration::from_millis(200);
         let t_heal = SimTime::ZERO + SimDuration::from_millis(600);
         let wire = fabric.trunk_wire(a, b).expect("trunk exists");
-        fabric
-            .world
-            .schedule_fault_profile(t_fail, wire, FaultProfile::lossy(1.0));
-        fabric
-            .world
-            .schedule_fault_profile(t_heal, wire, FaultProfile::default());
+        fabric.world.schedule_loss(t_fail, wire, 1.0);
+        fabric.world.schedule_loss(t_heal, wire, 0.0);
     }
 
     // Drive both planes until every elephant finishes (the mice wrap up

@@ -185,16 +185,24 @@ mod tests {
         files
     }
 
+    /// `text`'s code lines with every line and trailing `//` comment
+    /// (docs included) removed.
+    fn uncommented(text: &str) -> String {
+        text.lines()
+            .map(|line| line.split(" // ").next().unwrap_or(line).trim_end())
+            .filter(|code| !code.trim_start().starts_with("//"))
+            .flat_map(|code| [code, "\n"])
+            .collect()
+    }
+
     /// What ships of `text`: comments and every `#[cfg(test)]` item
     /// removed — as rustfmt lays items out, from the attribute to the
     /// first line that ends the item at the attribute's indentation.
     fn production(text: &str) -> String {
         let (mut out, mut in_test_item) = (String::new(), None);
-        for line in text.lines() {
-            let code = line.split(" // ").next().unwrap_or(line).trim_end();
+        for code in uncommented(text).lines() {
             let indent = code.len() - code.trim_start().len();
             match in_test_item {
-                _ if code.trim_start().starts_with("//") => {}
                 None if code.trim_start() == "#[cfg(test)]" => in_test_item = Some(indent),
                 None => out.extend([code, "\n"]),
                 Some(at) if at == indent && code.ends_with([';', '}']) => in_test_item = None,
@@ -245,26 +253,30 @@ mod tests {
     /// ROADMAP item 9, kept from eroding: a `pub fn` under `crates/*/src`
     /// is named somewhere besides its own definition and its own crate's
     /// `#[cfg(test)]` code — by shipped code anywhere, a `tests/`
-    /// directory, or another crate's unit tests. One that is not is test
-    /// scaffolding on the public surface (or dead): delete it, or move
-    /// it into the test module that needs it.
+    /// directory, or another crate's unit tests. A comment is not a
+    /// caller. One that is not named is test scaffolding on the public
+    /// surface (or dead): delete it, or move it into the test module
+    /// that needs it.
     #[test]
     fn no_pub_fn_exists_only_for_its_own_crates_tests() {
         let sources = sources(&["crates", "src", "tests", "examples", "benchmark/src"]);
         let crate_of = |p: &Path| p.iter().nth(1).map(ToOwned::to_owned);
         let in_src = |p: &Path| p.starts_with("crates") && p.iter().nth(2) == Some("src".as_ref());
-        let shipped: Vec<(&Path, String)> = sources
+        // Per file: its code with tests (what another crate may call
+        // from), and what ships of it (what its own crate may).
+        let code: Vec<(&Path, String, String)> = sources
             .iter()
-            .map(|(p, t)| (p.as_path(), production(t)))
+            .map(|(p, t)| (p.as_path(), uncommented(t), production(t)))
             .collect();
         let mut test_only = Vec::new();
-        for (path, code) in shipped.iter().filter(|(p, _)| in_src(p)) {
-            for (at, _) in code.match_indices("pub fn ") {
-                let rest = &code[at + 7..];
+        for (path, _, shipped) in code.iter().filter(|(p, ..)| in_src(p)) {
+            for (at, _) in shipped.match_indices("pub fn ") {
+                let rest = &shipped[at + 7..];
                 let name = &rest[..rest.find(['(', '<']).unwrap_or(0)];
-                let elsewhere = sources.iter().zip(&shipped).any(|((p, full), (_, code))| {
+                let elsewhere = code.iter().any(|(p, with_tests, shipped)| {
                     let foreign = !in_src(p) || crate_of(p) != crate_of(path);
-                    mentions(if foreign { full } else { code }, name) > usize::from(p == path)
+                    let text = if foreign { with_tests } else { shipped };
+                    mentions(text, name) > usize::from(p == path)
                 });
                 if !elsewhere {
                     test_only.push(format!("{}::{name}", path.display()));

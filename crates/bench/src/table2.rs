@@ -129,8 +129,8 @@ pub fn verify_once(fx: &Fixtures) {
 }
 
 /// One find-path on the cached subgraph: one search of the core every
-/// host-side route computation runs (`shortest_within` once, each Yen
-/// spur of `k_shortest_within` once), on an already materialized router.
+/// host-side route computation runs (each Yen spur of
+/// `k_shortest_within` once), on an already materialized router.
 pub fn find_path_once(fx: &mut Fixtures) {
     let down = std::collections::HashSet::new();
     black_box(fx.router.shortest(&down).expect("route exists"));

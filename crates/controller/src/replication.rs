@@ -113,13 +113,6 @@ impl ReplicatedLog {
         self.voted_in
     }
 
-    /// Promotes a follower to leader (takeover) at the next term.
-    /// Sequencing resumes after the highest entry it has seen.
-    pub fn promote(&mut self) {
-        let next = self.term + 1;
-        self.promote_to(next);
-    }
-
     /// Promotes this replica to leader of `term` (an election win).
     /// Every entry already stored is self-acked so the commit index can
     /// advance once peers re-acknowledge the prefix under the new
@@ -1077,7 +1070,7 @@ mod tests {
         log.observe_term(1);
         log.store(entry_at(1, 1));
         log.store(entry_at(2, 1));
-        log.promote();
+        log.promote_to(log.term() + 1);
         assert_eq!(log.role(), ReplicaRole::Leader);
         assert_eq!(log.term(), 2, "promotion must advance the term");
         let e = log.append(3, delta());
@@ -1160,7 +1153,7 @@ mod tests {
         log.observe_term(1);
         log.store(entry_at(1, 1));
         log.store(entry_at(2, 1));
-        log.promote();
+        log.promote_to(log.term() + 1);
         // Peer re-acks the prefix under the new leadership.
         assert_eq!(log.ack(1, mac(2)), Some(1));
         assert_eq!(log.ack(2, mac(2)), Some(2));

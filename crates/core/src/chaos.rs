@@ -1,8 +1,8 @@
 //! DumbNet-specific chaos invariants.
 //!
-//! The protocol-agnostic scenario harness lives in `dumbnet_sim::chaos`
-//! (apply a [`ChaosPlan`](dumbnet_sim::ChaosPlan), advance time, poll a
-//! predicate). This module layers the DumbNet semantics on top: after a
+//! The protocol-agnostic disruptions live in `dumbnet_sim::faults` (a
+//! [`ChaosPlan`](dumbnet_sim::ChaosPlan) of loss, crashes and
+//! partitions). This module layers the DumbNet semantics on top: after a
 //! disrupted run settles, [`check_invariants`] audits the whole fabric
 //! for the properties a self-healing deployment must restore —
 //!
@@ -438,7 +438,7 @@ pub fn check_gray_invariants<W: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dumbnet_sim::{ChaosPlan, ChaosRunner, FaultProfile, FlapSchedule};
+    use dumbnet_sim::ChaosPlan;
     use dumbnet_topology::generators;
     use dumbnet_types::{SimDuration, SimTime};
 
@@ -558,12 +558,8 @@ mod tests {
         // reply-path smear transient (healthy paths whose probe replies
         // died crossing the gray trunk) to exonerate and release.
         let wire = fabric.trunk_wire(leaf, spine).expect("trunk exists");
-        fabric
-            .world
-            .schedule_fault_profile(t(50), wire, FaultProfile::lossy(1.0));
-        fabric
-            .world
-            .schedule_fault_profile(t(300), wire, FaultProfile::default());
+        fabric.world.schedule_loss(t(50), wire, 1.0);
+        fabric.world.schedule_loss(t(300), wire, 0.0);
 
         // Mid-fault: the edge is quarantined and no host is blackholed.
         fabric.run_until(t(280));
@@ -627,26 +623,33 @@ mod tests {
         // times (2 ms down / 8 ms up) early in the discovery window.
         let mut plan = ChaosPlan::seeded(42);
         for ix in 0..fabric.world.wire_count() {
-            plan =
-                plan.with_link_fault(dumbnet_sim::WireId::from_raw(ix), FaultProfile::lossy(0.05));
+            plan = plan.with_link_fault(dumbnet_sim::WireId::from_raw(ix), 0.05);
         }
+        plan.apply(&mut fabric.world);
         let flapped = fabric.trunk_wire(spine, leaf).expect("spine-leaf trunk");
-        plan = plan.with_flap(FlapSchedule {
-            wire: flapped,
-            first_down: t(5),
-            down_for: SimDuration::from_millis(2),
-            period: SimDuration::from_millis(10),
-            cycles: 3,
-        });
+        for down_at in [5, 15, 25] {
+            fabric.world.schedule_link_state(t(down_at), flapped, false);
+            fabric
+                .world
+                .schedule_link_state(t(down_at + 2), flapped, true);
+        }
 
+        // Convergence: the controller finished discovery, polled every
+        // millisecond for up to 10 s.
         let ctrl_addr = fabric.host_addr(dumbnet_types::HostId(0)).unwrap();
-        let report = ChaosRunner::new(plan, t(10_000)).run(&mut fabric.world, |w| {
-            // Convergence: the controller finished discovery.
-            w.node::<dumbnet_controller::Controller>(ctrl_addr)
+        let ready = |fabric: &Fabric| {
+            fabric
+                .world
+                .node::<dumbnet_controller::Controller>(ctrl_addr)
                 .is_some_and(dumbnet_controller::Controller::ready)
-        });
-        assert!(report.converged(), "discovery never finished under chaos");
-        assert!(report.stats.drops_loss > 0, "loss profile injected nothing");
+        };
+        let mut now = t(0);
+        while !ready(&fabric) && now < t(10_000) {
+            now = now + SimDuration::from_millis(1);
+            fabric.run_until(now);
+        }
+        assert!(ready(&fabric), "discovery never finished under chaos");
+        assert!(fabric.world.stats().drops_loss > 0, "loss injected nothing");
 
         let ctrl = fabric.controller(dumbnet_types::HostId(0)).unwrap();
         assert!(

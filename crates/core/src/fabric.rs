@@ -458,7 +458,7 @@ impl<W: Engine> Fabric<W> {
 
     /// Engine wire of the trunk link between switches `a` and `b`
     /// (the lowest-numbered link of a parallel pair), for targeting
-    /// fault profiles and flap schedules. Costs a scan of `a`'s ports.
+    /// loss and link-state changes. Costs a scan of `a`'s ports.
     #[must_use]
     pub fn trunk_wire(&self, a: SwitchId, b: SwitchId) -> Option<WireId> {
         let link = self.topology.link_between(a, b)?;

@@ -58,7 +58,6 @@ use dumbnet_telemetry::{
 use dumbnet_types::{mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
 use crate::event::{EventQueue, QueueStats};
-use crate::faults::FaultProfile;
 
 /// Address of a node inside a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -240,11 +239,11 @@ enum Event {
         /// `events` total matches the single-shard run.
         counted: bool,
     },
-    /// A scheduled fault-profile replacement (gray faults healing or
-    /// worsening mid-run).
+    /// A scheduled change of a wire's loss probability (a gray fault
+    /// starting or healing mid-run).
     AdminFault {
         wire: WireId,
-        profile: Box<FaultProfile>,
+        loss: f64,
         counted: bool,
     },
     /// The node dies: arrivals and timers are discarded until restart,
@@ -315,10 +314,10 @@ counter_block! {
         drops_down,
         /// Packets dropped by queue overflow.
         drops_queue,
-        /// Packets lost to injected faults (probabilistic loss and burst
-        /// windows; see [`FaultProfile`]).
+        /// Packets lost to injected loss (see [`Engine::set_loss`]).
         drops_loss,
-        /// Packets bit-corrupted in flight and rejected before delivery.
+        /// Always zero: nothing corrupts packets. Kept only because the
+        /// benchmark package reads it (ROADMAP item 7 removes it).
         drops_corrupt,
         /// Packets discarded because the destination node was crashed.
         drops_crashed,
@@ -335,11 +334,11 @@ counter_block! {
     /// Per-wire counters, queryable after a run via [`Engine::link_stats`].
     ///
     /// A packet that the wire *accepts* increments `sent`; every accepted
-    /// packet ends in exactly one of `delivered`, `drops_loss`,
-    /// `drops_corrupt`, `drops_burst`, or `drops_crashed`. Refusals before
-    /// acceptance land in `drops_down` / `drops_queue`. `+=` sums another
-    /// cell's view of the same wire into this one (direction counters
-    /// accrue on the sending cell, delivery counters on the receiving one).
+    /// packet ends in exactly one of `delivered`, `drops_loss` or
+    /// `drops_crashed`. Refusals before acceptance land in `drops_down` /
+    /// `drops_queue`. `+=` sums another cell's view of the same wire into
+    /// this one (direction counters accrue on the sending cell, delivery
+    /// counters on the receiving one).
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
     pub struct LinkStats {
         /// Packets accepted onto this wire.
@@ -352,16 +351,10 @@ counter_block! {
         drops_queue,
         /// Packets lost to probabilistic loss.
         drops_loss,
-        /// Packets corrupted in flight (dropped before delivery).
-        drops_corrupt,
-        /// Packets swallowed by a burst-drop window.
-        drops_burst,
         /// Packets discarded on arrival because the far end was crashed.
         drops_crashed,
         /// Packets ECN-marked on this wire.
         ecn_marked,
-        /// Packets whose delivery was delayed by jitter.
-        jittered,
     }
 }
 
@@ -515,7 +508,8 @@ pub struct Core {
     /// Bumped on every crash; invalidates timers armed before it.
     epoch: Vec<u32>,
     wiring: Wiring,
-    faults: Vec<Option<FaultProfile>>,
+    /// Per-wire loss probability; `0.0` (or less) is a healthy wire.
+    loss: Vec<f64>,
     link_stats: Vec<Arc<LinkCounters>>,
     queue: EventQueue<Event>,
     now: SimTime,
@@ -598,7 +592,7 @@ impl World {
                 crashed: Vec::new(),
                 epoch: Vec::new(),
                 wiring: Wiring::default(),
-                faults: Vec::new(),
+                loss: Vec::new(),
                 link_stats: Vec::new(),
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
@@ -688,7 +682,7 @@ impl World {
             up: true,
             busy: [SimTime::ZERO; 2],
         });
-        self.faults.push(None);
+        self.core.loss.push(0.0);
         let fault_seed = self.core.fault_seed;
         self.core
             .fault_rngs
@@ -731,11 +725,12 @@ impl World {
     /// at `end` or later stay queued: a cross-shard arrival generated
     /// elsewhere during this window can land at `end` at the earliest,
     /// and it must be merged (by key) before anything at that instant
-    /// runs.
+    /// runs. Time is whole nanoseconds, so "before `end`" is "at or
+    /// before `end − 1 ns`"; every window ends at 1 ns or later.
     pub(crate) fn run_window(&mut self, end: SimTime) -> u64 {
         self.ensure_started();
         let mut fired = 0;
-        while let Some((t, ev)) = self.queue.pop_strictly_before(end) {
+        while let Some((t, ev)) = self.queue.pop_before(SimTime(end.nanos() - 1)) {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.dispatch(ev);
@@ -886,26 +881,21 @@ impl World {
             }
             Event::AdminFault {
                 wire,
-                profile,
+                loss,
                 counted,
             } => {
                 if counted && self.telemetry.trace_enabled() {
+                    // The soak's violation dumps print these words.
+                    let verb = if loss <= 0.0 { "cleared" } else { "replaced" };
                     self.telemetry.emit(
                         self.now,
                         TraceCategory::Chaos,
                         NodeKind::Link,
                         wire.0 as u64,
-                        format!(
-                            "fault profile {}",
-                            if profile.is_benign() {
-                                "cleared"
-                            } else {
-                                "replaced"
-                            }
-                        ),
+                        format!("fault profile {verb}"),
                     );
                 }
-                self.install_fault(wire, *profile);
+                self.loss[wire.0] = loss;
             }
             Event::Crash {
                 node: addr,
@@ -1032,15 +1022,6 @@ impl Core {
         u64::from(seq)
     }
 
-    /// Installs (or replaces) the fault profile of a wire.
-    fn install_fault(&mut self, wire: WireId, profile: FaultProfile) {
-        self.faults[wire.0] = if profile.is_benign() {
-            None
-        } else {
-            Some(profile)
-        };
-    }
-
     /// Puts a packet onto the wire at `(from, port)` at the current
     /// time. Returns its on-wire length (also when it is dropped).
     fn transmit(&mut self, from: NodeAddr, port: PortNo, mut pkt: Packet) -> usize {
@@ -1079,75 +1060,33 @@ impl Core {
         let ser = wire.params.bandwidth.serialization_delay(wire_len);
         let departed = depart_start + ser;
         wire.busy[dir] = departed;
-        let mut arrival = departed + wire.params.latency;
+        let arrival = departed + wire.params.latency;
         // The wire accepted the packet: bandwidth is consumed even when
-        // an injected fault then eats the bits mid-flight.
-        //
-        // Fault-induced drops below also leave a packet-category trace:
-        // they are the data-plane evidence a chaos diagnosis needs.
-        // Congestion drops (queue/down) are counters only — during a
-        // partition they arrive in storms that would evict every useful
-        // event from the bounded ring.
+        // injected loss then eats the bits mid-flight.
         self.stats.packets_sent.inc();
         self.link_stats[wid.0].sent.inc();
-        if let Some(profile) = &self.faults[wid.0] {
-            // Evaluated against departure time: the instant the bits
-            // actually hit the wire. Coin flips draw from this wire
-            // direction's own stream, so the outcome for the n-th
-            // packet down this direction is the same at any shard
-            // count.
-            let fault_rng = &mut self.fault_rngs[wid.0][dir];
-            if profile.in_burst(departed) {
-                self.stats.drops_loss.inc();
-                self.link_stats[wid.0].drops_burst.inc();
-                if self.telemetry.trace_enabled() {
-                    self.telemetry.emit(
-                        self.now,
-                        TraceCategory::Packet,
-                        NodeKind::Link,
-                        wid.0 as u64,
-                        "burst-window drop",
-                    );
-                }
-                return wire_len;
+        let loss = self.loss[wid.0];
+        // The coin flips on this wire direction's own stream, so the
+        // outcome for the n-th packet down this direction is the same
+        // at any shard count.
+        if loss > 0.0 && self.fault_rngs[wid.0][dir].gen_bool(loss.clamp(0.0, 1.0)) {
+            self.stats.drops_loss.inc();
+            self.link_stats[wid.0].drops_loss.inc();
+            // A loss drop leaves a packet-category trace: it is the
+            // data-plane evidence a chaos diagnosis needs. Congestion
+            // drops (queue/down) are counters only — during a partition
+            // they arrive in storms that would evict every useful event
+            // from the bounded ring.
+            if self.telemetry.trace_enabled() {
+                self.telemetry.emit(
+                    self.now,
+                    TraceCategory::Packet,
+                    NodeKind::Link,
+                    wid.0 as u64,
+                    "loss drop",
+                );
             }
-            let p_loss = profile.loss_at(departed, dir);
-            if p_loss > 0.0 && fault_rng.gen_bool(p_loss) {
-                self.stats.drops_loss.inc();
-                self.link_stats[wid.0].drops_loss.inc();
-                if self.telemetry.trace_enabled() {
-                    self.telemetry.emit(
-                        self.now,
-                        TraceCategory::Packet,
-                        NodeKind::Link,
-                        wid.0 as u64,
-                        "loss drop",
-                    );
-                }
-                return wire_len;
-            }
-            let p_corrupt = profile.corrupt_at(departed);
-            if p_corrupt > 0.0 && fault_rng.gen_bool(p_corrupt) {
-                self.stats.drops_corrupt.inc();
-                self.link_stats[wid.0].drops_corrupt.inc();
-                if self.telemetry.trace_enabled() {
-                    self.telemetry.emit(
-                        self.now,
-                        TraceCategory::Packet,
-                        NodeKind::Link,
-                        wid.0 as u64,
-                        "corruption drop",
-                    );
-                }
-                return wire_len;
-            }
-            if profile.jitter > SimDuration::ZERO {
-                let extra = fault_rng.gen_range(0..=profile.jitter.nanos());
-                if extra > 0 {
-                    arrival = arrival + SimDuration::from_nanos(extra);
-                    self.link_stats[wid.0].jittered.inc();
-                }
-            }
+            return wire_len;
         }
         let key = self.next_key(from);
         if self.sharded && self.node_cells[dest.0 .0] != self.my_cell {
@@ -1463,28 +1402,28 @@ pub trait Engine {
         });
     }
 
-    /// Schedules `wire`'s fault profile to be replaced at `at` — the
-    /// mid-run half of [`Engine::set_fault_profile`], used by
-    /// [`ChaosPlan`](crate::faults::ChaosPlan) profile changes so gray
-    /// faults can heal or worsen while the world runs. No carrier
-    /// notification: the wire stays administratively up throughout.
-    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
+    /// Schedules `wire`'s loss probability to become `p` at `at` — the
+    /// mid-run half of [`Engine::set_loss`], so a gray fault can start
+    /// or heal while the world runs. No carrier notification: the wire
+    /// stays administratively up throughout.
+    fn schedule_loss(&mut self, at: SimTime, wire: WireId, p: f64) {
         let owner = self.node_cell(self.wire_endpoints(wire).0 .0) as usize;
         mirror_admin(self.cells_mut(), at, owner, |counted| Event::AdminFault {
             wire,
-            profile: Box::new(profile.clone()),
+            loss: p,
             counted,
         });
     }
 
-    /// Installs (or replaces) the fault profile of a wire immediately.
+    /// Sets the probability that `wire` loses a packet it accepts, in
+    /// either direction, immediately (`0.0` heals it).
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range wire ID.
-    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
+    fn set_loss(&mut self, wire: WireId, p: f64) {
         for cell in self.cells_mut() {
-            cell.install_fault(wire, profile.clone());
+            cell.core.loss[wire.0] = p;
         }
     }
 
@@ -1744,14 +1683,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_fault_profile_change_heals_wire() {
+    fn scheduled_loss_change_heals_wire() {
         let mut w = World::new(0);
         let a = w.add_node(Box::new(Echo::new(true)));
         let sink = w.add_node(Box::new(Echo::new(false)));
         let wid = w.wire(a, P1, sink, P1, LinkParams::ten_gig()).unwrap();
-        w.set_fault_profile(wid, FaultProfile::lossy(1.0));
+        w.set_loss(wid, 1.0);
         let heal = SimTime::ZERO + SimDuration::from_millis(1);
-        w.schedule_fault_profile(heal, wid, FaultProfile::default());
+        w.schedule_loss(heal, wid, 0.0);
         // Echoed onto the wire pre-heal: eaten. Post-heal: delivered.
         w.inject(SimTime::ZERO, a, P1, data(1, 100));
         w.inject(heal + SimDuration::from_millis(1), a, P1, data(2, 100));
@@ -1759,27 +1698,6 @@ mod tests {
         let recv = &w.node::<Echo>(sink).unwrap().received;
         assert_eq!(recv.len(), 1);
         assert_eq!(recv[0].1, 2);
-        assert_eq!(w.stats().drops_loss, 1);
-    }
-
-    #[test]
-    fn directional_loss_spares_reverse_direction() {
-        let mut w = World::new(0);
-        let a = w.add_node(Box::new(Echo::new(true)));
-        let b = w.add_node(Box::new(Echo::new(true)));
-        let wid = w.wire(a, P1, b, P1, LinkParams::ten_gig()).unwrap();
-        // Direction 0 is a→b in wire-endpoint order; kill it entirely.
-        let one_way = FaultProfile {
-            loss_dir: [1.0, 0.0],
-            ..FaultProfile::default()
-        };
-        w.set_fault_profile(wid, one_way);
-        // b echoes toward a (direction 1, clean); a's echo back dies.
-        // b's count of 1 is the injected packet itself.
-        w.inject(SimTime::ZERO, b, P1, data(9, 100));
-        w.run_to_idle(100);
-        assert_eq!(w.node::<Echo>(a).unwrap().received.len(), 1);
-        assert_eq!(w.node::<Echo>(b).unwrap().received.len(), 1);
         assert_eq!(w.stats().drops_loss, 1);
     }
 

@@ -299,7 +299,9 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if its timestamp is ≤ `until`.
     /// Equivalent to a `peek_time` check followed by `pop`, but does the
-    /// cursor advance and bucket sort once instead of twice.
+    /// cursor advance and bucket sort once instead of twice. A
+    /// synchronization window `[now, end)` pops with `until = end − 1 ns`
+    /// (time is whole nanoseconds).
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         let wheel = if self.wheel_len > 0 {
             Some(self.wheel_head())
@@ -314,34 +316,6 @@ impl<E> EventQueue<E> {
             (Some(w), Some(o)) => w.min(o),
         };
         if head.0 > until {
-            return None;
-        }
-        if wheel == Some(head) {
-            Some(self.pop_wheel())
-        } else {
-            Some(self.pop_overflow())
-        }
-    }
-
-    /// Pops the earliest event only if its timestamp is strictly less
-    /// than `end`. This is the synchronization-window pop: a shard
-    /// drains everything in `[now, end)` and leaves events at `end` —
-    /// the earliest instant a not-yet-exchanged cross-shard arrival
-    /// could land on — untouched.
-    pub fn pop_strictly_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        let wheel = if self.wheel_len > 0 {
-            Some(self.wheel_head())
-        } else {
-            None
-        };
-        let over = self.overflow.peek().map(|Reverse((t, s, _))| (*t, *s));
-        let head = match (wheel, over) {
-            (None, None) => return None,
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (Some(w), Some(o)) => w.min(o),
-        };
-        if head.0 >= end {
             return None;
         }
         if wheel == Some(head) {
@@ -619,13 +593,9 @@ mod tests {
                 agree(&q, &model);
             }
             let (at, k) = *model.first().expect("non-empty");
-            let popped = match step % 4 {
+            let popped = match step % 3 {
                 0 => q.pop(),
                 1 => q.pop_before(at),
-                2 => {
-                    assert_eq!(q.pop_strictly_before(at), None);
-                    q.pop_strictly_before(at + SimDuration::from_nanos(1))
-                }
                 _ => {
                     assert_eq!(q.pop_before(t(at.nanos() - 1)), None);
                     q.pop()
@@ -652,30 +622,26 @@ mod tests {
         );
     }
 
+    /// `pop_before(until)` pops exactly the events at or before
+    /// `until`: the bound is inclusive, and one nanosecond less is the
+    /// exclusive window end `run_window` asks for.
     #[test]
     fn pop_before_respects_bound() {
+        let t = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        // (bound, expected pop) in order, over events at 10 and 20 µs.
+        let table = [
+            (t(9_999), None),
+            (t(10_000), Some((t(10_000), "a"))),
+            (t(20_000 - 1), None),
+            (t(20_000), Some((t(20_000), "b"))),
+            (t(u64::MAX), None),
+        ];
         let mut q = EventQueue::new();
-        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-        q.push(t(10), 0, "a");
-        q.push(t(30), 1, "b");
-        assert_eq!(q.pop_before(t(20)), Some((t(10), "a")));
-        assert_eq!(q.pop_before(t(20)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_before(t(30)), Some((t(30), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_strictly_before_excludes_the_bound() {
-        let mut q = EventQueue::new();
-        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-        q.push(t(10), 0, "a");
-        q.push(t(20), 1, "b");
-        assert_eq!(q.pop_strictly_before(t(20)), Some((t(10), "a")));
-        // An event exactly at the window end stays queued.
-        assert_eq!(q.pop_strictly_before(t(20)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_strictly_before(t(21)), Some((t(20), "b")));
+        q.push(t(10_000), 0, "a");
+        q.push(t(20_000), 1, "b");
+        for (bound, want) in table {
+            assert_eq!(q.pop_before(bound), want, "bound {bound:?}");
+        }
         assert!(q.is_empty());
     }
 

@@ -1,29 +1,24 @@
-//! Fault injection: per-link fault profiles and deterministic chaos
-//! plans.
+//! Fault injection: per-wire loss and deterministic chaos plans.
 //!
 //! The engine models a *healthy* fabric by default: wires deliver every
-//! packet they accept, switches never die. Real data centers misbehave —
-//! §7 of the paper evaluates failure handling by killing links, and any
-//! loss-tolerant control plane needs an adversarial substrate to be
-//! tested against. This module supplies that substrate:
+//! packet they accept, switches never die. §7 of the paper evaluates
+//! failure handling by killing links, and a loss-tolerant control plane
+//! needs an adversarial substrate to be tested against. Every fault an
+//! experiment injects is one of four kinds:
 //!
-//! * [`FaultProfile`] — per-wire probabilistic packet loss, bit
-//!   corruption (dropped at delivery: the receiver's FCS check would
-//!   reject the mangled frame anyway), uniform delivery jitter (which
-//!   reorders packets), and bounded-burst drop windows during which the
-//!   wire blackholes everything. Gray-failure shapes extend the basic
-//!   probabilities: asymmetric per-direction loss ([`FaultProfile::
-//!   loss_dir`]), a [`LossRamp`] that degrades the wire progressively,
-//!   and [`CorruptWindow`]s of intermittent bit corruption.
-//! * [`FlapSchedule`] — periodic administrative link down/up cycles.
-//! * [`CrashSchedule`] — switch (or host) crash and optional restart.
-//! * [`PartitionSchedule`] — a network partition: named cells whose
-//!   cross-cell wires all go down for a window, then heal.
-//! * [`ChaosPlan`] — a seeded, fully deterministic bundle of all of the
-//!   above, applied to any [`Engine`] (a [`World`](crate::World) or a
-//!   [`ShardedWorld`](crate::ShardedWorld)) in one call.
+//! * uniform per-wire loss — a wire's fault state is one number, the
+//!   probability that a packet it accepts is lost in flight
+//!   ([`Engine::set_loss`], [`Engine::schedule_loss`]);
+//! * a hard link down/up ([`Engine::schedule_link_state`]);
+//! * [`CrashSchedule`] — a switch (or host) crash and optional restart;
+//! * [`PartitionSchedule`] — named cells whose cross-cell wires all go
+//!   down for a window, then heal.
 //!
-//! Fault randomness draws from a dedicated RNG seeded from
+//! [`ChaosPlan`] is a seeded, fully deterministic bundle of loss, crashes
+//! and partitions, applied to any [`Engine`] (a [`World`](crate::World)
+//! or a [`ShardedWorld`](crate::ShardedWorld)) in one call.
+//!
+//! Loss coin flips draw from a dedicated RNG seeded from
 //! [`ChaosPlan::seed`], *separate* from the world's own RNG: the same
 //! workload under two different chaos seeds sees identical application
 //! behaviour, and replaying a plan reproduces the exact same drops.
@@ -32,169 +27,6 @@ use dumbnet_types::{SimDuration, SimTime};
 
 use crate::engine::Engine;
 use crate::engine::{NodeAddr, WireId};
-
-/// Per-wire fault behaviour. The default profile is fault-free.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultProfile {
-    /// Probability in `[0, 1]` that a packet accepted onto the wire is
-    /// lost in flight.
-    pub loss: f64,
-    /// Probability in `[0, 1]` that a packet is bit-corrupted in
-    /// flight. Corrupted packets are counted separately from plain
-    /// losses and dropped before delivery (the FCS would not verify).
-    pub corrupt: f64,
-    /// Maximum extra delivery delay, drawn uniformly from
-    /// `[0, jitter]` per packet. Because arrival order follows the
-    /// event queue, jitter larger than a packet gap reorders packets.
-    pub jitter: SimDuration,
-    /// Absolute time windows during which the wire drops everything
-    /// (models a flaky transceiver browning out in bursts).
-    pub bursts: Vec<BurstWindow>,
-    /// Additional per-direction loss probability, indexed by the
-    /// engine's wire direction (0 = a→b, 1 = b→a). Models the common
-    /// gray failure where only one direction of an optic degrades;
-    /// added on top of `loss` for packets travelling that way.
-    pub loss_dir: [f64; 2],
-    /// Progressive degradation: loss ramping linearly over a window and
-    /// staying at the final rate afterwards. Added on top of `loss`.
-    pub ramp: Option<LossRamp>,
-    /// Intermittent corruption windows; while one is open its
-    /// probability is added on top of `corrupt` (models a marginal
-    /// transceiver flipping bits in episodes rather than uniformly).
-    pub corrupt_windows: Vec<CorruptWindow>,
-}
-
-impl FaultProfile {
-    /// A profile that only loses packets, with probability `p`.
-    #[must_use]
-    pub fn lossy(p: f64) -> FaultProfile {
-        FaultProfile {
-            loss: p,
-            ..FaultProfile::default()
-        }
-    }
-
-    /// Whether this profile can ever affect a packet.
-    #[must_use]
-    pub fn is_benign(&self) -> bool {
-        self.loss <= 0.0
-            && self.corrupt <= 0.0
-            && self.jitter == SimDuration::ZERO
-            && self.bursts.is_empty()
-            && self.loss_dir[0] <= 0.0
-            && self.loss_dir[1] <= 0.0
-            && self.ramp.is_none()
-            && self.corrupt_windows.is_empty()
-    }
-
-    /// Whether `t` falls inside any burst-drop window.
-    #[must_use]
-    pub fn in_burst(&self, t: SimTime) -> bool {
-        self.bursts
-            .iter()
-            .any(|b| t >= b.start && t < b.start.after(b.duration))
-    }
-
-    /// Effective loss probability for a packet departing at `t` in wire
-    /// direction `dir`: the base rate plus the directional extra plus
-    /// the ramp contribution, clamped to `[0, 1]`. Exactly `loss` when
-    /// no gray shape is configured, so legacy profiles draw the same
-    /// RNG sequence they always did.
-    #[must_use]
-    pub fn loss_at(&self, t: SimTime, dir: usize) -> f64 {
-        let mut p = self.loss + self.loss_dir[dir.min(1)];
-        if let Some(r) = &self.ramp {
-            p += r.rate_at(t);
-        }
-        p.clamp(0.0, 1.0)
-    }
-
-    /// Effective corruption probability at departure time `t`: the base
-    /// rate plus every open corruption window, clamped to `[0, 1]`.
-    /// Exactly `corrupt` when no window is configured.
-    #[must_use]
-    pub fn corrupt_at(&self, t: SimTime) -> f64 {
-        let mut p = self.corrupt;
-        for w in &self.corrupt_windows {
-            if t >= w.start && t < w.start.after(w.duration) {
-                p += w.probability;
-            }
-        }
-        p.clamp(0.0, 1.0)
-    }
-}
-
-/// A linear loss ramp: a link degrading progressively instead of
-/// failing outright. Before `start` it contributes nothing; during
-/// `[start, start + duration)` the contribution interpolates linearly
-/// from `from` to `to`; afterwards it stays at `to` (a degraded optic
-/// does not heal by itself — schedule a profile change to model repair).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossRamp {
-    /// When degradation begins.
-    pub start: SimTime,
-    /// How long the rate takes to reach `to`.
-    pub duration: SimDuration,
-    /// Loss contribution at `start`.
-    pub from: f64,
-    /// Loss contribution at `start + duration` and forever after.
-    pub to: f64,
-}
-
-impl LossRamp {
-    /// The ramp's loss contribution at time `t`.
-    #[must_use]
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        if t < self.start {
-            return 0.0;
-        }
-        let end = self.start.after(self.duration);
-        if t >= end || self.duration == SimDuration::ZERO {
-            return self.to;
-        }
-        let frac = (t - self.start).nanos() as f64 / self.duration.nanos() as f64;
-        self.from + (self.to - self.from) * frac
-    }
-}
-
-/// A bounded window of elevated bit corruption on one wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorruptWindow {
-    /// When the window opens.
-    pub start: SimTime,
-    /// How long it stays open.
-    pub duration: SimDuration,
-    /// Corruption probability added while open.
-    pub probability: f64,
-}
-
-/// A bounded window of total packet loss on one wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstWindow {
-    /// When the burst begins.
-    pub start: SimTime,
-    /// How long it lasts.
-    pub duration: SimDuration,
-}
-
-/// A periodic administrative down/up cycle for one wire.
-///
-/// Cycle `i` takes the wire down at `first_down + i·period` and back up
-/// `down_for` later. Both endpoints get carrier notifications, exactly
-/// as with [`World::schedule_link_state`](crate::World::schedule_link_state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlapSchedule {
-    /// The wire to flap.
-    pub wire: WireId,
-    /// Start of the first down phase.
-    pub first_down: SimTime,
-    /// Length of each down phase. Must be shorter than `period`.
-    pub down_for: SimDuration,
-    /// Distance between successive down phases.
-    pub period: SimDuration,
-    /// Number of down/up cycles.
-    pub cycles: u32,
-}
 
 /// A node crash, with an optional later restart.
 ///
@@ -263,12 +95,10 @@ impl PartitionSchedule {
 /// A complete, deterministic chaos scenario.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
-    /// Seed for the fault RNG (loss/corrupt coin flips, jitter draws).
+    /// Seed for the fault RNG (loss coin flips).
     pub seed: u64,
-    /// Per-wire fault profiles.
-    pub link_faults: Vec<(WireId, FaultProfile)>,
-    /// Link flap schedules.
-    pub flaps: Vec<FlapSchedule>,
+    /// Per-wire loss probabilities.
+    pub link_faults: Vec<(WireId, f64)>,
     /// Node crash schedules.
     pub crashes: Vec<CrashSchedule>,
     /// Partition windows.
@@ -285,16 +115,10 @@ impl ChaosPlan {
         }
     }
 
-    /// Adds a fault profile for `wire` (replacing any previous one).
-    pub fn with_link_fault(mut self, wire: WireId, profile: FaultProfile) -> ChaosPlan {
+    /// Sets `wire`'s loss probability to `p` (replacing any previous one).
+    pub fn with_link_fault(mut self, wire: WireId, p: f64) -> ChaosPlan {
         self.link_faults.retain(|(w, _)| *w != wire);
-        self.link_faults.push((wire, profile));
-        self
-    }
-
-    /// Adds a flap schedule.
-    pub fn with_flap(mut self, flap: FlapSchedule) -> ChaosPlan {
-        self.flaps.push(flap);
+        self.link_faults.push((wire, p));
         self
     }
 
@@ -311,24 +135,15 @@ impl ChaosPlan {
     }
 
     /// Installs the whole plan into `world`: seeds the fault RNG, sets
-    /// the per-wire profiles, and schedules every flap transition and
-    /// crash/restart event. Works on any [`Engine`] — on a sharded
-    /// world every scheduled disruption is mirrored into the affected
-    /// shards with a shared ordering key, so chaos semantics are
-    /// identical at any shard count.
+    /// the per-wire loss, and schedules every crash/restart and
+    /// partition cut/heal. Works on any [`Engine`] — on a sharded world
+    /// every scheduled disruption is mirrored into the affected shards
+    /// with a shared ordering key, so chaos semantics are identical at
+    /// any shard count.
     pub fn apply<E: Engine>(&self, world: &mut E) {
         world.set_fault_seed(self.seed);
-        for (wire, profile) in &self.link_faults {
-            world.set_fault_profile(*wire, profile.clone());
-        }
-        for flap in &self.flaps {
-            for cycle in 0..flap.cycles {
-                let down_at = flap.first_down.after(SimDuration::from_nanos(
-                    flap.period.nanos().saturating_mul(u64::from(cycle)),
-                ));
-                world.schedule_link_state(down_at, flap.wire, false);
-                world.schedule_link_state(down_at.after(flap.down_for), flap.wire, true);
-            }
+        for &(wire, p) in &self.link_faults {
+            world.set_loss(wire, p);
         }
         for crash in &self.crashes {
             world.schedule_crash(crash.at, crash.node);
@@ -345,131 +160,56 @@ impl ChaosPlan {
     }
 
     /// The time of the last scheduled (non-probabilistic) fault event:
-    /// final flap recovery or final crash/restart. Probabilistic loss
-    /// has no end; this marks when the *deterministic* disruptions stop.
+    /// final crash/restart or partition heal. Probabilistic loss has no
+    /// end; this marks when the *deterministic* disruptions stop.
     #[must_use]
     pub fn last_scheduled_event(&self) -> Option<SimTime> {
-        let mut last: Option<SimTime> = None;
-        let mut update = |t: SimTime| {
-            last = Some(match last {
-                Some(cur) if cur >= t => cur,
-                _ => t,
-            });
-        };
-        for flap in &self.flaps {
-            if flap.cycles == 0 {
-                continue;
-            }
-            let last_down = flap.first_down.after(SimDuration::from_nanos(
-                flap.period
-                    .nanos()
-                    .saturating_mul(u64::from(flap.cycles - 1)),
-            ));
-            update(last_down.after(flap.down_for));
-        }
-        for crash in &self.crashes {
-            match crash.restart_after {
-                Some(after) => update(crash.at.after(after)),
-                None => update(crash.at),
-            }
-        }
-        for (_, profile) in &self.link_faults {
-            for b in &profile.bursts {
-                update(b.start.after(b.duration));
-            }
-            if let Some(r) = &profile.ramp {
-                update(r.start.after(r.duration));
-            }
-            for w in &profile.corrupt_windows {
-                update(w.start.after(w.duration));
-            }
-        }
-        for partition in &self.partitions {
-            update(partition.start.after(partition.heal_after));
-        }
-        last
+        let crashes = self
+            .crashes
+            .iter()
+            .map(|c| c.restart_after.map_or(c.at, |after| c.at.after(after)));
+        let heals = self.partitions.iter().map(|p| p.start.after(p.heal_after));
+        crashes.chain(heals).max()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::World;
+    use std::any::Any;
+
+    use proptest::prelude::*;
+
+    use dumbnet_packet::Packet;
+    use dumbnet_types::{Bandwidth, MacAddr, Path, PortNo};
+
+    use crate::engine::{Ctx, LinkParams, LinkStats, Node, World, WorldStats};
+    use crate::shard::ShardedWorld;
+
+    const P1: PortNo = match PortNo::new(1) {
+        Some(p) => p,
+        None => unreachable!(),
+    };
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO.after(SimDuration::from_millis(ms))
     }
 
-    #[test]
-    fn burst_windows_are_half_open() {
-        let p = FaultProfile {
-            bursts: vec![BurstWindow {
-                start: t(10),
-                duration: SimDuration::from_millis(5),
-            }],
-            ..FaultProfile::default()
-        };
-        assert!(!p.in_burst(t(9)));
-        assert!(p.in_burst(t(10)));
-        assert!(p.in_burst(t(14)));
-        assert!(!p.in_burst(t(15)));
-    }
-
-    #[test]
-    fn benign_detection() {
-        assert!(FaultProfile::default().is_benign());
-        assert!(!FaultProfile::lossy(0.01).is_benign());
-        let jitter_only = FaultProfile {
-            jitter: SimDuration::from_micros(1),
-            ..FaultProfile::default()
-        };
-        assert!(!jitter_only.is_benign());
-    }
-
-    #[test]
-    fn last_scheduled_event_covers_flaps_crashes_bursts() {
-        let plan = ChaosPlan::seeded(1)
-            .with_flap(FlapSchedule {
-                wire: WireId::from_raw(0),
-                first_down: t(100),
-                down_for: SimDuration::from_millis(10),
-                period: SimDuration::from_millis(50),
-                cycles: 3,
-            })
-            .with_crash(CrashSchedule {
-                node: NodeAddr(0),
-                at: t(120),
-                restart_after: Some(SimDuration::from_millis(200)),
-            });
-        // Last flap recovery: 100 + 2*50 + 10 = 210 ms; crash restart at
-        // 320 ms wins.
-        assert_eq!(plan.last_scheduled_event(), Some(t(320)));
-        assert_eq!(ChaosPlan::default().last_scheduled_event(), None);
-    }
-
     /// A deaf two-port node for wiring test worlds.
     struct Mute;
-    impl crate::engine::Node for Mute {
-        fn on_packet(
-            &mut self,
-            _ctx: &mut crate::engine::Ctx<'_>,
-            _in_port: dumbnet_types::PortNo,
-            _pkt: dumbnet_packet::Packet,
-        ) {
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
+    impl Node for Mute {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _in_port: PortNo, _pkt: Packet) {}
+        fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }
 
     /// A 4-node line a—b—c—d; returns the world and its three wires.
     fn line_world() -> (World, [WireId; 3], [NodeAddr; 4]) {
-        use crate::engine::LinkParams;
-        let p1 = dumbnet_types::PortNo::new(1).unwrap();
-        let p2 = dumbnet_types::PortNo::new(2).unwrap();
+        let p2 = PortNo::new(2).unwrap();
         let mut w = World::new(0);
         let nodes = [
             w.add_node(Box::new(Mute)),
@@ -478,14 +218,38 @@ mod tests {
             w.add_node(Box::new(Mute)),
         ];
         let wires = [
-            w.wire(nodes[0], p1, nodes[1], p1, LinkParams::ten_gig())
+            w.wire(nodes[0], P1, nodes[1], P1, LinkParams::ten_gig())
                 .unwrap(),
-            w.wire(nodes[1], p2, nodes[2], p1, LinkParams::ten_gig())
+            w.wire(nodes[1], p2, nodes[2], P1, LinkParams::ten_gig())
                 .unwrap(),
-            w.wire(nodes[2], p2, nodes[3], p1, LinkParams::ten_gig())
+            w.wire(nodes[2], p2, nodes[3], P1, LinkParams::ten_gig())
                 .unwrap(),
         ];
         (w, wires, nodes)
+    }
+
+    #[test]
+    fn last_scheduled_event_covers_crashes_and_partitions() {
+        let plan = ChaosPlan::seeded(1)
+            .with_crash(CrashSchedule {
+                node: NodeAddr(0),
+                at: t(120),
+                restart_after: Some(SimDuration::from_millis(200)),
+            })
+            .with_crash(CrashSchedule {
+                node: NodeAddr(1),
+                at: t(400),
+                restart_after: None,
+            })
+            .with_partition(PartitionSchedule {
+                cells: Vec::new(),
+                start: t(100),
+                heal_after: SimDuration::from_millis(250),
+            });
+        // The permanent crash at 400 ms beats the restart at 320 ms and
+        // the heal at 350 ms.
+        assert_eq!(plan.last_scheduled_event(), Some(t(400)));
+        assert_eq!(ChaosPlan::default().last_scheduled_event(), None);
     }
 
     #[test]
@@ -542,94 +306,227 @@ mod tests {
     }
 
     #[test]
-    fn directional_loss_only_hits_one_direction() {
-        let p = FaultProfile {
-            loss_dir: [0.0, 0.3],
-            ..FaultProfile::default()
-        };
-        assert!(!p.is_benign());
-        assert!((p.loss_at(t(0), 0) - 0.0).abs() < f64::EPSILON);
-        assert!((p.loss_at(t(0), 1) - 0.3).abs() < f64::EPSILON);
-        // Legacy uniform loss stays direction-independent.
-        let uniform = FaultProfile::lossy(0.2);
-        assert!((uniform.loss_at(t(5), 0) - 0.2).abs() < f64::EPSILON);
-        assert!((uniform.loss_at(t(5), 1) - 0.2).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn loss_ramp_interpolates_and_saturates() {
-        let p = FaultProfile {
-            ramp: Some(LossRamp {
-                start: t(100),
-                duration: SimDuration::from_millis(100),
-                from: 0.0,
-                to: 0.5,
-            }),
-            ..FaultProfile::default()
-        };
-        assert!(!p.is_benign());
-        assert!((p.loss_at(t(50), 0) - 0.0).abs() < f64::EPSILON);
-        assert!((p.loss_at(t(150), 0) - 0.25).abs() < 1e-9);
-        assert!((p.loss_at(t(200), 0) - 0.5).abs() < f64::EPSILON);
-        assert!((p.loss_at(t(900), 0) - 0.5).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn corrupt_windows_open_and_close() {
-        let p = FaultProfile {
-            corrupt: 0.01,
-            corrupt_windows: vec![CorruptWindow {
-                start: t(10),
-                duration: SimDuration::from_millis(5),
-                probability: 0.4,
-            }],
-            ..FaultProfile::default()
-        };
-        assert!((p.corrupt_at(t(9)) - 0.01).abs() < f64::EPSILON);
-        assert!((p.corrupt_at(t(12)) - 0.41).abs() < 1e-9);
-        assert!((p.corrupt_at(t(15)) - 0.01).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn effective_rates_clamp_to_unit_interval() {
-        let p = FaultProfile {
-            loss: 0.8,
-            loss_dir: [0.8, 0.0],
-            ..FaultProfile::default()
-        };
-        assert!((p.loss_at(t(0), 0) - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn last_scheduled_event_covers_gray_shapes() {
-        let w = WireId::from_raw(0);
-        let plan = ChaosPlan::seeded(1).with_link_fault(
-            w,
-            FaultProfile {
-                ramp: Some(LossRamp {
-                    start: t(10),
-                    duration: SimDuration::from_millis(40),
-                    from: 0.0,
-                    to: 0.3,
-                }),
-                corrupt_windows: vec![CorruptWindow {
-                    start: t(20),
-                    duration: SimDuration::from_millis(15),
-                    probability: 0.2,
-                }],
-                ..FaultProfile::default()
-            },
-        );
-        assert_eq!(plan.last_scheduled_event(), Some(t(50)));
-    }
-
-    #[test]
-    fn with_link_fault_replaces_previous_profile() {
+    fn with_link_fault_replaces_previous_loss() {
         let w = WireId::from_raw(3);
         let plan = ChaosPlan::seeded(0)
-            .with_link_fault(w, FaultProfile::lossy(0.5))
-            .with_link_fault(w, FaultProfile::lossy(0.1));
-        assert_eq!(plan.link_faults.len(), 1);
-        assert!((plan.link_faults[0].1.loss - 0.1).abs() < f64::EPSILON);
+            .with_link_fault(w, 0.5)
+            .with_link_fault(w, 0.1);
+        assert_eq!(plan.link_faults, vec![(w, 0.1)]);
+    }
+
+    /// Sends `total` packets, one per 100 µs; counts what it receives.
+    struct Chatter {
+        total: u64,
+        sent: u64,
+        received: u64,
+        restarts: u32,
+    }
+
+    impl Chatter {
+        fn new(total: u64) -> Chatter {
+            Chatter {
+                total,
+                sent: 0,
+                received: 0,
+                restarts: 0,
+            }
+        }
+    }
+
+    impl Node for Chatter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_micros(100), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: PortNo, _pkt: Packet) {
+            self.received += 1;
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            if self.sent < self.total {
+                self.sent += 1;
+                let pkt = Packet::data(
+                    MacAddr::for_host(0),
+                    MacAddr::for_host(1),
+                    Path::empty(),
+                    0,
+                    self.sent,
+                    100,
+                );
+                ctx.send(P1, pkt);
+                ctx.set_timer(SimDuration::from_micros(100), 0);
+            }
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+            self.restarts += 1;
+            // Resume the send loop: the pre-crash timer is dead.
+            ctx.set_timer(SimDuration::from_micros(100), 0);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Chatter `a` sends `total` packets to a silent chatter `b` over
+    /// one 1 Gbps wire.
+    fn pair(total: u64) -> (World, NodeAddr, NodeAddr, WireId) {
+        let mut w = World::new(7);
+        let a = w.add_node(Box::new(Chatter::new(total)));
+        let b = w.add_node(Box::new(Chatter::new(0)));
+        let params = LinkParams {
+            latency: SimDuration::from_micros(1),
+            bandwidth: Bandwidth::gbps(1),
+            max_queue: SimDuration::from_millis(10),
+            ecn_threshold: None,
+        };
+        let wid = w.wire(a, P1, b, P1, params).unwrap();
+        (w, a, b, wid)
+    }
+
+    #[test]
+    fn injected_loss_rate_tracks_probability() {
+        let (mut w, _a, _b, wid) = pair(10_000);
+        ChaosPlan::seeded(5)
+            .with_link_fault(wid, 0.05)
+            .apply(&mut w);
+        w.run_to_idle(u64::MAX);
+        // 10 000 sends at 5 %: the drop count must track the configured
+        // probability, not just be nonzero (a regression here once hid
+        // behind weaker "> 0" assertions).
+        let drops = w.stats().drops_loss;
+        assert!(
+            (300..700).contains(&drops),
+            "5% of 10k sends should drop ~500, got {drops}"
+        );
+    }
+
+    #[test]
+    fn total_loss_delivers_nothing() {
+        let (mut w, _a, b, wid) = pair(10);
+        ChaosPlan::seeded(3).with_link_fault(wid, 1.0).apply(&mut w);
+        w.run_to_idle(u64::MAX);
+        let ls = w.link_stats(wid);
+        assert_eq!((ls.sent, ls.delivered), (10, 0));
+        assert_eq!(ls.sent, ls.drops_loss);
+        assert_eq!(w.node::<Chatter>(b).unwrap().received, 0);
+    }
+
+    #[test]
+    fn crash_and_restart_are_survivable() {
+        let (mut w, a, b, _wid) = pair(200);
+        // Receiver crashes at 2 ms, back at 5 ms.
+        let plan = ChaosPlan::seeded(0).with_crash(CrashSchedule {
+            node: b,
+            at: t(2),
+            restart_after: Some(SimDuration::from_millis(3)),
+        });
+        assert_eq!(plan.last_scheduled_event(), Some(t(5)));
+        plan.apply(&mut w);
+        w.run_to_idle(u64::MAX);
+        let recv = w.node::<Chatter>(b).unwrap();
+        assert_eq!(recv.restarts, 1);
+        assert!(recv.received > 0);
+        // In-flight and wire-refused drops both show up somewhere.
+        let stats = w.stats();
+        assert!(
+            stats.drops_crashed + stats.drops_down > 0,
+            "crash window dropped nothing"
+        );
+        assert_eq!(w.node::<Chatter>(a).unwrap().sent, 200);
+        assert!(recv.received < 200, "crash window lost packets");
+    }
+
+    #[test]
+    fn same_seed_same_drops() {
+        let run = || {
+            let (mut w, _a, b, wid) = pair(100);
+            ChaosPlan::seeded(99)
+                .with_link_fault(wid, 0.1)
+                .apply(&mut w);
+            w.run_until(t(50));
+            let received = w.node::<Chatter>(b).unwrap().received;
+            (w.stats(), w.link_stats(wid), received)
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// A ring of `n` chatters, each sending `total` packets to its
+    /// successor, node `i` in cell `i`.
+    fn ring<E: Engine>(w: &mut E, n: u32, total: u64) -> Vec<WireId> {
+        let p2 = PortNo::new(2).unwrap();
+        let nodes: Vec<NodeAddr> = (0..n)
+            .map(|c| w.add_node_in_cell(Box::new(Chatter::new(total)), c))
+            .collect();
+        let params = LinkParams {
+            latency: SimDuration::from_micros(3),
+            bandwidth: Bandwidth::gbps(1),
+            max_queue: SimDuration::from_millis(10),
+            ecn_threshold: None,
+        };
+        (0..nodes.len())
+            .map(|i| {
+                let next = nodes[(i + 1) % nodes.len()];
+                w.wire(nodes[i], P1, next, p2, params).unwrap()
+            })
+            .collect()
+    }
+
+    /// Runs the ring under random loss, one crash/restart and one
+    /// partition to idle; returns the global and per-wire counters.
+    fn conserved_run<E: Engine>(
+        mut w: E,
+        loss: &[f64],
+        crash: (u32, u64, u64),
+        cut: (u64, u64),
+    ) -> (WorldStats, Vec<LinkStats>) {
+        let wires = ring(&mut w, 4, 60);
+        let mut plan = ChaosPlan::seeded(13)
+            .with_crash(CrashSchedule {
+                node: NodeAddr(crash.0 as usize),
+                at: SimTime::ZERO.after(SimDuration::from_micros(crash.1)),
+                restart_after: Some(SimDuration::from_micros(crash.2)),
+            })
+            .with_partition(PartitionSchedule {
+                cells: vec![
+                    ("a".into(), vec![NodeAddr(0), NodeAddr(1)]),
+                    ("b".into(), vec![NodeAddr(2), NodeAddr(3)]),
+                ],
+                start: SimTime::ZERO.after(SimDuration::from_micros(cut.0)),
+                heal_after: SimDuration::from_micros(cut.1),
+            });
+        for (&wire, &p) in wires.iter().zip(loss) {
+            plan = plan.with_link_fault(wire, p);
+        }
+        plan.apply(&mut w);
+        w.run_to_idle(u64::MAX);
+        let links = wires.iter().map(|&wire| w.link_stats(wire)).collect();
+        (w.stats(), links)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `LinkStats`' conservation law, exactly: once the engine is
+        /// idle every packet a wire accepted was delivered, lost or
+        /// discarded at a crashed far end, and the global loss counter
+        /// is the sum of the wires'. At 1 and 4 shards alike, and for
+        /// probabilities outside `[0, 1]` too (they clamp).
+        #[test]
+        fn every_accepted_packet_has_one_fate(
+            loss in proptest::collection::vec(-0.5f64..1.5, 4..5),
+            crash in (0u32..4, 0u64..6_000, 1u64..3_000),
+            cut in (0u64..6_000, 1u64..3_000),
+        ) {
+            let one = conserved_run(World::new(5), &loss, crash, cut);
+            let four = conserved_run(ShardedWorld::new(5, 4), &loss, crash, cut);
+            prop_assert_eq!(&one, &four);
+            let (stats, links) = one;
+            for ls in &links {
+                prop_assert_eq!(ls.sent, ls.delivered + ls.drops_loss + ls.drops_crashed);
+            }
+            let lost: u64 = links.iter().map(|ls| ls.drops_loss).sum();
+            prop_assert_eq!(stats.drops_loss, lost);
+        }
     }
 }

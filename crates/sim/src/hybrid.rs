@@ -10,12 +10,10 @@
 //! advance in lockstep and are coupled at the boundary:
 //!
 //! * **Faults flow downward.** Administrative link changes, crash and
-//!   restart events, and fault-profile installs scheduled through the
-//!   [`Engine`] surface are mirrored into flow-edge capacities: a down
-//!   wire (or crashed endpoint) zeroes its edges, a lossy profile scales
-//!   them by the expected goodput `(1−loss)·(1−corrupt)` sampled at the
-//!   instant the profile lands (piecewise-constant approximation of
-//!   time-varying ramps). Controller quarantine patches arrive through
+//!   restart events, and loss changes scheduled through the [`Engine`]
+//!   surface are mirrored into flow-edge capacities: a down wire (or
+//!   crashed endpoint) zeroes its edges, a lossy wire scales them by its
+//!   expected goodput `1 − loss`. Controller quarantine patches arrive through
 //!   [`HybridWorld::set_quarantined`] and also zero their edges, so
 //!   chaos hits both planes consistently.
 //! * **Congestion flows upward.** Whenever a re-solve changes an edge's
@@ -38,7 +36,6 @@ use std::collections::BTreeSet;
 use dumbnet_types::{Bandwidth, SimTime};
 
 use crate::engine::{Engine, NodeAddr, WireId, World, WorldStats};
-use crate::faults::FaultProfile;
 use crate::flowsim::{EdgeId, FlowEvent, FlowId, FlowSim, SolverStats};
 
 /// Counters describing boundary-coupling activity.
@@ -70,7 +67,7 @@ struct EdgeBinding {
     admin_up: bool,
     /// True while either wire endpoint is crashed.
     endpoint_down: bool,
-    /// Goodput scale from the installed fault profile.
+    /// Goodput scale from the wire's loss, `1 − loss`.
     fault_scale: f64,
     /// True while a controller quarantine covers this edge.
     quarantined: bool,
@@ -86,8 +83,8 @@ enum CapEvent {
     WireSync(WireId),
     /// Re-read the crash state of all wires touching one node.
     NodeSync(NodeAddr),
-    /// Install a goodput scale pair (dir 0, dir 1) on a wire's edges.
-    FaultScale(WireId, [f64; 2]),
+    /// Install a goodput scale on both directions of a wire's edges.
+    FaultScale(WireId, f64),
 }
 
 /// The hybrid engine: a flow plane layered over the packet engine `W`.
@@ -95,7 +92,7 @@ enum CapEvent {
 /// Implements [`Engine`] by lending out the inner engine's cells, so
 /// fabric construction, chaos plans and invariant checkers drive it
 /// unmodified; it overrides only the operations the flow plane must
-/// see (execution, admin scheduling, fault installs).
+/// see (execution, admin scheduling, loss changes).
 pub struct HybridWorld<W: Engine = World> {
     inner: W,
     flow: FlowSim,
@@ -313,9 +310,8 @@ impl<W: Engine> HybridWorld<W> {
                     }
                 }
             }
-            CapEvent::FaultScale(wire, scales) => {
+            CapEvent::FaultScale(wire, scale) => {
                 for ix in self.bound_edges(wire) {
-                    let scale = scales[self.edges[ix].dir];
                     if (self.edges[ix].fault_scale - scale).abs() > f64::EPSILON {
                         self.edges[ix].fault_scale = scale;
                         self.apply_effective_capacity(ix);
@@ -368,15 +364,9 @@ impl<W: Engine> HybridWorld<W> {
     }
 }
 
-/// The goodput scale a fault profile imposes on each wire direction,
-/// sampled at `at`.
-fn profile_scales(profile: &FaultProfile, at: SimTime) -> [f64; 2] {
-    let corrupt = profile.corrupt_at(at).clamp(0.0, 1.0);
-    let scale = |dir: usize| {
-        let loss = profile.loss_at(at, dir).clamp(0.0, 1.0);
-        (1.0 - loss) * (1.0 - corrupt)
-    };
-    [scale(0), scale(1)]
+/// The goodput scale loss probability `p` leaves a wire.
+fn goodput(p: f64) -> f64 {
+    1.0 - p.clamp(0.0, 1.0)
 }
 
 impl<W: Engine> Engine for HybridWorld<W> {
@@ -425,18 +415,16 @@ impl<W: Engine> Engine for HybridWorld<W> {
         self.push_cap(at, CapEvent::WireSync(wire));
     }
 
-    fn schedule_fault_profile(&mut self, at: SimTime, wire: WireId, profile: FaultProfile) {
-        let scales = profile_scales(&profile, at);
-        self.inner.schedule_fault_profile(at, wire, profile);
-        self.push_cap(at, CapEvent::FaultScale(wire, scales));
+    fn schedule_loss(&mut self, at: SimTime, wire: WireId, p: f64) {
+        self.inner.schedule_loss(at, wire, p);
+        self.push_cap(at, CapEvent::FaultScale(wire, goodput(p)));
     }
 
-    fn set_fault_profile(&mut self, wire: WireId, profile: FaultProfile) {
+    fn set_loss(&mut self, wire: WireId, p: f64) {
         let now = self.inner.now();
-        let scales = profile_scales(&profile, now);
-        self.inner.set_fault_profile(wire, profile);
+        self.inner.set_loss(wire, p);
         self.sync_flow_to(now);
-        self.apply_cap(&CapEvent::FaultScale(wire, scales));
+        self.apply_cap(&CapEvent::FaultScale(wire, goodput(p)));
         self.refresh_marks();
     }
 }
@@ -544,20 +532,17 @@ mod tests {
         assert_eq!(h.elephant_rate(f).bits_per_sec(), 10_000_000_000);
     });
 
-    on_both_engines!(lossy_profile_scales_capacity, |(mut h, w, e0, e1)| {
+    on_both_engines!(loss_scales_capacity, |(mut h, w, e0, e1)| {
         let f0 = h.start_elephant(vec![e0], u64::MAX / 16);
         let f1 = h.start_elephant(vec![e1], u64::MAX / 16);
-        h.set_fault_profile(w, FaultProfile::lossy(0.25));
+        h.set_loss(w, 0.25);
         assert_eq!(h.elephant_rate(f0).bits_per_sec(), 7_500_000_000);
         assert_eq!(h.elephant_rate(f1).bits_per_sec(), 7_500_000_000);
-        // Direction-selective loss only scales one edge.
-        let one_way = FaultProfile {
-            loss_dir: [0.0, 0.5],
-            ..FaultProfile::default()
-        };
-        h.set_fault_profile(w, one_way);
+        // A scheduled heal restores both directions when it lands.
+        h.schedule_loss(t(1.0), w, 0.0);
+        h.run_until(t(2.0));
         assert_eq!(h.elephant_rate(f0).bits_per_sec(), 10_000_000_000);
-        assert_eq!(h.elephant_rate(f1).bits_per_sec(), 5_000_000_000);
+        assert_eq!(h.elephant_rate(f1).bits_per_sec(), 10_000_000_000);
     });
 
     on_both_engines!(quarantine_zeroes_and_releases, |(mut h, _w, e0, _e1)| {

@@ -18,6 +18,8 @@
 //!   plane, mice and control frames in the packet plane, faults and
 //!   quarantine mirrored downward and ECN pressure mirrored upward over
 //!   the shared wire↔edge mapping.
+//! * [`faults`] — what goes wrong: a wire's loss probability, crashes
+//!   and partitions, bundled into a seeded [`ChaosPlan`].
 //!
 //! Both engines are generic: they know nothing about DumbNet semantics,
 //! only about moving bytes.
@@ -25,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod engine;
 pub mod event;
 pub mod faults;
@@ -33,12 +34,9 @@ pub mod flowsim;
 pub mod hybrid;
 pub mod shard;
 
-pub use chaos::{ChaosReport, ChaosRunner};
 pub use engine::{Ctx, Engine, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
 pub use event::QueueStats;
-pub use faults::{
-    BurstWindow, ChaosPlan, CrashSchedule, FaultProfile, FlapSchedule, PartitionSchedule,
-};
+pub use faults::{ChaosPlan, CrashSchedule, PartitionSchedule};
 pub use flowsim::{EdgeId, FlowEvent, FlowId, FlowSim, SolverStats};
 pub use hybrid::{HybridStats, HybridWorld};
 pub use shard::ShardedWorld;

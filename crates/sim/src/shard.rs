@@ -46,7 +46,7 @@
 //!   world would;
 //! * application randomness is per-node and fault randomness is
 //!   per-(wire, direction), each stream consumed by exactly one shard;
-//! * admin events (crash, restart, link flips, fault-profile changes)
+//! * admin events (crash, restart, link flips, loss changes)
 //!   are mirrored into every shard under one shared key, with exactly
 //!   one copy marked `counted`, so wire state stays consistent
 //!   everywhere while merged counters match the single-world run.
@@ -406,7 +406,7 @@ mod tests {
     use dumbnet_types::{Bandwidth, MacAddr, Path, PortNo};
 
     use crate::engine::{Ctx, LinkParams, Node};
-    use crate::faults::{BurstWindow, ChaosPlan, CrashSchedule, FaultProfile, FlapSchedule};
+    use crate::faults::{ChaosPlan, CrashSchedule};
     use crate::hybrid::HybridWorld;
 
     const P1: PortNo = match PortNo::new(1) {
@@ -542,15 +542,16 @@ mod tests {
         (hub, pingers, wires)
     }
 
-    /// Runs the star scenario under `plan` and digests every observable
-    /// the determinism contract covers: merged stats, per-wire stats,
-    /// node-internal state and the full telemetry snapshot JSON.
+    /// Runs the star scenario (under [`boundary_chaos`] when `chaos`)
+    /// and digests every observable the determinism contract covers:
+    /// merged stats, per-wire stats, node-internal state and the full
+    /// telemetry snapshot JSON.
     fn fingerprint<E: Engine>(
         mut w: E,
         cells: u32,
         latency: SimDuration,
         jitter: bool,
-        plan: Option<&ChaosPlan>,
+        chaos: bool,
         slices: bool,
     ) -> String {
         let (hub, pingers, wires) = build_star(&mut w, cells, latency, jitter);
@@ -558,12 +559,12 @@ mod tests {
             let cell = w.node_cell(NodeAddr(n)) as usize;
             assert!(cell < w.cell_count(), "node {n} recorded in cell {cell}");
         }
-        if let Some(plan) = plan {
-            plan.apply(&mut w);
+        if chaos {
+            boundary_chaos(&mut w, &wires, pingers[1], latency.nanos() / 1_000);
         }
         if slices {
-            // Chaos-runner style: many short run_until calls, so window
-            // state must survive re-entry.
+            // Many short run_until calls, so window state must survive
+            // re-entry.
             let mut now = SimTime::ZERO;
             for _ in 0..20 {
                 now = now.after(SimDuration::from_millis(1));
@@ -589,42 +590,27 @@ mod tests {
         out
     }
 
-    /// The chaos plan used by the boundary tests: loss on one wire, a
-    /// flap and a crash/restart, every admin instant landing exactly on
-    /// a `latency`-multiple — i.e. on synchronization-window boundaries.
-    fn boundary_plan(wires: &[WireId], victim: NodeAddr, latency_us: u64) -> ChaosPlan {
+    /// The chaos of the boundary tests, one of every admin event kind:
+    /// loss on one wire that worsens to total loss mid-run and recovers,
+    /// three down/up flaps of a second wire, and a crash/restart — every
+    /// instant landing exactly on a `latency`-multiple, i.e. on
+    /// synchronization-window boundaries.
+    fn boundary_chaos<E: Engine>(w: &mut E, wires: &[WireId], victim: NodeAddr, latency_us: u64) {
         ChaosPlan::seeded(42)
-            .with_link_fault(
-                wires[0],
-                FaultProfile {
-                    loss: 0.2,
-                    bursts: vec![BurstWindow {
-                        start: t_us(latency_us * 50),
-                        duration: us(latency_us * 10),
-                    }],
-                    ..FaultProfile::default()
-                },
-            )
-            .with_flap(FlapSchedule {
-                wire: wires[1],
-                first_down: t_us(latency_us * 100),
-                down_for: us(latency_us * 20),
-                period: us(latency_us * 60),
-                cycles: 3,
-            })
+            .with_link_fault(wires[0], 0.2)
             .with_crash(CrashSchedule {
                 node: victim,
                 at: t_us(latency_us * 200),
                 restart_after: Some(us(latency_us * 80)),
             })
-    }
-
-    /// Star wiring is identical on every engine, so the plan can be
-    /// described against a throwaway single world.
-    fn plan_for(cells: u32, latency: SimDuration, latency_us: u64) -> ChaosPlan {
-        let mut probe = World::new(11);
-        let (_, pingers, wires) = build_star(&mut probe, cells, latency, false);
-        boundary_plan(&wires, pingers[1], latency_us)
+            .apply(w);
+        w.schedule_loss(t_us(latency_us * 50), wires[0], 1.0);
+        w.schedule_loss(t_us(latency_us * 60), wires[0], 0.2);
+        for cycle in 0..3 {
+            let down = latency_us * (100 + 60 * cycle);
+            w.schedule_link_state(t_us(down), wires[1], false);
+            w.schedule_link_state(t_us(down + latency_us * 20), wires[1], true);
+        }
     }
 
     /// A sharded world that runs its windows on the calling thread.
@@ -641,26 +627,26 @@ mod tests {
     fn assert_engines_agree(
         latency: SimDuration,
         jitter: bool,
-        plan: Option<&ChaosPlan>,
+        chaos: bool,
         slices: bool,
     ) -> String {
-        let want = fingerprint(World::new(11), 4, latency, jitter, plan, slices);
+        let want = fingerprint(World::new(11), 4, latency, jitter, chaos, slices);
         for cells in [1usize, 2, 4, 8] {
-            let got = fingerprint(sequential(11, cells), 4, latency, jitter, plan, slices);
+            let got = fingerprint(sequential(11, cells), 4, latency, jitter, chaos, slices);
             assert_eq!(want, got, "sequential {cells}-shard run diverged");
         }
         let over_world = HybridWorld::new(World::new(11));
-        let got = fingerprint(over_world, 4, latency, jitter, plan, slices);
+        let got = fingerprint(over_world, 4, latency, jitter, chaos, slices);
         assert_eq!(want, got, "hybrid over a plain world diverged");
         let over_shards = HybridWorld::new(sequential(11, 4));
-        let got = fingerprint(over_shards, 4, latency, jitter, plan, slices);
+        let got = fingerprint(over_shards, 4, latency, jitter, chaos, slices);
         assert_eq!(want, got, "hybrid over 4 shards diverged");
         want
     }
 
     #[test]
     fn shard_counts_are_observationally_identical() {
-        assert_engines_agree(us(5), true, None, false);
+        assert_engines_agree(us(5), true, false, false);
     }
 
     #[test]
@@ -669,16 +655,16 @@ mod tests {
         seq.set_parallel(Some(false));
         let mut thr = ShardedWorld::new(7, 4);
         thr.set_parallel(Some(true));
-        let a = fingerprint(seq, 4, us(5), true, None, false);
-        let b = fingerprint(thr, 4, us(5), true, None, false);
+        let a = fingerprint(seq, 4, us(5), true, false, false);
+        let b = fingerprint(thr, 4, us(5), true, false, false);
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_latency_cross_links_fall_back_to_lockstep() {
-        let single = fingerprint(World::new(3), 3, SimDuration::ZERO, true, None, false);
+        let single = fingerprint(World::new(3), 3, SimDuration::ZERO, true, false, false);
         let w = ShardedWorld::new(3, 3);
-        let got = fingerprint(w, 3, SimDuration::ZERO, true, None, false);
+        let got = fingerprint(w, 3, SimDuration::ZERO, true, false, false);
         assert_eq!(single, got);
         // And the engine really did pick the degenerate lookahead.
         let mut probe = ShardedWorld::new(3, 3);
@@ -689,22 +675,20 @@ mod tests {
     #[test]
     fn hub_links_spanning_many_cells_stay_consistent() {
         // 6 cells: the hub's wires reach 5 foreign cells at once.
-        let single = fingerprint(World::new(19), 6, us(3), true, None, false);
+        let single = fingerprint(World::new(19), 6, us(3), true, false, false);
         let mut w = ShardedWorld::new(19, 6);
         w.set_parallel(Some(false));
-        let got = fingerprint(w, 6, us(3), true, None, false);
+        let got = fingerprint(w, 6, us(3), true, false, false);
         assert_eq!(single, got);
     }
 
     #[test]
     fn chaos_on_window_boundaries_is_shard_invariant() {
-        let lat_us = 5;
-        let plan = plan_for(4, us(lat_us), lat_us);
-        let single = assert_engines_agree(us(lat_us), false, Some(&plan), true);
+        let single = assert_engines_agree(us(5), false, true, true);
         // Threaded execution under chaos, too.
         let mut w = ShardedWorld::new(11, 4);
         w.set_parallel(Some(true));
-        let got = fingerprint(w, 4, us(lat_us), false, Some(&plan), true);
+        let got = fingerprint(w, 4, us(5), false, true, true);
         assert_eq!(single, got, "threaded chaos run diverged");
     }
 

@@ -10,7 +10,6 @@
 //! Routing within a graph has one implementation, [`PathGraphRouter`],
 //! whose tie-break is contract: the routes a host caches, and so the
 //! bytes a simulated fabric carries, follow from it.
-//! [`PathGraph::shortest_within`] asks it once;
 //! [`PathGraph::k_shortest_within`] builds it once and asks it per Yen
 //! spur, banning and masking in its scratch instead of cloning the graph.
 
@@ -242,20 +241,6 @@ impl PathGraph {
         self.edges.len()
     }
 
-    /// Shortest route from the source's switch to the destination's
-    /// switch *within the subgraph*, avoiding `down` edges (normalized
-    /// switch pairs; a pair takes every parallel link between the two
-    /// switches with it). Among equally short routes every switch is
-    /// reached from its lowest-`SwitchId` predecessor — see
-    /// [`PathGraphRouter`], which this builds and asks once.
-    ///
-    /// This is what lets a host fail over locally, without contacting the
-    /// controller, when a primary link dies.
-    #[must_use]
-    pub fn shortest_within(&self, down: &HashSet<(SwitchId, SwitchId)>) -> Option<Route> {
-        self.router().shortest(down)
-    }
-
     /// Up to `k` shortest loopless routes within the subgraph, avoiding
     /// `down` edges (small-scale Yen), shortest first and ties in
     /// ascending switch-sequence order. One [`PathGraphRouter`] serves
@@ -430,7 +415,7 @@ impl PathGraph {
 }
 
 /// The one find-path implementation over a cached path graph (see
-/// [`PathGraph::router`]): [`PathGraph::shortest_within`], every spur of
+/// [`PathGraph::router`]): every spur of
 /// [`PathGraph::k_shortest_within`] and [`PathGraphRouter::shortest`]
 /// are this breadth-first search and therefore share its tie-break,
 /// which is contract — cached routes, and so simulated bytes, depend on
@@ -676,6 +661,15 @@ mod tests {
             build(&t, ha, hb, &PathGraphParams::default(), &mut rng),
             Err(DumbNetError::NoRoute { .. })
         ));
+    }
+
+    impl PathGraph {
+        /// Shortest route within the subgraph avoiding `down`, from a
+        /// freshly built router: the reference a reused
+        /// [`PathGraphRouter::shortest`] must match.
+        fn shortest_within(&self, down: &HashSet<(SwitchId, SwitchId)>) -> Option<Route> {
+            self.router().shortest(down)
+        }
     }
 
     #[test]

@@ -332,38 +332,6 @@ impl Path {
         }
     }
 
-    /// The paper's probe construction: the reverse of a port-tag path.
-    ///
-    /// When a host sends a probe out along `p1-p2-…-pn`, a reply can be
-    /// delivered back by reversing the *ingress* ports, which the prober
-    /// tracks separately; this helper merely reverses a tag list and is
-    /// used when the forward and reverse port numbers are known to match
-    /// (e.g. loopback bounce probes).
-    #[must_use]
-    pub fn reversed(&self) -> Path {
-        let n = self.len();
-        if n <= INLINE {
-            let mut buf = [Tag(0); INLINE];
-            for (i, &t) in self.tags().iter().rev().enumerate() {
-                buf[i] = t;
-            }
-            Path {
-                repr: Repr::Inline {
-                    tags: buf,
-                    len: n as u8,
-                    head: 0,
-                },
-            }
-        } else {
-            Path {
-                repr: Repr::Spill {
-                    tags: self.tags().iter().rev().copied().collect(),
-                    head: 0,
-                },
-            }
-        }
-    }
-
     /// Serializes the (remaining) path for the wire: the tags followed
     /// by ø.
     #[must_use]
@@ -544,11 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_reverse() {
+    fn concat_appends() {
         let a = Path::from_ports([1, 2]).unwrap();
         let b = Path::from_ports([3]).unwrap();
         assert_eq!(a.concat(&b).unwrap().to_string(), "1-2-3-ø");
-        assert_eq!(a.reversed().to_string(), "2-1-ø");
     }
 
     #[test]
@@ -595,7 +562,6 @@ mod tests {
         assert_eq!(extended.to_string(), "2-3-9-ø");
         let joined = p.concat(&Path::from_ports([8]).unwrap()).unwrap();
         assert_eq!(joined.to_string(), "2-3-8-ø");
-        assert_eq!(p.reversed().to_string(), "3-2-ø");
     }
 
     #[test]

@@ -17,21 +17,6 @@ pub struct FlowSpec {
     pub bytes: u64,
 }
 
-/// Full bipartite mesh: every host in `senders` streams to every host in
-/// `receivers` (the aggregate leaf-to-leaf throughput experiment pairs
-/// 14 hosts with 14 hosts).
-#[must_use]
-pub fn bipartite(senders: &[HostId], receivers: &[HostId], bytes: u64) -> Vec<FlowSpec> {
-    senders
-        .iter()
-        .flat_map(|&src| {
-            receivers
-                .iter()
-                .filter_map(move |&dst| (src != dst).then_some(FlowSpec { src, dst, bytes }))
-        })
-        .collect()
-}
-
 /// One-to-one pairing: sender `i` streams to receiver `i`.
 ///
 /// # Panics
@@ -54,22 +39,6 @@ mod tests {
 
     fn hosts(range: std::ops::Range<u64>) -> Vec<HostId> {
         range.map(HostId).collect()
-    }
-
-    #[test]
-    fn bipartite_counts() {
-        let a = hosts(0..14);
-        let b = hosts(14..28);
-        let flows = bipartite(&a, &b, 1000);
-        assert_eq!(flows.len(), 14 * 14);
-        assert!(flows.iter().all(|f| f.src.get() < 14 && f.dst.get() >= 14));
-    }
-
-    #[test]
-    fn bipartite_skips_self_flows() {
-        let a = hosts(0..3);
-        let flows = bipartite(&a, &a, 1);
-        assert_eq!(flows.len(), 6);
     }
 
     #[test]

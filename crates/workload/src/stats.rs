@@ -1,4 +1,4 @@
-//! Empirical distributions and summaries.
+//! Empirical distributions.
 
 use dumbnet_types::SimDuration;
 
@@ -59,43 +59,6 @@ impl Cdf {
         let n = self.sorted.partition_point(|&s| s <= x);
         n as f64 / self.sorted.len() as f64
     }
-
-    /// Summary statistics.
-    #[must_use]
-    pub fn summary(&self) -> Option<Summary> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let n = self.sorted.len() as f64;
-        Some(Summary {
-            count: self.sorted.len(),
-            mean: self.sorted.iter().sum::<f64>() / n,
-            min: self.sorted[0],
-            p50: self.quantile(0.50).expect("non-empty"),
-            p95: self.quantile(0.95).expect("non-empty"),
-            p99: self.quantile(0.99).expect("non-empty"),
-            max: *self.sorted.last().expect("non-empty"),
-        })
-    }
-}
-
-/// Summary statistics of a distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
 }
 
 #[cfg(test)]
@@ -120,21 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_fields() {
-        let s = Cdf::new([1.0, 2.0, 3.0]).summary().unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.p50, 2.0);
-    }
-
-    #[test]
     fn empty_and_nan_handling() {
         let c = Cdf::new([f64::NAN]);
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), None);
-        assert!(c.summary().is_none());
     }
 
     #[test]

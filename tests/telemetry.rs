@@ -138,11 +138,8 @@ const METRICS: &[(NodeKind, &str, &[&str])] = &[
             "drops_down",
             "drops_queue",
             "drops_loss",
-            "drops_corrupt",
-            "drops_burst",
             "drops_crashed",
             "ecn_marked",
-            "jittered",
         ],
     ),
     (
