@@ -546,10 +546,10 @@ impl Controller {
     }
 
     /// Warms the route cache with every host-facing pair this controller
-    /// will route to (hellos, heartbeats, patch floods, reply paths),
-    /// fanned out over the [`RouteCache::precompute`] worker pool.
-    /// Per-pair seeding makes the result byte-identical to on-demand
-    /// computation for any worker count.
+    /// will route to (hellos, heartbeats, patch floods, reply paths), in
+    /// one [`RouteCache::precompute`] batch: one fabric scan per distinct
+    /// destination. Per-pair seeding makes the result byte-identical to
+    /// on-demand computation.
     fn precompute_routes(&mut self) {
         let Some(topo) = self.topology.as_ref() else {
             return;
@@ -566,8 +566,7 @@ impl Controller {
                 pairs.push((s, my_sw));
             }
         }
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-        self.route_cache.precompute(topo, &pairs, workers);
+        self.route_cache.precompute(topo, &pairs);
     }
 
     fn send_to(&self, ctx: &mut Ctx<'_>, dst: MacAddr, path: Path, msg: ControlMessage) {

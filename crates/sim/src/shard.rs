@@ -165,6 +165,9 @@ impl ShardedWorld {
     }
 
     /// Whether window execution should use worker threads.
+    // The sharded engine is the one place threads are allowed
+    // (`clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
     fn threaded(&self) -> bool {
         if self.shards.len() < 2 {
             return false;
@@ -261,6 +264,9 @@ impl ShardedWorld {
     /// duration of the run; the coordinator computes window bounds and
     /// routes crossings between barriers. Same window sequence — and
     /// therefore byte-identical results — as the sequential loop.
+    // The sharded engine is the one place threads are allowed
+    // (`clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
     fn run_windows_threaded(
         &mut self,
         lookahead: SimDuration,

@@ -14,13 +14,12 @@
 //!   edges (the wire↔edge mapping shared by the packet and flow planes).
 //! * [`spath`] — BFS/Dijkstra shortest paths with randomized equal-cost
 //!   tie-breaking (§4.3: "randomizes the choice for equal cost links").
-//! * [`ksp`] — Yen's k-shortest loopless paths over a whole
-//!   [`Topology`] (the flowlet-TE example and the benchmark's `ksp4`
-//!   kernel; the host TopoCache extracts its `k` paths inside one cached
-//!   path graph, with [`PathGraph::k_shortest_within`]).
 //! * [`pathgraph`] — the paper's Algorithm 1: primary path, `s`-step
 //!   ε-good local detours, and a backup path computed with inflated
-//!   primary-link costs.
+//!   primary-link costs; and the one find-path engine, which also runs
+//!   Yen's k-shortest loopless paths inside a cached path graph
+//!   ([`PathGraph::k_shortest_within`]) or over a whole [`Topology`]
+//!   ([`k_shortest_routes`]).
 //! * [`partition`] — cell assignment (pod-aware for fat-trees, balanced
 //!   BFS for arbitrary graphs) for the sharded simulation engine.
 //! * [`route`] — switch-level routes and their conversion to port-tag
@@ -34,7 +33,6 @@
 pub mod edgemap;
 pub mod generators;
 pub mod graph;
-pub mod ksp;
 pub mod partition;
 pub mod pathcache;
 pub mod pathgraph;
@@ -44,10 +42,9 @@ pub mod views;
 
 pub use edgemap::{EdgeIx, EdgeKind, EdgeMap};
 pub use graph::{Attachment, HostInfo, Link, SwitchInfo, Topology};
-pub use ksp::k_shortest_routes;
 pub use partition::{assign_cells, CellAssignment};
 pub use pathcache::{RouteCache, RouteCacheStats};
-pub use pathgraph::{PathGraph, PathGraphParams};
+pub use pathgraph::{k_shortest_routes, PathGraph, PathGraphParams};
 pub use route::Route;
 pub use spath::{shortest_route, shortest_route_over, DistanceMap};
 pub use views::TopologyView;

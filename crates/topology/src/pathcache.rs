@@ -4,10 +4,10 @@
 //! fabric, then a descent) for every hello, heartbeat, patch flood, and
 //! path reply — at fat-tree k=20 scale that dominates emulator
 //! wall-clock. The caches here memoize the *routes* per topology
-//! *epoch*; the distance maps behind them are never kept
-//! ([`RouteCache::precompute`] shares one among the pairs of a batch
-//! that end at the same switch and drops it with the batch). Two
-//! invalidation rules:
+//! *epoch*; the distance maps behind them are never kept (a miss scans
+//! once from its destination, and [`RouteCache::precompute`] shares one
+//! scan among the pairs of a batch that end at the same switch; each map
+//! is dropped with its group). Two invalidation rules:
 //!
 //! * **Link down** — surgical: only cached routes that traverse the dead
 //!   edge are evicted ([`RouteCache::invalidate_edge`]). Routes avoiding
@@ -23,8 +23,8 @@
 //! miss* — i.e. on call order. Instead every `(src, dst)` pair derives a
 //! private RNG seed by mixing the cache seed, the epoch, and the pair
 //! ([`RouteCache::pair_seed`]): the cached route equals the on-demand
-//! route no matter when, in what order, or on which worker thread it
-//! was computed. ECMP spreading across *pairs* (and across epochs) is
+//! route no matter when, in what order, or in which batch it was
+//! computed. ECMP spreading across *pairs* (and across epochs) is
 //! preserved; repeated queries of one pair within an epoch are stable —
 //! which is exactly what a cache means.
 
@@ -49,9 +49,6 @@ pub struct RouteCacheStats {
     pub misses: u64,
 }
 
-/// What a batch of route computations yields, ready for the memo.
-type Computed = Vec<((SwitchId, SwitchId), Option<Route>)>;
-
 /// A memo of shortest routes keyed `(src, dst)` within one topology
 /// epoch. `None` values cache unreachability.
 #[derive(Debug, Clone)]
@@ -59,10 +56,8 @@ pub struct RouteCache {
     seed: u64,
     epoch: u64,
     routes: HashMap<(SwitchId, SwitchId), Option<Route>>,
-    /// Cache effectiveness counters (hits, misses) for experiments.
-    pub hits: u64,
-    /// Misses (each one route computation).
-    pub misses: u64,
+    hits: u64,
+    misses: u64,
 }
 
 impl RouteCache {
@@ -118,29 +113,22 @@ impl RouteCache {
         )
     }
 
-    fn compute(&self, topo: &Topology, src: SwitchId, dst: SwitchId) -> Option<Route> {
-        let mut rng = StdRng::seed_from_u64(self.pair_seed(src, dst));
-        spath::shortest_route(topo, src, dst, &mut rng)
-    }
-
-    /// [`RouteCache::compute`] for every pair of a batch, with one
-    /// distance map per distinct destination: the batch is grouped by
-    /// `dst`, each group descends over the same map, and one map is
-    /// alive at a time. Every pair still draws from its own
-    /// [`RouteCache::pair_seed`], so the answers are `compute`'s.
-    fn compute_batch(&self, topo: &Topology, pairs: &[(SwitchId, SwitchId)]) -> Computed {
-        let mut pairs = pairs.to_vec();
+    /// Computes and memoizes the route of every pair in `pairs`, with
+    /// one distance map per distinct destination: the pairs are grouped
+    /// by `dst`, each group descends over the same map, and one map is
+    /// alive at a time. Every pair draws from its own
+    /// [`RouteCache::pair_seed`], and a descent over the map draws as
+    /// [`spath::shortest_route`] does, so grouping changes no answer.
+    fn fill(&mut self, topo: &Topology, pairs: &mut [(SwitchId, SwitchId)]) {
         pairs.sort_unstable_by_key(|&(src, dst)| (dst, src));
-        let mut computed = Vec::with_capacity(pairs.len());
         for group in pairs.chunk_by(|a, b| a.1 == b.1) {
             let to_dst = spath::distances(topo, group[0].1);
             for &(src, dst) in group {
                 let mut rng = StdRng::seed_from_u64(self.pair_seed(src, dst));
                 let route = spath::shortest_route_over(topo, src, &to_dst, &mut rng);
-                computed.push(((src, dst), route));
+                self.routes.insert((src, dst), route);
             }
         }
-        computed
     }
 
     /// The shortest route from `src` to `dst`, memoized. `None` means
@@ -151,9 +139,8 @@ impl RouteCache {
             return cached.clone();
         }
         self.misses += 1;
-        let route = self.compute(topo, src, dst);
-        self.routes.insert((src, dst), route.clone());
-        route
+        self.fill(topo, &mut [(src, dst)]);
+        self.routes[&(src, dst)].clone()
     }
 
     /// Link-recovery invalidation: restored capacity can improve any
@@ -180,45 +167,19 @@ impl RouteCache {
         before - self.routes.len()
     }
 
-    /// Precomputes routes for `pairs` on a `std::thread` worker pool.
-    ///
+    /// Precomputes routes for `pairs`, skipping those already cached.
     /// Because every pair's tie-break RNG is derived from
-    /// [`RouteCache::pair_seed`], the result is identical for any thread
-    /// count (including 1) and any chunk assignment; threads only change
-    /// wall-clock, never answers. Pairs already cached are skipped. Each
-    /// worker scans the fabric once per distinct destination in its
-    /// share, not once per pair.
-    pub fn precompute(&mut self, topo: &Topology, pairs: &[(SwitchId, SwitchId)], threads: usize) {
-        let todo: Vec<(SwitchId, SwitchId)> = pairs
+    /// [`RouteCache::pair_seed`], the result is what on-demand lookups
+    /// would have cached; the batch only scans the fabric once per
+    /// distinct destination instead of once per pair.
+    pub fn precompute(&mut self, topo: &Topology, pairs: &[(SwitchId, SwitchId)]) {
+        let mut todo: Vec<(SwitchId, SwitchId)> = pairs
             .iter()
             .copied()
             .filter(|p| !self.routes.contains_key(p))
             .collect();
-        if todo.is_empty() {
-            return;
-        }
         self.misses += todo.len() as u64;
-        let workers = threads.max(1).min(todo.len());
-        if workers == 1 {
-            let computed = self.compute_batch(topo, &todo);
-            self.routes.extend(computed);
-            return;
-        }
-        let chunk = todo.len().div_ceil(workers);
-        let computed: Vec<Computed> = std::thread::scope(|scope| {
-            let cache = &*self;
-            let handles: Vec<_> = todo
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || cache.compute_batch(topo, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("route worker panicked"))
-                .collect()
-        });
-        for part in computed {
-            self.routes.extend(part);
-        }
+        self.fill(topo, &mut todo);
     }
 }
 
@@ -235,13 +196,13 @@ mod tests {
 
     impl RouteCache {
         /// Precomputes all ordered pairs over `switches`.
-        fn precompute_all_pairs(&mut self, topo: &Topology, switches: &[SwitchId], threads: usize) {
+        fn precompute_all_pairs(&mut self, topo: &Topology, switches: &[SwitchId]) {
             let pairs: Vec<(SwitchId, SwitchId)> = switches
                 .iter()
                 .flat_map(|&a| switches.iter().map(move |&b| (a, b)))
                 .filter(|(a, b)| a != b)
                 .collect();
-            self.precompute(topo, &pairs, threads);
+            self.precompute(topo, &pairs);
         }
     }
 
@@ -274,37 +235,14 @@ mod tests {
         // And a repeat query hits the cache with the same answer.
         let (a, b) = pairs[0];
         assert_eq!(fwd.route(&topo, a, b), forward[0]);
-        assert!(fwd.hits > 0);
-    }
-
-    #[test]
-    fn precompute_matches_on_demand_for_any_thread_count() {
-        let (topo, sw) = testbed();
-        let mut on_demand = RouteCache::new(7);
-        let mut pooled1 = RouteCache::new(7);
-        let mut pooled4 = RouteCache::new(7);
-        pooled1.precompute_all_pairs(&topo, &sw, 1);
-        pooled4.precompute_all_pairs(&topo, &sw, 4);
-        for &a in &sw {
-            for &b in &sw {
-                if a == b {
-                    continue;
-                }
-                let want = on_demand.route(&topo, a, b);
-                assert_eq!(pooled1.route(&topo, a, b), want);
-                assert_eq!(pooled4.route(&topo, a, b), want);
-            }
-        }
-        // Precomputed entries must be hits, not recomputations.
-        assert_eq!(pooled1.hits, pooled4.hits);
-        assert!(pooled1.hits >= (sw.len() * (sw.len() - 1)) as u64);
+        assert!(fwd.stats().hits > 0);
     }
 
     #[test]
     fn precompute_shares_maps_without_changing_routes() {
         // The controller's hello-time batch on the `fabric_mix` shape:
         // its own switch to and from every other host-bearing switch,
-        // so half the pairs end at one switch. 1, 2 and 4 workers.
+        // so half the pairs end at one switch.
         let topo = generators::fat_tree(8, 4, None).topology;
         let mut edge_switches: Vec<SwitchId> = topo.hosts().map(|h| h.attached.switch).collect();
         edge_switches.dedup();
@@ -319,24 +257,22 @@ mod tests {
             .iter()
             .map(|&(a, b)| on_demand.route(&topo, a, b))
             .collect();
-        for workers in [1, 2, 4] {
-            let mut pooled = RouteCache::new(11);
-            pooled.precompute(&topo, &pairs, workers);
-            assert_eq!(pooled.stats().misses, 62);
-            let got: Vec<_> = pairs
-                .iter()
-                .map(|&(a, b)| pooled.route(&topo, a, b))
-                .collect();
-            assert_eq!(got, want, "{workers} workers");
-            assert_eq!(pooled.stats().hits, 62, "precomputed pairs must hit");
-        }
+        let mut batched = RouteCache::new(11);
+        batched.precompute(&topo, &pairs);
+        assert_eq!(batched.stats().misses, 62);
+        let got: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| batched.route(&topo, a, b))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(batched.stats().hits, 62, "precomputed pairs must hit");
     }
 
     #[test]
     fn link_down_evicts_only_crossing_routes() {
         let (mut topo, sw) = testbed();
         let mut cache = RouteCache::new(3);
-        cache.precompute_all_pairs(&topo, &sw, 1);
+        cache.precompute_all_pairs(&topo, &sw);
         let filled = cache.len();
         // Pick an edge some cached route actually uses.
         let used_edge = (0..sw.len())
@@ -385,7 +321,7 @@ mod tests {
     fn link_up_bumps_epoch_and_clears() {
         let (topo, sw) = testbed();
         let mut cache = RouteCache::new(5);
-        cache.precompute_all_pairs(&topo, &sw, 1);
+        cache.precompute_all_pairs(&topo, &sw);
         assert!(!cache.is_empty());
         let seed_before = cache.pair_seed(sw[0], sw[1]);
         cache.bump_epoch();
@@ -417,7 +353,10 @@ mod tests {
         let mut cache = RouteCache::new(9);
         assert!(cache.route(&topo, switches[0], switches[1]).is_none());
         assert!(cache.route(&topo, switches[0], switches[1]).is_none());
-        assert_eq!(cache.misses, 1, "second lookup must hit the None entry");
-        assert_eq!(cache.hits, 1);
+        assert_eq!(
+            cache.stats(),
+            RouteCacheStats { hits: 1, misses: 1 },
+            "second lookup must hit the None entry"
+        );
     }
 }

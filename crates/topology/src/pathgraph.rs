@@ -242,53 +242,13 @@ impl PathGraph {
     }
 
     /// Up to `k` shortest loopless routes within the subgraph, avoiding
-    /// `down` edges (small-scale Yen), shortest first and ties in
-    /// ascending switch-sequence order. One [`PathGraphRouter`] serves
-    /// the first route and every spur.
+    /// `down` edges (small-scale Yen; see [`PathGraphRouter`] for the
+    /// order). One router serves the first route and every spur.
     #[must_use]
     pub fn k_shortest_within(&self, k: usize, down: &HashSet<(SwitchId, SwitchId)>) -> Vec<Route> {
         let mut router = self.router();
         router.seed_down(down);
-        // Routes are node-index sequences until the end: indices follow
-        // `SwitchId` order, so they compare as the switch sequences do.
-        let mut first = Vec::new();
-        if k == 0 || !router.find(router.src, &mut first) {
-            return Vec::new();
-        }
-        let mut seen: HashSet<Vec<u32>> = HashSet::from([first.clone()]);
-        let mut results = vec![first];
-        let mut candidates: BinaryHeap<Reverse<(usize, Vec<u32>)>> = BinaryHeap::new();
-        while results.len() < k {
-            let last = results.last().expect("non-empty");
-            for spur_ix in 0..last.len() - 1 {
-                let (root, spur) = (&last[..spur_ix], last[spur_ix]);
-                // Ban the next hop of every known route sharing this root
-                // and the switches of the root itself, then reroute.
-                router.banned.copy_from_slice(&router.down);
-                for r in results
-                    .iter()
-                    .chain(candidates.iter().map(|Reverse((_, r))| r))
-                {
-                    if r.len() > spur_ix + 1 && r[..=spur_ix] == last[..=spur_ix] {
-                        router.ban_pair(spur, r[spur_ix + 1]);
-                    }
-                }
-                if let Some(&joined) = root.last() {
-                    router.masked[joined as usize] = true;
-                }
-                let mut total = root.to_vec();
-                if router.find(spur, &mut total) && !seen.contains(&total) {
-                    seen.insert(total.clone());
-                    candidates.push(Reverse((total.len(), total)));
-                }
-            }
-            router.masked.fill(false);
-            match candidates.pop() {
-                Some(Reverse((_, next))) => results.push(next),
-                None => break,
-            }
-        }
-        results.iter().map(|r| router.route_of(r)).collect()
+        router.k_shortest(k)
     }
 
     /// Converts a switch-level route from this graph into the tag path a
@@ -352,77 +312,64 @@ impl PathGraph {
     pub fn router(&self) -> PathGraphRouter {
         // Only `edges` and the two attachment switches decide routes;
         // `switches` is the cache-size bookkeeping of Figure 12.
-        let mut nodes: Vec<SwitchId> = self
-            .edges
-            .iter()
-            .flat_map(|e| [e.a.switch, e.b.switch])
-            .chain([self.src.attach.switch, self.dst.attach.switch])
+        let ends = (self.src.attach.switch, self.dst.attach.switch);
+        let pairs = self.edges.iter().map(|e| (e.a.switch, e.b.switch));
+        let mut nodes: Vec<SwitchId> = pairs
+            .clone()
+            .flat_map(|(a, b)| [a, b])
+            .chain([ends.0, ends.1])
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
-        assert!(
-            nodes.len().max(2 * self.edges.len()) < u32::MAX as usize,
-            "path graph outgrew u32 indices"
-        );
-        let index = |s: SwitchId| nodes.binary_search(&s).expect("collected above") as u32;
-        // Both directions of every edge as `(from, to, edge)`, in that
-        // sort order — it is the search's tie-break — by two stable
-        // counting passes over arcs listed in edge order: by `to`, then
-        // by `from`. Every edge end is once a `from` and once a `to`, so
-        // one table of group starts, `first`, serves both passes.
-        let directed: Vec<(u32, u32, u32)> = (0u32..)
-            .zip(&self.edges)
-            .flat_map(|(e, edge)| {
-                let (a, b) = (index(edge.a.switch), index(edge.b.switch));
-                [(a, b, e), (b, a, e)]
-            })
-            .collect();
-        let mut first = vec![0u32; nodes.len() + 1];
-        for &(from, ..) in &directed {
-            first[from as usize + 1] += 1;
-        }
-        for u in 0..nodes.len() {
-            first[u + 1] += first[u];
-        }
-        let mut at = first.clone();
-        let mut by_to = vec![(0, 0, 0); directed.len()];
-        for &arc in &directed {
-            let slot = &mut at[arc.1 as usize];
-            by_to[*slot as usize] = arc;
-            *slot += 1;
-        }
-        at.copy_from_slice(&first);
-        let mut arcs = vec![(0, 0); directed.len()];
-        for &(from, to, e) in &by_to {
-            let slot = &mut at[from as usize];
-            arcs[*slot as usize] = (to, e);
-            *slot += 1;
-        }
-        PathGraphRouter {
-            src: index(self.src.attach.switch),
-            dst: index(self.dst.attach.switch),
-            first,
-            arcs,
-            down: vec![false; self.edges.len()],
-            banned: vec![false; self.edges.len()],
-            masked: vec![false; nodes.len()],
-            dist: vec![u32::MAX; nodes.len()],
-            prev: vec![u32::MAX; nodes.len()],
-            queue: Vec::with_capacity(nodes.len()),
-            nodes,
-        }
+        PathGraphRouter::new(nodes, pairs, ends)
     }
 }
 
-/// The one find-path implementation over a cached path graph (see
-/// [`PathGraph::router`]): every spur of
-/// [`PathGraph::k_shortest_within`] and [`PathGraphRouter::shortest`]
-/// are this breadth-first search and therefore share its tie-break,
-/// which is contract — cached routes, and so simulated bytes, depend on
-/// it: hops cost one; among equally short routes each switch is entered
-/// from its lowest-`SwitchId` predecessor one level closer to the start
-/// (nodes are indexed in `SwitchId` order, so that is the lowest index);
-/// the search stops when the destination pops.
+/// Computes up to `k` shortest loopless switch routes from `src` to
+/// `dst` over the topology's up links, ordered by non-decreasing hop
+/// count: Yen's algorithm on a [`PathGraphRouter`] whose graph is the
+/// whole fabric, so the order is [`PathGraph::k_shortest_within`]'s.
+///
+/// Returns fewer than `k` routes when the graph does not contain that
+/// many distinct simple paths, and an empty vector when `dst` is
+/// unreachable or either ID is not a switch of `topo`.
+///
+/// # Examples
+///
+/// ```
+/// use dumbnet_topology::{generators, k_shortest_routes};
+///
+/// let g = generators::leaf_spine(2, 2, 0, 8);
+/// let leaves = g.group("leaf");
+/// let routes = k_shortest_routes(&g.topology, leaves[0], leaves[1], 4);
+/// // Two spines give exactly two 2-hop paths.
+/// assert_eq!(routes.len(), 2);
+/// assert!(routes.iter().all(|r| r.link_hops() == 2));
+/// ```
+#[must_use]
+pub fn k_shortest_routes(topo: &Topology, src: SwitchId, dst: SwitchId, k: usize) -> Vec<Route> {
+    let n = topo.switch_count();
+    if src.get() as usize >= n || dst.get() as usize >= n {
+        return Vec::new();
+    }
+    let nodes = topo.switches().map(|s| s.id).collect();
+    let up = topo.links().filter(|l| l.up);
+    PathGraphRouter::new(nodes, up.map(|l| (l.a.switch, l.b.switch)), (src, dst)).k_shortest(k)
+}
+
+/// The one find-path implementation, over a cached path graph (see
+/// [`PathGraph::router`]) or a whole fabric ([`k_shortest_routes`]):
+/// [`PathGraphRouter::shortest`] and every route and spur of Yen's
+/// algorithm are this breadth-first search and therefore share its
+/// tie-break, which is contract — cached routes, and so simulated bytes,
+/// depend on it: hops cost one; among equally short routes each switch
+/// is entered from its lowest-`SwitchId` predecessor one level closer to
+/// the start (nodes are indexed in `SwitchId` order, so that is the
+/// lowest index); the search stops when the destination pops.
+///
+/// Yen's route 0 is that search's answer, which need not be the least
+/// switch sequence of its length. Each later route is the least
+/// `(hops, switch sequence)` among the candidates the spurs have found.
 #[derive(Debug, Clone)]
 pub struct PathGraphRouter {
     /// Switches in ascending order; a node's index is its position.
@@ -445,6 +392,68 @@ pub struct PathGraphRouter {
 }
 
 impl PathGraphRouter {
+    /// The router over `nodes` (ascending, holding every end of `edges`
+    /// and both of `ends`) and the switch-pair `edges`, numbered in the
+    /// order listed; routes run from `ends.0` to `ends.1`.
+    fn new(
+        nodes: Vec<SwitchId>,
+        edges: impl Iterator<Item = (SwitchId, SwitchId)>,
+        ends: (SwitchId, SwitchId),
+    ) -> PathGraphRouter {
+        let index = |s: SwitchId| nodes.binary_search(&s).expect("a listed node") as u32;
+        // Both directions of every edge as `(from, to, edge)`, in that
+        // sort order — it is the search's tie-break — by two stable
+        // counting passes over arcs listed in edge order: by `to`, then
+        // by `from`. Every edge end is once a `from` and once a `to`, so
+        // one table of group starts, `first`, serves both passes.
+        let directed: Vec<(u32, u32, u32)> = (0u32..)
+            .zip(edges)
+            .flat_map(|(e, (a, b))| {
+                let (a, b) = (index(a), index(b));
+                [(a, b, e), (b, a, e)]
+            })
+            .collect();
+        assert!(
+            nodes.len().max(directed.len()) < u32::MAX as usize,
+            "path graph outgrew u32 indices"
+        );
+        let mut first = vec![0u32; nodes.len() + 1];
+        for &(from, ..) in &directed {
+            first[from as usize + 1] += 1;
+        }
+        for u in 0..nodes.len() {
+            first[u + 1] += first[u];
+        }
+        let mut at = first.clone();
+        let mut by_to = vec![(0, 0, 0); directed.len()];
+        for &arc in &directed {
+            let slot = &mut at[arc.1 as usize];
+            by_to[*slot as usize] = arc;
+            *slot += 1;
+        }
+        at.copy_from_slice(&first);
+        let mut arcs = vec![(0, 0); directed.len()];
+        for &(from, to, e) in &by_to {
+            let slot = &mut at[from as usize];
+            arcs[*slot as usize] = (to, e);
+            *slot += 1;
+        }
+        let edge_count = directed.len() / 2;
+        PathGraphRouter {
+            src: index(ends.0),
+            dst: index(ends.1),
+            first,
+            arcs,
+            down: vec![false; edge_count],
+            banned: vec![false; edge_count],
+            masked: vec![false; nodes.len()],
+            dist: vec![u32::MAX; nodes.len()],
+            prev: vec![u32::MAX; nodes.len()],
+            queue: Vec::with_capacity(nodes.len()),
+            nodes,
+        }
+    }
+
     /// Finds the shortest route from the cached source switch to the
     /// cached destination switch, avoiding `down` edges.
     #[must_use]
@@ -472,6 +481,52 @@ impl PathGraphRouter {
             let (to, e) = self.arcs[i as usize];
             self.banned[e as usize] |= to == b;
         }
+    }
+
+    /// Up to `k` shortest loopless routes past the edges the last
+    /// [`Self::seed_down`] marked (Yen), banning and masking in this
+    /// router's scratch per spur instead of rebuilding the graph.
+    fn k_shortest(&mut self, k: usize) -> Vec<Route> {
+        // Routes are node-index sequences until the end: indices follow
+        // `SwitchId` order, so they compare as the switch sequences do.
+        let mut first = Vec::new();
+        if k == 0 || !self.find(self.src, &mut first) {
+            return Vec::new();
+        }
+        let mut seen: HashSet<Vec<u32>> = HashSet::from([first.clone()]);
+        let mut results = vec![first];
+        let mut candidates: BinaryHeap<Reverse<(usize, Vec<u32>)>> = BinaryHeap::new();
+        while results.len() < k {
+            let last = results.last().expect("non-empty");
+            for spur_ix in 0..last.len() - 1 {
+                let (root, spur) = (&last[..spur_ix], last[spur_ix]);
+                // Ban the next hop of every known route sharing this root
+                // and the switches of the root itself, then reroute.
+                self.banned.copy_from_slice(&self.down);
+                for r in results
+                    .iter()
+                    .chain(candidates.iter().map(|Reverse((_, r))| r))
+                {
+                    if r.len() > spur_ix + 1 && r[..=spur_ix] == last[..=spur_ix] {
+                        self.ban_pair(spur, r[spur_ix + 1]);
+                    }
+                }
+                if let Some(&joined) = root.last() {
+                    self.masked[joined as usize] = true;
+                }
+                let mut total = root.to_vec();
+                if self.find(spur, &mut total) && !seen.contains(&total) {
+                    seen.insert(total.clone());
+                    candidates.push(Reverse((total.len(), total)));
+                }
+            }
+            self.masked.fill(false);
+            match candidates.pop() {
+                Some(Reverse((_, next))) => results.push(next),
+                None => break,
+            }
+        }
+        results.iter().map(|r| self.route_of(r)).collect()
     }
 
     /// Appends the shortest `from → dst` route, as node indices, to
@@ -529,7 +584,8 @@ impl PathGraphRouter {
 mod tests {
     use super::*;
     use crate::generators::{self, fixtures};
-    use dumbnet_types::norm_edge;
+    use dumbnet_types::{norm_edge, PortNo};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
@@ -1222,5 +1278,366 @@ mod tests {
         bare.edges.clear();
         assert_eq!(bare.shortest_within(&HashSet::new()), None);
         assert_eq!(bare.k_shortest_within(0, &HashSet::new()), []);
+    }
+
+    // `k_shortest_routes`: Yen over a whole topology's up links.
+
+    #[test]
+    fn single_path_graph_returns_one() {
+        let mut t = Topology::new();
+        let a = t.add_switch(4);
+        let b = t.add_switch(4);
+        let c = t.add_switch(4);
+        t.connect_auto(a, b).unwrap();
+        t.connect_auto(b, c).unwrap();
+        let routes = k_shortest_routes(&t, a, c, 5);
+        assert_eq!(routes.len(), 1);
+        assert_eq!(routes[0].switches(), &[a, b, c]);
+    }
+
+    #[test]
+    fn unreachable_returns_empty() {
+        let mut t = Topology::new();
+        let a = t.add_switch(4);
+        let b = t.add_switch(4);
+        assert!(k_shortest_routes(&t, a, b, 3).is_empty());
+        assert!(k_shortest_routes(&t, a, b, 0).is_empty());
+        // IDs that are not switches of the topology.
+        assert!(k_shortest_routes(&t, a, SwitchId(2), 3).is_empty());
+        assert!(k_shortest_routes(&t, SwitchId(9), SwitchId(9), 3).is_empty());
+    }
+
+    #[test]
+    fn routes_are_sorted_simple_and_distinct() {
+        let g = generators::fat_tree(4, 0, None);
+        let e = g.group("edge");
+        let routes = k_shortest_routes(&g.topology, e[0], e[7], 8);
+        assert!(!routes.is_empty());
+        for w in routes.windows(2) {
+            assert!(w[0].link_hops() <= w[1].link_hops());
+        }
+        let set: HashSet<_> = routes.iter().map(|r| r.switches().to_vec()).collect();
+        assert_eq!(set.len(), routes.len(), "duplicates returned");
+        for r in &routes {
+            assert!(r.is_simple(), "{r} has a loop");
+            assert!(r.is_valid_in(&g.topology));
+        }
+    }
+
+    #[test]
+    fn cross_pod_fat_tree_has_four_ecmp_paths() {
+        // k=4: between edges in different pods there are 4 shortest
+        // (4-hop) paths, one per core.
+        let g = generators::fat_tree(4, 0, None);
+        let e = g.group("edge");
+        let routes = k_shortest_routes(&g.topology, e[0], e[7], 4);
+        assert_eq!(routes.len(), 4);
+        assert!(routes.iter().all(|r| r.link_hops() == 4));
+    }
+
+    #[test]
+    fn longer_detours_found_after_ecmp_exhausted() {
+        let g = generators::leaf_spine(2, 3, 0, 8);
+        let leaves = g.group("leaf");
+        let routes = k_shortest_routes(&g.topology, leaves[0], leaves[1], 6);
+        // 2 two-hop paths (via each spine), then 4 four-hop detours
+        // (via the other leaf and both spines in either order).
+        assert!(routes.len() >= 4, "got {}", routes.len());
+        assert_eq!(routes[0].link_hops(), 2);
+        assert_eq!(routes[1].link_hops(), 2);
+        assert!(routes[2].link_hops() >= 4);
+    }
+
+    #[test]
+    fn src_equals_dst() {
+        let mut t = Topology::new();
+        let a = t.add_switch(4);
+        let routes = k_shortest_routes(&t, a, a, 3);
+        assert_eq!(routes.len(), 1);
+        assert_eq!(routes[0].switches(), &[a]);
+    }
+
+    #[test]
+    fn single_switch_fabric_with_k_greater_than_one() {
+        // Regression: the spur loop once computed `0..last.len() - 1`
+        // over a possibly empty route; asking for k > 1 routes between
+        // hosts on the same (single) switch reaches the spur loop with a
+        // one-node path and must not underflow.
+        let mut t = Topology::new();
+        let s = t.add_switch(8);
+        t.add_host_auto(s).unwrap();
+        t.add_host_auto(s).unwrap();
+        for k in 1..=8 {
+            let routes = k_shortest_routes(&t, s, s, k);
+            assert_eq!(routes.len(), 1, "k={k}");
+            assert_eq!(routes[0].switches(), &[s]);
+        }
+    }
+
+    #[test]
+    fn same_leaf_pair_in_leaf_spine() {
+        // Same-leaf src/dst in a real generator topology: the only
+        // simple switch-route is the leaf itself, for any k.
+        let g = generators::leaf_spine(2, 2, 4, 8);
+        let leaves = g.group("leaf");
+        let routes = k_shortest_routes(&g.topology, leaves[0], leaves[0], 4);
+        assert_eq!(routes.len(), 1);
+        assert_eq!(routes[0].switches(), &[leaves[0]]);
+    }
+
+    /// A path graph whose edges are every up link of `topo`, in link
+    /// order, between `src` and `dst`: the whole fabric as one cached
+    /// subgraph.
+    fn whole_fabric(topo: &Topology, src: SwitchId, dst: SwitchId) -> PathGraph {
+        let end = |sw| Endpoint {
+            host: HostId(0),
+            mac: MacAddr::new([2, 0, 0, 0, 0, 0]),
+            attach: PortId::new(sw, PortNo::try_new(1).unwrap()),
+        };
+        PathGraph {
+            src: end(src),
+            dst: end(dst),
+            primary: Route::new(vec![src]).unwrap(),
+            backup: None,
+            switches: topo.switches().map(|s| s.id).collect(),
+            edges: topo
+                .links()
+                .filter(|l| l.up)
+                .map(|l| SubEdge { a: l.a, b: l.b })
+                .collect(),
+        }
+    }
+
+    /// 2–8 switches joined by up to three links per switch, drawn with
+    /// repetition (so parallel links), about 15 % of them down.
+    fn random_fabric(rng: &mut StdRng) -> Topology {
+        let mut t = Topology::new();
+        let n = rng.gen_range(2..=8usize);
+        let s: Vec<SwitchId> = (0..n).map(|_| t.add_switch(32)).collect();
+        for _ in 0..rng.gen_range(0..=3 * n) {
+            let (a, b) = (s[rng.gen_range(0..n)], s[rng.gen_range(0..n)]);
+            if a != b {
+                let link = t.connect_auto(a, b).unwrap();
+                if rng.gen_bool(0.15) {
+                    t.set_link_state(link, false).unwrap();
+                }
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        /// `k_shortest_routes` is Yen over a path graph of the whole
+        /// fabric: route for route what the oracle Yen answers on a
+        /// `PathGraph` holding every up link.
+        #[test]
+        fn k_shortest_routes_is_the_path_graph_yen(
+            seed in 0u64..u64::MAX,
+            k in 1usize..=6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = random_fabric(&mut rng);
+            let n = t.switch_count() as u64;
+            let (a, b) = (SwitchId(rng.gen_range(0..n)), SwitchId(rng.gen_range(0..n)));
+            let pg = whole_fabric(&t, a, b);
+            prop_assert_eq!(
+                k_shortest_routes(&t, a, b, k),
+                oracle_k_shortest_within(&pg, k, &HashSet::new())
+            );
+        }
+    }
+
+    /// Every simple switch path `src → dst` of at most `max_hops` hops
+    /// over `links` (either direction; parallel links and loop-backs add
+    /// no path), shortest first: the brute force Yen is held to.
+    fn simple_paths(
+        links: &[(SwitchId, SwitchId)],
+        src: SwitchId,
+        dst: SwitchId,
+        max_hops: usize,
+    ) -> Vec<Vec<SwitchId>> {
+        fn walk(
+            adj: &BTreeMap<SwitchId, BTreeSet<SwitchId>>,
+            dst: SwitchId,
+            max_hops: usize,
+            path: &mut Vec<SwitchId>,
+            out: &mut Vec<Vec<SwitchId>>,
+        ) {
+            let here = *path.last().expect("starts at src");
+            if here == dst {
+                out.push(path.clone());
+                return;
+            }
+            if path.len() > max_hops {
+                return;
+            }
+            for &next in adj.get(&here).into_iter().flatten() {
+                if !path.contains(&next) {
+                    path.push(next);
+                    walk(adj, dst, max_hops, path, out);
+                    path.pop();
+                }
+            }
+        }
+        let mut adj: BTreeMap<SwitchId, BTreeSet<SwitchId>> = BTreeMap::new();
+        for &(a, b) in links.iter().filter(|(a, b)| a != b) {
+            adj.entry(a).or_default().insert(b);
+            adj.entry(b).or_default().insert(a);
+        }
+        let mut out = Vec::new();
+        walk(&adj, dst, max_hops, &mut vec![src], &mut out);
+        out.sort_by_key(Vec::len);
+        out
+    }
+
+    /// Yen's answer to "`k` routes `src → dst` over `links`" against the
+    /// enumeration: distinct simple paths over those links, the hop
+    /// counts of the enumeration's first `k`, and fewer than `k` only
+    /// when fewer exist. The enumeration stops at the longest route
+    /// returned when `k` came back, so it stays small.
+    fn assert_yen_is_enumeration(
+        routes: &[Route],
+        links: &[(SwitchId, SwitchId)],
+        (src, dst): (SwitchId, SwitchId),
+        k: usize,
+    ) {
+        let bound = match routes.last() {
+            Some(r) if routes.len() == k => r.link_hops(),
+            _ => usize::MAX,
+        };
+        let all = simple_paths(links, src, dst, bound);
+        let got: Vec<&[SwitchId]> = routes.iter().map(Route::switches).collect();
+        let distinct: HashSet<&[SwitchId]> = got.iter().copied().collect();
+        assert_eq!(distinct.len(), got.len(), "{src} → {dst}, k {k}: repeats");
+        for r in &got {
+            assert!(
+                all.iter().any(|p| p == r),
+                "{src} → {dst}: {r:?} is no path"
+            );
+        }
+        // Equal lengths also make "fewer than `k`" mean "fewer exist".
+        let got_hops: Vec<usize> = got.iter().map(|r| r.len()).collect();
+        let all_hops: Vec<usize> = all.iter().take(k).map(Vec::len).collect();
+        assert_eq!(got_hops, all_hops, "{src} → {dst}, k {k}");
+    }
+
+    const KS: [usize; 3] = [1, 3, 8];
+
+    /// Both entry points on `topo` as it is: `k_shortest_routes` for
+    /// every switch pair, and `k_shortest_within` for every `stride`-th
+    /// host pair's path graph with nothing down and with each primary
+    /// link down. Route 0 is always `router().shortest`'s.
+    fn assert_yen_matches_enumeration(topo: &Topology, stride: usize) {
+        let up: Vec<(SwitchId, SwitchId)> = topo
+            .links()
+            .filter(|l| l.up)
+            .map(|l| (l.a.switch, l.b.switch))
+            .collect();
+        for a in topo.switches().map(|s| s.id) {
+            for b in topo.switches().map(|s| s.id) {
+                let shortest = whole_fabric(topo, a, b).router().shortest(&HashSet::new());
+                for k in KS {
+                    let routes = k_shortest_routes(topo, a, b, k);
+                    assert_eq!(routes.first(), shortest.as_ref(), "{a} → {b}");
+                    assert_yen_is_enumeration(&routes, &up, (a, b), k);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for (ha, hb) in host_pairs(topo, stride) {
+            let Ok(pg) = build(topo, ha, hb, &params(2, 2), &mut rng) else {
+                continue;
+            };
+            let ends = (pg.src.attach.switch, pg.dst.attach.switch);
+            let mut downs = vec![HashSet::new()];
+            let p = pg.primary.switches();
+            downs.extend(p.windows(2).map(|w| HashSet::from([norm_edge(w[0], w[1])])));
+            for down in &downs {
+                let links: Vec<(SwitchId, SwitchId)> = pg
+                    .edges
+                    .iter()
+                    .filter(|e| !down.contains(&e.key()))
+                    .map(|e| (e.a.switch, e.b.switch))
+                    .collect();
+                let shortest = pg.router().shortest(down);
+                for k in KS {
+                    let routes = pg.k_shortest_within(k, down);
+                    assert_eq!(routes.first(), shortest.as_ref(), "{ha} → {hb}");
+                    assert_yen_is_enumeration(&routes, &links, ends, k);
+                }
+            }
+        }
+    }
+
+    /// [`assert_yen_matches_enumeration`] on `topo` with every link up,
+    /// then with each `stride`-th link down alone.
+    fn yen_against_enumeration(mut topo: Topology, stride: usize) {
+        let ids: Vec<_> = topo.links().map(|l| l.id).collect();
+        for &id in &ids {
+            topo.set_link_state(id, true).unwrap();
+        }
+        assert_yen_matches_enumeration(&topo, stride);
+        for &id in ids.iter().step_by(stride) {
+            topo.set_link_state(id, false).unwrap();
+            assert_yen_matches_enumeration(&topo, stride);
+            topo.set_link_state(id, true).unwrap();
+        }
+    }
+
+    #[test]
+    fn yen_matches_enumeration_on_the_fixtures() {
+        yen_against_enumeration(fixtures::awkward_line(), 1);
+        yen_against_enumeration(fixtures::degraded_fat_tree(), 5);
+    }
+
+    #[test]
+    fn yen_matches_enumeration_on_the_testbed() {
+        yen_against_enumeration(generators::testbed().topology, 3);
+    }
+
+    #[test]
+    fn yen_matches_enumeration_on_fat_tree_k4() {
+        yen_against_enumeration(generators::fat_tree(4, 2, None).topology, 7);
+    }
+
+    #[test]
+    fn yen_matches_enumeration_on_small_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(28);
+        for n in [4, 6, 8] {
+            let t = generators::random_regular(n, 3, 1, 8, &mut rng).topology;
+            yen_against_enumeration(t, 1);
+        }
+    }
+
+    #[test]
+    fn route_zero_is_the_bfs_answer_not_the_least_sequence() {
+        // S0–S1–S4–S5 is the least 3-hop sequence, but the search enters
+        // S5 from its lowest predecessor one level closer to S0, which
+        // is S3: route 0 is S0→S2→S3→S5. Later routes come in
+        // (hops, sequence) order among Yen's candidates.
+        let mut t = Topology::new();
+        let s = [(); 6].map(|()| t.add_switch(4));
+        for (a, b) in [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 5)] {
+            t.connect_auto(s[a], s[b]).unwrap();
+        }
+        let want = [[0, 2, 3, 5], [0, 1, 4, 5]].map(|r| r.map(|i| s[i]).to_vec());
+        let got: Vec<Vec<SwitchId>> = k_shortest_routes(&t, s[0], s[5], 4)
+            .iter()
+            .map(|r| r.switches().to_vec())
+            .collect();
+        assert_eq!(got, want);
+        let pg = whole_fabric(&t, s[0], s[5]);
+        let within: Vec<Vec<SwitchId>> = pg
+            .k_shortest_within(4, &HashSet::new())
+            .iter()
+            .map(|r| r.switches().to_vec())
+            .collect();
+        assert_eq!(within, want);
+        assert_eq!(
+            pg.router().shortest(&HashSet::new()).unwrap().switches(),
+            want[0]
+        );
     }
 }
