@@ -11,7 +11,7 @@
 //! flowlet-TE extension (§6.2) installs.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dumbnet_packet::control::{LinkEvent, PatchEntry};
@@ -23,6 +23,7 @@ use dumbnet_types::{
     SimDuration, SimTime, SwitchId,
 };
 
+use crate::backlog::Backlog;
 use crate::failure::{
     Edge, Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, CLEAR_THRESHOLD,
 };
@@ -248,8 +249,9 @@ pub struct HostAgent {
     /// All live controllers (primary + standbys) for query spreading.
     controller_group: Vec<(MacAddr, Path)>,
     next_controller: usize,
-    /// Packets waiting for a PathReply, keyed by destination.
-    pending: FastHashMap<MacAddr, VecDeque<Packet>>,
+    /// Packets waiting for a PathReply, keyed by destination; a stream's
+    /// consecutive packets park as one run record.
+    pending: FastHashMap<MacAddr, Backlog>,
     /// Outstanding path requests: request id → (destination, sent time).
     outstanding: FastHashMap<u64, (MacAddr, SimTime)>,
     next_request_id: u64,
@@ -431,7 +433,8 @@ impl HostAgent {
         }
         // Queue and ask the controller.
         self.counters.queued_on_miss.inc();
-        self.pending.entry(dst).or_default().push_back(pkt);
+        let src = self.mac;
+        self.pending.entry(dst).or_default().push(dst, src, pkt);
         self.request_path(ctx, dst);
         self.arm_retry(ctx);
     }
@@ -481,12 +484,13 @@ impl HostAgent {
     }
 
     fn flush_pending(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr) {
-        let Some(queue) = self.pending.remove(&dst) else {
+        let Some(mut backlog) = self.pending.remove(&dst) else {
             return;
         };
-        let mut still_blocked = VecDeque::new();
+        let src = self.mac;
+        let mut still_blocked = Backlog::default();
         let mut released = 0u64;
-        for (ix, mut pkt) in queue.into_iter().enumerate() {
+        for (ix, mut pkt) in std::iter::from_fn(|| backlog.pop(dst, src)).enumerate() {
             let flow = match &pkt.payload {
                 Payload::Data { flow, .. } | Payload::Ip { flow, .. } => FlowKey(*flow),
                 Payload::Control(_) => FlowKey(ix as u64),
@@ -501,7 +505,7 @@ impl HostAgent {
             } else {
                 // Still no route (e.g. the destination's subtree is
                 // partitioned): keep the packet and keep retrying.
-                still_blocked.push_back(pkt);
+                still_blocked.push(dst, src, pkt);
             }
         }
         if !still_blocked.is_empty() {

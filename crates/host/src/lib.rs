@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod agent;
+mod backlog;
 pub mod datapath;
 pub mod failure;
 pub mod pathtable;

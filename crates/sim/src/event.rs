@@ -30,7 +30,9 @@
 //! triples: sorting, mid-bucket inserts, and heap sift operations move
 //! 24-byte entries instead of whole events (a `Packet`-carrying event
 //! is ~10× that). The slab recycles slots through a free list, so the
-//! queue stops allocating once it has seen its high-water mark. What
+//! queue stops allocating once it has seen its high-water mark; a
+//! drained bucket keeps its buffer too, unless a burst grew it past
+//! `RETAINED` entries, and then gives it back. What
 //! keeps a burst (a failure flood re-flooded by every host, pipelined
 //! discovery) from going quadratic on same-bucket memmoves is the
 //! near-tail rule: an in-place insert moves at most `NEAR_TAIL` entries
@@ -55,6 +57,12 @@ const WHEEL: usize = 1 << WHEEL_BITS;
 /// flood's 50 000-entry bucket sends everything deeper to the overflow
 /// heap instead of shifting kilobytes per push.
 const NEAR_TAIL: usize = 32;
+/// A bucket the cursor drains keeps its buffer up to this many entries
+/// (6 KB), so the wheel retains at most `WHEEL` × 6 KB; a larger one,
+/// left by a burst, is given back. The storms' and discovery's buckets
+/// stay under it and never reallocate; a failure flood's do not come
+/// back to their high-water size.
+const RETAINED: usize = 8 * NEAR_TAIL;
 
 /// What the queue did, as plain counters bumped on paths that already
 /// branch. Deliberately *not* in the telemetry registry: which pushes
@@ -76,6 +84,9 @@ pub struct QueueStats {
     pub overflow_pushes: u64,
     /// Longest any bucket was while the cursor was on it.
     pub largest_bucket: u64,
+    /// Drained buckets whose buffer held more than `RETAINED` entries
+    /// and was given back.
+    pub buffers_released: u64,
 }
 
 impl std::ops::AddAssign for QueueStats {
@@ -87,6 +98,7 @@ impl std::ops::AddAssign for QueueStats {
         self.entries_shifted += other.entries_shifted;
         self.overflow_pushes += other.overflow_pushes;
         self.largest_bucket = self.largest_bucket.max(other.largest_bucket);
+        self.buffers_released += other.buffers_released;
     }
 }
 
@@ -108,7 +120,9 @@ struct Bucket {
 /// A time-ordered, insertion-stable event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    wheel: Vec<Bucket>,
+    /// `WHEEL` buckets. A boxed slice: the wheel never grows, and a
+    /// queue sits inline in every shard cell, so its size is heap there.
+    wheel: Box<[Bucket]>,
     /// Virtual index (`nanos >> BUCKET_SHIFT`, unwrapped) of the bucket
     /// the cursor is on; the wheel window is `[base_vb, base_vb+WHEEL)`.
     base_vb: u64,
@@ -267,6 +281,10 @@ impl<E> EventQueue<E> {
     fn pop_wheel(&mut self) -> (SimTime, E) {
         let bucket = &mut self.wheel[slot_of(self.base_vb)];
         let (t, _, slot) = bucket.items.pop_front().expect("non-empty bucket");
+        if bucket.items.is_empty() && bucket.items.capacity() > RETAINED {
+            bucket.items = VecDeque::new();
+            self.stats.buffers_released += 1;
+        }
         self.wheel_len -= 1;
         (t, self.take(slot))
     }
@@ -620,6 +638,35 @@ mod tests {
             s.entries_shifted <= NEAR_TAIL as u64 * s.in_place_inserts,
             "{s:?}"
         );
+        // The flood's buffers were given back: no drained bucket keeps
+        // more than `RETAINED` slots.
+        assert!(s.buffers_released >= 1, "{s:?}");
+        for (ix, bucket) in q.wheel.iter().enumerate() {
+            assert!(bucket.items.capacity() <= RETAINED, "bucket {ix}");
+        }
+    }
+
+    /// A bucket refilled to `RETAINED` entries on every rotation of the
+    /// wheel keeps the buffer it grew on the first one.
+    #[test]
+    fn a_bucket_refilled_within_the_bound_keeps_its_buffer() {
+        const BUCKET: u64 = 1 << BUCKET_SHIFT;
+        let t = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut first = None;
+        for turn in 0..4u64 {
+            let lo = (5 + turn * WHEEL as u64) * BUCKET;
+            for i in 0..RETAINED as u64 {
+                q.push(t(lo + i), i, i);
+            }
+            for i in 0..RETAINED as u64 {
+                assert_eq!(q.pop(), Some((t(lo + i), i)), "turn {turn}");
+            }
+            let capacity = q.wheel[5].items.capacity();
+            assert!(capacity >= RETAINED, "turn {turn}: {capacity}");
+            assert_eq!(*first.get_or_insert(capacity), capacity, "turn {turn}");
+        }
+        assert_eq!(q.stats().buffers_released, 0);
     }
 
     /// `pop_before(until)` pops exactly the events at or before
