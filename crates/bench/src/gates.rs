@@ -255,11 +255,11 @@ pub const GATES: &[Gate] = &[
     ("fig14",               "fig14_incast_mix",         "--quick", Checksum(275_300_932)),
     ("telemetry",           "telemetry_determinism",    "",        Passes),
     ("shards",              "shard_determinism",        "",        Passes),
-    ("dp-fuzz",             "dp_fuzz",    "--quick --check-determinism",   Passes),
-    ("soak",                "chaos_soak", "--seeds 8",                     Passes),
-    ("soak-sharded",        "chaos_soak", "--seeds 8 --shards 4",          SeedLinesOf("soak")),
-    ("soak-hybrid",         "chaos_soak", "--seeds 8 --hybrid",            Passes),
-    ("soak-hybrid-sharded", "chaos_soak", "--seeds 8 --hybrid --shards 4", SeedLinesOf("soak-hybrid")),
+    ("dp-fuzz",             "dp_fuzz",    "--quick --check-determinism",    Passes),
+    ("soak",                "chaos_soak", "--seeds 8",                      Passes),
+    ("soak-sharded",        "chaos_soak", "--seeds 8 --shards 4",           SeedLinesOf("soak")),
+    ("soak-hybrid",         "chaos_soak", "--seeds 24 --hybrid",            Passes),
+    ("soak-hybrid-sharded", "chaos_soak", "--seeds 24 --hybrid --shards 4", SeedLinesOf("soak-hybrid")),
 ];
 
 fn figure(name: &str) -> Result<&'static Figure, Failure> {

@@ -12,13 +12,12 @@
 //! (DESIGN.md §10.3).
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
+use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
@@ -61,12 +60,12 @@ const ELECTION_TTL: u8 = 8;
 /// with the controller's host ID so replicas draw distinct spreads).
 const ROUTE_CACHE_SALT: u64 = 0x0C0A_11E5_0D1D_C0DE;
 
-/// Domain separator for cached path-graph construction randomness.
-const GRAPH_CACHE_SALT: u64 = 0x6A21_B01D_FACE_0FF5;
+/// Domain separator for path-graph construction randomness.
+const GRAPH_SEED_SALT: u64 = 0x6A21_B01D_FACE_0FF5;
 
 /// Derives the seed a path graph for `(src, dst)` is built with at a
 /// given topology version. A pure function of the key — not of query
-/// arrival order — so cache hits and fresh builds are indistinguishable.
+/// arrival order — so a repeated request gets the same graph.
 fn graph_build_seed(salt: u64, version: u64, src: MacAddr, dst: MacAddr) -> u64 {
     fn mac64(m: MacAddr) -> u64 {
         let o = m.octets();
@@ -244,10 +243,6 @@ counter_block! {
     }
 }
 
-/// One memoized path-graph build: the topology version it was built at
-/// and the result (`None` caches "no graph constructible").
-type CachedGraph = (u64, Option<Box<PathGraph>>);
-
 /// The controller node.
 pub struct Controller {
     /// This controller's host identity on the fabric.
@@ -265,7 +260,8 @@ pub struct Controller {
     effects: Vec<Effect>,
     /// Query-service queue horizon.
     busy_until: SimTime,
-    seen_events: HashSet<(SwitchId, PortNo, bool, u64)>,
+    /// Duplicate and stale link-event suppression.
+    alarms: LinkEventFilter,
     hello_sent: bool,
     /// Patch entries learned since the last flood flush, awaiting the
     /// coalescing timer. Flushed as one [`PatchBatch`] per
@@ -274,11 +270,8 @@ pub struct Controller {
     /// Whether the patch-flush timer is armed.
     patch_flush_armed: bool,
     /// Memoized shortest routes for hellos, heartbeats, patch floods and
-    /// reply paths. Invalidation: see [`Controller::invalidate_caches`].
+    /// reply paths. Invalidation: see [`Controller::invalidate_routes`].
     route_cache: RouteCache,
-    /// Memoized path graphs for the query service, validated per entry
-    /// against the topology version they were built at.
-    graph_cache: HashMap<(MacAddr, MacAddr), CachedGraph>,
     /// The gray-failure scoreboard core. Stepped only through
     /// [`Controller::judge`].
     board: GrayBoard,
@@ -335,12 +328,11 @@ impl Controller {
             ),
             effects: Vec::new(),
             busy_until: SimTime::ZERO,
-            seen_events: HashSet::new(),
+            alarms: LinkEventFilter::default(),
             hello_sent: false,
             pending_patch: Vec::new(),
             patch_flush_armed: false,
             route_cache: RouteCache::new(ROUTE_CACHE_SALT ^ id.get()),
-            graph_cache: HashMap::new(),
             board: GrayBoard::default(),
             stats,
             counters: Arc::default(),
@@ -530,12 +522,10 @@ impl Controller {
         hosts.map(|h| h.mac).filter(|&m| m != self.mac).collect()
     }
 
-    /// Applies the cache invalidation rules for a topology delta:
-    /// link-down evicts exactly the routes crossing the dead edge;
+    /// Applies the route cache's invalidation rules for a topology
+    /// delta: link-down evicts exactly the routes crossing the dead edge;
     /// link-up bumps the epoch (restored capacity can improve anything).
-    /// Path graphs are validated against `topo_version` per entry, so
-    /// the version bump the caller performs retires them lazily.
-    fn invalidate_caches(&mut self, delta: &TopoDelta) {
+    fn invalidate_routes(&mut self, delta: &TopoDelta) {
         if delta.up.is_empty() && delta.unquarantine.is_empty() {
             for &(a, b) in delta.down.iter().chain(&delta.quarantine) {
                 self.route_cache.invalidate_edge(a, b);
@@ -678,7 +668,6 @@ impl Controller {
                 self.replica.set_version(1);
                 // A whole-new topology invalidates everything derived.
                 self.route_cache.bump_epoch();
-                self.graph_cache.clear();
                 self.send_hellos(ctx);
             }
             Err(_) => {
@@ -728,17 +717,14 @@ impl Controller {
             }
             self.board.forget(norm_edge(a, b));
         }
-        self.invalidate_caches(delta);
+        self.invalidate_routes(delta);
     }
 
     /// Stage-2 failure handling (§4.2): learn the event, replicate it,
     /// and flood a topology patch to every host after the processing
     /// delay.
     fn handle_link_event(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent) {
-        if !self
-            .seen_events
-            .insert((event.switch, event.port, event.up, event.seq))
-        {
+        if !self.alarms.admit(event) {
             return;
         }
         self.counters.link_events.inc();
@@ -888,20 +874,11 @@ impl Controller {
         self.busy_until = done;
         let delay = done - now;
         let version = self.replica.version();
-        let graph = match self.graph_cache.get(&(src, dst)) {
-            Some((v, g)) if *v == version => g.clone(),
-            _ => {
-                // Miss or stale entry. Build with an RNG derived from the
-                // (version, pair) key — never `ctx.rng()` — so the graph a
-                // requester receives does not depend on which queries the
-                // controller happened to serve earlier.
-                let seed = graph_build_seed(GRAPH_CACHE_SALT ^ self.id.get(), version, src, dst);
-                let built = self.build_graph(seed, src, dst);
-                self.graph_cache
-                    .insert((src, dst), (version, built.clone()));
-                built
-            }
-        };
+        // Build with an RNG derived from the (version, pair) key — never
+        // `ctx.rng()` — so the graph a requester receives does not depend
+        // on which queries the controller happened to serve earlier.
+        let seed = graph_build_seed(GRAPH_SEED_SALT ^ self.id.get(), version, src, dst);
+        let graph = self.build_graph(seed, src, dst);
         let reply = ControlMessage::PathReply {
             request_id,
             graph,
@@ -1195,6 +1172,34 @@ mod tests {
         assert_eq!(delta.up, vec![(link.a, link.b)]);
         c.apply_delta(&delta);
         assert!(c.topology.as_ref().unwrap().link_at(link.a).unwrap().up);
+    }
+
+    #[test]
+    fn down_alarm_older_than_the_ports_up_alarm_changes_nothing() {
+        use dumbnet_sim::{Engine, World};
+        let g = dumbnet_topology::generators::testbed();
+        let link = *g.topology.links().next().unwrap();
+        let cfg = ControllerConfig {
+            preload: Some(g.topology),
+            ..ControllerConfig::default()
+        };
+        let mut world = World::new(11);
+        let addr = world.add_node(Box::new(Controller::new(HostId(0), cfg)));
+        for (ms, up, seq) in [(1, true, 2), (2, false, 1)] {
+            let event = LinkEvent {
+                switch: link.a.switch,
+                port: link.a.port,
+                up,
+                seq,
+            };
+            let msg = ControlMessage::LinkNotification { event, ttl: 0 };
+            let pkt = Packet::control(MacAddr::BROADCAST, MacAddr::default(), Path::empty(), msg);
+            world.inject(SimTime::ZERO + SimDuration::from_millis(ms), addr, NIC, pkt);
+        }
+        world.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        let c = world.node::<Controller>(addr).unwrap();
+        assert!(c.topology.as_ref().unwrap().link_at(link.a).unwrap().up);
+        assert_eq!((c.stats().link_events, c.topo_version()), (1, 1));
     }
 
     // Full controller behaviour (discovery over the wire, path service,

@@ -14,13 +14,13 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dumbnet_packet::control::{LinkEvent, PatchEntry};
+use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
 use dumbnet_types::{
-    norm_edge, DumbNetError, FastHashMap, FastHashSet, HostId, MacAddr, Path, PortNo, Result,
-    SimDuration, SimTime, SwitchId,
+    norm_edge, DumbNetError, FastHashMap, HostId, MacAddr, Path, PortNo, Result, SimDuration,
+    SimTime, SwitchId,
 };
 
 use crate::backlog::Backlog;
@@ -108,8 +108,8 @@ const K_PATHS: usize = 4;
 const PATH_REQUEST_RETRY: SimDuration = SimDuration::from_millis(50);
 
 /// Extra host-flood rounds per link event. Floods are ack-less, so
-/// redundancy is the only defence against loss; receivers dedup on the
-/// event's `(switch, port, up, seq)` epoch (PR 1).
+/// redundancy is the only defence against loss; receivers drop every
+/// copy past the first ([`LinkEventFilter`]).
 const FLOOD_REPEATS: u32 = 2;
 
 /// Spacing between redundant flood rounds (PR 1).
@@ -256,9 +256,9 @@ pub struct HostAgent {
     outstanding: FastHashMap<u64, (MacAddr, SimTime)>,
     next_request_id: u64,
     next_ping_seq: u64,
-    /// Link events already processed (duplicate suppression for the
-    /// longer-than-1s flapping the switch can't suppress).
-    seen_events: FastHashSet<(SwitchId, PortNo, bool, u64)>,
+    /// Duplicate and stale alarm suppression (for the longer-than-1s
+    /// flapping the switch can't suppress).
+    alarms: LinkEventFilter,
     /// Scheduled action progress (for repeating series).
     action_state: Vec<ActionProgress>,
     /// Whether the pending-queue retry sweep is armed.
@@ -332,7 +332,7 @@ impl HostAgent {
             outstanding: FastHashMap::default(),
             next_request_id: 1,
             next_ping_seq: 1,
-            seen_events: FastHashSet::default(),
+            alarms: LinkEventFilter::default(),
             action_state,
             retry_armed: false,
             flood_backlog: Vec::new(),
@@ -516,11 +516,8 @@ impl HostAgent {
 
     /// Stage-1 failure handling on the host (§4.2).
     fn handle_link_event(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent) {
-        if !self
-            .seen_events
-            .insert((event.switch, event.port, event.up, event.seq))
-        {
-            return; // Duplicate alarm suppressed.
+        if !self.alarms.admit(event) {
+            return; // Duplicate or stale alarm suppressed.
         }
         // Stamp the *software-visible* arrival: the packet still crosses
         // the host stack before the agent can act on it.
@@ -533,16 +530,7 @@ impl HostAgent {
                 // resolution can use the edge again.
                 self.topocache.mark_up(a, b);
             } else {
-                let orphaned = self.edge_down(a, b);
-                // Stage 1 only (a stage-2 patch does neither): re-install
-                // what the filtered TopoCache still offers every cached
-                // destination, and re-ask for those left with nothing.
-                for dst in self.pathtable.destinations() {
-                    self.reinstall(dst);
-                }
-                for dst in orphaned {
-                    self.request_path(ctx, dst);
-                }
+                self.edge_down(ctx, a, b);
             }
         }
         self.broadcast_flood(ctx, event);
@@ -585,17 +573,24 @@ impl HostAgent {
     /// Path-probe timer token (distinct from retry/flood/action tokens).
     const PROBE_TOKEN: u64 = u64::MAX - 2;
 
-    /// What "the edge `a`–`b` went hard-down" means to both failure
-    /// stages: the TopoCache stops offering it, cached paths over it
-    /// die, and link state supersedes gray suspicion. Returns the
-    /// destinations left without any path.
-    fn edge_down(&mut self, a: SwitchId, b: SwitchId) -> Vec<MacAddr> {
+    /// What "the edge `a`–`b` went hard-down" means, whichever stage
+    /// says so (an alarm, a host flood or a committed patch): the
+    /// TopoCache stops offering it, cached paths over it die, link state
+    /// supersedes gray suspicion, every cached destination is
+    /// re-installed from what the filtered TopoCache still offers, and
+    /// those left with nothing are re-asked of the controller.
+    fn edge_down(&mut self, ctx: &mut Ctx<'_>, a: SwitchId, b: SwitchId) {
         self.topocache.mark_down(a, b);
         let orphaned = self.pathtable.invalidate_edge(a, b);
         if let Some(gray) = &mut self.gray {
             gray.forget_edge(norm_edge(a, b));
         }
-        orphaned
+        for dst in self.pathtable.destinations() {
+            self.reinstall(dst);
+        }
+        for dst in orphaned {
+            self.request_path(ctx, dst);
+        }
     }
 
     /// Mirrors whether anything — this host's evidence or the
@@ -630,7 +625,7 @@ impl HostAgent {
                 Effect::Apply { epoch, entries } => {
                     self.patch_batch_entries.observe(entries.len() as u64);
                     for entry in entries {
-                        self.apply_patch_entry(ctx.now(), entry);
+                        self.apply_patch_entry(ctx, entry);
                     }
                     self.topocache.topo_version = epoch;
                     self.counters.patch_batches_applied.inc();
@@ -657,13 +652,14 @@ impl HostAgent {
     }
 
     /// Applies one entry of an accepted epoch to the two-level cache.
-    fn apply_patch_entry(&mut self, now: SimTime, entry: PatchEntry) {
+    fn apply_patch_entry(&mut self, ctx: &mut Ctx<'_>, entry: PatchEntry) {
         // Stamp the *software-visible* arrival of each version the batch
         // carried us through (the fig11 stage-2 series).
+        let now = ctx.now();
         let seen = now + self.config.stack_delay;
         self.stats.patch_arrivals.push((entry.version, seen));
         for (a, b) in entry.delta.down {
-            self.edge_down(a, b);
+            self.edge_down(ctx, a, b);
         }
         for (pa, pb) in entry.delta.up {
             self.topocache.mark_up(pa.switch, pb.switch);
@@ -1004,15 +1000,6 @@ mod tests {
         assert!(!paths.is_empty());
         agent.pathtable.install(dst, paths, None);
         assert!(agent.pathtable.lookup(dst, FlowKey(1), None).is_some());
-    }
-
-    #[test]
-    fn duplicate_events_suppressed() {
-        // seen_events dedup is pure state logic; test it directly.
-        let mut agent = HostAgent::new(HostId(0), HostAgentConfig::default());
-        let ev = (SwitchId(1), PortNo::new(2).unwrap(), false, 1u64);
-        assert!(agent.seen_events.insert(ev));
-        assert!(!agent.seen_events.insert(ev));
     }
 
     // Full end-to-end agent behaviour (path requests, failover, pings)

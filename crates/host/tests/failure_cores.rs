@@ -1,20 +1,25 @@
 //! The host's failure-path cores, stepped without a `World`: one valid
 //! fixture and one doctored input per clause, each with the exact
-//! effects expected (DESIGN.md §9.3, §10.2). The last test drives the
+//! effects expected (DESIGN.md §9.3, §10.2). The proptest drives the
 //! adapter too: whatever happens, the PathTable's avoid set is the
-//! detector's `local ∪ controller`.
+//! detector's `local ∪ controller`. The last two drive it on a testbed
+//! host (DESIGN.md §3.3): a committed patch alone leaves the host where
+//! the alarm and the patch do, and a stale alarm changes nothing.
 
+use std::any::Any;
 use std::collections::BTreeSet;
 
 use dumbnet_host::failure::{Edge, Effect, GrayDetector, PatchAcceptor};
 use dumbnet_host::pathtable::{CachedPath, PathTable};
 use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
-use dumbnet_packet::control::{PatchBatch, PatchEntry, TopoDelta};
-use dumbnet_packet::{ControlMessage, Packet};
-use dumbnet_sim::{Engine, World};
-use dumbnet_topology::Route;
+use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
+use dumbnet_packet::{ControlMessage, Packet, Payload};
+use dumbnet_sim::{Ctx, Engine, LinkParams, Node, NodeAddr, World};
+use dumbnet_topology::{generators, pathgraph, Link, PathGraphParams, Route};
 use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn edge(a: u64, b: u64) -> Edge {
     (SwitchId(a), SwitchId(b))
@@ -440,4 +445,167 @@ proptest! {
             prop_assert_eq!(avoided, held);
         }
     }
+}
+
+/// The far end of a host's NIC: keeps the destination of every path
+/// request the host sends.
+#[derive(Default)]
+struct Sink(Vec<MacAddr>);
+
+impl Node for Sink {
+    fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortNo, pkt: Packet) {
+        if let Payload::Control(ControlMessage::PathRequest { dst, .. }) = pkt.payload {
+            self.0.push(dst);
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The controller host 0 is told of.
+const CTRL: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
+
+/// What a host ends with: every cached destination's paths and backup,
+/// and the destinations it asked the controller for.
+type View = (
+    Vec<(MacAddr, Vec<CachedPath>, Option<CachedPath>)>,
+    Vec<MacAddr>,
+);
+
+/// Host 0 of the testbed, its NIC wired to a [`Sink`], its controller
+/// known, with two destinations cached: host 26, whose graph spans both
+/// spines, and host 6, whose graph was built with host 0's leaf cut off
+/// spine 1. `trunk` is host 0's leaf–spine-0 link, which host 6 cannot
+/// do without.
+struct Testbed {
+    world: World,
+    host: NodeAddr,
+    sink: NodeAddr,
+    trunk: Link,
+}
+
+impl Testbed {
+    fn new() -> Testbed {
+        let g = generators::testbed();
+        let topo = &g.topology;
+        let leaf = topo.host(HostId(0)).expect("host 0").attached.switch;
+        let spine = |ix: usize| g.group("spine")[ix];
+        let trunk = *topo.link_between(leaf, spine(0)).expect("trunk");
+        let mut cut = topo.clone();
+        let spare = topo.link_between(leaf, spine(1)).expect("trunk").id;
+        cut.set_link_state(spare, false).expect("link exists");
+        let mut agent = HostAgent::new(HostId(0), HostAgentConfig::default());
+        for (view, dst) in [(topo, 26), (&cut, 6)] {
+            let mut rng = StdRng::seed_from_u64(dst);
+            let params = PathGraphParams::default();
+            let graph = pathgraph::build(view, HostId(0), HostId(dst), &params, &mut rng);
+            let mac = MacAddr::for_host(dst);
+            agent.topocache.integrate(mac, graph.expect("graph"), 1);
+            let (paths, backup) = agent.topocache.k_paths(mac, 4).expect("cached");
+            agent.pathtable.install(mac, paths, backup);
+        }
+        let mut world = World::new(11);
+        let host = world.add_node(Box::new(agent));
+        let sink = world.add_node(Box::<Sink>::default());
+        let nic = PortNo::new(1).expect("valid port");
+        world
+            .wire(host, nic, sink, nic, LinkParams::ten_gig())
+            .expect("wired");
+        let mut testbed = Testbed {
+            world,
+            host,
+            sink,
+            trunk,
+        };
+        let hello = ControlMessage::ControllerHello {
+            controller: CTRL,
+            path_to_controller: Path::from_ports([1]).expect("valid path"),
+            topo_version: 1,
+            standby: false,
+            term: 1,
+        };
+        testbed.inject(0, hello);
+        testbed
+    }
+
+    fn inject(&mut self, at_us: u64, msg: ControlMessage) {
+        let pkt = Packet::control(MacAddr::for_host(0), CTRL, Path::empty(), msg);
+        let at = SimTime::ZERO + SimDuration::from_micros(at_us);
+        let nic = PortNo::new(1).expect("valid port");
+        self.world.inject(at, self.host, nic, pkt);
+    }
+
+    /// One of the trunk's ports announcing `up` with sequence `seq`.
+    fn alarm(&mut self, at_us: u64, up: bool, seq: u64) {
+        let port = self.trunk.a;
+        let event = LinkEvent {
+            switch: port.switch,
+            port: port.port,
+            up,
+            seq,
+        };
+        self.inject(at_us, ControlMessage::LinkNotification { event, ttl: 0 });
+    }
+
+    /// The controller's stage-2 patch taking the trunk down.
+    fn patch(&mut self, at_us: u64) {
+        let delta = down(self.trunk.a.switch.get(), self.trunk.b.switch.get());
+        let batch = PatchBatch::singleton(2, delta, 1);
+        self.inject(at_us, ControlMessage::TopologyPatchBatch(batch));
+    }
+
+    /// Runs 10 ms, then reads every cached destination's PathTable
+    /// entry and the path requests sent.
+    fn settle(mut self) -> View {
+        self.world
+            .run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        let agent = self.world.node::<HostAgent>(self.host).expect("agent");
+        let table = &agent.pathtable;
+        let entries = table.destinations().into_iter().map(|dst| {
+            let entry = table.entry(dst).expect("cached");
+            (dst, entry.paths.clone(), entry.backup.clone())
+        });
+        let entries = entries.collect();
+        let requests = self.world.node::<Sink>(self.sink).expect("sink").0.clone();
+        (entries, requests)
+    }
+}
+
+#[test]
+fn stage_two_alone_leaves_the_host_where_both_stages_do() {
+    // One host hears the switch's alarm and then the committed patch;
+    // the other's flood copies were all lost, so it hears the patch only.
+    let mut both = Testbed::new();
+    both.alarm(1_000, false, 1);
+    both.patch(2_000);
+    let mut patch_only = Testbed::new();
+    patch_only.patch(2_000);
+    let trunk = patch_only.trunk;
+    let (entries, requests) = patch_only.settle();
+    assert_eq!(both.settle(), (entries.clone(), requests.clone()));
+    // Host 26 is re-installed with k = 4 paths that avoid the trunk; host
+    // 6 lost every path, so it left the table and went to the
+    // controller, once.
+    assert_eq!(
+        entries.iter().map(|e| e.0).collect::<Vec<_>>(),
+        [MacAddr::for_host(26)]
+    );
+    let uses_trunk = |p: &CachedPath| p.uses_edge(trunk.a.switch, trunk.b.switch);
+    assert!(entries[0].1.len() == 4 && !entries[0].1.iter().any(uses_trunk));
+    assert_eq!(requests, [MacAddr::for_host(6)]);
+}
+
+#[test]
+fn a_down_alarm_older_than_the_ports_up_alarm_changes_nothing() {
+    let untouched = Testbed::new().settle();
+    let mut reordered = Testbed::new();
+    reordered.alarm(1_000, true, 2);
+    reordered.alarm(2_000, false, 1);
+    assert_eq!(reordered.settle(), untouched);
 }

@@ -22,7 +22,9 @@
 use serde::{Deserialize, Serialize};
 
 use dumbnet_topology::PathGraph;
-use dumbnet_types::{DumbNetError, MacAddr, Path, PortId, PortNo, Result, SimTime, SwitchId};
+use dumbnet_types::{
+    DumbNetError, FastHashMap, MacAddr, Path, PortId, PortNo, Result, SimTime, SwitchId,
+};
 
 /// A link state change, as carried by notifications and patches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,6 +37,28 @@ pub struct LinkEvent {
     pub up: bool,
     /// Per-port sequence number used for duplicate suppression.
     pub seq: u64,
+}
+
+/// Link-event dedup for hosts and controllers (§4.2): the newest `seq`
+/// heard per `(switch, port)`. A switch numbers a port's alarms in one
+/// rising sequence across up and down, so an event at or below the
+/// newest is a duplicate (another flood copy, a repeat round) or a
+/// stale reorder. Memory is one entry per port heard from.
+#[derive(Debug, Clone, Default)]
+pub struct LinkEventFilter {
+    newest: FastHashMap<(SwitchId, PortNo), u64>,
+}
+
+impl LinkEventFilter {
+    /// Whether `event` is news; if so it becomes its port's newest.
+    pub fn admit(&mut self, event: LinkEvent) -> bool {
+        let port = (event.switch, event.port);
+        let news = self.newest.get(&port).is_none_or(|&n| event.seq > n);
+        if news {
+            self.newest.insert(port, event.seq);
+        }
+        news
+    }
 }
 
 /// A batch of topology changes the controller floods in stage 2.
@@ -701,6 +725,32 @@ mod tests {
             echo: Some(Box::new(probe.clone())),
         };
         assert_eq!(with_echo.wire_size(), bare.wire_size() + probe.wire_size());
+    }
+
+    #[test]
+    fn link_event_filter_admits_only_a_ports_newest_seq() {
+        let ev = |p: u8, up: bool, seq: u64| LinkEvent {
+            switch: SwitchId(1),
+            port: PortNo::new(p).unwrap(),
+            up,
+            seq,
+        };
+        let mut filter = LinkEventFilter::default();
+        assert!(filter.admit(ev(2, false, 1)));
+        // Another copy, and the same seq claiming the other state.
+        assert!(!filter.admit(ev(2, false, 1)));
+        assert!(!filter.admit(ev(2, true, 1)));
+        // The next alarm, then the earlier one reordered behind it.
+        assert!(filter.admit(ev(2, true, 3)));
+        assert!(!filter.admit(ev(2, false, 2)));
+        // Every port and every switch keeps its own sequence.
+        assert!(filter.admit(ev(3, false, 1)));
+        let other = LinkEvent {
+            switch: SwitchId(2),
+            ..ev(2, false, 1)
+        };
+        assert!(filter.admit(other));
+        assert!(filter.admit(ev(2, false, 4)));
     }
 
     #[test]

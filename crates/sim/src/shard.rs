@@ -191,23 +191,10 @@ impl ShardedWorld {
         // `until` still run (run_until is inclusive).
         let horizon = until.map(|u| u.after(SimDuration::from_nanos(1)));
         match self.lookahead {
-            _ if self.shards.len() == 1 => {
-                // Degenerate single shard: everything is local; drive
-                // the inner world directly (event-for-event the legacy
-                // engine).
-                let s = &mut self.shards[0];
-                match until {
-                    Some(u) => {
-                        s.run_until(u);
-                    }
-                    None => {
-                        s.run_to_idle(max_events);
-                    }
-                }
-            }
             None => {
-                // No inter-cell wires: the shards are fully
-                // independent, so each can run to its own horizon.
+                // No inter-cell wires (always so for one shard): the
+                // shards are fully independent, so each can run to its
+                // own horizon.
                 let mut budget = max_events;
                 for s in &mut self.shards {
                     match until {
