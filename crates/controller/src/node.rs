@@ -537,9 +537,10 @@ impl Controller {
 
     /// Warms the route cache with every host-facing pair this controller
     /// will route to (hellos, heartbeats, patch floods, reply paths), in
-    /// one [`RouteCache::precompute`] batch: one fabric scan per distinct
-    /// destination. Per-pair seeding makes the result byte-identical to
-    /// on-demand computation.
+    /// one [`RouteCache::precompute`] batch: two fabric scans from this
+    /// controller's switch, one per direction, and a walk back over the
+    /// outbound scan per other switch. Per-pair seeding makes the result
+    /// byte-identical to on-demand computation.
     fn precompute_routes(&mut self) {
         let Some(topo) = self.topology.as_ref() else {
             return;

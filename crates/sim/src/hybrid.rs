@@ -75,6 +75,17 @@ struct EdgeBinding {
     marked: bool,
 }
 
+impl EdgeBinding {
+    /// The effective capacity (see the struct doc).
+    fn capacity(&self) -> Bandwidth {
+        if self.admin_up && !self.endpoint_down && !self.quarantined {
+            Bandwidth::bps((self.nominal.bits_per_sec() as f64 * self.fault_scale) as u64)
+        } else {
+            Bandwidth::ZERO
+        }
+    }
+}
+
 /// A deferred flow-plane capacity update, applied when both planes
 /// reach its timestamp.
 #[derive(Debug, Clone)]
@@ -97,8 +108,8 @@ pub struct HybridWorld<W: Engine = World> {
     inner: W,
     flow: FlowSim,
     edges: Vec<EdgeBinding>,
-    /// Wire → flow edges bound to it.
-    wire_edges: BTreeMap<WireId, Vec<usize>>,
+    /// The flow edges bound to each wire, indexed by [`WireId::raw`].
+    wire_edges: Vec<Vec<usize>>,
     /// Deferred capacity events, time-ordered (same-instant events
     /// apply in registration order).
     pending_caps: BTreeMap<SimTime, Vec<CapEvent>>,
@@ -119,7 +130,7 @@ impl<W: Engine> HybridWorld<W> {
             inner,
             flow: FlowSim::new(),
             edges: Vec::new(),
-            wire_edges: BTreeMap::new(),
+            wire_edges: Vec::new(),
             pending_caps: BTreeMap::new(),
             pending_events: Vec::new(),
             stats: HybridStats::default(),
@@ -144,7 +155,12 @@ impl<W: Engine> HybridWorld<W> {
             marked: false,
         });
         if let Some(w) = wire {
-            self.wire_edges.entry(w).or_default().push(id.0);
+            if self.wire_edges.len() <= w.raw() {
+                // Sized once for every wire the engine has so far.
+                let len = self.inner.wire_count().max(w.raw() + 1);
+                self.wire_edges.resize_with(len, Vec::new);
+            }
+            self.wire_edges[w.raw()].push(id.0);
         }
         id
     }
@@ -281,12 +297,7 @@ impl<W: Engine> HybridWorld<W> {
         match *ev {
             CapEvent::WireSync(wire) => {
                 let up = self.inner.wire_up(wire);
-                for ix in self.bound_edges(wire) {
-                    if self.edges[ix].admin_up != up {
-                        self.edges[ix].admin_up = up;
-                        self.apply_effective_capacity(ix);
-                    }
-                }
+                self.update_bound(wire, |e| std::mem::replace(&mut e.admin_up, up) != up);
             }
             CapEvent::NodeSync(node) => {
                 // A crash forces incident wires down inside the packet
@@ -311,30 +322,39 @@ impl<W: Engine> HybridWorld<W> {
                 }
             }
             CapEvent::FaultScale(wire, scale) => {
-                for ix in self.bound_edges(wire) {
-                    if (self.edges[ix].fault_scale - scale).abs() > f64::EPSILON {
-                        self.edges[ix].fault_scale = scale;
-                        self.apply_effective_capacity(ix);
+                self.update_bound(wire, |e| {
+                    let changed = (e.fault_scale - scale).abs() > f64::EPSILON;
+                    if changed {
+                        e.fault_scale = scale;
                     }
-                }
+                    changed
+                });
             }
         }
     }
 
-    fn bound_edges(&self, wire: WireId) -> Vec<usize> {
-        self.wire_edges.get(&wire).cloned().unwrap_or_default()
+    /// Applies `change` to every flow edge bound to `wire`, in binding
+    /// order, and pushes the effective capacity of each edge it reports
+    /// changed into the flow plane.
+    fn update_bound(&mut self, wire: WireId, mut change: impl FnMut(&mut EdgeBinding) -> bool) {
+        let bound = self
+            .wire_edges
+            .get(wire.raw())
+            .map_or(&[][..], Vec::as_slice);
+        for &ix in bound {
+            let e = &mut self.edges[ix];
+            if change(e) {
+                self.flow.set_capacity(EdgeId(ix), e.capacity());
+                self.stats.cap_events += 1;
+            }
+        }
     }
 
     /// Recomputes one edge's effective capacity and pushes it into the
     /// flow plane.
     fn apply_effective_capacity(&mut self, ix: usize) {
-        let e = &self.edges[ix];
-        let capacity = if e.admin_up && !e.endpoint_down && !e.quarantined {
-            Bandwidth::bps((e.nominal.bits_per_sec() as f64 * e.fault_scale) as u64)
-        } else {
-            Bandwidth::ZERO
-        };
-        self.flow.set_capacity(EdgeId(ix), capacity);
+        self.flow
+            .set_capacity(EdgeId(ix), self.edges[ix].capacity());
         self.stats.cap_events += 1;
     }
 

@@ -14,10 +14,13 @@
 //! `a→b` direction before `b→a`), then hosts in id order (uplink before
 //! downlink). Flow-solver bottleneck tie-breaks resolve by edge index,
 //! so this order must stay stable for byte-identical reports.
+//!
+//! Lookups go through two sorted vectors built once: the directed
+//! trunks in `(from, to)` order, binary-searched, and the hosts in id
+//! order with their uplink's index (the downlink is the next index, the
+//! two being numbered back to back).
 
-use std::collections::BTreeMap;
-
-use dumbnet_types::{HostId, SwitchId};
+use dumbnet_types::{FastHashSet, HostId, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -48,12 +51,10 @@ pub enum EdgeKind {
 /// The canonical wire↔edge mapping of one topology.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeMap {
-    /// Directed trunk edges: (from, to) → index.
-    trunk: BTreeMap<(SwitchId, SwitchId), EdgeIx>,
-    /// Host → uplink edge index.
-    host_up: BTreeMap<HostId, EdgeIx>,
-    /// Host → downlink edge index.
-    host_down: BTreeMap<HostId, EdgeIx>,
+    /// Directed trunk edges and their indices, sorted by `(from, to)`.
+    trunks: Vec<((SwitchId, SwitchId), EdgeIx)>,
+    /// Hosts and their uplink edge indices, sorted by host id.
+    hosts: Vec<(HostId, EdgeIx)>,
     /// Reverse view: index → model element, in enumeration order.
     kinds: Vec<EdgeKind>,
 }
@@ -67,31 +68,32 @@ impl EdgeMap {
     /// pair, mirroring the packet plane's single-wire-per-port model.
     #[must_use]
     pub fn build(topo: &Topology) -> EdgeMap {
-        let mut map = EdgeMap::default();
+        let links = topo.links().filter(|l| l.up).count();
+        let mut kinds = Vec::with_capacity(2 * links + 2 * topo.host_count());
+        let mut trunks = Vec::with_capacity(2 * links);
+        let mut seen = FastHashSet::default();
         for link in topo.links().filter(|l| l.up) {
             let (a, b) = (link.a.switch, link.b.switch);
-            map.intern_trunk(a, b);
-            map.intern_trunk(b, a);
+            for (from, to) in [(a, b), (b, a)] {
+                if seen.insert((from, to)) {
+                    trunks.push(((from, to), EdgeIx(kinds.len())));
+                    kinds.push(EdgeKind::Trunk { from, to });
+                }
+            }
         }
-        for h in topo.hosts() {
-            let up = map.alloc(EdgeKind::HostUp(h.id));
-            map.host_up.insert(h.id, up);
-            let down = map.alloc(EdgeKind::HostDown(h.id));
-            map.host_down.insert(h.id, down);
-        }
-        map
-    }
-
-    fn alloc(&mut self, kind: EdgeKind) -> EdgeIx {
-        let ix = EdgeIx(self.kinds.len());
-        self.kinds.push(kind);
-        ix
-    }
-
-    fn intern_trunk(&mut self, from: SwitchId, to: SwitchId) {
-        if !self.trunk.contains_key(&(from, to)) {
-            let ix = self.alloc(EdgeKind::Trunk { from, to });
-            self.trunk.insert((from, to), ix);
+        trunks.sort_unstable_by_key(|&(pair, _)| pair);
+        let hosts = topo
+            .hosts()
+            .map(|h| {
+                let up = EdgeIx(kinds.len());
+                kinds.extend([EdgeKind::HostUp(h.id), EdgeKind::HostDown(h.id)]);
+                (h.id, up)
+            })
+            .collect();
+        EdgeMap {
+            trunks,
+            hosts,
+            kinds,
         }
     }
 
@@ -120,19 +122,22 @@ impl EdgeMap {
     /// The directed trunk edge `a → b`, if those switches are adjacent.
     #[must_use]
     pub fn trunk(&self, a: SwitchId, b: SwitchId) -> Option<EdgeIx> {
-        self.trunk.get(&(a, b)).copied()
+        let at = self.trunks.binary_search_by_key(&(a, b), |&(pair, _)| pair);
+        at.ok().map(|i| self.trunks[i].1)
     }
 
     /// A host's uplink (host → switch) edge.
     #[must_use]
     pub fn host_up(&self, h: HostId) -> Option<EdgeIx> {
-        self.host_up.get(&h).copied()
+        let at = self.hosts.binary_search_by_key(&h, |&(id, _)| id);
+        at.ok().map(|i| self.hosts[i].1)
     }
 
-    /// A host's downlink (switch → host) edge.
+    /// A host's downlink (switch → host) edge: the one numbered right
+    /// after its uplink.
     #[must_use]
     pub fn host_down(&self, h: HostId) -> Option<EdgeIx> {
-        self.host_down.get(&h).copied()
+        self.host_up(h).map(|EdgeIx(up)| EdgeIx(up + 1))
     }
 
     /// All edges in enumeration order.
@@ -142,7 +147,7 @@ impl EdgeMap {
 
     /// All directed trunk edges, ordered by (from, to).
     pub fn trunks(&self) -> impl Iterator<Item = ((SwitchId, SwitchId), EdgeIx)> + '_ {
-        self.trunk.iter().map(|(&k, &v)| (k, v))
+        self.trunks.iter().copied()
     }
 
     /// The edge path a flow from `src` to `dst` takes along `route`
@@ -166,7 +171,84 @@ impl EdgeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::generators::{
+        self,
+        fixtures::{awkward_line, degraded_fat_tree},
+    };
+    use std::collections::BTreeMap;
+
+    /// The three `BTreeMap`s the sorted vectors replaced, filled the way
+    /// `build` filled them: the oracle of
+    /// `sorted_vectors_answer_as_the_trees_did`.
+    #[derive(Default)]
+    struct TreeOracle {
+        trunk: BTreeMap<(SwitchId, SwitchId), EdgeIx>,
+        host_up: BTreeMap<HostId, EdgeIx>,
+        host_down: BTreeMap<HostId, EdgeIx>,
+        kinds: Vec<EdgeKind>,
+    }
+
+    impl TreeOracle {
+        fn build(topo: &Topology) -> TreeOracle {
+            let mut map = TreeOracle::default();
+            for link in topo.links().filter(|l| l.up) {
+                let (a, b) = (link.a.switch, link.b.switch);
+                for (from, to) in [(a, b), (b, a)] {
+                    if !map.trunk.contains_key(&(from, to)) {
+                        let ix = map.alloc(EdgeKind::Trunk { from, to });
+                        map.trunk.insert((from, to), ix);
+                    }
+                }
+            }
+            for h in topo.hosts() {
+                let up = map.alloc(EdgeKind::HostUp(h.id));
+                map.host_up.insert(h.id, up);
+                let down = map.alloc(EdgeKind::HostDown(h.id));
+                map.host_down.insert(h.id, down);
+            }
+            map
+        }
+
+        fn alloc(&mut self, kind: EdgeKind) -> EdgeIx {
+            self.kinds.push(kind);
+            EdgeIx(self.kinds.len() - 1)
+        }
+    }
+
+    #[test]
+    fn sorted_vectors_answer_as_the_trees_did() {
+        // Parallel links, a loop-back cable and links down at build time
+        // (on the line, also the first of the doubled pair, so its twin
+        // numbers the pair); every switch pair and every host, one past
+        // each table's end included.
+        let mut twin_numbers = awkward_line();
+        let first = twin_numbers.links().next().expect("line has links").id;
+        twin_numbers.set_link_state(first, false).unwrap();
+        let graphs = [
+            generators::testbed().topology,
+            awkward_line(),
+            twin_numbers,
+            degraded_fat_tree(),
+        ];
+        for (g, topo) in graphs.iter().enumerate() {
+            let (map, want) = (EdgeMap::build(topo), TreeOracle::build(topo));
+            let kinds: Vec<EdgeKind> = map.edges().map(|(_, k)| k).collect();
+            assert_eq!(kinds, want.kinds, "graph {g}: enumeration");
+            let trunks: Vec<_> = map.trunks().collect();
+            let want_trunks: Vec<_> = want.trunk.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(trunks, want_trunks, "graph {g}: trunks() order");
+            let switches = (0..=topo.switch_count() as u64).map(SwitchId::new);
+            for a in switches.clone() {
+                for b in switches.clone() {
+                    assert_eq!(map.trunk(a, b), want.trunk.get(&(a, b)).copied());
+                }
+            }
+            for h in (0..=topo.host_count() as u64).map(HostId::new) {
+                assert_eq!(map.host_up(h), want.host_up.get(&h).copied());
+                assert_eq!(map.host_down(h), want.host_down.get(&h).copied());
+            }
+        }
+    }
 
     #[test]
     fn enumeration_covers_links_then_hosts() {

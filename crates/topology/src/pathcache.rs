@@ -6,8 +6,9 @@
 //! wall-clock. The caches here memoize the *routes* per topology
 //! *epoch*; the distance maps behind them are never kept (a miss scans
 //! once from its destination, and [`RouteCache::precompute`] shares one
-//! scan among the pairs of a batch that end at the same switch; each map
-//! is dropped with its group). Two invalidation rules:
+//! scan among the pairs of a batch that end at the same switch, or that
+//! start at the same switch and walk it back with [`spath::toward`];
+//! each map is dropped with its group). Two invalidation rules:
 //!
 //! * **Link down** — surgical: only cached routes that traverse the dead
 //!   edge are evicted ([`RouteCache::invalidate_edge`]). Routes avoiding
@@ -33,7 +34,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_types::{mix64, SwitchId};
+use dumbnet_types::{mix64, FastHashMap, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -116,19 +117,39 @@ impl RouteCache {
     /// Computes and memoizes the route of every pair in `pairs`, with
     /// one distance map per distinct destination: the pairs are grouped
     /// by `dst`, each group descends over the same map, and one map is
-    /// alive at a time. Every pair draws from its own
-    /// [`RouteCache::pair_seed`], and a descent over the map draws as
-    /// [`spath::shortest_route`] does, so grouping changes no answer.
-    fn fill(&mut self, topo: &Topology, pairs: &mut [(SwitchId, SwitchId)]) {
+    /// alive at a time.
+    fn fill_by_dst(&mut self, topo: &Topology, pairs: &mut [(SwitchId, SwitchId)]) {
         pairs.sort_unstable_by_key(|&(src, dst)| (dst, src));
         for group in pairs.chunk_by(|a, b| a.1 == b.1) {
             let to_dst = spath::distances(topo, group[0].1);
-            for &(src, dst) in group {
-                let mut rng = StdRng::seed_from_u64(self.pair_seed(src, dst));
-                let route = spath::shortest_route_over(topo, src, &to_dst, &mut rng);
-                self.routes.insert((src, dst), route);
+            for &(src, _) in group {
+                self.memoize(topo, src, &to_dst);
             }
         }
+    }
+
+    /// [`RouteCache::fill_by_dst`] for pairs that share a source
+    /// instead: one scan from each distinct `src`, and per pair a
+    /// [`spath::toward`] walk back from `dst` over it.
+    fn fill_by_src(&mut self, topo: &Topology, pairs: &mut [(SwitchId, SwitchId)]) {
+        pairs.sort_unstable();
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let from_src = spath::distances(topo, group[0].0);
+            for &(src, dst) in group {
+                self.memoize(topo, src, &spath::toward(topo, &from_src, dst));
+            }
+        }
+    }
+
+    /// Memoizes the route from `src` to `to_dst.source()`. The pair
+    /// draws from its own [`RouteCache::pair_seed`], and a descent over
+    /// either kind of map draws as [`spath::shortest_route`] does, so
+    /// how a batch is grouped changes no answer.
+    fn memoize(&mut self, topo: &Topology, src: SwitchId, to_dst: &spath::DistanceMap) {
+        let dst = to_dst.source();
+        let mut rng = StdRng::seed_from_u64(self.pair_seed(src, dst));
+        let route = spath::shortest_route_over(topo, src, to_dst, &mut rng);
+        self.routes.insert((src, dst), route);
     }
 
     /// The shortest route from `src` to `dst`, memoized. `None` means
@@ -139,7 +160,7 @@ impl RouteCache {
             return cached.clone();
         }
         self.misses += 1;
-        self.fill(topo, &mut [(src, dst)]);
+        self.memoize(topo, src, &spath::distances(topo, dst));
         self.routes[&(src, dst)].clone()
     }
 
@@ -170,16 +191,30 @@ impl RouteCache {
     /// Precomputes routes for `pairs`, skipping those already cached.
     /// Because every pair's tie-break RNG is derived from
     /// [`RouteCache::pair_seed`], the result is what on-demand lookups
-    /// would have cached; the batch only scans the fabric once per
-    /// distinct destination instead of once per pair.
+    /// would have cached. The batch serves each pair from the endpoint
+    /// it shares with more of the batch: a pair whose source starts more
+    /// pairs than its destination ends is grouped by source, any other
+    /// by destination. So the fabric is scanned once per distinct
+    /// grouping endpoint instead of once per pair, and the controller's
+    /// hello batch (its switch to and from every other) costs two scans
+    /// and one [`spath::toward`] walk per other switch.
     pub fn precompute(&mut self, topo: &Topology, pairs: &[(SwitchId, SwitchId)]) {
-        let mut todo: Vec<(SwitchId, SwitchId)> = pairs
+        let todo: Vec<(SwitchId, SwitchId)> = pairs
             .iter()
             .copied()
             .filter(|p| !self.routes.contains_key(p))
             .collect();
         self.misses += todo.len() as u64;
-        self.fill(topo, &mut todo);
+        let (mut starts, mut ends) = (FastHashMap::default(), FastHashMap::default());
+        for &(src, dst) in &todo {
+            *starts.entry(src).or_insert(0usize) += 1;
+            *ends.entry(dst).or_insert(0usize) += 1;
+        }
+        let (mut by_src, mut by_dst): (Vec<_>, Vec<_>) = todo
+            .into_iter()
+            .partition(|(src, dst)| starts[src] > ends[dst]);
+        self.fill_by_src(topo, &mut by_src);
+        self.fill_by_dst(topo, &mut by_dst);
     }
 }
 
@@ -266,6 +301,55 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert_eq!(batched.stats().hits, 62, "precomputed pairs must hit");
+    }
+
+    #[test]
+    fn a_mixed_batch_is_what_on_demand_lookups_cache() {
+        // Pairs grouped by source (the first switch to ten others),
+        // pairs grouped by destination (ten others to the last switch),
+        // pairs with the unwired switch at either end, and an id past
+        // the table at either end. A failed trunk makes some routes
+        // detour.
+        let mut topo = generators::fat_tree(4, 2, None).topology;
+        let trunk = topo.links().nth(3).expect("fat-tree has links").id;
+        topo.set_link_state(trunk, false).unwrap();
+        let lonely = topo.add_switch(4);
+        let past = SwitchId::new(topo.switch_count() as u64 + 3);
+        let sw: Vec<SwitchId> = topo.switches().map(|s| s.id).collect();
+        let (first, last) = (sw[0], sw[sw.len() - 2]);
+        let mut pairs: Vec<(SwitchId, SwitchId)> = Vec::new();
+        pairs.extend(sw[1..11].iter().map(|&s| (first, s)));
+        pairs.extend(sw[5..15].iter().map(|&s| (s, last)));
+        pairs.extend([(first, lonely), (lonely, last), (first, past), (past, last)]);
+        pairs.extend([
+            (lonely, sw[3]),
+            (lonely, sw[13]),
+            (past, sw[4]),
+            (past, sw[12]),
+        ]);
+        pairs.extend([(sw[6], past), (sw[7], sw[8])]);
+        let mut on_demand = RouteCache::new(17);
+        let want: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| on_demand.route(&topo, a, b))
+            .collect();
+        assert!(want.iter().any(Option::is_some) && want.iter().any(Option::is_none));
+        let mut batched = RouteCache::new(17);
+        batched.precompute(&topo, &pairs);
+        let misses = pairs.len() as u64;
+        assert_eq!(batched.stats(), RouteCacheStats { hits: 0, misses });
+        let got: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| batched.route(&topo, a, b))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            batched.stats(),
+            RouteCacheStats {
+                hits: misses,
+                misses
+            }
+        );
     }
 
     #[test]

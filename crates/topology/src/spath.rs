@@ -13,9 +13,14 @@
 //! that only reads entries up to some hop count asks
 //! [`distances_within`] for that many hops and pays for no more. In a
 //! bounded map `None` means "farther than the limit, or unreachable":
-//! every entry it does hold is the exact distance. A map, bounded or
-//! not, never outlives the call that computed it: nothing caches one
-//! across calls, so no topology change has a map to invalidate.
+//! every entry it does hold is the exact distance. Routes that share a
+//! *source* share its scan the other way round: [`toward`] walks the
+//! source's map back from each destination and yields a map that holds
+//! the shortest routes' switches only, which [`shortest_route_over`]
+//! descends exactly as it descends the destination's own scan. A map,
+//! bounded, whole or walked, never outlives the call that computed it:
+//! nothing caches one across calls, so no topology change has a map to
+//! invalidate.
 
 use std::borrow::Borrow;
 
@@ -104,6 +109,55 @@ pub fn distances_within(topo: &Topology, source: SwitchId, limit: u64) -> Distan
         }
     }
     DistanceMap { source, dist }
+}
+
+/// The distance to `dst` of exactly the switches on some shortest route
+/// from `from_src.source()` to `dst`. Every other entry is absent, and
+/// all are when `dst` is unreachable or out of range. `from_src` is
+/// [`distances`] from that source over `topo` in its current state.
+///
+/// The walk starts at `dst` and steps from a switch at depth `k` of the
+/// source's BFS to its peers at depth `k − 1`, so it expands the union
+/// of the shortest routes and no other switch: about 290 for a
+/// cross-pod pair of the k = 32 fat-tree, where the scan from `dst`
+/// expands all 1 280. A switch `x` it reaches is on a shortest route,
+/// at `d(x, dst) = d(src, dst) − d(src, x)`, and every switch on one is
+/// reached (each hop of its shortest route on to `dst` is one layer
+/// deeper).
+///
+/// [`shortest_route_over`] reads this map as it reads `distances(topo,
+/// dst)`. A descent from the source only picks peers one hop nearer
+/// `dst`, and any such peer of a switch on a shortest route is itself
+/// on one, so it finds the same candidates, in the same sorted order,
+/// and makes the same RNG draws.
+#[must_use]
+pub fn toward(topo: &Topology, from_src: &DistanceMap, dst: SwitchId) -> DistanceMap {
+    let n = topo.switch_count();
+    let mut dist = vec![u64::MAX; n];
+    if let Some(depth) = from_src.dist(dst) {
+        dist[dst.get() as usize] = 0;
+        // A FIFO as in `distances_within`, sized the same way.
+        let mut frontier = Vec::with_capacity(n);
+        frontier.push(dst);
+        let mut next = 0;
+        while let Some(&u) = frontier.get(next) {
+            next += 1;
+            let u_to_dst = dist[u.get() as usize];
+            // `u` is at depth `depth − u_to_dst`; the source is the one
+            // switch with no shallower layer.
+            let Some(above) = (depth - u_to_dst).checked_sub(1) else {
+                continue;
+            };
+            for v in topo.peers(u) {
+                let ix = v.get() as usize;
+                if from_src.dist[ix] == above && dist[ix] == u64::MAX {
+                    dist[ix] = u_to_dst + 1;
+                    frontier.push(v);
+                }
+            }
+        }
+    }
+    DistanceMap { source: dst, dist }
 }
 
 /// Distances from `source` when every arc costs 1 except the arcs in
@@ -535,6 +589,68 @@ mod tests {
                 assert_eq!(over.gen::<u64>(), rng.gen::<u64>());
             }
         }
+    }
+
+    #[test]
+    fn descent_over_a_walked_map_is_shortest_route() {
+        // Every ordered switch pair, one past the table's end included:
+        // the walk holds exactly `{x : d(s,x) + d(x,t) = d(s,t)}`, each
+        // at `d(x,t)`; the descent over it is `shortest_route`'s, and the
+        // RNG is left where `shortest_route` leaves it.
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut doubled = generators::random_regular(24, 3, 1, 8, &mut rng).topology;
+        let twins: Vec<_> = doubled
+            .links()
+            .step_by(5)
+            .map(|l| (l.a.switch, l.b.switch))
+            .collect();
+        for (a, b) in twins {
+            doubled.connect_auto(a, b).unwrap();
+        }
+        let mut trunk_down = generators::fat_tree(4, 2, None).topology;
+        let last = trunk_down.links().last().expect("fat-tree has links").id;
+        trunk_down.set_link_state(last, false).unwrap();
+        let graphs = [
+            generators::testbed().topology,
+            degraded_fat_tree(),
+            awkward_line(),
+            doubled,
+            trunk_down,
+        ];
+        let mut narrower = 0;
+        for (g, t) in graphs.iter().enumerate() {
+            let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+            let maps: Vec<DistanceMap> = ids.iter().map(|&s| distances(t, s)).collect();
+            let (mut rng, mut walked) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+            for (&src, from_src) in ids.iter().zip(&maps) {
+                for (&dst, to_dst) in ids.iter().zip(&maps) {
+                    let walk = toward(t, from_src, dst);
+                    assert_eq!(walk.source(), dst);
+                    let on_a_shortest_route: Vec<(SwitchId, u64)> = match from_src.dist(dst) {
+                        None => Vec::new(),
+                        Some(total) => to_dst
+                            .reachable()
+                            .filter(|&(x, to_t)| {
+                                from_src.dist(x).is_some_and(|d| d + to_t == total)
+                            })
+                            .collect(),
+                    };
+                    let got: Vec<(SwitchId, u64)> = walk.reachable().collect();
+                    narrower += usize::from(got.len() < to_dst.reachable().count());
+                    assert_eq!(got, on_a_shortest_route, "graph {g}: {src} → {dst}");
+                    assert_eq!(
+                        shortest_route_over(t, src, &walk, &mut walked),
+                        shortest_route(t, src, dst, &mut rng),
+                        "graph {g}: {src} → {dst}"
+                    );
+                }
+            }
+            assert_eq!(walked.gen::<u64>(), rng.gen::<u64>(), "graph {g}");
+        }
+        assert!(
+            narrower > 0,
+            "some walk must skip a switch the scan reaches"
+        );
     }
 
     #[test]
