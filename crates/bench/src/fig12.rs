@@ -43,9 +43,11 @@ fn pairs_at_distance(
     out
 }
 
-/// Runs the Figure 12 reproduction. Returns the report.
+/// Runs the Figure 12 reproduction. Returns the report and its
+/// checksum: every cell's exact switch total (the sum its mean is
+/// printed from), folded in row-major order.
 #[must_use]
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool) -> (Report, u64) {
     let dims: &[usize] = if quick { &[6, 6, 6] } else { &[10, 10, 10] };
     let samples = if quick { 5 } else { 15 };
     let g = generators::cube(dims, 1, 16);
@@ -67,6 +69,7 @@ pub fn run(quick: bool) -> Report {
     r.header(header);
 
     let lens: &[u64] = if quick { &[2, 5] } else { &[2, 5, 10, 15] };
+    let mut checksum = 0u64;
     for &len in lens {
         let pairs = pairs_at_distance(topo, len, samples, &mut rng);
         if pairs.is_empty() {
@@ -87,6 +90,7 @@ pub fn run(quick: bool) -> Report {
                     .expect("cube is connected");
                 total += pg.switch_count();
             }
+            checksum = checksum.wrapping_mul(31).wrapping_add(total as u64);
             row.push(f(total as f64 / pairs.len() as f64, 1));
         }
         r.row(row);
@@ -109,7 +113,7 @@ pub fn run(quick: bool) -> Report {
         per_pair as f64 * 100_000.0 / 1e6
     ));
     let _ = SwitchId(0);
-    r
+    (r, checksum)
 }
 
 #[cfg(test)]
@@ -118,7 +122,7 @@ mod tests {
 
     #[test]
     fn quick_run_produces_rows() {
-        let s = run(true).render();
+        let s = run(true).0.render();
         assert!(s.contains("ε=0"));
         assert!(s.contains("len"));
     }

@@ -148,6 +148,14 @@ fn fig08c_outcome(a: &Args) -> Outcome {
     Outcome::checked(fig.report(), fig.to_json(), fig.checksum())
 }
 
+fn fig12_outcome(a: &Args) -> Outcome {
+    let (report, checksum) = fig12::run(a.quick);
+    Outcome {
+        checksum: Some(checksum),
+        ..Outcome::text(report)
+    }
+}
+
 fn fig11e_outcome(a: &Args) -> Outcome {
     let fig = fig11e::sweep(a.quick);
     Outcome::checked(fig.to_json(), fig.to_json(), fig.checksum())
@@ -191,7 +199,7 @@ pub const FIGURES: &[Figure] = &[
         "Fig. 11(a): failure-notification delay CDF"),
     ("fig11b_failover_vs_stp", "", |a| Outcome::text(fig11::run_b(a.quick)),
         "Fig. 11(b): recovery throughput, DumbNet vs. spanning tree"),
-    ("fig12_pathgraph_size", "", |a| Outcome::text(fig12::run(a.quick)),
+    ("fig12_pathgraph_size", "--expect", fig12_outcome,
         "Fig. 12: path-graph size vs. epsilon (Algorithm 1)"),
     ("fig13_hibench", "", |a| Outcome::text(fig13::run(a.quick)),
         "Fig. 13: HiBench-style job durations, TE vs. single path"),
@@ -248,6 +256,7 @@ pub const GATES: &[Gate] = &[
     ("storm",               "engine_forward_storm",     "--quick", Checksum(180_009)),
     ("discovery",           "fig08a_fat_tree",          "--quick", Checksum(78_865)),
     ("fig08c",              "fig08c_batch_convergence", "--quick", Checksum(236_734)),
+    ("fig12",               "fig12_pathgraph_size",     "--quick", Checksum(579_563_193_537_634_432)),
     ("path-service",        "fig10_path_service",       "",        Checksum(1_300)),
     ("chaos-p05",           "fig11c_chaos_p05",         "",        Checksum(7_168)),
     ("flow-churn",          "flowsim_churn",            "--quick", Checksum(350_028_950_212_709)),
@@ -474,7 +483,9 @@ mod tests {
     fn quick_rows_hold() {
         // Behaviour-preservation gate: an engine change must not alter
         // what the hot-path scenarios compute.
-        for row in "storm discovery fig08c path-service chaos-p05 flow-churn telemetry".split(' ') {
+        for row in
+            "storm discovery fig08c fig12 path-service chaos-p05 flow-churn telemetry".split(' ')
+        {
             run(&format!("gate {row}")).unwrap_or_else(|failure| panic!("{}", failure.text));
         }
     }

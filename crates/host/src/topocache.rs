@@ -10,9 +10,10 @@
 //! The k-path extraction is `PathGraph::k_shortest_within` — one dense
 //! router built per call, reused by every Yen spur — and is memoized
 //! until a graph arrives or an edge changes state, so a host pays it
-//! once per destination per failure, not per packet. The maps here are
-//! keyed by MACs the emulator hands out, hence `FastHashMap`; the down
-//! set keeps the default hasher because `down_edges` lends it out.
+//! once per destination per failure, not per packet (and not at all for
+//! a failure whose edge no cached graph holds). The maps here are keyed
+//! by MACs the emulator hands out, hence `FastHashMap`; the down set
+//! keeps the default hasher because `down_edges` lends it out.
 
 use std::collections::HashSet;
 
@@ -32,7 +33,8 @@ pub struct TopoCache {
     /// Latest topology version seen from the controller.
     pub topo_version: u64,
     /// Memoized [`TopoCache::k_paths`] results, valid for the current
-    /// `(graphs, down)` state; cleared on integrate/mark_down/mark_up.
+    /// `(graphs, down)` state; cleared on integrate/mark_up, and on a
+    /// mark_down of an edge some cached graph holds.
     k_memo: FastHashMap<(MacAddr, usize), (Vec<CachedPath>, Option<CachedPath>)>,
 }
 
@@ -56,10 +58,13 @@ impl TopoCache {
     }
 
     /// Marks an edge down (failure notification). Returns `true` if this
-    /// was new information.
+    /// was new information. The memo survives an edge no cached graph
+    /// holds: an extraction bans only its own graph's edges, so none of
+    /// the memoized results can change. A patch tells every host of a
+    /// dead edge, most of which never cached a graph over it.
     pub fn mark_down(&mut self, a: SwitchId, b: SwitchId) -> bool {
         let new = self.down.insert(norm_edge(a, b));
-        if new {
+        if new && self.graphs.values().any(|g| g.contains_edge(a, b)) {
             self.k_memo.clear();
         }
         new
@@ -194,6 +199,37 @@ mod tests {
             .all(|w| (w[0] != p[0] || w[1] != p[1]) && (w[0] != p[1] || w[1] != p[0])));
         tc.mark_up(p[0], p[1]);
         assert!(tc.down_edges().is_empty());
+    }
+
+    #[test]
+    fn an_edge_no_graph_holds_keeps_the_memo_and_every_answer() {
+        // Each link of a k = 4 fat-tree marked down on a warm cache: the
+        // memo survives exactly the links the graph does not hold, and the
+        // answers are those of a cache with no memo that learnt the same
+        // edge the other way round.
+        let g = generators::fat_tree(4, 2, None);
+        let mut rng = StdRng::seed_from_u64(7);
+        let params = PathGraphParams::default();
+        let pg = pathgraph::build(&g.topology, HostId(0), HostId(15), &params, &mut rng).unwrap();
+        let dst = pg.dst.mac;
+        let mut warm = TopoCache::new();
+        warm.integrate(dst, pg.clone(), 1);
+        let _ = warm.k_paths(dst, 4);
+        let mut kept = 0;
+        for link in g.topology.links() {
+            let (a, b) = (link.a.switch, link.b.switch);
+            let mut marked = warm.clone();
+            assert!(marked.mark_down(a, b));
+            let mut cold = TopoCache::new();
+            cold.integrate(dst, pg.clone(), 1);
+            assert!(cold.mark_down(b, a));
+            assert!(cold.k_memo.is_empty());
+            assert_eq!(marked.down_edges(), cold.down_edges());
+            assert_eq!(marked.k_memo.is_empty(), pg.contains_edge(a, b));
+            kept += usize::from(!marked.k_memo.is_empty());
+            assert_eq!(marked.k_paths(dst, 4), cold.k_paths(dst, 4), "{a}–{b}");
+        }
+        assert!(kept > 0 && kept < g.topology.links().count());
     }
 
     #[test]

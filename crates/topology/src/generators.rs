@@ -384,6 +384,8 @@ fn reconnect_components(n: usize, r: usize, degree: &mut [usize], edges: &mut Ve
 #[cfg(test)]
 pub(crate) mod fixtures {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// A k = 4 fat-tree with a failed trunk and an unwired switch.
     pub(crate) fn degraded_fat_tree() -> Topology {
@@ -411,6 +413,73 @@ pub(crate) mod fixtures {
         t.add_host_auto(s[0]).unwrap();
         t.add_host_auto(s[3]).unwrap();
         t
+    }
+
+    /// A primary whose backup ties at the source: the only shortest
+    /// route `s – p1 – p2 – t` (switches 0 to 3, host 0 on `s` and host
+    /// 1 on `t`) is a cut, so with its links tolled the backup search
+    /// from `t` labels `s` through `p1` (`t – a – b – p1`, then the
+    /// tolled hop) long before it reaches `e` (`t – p2` tolled, then
+    /// `c – e`), whose route costs the same. The descent must see both.
+    pub(crate) fn tolled_tie() -> Topology {
+        let mut t = Topology::new();
+        let [s, p1, p2, dst, a, b, c, e] = [(); 8].map(|()| t.add_switch(8));
+        for (x, y) in [
+            (s, p1),
+            (p1, p2),
+            (p2, dst),
+            (dst, a),
+            (a, b),
+            (b, p1),
+            (p2, c),
+            (c, e),
+            (e, s),
+        ] {
+            t.connect_auto(x, y).unwrap();
+        }
+        t.add_host_auto(s).unwrap();
+        t.add_host_auto(dst).unwrap();
+        t
+    }
+
+    /// A sparse random 3-regular graph of 24 switches, one host each,
+    /// with every fifth link doubled: a diameter well past a window's
+    /// reach, and parallel links for the descent to deduplicate.
+    pub(crate) fn doubled_random_regular() -> Topology {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut t = random_regular(24, 3, 1, 8, &mut rng).topology;
+        let twins: Vec<_> = t
+            .links()
+            .step_by(5)
+            .map(|l| (l.a.switch, l.b.switch))
+            .collect();
+        for (a, b) in twins {
+            t.connect_auto(a, b).unwrap();
+        }
+        t
+    }
+
+    /// A k = 4 fat-tree with its last trunk down.
+    pub(crate) fn trunk_down_fat_tree() -> Topology {
+        let mut t = fat_tree(4, 2, None).topology;
+        let last = t.links().last().expect("fat-tree has links").id;
+        t.set_link_state(last, false).unwrap();
+        t
+    }
+
+    /// The graphs a stopped search is held to the whole one on: the
+    /// testbed, both fat-trees above, the line, the tie, the doubled
+    /// random graph and a 4 × 4 × 4 mesh (diameter 9).
+    pub(crate) fn stop_rule_graphs() -> [Topology; 7] {
+        [
+            testbed().topology,
+            degraded_fat_tree(),
+            awkward_line(),
+            tolled_tie(),
+            doubled_random_regular(),
+            trunk_down_fat_tree(),
+            cube(&[4, 4, 4], 1, 8).topology,
+        ]
     }
 }
 

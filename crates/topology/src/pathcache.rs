@@ -5,10 +5,11 @@
 //! path reply — at fat-tree k=20 scale that dominates emulator
 //! wall-clock. The caches here memoize the *routes* per topology
 //! *epoch*; the distance maps behind them are never kept (a miss scans
-//! once from its destination, and [`RouteCache::precompute`] shares one
-//! scan among the pairs of a batch that end at the same switch, or that
-//! start at the same switch and walk it back with [`spath::toward`];
-//! each map is dropped with its group). Two invalidation rules:
+//! from its destination until its source's distance is final, and
+//! [`RouteCache::precompute`] shares one scan among the pairs of a batch
+//! that end at the same switch, or that start at the same switch and
+//! walk it back with [`spath::toward`]; each map is dropped with its
+//! group). Two invalidation rules:
 //!
 //! * **Link down** — surgical: only cached routes that traverse the dead
 //!   edge are evicted ([`RouteCache::invalidate_edge`]). Routes avoiding
@@ -160,7 +161,9 @@ impl RouteCache {
             return cached.clone();
         }
         self.misses += 1;
-        self.memoize(topo, src, &spath::distances(topo, dst));
+        // The scan stops once `src`'s distance is final: the descent
+        // reads nothing farther out.
+        self.memoize(topo, src, &spath::distances_until(topo, dst, src, 0));
         self.routes[&(src, dst)].clone()
     }
 

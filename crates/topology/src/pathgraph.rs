@@ -119,9 +119,12 @@ pub fn build<R: Rng>(
     let s_dst = dst_info.attached.switch;
 
     // (1) Primary path: randomized shortest path. Its map of distances
-    // to `s_dst` is kept whole: the descent reads it wherever `s_src`
-    // lies, and step 3 then has the last primary switch's map for free.
-    let to_dst = spath::distances(topo, s_dst);
+    // to `s_dst` stops once `s_src`'s distance is final (all the descent
+    // reads), but not before it holds every switch within s + ⌊ε/2⌋:
+    // step 3 then reads it as the last window's `db`, and no switch
+    // farther out than that from a window's end is admitted.
+    let radius = params.s.max(1) as u64 + params.epsilon / 2;
+    let to_dst = spath::distances_until(topo, s_dst, s_src, radius);
     let primary =
         spath::shortest_route_over(topo, s_src, &to_dst, rng).ok_or(DumbNetError::NoRoute {
             src: src.get(),
@@ -961,11 +964,12 @@ mod tests {
         );
     }
 
-    /// `build` as it was before it shared or bounded anything: one
-    /// whole-fabric BFS for the primary and two more per window, the
+    /// `build` as it was before it shared, bounded or stopped anything:
+    /// one whole-fabric BFS for the primary and two more per window, the
     /// heap Dijkstra with a hash set under its cost closure for the
     /// backup, ordered sets for admission and for the links already
-    /// listed. Kept verbatim as the oracle.
+    /// listed. Kept as the oracle; its primary descends over the
+    /// whole-fabric map, where `shortest_route` stops at its source.
     fn oracle_build<R: Rng>(
         topo: &Topology,
         src: HostId,
@@ -978,9 +982,10 @@ mod tests {
         let s_src = src_info.attached.switch;
         let s_dst = dst_info.attached.switch;
 
-        // (1) Primary path: randomized shortest path.
+        // (1) Primary path: randomized shortest path over the whole map.
+        let to_dst = spath::distances(topo, s_dst);
         let primary =
-            spath::shortest_route(topo, s_src, s_dst, rng).ok_or(DumbNetError::NoRoute {
+            spath::shortest_route_over(topo, s_src, &to_dst, rng).ok_or(DumbNetError::NoRoute {
                 src: src.get(),
                 dst: dst.get(),
             })?;
@@ -1078,9 +1083,10 @@ mod tests {
     }
 
     /// `build` against `oracle_build` for `pairs` of `topo`, s ∈ {1, 2,
-    /// 3} and ε ∈ {0, 1, 2, 3} (odd ε exercises the floor in the scan
-    /// bound): whole `PathGraph` values and the RNG left in the same
-    /// state — intact, then again with the first primary link failed.
+    /// 3} and ε ∈ 0..=5 (odd ε exercises the floor in the scan bound,
+    /// large ε a primary map that must stay whole past its source):
+    /// whole `PathGraph` values and the RNG left in the same state —
+    /// intact, then again with the first primary link failed.
     fn build_differential(topo: &Topology, pairs: impl IntoIterator<Item = (HostId, HostId)>) {
         let (mut rng, mut oracle_rng) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
         let mut degraded = topo.clone();
@@ -1088,7 +1094,7 @@ mod tests {
         for (a, b) in pairs {
             for (s, eps) in [1, 2, 3]
                 .into_iter()
-                .flat_map(|s| (0..=3).map(move |eps| (s, eps)))
+                .flat_map(|s| (0..=5).map(move |eps| (s, eps)))
             {
                 let pg = build(topo, a, b, &params(s, eps), &mut rng).unwrap();
                 let want = oracle_build(topo, a, b, &params(s, eps), &mut oracle_rng).unwrap();
@@ -1147,6 +1153,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let sparse = generators::random_regular(24, 3, 1, 8, &mut rng).topology;
         build_differential(&sparse, host_pairs(&sparse, 1));
+    }
+
+    #[test]
+    fn build_matches_the_oracle_on_the_stop_rule_graphs() {
+        // The four graphs `spath` holds its stopped searches to whole
+        // ones on that the tests above do not build on: both pairs of
+        // the tie, every 3rd pair of the fat-tree, every 5th of the
+        // doubled random graph and every 23rd of the 4 × 4 × 4 mesh (the
+        // primes walk every offset).
+        let [.., tie, doubled, trunk_down, mesh] = fixtures::stop_rule_graphs();
+        build_differential(&tie, host_pairs(&tie, 1));
+        build_differential(&trunk_down, host_pairs(&trunk_down, 3));
+        build_differential(&doubled, host_pairs(&doubled, 5));
+        build_differential(&mesh, host_pairs(&mesh, 23));
     }
 
     #[test]

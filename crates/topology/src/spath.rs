@@ -11,16 +11,20 @@
 //! caller that needs the map of one switch several times inside one call
 //! computes it once and hands it to [`shortest_route_over`], and a caller
 //! that only reads entries up to some hop count asks
-//! [`distances_within`] for that many hops and pays for no more. In a
-//! bounded map `None` means "farther than the limit, or unreachable":
-//! every entry it does hold is the exact distance. Routes that share a
-//! *source* share its scan the other way round: [`toward`] walks the
-//! source's map back from each destination and yields a map that holds
-//! the shortest routes' switches only, which [`shortest_route_over`]
-//! descends exactly as it descends the destination's own scan. A map,
-//! bounded, whole or walked, never outlives the call that computed it:
-//! nothing caches one across calls, so no topology change has a map to
-//! invalidate.
+//! [`distances_within`] for that many hops and pays for no more. A
+//! search that serves one descent, from a source known before it starts
+//! ([`shortest_route`], [`shortest_route_avoiding`], a route-cache miss,
+//! a path graph's primary), stops as soon as that source's distance is
+//! final: the descent never reads a switch farther out. In a bounded or
+//! stopped map `None` means "farther than the limit, beyond where the
+//! scan stopped, or unreachable": every entry it does hold is the exact
+//! distance. Routes that share a *source* share its scan the other way
+//! round: [`toward`] walks the source's map back from each destination
+//! and yields a map that holds the shortest routes' switches only, which
+//! [`shortest_route_over`] descends exactly as it descends the
+//! destination's own scan. A map, bounded, stopped, whole or walked,
+//! never outlives the call that computed it: nothing caches one across
+//! calls, so no topology change has a map to invalidate.
 
 use std::borrow::Borrow;
 
@@ -48,7 +52,8 @@ impl DistanceMap {
     }
 
     /// Distance to `sw`, or `None` if unreachable (or, in a map from
-    /// [`distances_within`], farther than its limit).
+    /// [`distances_within`], farther than its limit; or, in a search
+    /// stopped at its target, beyond where the scan stopped).
     #[must_use]
     pub fn dist(&self, sw: SwitchId) -> Option<u64> {
         match self.dist.get(sw.get() as usize) {
@@ -83,6 +88,34 @@ pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
 /// costs the ball it returns rather than the fabric.
 #[must_use]
 pub fn distances_within(topo: &Topology, source: SwitchId, limit: u64) -> DistanceMap {
+    // The source is labelled before the first pop, so only the limit
+    // stops the scan.
+    distances_until(topo, source, source, limit)
+}
+
+/// The one BFS: [`distances`] from `source`, stopped before the first
+/// pop at a depth `d` with `target` labelled and `d ≥ radius`. The map
+/// holds `target`, every switch within `radius` and every switch nearer
+/// than `target`, each at its exact distance; of the others it holds
+/// some as far as `target` and none farther.
+///
+/// The map a descent from `target` reads. FIFO labels are exact when
+/// assigned. `target` gets its label at depth `D` while a switch at
+/// depth `D − 1` is expanded, and by then every switch at depth `D − 1`
+/// already has its label: they were labelled while depth `D − 2`
+/// expanded, all of which popped first. The descent, at a switch of
+/// depth `k ≤ D`, takes as candidates only peers at `k − 1`, all
+/// labelled; a peer it finds unlabelled is at depth `≥ D > k − 1`, and
+/// one it finds labelled at `D` costs more than `k` through it, in the
+/// full map too. So the candidates, their sorted order and the RNG draws
+/// are those over [`distances`]. An unreachable or out-of-range `target`
+/// never gets a label: the scan runs dry, and the descent reads `None`.
+pub(crate) fn distances_until(
+    topo: &Topology,
+    source: SwitchId,
+    target: SwitchId,
+    radius: u64,
+) -> DistanceMap {
     let n = topo.switch_count();
     let mut dist = vec![u64::MAX; n];
     if (source.get() as usize) < n {
@@ -91,13 +124,17 @@ pub fn distances_within(topo: &Topology, source: SwitchId, limit: u64) -> Distan
         // vector read behind a cursor is the FIFO.
         let mut frontier = Vec::with_capacity(n);
         frontier.push(source);
+        let labelled = |dist: &[u64]| {
+            dist.get(target.get() as usize)
+                .is_some_and(|&t| t != u64::MAX)
+        };
         let mut next = 0;
         while let Some(&u) = frontier.get(next) {
             next += 1;
             let d = dist[u.get() as usize];
-            if d >= limit {
-                // The frontier is in nondecreasing depth: nothing behind
-                // `u` is shallower.
+            // The frontier is in nondecreasing depth: nothing behind `u`
+            // is shallower, so every switch within `d` is labelled.
+            if d >= radius && labelled(&dist) {
                 break;
             }
             for v in topo.peers(u) {
@@ -171,9 +208,23 @@ pub fn toward(topo: &Topology, from_src: &DistanceMap, dst: SwitchId) -> Distanc
 /// just popped), so each FIFO is itself nondecreasing and the smaller
 /// front is the global minimum — Dijkstra's pop order, hence its map. A
 /// switch relaxed twice leaves a stale entry, skipped when it pops.
+///
+/// The search stops before the first pop at a distance `≥ L − 1`, where
+/// `L` is `target`'s label. Three facts make the descent from `target`
+/// over the stopped map the descent over the whole one:
+/// - `L` is final: every later relaxation gives at least the pop + 1,
+///   which is at least `L`.
+/// - Every switch at distance `≤ L − 1` is labelled exactly: its
+///   predecessor on a shortest route is at `≤ L − 2` and has popped.
+/// - A tentative label `t > d(v)` makes no false candidate: `t + cost =
+///   d(x)` would contradict `d(v) + cost ≥ d(x)`.
+///
+/// A `target` that is never labelled (unreachable, or past the table)
+/// lets the search run dry: the whole map.
 fn distances_tolled(
     topo: &Topology,
     source: SwitchId,
+    target: SwitchId,
     tolled: &[(SwitchId, SwitchId)],
     toll: u64,
 ) -> DistanceMap {
@@ -191,6 +242,10 @@ fn distances_tolled(
                 break;
             };
             let (d, u) = queues[q][next[q]];
+            let settled = |&l: &u64| l != u64::MAX && d.saturating_add(1) >= l;
+            if dist.get(target.get() as usize).is_some_and(settled) {
+                break;
+            }
             next[q] += 1;
             if d > dist[u.get() as usize] {
                 continue;
@@ -265,8 +320,10 @@ pub fn shortest_route<R: Rng>(
     rng: &mut R,
 ) -> Option<Route> {
     // Hop counts are symmetric: the BFS map *from* `dst` is the
-    // distance *to* it.
-    descend(topo, src, dst, |_| 1, || distances(topo, dst), rng)
+    // distance *to* it, and the descent from `src` reads no switch
+    // farther out than `src`.
+    let to_dst = || distances_until(topo, dst, src, 0);
+    descend(topo, src, dst, |_| 1, to_dst, rng)
 }
 
 /// [`shortest_route`] to `to_dst.source()` over a map the caller already
@@ -310,8 +367,8 @@ pub fn shortest_route_avoiding<R: Rng>(
         }
     };
     // Searched from `dst`, so the map measures distance *to* it; the
-    // costs are symmetric.
-    let to_dst = || distances_tolled(topo, dst, &tolled, toll);
+    // costs are symmetric. It stops once `src`'s distance is final.
+    let to_dst = || distances_tolled(topo, dst, src, &tolled, toll);
     descend(topo, src, dst, cost, to_dst, rng)
 }
 
@@ -404,7 +461,7 @@ mod tests {
     use super::*;
     use crate::generators::{
         self,
-        fixtures::{awkward_line, degraded_fat_tree},
+        fixtures::{awkward_line, degraded_fat_tree, stop_rule_graphs},
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -424,6 +481,12 @@ mod tests {
 
     fn all_switches(t: &Topology) -> Vec<SwitchId> {
         t.switches().map(|s| s.id).collect()
+    }
+
+    /// The first id past the switch table: never labelled, so a search
+    /// stopped at it runs dry.
+    fn past_the_end(t: &Topology) -> SwitchId {
+        SwitchId::new(t.switch_count() as u64)
     }
 
     #[test]
@@ -490,7 +553,7 @@ mod tests {
         for s in all_switches(t) {
             let want = distances_weighted(t, s, |arc| if tolled.contains(&arc) { toll } else { 1 });
             assert_eq!(
-                distances_tolled(t, s, &tolled, toll).dist,
+                distances_tolled(t, s, past_the_end(t), &tolled, toll).dist,
                 want.dist,
                 "from {s}, tolled {route:?} at {toll}"
             );
@@ -507,13 +570,13 @@ mod tests {
             assert_tolled_matches_heap(&line, &s, toll);
             assert_tolled_matches_heap(&line, &s[1..3], toll);
         }
-        let across = distances_tolled(&line, s[0], &both_ways(&s[1..3]), 6);
+        let across = distances_tolled(&line, s[0], past_the_end(&line), &both_ways(&s[1..3]), 6);
         assert_eq!(across.dist(s[1]), Some(1));
         assert_eq!(across.dist(s[2]), Some(7));
         assert_eq!(across.dist(s[3]), Some(8));
         // A tolled pair takes every parallel link with it.
         assert_eq!(
-            distances_tolled(&line, s[0], &both_ways(&s[..2]), 6).dist(s[1]),
+            distances_tolled(&line, s[0], past_the_end(&line), &both_ways(&s[..2]), 6).dist(s[1]),
             Some(6)
         );
         // Fabrics with a way round: every shortest route tolled in turn.
@@ -534,89 +597,152 @@ mod tests {
     #[test]
     fn avoiding_a_route_is_the_weighted_route() {
         // Same backup and the RNG left where the heap version leaves it,
-        // for every ordered pair, one past the table's end included.
-        for t in [
-            generators::testbed().topology,
-            degraded_fat_tree(),
-            awkward_line(),
-        ] {
+        // for every ordered pair, one past the table's end included. The
+        // oracle side draws its primary over the whole map.
+        for (g, t) in stop_rule_graphs().iter().enumerate() {
             let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
             let toll = t.switch_count() as u64 + 2;
             let (mut rng, mut heap_rng) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
-            for &a in &ids {
-                for &b in &ids {
-                    let Some(primary) = shortest_route(&t, a, b, &mut rng) else {
-                        assert!(shortest_route(&t, a, b, &mut heap_rng).is_none());
+            for &b in &ids {
+                let to_b = distances(t, b);
+                for &a in &ids {
+                    let Some(primary) = shortest_route(t, a, b, &mut rng) else {
+                        assert!(shortest_route_over(t, a, &to_b, &mut heap_rng).is_none());
                         continue;
                     };
                     assert_eq!(
-                        shortest_route(&t, a, b, &mut heap_rng),
+                        shortest_route_over(t, a, &to_b, &mut heap_rng),
                         Some(primary.clone())
                     );
                     let tolled = both_ways(primary.switches());
                     let cost = |arc| if tolled.contains(&arc) { toll } else { 1 };
                     assert_eq!(
-                        shortest_route_avoiding(&t, a, b, &primary, toll, &mut rng),
-                        shortest_route_weighted(&t, a, b, cost, &mut heap_rng),
-                        "{a} → {b} avoiding {primary}"
+                        shortest_route_avoiding(t, a, b, &primary, toll, &mut rng),
+                        shortest_route_weighted(t, a, b, cost, &mut heap_rng),
+                        "graph {g}: {a} → {b} avoiding {primary}"
                     );
                 }
             }
-            assert_eq!(rng.gen::<u64>(), heap_rng.gen::<u64>());
+            assert_eq!(rng.gen::<u64>(), heap_rng.gen::<u64>(), "graph {g}");
         }
     }
 
     #[test]
     fn descent_over_a_supplied_map_is_shortest_route() {
-        // Every ordered switch pair, one past the table's end included,
-        // with a failed trunk and an unwired switch: same route, and the
-        // RNG left where `shortest_route` leaves it.
-        for t in [generators::testbed().topology, degraded_fat_tree()] {
+        // Every ordered switch pair, one past the table's end included:
+        // the stopped search's route is the one over the whole map, and
+        // the RNG is left where the whole map leaves it.
+        for (g, t) in stop_rule_graphs().iter().enumerate() {
             let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
             for seed in [1, 2, 3] {
                 let (mut rng, mut over) =
                     (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
                 for &dst in &ids {
-                    let to_dst = distances(&t, dst);
+                    let to_dst = distances(t, dst);
                     for &src in &ids {
                         assert_eq!(
-                            shortest_route_over(&t, src, &to_dst, &mut over),
-                            shortest_route(&t, src, dst, &mut rng),
-                            "{src} → {dst}, seed {seed}"
+                            shortest_route_over(t, src, &to_dst, &mut over),
+                            shortest_route(t, src, dst, &mut rng),
+                            "graph {g}: {src} → {dst}, seed {seed}"
                         );
                     }
                 }
-                assert_eq!(over.gen::<u64>(), rng.gen::<u64>());
+                assert_eq!(over.gen::<u64>(), rng.gen::<u64>(), "graph {g}");
             }
         }
+    }
+
+    #[test]
+    fn a_stopped_scan_holds_what_a_descent_reads() {
+        // Every source, every target (one past the table's end included)
+        // and every radius up to past the diameter: each entry held is
+        // the heap Dijkstra's, every switch nearer than the target or
+        // within the radius is held, and a target that is never labelled
+        // leaves the whole map.
+        let mut narrower = 0usize;
+        for (g, t) in stop_rule_graphs().iter().enumerate() {
+            let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+            let full: Vec<DistanceMap> = ids
+                .iter()
+                .map(|&s| distances_weighted(t, s, |_| 1))
+                .collect();
+            let diameter = full
+                .iter()
+                .flat_map(|m| m.reachable().map(|(_, d)| d))
+                .max()
+                .expect("non-empty");
+            for want in &full {
+                for &target in &ids {
+                    for radius in 0..=diameter + 1 {
+                        let got = distances_until(t, want.source(), target, radius);
+                        let case =
+                            || format!("graph {g}: {} → {target} within {radius}", want.source());
+                        let Some(d_target) = want.dist(target) else {
+                            assert_eq!(got.dist, want.dist, "{}", case());
+                            continue;
+                        };
+                        for &x in &ids {
+                            let (held, d) = (got.dist(x), want.dist(x));
+                            assert!(held.is_none() || held == d, "{}: {x}", case());
+                            if d.is_some_and(|d| d < d_target || d <= radius) || x == target {
+                                assert_eq!(held, d, "{}: {x} must be held", case());
+                            }
+                        }
+                        narrower += usize::from(got.reachable().count() < want.reachable().count());
+                    }
+                }
+            }
+        }
+        assert!(narrower > 0, "some scan must stop before the fabric ends");
+    }
+
+    #[test]
+    fn a_stopped_backup_search_holds_what_a_descent_reads() {
+        // For every ordered pair, one past the table's end included, and
+        // its primary tolled: the target's label and every switch nearer
+        // than it are the whole search's, any other entry held is no
+        // less than the whole search's, and a target that is never
+        // labelled leaves the whole map.
+        let mut narrower = 0usize;
+        for (g, t) in stop_rule_graphs().iter().enumerate() {
+            let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
+            let toll = t.switch_count() as u64 + 2;
+            let mut rng = StdRng::seed_from_u64(4);
+            for &dst in &ids {
+                let to_dst = distances(t, dst);
+                for &src in &ids {
+                    let route = shortest_route_over(t, src, &to_dst, &mut rng);
+                    let tolled = both_ways(route.as_ref().map_or(&[], |r| r.switches()));
+                    let whole = distances_tolled(t, dst, past_the_end(t), &tolled, toll);
+                    let got = distances_tolled(t, dst, src, &tolled, toll);
+                    let case = format!("graph {g}: {src} → {dst}");
+                    let Some(label) = whole.dist(src) else {
+                        assert_eq!(got.dist, whole.dist, "{case}");
+                        continue;
+                    };
+                    assert_eq!(got.dist(src), Some(label), "{case}");
+                    for &x in &ids {
+                        let (held, d) = (got.dist(x), whole.dist(x));
+                        if d.is_some_and(|d| d < label) {
+                            assert_eq!(held, d, "{case}: {x} must be exact");
+                        } else {
+                            assert!(held.is_none() || held >= d, "{case}: {x}");
+                        }
+                    }
+                    narrower += usize::from(got.reachable().count() < whole.reachable().count());
+                }
+            }
+        }
+        assert!(narrower > 0, "some search must stop before the fabric ends");
     }
 
     #[test]
     fn descent_over_a_walked_map_is_shortest_route() {
         // Every ordered switch pair, one past the table's end included:
         // the walk holds exactly `{x : d(s,x) + d(x,t) = d(s,t)}`, each
-        // at `d(x,t)`; the descent over it is `shortest_route`'s, and the
-        // RNG is left where `shortest_route` leaves it.
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut doubled = generators::random_regular(24, 3, 1, 8, &mut rng).topology;
-        let twins: Vec<_> = doubled
-            .links()
-            .step_by(5)
-            .map(|l| (l.a.switch, l.b.switch))
-            .collect();
-        for (a, b) in twins {
-            doubled.connect_auto(a, b).unwrap();
-        }
-        let mut trunk_down = generators::fat_tree(4, 2, None).topology;
-        let last = trunk_down.links().last().expect("fat-tree has links").id;
-        trunk_down.set_link_state(last, false).unwrap();
-        let graphs = [
-            generators::testbed().topology,
-            degraded_fat_tree(),
-            awkward_line(),
-            doubled,
-            trunk_down,
-        ];
+        // at `d(x,t)`; the descent over it is the one over the whole
+        // map, and the RNG is left where that one leaves it.
+        let graphs = stop_rule_graphs();
         let mut narrower = 0;
         for (g, t) in graphs.iter().enumerate() {
             let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
@@ -640,7 +766,7 @@ mod tests {
                     assert_eq!(got, on_a_shortest_route, "graph {g}: {src} → {dst}");
                     assert_eq!(
                         shortest_route_over(t, src, &walk, &mut walked),
-                        shortest_route(t, src, dst, &mut rng),
+                        shortest_route_over(t, src, to_dst, &mut rng),
                         "graph {g}: {src} → {dst}"
                     );
                 }
