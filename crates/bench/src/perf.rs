@@ -12,7 +12,9 @@ use rand::SeedableRng;
 
 use dumbnet_core::{Fabric, FabricConfig};
 use dumbnet_host::DatapathVariant;
-use dumbnet_sim::{Ctx, Engine, FlowId, FlowSim, LinkParams, Node, ShardedWorld, World};
+use dumbnet_sim::{
+    Ctx, Engine, FlowId, FlowSim, LinkParams, Node, ShardedWorld, SolverStats, World,
+};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_topology::{generators, spath, Route, Topology};
 use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimTime, SwitchId};
@@ -184,10 +186,10 @@ fn churn_plan(initial: usize, ops: usize) -> ChurnPlan {
 
 /// Replays the churn plan under one solver mode. Every operation is
 /// followed by an aggregate rate query (the solve trigger). Returns the
-/// solve count and a checksum folding every queried aggregate rate plus
-/// the completion count — bit-identical rates make it identical across
-/// modes.
-fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (u64, u64) {
+/// solver's counters and a checksum folding every queried aggregate
+/// rate plus the completion count — bit-identical rates make it
+/// identical across modes.
+fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (SolverStats, u64) {
     let mut fs = FlowSim::new();
     let map = FlowMap::build(
         &mut fs,
@@ -234,10 +236,7 @@ fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (u64, u64) {
         checksum = checksum.wrapping_add(fs.aggregate_rate(&ids).bits_per_sec());
     }
     let finished = ids.iter().filter(|&&f| fs.finished_at(f).is_some()).count() as u64;
-    (
-        fs.solver_stats().solves,
-        checksum ^ finished.rotate_left(32),
-    )
+    (fs.solver_stats(), checksum ^ finished.rotate_left(32))
 }
 
 /// One scenario's outcome: the checksum the gate table pins, and what
@@ -308,7 +307,9 @@ pub fn chaos_p05(_: &Args) -> Outcome {
 /// on one shared churn plan (10k active flows; quick shrinks the flow
 /// count, since the reference mode pays the full-resolve cost per
 /// query). Fails unless both modes agree on every rate and on the solve
-/// count. Checksum: the folded rates.
+/// count. Checksum: the folded rates; the incremental solver's
+/// bottleneck rounds, and how many of them it replayed, are printed
+/// beside it.
 #[must_use]
 pub fn flow_churn(args: &Args) -> Outcome {
     let (flows, ops) = if args.quick {
@@ -318,16 +319,18 @@ pub fn flow_churn(args: &Args) -> Outcome {
     };
     let plan = churn_plan(flows, ops);
     let (inc, full) = (flowsim_churn(&plan, false), flowsim_churn(&plan, true));
-    if inc != full {
+    let (inc_solves, full_solves) = ((inc.0.solves, inc.1), (full.0.solves, full.1));
+    if inc_solves != full_solves {
         return Outcome::violation(format!(
             "incremental and full-resolve solvers diverged: \
-             (solves, checksum) {inc:?} vs {full:?}"
+             (solves, checksum) {inc_solves:?} vs {full_solves:?}"
         ));
     }
-    point(
-        inc.1,
-        &format!("folded rates; {} solves in both modes", inc.0),
-    )
+    let work = format!(
+        "folded rates; {} solves in both modes; {} rounds, {} replayed",
+        inc.0.solves, inc.0.rounds, inc.0.rounds_replayed
+    );
+    point(inc.1, &work)
 }
 
 /// Builds the testbed fabric, runs the full boot + discovery sequence,
@@ -431,6 +434,16 @@ mod tests {
             assert_eq!(mt_events, events, "{shards}-shard storm event count");
             assert!(parallelism >= 1.0);
         }
+    }
+
+    #[test]
+    fn quick_churn_pins_solver_rounds() {
+        // The `flow-churn` gate row's shape. Its checksum holds the
+        // rates; this holds the work: a solver that stopped replaying
+        // the last solve's bottleneck order would still be right.
+        let (stats, _) = flowsim_churn(&churn_plan(2_000, 60), false);
+        let got = (stats.solves, stats.rounds, stats.rounds_replayed);
+        assert_eq!(got, (61, 49_708, 19_677));
     }
 
     #[test]

@@ -29,17 +29,19 @@
 //! on `(fair-share, edge index)` — one live entry per loaded edge, moved
 //! in place when the edge's share changes — plus incrementally maintained
 //! unfixed counts, replacing the reference solver's per-round full
-//! rescans. The floating-point operations — bottleneck selection with
-//! lowest-index-wins tie-breaks, freeze order, per-edge capacity
-//! subtraction order — are performed in exactly the reference order, so
-//! the incremental rates are **bit-identical** to a from-scratch solve,
-//! not merely close. [`FlowSim::set_check_full_solve`] turns on a debug
-//! mode that asserts this equivalence after every re-solve, and
-//! [`FlowSim::set_force_full_solve`] pins the solver to the O(F·E)
-//! reference path (the baseline for the `flowsim_incremental` perf
-//! entries). The incidence is flat — sorted member `Vec`s, one path
-//! arena, dense rates — and every per-solve buffer is reused, so a
-//! steady-state re-solve allocates nothing.
+//! rescans. A re-solve first replays the previous solve's bottleneck
+//! order without the heap, up to the first round a changed edge can
+//! reach (DESIGN §12.1). The floating-point operations — bottleneck
+//! selection with lowest-index-wins tie-breaks, freeze order, per-edge
+//! capacity subtraction order — are performed in exactly the reference
+//! order, so the incremental rates are **bit-identical** to a
+//! from-scratch solve, not merely close. [`FlowSim::set_check_full_solve`]
+//! turns on a debug mode that asserts this equivalence after every
+//! re-solve, and [`FlowSim::set_force_full_solve`] pins the solver to the
+//! O(F·E) reference path (the other mode of the `flow-churn` gate row).
+//! The incidence is flat — sorted member `Vec`s, one path arena, dense
+//! rates — and every per-solve buffer is reused, so a steady-state
+//! re-solve allocates nothing.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -76,6 +78,11 @@ pub struct SolverStats {
     pub edges_resolved: u64,
     /// Largest single saturation component (in flows) seen so far.
     pub max_component_flows: u64,
+    /// Bottlenecks the incremental solver froze, popped or replayed.
+    pub rounds: u64,
+    /// Of [`SolverStats::rounds`], those replayed from the previous
+    /// solve's bottleneck order without the heap.
+    pub rounds_replayed: u64,
 }
 
 /// Rate an empty-path (unconstrained) flow is assigned: effectively
@@ -92,7 +99,8 @@ struct Edge {
     /// Σ rate × multiplicity over members; refreshed when the edge's
     /// component is re-solved.
     load_bps: f64,
-    /// The edge is on [`FlowSim::dirty`].
+    /// The edge is on [`FlowSim::dirty`], or is a seed of the solve
+    /// under way.
     dirty: bool,
     /// The edge is on [`FlowSim::changed`].
     changed: bool,
@@ -136,6 +144,10 @@ fn stamp(list: &mut Vec<u32>, flag: &mut bool, e: u32) {
 
 /// [`BottleneckHeap::pos`] of an edge with no live entry.
 const ABSENT: u32 = u32::MAX;
+
+/// [`Scratch::flow_stamp`] bit of a flow frozen by the solve whose epoch
+/// the low bits hold.
+const FROZEN: u64 = 1 << 63;
 
 /// Indexed binary min-heap of `(fair-share bits, edge index)`: at most
 /// one entry per edge, found through a per-edge position table so a
@@ -242,12 +254,19 @@ struct Scratch {
     count: Vec<u32>,
     /// BFS visit stamp per edge.
     edge_seen: Vec<u64>,
-    /// Per flow: equals the solve epoch from the BFS visit until the
-    /// flow's rate is frozen.
-    flow_unfixed: Vec<u64>,
+    /// Per flow: the solve epoch from the BFS visit until the flow's
+    /// rate is frozen, then `FROZEN | epoch`; 0 once the flow is put on
+    /// a path, until a solve visits it.
+    flow_stamp: Vec<u64>,
     /// Current solve epoch (bumped per solve).
     epoch: u64,
-    /// The component's edges in discovery order; doubles as the BFS queue.
+    /// The last incremental solve's bottlenecks in pop order.
+    log: Vec<u32>,
+    /// Epoch of the solve that wrote `log`; 0 when there is none to
+    /// replay.
+    log_epoch: u64,
+    /// The component's edges in discovery order, dirty seeds first;
+    /// doubles as the BFS queue.
     comp_edges: Vec<u32>,
     /// Edges whose share changed in the current round and whose heap
     /// entry is owed an update; empty between solves.
@@ -255,6 +274,60 @@ struct Scratch {
     /// Per edge: the edge is on `touched`.
     edge_touched: Vec<bool>,
     heap: BottleneckHeap,
+}
+
+impl Scratch {
+    /// Freezes the unfixed flows among a bottleneck's `members` at
+    /// `fair`, in ascending flow order, and charges each along its path
+    /// in path order, listing every edge whose share moved on
+    /// `touched`. Returns how many flows it froze.
+    fn freeze(
+        &mut self,
+        members: &[(u32, u32)],
+        fair: f64,
+        flows: &[Flow],
+        paths: &[u32],
+        rates: &mut [f64],
+    ) -> usize {
+        let epoch = self.epoch;
+        let mut frozen = 0;
+        for &(fx, _) in members {
+            if self.flow_stamp[fx as usize] != epoch {
+                continue;
+            }
+            self.flow_stamp[fx as usize] = FROZEN | epoch;
+            rates[fx as usize] = fair;
+            frozen += 1;
+            for &pe in &paths[flows[fx as usize].path()] {
+                self.rem[pe as usize] -= fair;
+                self.count[pe as usize] -= 1;
+                stamp(&mut self.touched, &mut self.edge_touched[pe as usize], pe);
+            }
+        }
+        frozen
+    }
+
+    /// Moves the heap entry of every edge on `touched` to the edge's
+    /// current share, or drops it once no unfixed flow loads the edge.
+    /// An edge without an entry (a clean one, during a replay) keeps
+    /// none.
+    fn settle(&mut self) {
+        for pe in self.touched.drain(..) {
+            self.edge_touched[pe as usize] = false;
+            if self.heap.pos[pe as usize] != ABSENT {
+                match self.count[pe as usize] {
+                    0 => self.heap.remove(pe),
+                    count => self.heap.set(pe, fair_bits(self.rem[pe as usize], count)),
+                }
+            }
+        }
+    }
+}
+
+/// Heap key of an edge's fair share: what the reference computes, as
+/// bits (non-negative, so they order as the values do).
+fn fair_bits(rem: f64, count: u32) -> u64 {
+    (rem.max(0.0) / f64::from(count)).to_bits()
 }
 
 /// The flow-level simulator.
@@ -335,10 +408,13 @@ impl FlowSim {
     /// as the perf baseline; rates are identical either way.
     pub fn set_force_full_solve(&mut self, on: bool) {
         self.force_full = on;
-        // Conservatively invalidate everything on a mode switch.
+        // Conservatively invalidate everything on a mode switch: forced
+        // solves neither stamp flows nor write the replay log.
         for (e, edge) in self.edges.iter_mut().enumerate() {
             stamp(&mut self.dirty, &mut edge.dirty, e as u32);
         }
+        self.scratch.log.clear();
+        self.scratch.log_epoch = 0;
     }
 
     /// Debug mode: after every incremental re-solve, recompute all rates
@@ -394,8 +470,12 @@ impl FlowSim {
 
     /// Puts flow `ix` on `path`: stores the path (over the flow's old
     /// arena run when it fits, else at the arena's tail), joins every
-    /// edge's member list, and resets the rate for the next solve.
+    /// edge's member list, and resets the rate and the solver stamp for
+    /// the next solve.
     fn attach(&mut self, ix: u32, path: &[EdgeId]) {
+        if let Some(mark) = self.scratch.flow_stamp.get_mut(ix as usize) {
+            *mark = 0;
+        }
         let flow = &mut self.flows[ix as usize];
         if path.len() > flow.path_len as usize {
             assert!(
@@ -652,9 +732,11 @@ impl FlowSim {
     }
 
     /// The incremental path: component discovery from the dirty edges,
-    /// then heap-driven progressive filling restricted to the component.
-    /// Performs the reference solver's floating-point operations in the
-    /// reference order, so results are bit-identical to a full solve.
+    /// a replay of the last solve's bottleneck order for as long as it
+    /// provably still holds, then heap-driven progressive filling
+    /// restricted to the component. Performs the reference solver's
+    /// floating-point operations in the reference order, so results are
+    /// bit-identical to a full solve.
     fn solve_incremental(&mut self) {
         let FlowSim {
             edges,
@@ -672,7 +754,7 @@ impl FlowSim {
         sc.edge_seen.resize(edges.len(), 0);
         sc.edge_touched.resize(edges.len(), false);
         sc.heap.pos.resize(edges.len(), ABSENT);
-        sc.flow_unfixed.resize(flows.len(), 0);
+        sc.flow_stamp.resize(flows.len(), 0);
         sc.epoch += 1;
         let epoch = sc.epoch;
 
@@ -681,32 +763,47 @@ impl FlowSim {
         // dirty edge can see their max-min rate change. An edge enters
         // with fresh waterfilling state (identical to the reference
         // solver's initial state restricted to the component) and each
-        // discovered flow counts itself onto its path.
+        // discovered flow counts itself onto its path. A loaded dirty
+        // edge is a seed and keeps its flag until the solve ends: the
+        // replay tells the seeds apart by it.
         sc.comp_edges.clear();
         for e in dirty.drain(..) {
             let edge = &mut edges[e as usize];
-            edge.dirty = false;
             if edge.members.is_empty() {
                 // No active flows cross it: its load is zero and nothing
                 // else depends on it.
+                edge.dirty = false;
                 edge.load_bps = 0.0;
                 stamp(changed, &mut edge.changed, e);
-            } else if sc.edge_seen[e as usize] != epoch {
+            } else {
                 sc.edge_seen[e as usize] = epoch;
                 sc.rem[e as usize] = edge.capacity_bps;
                 sc.count[e as usize] = 0;
                 sc.comp_edges.push(e);
             }
         }
+        if sc.comp_edges.is_empty() {
+            // Nothing to fill, and the log stays that of the last solve
+            // that froze a flow.
+            return;
+        }
+        let seeds = sc.comp_edges.len();
+        // The log may replay only if every component flow was frozen by
+        // the solve that wrote it, or was put on a path since (and so
+        // crosses dirty edges only).
+        let logged = FROZEN | sc.log_epoch;
+        let mut warm = sc.log_epoch != 0;
         let mut unfixed = 0usize;
         let mut head = 0;
         while let Some(&e) = sc.comp_edges.get(head) {
             head += 1;
             for &(fx, _) in &edges[e as usize].members {
-                if sc.flow_unfixed[fx as usize] == epoch {
+                let mark = &mut sc.flow_stamp[fx as usize];
+                if *mark == epoch {
                     continue;
                 }
-                sc.flow_unfixed[fx as usize] = epoch;
+                warm &= *mark == logged || *mark == 0;
+                *mark = epoch;
                 unfixed += 1;
                 for &pe in &paths[flows[fx as usize].path()] {
                     if sc.edge_seen[pe as usize] != epoch {
@@ -723,12 +820,49 @@ impl FlowSim {
         stats.edges_resolved += sc.comp_edges.len() as u64;
         stats.max_component_flows = stats.max_component_flows.max(unfixed as u64);
 
-        // Every component edge is loaded: by its members (a dirty seed)
-        // or by the flow whose path discovered it.
-        let fair_bits = |rem: f64, count: u32| (rem.max(0.0) / f64::from(count)).to_bits();
-        for &e in &sc.comp_edges {
+        // --- Replay (DESIGN §12.1). The heap starts with the seeds only.
+        // While the replay holds, every clean edge has the share it had
+        // at the same round of the logged solve, so the logged pick is
+        // still the least clean key: it is this round's pick unless a
+        // dirty key is below it. That, or a dirty logged edge, is where
+        // the two solves part. Logged edges outside the component are
+        // skipped: their flows share no edge with it.
+        for &e in &sc.comp_edges[..seeds] {
             sc.heap
                 .set(e, fair_bits(sc.rem[e as usize], sc.count[e as usize]));
+        }
+        let mut kept = 0;
+        let mut next = 0;
+        while warm && unfixed > 0 {
+            let Some(&e) = sc.log.get(next) else {
+                break;
+            };
+            next += 1;
+            if sc.edge_seen[e as usize] != epoch {
+                continue;
+            }
+            if edges[e as usize].dirty {
+                break;
+            }
+            debug_assert!(sc.count[e as usize] > 0, "a replayed bottleneck is loaded");
+            let bits = fair_bits(sc.rem[e as usize], sc.count[e as usize]);
+            if sc.heap.slots.first().is_some_and(|&top| top < (bits, e)) {
+                break;
+            }
+            sc.log[kept] = e;
+            kept += 1;
+            let members = &edges[e as usize].members;
+            unfixed -= sc.freeze(members, f64::from_bits(bits), flows, paths, rates);
+            sc.settle();
+        }
+        sc.log.truncate(kept);
+        // The clean edges still loaded join the heap at their current
+        // share (every one of them, on a cold solve).
+        for &e in &sc.comp_edges[seeds..] {
+            if sc.count[e as usize] > 0 {
+                sc.heap
+                    .set(e, fair_bits(sc.rem[e as usize], sc.count[e as usize]));
+            }
         }
 
         // --- Progressive filling. Each round pops the bottleneck (the
@@ -740,37 +874,24 @@ impl FlowSim {
         // share moved have their entry moved before the next pop, or
         // dropped once no unfixed flow loads them.
         while unfixed > 0 {
-            for pe in sc.touched.drain(..) {
-                sc.edge_touched[pe as usize] = false;
-                match sc.count[pe as usize] {
-                    0 => sc.heap.remove(pe),
-                    count => sc.heap.set(pe, fair_bits(sc.rem[pe as usize], count)),
-                }
-            }
+            sc.settle();
             let (bits, e) = sc.heap.pop().expect("an unfixed flow loads an edge");
-            let fair = f64::from_bits(bits);
-            for &(fx, _) in &edges[e as usize].members {
-                if sc.flow_unfixed[fx as usize] != epoch {
-                    continue;
-                }
-                sc.flow_unfixed[fx as usize] = 0;
-                rates[fx as usize] = fair;
-                unfixed -= 1;
-                for &pe in &paths[flows[fx as usize].path()] {
-                    sc.rem[pe as usize] -= fair;
-                    sc.count[pe as usize] -= 1;
-                    stamp(&mut sc.touched, &mut sc.edge_touched[pe as usize], pe);
-                }
-            }
+            sc.log.push(e);
+            let members = &edges[e as usize].members;
+            unfixed -= sc.freeze(members, f64::from_bits(bits), flows, paths, rates);
         }
         // The last round's moves are never settled: nothing is left to pop.
         for pe in sc.touched.drain(..) {
             sc.edge_touched[pe as usize] = false;
         }
         sc.heap.clear();
+        sc.log_epoch = epoch;
+        stats.rounds += sc.log.len() as u64;
+        stats.rounds_replayed += kept as u64;
 
         for &e in &sc.comp_edges {
             let edge = &mut edges[e as usize];
+            edge.dirty = false; // a seed's flag ends with its solve
             edge.refresh_load(rates);
             stamp(changed, &mut edge.changed, e);
         }
@@ -1188,9 +1309,10 @@ mod tests {
     fn multi_component_churn_pins_solver_stats() {
         // Three disjoint 4-edge islands, six flows each (two edges per
         // flow, so an island is one saturation component), then churn
-        // that touches one island, two islands, and finally bridges two
-        // of them. The exact work counters are pinned: component
-        // accounting must not drift.
+        // that touches one island, two islands, bridges two of them, and
+        // finally raises an edge in the bridged component. The exact work
+        // counters are pinned: component accounting and the replay of
+        // the last solve's bottleneck order must not drift.
         let mut s = FlowSim::new();
         let edges: Vec<EdgeId> = (0..12)
             .map(|i| s.add_edge(Bandwidth::mbps(100 + 10 * i)))
@@ -1210,31 +1332,232 @@ mod tests {
                 st.flows_resolved,
                 st.edges_resolved,
                 st.max_component_flows,
+                st.rounds,
+                st.rounds_replayed,
             )
         };
         // One solve over all three islands at once.
-        assert_eq!(stats(&mut s), (1, 18, 12, 18));
+        assert_eq!(stats(&mut s), (1, 18, 12, 18, 9, 0));
         // Nothing dirty: a query is not a solve.
-        assert_eq!(stats(&mut s), (1, 18, 12, 18));
-        // Island 1 alone.
+        assert_eq!(stats(&mut s), (1, 18, 12, 18, 9, 0));
+        // Island 1 alone; its dirty edge's share is below every logged
+        // pick, so nothing replays.
         s.set_capacity(island(1, 0), Bandwidth::mbps(5));
-        assert_eq!(stats(&mut s), (2, 24, 16, 18));
-        // Islands 0 and 2 in one solve; island 1 untouched.
+        assert_eq!(stats(&mut s), (2, 24, 16, 18, 11, 0));
+        // Islands 0 and 2 in one solve; island 1 untouched. Their flows
+        // were frozen before the solve that wrote the log: cold.
         s.set_capacity(island(0, 2), Bandwidth::ZERO);
         s.reroute(flows[12], vec![island(2, 3)]);
-        assert_eq!(stats(&mut s), (3, 36, 24, 18));
+        assert_eq!(stats(&mut s), (3, 36, 24, 18, 15, 0));
         // An idle edge carries no component.
         let spare = s.add_edge(Bandwidth::gbps(1));
         s.set_capacity(spare, Bandwidth::mbps(1));
-        assert_eq!(stats(&mut s), (4, 36, 24, 18));
+        assert_eq!(stats(&mut s), (4, 36, 24, 18, 15, 0));
         // Bridge islands 0 and 1 through the spare edge: one component
-        // of twelve flows over nine edges.
+        // of twelve flows over nine edges, cold again.
         s.reroute(flows[0], vec![island(0, 0), spare, island(1, 0)]);
-        assert_eq!(stats(&mut s), (5, 48, 33, 18));
+        assert_eq!(stats(&mut s), (5, 48, 33, 18, 20, 0));
+        // A raised edge whose share never reaches a logged pick: the
+        // whole log replays.
+        s.set_capacity(island(1, 3), Bandwidth::gbps(1));
+        assert_eq!(stats(&mut s), (6, 60, 42, 18, 25, 5));
         assert_eq!(s.solver_stats().full_solves, 0);
         assert_eq!(
             s.take_changed_edges(),
             edges.iter().copied().chain([spare]).collect::<Vec<_>>()
+        );
+    }
+
+    /// A simulator whose every incremental solve is checked against
+    /// the reference, bit for bit.
+    fn checked() -> FlowSim {
+        let mut s = FlowSim::new();
+        s.set_check_full_solve(true);
+        s
+    }
+
+    /// Forces a solve; returns the `(rounds, rounds_replayed)` it added.
+    fn solve_rounds(s: &mut FlowSim) -> (u64, u64) {
+        let before = s.solver_stats();
+        let _ = s.aggregate_rate(&[]);
+        let after = s.solver_stats();
+        (
+            after.rounds - before.rounds,
+            after.rounds_replayed - before.rounds_replayed,
+        )
+    }
+
+    const LONG: u64 = u64::MAX / 16;
+
+    #[test]
+    fn bridging_flow_finishing_splits_the_component() {
+        // Shares: p 10, s 20, r 490, q 500 — so the log is [p, s, r, q].
+        let mut s = checked();
+        let [p, q, r, x] = [10, 1_000, 1_000, 20].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        let f0 = s.start_flow(vec![p, q], LONG);
+        let f1 = s.start_flow(vec![q], LONG);
+        let bridge = s.start_flow(vec![q, r], 1_000);
+        let f2 = s.start_flow(vec![r, x], LONG);
+        let f3 = s.start_flow(vec![r], LONG);
+        assert_eq!(solve_rounds(&mut s), (4, 0));
+        let horizon = s.next_completion_time().unwrap();
+        assert_eq!(s.advance_to(horizon)[0].flow, bridge);
+        // Both halves re-solve at once; p and s replay, dirty r stops it.
+        assert_eq!(solve_rounds(&mut s), (4, 2));
+        let rates = [f0, f1, f2, f3].map(|f| s.flow_rate(f).bits_per_sec() / 1_000_000);
+        assert_eq!(rates, [10, 990, 20, 980]);
+    }
+
+    #[test]
+    fn merging_arrival_takes_the_cold_path() {
+        let mut s = checked();
+        let [a1, a2, b1, b2] = [100, 300, 50, 400].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        s.start_flow(vec![a1, a2], LONG);
+        s.start_flow(vec![a2], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // Island b is solved on its own; island a's log entries are
+        // outside that component and are skipped.
+        s.start_flow(vec![b1, b2], LONG);
+        s.start_flow(vec![b2], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // The arrival joins the islands: island a's flows were frozen by
+        // an earlier solve than the one that wrote the log.
+        s.start_flow(vec![a2, b2], LONG);
+        assert_eq!(solve_rounds(&mut s), (4, 0));
+        // Now one log covers the merged component: b1 replays, and the
+        // dirty a1 stops it.
+        s.set_capacity(a1, Bandwidth::mbps(90));
+        assert_eq!(solve_rounds(&mut s), (4, 1));
+    }
+
+    #[test]
+    fn trunk_drop_and_restore_replay_as_far_as_they_may() {
+        // Shares: e0 100, e2 150, trunk 500 — the log is [e0, e2].
+        let mut s = checked();
+        let [e0, trunk, e2] = [100, 1_000, 300].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        let f0 = s.start_flow(vec![e0, trunk], LONG);
+        s.start_flow(vec![trunk, e2], LONG);
+        s.start_flow(vec![e2], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // A dead trunk's share 0 is below the first logged pick.
+        s.set_capacity(trunk, Bandwidth::ZERO);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        assert_eq!(s.flow_rate(f0).bits_per_sec(), 0);
+        // Restored, it is the first logged pick and dirty.
+        s.set_capacity(trunk, Bandwidth::mbps(1_000));
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // A flap no solve saw leaves its share where it was: the whole
+        // log replays.
+        s.set_capacity(trunk, Bandwidth::ZERO);
+        s.set_capacity(trunk, Bandwidth::mbps(1_000));
+        assert_eq!(solve_rounds(&mut s), (2, 2));
+        assert_eq!(s.flow_rate(f0).bits_per_sec(), 100_000_000);
+    }
+
+    #[test]
+    fn reroute_onto_the_same_path_replays_up_to_its_edge() {
+        // Shares: a 10, b 45, c 955 — the log is [a, b, c].
+        let mut s = checked();
+        let [a, b, c] = [10, 100, 1_000].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        let f0 = s.start_flow(vec![a, b], LONG);
+        s.start_flow(vec![b], LONG);
+        s.start_flow(vec![b, c], LONG);
+        let f3 = s.start_flow(vec![c], LONG);
+        assert_eq!(solve_rounds(&mut s), (3, 0));
+        s.reroute(f3, vec![c]);
+        assert_eq!(solve_rounds(&mut s), (3, 2));
+        s.reroute(f0, vec![a, b]);
+        assert_eq!(solve_rounds(&mut s), (3, 0));
+        assert_eq!(s.flow_rate(f3).bits_per_sec(), 955_000_000);
+    }
+
+    #[test]
+    fn flow_rerouted_from_another_island_keeps_the_log_usable() {
+        let mut s = checked();
+        let [a, b1, b2] = [100, 50, 400].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        let h = s.start_flow(vec![a], LONG);
+        assert_eq!(solve_rounds(&mut s), (1, 0));
+        s.start_flow(vec![b1, b2], LONG);
+        s.start_flow(vec![b2], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // `h` was frozen by the solve before the log's, but its new path
+        // crosses dirty edges only.
+        s.reroute(h, vec![b2]);
+        assert_eq!(solve_rounds(&mut s), (2, 1));
+        assert_eq!(s.flow_rate(h).bits_per_sec(), 175_000_000);
+    }
+
+    #[test]
+    fn flow_crossing_an_edge_twice_replays() {
+        // Shares: x 100/3 (the looping flow counts twice), y 500.
+        let mut s = checked();
+        let [x, y, z] = [100, 1_000, 2_000].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        let looping = s.start_flow(vec![x, y, x], LONG);
+        s.start_flow(vec![y], LONG);
+        s.start_flow(vec![x], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // x replays, charging the looping flow twice; dirty y stops it.
+        let late = s.start_flow(vec![y, z], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 1));
+        assert_eq!(s.flow_rate(looping).bits_per_sec(), 33_333_333);
+        assert!((s.edge_load_bps(x) - 1e8).abs() < 1.0);
+        assert_eq!(s.flow_rate(late).bits_per_sec(), 483_333_333);
+    }
+
+    #[test]
+    fn empty_path_flows_stay_out_of_the_replay() {
+        // Shares: a 50, b 250 — the log is [a, b].
+        let mut s = checked();
+        let [a, b] = [100, 300].map(|m| s.add_edge(Bandwidth::mbps(m)));
+        s.start_flow(vec![a], LONG);
+        s.start_flow(vec![a, b], LONG);
+        let f2 = s.start_flow(vec![b], LONG);
+        assert_eq!(solve_rounds(&mut s), (2, 0));
+        // No edge is dirty: no solve at all.
+        let local = s.start_flow(vec![], 1_000);
+        assert_eq!(s.solver_stats().solves, 1);
+        // Off its only edge: a replays, and nothing is left for b.
+        s.reroute(f2, vec![]);
+        assert_eq!(solve_rounds(&mut s), (1, 1));
+        let events = s.advance_to(t(0.001));
+        let done: Vec<FlowId> = events.iter().map(|e| e.flow).collect();
+        assert_eq!(done, [f2, local]);
+        assert_eq!(
+            s.solver_stats().solves,
+            2,
+            "an empty path leaves nothing dirty"
+        );
+    }
+
+    #[test]
+    fn solver_mode_toggle_replays_no_stale_log() {
+        let mut s = checked();
+        let edges: Vec<EdgeId> = (0..6)
+            .map(|i| s.add_edge(Bandwidth::mbps(100 + 70 * i)))
+            .collect();
+        let flows: Vec<FlowId> = (0..12)
+            .map(|i| s.start_flow(vec![edges[i % 6], edges[(i * 5 + 2) % 6]], LONG))
+            .collect();
+        let (rounds, _) = solve_rounds(&mut s);
+        s.set_capacity(edges[5], Bandwidth::mbps(900));
+        assert!(solve_rounds(&mut s).1 > 0, "a clean prefix replays");
+        s.set_force_full_solve(true);
+        s.reroute(flows[3], vec![edges[0]]);
+        s.set_capacity(edges[1], Bandwidth::mbps(40));
+        assert_eq!(
+            solve_rounds(&mut s),
+            (0, 0),
+            "forced solves count no rounds"
+        );
+        s.reroute(flows[3], vec![edges[3], edges[5]]);
+        s.set_force_full_solve(false);
+        assert_eq!(solve_rounds(&mut s), (rounds, 0));
+        s.set_capacity(edges[5], Bandwidth::mbps(800));
+        assert!(solve_rounds(&mut s).1 > 0, "the rewritten log replays");
+        let st = s.solver_stats();
+        assert_eq!(
+            st.full_solves, st.solves,
+            "every solve was checked or forced"
         );
     }
 

@@ -266,3 +266,27 @@ proptest! {
         }
     }
 }
+
+/// The scripts reach the warm path, not just the cold one: over 64
+/// drawn scripts, each replayed under the `check_full_solve` gate with
+/// a solve after every op, some rounds replay the last solve's
+/// bottleneck order. A solver that always solved cold would pass every
+/// property above and fail this.
+#[test]
+fn churn_scripts_replay_bottleneck_rounds() {
+    use proptest::test_runner::{case_rng, fnv1a};
+    let base = fnv1a("churn_scripts_replay_bottleneck_rounds");
+    let (mut rounds, mut replayed) = (0, 0);
+    for case in 0..64 {
+        let mut rng = case_rng(base, case);
+        let caps = arb_caps().generate(&mut rng);
+        let script = arb_script().generate(&mut rng);
+        let stats = replay(&caps, &script, true, false, true).0.solver_stats();
+        rounds += stats.rounds;
+        replayed += stats.rounds_replayed;
+    }
+    assert!(
+        replayed > 0 && replayed < rounds,
+        "{replayed} of {rounds} rounds replayed"
+    );
+}
