@@ -294,11 +294,13 @@ mod tests {
     /// reach for one, for telemetry, for randomness or for a clock.
     #[test]
     fn cores_are_pure() {
-        const CORES: [(&str, &str); 4] = [
+        const CORES: [(&str, &str); 6] = [
             ("Replica", "crates/controller/src/replication.rs"),
             ("GrayBoard", "crates/controller/src/gray.rs"),
+            ("PatchPipeline", "crates/controller/src/gray.rs"),
             ("PatchAcceptor", "crates/host/src/failure.rs"),
             ("GrayDetector", "crates/host/src/failure.rs"),
+            ("RequestRetry", "crates/host/src/failure.rs"),
         ];
         let sources = sources(&["crates/controller/src", "crates/host/src"]);
         for (core, file) in CORES {

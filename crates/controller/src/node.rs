@@ -7,9 +7,9 @@
 //! leadership it is only the adapter of the [`Replica`] core —
 //! replication and election packets and timers go in as inputs, and
 //! `Controller::step` turns the core's effects into routed sends,
-//! floods and timers (DESIGN.md §6.5) — and for gray failures of the
-//! [`GrayBoard`] core, whose effects `Controller::judge` commits
-//! (DESIGN.md §10.3).
+//! floods and timers (DESIGN.md §6.5) — and for stage 2 of the
+//! [`GrayBoard`] and [`PatchPipeline`] cores, whose effects
+//! `Controller::judge` commits and floods (DESIGN.md §9, §10.3).
 
 use std::any::Any;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchBatch, PatchEntry, TopoDelta};
+use dumbnet_packet::control::{LinkEvent, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
@@ -28,7 +28,7 @@ use dumbnet_types::{
 };
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
-use crate::gray::{self, GrayBoard};
+use crate::gray::{self, GrayBoard, PatchPipeline};
 use crate::replication::{Effect, Replica, ReplicaRole, ReplicatedLog, Timer};
 
 /// The controller's NIC port.
@@ -260,21 +260,18 @@ pub struct Controller {
     effects: Vec<Effect>,
     /// Query-service queue horizon.
     busy_until: SimTime,
-    /// Duplicate and stale link-event suppression.
-    alarms: LinkEventFilter,
     hello_sent: bool,
-    /// Patch entries learned since the last flood flush, awaiting the
-    /// coalescing timer. Flushed as one [`PatchBatch`] per
-    /// `patch_delay` window.
-    pending_patch: Vec<PatchEntry>,
-    /// Whether the patch-flush timer is armed.
-    patch_flush_armed: bool,
+    /// Alarm suppression and the pending patch window. Stepped only
+    /// through [`Controller::judge`].
+    pipeline: PatchPipeline,
     /// Memoized shortest routes for hellos, heartbeats, patch floods and
     /// reply paths. Invalidation: see [`Controller::invalidate_routes`].
     route_cache: RouteCache,
     /// The gray-failure scoreboard core. Stepped only through
     /// [`Controller::judge`].
     board: GrayBoard,
+    /// The stage-2 cores' effect buffer, reused across steps.
+    stage2: Vec<gray::Effect>,
     /// Measurement series (scalar counters live in `counters`).
     stats: ControllerStats,
     counters: Arc<ControllerCounters>,
@@ -328,12 +325,11 @@ impl Controller {
             ),
             effects: Vec::new(),
             busy_until: SimTime::ZERO,
-            alarms: LinkEventFilter::default(),
             hello_sent: false,
-            pending_patch: Vec::new(),
-            patch_flush_armed: false,
+            pipeline: PatchPipeline::default(),
             route_cache: RouteCache::new(ROUTE_CACHE_SALT ^ id.get()),
             board: GrayBoard::default(),
+            stage2: Vec::new(),
             stats,
             counters: Arc::default(),
             leader_gauge: Gauge::new(),
@@ -721,52 +717,23 @@ impl Controller {
         self.invalidate_routes(delta);
     }
 
-    /// Stage-2 failure handling (§4.2): learn the event, replicate it,
-    /// and flood a topology patch to every host after the processing
-    /// delay.
-    fn handle_link_event(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent) {
-        if !self.alarms.admit(event) {
-            return;
-        }
-        self.counters.link_events.inc();
-        self.stats.event_learned_at.push((event, ctx.now()));
-        if let Some(delta) = self.event_delta(event) {
-            self.commit_delta(ctx, delta);
-        }
-    }
-
-    /// Versions a topology delta through the core — which applies it
-    /// and, on the leader, replicates it to the standby group — and
-    /// coalesces it into the pending patch flood. The flush timer
-    /// charges the stage-2 processing delay once per batch, not once
-    /// per event or recipient, and floods everything learned in the
-    /// window as one epoch.
-    fn commit_delta(&mut self, ctx: &mut Ctx<'_>, delta: TopoDelta) {
-        self.step(ctx, |core, _, out| core.propose(delta.clone(), out));
-        self.pending_patch.push(PatchEntry {
-            version: self.replica.version(),
-            delta,
-        });
-        if !self.patch_flush_armed {
-            self.patch_flush_armed = true;
-            ctx.set_timer(self.config.patch_delay, T_PATCH_FLUSH);
-        }
-    }
-
-    /// Steps the gray scoreboard with one input and commits what it
-    /// decides, in emission order: quarantine deltas go through the same
-    /// log-append and patch-epoch machinery as hard link events (the
-    /// core's quarantine set follows the delta).
+    /// Steps a stage-2 core ([`GrayBoard`], [`PatchPipeline`]) with one
+    /// input and applies its effects in emission order. A learned alarm's
+    /// delta and a verdict's go through the consensus core (which applies
+    /// and replicates them) into the pipeline, whose answer is applied
+    /// next, as if nested.
     fn judge(
         &mut self,
         ctx: &mut Ctx<'_>,
-        input: impl FnOnce(&mut GrayBoard, SimTime, &Replica, &mut Vec<gray::Effect>),
+        input: impl FnOnce(&mut Controller, SimTime, &mut Vec<gray::Effect>),
     ) {
-        let mut effects = Vec::new();
-        input(&mut self.board, ctx.now(), &self.replica, &mut effects);
-        for effect in effects {
+        let mut effects = std::mem::take(&mut self.stage2);
+        input(self, ctx.now(), &mut effects);
+        let mut next = 0;
+        while let Some(slot) = effects.get_mut(next) {
+            next += 1; // Past the slot: the stand-in left there is never read.
             let mut delta = TopoDelta::default();
-            match effect {
+            match std::mem::replace(slot, gray::Effect::Arm) {
                 gray::Effect::Accepted => {
                     self.counters.link_suspects_rx.inc();
                     continue;
@@ -786,9 +753,31 @@ impl Controller {
                     });
                 }
                 gray::Effect::Refresh(held) => delta.quarantine = held,
+                gray::Effect::Learned(event) => {
+                    self.counters.link_events.inc();
+                    self.stats.event_learned_at.push((event, ctx.now()));
+                    let Some(learned) = self.event_delta(event) else {
+                        continue;
+                    };
+                    delta = learned;
+                }
+                gray::Effect::Arm => {
+                    ctx.set_timer(self.config.patch_delay, T_PATCH_FLUSH);
+                    continue;
+                }
+                gray::Effect::Flood(epoch, entries) => {
+                    self.flood_patch(ctx, epoch, &entries);
+                    continue;
+                }
             }
-            self.commit_delta(ctx, delta);
+            self.step(ctx, |core, _, out| core.propose(delta.clone(), out));
+            let at = effects.len();
+            self.pipeline
+                .on_commit(self.replica.version(), delta, &mut effects);
+            effects[next..].rotate_left(at - next);
         }
+        effects.clear();
+        self.stage2 = effects;
     }
 
     /// Hands one `LinkSuspect` report to the scoreboard, if this replica
@@ -813,22 +802,16 @@ impl Controller {
         {
             None => self.counters.dropped_malformed.inc(),
             Some(false) => {}
-            Some(true) => self.judge(ctx, |board, now, replica, out| {
-                board.on_report(now, replica, from, edge, loss_permille, out);
+            Some(true) => self.judge(ctx, |c, now, out| {
+                c.board
+                    .on_report(now, &c.replica, from, edge, loss_permille, out);
             }),
         }
     }
 
-    /// Floods every patch entry coalesced since the last flush as one
-    /// [`PatchBatch`] epoch (split into `patch_batch_max`-entry segment
-    /// frames), to every known host.
-    fn flush_patches(&mut self, ctx: &mut Ctx<'_>) {
-        self.patch_flush_armed = false;
-        if self.pending_patch.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.pending_patch);
-        let epoch = entries.last().map_or(self.replica.version(), |e| e.version);
+    /// Floods one closed window, epoch `epoch`, to every known host in
+    /// `patch_batch_max`-entry segment frames.
+    fn flood_patch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, entries: &[PatchEntry]) {
         let term = self.replica.log().term();
         let hosts = self.other_hosts();
         self.counters.patch_floods.inc();
@@ -838,20 +821,12 @@ impl Controller {
             format!("floods patch batch epoch {epoch} ({n} entries) to {to} hosts")
         });
         let max = self.config.patch_batch_max;
-        let segs = entries.chunks(max).count();
-        let segs16 = u16::try_from(segs).unwrap_or(u16::MAX);
         for mac in hosts {
             let Some(path) = self.path_to(mac) else {
                 continue;
             };
-            for (seg, chunk) in entries.chunks(max).enumerate() {
-                let msg = ControlMessage::TopologyPatchBatch(PatchBatch {
-                    epoch,
-                    term,
-                    seg: u16::try_from(seg).unwrap_or(u16::MAX),
-                    segs: segs16,
-                    entries: chunk.to_vec(),
-                });
+            for batch in PatchPipeline::frames(epoch, term, entries, max) {
+                let msg = ControlMessage::TopologyPatchBatch(batch);
                 // The flush timer already charged `patch_delay`; frames
                 // leave back to back and serialize on the wire.
                 ctx.send(NIC, Packet::control(mac, self.mac, path.clone(), msg));
@@ -983,7 +958,7 @@ impl Controller {
             }
             ControlMessage::LinkNotification { event, .. }
             | ControlMessage::HostFlood { event, .. } => {
-                self.handle_link_event(ctx, event);
+                self.judge(ctx, |c, _, out| c.pipeline.on_alarm(event, out));
             }
             ControlMessage::LinkSuspect {
                 reporter,
@@ -1068,11 +1043,13 @@ impl Node for Controller {
                     self.send_hellos(ctx);
                 }
             }
-            T_PATCH_FLUSH => self.flush_patches(ctx),
+            T_PATCH_FLUSH => self.judge(ctx, |c, _, out| c.pipeline.on_flush(out)),
             T_PROBATION => {
                 // Every replica keeps the clock running (see `on_start`);
                 // the board acts only on a leader under its lease.
-                self.judge(ctx, GrayBoard::on_probation);
+                self.judge(ctx, |c, now, out| {
+                    c.board.on_probation(now, &c.replica, out);
+                });
                 ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
             }
             _ => {
@@ -1097,10 +1074,7 @@ impl Node for Controller {
         // re-arm the periodic machinery from scratch.
         self.counters.restarts.inc();
         self.busy_until = ctx.now();
-        // The flush timer died with the crash; drop the unflooded batch
-        // (post-restart resync re-derives the topology authoritatively).
-        self.pending_patch.clear();
-        self.patch_flush_armed = false;
+        self.pipeline.on_restart();
         if self.config.gray {
             ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
         }
@@ -1136,18 +1110,21 @@ mod tests {
 
     #[test]
     fn preload_marks_ready_after_start() {
+        use dumbnet_sim::{Engine, World};
         let g = dumbnet_topology::generators::testbed();
         let cfg = ControllerConfig {
             preload: Some(g.topology),
             ..ControllerConfig::default()
         };
-        let mut c = Controller::new(HostId(0), cfg);
-        // on_start consumes the preload; simulate via a minimal world in
-        // the core crate's integration tests. Here check the config path.
-        assert!(c.config.preload.is_some());
-        let topo = c.config.preload.take().unwrap();
-        c.topology = Some(topo);
-        assert!(c.ready());
+        let mut world = World::new(11);
+        let addr = world.add_node(Box::new(Controller::new(HostId(0), cfg)));
+        let ready = |w: &World| {
+            let c = w.node::<Controller>(addr).unwrap();
+            (c.ready(), c.topo_version())
+        };
+        assert_eq!(ready(&world), (false, 0));
+        world.run_until(SimTime::ZERO);
+        assert_eq!(ready(&world), (true, 1));
     }
 
     #[test]

@@ -19,13 +19,12 @@ use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
 use dumbnet_types::{
-    norm_edge, DumbNetError, FastHashMap, HostId, MacAddr, Path, PortNo, Result, SimDuration,
-    SimTime, SwitchId,
+    norm_edge, DumbNetError, HostId, MacAddr, Path, PortNo, Result, SimDuration, SimTime, SwitchId,
 };
 
 use crate::backlog::Backlog;
 use crate::failure::{
-    Edge, Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, CLEAR_THRESHOLD,
+    Edge, Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, RequestRetry, CLEAR_THRESHOLD,
 };
 use crate::pathtable::{FlowKey, PathTable};
 use crate::topocache::TopoCache;
@@ -102,10 +101,6 @@ pub enum AppAction {
 /// How many paths the TopoCache extracts per destination (the `k` of
 /// §5.2).
 const K_PATHS: usize = 4;
-
-/// How long to wait for a PathReply before re-asking the controller
-/// (replies can be lost during partitions; seed value).
-const PATH_REQUEST_RETRY: SimDuration = SimDuration::from_millis(50);
 
 /// Extra host-flood rounds per link event. Floods are ack-less, so
 /// redundancy is the only defence against loss; receivers drop every
@@ -245,24 +240,15 @@ pub struct HostAgent {
     pub topocache: TopoCache,
     /// The PathTable.
     pub pathtable: PathTable,
-    controller: Option<(MacAddr, Path)>,
-    /// All live controllers (primary + standbys) for query spreading.
-    controller_group: Vec<(MacAddr, Path)>,
-    next_controller: usize,
-    /// Packets waiting for a PathReply, keyed by destination; a stream's
-    /// consecutive packets park as one run record.
-    pending: FastHashMap<MacAddr, Backlog>,
-    /// Outstanding path requests: request id → (destination, sent time).
-    outstanding: FastHashMap<u64, (MacAddr, SimTime)>,
-    next_request_id: u64,
+    /// The path-request core: parked packets, requests in flight and
+    /// the controllers to ask.
+    requests: RequestRetry,
     next_ping_seq: u64,
     /// Duplicate and stale alarm suppression (for the longer-than-1s
     /// flapping the switch can't suppress).
     alarms: LinkEventFilter,
     /// Scheduled action progress (for repeating series).
     action_state: Vec<ActionProgress>,
-    /// Whether the pending-queue retry sweep is armed.
-    retry_armed: bool,
     /// Link events still owed redundant flood rounds.
     flood_backlog: Vec<(LinkEvent, u32)>,
     /// Whether the flood-repeat timer is armed.
@@ -325,16 +311,10 @@ impl HostAgent {
             routing,
             topocache: TopoCache::new(),
             pathtable: PathTable::new(),
-            controller: None,
-            controller_group: Vec::new(),
-            next_controller: 0,
-            pending: FastHashMap::default(),
-            outstanding: FastHashMap::default(),
-            next_request_id: 1,
+            requests: RequestRetry::default(),
             next_ping_seq: 1,
             alarms: LinkEventFilter::default(),
             action_state,
-            retry_armed: false,
             flood_backlog: Vec::new(),
             flood_armed: false,
             patches: PatchAcceptor::default(),
@@ -372,7 +352,7 @@ impl HostAgent {
     /// The controller this agent knows, if bootstrapped.
     #[must_use]
     pub fn controller(&self) -> Option<MacAddr> {
-        self.controller.as_ref().map(|(mac, _)| *mac)
+        self.requests.primary().map(|(mac, _)| *mac)
     }
 
     fn transmit(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
@@ -425,67 +405,23 @@ impl HostAgent {
     /// Sends `pkt` (whose `path` is empty) to `pkt.dst`, resolving the
     /// path or queueing on the controller.
     fn send_routed(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet, flow: FlowKey) {
-        let dst = pkt.dst;
-        if let Some(path) = self.resolve_path(ctx, dst, flow) {
+        if let Some(path) = self.resolve_path(ctx, pkt.dst, flow) {
             pkt.path = path;
-            self.transmit(ctx, pkt);
-            return;
+            return self.transmit(ctx, pkt);
         }
-        // Queue and ask the controller.
         self.counters.queued_on_miss.inc();
-        let src = self.mac;
-        self.pending.entry(dst).or_default().push(dst, src, pkt);
-        self.request_path(ctx, dst);
-        self.arm_retry(ctx);
-    }
-
-    fn request_path(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr) {
-        // One outstanding request per destination — but retry requests
-        // whose replies are overdue (lost during failures).
         let now = ctx.now();
-        self.outstanding
-            .retain(|_, &mut (d, at)| d != dst || now - at < PATH_REQUEST_RETRY);
-        if self.outstanding.values().any(|&(d, _)| d == dst) {
-            return;
-        }
-        // Round-robin new queries over the controller group (§4's
-        // multi-controller query scaling); fall back to the primary.
-        let target = if self.controller_group.is_empty() {
-            self.controller.clone()
-        } else {
-            let ix = self.next_controller % self.controller_group.len();
-            self.next_controller = self.next_controller.wrapping_add(1);
-            Some(self.controller_group[ix].clone())
-        };
-        let Some((ctrl_mac, ctrl_path)) = target else {
-            return;
-        };
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        self.outstanding.insert(request_id, (dst, now));
-        self.counters.path_requests.inc();
-        let msg = ControlMessage::PathRequest {
-            src: self.mac,
-            dst,
-            request_id,
-        };
-        let pkt = Packet::control(ctrl_mac, self.mac, ctrl_path, msg);
-        self.transmit(ctx, pkt);
+        self.step(ctx, |agent, out| agent.requests.on_miss(now, pkt, out));
     }
 
     /// Retry-sweep timer token (must not collide with action indices).
     const RETRY_TOKEN: u64 = u64::MAX;
 
-    fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.retry_armed && !self.pending.is_empty() {
-            self.retry_armed = true;
-            ctx.set_timer(PATH_REQUEST_RETRY, Self::RETRY_TOKEN);
-        }
-    }
-
-    fn flush_pending(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr) {
-        let Some(mut backlog) = self.pending.remove(&dst) else {
-            return;
+    /// Releases what `dst`'s parked packets can now be routed over and
+    /// parks the rest again (`true` if any).
+    fn flush_pending(&mut self, ctx: &mut Ctx<'_>, dst: MacAddr) -> bool {
+        let Some(mut backlog) = self.requests.take(dst) else {
+            return false;
         };
         let src = self.mac;
         let mut still_blocked = Backlog::default();
@@ -508,10 +444,9 @@ impl HostAgent {
                 still_blocked.push(dst, src, pkt);
             }
         }
-        if !still_blocked.is_empty() {
-            self.pending.insert(dst, still_blocked);
-            self.arm_retry(ctx);
-        }
+        self.step(ctx, |agent, out| {
+            agent.requests.park(dst, still_blocked, out)
+        })
     }
 
     /// Stage-1 failure handling on the host (§4.2).
@@ -530,7 +465,8 @@ impl HostAgent {
                 // resolution can use the edge again.
                 self.topocache.mark_up(a, b);
             } else {
-                self.edge_down(ctx, a, b);
+                let now = ctx.now();
+                self.step(ctx, |agent, out| agent.edge_down(now, a, b, out));
             }
         }
         self.broadcast_flood(ctx, event);
@@ -579,7 +515,7 @@ impl HostAgent {
     /// supersedes gray suspicion, every cached destination is
     /// re-installed from what the filtered TopoCache still offers, and
     /// those left with nothing are re-asked of the controller.
-    fn edge_down(&mut self, ctx: &mut Ctx<'_>, a: SwitchId, b: SwitchId) {
+    fn edge_down(&mut self, now: SimTime, a: SwitchId, b: SwitchId, out: &mut Vec<Effect>) {
         self.topocache.mark_down(a, b);
         let orphaned = self.pathtable.invalidate_edge(a, b);
         if let Some(gray) = &mut self.gray {
@@ -589,7 +525,7 @@ impl HostAgent {
             self.reinstall(dst);
         }
         for dst in orphaned {
-            self.request_path(ctx, dst);
+            self.requests.ask(now, dst, out);
         }
     }
 
@@ -606,10 +542,12 @@ impl HostAgent {
         }
     }
 
-    /// Steps a failure-path core ([`PatchAcceptor`], [`GrayDetector`])
-    /// and applies the effects it emits, in emission order. This `match`
-    /// is the only place their decisions meet a send, a timer, a counter
-    /// or the two-level cache.
+    /// Steps a host core ([`PatchAcceptor`], [`GrayDetector`],
+    /// [`RequestRetry`]) and applies the effects it emits, in emission
+    /// order. This `match` is the only place their decisions meet a
+    /// send, a timer, a counter or the two-level cache. Applying a patch
+    /// re-asks for the destinations it orphans: those requests queue
+    /// behind it.
     fn step<R>(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -617,15 +555,17 @@ impl HostAgent {
     ) -> R {
         let mut effects = std::mem::take(&mut self.effects);
         let result = input(self, &mut effects);
-        for effect in effects.drain(..) {
-            match effect {
+        let mut next = 0;
+        while let Some(slot) = effects.get_mut(next) {
+            next += 1; // Past the slot: the stand-in left there is never read.
+            match std::mem::replace(slot, Effect::Stale) {
                 Effect::Fenced => self.counters.stale_ctrl_updates.inc(),
                 Effect::Stale => self.counters.stale_patch_dropped.inc(),
                 Effect::Aborted => self.counters.coalesce_aborted.inc(),
                 Effect::Apply { epoch, entries } => {
                     self.patch_batch_entries.observe(entries.len() as u64);
                     for entry in entries {
-                        self.apply_patch_entry(ctx, entry);
+                        self.apply_patch_entry(ctx.now(), entry, &mut effects);
                     }
                     self.topocache.topo_version = epoch;
                     self.counters.patch_batches_applied.inc();
@@ -645,21 +585,32 @@ impl HostAgent {
                     self.transmit(ctx, probe);
                 }
                 Effect::Arm(after) => ctx.set_timer(after, Self::PROBE_TOKEN),
+                Effect::Request((ctrl_mac, ctrl_path), dst, request_id) => {
+                    self.counters.path_requests.inc();
+                    let src = self.mac;
+                    let msg = ControlMessage::PathRequest {
+                        src,
+                        dst,
+                        request_id,
+                    };
+                    self.transmit(ctx, Packet::control(ctrl_mac, src, ctrl_path, msg));
+                }
+                Effect::Retry(after) => ctx.set_timer(after, Self::RETRY_TOKEN),
             }
         }
+        effects.clear();
         self.effects = effects;
         result
     }
 
     /// Applies one entry of an accepted epoch to the two-level cache.
-    fn apply_patch_entry(&mut self, ctx: &mut Ctx<'_>, entry: PatchEntry) {
+    fn apply_patch_entry(&mut self, now: SimTime, entry: PatchEntry, out: &mut Vec<Effect>) {
         // Stamp the *software-visible* arrival of each version the batch
         // carried us through (the fig11 stage-2 series).
-        let now = ctx.now();
         let seen = now + self.config.stack_delay;
         self.stats.patch_arrivals.push((entry.version, seen));
         for (a, b) in entry.delta.down {
-            self.edge_down(ctx, a, b);
+            self.edge_down(now, a, b, out);
         }
         for (pa, pb) in entry.delta.up {
             self.topocache.mark_up(pa.switch, pb.switch);
@@ -677,28 +628,10 @@ impl HostAgent {
 
     /// Sends `msg` to the primary controller, if one is known.
     fn send_to_controller(&mut self, ctx: &mut Ctx<'_>, msg: ControlMessage) {
-        if let Some((ctrl_mac, ctrl_path)) = self.controller.clone() {
+        if let Some((ctrl_mac, ctrl_path)) = self.requests.primary().cloned() {
             let pkt = Packet::control(ctrl_mac, self.mac, ctrl_path, msg);
             self.transmit(ctx, pkt);
         }
-    }
-
-    /// Integrates one controller path answer (standalone or batched).
-    fn handle_path_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        request_id: u64,
-        graph: Option<Box<dumbnet_topology::PathGraph>>,
-        topo_version: u64,
-    ) {
-        let Some((dst, _)) = self.outstanding.remove(&request_id) else {
-            return;
-        };
-        if let Some(graph) = graph {
-            self.topocache.integrate(dst, *graph, topo_version);
-            self.reinstall(dst);
-        }
-        self.flush_pending(ctx, dst);
     }
 
     fn handle_control(
@@ -731,7 +664,14 @@ impl HostAgent {
                 graph,
                 topo_version,
             } => {
-                self.handle_path_reply(ctx, request_id, graph, topo_version);
+                let Some(dst) = self.requests.on_reply(request_id) else {
+                    return;
+                };
+                if let Some(graph) = graph {
+                    self.topocache.integrate(dst, *graph, topo_version);
+                    self.reinstall(dst);
+                }
+                self.flush_pending(ctx, dst);
             }
             ControlMessage::PathProbe { origin, probe_id } => {
                 // Gray-failure probe responder: answer over our own
@@ -765,24 +705,16 @@ impl HostAgent {
                 standby,
                 term,
             } => {
-                if !standby {
-                    if !self.step(ctx, |agent, out| agent.patches.admit_term(term, out)) {
+                let now = ctx.now();
+                self.step(ctx, |agent, out| {
+                    if !standby && !agent.patches.admit_term(term, out) {
                         return; // Leadership claim from a fenced stale leader.
                     }
-                    self.controller = Some((controller, path_to_controller.clone()));
-                }
-                // Maintain the query-spreading group (replace same MAC).
-                self.controller_group.retain(|(m, _)| *m != controller);
-                self.controller_group.push((controller, path_to_controller));
-                if topo_version > self.topocache.topo_version {
-                    self.topocache.topo_version = topo_version;
-                }
-                // A controller (re)appeared: retry anything parked.
-                let mut parked: Vec<MacAddr> = self.pending.keys().copied().collect();
-                parked.sort_unstable(); // Hash order would be nondeterministic.
-                for dst in parked {
-                    self.request_path(ctx, dst);
-                }
+                    let held = &mut agent.topocache.topo_version;
+                    *held = topo_version.max(*held);
+                    let hello = (controller, path_to_controller);
+                    agent.requests.on_hello(now, hello, !standby, out);
+                });
             }
             ControlMessage::Ping { seq, sent_at } => {
                 let echo_sent_at = sent_at;
@@ -936,24 +868,20 @@ impl Node for HostAgent {
             let now = ctx.now();
             return self.step(ctx, |agent, out| {
                 if let Some(gray) = &mut agent.gray {
-                    let can_report = agent.controller.is_some();
+                    let can_report = agent.requests.primary().is_some();
                     gray.on_tick(now, &agent.pathtable, can_report, out);
                 }
             });
         }
         if token == Self::RETRY_TOKEN {
-            self.retry_armed = false;
-            let mut dsts: Vec<MacAddr> = self.pending.keys().copied().collect();
-            dsts.sort_unstable(); // Deterministic retry order.
-            for dst in dsts {
+            let now = ctx.now();
+            for dst in self.requests.on_sweep() {
                 // Re-resolve locally first (a topology patch may have
-                // revived cached paths); otherwise re-ask the controller.
-                self.flush_pending(ctx, dst);
-                if self.pending.contains_key(&dst) {
-                    self.request_path(ctx, dst);
+                // revived cached paths); re-ask for what stays parked.
+                if self.flush_pending(ctx, dst) {
+                    self.step(ctx, |agent, out| agent.requests.ask(now, dst, out));
                 }
             }
-            self.arm_retry(ctx);
             return;
         }
         let ix = token as usize;

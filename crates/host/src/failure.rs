@@ -2,11 +2,12 @@
 //!
 //! [`PatchAcceptor`] decides which stage-2 patch batches reach the
 //! two-level cache, [`GrayDetector`] turns probe outcomes into edge
-//! suspicion. Both follow the calling convention of the controller's
-//! consensus core: every entry point takes what it needs to know (the
-//! time, the table version, the [`PathTable`] as data) and appends
-//! [`Effect`]s to a caller-owned buffer. Neither reads a clock, draws
-//! randomness, sends a packet or bumps a counter —
+//! suspicion, [`RequestRetry`] decides when a cache miss asks which
+//! controller (§5.2). All follow the calling convention of the
+//! controller's consensus core: every entry point takes what it needs
+//! to know (the time, the table version, the [`PathTable`] as data) and
+//! appends [`Effect`]s to a caller-owned buffer. None reads a clock,
+//! draws randomness, sends a packet or bumps a counter —
 //! [`HostAgent`](crate::agent::HostAgent) is their adapter and applies
 //! the effects in emission order.
 
@@ -14,8 +15,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use dumbnet_packet::control::{PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet};
-use dumbnet_types::{norm_edge, MacAddr, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{norm_edge, FastHashMap, MacAddr, Path, SimDuration, SimTime, SwitchId};
 
+use crate::backlog::Backlog;
 use crate::pathtable::{CachedPath, PathTable};
 
 /// A normalized (undirected) switch pair.
@@ -53,6 +55,11 @@ pub enum Effect {
     Probe(Packet),
     /// Run the next detector round this long from now.
     Arm(SimDuration),
+    /// Send this controller (over this path) a `PathRequest` for the
+    /// destination under the request id.
+    Request((MacAddr, Path), MacAddr, u64),
+    /// Run the path-request retry sweep this long from now.
+    Retry(SimDuration),
 }
 
 /// Segments of one multi-frame epoch, buffered until the set is complete.
@@ -152,6 +159,119 @@ impl PatchAcceptor {
         entries.retain(|e| e.version > held);
         entries.sort_by_key(|e| e.version);
         out.push(Effect::Apply { epoch, entries });
+    }
+}
+
+/// How long a PathReply may take before its request is presumed lost
+/// (replies can be lost during partitions; seed value).
+const PATH_REQUEST_RETRY: SimDuration = SimDuration::from_millis(50);
+
+/// When a cache miss asks which controller (§5.2): packets without a
+/// path park per destination, at most one request per destination is
+/// owed an answer, and every controller heard from is asked in turn.
+#[derive(Debug, Default)]
+pub struct RequestRetry {
+    /// The leader whose hello passed the term fence.
+    primary: Option<(MacAddr, Path)>,
+    /// Every controller heard from, the primary included.
+    group: Vec<(MacAddr, Path)>,
+    next: u32,
+    pending: FastHashMap<MacAddr, Backlog>,
+    /// Request id → (destination, sent time).
+    outstanding: FastHashMap<u64, (MacAddr, SimTime)>,
+    last_request_id: u64,
+    /// Whether the sweep timer is armed.
+    armed: bool,
+}
+
+impl RequestRetry {
+    /// The primary controller, once known.
+    #[must_use]
+    pub fn primary(&self) -> Option<&(MacAddr, Path)> {
+        self.primary.as_ref()
+    }
+
+    /// `pkt` (from this host) has no path: park it and ask for one.
+    pub fn on_miss(&mut self, now: SimTime, pkt: Packet, out: &mut Vec<Effect>) {
+        let dst = pkt.dst;
+        self.pending.entry(dst).or_default().push(dst, pkt.src, pkt);
+        self.ask(now, dst, out);
+        self.arm(out);
+    }
+
+    /// Asks the next controller for `dst`, unless a request is owed.
+    pub fn ask(&mut self, now: SimTime, dst: MacAddr, out: &mut Vec<Effect>) {
+        self.outstanding
+            .retain(|_, &mut (d, at)| d != dst || now - at < PATH_REQUEST_RETRY);
+        if self.group.is_empty() || self.outstanding.values().any(|&(d, _)| d == dst) {
+            return;
+        }
+        let to = self.group[self.next as usize % self.group.len()].clone();
+        self.next = self.next.wrapping_add(1);
+        self.last_request_id += 1;
+        self.outstanding.insert(self.last_request_id, (dst, now));
+        out.push(Effect::Request(to, dst, self.last_request_id));
+    }
+
+    fn arm(&mut self, out: &mut Vec<Effect>) {
+        if !self.armed && !self.pending.is_empty() {
+            self.armed = true;
+            out.push(Effect::Retry(PATH_REQUEST_RETRY));
+        }
+    }
+
+    /// A reply arrived: the destination it answers, or `None` if its
+    /// request is gone (answered, or re-asked since).
+    pub fn on_reply(&mut self, request_id: u64) -> Option<MacAddr> {
+        self.outstanding.remove(&request_id).map(|(dst, _)| dst)
+    }
+
+    /// A controller announced itself: a leader (`primary`, past the term
+    /// fence) becomes the primary, any joins the group under its newest
+    /// path, and every parked destination is asked for, ascending.
+    pub fn on_hello(
+        &mut self,
+        now: SimTime,
+        (controller, path): (MacAddr, Path),
+        primary: bool,
+        out: &mut Vec<Effect>,
+    ) {
+        if primary {
+            self.primary = Some((controller, path.clone()));
+        }
+        self.group.retain(|(m, _)| *m != controller);
+        self.group.push((controller, path));
+        for dst in self.parked() {
+            self.ask(now, dst, out);
+        }
+    }
+
+    /// The sweep timer fired: the parked destinations, ascending, for
+    /// the adapter to re-resolve and ask for again if still parked.
+    pub fn on_sweep(&mut self) -> Vec<MacAddr> {
+        self.armed = false;
+        self.parked()
+    }
+
+    fn parked(&self) -> Vec<MacAddr> {
+        let mut dsts: Vec<MacAddr> = self.pending.keys().copied().collect();
+        dsts.sort_unstable(); // Hash order would be nondeterministic.
+        dsts
+    }
+
+    /// Hands `dst`'s parked packets to the adapter to resolve.
+    pub(crate) fn take(&mut self, dst: MacAddr) -> Option<Backlog> {
+        self.pending.remove(&dst)
+    }
+
+    /// Parks again what the adapter still could not route, if anything.
+    pub(crate) fn park(&mut self, dst: MacAddr, backlog: Backlog, out: &mut Vec<Effect>) -> bool {
+        let parked = !backlog.is_empty();
+        if parked {
+            self.pending.insert(dst, backlog);
+            self.arm(out);
+        }
+        parked
     }
 }
 

@@ -10,18 +10,18 @@
 //! * [`topocache`] — the TopoCache: path graphs received from the
 //!   controller, the down-edge set, and memoized k-shortest-path
 //!   extraction inside one graph.
-//! * [`failure`] — the failure path's decisions as pure cores, stepped
-//!   without a simulator: [`PatchAcceptor`] (term fence, monotone
-//!   epochs, whole-epoch assembly of stage-2 patch batches) and
-//!   [`GrayDetector`] (probe ledger, per-path loss EWMA, common-cause
-//!   attribution, local suspects and the controller's soft-state
-//!   quarantine), with the [`failure::Effect`]s they emit.
+//! * [`failure`] — the host's decisions as pure cores, stepped without
+//!   a simulator: [`PatchAcceptor`] (term fence, monotone epochs,
+//!   whole-epoch stage-2 assembly), [`GrayDetector`] (probe ledger, loss
+//!   EWMA, common-cause attribution, soft-state quarantine) and
+//!   [`RequestRetry`] (parked misses, path requests and their retry),
+//!   with the [`failure::Effect`]s they emit.
 //! * [`agent`] — the [`agent::HostAgent`] simulation node: the
 //!   kernel-module analog (tag insertion/removal, ingress check),
-//!   path-cache queries with controller fallback and retry, stage-1
-//!   failure flooding and local failover, the adapter that applies the
-//!   cores' effects, ping / ECN-echo / probe responders, and a pluggable
-//!   routing function (the extension point flowlet TE uses, §6.2).
+//!   path-cache queries, stage-1 failure flooding and local failover,
+//!   the adapter that applies the cores' effects, ping / ECN-echo /
+//!   probe responders, and a pluggable routing function (the extension
+//!   point flowlet TE uses, §6.2).
 //! * [`datapath`] — the per-packet CPU cost model calibrated against the
 //!   paper's DPDK measurements, used by the Figure 9/10 reproductions.
 
@@ -37,6 +37,6 @@ pub mod topocache;
 
 pub use agent::{AgentStats, HostAgent, HostAgentConfig, RoutingFn};
 pub use datapath::{DatapathModel, DatapathVariant};
-pub use failure::{GrayDetectConfig, GrayDetector, PatchAcceptor};
+pub use failure::{GrayDetectConfig, GrayDetector, PatchAcceptor, RequestRetry};
 pub use pathtable::{FlowKey, PathTable, PathTableEntry};
 pub use topocache::TopoCache;

@@ -1,6 +1,6 @@
-//! The host's failure-path cores, stepped without a `World`: one valid
-//! fixture and one doctored input per clause, each with the exact
-//! effects expected (DESIGN.md §9.3, §10.2). The proptest drives the
+//! The host's cores, stepped without a `World`: one valid fixture and
+//! one doctored input per clause, each with the exact effects expected
+//! (DESIGN.md §3.3, §9.3, §10.2). The proptest drives the
 //! adapter too: whatever happens, the PathTable's avoid set is the
 //! detector's `local ∪ controller`. The last two drive it on a testbed
 //! host (DESIGN.md §3.3): a committed patch alone leaves the host where
@@ -9,7 +9,7 @@
 use std::any::Any;
 use std::collections::BTreeSet;
 
-use dumbnet_host::failure::{Edge, Effect, GrayDetector, PatchAcceptor};
+use dumbnet_host::failure::{Edge, Effect, GrayDetector, PatchAcceptor, RequestRetry};
 use dumbnet_host::pathtable::{CachedPath, PathTable};
 use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
@@ -608,4 +608,125 @@ fn a_down_alarm_older_than_the_ports_up_alarm_changes_nothing() {
     reordered.alarm(1_000, true, 2);
     reordered.alarm(2_000, false, 1);
     assert_eq!(reordered.settle(), untouched);
+}
+
+/// Controller `n`, reached over a one-hop path of port `n`.
+fn ctrl(n: u8) -> (MacAddr, Path) {
+    (MacAddr([2, 0, 0, 0, 1, n]), Path::from_ports([n]).unwrap())
+}
+
+fn host_mac(n: u8) -> MacAddr {
+    MacAddr([2, 0, 0, 0, 0, n])
+}
+
+/// What a cache miss on a data packet to `dst` emits at `ms`.
+fn miss(retry: &mut RequestRetry, ms: u64, dst: MacAddr) -> Vec<Effect> {
+    let mut out = Vec::new();
+    let pkt = Packet::data(dst, ME, Path::empty(), 7, 1, 100);
+    retry.on_miss(at_ms(ms), pkt, &mut out);
+    out
+}
+
+const RETRY_ARMED: Effect = Effect::Retry(SimDuration::from_millis(50));
+
+/// A core that has heard the leader `ctrl(1)`.
+fn led() -> RequestRetry {
+    let mut retry = RequestRetry::default();
+    retry.on_hello(at_ms(0), ctrl(1), true, &mut Vec::new());
+    retry
+}
+
+#[test]
+fn retry_asks_once_per_destination_and_arms_the_sweep_once() {
+    let mut retry = led();
+    assert_eq!(
+        miss(&mut retry, 1, DST),
+        [Effect::Request(ctrl(1), DST, 1), RETRY_ARMED]
+    );
+    // The same destination again: parked behind the owed request.
+    assert_eq!(miss(&mut retry, 2, DST), []);
+    // Another destination is asked for, but the sweep is armed already.
+    assert_eq!(
+        miss(&mut retry, 3, host_mac(8)),
+        [Effect::Request(ctrl(1), host_mac(8), 2)]
+    );
+    // The sweep fires: the timer is free to arm again.
+    assert_eq!(retry.on_sweep(), [host_mac(8), DST]);
+    assert_eq!(
+        miss(&mut retry, 4, host_mac(7)),
+        [Effect::Request(ctrl(1), host_mac(7), 3), RETRY_ARMED]
+    );
+}
+
+#[test]
+fn retry_presumes_a_reply_lost_after_50_ms_and_not_before() {
+    let mut retry = led();
+    miss(&mut retry, 10, DST);
+    let mut out = Vec::new();
+    retry.ask(at_ms(59), DST, &mut out);
+    assert_eq!(out, []);
+    retry.ask(at_ms(60), DST, &mut out);
+    assert_eq!(out, [Effect::Request(ctrl(1), DST, 2)]);
+}
+
+#[test]
+fn retry_drops_replies_whose_request_is_gone() {
+    let mut retry = led();
+    miss(&mut retry, 0, DST);
+    assert_eq!(retry.on_reply(99), None);
+    // Re-asked at 50 ms: the first request's late reply is stale.
+    retry.ask(at_ms(50), DST, &mut Vec::new());
+    assert_eq!(retry.on_reply(1), None);
+    assert_eq!(retry.on_reply(2), Some(DST));
+    assert_eq!(retry.on_reply(2), None);
+}
+
+#[test]
+fn retry_turns_over_the_group_and_the_leader_is_primary() {
+    let mut retry = RequestRetry::default();
+    // No controller yet: the packet parks, nobody is asked.
+    assert_eq!(miss(&mut retry, 0, DST), [RETRY_ARMED]);
+    assert_eq!(retry.primary(), None);
+    let mut out = Vec::new();
+    retry.on_hello(at_ms(1), ctrl(1), true, &mut out);
+    assert_eq!(out, [Effect::Request(ctrl(1), DST, 1)]);
+    // A standby joins the group, not the primary's seat.
+    retry.on_hello(at_ms(2), ctrl(2), false, &mut out);
+    assert_eq!(retry.primary(), Some(&ctrl(1)));
+    let asked: Vec<Effect> = (3..6)
+        .flat_map(|n| miss(&mut retry, 3, host_mac(n)))
+        .collect();
+    let expected = [
+        Effect::Request(ctrl(2), host_mac(3), 2),
+        Effect::Request(ctrl(1), host_mac(4), 3),
+        Effect::Request(ctrl(2), host_mac(5), 4),
+    ];
+    assert_eq!(asked, expected);
+    // A member heard again moves to the back under its newest path.
+    let moved = (ctrl(1).0, Path::from_ports([9]).unwrap());
+    retry.on_hello(at_ms(4), moved.clone(), true, &mut Vec::new());
+    assert_eq!(retry.primary(), Some(&moved));
+    let asked: Vec<Effect> = (6..8)
+        .flat_map(|n| miss(&mut retry, 5, host_mac(n)))
+        .collect();
+    let expected = [
+        Effect::Request(ctrl(2), host_mac(6), 5),
+        Effect::Request(moved, host_mac(7), 6),
+    ];
+    assert_eq!(asked, expected);
+}
+
+#[test]
+fn retry_reasks_parked_destinations_in_order_when_a_controller_appears() {
+    let mut retry = RequestRetry::default();
+    for n in [5, 3, 4] {
+        miss(&mut retry, 0, host_mac(n));
+    }
+    let mut out = Vec::new();
+    retry.on_hello(at_ms(1), ctrl(1), false, &mut out);
+    let expected: Vec<Effect> = (3..6)
+        .map(|n| Effect::Request(ctrl(1), host_mac(n), u64::from(n) - 2))
+        .collect();
+    assert_eq!(out, expected);
+    assert_eq!(retry.primary(), None, "a standby is no primary");
 }
