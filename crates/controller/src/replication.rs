@@ -24,10 +24,16 @@
 //! message on the wire. Replicas reject lower-term messages, and any
 //! node that observes a higher term — including a crashed-and-restarted
 //! ex-leader — steps down to [`ReplicaRole::Follower`] and re-syncs.
+//!
+//! The log obeys Raft's three rules (DESIGN.md §6.1): a voter elects
+//! only a candidate whose last entry is at least as up to date as its
+//! own; a follower stores an entry only after the entry before it,
+//! with its term, and cuts its log where a term conflicts; a leader
+//! commits by counting replicas on an entry of its own term.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dumbnet_packet::control::TopoDelta;
+use dumbnet_packet::control::{LogEntry, TopoDelta};
 use dumbnet_packet::ControlMessage;
 use dumbnet_types::{norm_edge, MacAddr, SimDuration, SimTime, SwitchId};
 
@@ -40,19 +46,6 @@ pub enum ReplicaRole {
     Follower,
 }
 
-/// One log entry: a topology delta and the version it produces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LogEntry {
-    /// Log position (1-based, dense).
-    pub index: u64,
-    /// Topology version after applying.
-    pub version: u64,
-    /// Leadership term the entry was sequenced under.
-    pub term: u64,
-    /// The change.
-    pub delta: TopoDelta,
-}
-
 /// The replicated topology log.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReplicatedLog {
@@ -60,11 +53,13 @@ pub struct ReplicatedLog {
     /// All controller members (self included).
     members: Vec<MacAddr>,
     me: MacAddr,
-    entries: BTreeMap<u64, LogEntry>,
-    /// Leader side: acks per index (self-ack included).
-    acks: BTreeMap<u64, BTreeSet<MacAddr>>,
+    /// Entry `i` at position `i - 1`: the consistency check keeps the
+    /// log free of holes.
+    entries: Vec<LogEntry>,
+    /// Leader side, one slot per member: the highest index known to
+    /// match our log (our own slot: our last index).
+    matched: Vec<u64>,
     committed: u64,
-    next_index: u64,
     /// Current leadership term (fencing token). Every member starts at
     /// 1 — the configured bootstrap leader's term — so the first
     /// campaign a follower can mount targets term 2 and can never
@@ -82,12 +77,11 @@ impl ReplicatedLog {
     pub fn new(me: MacAddr, members: Vec<MacAddr>, role: ReplicaRole) -> ReplicatedLog {
         ReplicatedLog {
             role,
+            matched: vec![0; members.len()],
             members,
             me,
-            entries: BTreeMap::new(),
-            acks: BTreeMap::new(),
+            entries: Vec::new(),
             committed: 0,
-            next_index: 1,
             term: 1,
             voted_in: 1,
         }
@@ -114,18 +108,14 @@ impl ReplicatedLog {
     }
 
     /// Promotes this replica to leader of `term` (an election win).
-    /// Every entry already stored is self-acked so the commit index can
-    /// advance once peers re-acknowledge the prefix under the new
-    /// leadership (the old leader's ack bookkeeping died with it).
+    /// Nothing is known to match on any peer yet; the stored prefix
+    /// commits once an entry of `term` reaches a majority.
     pub fn promote_to(&mut self, term: u64) {
         debug_assert!(term > self.term, "promotion must advance the term");
         self.role = ReplicaRole::Leader;
         self.term = self.term.max(term);
-        self.next_index = self.entries.keys().max().map_or(1, |m| m + 1);
-        for &ix in self.entries.keys() {
-            self.acks.entry(ix).or_default().insert(self.me);
-        }
-        self.advance_commit();
+        self.matched.fill(0);
+        self.match_self();
     }
 
     /// Steps down to follower without touching the term (a restarted
@@ -149,17 +139,33 @@ impl ReplicatedLog {
         false
     }
 
-    /// Whether a campaign for `term` by a candidate whose contiguous
-    /// log reaches `candidate_floor` gets this replica's vote. Granting
-    /// records the vote — at most one candidate can win any term, and a
-    /// candidate missing entries this replica knows are committed is
-    /// rejected (the elected leader must hold every committed entry).
-    pub fn grant_vote(&mut self, term: u64, candidate_floor: u64) -> bool {
-        if term <= self.term || term <= self.voted_in || candidate_floor < self.committed {
+    /// Whether a campaign for `term` by a candidate whose log ends at
+    /// `candidate_last` (term, index) gets this replica's vote. Granting
+    /// records the vote, so at most one candidate wins any term; a
+    /// candidate whose last entry is behind ours is refused, so a
+    /// majority that stores an entry elects only leaders holding it.
+    pub fn grant_vote(&mut self, term: u64, candidate_last: (u64, u64)) -> bool {
+        if term <= self.term || term <= self.voted_in || candidate_last < self.last() {
             return false;
         }
         self.voted_in = term;
         true
+    }
+
+    /// Term and index of the last entry (`(0, 0)` for an empty log).
+    #[must_use]
+    fn last(&self) -> (u64, u64) {
+        self.entries.last().map_or((0, 0), |e| (e.term, e.index))
+    }
+
+    /// Term of the entry at `index` (0 at index 0: the empty prefix
+    /// every log holds).
+    #[must_use]
+    fn term_at(&self, index: u64) -> Option<u64> {
+        match index {
+            0 => Some(0),
+            _ => self.entry(index).map(|e| e.term),
+        }
     }
 
     /// Majority size for the member count.
@@ -220,134 +226,93 @@ impl ReplicatedLog {
     pub fn append(&mut self, version: u64, delta: TopoDelta) -> LogEntry {
         debug_assert_eq!(self.role, ReplicaRole::Leader);
         let entry = LogEntry {
-            index: self.next_index,
+            index: self.entries.len() as u64 + 1,
             version,
             term: self.term,
             delta,
         };
-        self.next_index += 1;
-        self.entries.insert(entry.index, entry.clone());
-        let acks = self.acks.entry(entry.index).or_default();
-        acks.insert(self.me);
-        self.advance_commit();
+        self.entries.push(entry.clone());
+        self.match_self();
         entry
     }
 
-    /// Follower: stores a replicated entry. Returns `true` if it was new
-    /// (and should be acked). An entry already held at the same index is
-    /// replaced only when the incoming one carries a higher term — the
-    /// authoritative leader's copy overwrites a fenced stale leader's
-    /// divergent suffix — and never at or below the committed watermark:
-    /// the committed prefix is immutable regardless of terms (defense in
-    /// depth on top of the vote log-floor condition).
+    /// Follower: stores `entry`, whose predecessor the caller found in
+    /// this log with the leader's term. An entry already held with the
+    /// same term is the same entry; one held with another term is a
+    /// deposed leader's, and the log is cut from there. Returns `true`
+    /// if the entry was new.
     pub fn store(&mut self, entry: LogEntry) -> bool {
-        match self.entries.get(&entry.index) {
-            None => {
-                self.entries.insert(entry.index, entry);
-                true
-            }
-            Some(existing) if existing.term < entry.term && entry.index > self.committed => {
-                self.acks.remove(&entry.index);
-                self.entries.insert(entry.index, entry);
-                true
-            }
-            Some(_) => false,
+        let at = entry.index as usize - 1;
+        debug_assert!(at <= self.entries.len(), "predecessor not held");
+        if self.entries.get(at).is_some_and(|e| e.term == entry.term) {
+            return false;
         }
+        self.entries.truncate(at);
+        self.entries.push(entry);
+        true
     }
 
-    /// Follower: drops every entry above the committed watermark. Called
-    /// on first contact from a higher-term leader: the uncommitted
-    /// suffix may be a fenced leader's divergence, and `store`'s
-    /// replace-on-higher-term rule cannot repair an entry once the
-    /// commit watermark (advanced by that same leader's heartbeats)
-    /// passes it. Uncommitted entries are safe to shed — anything the
-    /// new regime committed is held by its leader (vote log-floor
-    /// condition) and comes back through re-sync.
-    pub fn truncate_uncommitted(&mut self) {
-        self.entries.retain(|&ix, _| ix <= self.committed);
-        self.acks.retain(|&ix, _| ix <= self.committed);
-        self.next_index = self.committed + 1;
+    /// Follower: adopts `index` as committed — the caller passes the
+    /// leader's commit index capped at the last index this log is known
+    /// to share with the leader. Never regresses.
+    pub fn note_commit(&mut self, index: u64) {
+        self.committed = self.committed.max(index);
     }
 
-    /// Follower: adopts the leader's commit index as carried by a
-    /// `ReplAppend`/heartbeat, clamped to our contiguous prefix (an
-    /// entry we do not hold cannot be considered committed here). This
-    /// is what makes the vote log-floor condition meaningful on
-    /// replicas that never led: without it `committed` stays 0 forever
-    /// and any candidate passes the floor check.
-    pub fn note_commit(&mut self, leader_commit: u64) {
-        let cap = self.highest_contiguous();
-        self.committed = self.committed.max(leader_commit.min(cap));
-    }
-
-    /// Leader: records an ack. Returns the new committed index if the
-    /// quorum advanced.
+    /// Leader: records that `from`'s log matches ours up to `index`.
+    /// Returns the new committed index if it advanced.
     pub fn ack(&mut self, index: u64, from: MacAddr) -> Option<u64> {
-        if !self.members.contains(&from) {
-            return None;
-        }
-        self.acks.entry(index).or_default().insert(from);
+        let slot = self.members.iter().position(|&m| m == from)?;
+        self.matched[slot] = self.matched[slot].max(index);
         let before = self.committed;
         self.advance_commit();
         (self.committed > before).then_some(self.committed)
     }
 
+    /// Leader: the highest index `peer`'s log is known to share with
+    /// ours; everything after it is resent on the next heartbeat.
+    #[must_use]
+    fn matched(&self, peer: MacAddr) -> u64 {
+        let slot = self.members.iter().position(|&m| m == peer);
+        slot.map_or(0, |slot| self.matched[slot])
+    }
+
     /// Entries in `(after, to]` for catch-up.
     pub fn entries_after(&self, after: u64) -> impl Iterator<Item = &LogEntry> {
-        self.entries.range(after + 1..).map(|(_, e)| e)
-    }
-
-    /// Highest index `N` such that every entry `1..=N` is present. A
-    /// follower whose log has holes (replication messages lost, or the
-    /// replica was down) reports this as its re-sync floor.
-    #[must_use]
-    pub fn highest_contiguous(&self) -> u64 {
-        let mut n = 0;
-        while self.entries.contains_key(&(n + 1)) {
-            n += 1;
-        }
-        n
-    }
-
-    /// Whether the log is missing any entry below its highest index.
-    #[must_use]
-    pub fn has_gap(&self) -> bool {
-        self.entries
-            .keys()
-            .next_back()
-            .is_some_and(|&hi| self.highest_contiguous() < hi)
-    }
-
-    /// Leader: stored indices not yet acknowledged by `peer`, oldest
-    /// first — the retransmission worklist for the ack-less-retry loop.
-    #[must_use]
-    pub fn unacked_for(&self, peer: MacAddr) -> Vec<u64> {
-        self.entries
-            .keys()
-            .copied()
-            .filter(|ix| !self.acks.get(ix).is_some_and(|acked| acked.contains(&peer)))
-            .collect()
+        self.entries.iter().skip(after as usize)
     }
 
     /// The entry at `index`, if stored.
     #[must_use]
     pub fn entry(&self, index: u64) -> Option<&LogEntry> {
-        self.entries.get(&index)
+        index
+            .checked_sub(1)
+            .and_then(|i| self.entries.get(i as usize))
     }
 
     /// All stored entries in index order (invariant audits: term
     /// monotonicity, cross-replica convergence).
     pub fn entries(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
+    /// Leader: our own slot follows our last entry, and the commit
+    /// index may move with it.
+    fn match_self(&mut self) {
+        let _ = self.ack(self.entries.len() as u64, self.me);
+    }
+
+    /// Leader: commits the highest index a majority matches, if its
+    /// entry is of the current term; earlier entries commit with it.
+    /// An older-term entry on a majority may still be overwritten by a
+    /// later leader (Raft's Figure 8), so it is never counted alone.
     fn advance_commit(&mut self) {
-        let q = self.quorum();
-        while let Some(acks) = self.acks.get(&(self.committed + 1)) {
-            if acks.len() >= q && self.entries.contains_key(&(self.committed + 1)) {
-                self.committed += 1;
-            } else {
-                break;
+        for slot in 0..self.matched.len() {
+            let n = self.matched[slot];
+            let reached = self.matched.iter().filter(|&&m| m >= n).count();
+            let ours = self.term_at(n) == Some(self.term);
+            if ours && n > self.committed && reached >= self.quorum() {
+                self.committed = n;
             }
         }
     }
@@ -566,20 +531,13 @@ impl Replica {
     pub fn on_timer(&mut self, now: SimTime, timer: Timer, out: &mut Vec<Effect>) {
         match timer {
             Timer::Heartbeat if self.is_leader() => {
-                let beat = LogEntry {
-                    index: 0,
-                    version: self.version,
-                    term: self.log.term,
-                    delta: TopoDelta::default(),
-                };
                 for peer in self.log.peers() {
-                    // Ack-less retry: replay entries this peer has not
-                    // acknowledged (lost appends or acks), a bounded
+                    // Ack-less retry: replay entries this peer is not
+                    // known to hold (lost appends or acks), a bounded
                     // batch per beat.
-                    let unacked = self.log.unacked_for(peer);
-                    let due = unacked.iter().take(Replica::RESEND_PER_BEAT);
-                    let due = due.filter_map(|&ix| self.log.entry(ix));
-                    self.replay(peer, Some(self.append_msg(&beat)), due, out);
+                    let due = self.log.entries_after(self.log.matched(peer));
+                    let due = due.take(Replica::RESEND_PER_BEAT);
+                    self.replay(peer, Some(self.append_msg(None)), due, out);
                 }
                 self.arm(Timer::Heartbeat, self.heartbeat, out);
             }
@@ -620,7 +578,7 @@ impl Replica {
         if self.is_leader() {
             let entry = self.log.append(version, delta);
             for peer in self.log.peers() {
-                self.send(peer, self.append_msg(&entry), out);
+                self.send(peer, self.append_msg(Some(&entry)), out);
             }
         }
     }
@@ -645,28 +603,20 @@ impl Replica {
         }
         match msg {
             ControlMessage::ReplAppend {
-                index,
-                version,
-                delta,
                 leader,
                 term,
-                entry_term,
+                prev_index,
+                prev_term,
                 commit,
+                entry,
             } => {
-                if term < self.log.term {
+                if term < self.log.term || entry.as_ref().is_some_and(|e| e.index != prev_index + 1)
+                {
                     // A fenced stale leader (pre-partition, or restarted
-                    // without noticing the election it slept through).
+                    // without noticing the election it slept through),
+                    // or an entry that does not follow `prev_index`.
                     out.push(Effect::Dropped);
                     return;
-                }
-                if term > self.log.term {
-                    // First contact from a new leader regime. Our
-                    // uncommitted suffix may be a fenced leader's
-                    // divergence (ours, or one we stored); the log never
-                    // truncates on conflict, so shed it now — before the
-                    // commit watermark can freeze it — and re-fetch the
-                    // authoritative entries via re-sync.
-                    self.log.truncate_uncommitted();
                 }
                 self.note_term(now, term, out);
                 if self.is_leader() {
@@ -677,38 +627,27 @@ impl Replica {
                 }
                 self.election = None;
                 self.last_leader_seen = now;
-                if index == 0 {
-                    self.log.note_commit(commit);
-                    // Pure heartbeat. A version ahead of ours means we
-                    // missed appends (lost packets or a crash window):
-                    // ask the leader to re-send from our contiguous
-                    // floor. The ack (index 0) is the leader's lease.
-                    if version > self.version {
-                        self.send(leader, self.sync_request(), out);
-                    }
-                    self.send(leader, self.ack(0), out);
+                if self.log.term_at(prev_index) != Some(prev_term) {
+                    // Appends were lost, or our suffix is a deposed
+                    // leader's: store and ack nothing, and ask for the
+                    // log after the prefix we know is committed.
+                    self.send(leader, self.sync_request(), out);
                     return;
                 }
-                let entry = LogEntry {
-                    index,
-                    version,
-                    term: entry_term,
-                    delta: *delta,
+                // The last index this append shows we share.
+                let shared = match entry {
+                    None => prev_index,
+                    Some(entry) => {
+                        let (version, delta) = (entry.version, entry.delta.clone());
+                        if self.log.store(*entry) {
+                            self.apply(version.max(self.version), delta, out);
+                        }
+                        prev_index + 1
+                    }
                 };
-                let fresh = self.log.store(entry.clone());
-                // After storing: the entry itself may complete the
-                // contiguous prefix the leader's commit index covers.
-                self.log.note_commit(commit);
-                if fresh {
-                    self.apply(version.max(self.version), entry.delta, out);
-                }
-                self.send(leader, self.ack(index), out);
-                // A hole below this entry means earlier appends were
-                // lost: request them rather than waiting for the next
-                // heartbeat to notice.
-                if self.log.has_gap() {
-                    self.send(leader, self.sync_request(), out);
-                }
+                self.log.note_commit(commit.min(shared));
+                // The ack is also the leader's lease.
+                self.send(leader, self.ack(shared), out);
             }
             ControlMessage::ReplAck {
                 index,
@@ -724,9 +663,7 @@ impl Replica {
                     out.push(Effect::Dropped);
                 } else {
                     self.peer_heard.insert(replica, now);
-                    if index > 0 {
-                        let _ = self.log.ack(index, replica);
-                    }
+                    let _ = self.log.ack(index, replica);
                 }
             }
             // Leader side: replay the requested suffix as ordinary
@@ -750,7 +687,8 @@ impl Replica {
             ControlMessage::LeaderQuery {
                 candidate,
                 term,
-                log_floor,
+                last_term,
+                last_index,
                 ttl: _,
             } => {
                 // Our own flooded campaign echoed back, or a duplicate
@@ -763,7 +701,7 @@ impl Replica {
                     // stand down.
                     (false, true)
                 } else {
-                    let granted = self.log.grant_vote(term, log_floor);
+                    let granted = self.log.grant_vote(term, (last_term, last_index));
                     if granted {
                         // Give the candidate a full takeover window to
                         // win before we campaign ourselves.
@@ -842,7 +780,7 @@ impl Replica {
         entries: impl Iterator<Item = &'a LogEntry>,
         out: &mut Vec<Effect>,
     ) {
-        let entries = entries.map(|e| self.append_msg(e)).collect();
+        let entries = entries.map(|e| self.append_msg(Some(e))).collect();
         out.push(Effect::Replay { to, beat, entries });
     }
 
@@ -862,17 +800,17 @@ impl Replica {
 
     /// The one place a `ReplAppend` is built: a live append, a replayed
     /// entry (keeping its historical term, so same index + same term ⇒
-    /// same entry survives leader changes) or, as the empty entry at
-    /// index 0, a heartbeat.
-    fn append_msg(&self, e: &LogEntry) -> ControlMessage {
+    /// same entry survives leader changes) or, without an entry, a
+    /// heartbeat that checks the follower holds our last entry.
+    fn append_msg(&self, entry: Option<&LogEntry>) -> ControlMessage {
+        let prev_index = entry.map_or(self.log.entries.len() as u64, |e| e.index - 1);
         ControlMessage::ReplAppend {
-            index: e.index,
-            version: e.version,
-            delta: Box::new(e.delta.clone()),
             leader: self.log.me,
             term: self.log.term,
-            entry_term: e.term,
+            prev_index,
+            prev_term: self.log.term_at(prev_index).unwrap_or_default(),
             commit: self.log.committed,
+            entry: entry.map(|e| Box::new(e.clone())),
         }
     }
 
@@ -884,11 +822,13 @@ impl Replica {
         }
     }
 
-    /// Asks the leader to replay the log after our contiguous floor
-    /// (lost appends or a crash window left us behind).
+    /// Asks the leader to replay the log after our commit index (lost
+    /// appends, a deposed leader's suffix or a crash window): the
+    /// leader holds that prefix, so its first replayed entry passes the
+    /// consistency check.
     fn sync_request(&self) -> ControlMessage {
         ControlMessage::ReplSyncRequest {
-            after: self.log.highest_contiguous(),
+            after: self.log.committed,
             replica: self.log.me,
             term: self.log.term,
         }
@@ -943,11 +883,9 @@ impl Replica {
         // Past the current term AND past every vote already cast, so a
         // losing candidate's retry targets a genuinely fresh term.
         let term = self.log.term.max(self.log.voted_in) + 1;
-        let log_floor = self.log.highest_contiguous();
-        if !self.log.grant_vote(term, log_floor) {
-            self.arm_takeover(out);
-            return;
-        }
+        let (last_term, last_index) = self.log.last();
+        let granted = self.log.grant_vote(term, (last_term, last_index));
+        debug_assert!(granted, "a fresh term and our own log");
         let candidate = self.log.me;
         self.election = Some(Election {
             term,
@@ -956,7 +894,8 @@ impl Replica {
         let msg = ControlMessage::LeaderQuery {
             candidate,
             term,
-            log_floor,
+            last_term,
+            last_index,
             ttl: 0,
         };
         out.push(Effect::Campaign { term, msg });
@@ -1026,15 +965,15 @@ mod tests {
     }
 
     #[test]
-    fn commit_is_in_order() {
+    fn an_ack_covers_the_prefix_before_it() {
         let mut log = ReplicatedLog::new(mac(0), vec![mac(0), mac(1), mac(2)], ReplicaRole::Leader);
-        let e1 = log.append(1, delta());
+        log.append(1, delta());
         let e2 = log.append(2, delta());
-        // Ack entry 2 first: nothing commits until 1 is acked.
-        assert_eq!(log.ack(e2.index, mac(1)), None);
-        assert_eq!(log.committed(), 0);
-        assert_eq!(log.ack(e1.index, mac(1)), Some(2));
-        assert_eq!(log.committed(), 2);
+        assert_eq!(log.ack(e2.index, mac(1)), Some(2));
+        // A late ack for entry 1 does not move the match index back.
+        assert_eq!(log.ack(1, mac(1)), None);
+        assert_eq!(log.matched(mac(1)), 2);
+        assert_eq!(log.matched(mac(2)), 0);
     }
 
     #[test]
@@ -1094,29 +1033,35 @@ mod tests {
     fn votes_are_exclusive_per_term() {
         let mut log =
             ReplicatedLog::new(mac(2), vec![mac(0), mac(1), mac(2)], ReplicaRole::Follower);
-        assert!(!log.grant_vote(1, 0), "the bootstrap term is taken");
-        assert!(log.grant_vote(2, 0));
-        assert!(!log.grant_vote(2, 0), "second candidate of term 2 loses");
-        assert!(log.grant_vote(3, 0), "next term is a fresh vote");
+        assert!(!log.grant_vote(1, (0, 0)), "the bootstrap term is taken");
+        assert!(log.grant_vote(2, (0, 0)));
+        assert!(
+            !log.grant_vote(2, (0, 0)),
+            "second candidate of term 2 loses"
+        );
+        assert!(log.grant_vote(3, (0, 0)), "next term is a fresh vote");
         // A stale term (≤ current) never gets a vote.
         log.observe_term(5);
-        assert!(!log.grant_vote(5, 0));
-        assert!(log.grant_vote(6, 0));
+        assert!(!log.grant_vote(5, (0, 0)));
+        assert!(log.grant_vote(6, (0, 0)));
     }
 
     #[test]
-    fn vote_rejects_candidate_behind_committed() {
-        // Voter committed up to 2; a candidate whose contiguous log ends
-        // at 1 would lose committed data, so it is rejected.
-        let mut log = ReplicatedLog::new(mac(0), vec![mac(0), mac(1), mac(2)], ReplicaRole::Leader);
-        let e1 = log.append(1, delta());
-        let e2 = log.append(2, delta());
-        log.ack(e1.index, mac(1));
-        log.ack(e2.index, mac(1));
-        assert_eq!(log.committed(), 2);
-        log.demote();
-        assert!(!log.grant_vote(7, 1));
-        assert!(log.grant_vote(7, 2));
+    fn vote_needs_a_log_at_least_as_up_to_date() {
+        // The voter's log ends at (term 2, index 2) — stored, not
+        // known committed: it counts all the same.
+        let mut log =
+            ReplicatedLog::new(mac(2), vec![mac(0), mac(1), mac(2)], ReplicaRole::Follower);
+        log.store(entry_at(1, 1));
+        log.store(entry_at(2, 2));
+        assert_eq!(log.committed(), 0);
+        assert!(!log.grant_vote(5, (1, 9)), "an older last term loses");
+        assert!(
+            !log.grant_vote(5, (2, 1)),
+            "a shorter log of the same term loses"
+        );
+        assert!(log.grant_vote(5, (2, 2)));
+        assert!(log.grant_vote(6, (3, 1)), "a newer last term wins");
     }
 
     #[test]
@@ -1128,93 +1073,33 @@ mod tests {
     }
 
     #[test]
-    fn store_replaces_stale_term_entry() {
+    fn store_cuts_the_log_at_a_term_conflict() {
         let mut log = ReplicatedLog::new(mac(1), vec![mac(0), mac(1)], ReplicaRole::Follower);
-        assert!(log.store(entry_at(3, 1)));
-        // The fenced stale leader's copy does not displace a newer term.
-        let stale = LogEntry {
-            version: 99,
-            ..entry_at(3, 1)
-        };
-        assert!(!log.store(stale));
-        // The new leader's higher-term copy overwrites.
-        let fresh = LogEntry {
-            version: 7,
-            ..entry_at(3, 2)
-        };
-        assert!(log.store(fresh));
-        assert_eq!(log.entry(3).unwrap().version, 7);
+        for index in 1..=3 {
+            assert!(log.store(entry_at(index, 1)));
+        }
+        // The same entry again changes nothing, even below the end.
+        assert!(!log.store(entry_at(2, 1)));
+        assert_eq!(log.len(), 3);
+        // Another term at index 2: entries 2 and 3 were a deposed
+        // leader's.
+        assert!(log.store(entry_at(2, 2)));
+        assert_eq!(log.last(), (2, 2));
+        let terms = [0, 1, 2, 3].map(|index| log.term_at(index));
+        assert_eq!(terms, [Some(0), Some(1), Some(2), None]);
     }
 
     #[test]
-    fn promotion_self_acks_stored_prefix_so_commit_can_advance() {
+    fn old_term_entries_commit_only_with_one_of_the_current_term() {
         let mut log =
             ReplicatedLog::new(mac(1), vec![mac(0), mac(1), mac(2)], ReplicaRole::Follower);
-        log.observe_term(1);
         log.store(entry_at(1, 1));
         log.store(entry_at(2, 1));
         log.promote_to(log.term() + 1);
-        // Peer re-acks the prefix under the new leadership.
-        assert_eq!(log.ack(1, mac(2)), Some(1));
-        assert_eq!(log.ack(2, mac(2)), Some(2));
-        assert_eq!(log.committed(), 2);
-    }
-
-    #[test]
-    fn note_commit_clamps_to_contiguous_prefix() {
-        let mut log = ReplicatedLog::new(mac(1), vec![mac(0), mac(1)], ReplicaRole::Follower);
-        log.store(entry_at(1, 1));
-        // Entry 2 lost in flight; 3 held.
-        log.store(entry_at(3, 1));
-        // The leader claims 3 committed, but our contiguous prefix ends
-        // at 1: only that much may be considered committed locally.
-        log.note_commit(3);
-        assert_eq!(log.committed(), 1);
-        // Commit never regresses.
-        log.note_commit(0);
-        assert_eq!(log.committed(), 1);
-        // The hole fills; the next heartbeat's commit index lands fully.
-        log.store(entry_at(2, 1));
-        log.note_commit(3);
-        assert_eq!(log.committed(), 3);
-    }
-
-    #[test]
-    fn learned_commit_fences_votes_for_behind_candidates() {
-        // A follower that never led learns the commit index from the
-        // leader's appends and then refuses a candidate whose log ends
-        // below it — the scenario where a vacuous floor check would have
-        // let committed entries be overwritten.
-        let mut log =
-            ReplicatedLog::new(mac(2), vec![mac(0), mac(1), mac(2)], ReplicaRole::Follower);
-        log.store(entry_at(1, 1));
-        log.store(entry_at(2, 1));
-        log.note_commit(2);
-        assert!(!log.grant_vote(5, 1), "candidate misses committed entry 2");
-        assert!(log.grant_vote(5, 2));
-    }
-
-    #[test]
-    fn store_never_overwrites_committed_prefix() {
-        let mut log = ReplicatedLog::new(mac(1), vec![mac(0), mac(1)], ReplicaRole::Follower);
-        log.store(entry_at(1, 1));
-        log.store(entry_at(2, 1));
-        log.note_commit(2);
-        // A higher-term copy may not displace a committed entry.
-        let usurper = LogEntry {
-            version: 99,
-            ..entry_at(2, 4)
-        };
-        assert!(!log.store(usurper));
-        assert_eq!(log.entry(2).unwrap().version, 2);
-        // Above the watermark the higher-term overwrite still applies.
-        log.store(entry_at(3, 1));
-        let fresh = LogEntry {
-            version: 7,
-            ..entry_at(3, 4)
-        };
-        assert!(log.store(fresh));
-        assert_eq!(log.entry(3).unwrap().version, 7);
+        // A majority holds entry 2, but its term is not ours.
+        assert_eq!(log.ack(2, mac(2)), None);
+        let e3 = log.append(3, delta());
+        assert_eq!(log.ack(e3.index, mac(2)), Some(3));
     }
 
     #[test]
@@ -1225,37 +1110,6 @@ mod tests {
         }
         let idx: Vec<u64> = log.entries_after(2).map(|e| e.index).collect();
         assert_eq!(idx, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn gap_detection_tracks_contiguity() {
-        let mut log = ReplicatedLog::new(mac(1), vec![mac(0), mac(1)], ReplicaRole::Follower);
-        assert_eq!(log.highest_contiguous(), 0);
-        assert!(!log.has_gap());
-        log.store(entry_at(1, 1));
-        // Entry 2 was lost in flight; 3 arrives.
-        log.store(entry_at(3, 1));
-        assert_eq!(log.highest_contiguous(), 1);
-        assert!(log.has_gap());
-        // Re-sync fills the hole.
-        log.store(entry_at(2, 1));
-        assert_eq!(log.highest_contiguous(), 3);
-        assert!(!log.has_gap());
-    }
-
-    #[test]
-    fn unacked_worklist_shrinks_with_acks() {
-        let mut log = ReplicatedLog::new(mac(0), vec![mac(0), mac(1), mac(2)], ReplicaRole::Leader);
-        let e1 = log.append(1, delta());
-        let e2 = log.append(2, delta());
-        assert_eq!(log.unacked_for(mac(1)), vec![1, 2]);
-        log.ack(e1.index, mac(1));
-        assert_eq!(log.unacked_for(mac(1)), vec![2]);
-        assert_eq!(log.unacked_for(mac(2)), vec![1, 2]);
-        log.ack(e2.index, mac(1));
-        assert!(log.unacked_for(mac(1)).is_empty());
-        assert!(log.entry(1).is_some());
-        assert!(log.entry(9).is_none());
     }
 
     const HEARTBEAT: SimDuration = SimDuration(50_000_000);
@@ -1315,7 +1169,8 @@ mod tests {
                 ControlMessage::LeaderQuery {
                     candidate,
                     term: 2,
-                    log_floor: 0,
+                    last_term: 0,
+                    last_index: 0,
                     ttl: 0,
                 }
             }),
@@ -1352,6 +1207,62 @@ mod tests {
         // Held for four heartbeats after the last contact, not longer.
         assert!(r.may_mutate(at(210)));
         assert!(!r.may_mutate(at(211)));
+    }
+
+    fn append(prev: (u64, u64), commit: u64, entry: Option<LogEntry>) -> ControlMessage {
+        ControlMessage::ReplAppend {
+            leader: mac(0),
+            term: 1,
+            prev_index: prev.0,
+            prev_term: prev.1,
+            commit,
+            entry: entry.map(Box::new),
+        }
+    }
+
+    fn acked(out: &[Effect]) -> Vec<u64> {
+        let ack = |e: &Effect| match e {
+            Effect::Send {
+                msg: ControlMessage::ReplAck { index, .. },
+                ..
+            } => Some(*index),
+            _ => None,
+        };
+        out.iter().filter_map(ack).collect()
+    }
+
+    /// An append whose predecessor is missing is neither stored nor
+    /// acked: the follower asks for the log after its commit index.
+    /// Its commit index never passes what it shares with the leader.
+    #[test]
+    fn a_follower_acks_and_commits_only_what_it_shares() {
+        let mut r = replica(1, ReplicaRole::Follower);
+        let out = deliver(&mut r, at(1), append((1, 1), 2, Some(entry_at(2, 1))));
+        let sync = ControlMessage::ReplSyncRequest {
+            after: 0,
+            replica: mac(1),
+            term: 1,
+        };
+        assert_eq!(
+            out,
+            [Effect::Send {
+                to: mac(0),
+                msg: sync
+            }]
+        );
+        assert!(r.log().is_empty());
+        let out = deliver(&mut r, at(2), append((0, 0), 2, Some(entry_at(1, 1))));
+        assert_eq!(acked(&out), [1]);
+        assert_eq!(r.log().committed(), 1, "entry 2 is not ours yet");
+        let out = deliver(&mut r, at(3), append((2, 1), 2, None));
+        assert!(acked(&out).is_empty(), "a heartbeat past our log");
+        let out = deliver(&mut r, at(4), append((1, 1), 2, None));
+        assert_eq!(acked(&out), [1]);
+        // Entry 2 arrives; a late resend of entry 1 carries a commit
+        // index past it, but shows only index 1 shared.
+        deliver(&mut r, at(5), append((1, 1), 1, Some(entry_at(2, 1))));
+        deliver(&mut r, at(6), append((0, 0), 2, Some(entry_at(1, 1))));
+        assert_eq!(r.log().committed(), 1);
     }
 
     #[test]

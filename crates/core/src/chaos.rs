@@ -20,7 +20,7 @@
 //! 6. **Term-monotone logs**: within each replica's log, entry terms
 //!    never decrease with the index.
 //! 7. **Post-heal log convergence**: every pair of live replicas agrees
-//!    entry-for-entry up to the shorter contiguous prefix.
+//!    entry-for-entry up to the end of the shorter log.
 //! 8. **Data-plane fidelity**: on fabrics built with
 //!    [`DumbSwitchConfig::shadow_check`](dumbnet_switch::DumbSwitchConfig)
 //!    enabled, no switch's forward decision ever disagreed with the
@@ -65,8 +65,8 @@ pub struct InvariantReport {
     /// Controllers whose replicated log holds an entry whose term is
     /// lower than an earlier entry's (terms must rise with the index).
     pub nonmonotone_logs: Vec<HostId>,
-    /// Live controller pairs whose logs disagree on some entry within
-    /// the contiguous prefix both hold.
+    /// Live controller pairs whose logs disagree on some entry both
+    /// hold.
     pub divergent_log_pairs: Vec<(HostId, HostId)>,
     /// Switches whose shadow-checked forward decisions diverged from
     /// the reference interpreter, with the divergence count. Only
@@ -207,13 +207,7 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
                 (Some(ca), Some(cb)) => (ca.replication(), cb.replication()),
                 _ => continue,
             };
-            let floor = la.highest_contiguous().min(lb.highest_contiguous());
-            let diverged = (1..=floor).any(|ix| match (la.entry(ix), lb.entry(ix)) {
-                (Some(ea), Some(eb)) => {
-                    ea.term != eb.term || ea.version != eb.version || ea.delta != eb.delta
-                }
-                _ => true,
-            });
+            let diverged = la.entries().zip(lb.entries()).any(|(ea, eb)| ea != eb);
             if diverged {
                 report.divergent_log_pairs.push((a, b));
             }

@@ -93,6 +93,27 @@ impl TopoDelta {
     pub fn has_quarantine(&self) -> bool {
         !self.quarantine.is_empty() || !self.unquarantine.is_empty()
     }
+
+    /// Bytes the delta takes on the wire.
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        self.down.len() * 16
+            + self.up.len() * 18
+            + (self.quarantine.len() + self.unquarantine.len()) * 16
+    }
+}
+
+/// One entry of the controllers' replicated topology log.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct LogEntry {
+    /// Log position (1-based, dense).
+    pub index: u64,
+    /// Topology version after applying.
+    pub version: u64,
+    /// Leadership term the entry was sequenced under.
+    pub term: u64,
+    /// The change.
+    pub delta: TopoDelta,
 }
 
 /// One versioned topology change inside a [`PatchBatch`]: the delta that
@@ -187,14 +208,7 @@ impl PatchBatch {
             + self
                 .entries
                 .iter()
-                .map(|e| {
-                    PATCH_ENTRY_HEADER
-                        + extra
-                        + e.delta.down.len() * 16
-                        + e.delta.up.len() * 18
-                        + e.delta.quarantine.len() * 16
-                        + e.delta.unquarantine.len() * 16
-                })
+                .map(|e| PATCH_ENTRY_HEADER + extra + e.delta.wire_len())
                 .sum::<usize>()
     }
 
@@ -500,32 +514,32 @@ pub enum ControlMessage {
     /// Leader→replica topology-log append (the ZooKeeper-substitute
     /// replication protocol).
     ReplAppend {
-        /// Log index of this entry.
-        index: u64,
-        /// Topology version after this entry.
-        version: u64,
-        /// The change being replicated (boxed: deltas ride in every
-        /// packet-sized enum slot, and the fat variants would otherwise
-        /// double the memcpy bill of the probe-dominated hot path).
-        delta: Box<TopoDelta>,
         /// The leader's identity.
         leader: MacAddr,
         /// The leader's term. Replicas reject lower-term appends; a
         /// higher term steps a stale leader down.
         term: u64,
-        /// The term the entry was originally appended under. Equal to
-        /// `term` on a live append; on a re-sync replay it preserves
-        /// the historical term so the log-matching property (same
-        /// index + same term ⇒ same entry) survives leader changes.
-        entry_term: u64,
-        /// The leader's commit index. Followers adopt it (clamped to
-        /// their contiguous prefix) so their vote log-floor condition
-        /// reflects real quorum commits rather than staying at zero.
+        /// Index of the entry just before `entry` — for a heartbeat,
+        /// of the leader's last entry (0: the empty log).
+        prev_index: u64,
+        /// Term of the entry at `prev_index` on the leader (0 at index
+        /// 0). A follower stores `entry` only if its own log holds that
+        /// entry with this term (Raft's consistency check).
+        prev_term: u64,
+        /// The leader's commit index. Followers adopt it up to the last
+        /// index they know they share with the leader.
         commit: u64,
+        /// The entry at `prev_index + 1`, keeping the term it was
+        /// sequenced under; `None` makes the frame a heartbeat. Boxed:
+        /// it rides in every packet-sized enum slot, and the fat
+        /// variants would otherwise double the memcpy bill of the
+        /// probe-dominated hot path.
+        entry: Option<Box<LogEntry>>,
     },
     /// Replica→leader acknowledgement.
     ReplAck {
-        /// Index being acknowledged.
+        /// The highest index the replica's log is known to share with
+        /// the leader's (the leader's match index for it).
         index: u64,
         /// The acknowledging replica.
         replica: MacAddr,
@@ -534,11 +548,11 @@ pub enum ControlMessage {
         term: u64,
     },
     /// Replica→leader log re-sync request: "send me everything after
-    /// `after`". Sent when a follower detects a hole in its log (lost
-    /// `ReplAppend`s) or comes back from a crash behind the leader's
-    /// version. The leader answers with ordinary `ReplAppend`s.
+    /// `after`". Sent when an append fails the consistency check (lost
+    /// or stale `ReplAppend`s) or after a crash. The leader answers
+    /// with ordinary `ReplAppend`s.
     ReplSyncRequest {
-        /// Highest contiguous index the replica holds.
+        /// The replica's commit index.
         after: u64,
         /// The requesting replica.
         replica: MacAddr,
@@ -546,17 +560,20 @@ pub enum ControlMessage {
         term: u64,
     },
     /// Follower→members leadership campaign: "I propose to lead `term`;
-    /// my contiguous log reaches `log_floor`". Sent after the takeover
-    /// timeout expires, staggered so the lowest-MAC live follower
-    /// campaigns first.
+    /// my log ends at `(last_term, last_index)`". Sent after the
+    /// takeover timeout expires, staggered so the lowest-MAC live
+    /// follower campaigns first.
     LeaderQuery {
         /// The campaigning follower.
         candidate: MacAddr,
         /// The proposed (next) term.
         term: u64,
-        /// Highest contiguous log index the candidate holds — voters
-        /// reject candidates behind their own committed index.
-        log_floor: u64,
+        /// Term of the candidate's last log entry (0: empty log).
+        last_term: u64,
+        /// Index of the candidate's last log entry. Voters refuse a
+        /// candidate whose `(last_term, last_index)` is behind their
+        /// own (Raft's election restriction).
+        last_index: u64,
         /// Flood budget. Zero for source-routed unicast; positive when
         /// the candidate has no topology yet and the campaign travels as
         /// a hop-limited broadcast relayed by switches (like
@@ -665,20 +682,13 @@ impl ControlMessage {
             ControlMessage::ControllerHello {
                 path_to_controller, ..
             } => 1 + 6 + path_to_controller.len() + 1 + 8 + 8,
-            ControlMessage::ReplAppend { delta, .. } => {
-                1 + 8
-                    + 8
-                    + 8
-                    + 8
-                    + 8
-                    + 6
-                    + delta.down.len() * 16
-                    + delta.up.len() * 18
-                    + (delta.quarantine.len() + delta.unquarantine.len()) * 16
+            // An entry's index is `prev_index + 1` and is not sent.
+            ControlMessage::ReplAppend { entry, .. } => {
+                1 + 6 + 8 + 8 + 8 + 8 + entry.as_ref().map_or(0, |e| 8 + 8 + e.delta.wire_len())
             }
             ControlMessage::ReplAck { .. } => 1 + 8 + 6 + 8,
             ControlMessage::ReplSyncRequest { .. } => 1 + 8 + 6 + 8,
-            ControlMessage::LeaderQuery { .. } => 1 + 6 + 8 + 8 + 1,
+            ControlMessage::LeaderQuery { .. } => 1 + 6 + 8 + 8 + 8 + 1,
             ControlMessage::LeaderQueryReply { .. } => 1 + 6 + 6 + 8 + 1 + 1 + 1,
             ControlMessage::StatsQuery { .. } => 1 + 8,
             ControlMessage::StatsReply { ports, .. } => 1 + 8 + 8 + ports.len() * 17,
@@ -883,5 +893,36 @@ mod tests {
             probe_id: 7,
         };
         assert_eq!(probe.wire_size(), reply.wire_size());
+    }
+
+    #[test]
+    fn replication_frames_have_sizes() {
+        let entry = LogEntry {
+            index: 4,
+            version: 9,
+            term: 2,
+            delta: TopoDelta {
+                down: vec![(SwitchId(1), SwitchId(2))],
+                ..TopoDelta::default()
+            },
+        };
+        let append = |entry| ControlMessage::ReplAppend {
+            leader: MacAddr::for_host(1),
+            term: 2,
+            prev_index: 3,
+            prev_term: 1,
+            commit: 3,
+            entry,
+        };
+        assert_eq!(append(None).wire_size(), 39);
+        assert_eq!(append(Some(Box::new(entry))).wire_size(), 39 + 16 + 16);
+        let query = ControlMessage::LeaderQuery {
+            candidate: MacAddr::for_host(2),
+            term: 3,
+            last_term: 2,
+            last_index: 4,
+            ttl: 0,
+        };
+        assert_eq!(query.wire_size(), 32);
     }
 }

@@ -388,7 +388,7 @@ impl Node for DumbSwitch {
         self.counters.tx_bytes.set(bytes);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortNo, pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortNo, mut pkt: Packet) {
         // Hop-limited notification flood: the only packet type a switch
         // inspects beyond the head tag. Matching on the payload enum is
         // the structured equivalent of matching a fixed EtherType.
@@ -410,54 +410,19 @@ impl Node for DumbSwitch {
         // travels the same way: a hop-limited broadcast relay. Unicast
         // (path-carrying) election packets fall through to `forward`.
         if pkt.dst == MacAddr::BROADCAST {
-            match &pkt.payload {
-                Payload::Control(ControlMessage::LeaderQuery {
-                    candidate,
-                    term,
-                    log_floor,
-                    ttl,
-                }) => {
-                    if *ttl > 0 {
-                        self.counters.notifications_relayed.inc();
-                        self.broadcast(
-                            ctx,
-                            Some(in_port),
-                            ControlMessage::LeaderQuery {
-                                candidate: *candidate,
-                                term: *term,
-                                log_floor: *log_floor,
-                                ttl: ttl - 1,
-                            },
-                        );
+            if let Payload::Control(
+                ControlMessage::LeaderQuery { ttl, .. }
+                | ControlMessage::LeaderQueryReply { ttl, .. },
+            ) = &mut pkt.payload
+            {
+                if *ttl > 0 {
+                    *ttl -= 1;
+                    self.counters.notifications_relayed.inc();
+                    if let Payload::Control(msg) = pkt.payload {
+                        self.broadcast(ctx, Some(in_port), msg);
                     }
-                    return;
                 }
-                Payload::Control(ControlMessage::LeaderQueryReply {
-                    candidate,
-                    responder,
-                    term,
-                    granted,
-                    leader,
-                    ttl,
-                }) => {
-                    if *ttl > 0 {
-                        self.counters.notifications_relayed.inc();
-                        self.broadcast(
-                            ctx,
-                            Some(in_port),
-                            ControlMessage::LeaderQueryReply {
-                                candidate: *candidate,
-                                responder: *responder,
-                                term: *term,
-                                granted: *granted,
-                                leader: *leader,
-                                ttl: ttl - 1,
-                            },
-                        );
-                    }
-                    return;
-                }
-                _ => {}
+                return;
             }
         }
         self.forward(ctx, pkt);
@@ -834,6 +799,32 @@ mod tests {
         w.run_to_idle(100);
         assert!(w.node::<Sink>(h1).unwrap().got.is_empty());
         assert!(w.node::<Sink>(h2).unwrap().got.is_empty());
+    }
+
+    #[test]
+    fn election_flood_relays_the_same_message_one_hop_shorter() {
+        let (mut w, sw, h1, h2) = one_switch_world();
+        let query = |ttl| ControlMessage::LeaderQuery {
+            candidate: MacAddr::for_host(1),
+            term: 3,
+            last_term: 2,
+            last_index: 7,
+            ttl,
+        };
+        for ttl in [2, 0] {
+            let pkt = Packet::control(
+                MacAddr::BROADCAST,
+                MacAddr::default(),
+                Path::empty(),
+                query(ttl),
+            );
+            w.inject(SimTime::ZERO, sw, p(1), pkt);
+        }
+        w.run_to_idle(100);
+        assert!(w.node::<Sink>(h1).unwrap().got.is_empty());
+        let got = &w.node::<Sink>(h2).unwrap().got;
+        assert_eq!(got.len(), 1, "the ttl-0 copy dies at the switch");
+        assert_eq!(got[0].2.payload, Payload::Control(query(1)));
     }
 
     /// Three hosts on one shadow-checked switch: every decision the
