@@ -23,8 +23,8 @@ use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
 use dumbnet_topology::{pathgraph, PathGraph, PathGraphParams, RouteCache, Topology};
 use dumbnet_types::{
-    mix64, norm_edge, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result, SimDuration,
-    SimTime, SwitchId,
+    heap, mix64, norm_edge, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result,
+    SimDuration, SimTime, SwitchId,
 };
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
@@ -93,8 +93,9 @@ pub struct ControllerConfig {
     pub discovery: DiscoveryConfig,
     /// Whether to run discovery at start (Figure 8) or use `preload`.
     pub run_discovery: bool,
-    /// Pre-known topology (experiments that start converged).
-    pub preload: Option<Topology>,
+    /// Pre-known topology (experiments that start converged), shared:
+    /// the controller copies it only when a link event changes it.
+    pub preload: Option<Arc<Topology>>,
     /// Pacing between probe transmissions — models the controller CPU,
     /// the bottleneck of §7.2.1 ("the bottleneck of topology discovery
     /// is the packet processing rate of the controller").
@@ -250,8 +251,10 @@ pub struct Controller {
     mac: MacAddr,
     config: ControllerConfig,
     discovery: Option<DiscoveryState>,
-    /// Authoritative topology (post-discovery or preloaded).
-    pub topology: Option<Topology>,
+    /// Authoritative topology (post-discovery or preloaded). A preload
+    /// stays shared with whoever handed it in until a link event
+    /// changes this controller's view.
+    pub topology: Option<Arc<Topology>>,
     /// The consensus core: log, election, lease, topology version and
     /// the quarantine set the log implies. Stepped only through
     /// [`Controller::step`].
@@ -661,7 +664,7 @@ impl Controller {
         self.counters.probes_sent.set(disc.probes_sent());
         match disc.to_topology() {
             Ok(topo) => {
-                self.topology = Some(topo);
+                self.topology = Some(Arc::new(topo));
                 self.replica.set_version(1);
                 // A whole-new topology invalidates everything derived.
                 self.route_cache.bump_epoch();
@@ -708,8 +711,8 @@ impl Controller {
         );
         for ((a, b), up) in hard {
             if let Some(topo) = self.topology.as_mut() {
-                if let Some(l) = topo.link_between(a, b).map(|l| l.id) {
-                    let _ = topo.set_link_state(l, up);
+                if let Some(l) = topo.link_between(a, b).filter(|l| l.up != up).map(|l| l.id) {
+                    let _ = Arc::make_mut(topo).set_link_state(l, up);
                 }
             }
             self.board.forget(norm_edge(a, b));
@@ -875,7 +878,7 @@ impl Controller {
     /// Table 2 vary them by calling [`pathgraph::build`] themselves.
     fn build_graph(&self, seed: u64, src: MacAddr, dst: MacAddr) -> Option<Box<PathGraph>> {
         let params = PathGraphParams::default();
-        let topo = self.topology.as_ref()?;
+        let topo = self.topology.as_deref()?;
         let s = topo.host_by_mac(src)?.id;
         let d = topo.host_by_mac(dst)?.id;
         if !self.replica.quarantined().is_empty() {
@@ -980,6 +983,20 @@ impl Controller {
 }
 
 impl Node for Controller {
+    fn heap_owner(&self) -> &'static str {
+        "controllers"
+    }
+
+    fn heap_bytes(&self) -> usize {
+        // A topology still shared with the fabric is the fabric's row.
+        let topology = self.topology.as_ref().filter(|t| Arc::strong_count(t) == 1);
+        topology.map_or(0, |t| heap::arc::<Topology>() + t.heap_bytes())
+            + self.route_cache.heap_bytes()
+            + heap::arc::<ControllerCounters>()
+            + self.probe_burst_size.heap_bytes()
+            + self.patch_batch_entries.heap_bytes()
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let (telemetry, node) = (ctx.telemetry(), self.id.get());
         telemetry.register_block(NodeKind::Controller, node, self.counters.clone());
@@ -1113,7 +1130,7 @@ mod tests {
         use dumbnet_sim::{Engine, World};
         let g = dumbnet_topology::generators::testbed();
         let cfg = ControllerConfig {
-            preload: Some(g.topology),
+            preload: Some(g.topology.into()),
             ..ControllerConfig::default()
         };
         let mut world = World::new(11);
@@ -1132,7 +1149,7 @@ mod tests {
         let g = dumbnet_topology::generators::testbed();
         let link = *g.topology.links().next().unwrap();
         let mut c = Controller::new(HostId(0), ControllerConfig::default());
-        c.topology = Some(g.topology);
+        c.topology = Some(g.topology.into());
         let ev = LinkEvent {
             switch: link.a.switch,
             port: link.a.port,
@@ -1158,7 +1175,7 @@ mod tests {
         let g = dumbnet_topology::generators::testbed();
         let link = *g.topology.links().next().unwrap();
         let cfg = ControllerConfig {
-            preload: Some(g.topology),
+            preload: Some(g.topology.into()),
             ..ControllerConfig::default()
         };
         let mut world = World::new(11);

@@ -1,15 +1,20 @@
 //! Building and driving emulated DumbNet fabrics.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 use dumbnet_controller::{Controller, ControllerConfig};
 use dumbnet_host::{HostAgent, HostAgentConfig};
-use dumbnet_sim::{EdgeId, Engine, HybridWorld, LinkParams, NodeAddr, ShardedWorld, WireId, World};
+use dumbnet_sim::{
+    EdgeId, Engine, HeapCensus, HybridWorld, LinkParams, NodeAddr, ShardedWorld, WireId, World,
+};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_telemetry::TraceEvent;
 use dumbnet_topology::partition::assign_cells;
 use dumbnet_topology::{EdgeKind, EdgeMap, Route, Topology};
-use dumbnet_types::{Bandwidth, DumbNetError, HostId, MacAddr, PortNo, Result, SimTime, SwitchId};
+use dumbnet_types::{
+    heap, Bandwidth, DumbNetError, HostId, MacAddr, PortNo, Result, SimTime, SwitchId,
+};
 
 /// The host agent's NIC port inside the engine.
 const NIC: PortNo = match PortNo::new(1) {
@@ -80,8 +85,9 @@ impl FabricConfig {
 pub struct Fabric<W: Engine = World> {
     /// The discrete-event world. Exposed for advanced experiments.
     pub world: W,
-    /// The ground-truth topology the fabric was built from.
-    pub topology: Topology,
+    /// The ground-truth topology the fabric was built from, shared with
+    /// every preloaded controller.
+    pub topology: Arc<Topology>,
     switch_addr: Vec<NodeAddr>,
     host_addr: Vec<NodeAddr>,
     controllers: HashSet<HostId>,
@@ -200,6 +206,7 @@ impl<W: Engine> Fabric<HybridWorld<W>> {
     #[must_use]
     pub fn bind_flow_edges(mut self) -> Self {
         let map = EdgeMap::build(&self.topology);
+        self.world.reserve_edges(map.len());
         for (ix, kind) in map.edges() {
             let (wire, dir) = self.flow_edge_wire(kind);
             let nominal = self.world.wire_params(wire).bandwidth;
@@ -315,6 +322,11 @@ impl<W: Engine> Fabric<W> {
         let cell_count = u32::try_from(world.cell_count()).expect("cell count fits in u32");
         let cells = (cell_count > 1).then(|| assign_cells(&topology, groups, cell_count));
         let cells = cells.as_ref();
+        let topology = Arc::new(topology);
+        world.reserve(
+            topology.switch_count() + topology.host_count(),
+            topology.link_count() + topology.host_count(),
+        );
 
         // Switches.
         let mut switch_addr = Vec::with_capacity(topology.switch_count());
@@ -330,7 +342,7 @@ impl<W: Engine> Fabric<W> {
             let addr = if controllers.contains(&h.id) {
                 let mut ccfg = config.controller.clone();
                 if !ccfg.run_discovery && ccfg.preload.is_none() {
-                    ccfg.preload = Some(topology.clone());
+                    ccfg.preload = Some(Arc::clone(&topology));
                 }
                 world.add_node_in_cell(Box::new(mk_controller(h.id, ccfg)), cell)
             } else {
@@ -501,6 +513,29 @@ impl<W: Engine> Fabric<W> {
     /// fabric, after a `publish_telemetry` sweep over all nodes.
     pub fn telemetry_snapshot(&mut self) -> dumbnet_telemetry::TelemetrySnapshot {
         self.world.telemetry_snapshot()
+    }
+
+    /// Live heap bytes by owner: the engine's census
+    /// ([`Engine::heap_census`]) plus the fabric's own topology, edge
+    /// map and address tables.
+    #[must_use]
+    pub fn heap_census(&self) -> HeapCensus {
+        let mut census = self.world.heap_census();
+        census.add(
+            "topology",
+            heap::arc::<Topology>() + self.topology.heap_bytes(),
+        );
+        census.add(
+            "edge map",
+            self.edge_map.as_ref().map_or(0, EdgeMap::heap_bytes),
+        );
+        census.add(
+            "fabric tables",
+            heap::vec(&self.switch_addr)
+                + heap::vec(&self.host_addr)
+                + heap::hash_set(&self.controllers),
+        );
+        census
     }
 }
 

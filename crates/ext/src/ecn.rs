@@ -53,6 +53,12 @@ impl EcnFlowletRouting {
 }
 
 impl RoutingFn for EcnFlowletRouting {
+    fn heap_bytes(&self) -> usize {
+        self.inner.heap_bytes()
+            + dumbnet_types::heap::hash_map(&self.nudges)
+            + dumbnet_types::heap::hash_map(&self.last_nudge)
+    }
+
     fn choose(
         &mut self,
         dst: MacAddr,

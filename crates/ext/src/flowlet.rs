@@ -75,6 +75,10 @@ impl FlowletRouting {
 }
 
 impl RoutingFn for FlowletRouting {
+    fn heap_bytes(&self) -> usize {
+        dumbnet_types::heap::hash_map(&self.flows)
+    }
+
     fn choose(
         &mut self,
         _dst: MacAddr,

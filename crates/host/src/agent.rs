@@ -12,14 +12,15 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
 use dumbnet_types::{
-    norm_edge, DumbNetError, HostId, MacAddr, Path, PortNo, Result, SimDuration, SimTime, SwitchId,
+    heap, norm_edge, DumbNetError, HostId, MacAddr, Path, PortNo, Result, SimDuration, SimTime,
+    SwitchId,
 };
 
 use crate::backlog::Backlog;
@@ -54,6 +55,12 @@ pub trait RoutingFn: Send {
     /// Congestion feedback (§8 ECN): the receiver echoed an ECN mark for
     /// `flow`. Default: ignore (the sticky router has no reaction).
     fn on_congestion(&mut self, _flow: FlowKey, _now: SimTime) {}
+
+    /// The heap this routing function owns beyond its own box, counted
+    /// by capacity (the agent adds the box). Default: none.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// The paper's default: flows stick to their first randomly assigned
@@ -230,6 +237,25 @@ counter_block! {
     }
 }
 
+/// The measurement series an agent records (its scalar counters live
+/// in its counter block; [`HostAgent::stats`] joins both).
+#[derive(Debug, Default)]
+struct Series {
+    delivered: HashMap<u64, (u64, u64)>,
+    rtts: Vec<(u64, SimTime, SimDuration)>,
+    notification_arrivals: Vec<(LinkEvent, SimTime)>,
+    patch_arrivals: Vec<(u64, SimTime)>,
+    ecn_marked: HashMap<u64, u64>,
+    stats_replies: Vec<(SwitchId, Vec<dumbnet_packet::control::PortStat>)>,
+}
+
+/// Bounds of every agent's `rtt_ns` histogram: 1 µs first bucket,
+/// doubling out to ~33 ms. Built once and shared.
+static RTT_BOUNDS: LazyLock<Arc<[u64]>> = LazyLock::new(|| Histogram::doubling_bounds(1_024, 16));
+
+/// Bounds of every agent's `patch_batch_entries` histogram.
+static BATCH_BOUNDS: LazyLock<Arc<[u64]>> = LazyLock::new(|| Histogram::doubling_bounds(1, 8));
+
 /// The host agent node.
 pub struct HostAgent {
     id: HostId,
@@ -261,10 +287,9 @@ pub struct HostAgent {
     /// The cores' effect buffer, reused across steps.
     effects: Vec<Effect>,
     /// Measurement series (scalar counters live in `counters`).
-    stats: AgentStats,
+    series: Series,
     counters: Arc<AgentCounters>,
-    /// Completed RTT samples, in nanoseconds (1 µs first bucket,
-    /// doubling out to ~33 ms).
+    /// Completed RTT samples, in nanoseconds ([`RTT_BOUNDS`]).
     rtt_ns: Histogram,
     /// Patch entries applied per coalesced epoch (batch-size visibility
     /// on the receive side).
@@ -321,10 +346,10 @@ impl HostAgent {
             gray,
             effects: Vec::new(),
             config,
-            stats: AgentStats::default(),
+            series: Series::default(),
             counters: Arc::default(),
-            rtt_ns: Histogram::doubling(1_024, 16),
-            patch_batch_entries: Histogram::doubling(1, 8),
+            rtt_ns: Histogram::with_bounds(Arc::clone(&RTT_BOUNDS)),
+            patch_batch_entries: Histogram::with_bounds(Arc::clone(&BATCH_BOUNDS)),
         }
     }
 
@@ -332,7 +357,16 @@ impl HostAgent {
     /// values.
     #[must_use]
     pub fn stats(&self) -> AgentStats {
-        let mut stats = self.stats.clone();
+        let s = &self.series;
+        let mut stats = AgentStats {
+            delivered: s.delivered.clone(),
+            rtts: s.rtts.clone(),
+            notification_arrivals: s.notification_arrivals.clone(),
+            patch_arrivals: s.patch_arrivals.clone(),
+            ecn_marked: s.ecn_marked.clone(),
+            stats_replies: s.stats_replies.clone(),
+            ..AgentStats::default()
+        };
         self.counters.fill(&mut stats);
         stats
     }
@@ -456,7 +490,7 @@ impl HostAgent {
         }
         // Stamp the *software-visible* arrival: the packet still crosses
         // the host stack before the agent can act on it.
-        self.stats
+        self.series
             .notification_arrivals
             .push((event, ctx.now() + self.config.stack_delay));
         if let Some((a, b)) = self.topocache.edge_of_port(event.switch, event.port) {
@@ -608,7 +642,7 @@ impl HostAgent {
         // Stamp the *software-visible* arrival of each version the batch
         // carried us through (the fig11 stage-2 series).
         let seen = now + self.config.stack_delay;
-        self.stats.patch_arrivals.push((entry.version, seen));
+        self.series.patch_arrivals.push((entry.version, seen));
         for (a, b) in entry.delta.down {
             self.edge_down(now, a, b, out);
         }
@@ -725,14 +759,14 @@ impl HostAgent {
             ControlMessage::Pong { seq, echo_sent_at } => {
                 let rtt = (ctx.now() - echo_sent_at) + self.config.stack_delay;
                 self.rtt_ns.observe(rtt.nanos());
-                self.stats.rtts.push((seq, echo_sent_at, rtt));
+                self.series.rtts.push((seq, echo_sent_at, rtt));
             }
             ControlMessage::EcnEcho { flow } => {
                 self.counters.ecn_echoes.inc();
                 self.routing.on_congestion(FlowKey(flow), ctx.now());
             }
             ControlMessage::StatsReply { switch, ports, .. } => {
-                self.stats.stats_replies.push((switch, ports));
+                self.series.stats_replies.push((switch, ports));
             }
             // Messages only controllers or switches consume.
             ControlMessage::StatsQuery { .. }
@@ -782,6 +816,40 @@ impl HostAgent {
 }
 
 impl Node for HostAgent {
+    fn heap_owner(&self) -> &'static str {
+        "hosts"
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let s = &self.series;
+        let replies: usize = s.stats_replies.iter().map(|(_, p)| heap::vec(p)).sum();
+        heap::vec(&self.config.actions)
+            + std::mem::size_of_val(&*self.routing)
+            + self.routing.heap_bytes()
+            + self.topocache.heap_bytes()
+            + self.pathtable.heap_bytes()
+            + self.requests.heap_bytes()
+            + self.alarms.heap_bytes()
+            + heap::vec(&self.action_state)
+            + heap::vec(&self.flood_backlog)
+            + self.patches.heap_bytes()
+            + self
+                .gray
+                .as_ref()
+                .map_or(0, |g| std::mem::size_of::<GrayDetector>() + g.heap_bytes())
+            + heap::vec(&self.effects)
+            + heap::hash_map(&s.delivered)
+            + heap::vec(&s.rtts)
+            + heap::vec(&s.notification_arrivals)
+            + heap::vec(&s.patch_arrivals)
+            + heap::hash_map(&s.ecn_marked)
+            + heap::vec(&s.stats_replies)
+            + replies
+            + heap::arc::<AgentCounters>()
+            + self.rtt_ns.heap_bytes()
+            + self.patch_batch_entries.heap_bytes()
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let (telemetry, node) = (ctx.telemetry(), self.id.get());
         telemetry.register_block(NodeKind::Host, node, self.counters.clone());
@@ -825,13 +893,13 @@ impl Node for HostAgent {
                 self.handle_control(ctx, pkt.src, msg, remaining);
             }
             Payload::Data { flow, bytes, .. } | Payload::Ip { flow, bytes, .. } => {
-                let entry = self.stats.delivered.entry(flow).or_insert((0, 0));
+                let entry = self.series.delivered.entry(flow).or_insert((0, 0));
                 entry.0 += 1;
                 entry.1 += bytes as u64;
                 if pkt_ecn {
                     // Echo the congestion mark to the sender (§8): it can
                     // then move the flow at the next flowlet boundary.
-                    *self.stats.ecn_marked.entry(flow).or_insert(0) += 1;
+                    *self.series.ecn_marked.entry(flow).or_insert(0) += 1;
                     let echo = ControlMessage::EcnEcho { flow };
                     let echo = Packet::control(src_mac, self.mac, Path::empty(), echo);
                     self.send_routed(ctx, echo, FlowKey(flow ^ 0xECE0_0000));
@@ -842,7 +910,7 @@ impl Node for HostAgent {
 
     fn publish_telemetry(&mut self) {
         let (pkts, bytes) = self
-            .stats
+            .series
             .delivered
             .values()
             .fold((0u64, 0u64), |(p, b), &(dp, db)| (p + dp, b + db));

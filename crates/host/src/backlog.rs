@@ -39,6 +39,11 @@ pub(crate) struct Backlog {
 }
 
 impl Backlog {
+    /// The heap the parked packets hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        dumbnet_types::heap::deque(&self.entries)
+    }
+
     /// Parks `pkt` behind everything already parked.
     pub(crate) fn push(&mut self, dst: MacAddr, src: MacAddr, pkt: Packet) {
         let (flow, seq, bytes) = match pkt.payload {

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use dumbnet_packet::control::{PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet};
-use dumbnet_types::{norm_edge, FastHashMap, MacAddr, Path, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, Path, SimDuration, SimTime, SwitchId};
 
 use crate::backlog::Backlog;
 use crate::pathtable::{CachedPath, PathTable};
@@ -84,6 +84,15 @@ pub struct PatchAcceptor {
 }
 
 impl PatchAcceptor {
+    /// The heap a batch under assembly holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.assembly.as_ref().map_or(0, |a| {
+            let parts: usize = a.parts.iter().flatten().map(heap::vec).sum();
+            heap::vec(&a.parts) + parts
+        })
+    }
+
     /// The term fence every leader-stamped update passes (patch batches
     /// and leader hellos alike): `false`, with [`Effect::Fenced`], for a
     /// term below the highest seen.
@@ -185,6 +194,17 @@ pub struct RequestRetry {
 }
 
 impl RequestRetry {
+    /// The heap the core holds: the controller group, the parked
+    /// packets and the requests in flight.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let parked: usize = self.pending.values().map(Backlog::heap_bytes).sum();
+        heap::vec(&self.group)
+            + heap::hash_map(&self.pending)
+            + parked
+            + heap::hash_map(&self.outstanding)
+    }
+
     /// The primary controller, once known.
     #[must_use]
     pub fn primary(&self) -> Option<&(MacAddr, Path)> {
@@ -370,6 +390,17 @@ pub struct GrayDetector {
 }
 
 impl GrayDetector {
+    /// The heap the detector holds: path health, the probe ledger and
+    /// the edge sets.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        heap::hash_map(&self.health)
+            + heap::hash_map(&self.ledger)
+            + heap::btree_set(&self.local)
+            + heap::btree_map(&self.ctrl)
+            + heap::btree_map(&self.reported)
+    }
+
     /// The detector of host `me`, nothing sampled and nothing held.
     #[must_use]
     pub fn new(me: MacAddr, cfg: GrayDetectConfig) -> GrayDetector {

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use dumbnet_topology::Route;
-use dumbnet_types::{norm_edge, FastHashMap, MacAddr, Path, SwitchId};
+use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, Path, SwitchId};
 
 /// Key identifying a transport flow on the sending host. The default
 /// routing function binds each key to one cached path; the flowlet
@@ -28,6 +28,12 @@ pub struct CachedPath {
 }
 
 impl CachedPath {
+    /// The heap the path holds (its switch list).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.route.heap_bytes()
+    }
+
     /// Whether the path traverses the (undirected) switch pair `a`–`b`.
     #[must_use]
     pub fn uses_edge(&self, a: SwitchId, b: SwitchId) -> bool {
@@ -89,6 +95,22 @@ pub struct PathTable {
 }
 
 impl PathTable {
+    /// The heap the table holds: entries, their paths and flow
+    /// bindings, and the quarantine set.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let entries: usize = self
+            .entries
+            .values()
+            .map(|e| {
+                heap::vec(&e.paths)
+                    + e.all_paths().map(CachedPath::heap_bytes).sum::<usize>()
+                    + heap::hash_map(&e.bindings)
+            })
+            .sum();
+        heap::hash_map(&self.entries) + entries + heap::btree_set(&self.quarantined)
+    }
+
     /// Creates an empty table.
     #[must_use]
     pub fn new() -> PathTable {

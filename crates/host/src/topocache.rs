@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use dumbnet_topology::{PathGraph, Route};
-use dumbnet_types::{norm_edge, FastHashMap, MacAddr, SwitchId};
+use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, SwitchId};
 
 use crate::pathtable::CachedPath;
 
@@ -39,6 +39,30 @@ pub struct TopoCache {
 }
 
 impl TopoCache {
+    /// The heap the cache holds: path graphs, down edges and the
+    /// k-path memo.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let graphs: usize = self.graphs.values().map(PathGraph::heap_bytes).sum();
+        let memo: usize = self
+            .k_memo
+            .values()
+            .map(|(paths, backup)| {
+                heap::vec(paths)
+                    + paths
+                        .iter()
+                        .chain(backup)
+                        .map(CachedPath::heap_bytes)
+                        .sum::<usize>()
+            })
+            .sum();
+        heap::hash_map(&self.graphs)
+            + graphs
+            + heap::hash_set(&self.down)
+            + heap::hash_map(&self.k_memo)
+            + memo
+    }
+
     /// Creates an empty cache.
     #[must_use]
     pub fn new() -> TopoCache {

@@ -50,6 +50,12 @@ pub struct LinkEventFilter {
 }
 
 impl LinkEventFilter {
+    /// The heap the filter's per-port table holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        dumbnet_types::heap::hash_map(&self.newest)
+    }
+
     /// Whether `event` is news; if so it becomes its port's newest.
     pub fn admit(&mut self, event: LinkEvent) -> bool {
         let port = (event.switch, event.port);

@@ -46,6 +46,7 @@
 //! observed. A plain `World` is the one-cell case of the same code.
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -55,8 +56,9 @@ use dumbnet_packet::Packet;
 use dumbnet_telemetry::{
     counter_block, NodeKind, Telemetry, TelemetrySnapshot, TraceCategory, TraceEvent,
 };
-use dumbnet_types::{mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
+use dumbnet_types::{heap, mix64, Bandwidth, DumbNetError, PortNo, Result, SimDuration, SimTime};
 
+use crate::census::HeapCensus;
 use crate::event::{EventQueue, QueueStats};
 
 /// Address of a node inside a [`World`].
@@ -130,6 +132,17 @@ pub trait Node: Send {
     /// hit/miss totals, table sizes) into their registered cells.
     /// Must not touch simulation state; the default does nothing.
     fn publish_telemetry(&mut self) {}
+
+    /// The [`HeapCensus`] row this node's bytes go to.
+    fn heap_owner(&self) -> &'static str {
+        "other nodes"
+    }
+
+    /// The heap this node owns beyond its own box, counted by capacity
+    /// (the engine adds the box).
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 
     /// Downcast support so experiments can read node-internal state after
     /// a run.
@@ -327,9 +340,9 @@ counter_block! {
 }
 
 counter_block! {
-    /// Live per-wire counters, registered as one block under
-    /// `(NodeKind::Link, wire index)`; [`Engine::link_stats`] sums the
-    /// per-cell views.
+    /// Live per-wire counters, one row of the world's dense link table;
+    /// snapshots list them under `(NodeKind::Link, wire index)` and
+    /// [`Engine::link_stats`] sums the per-cell views.
     struct LinkCounters =>
     /// Per-wire counters, queryable after a run via [`Engine::link_stats`].
     ///
@@ -510,7 +523,10 @@ pub struct Core {
     wiring: Wiring,
     /// Per-wire loss probability; `0.0` (or less) is a healthy wire.
     loss: Vec<f64>,
-    link_stats: Vec<Arc<LinkCounters>>,
+    /// One counter block per wire, in one dense table: the registry
+    /// does not hold them, [`Engine::telemetry_snapshot`] adds their
+    /// rows.
+    link_stats: Vec<LinkCounters>,
     queue: EventQueue<Event>,
     now: SimTime,
     /// World seed; per-node RNG streams are derived from it.
@@ -528,8 +544,11 @@ pub struct Core {
     /// each wire direction draws independently so chaos outcomes do not
     /// depend on cross-wire event interleaving.
     fault_seed: u64,
-    /// Fault streams, one pair (a→b, b→a) per wire.
-    fault_rngs: Vec<[StdRng; 2]>,
+    /// The fault streams drawn from so far, keyed by `2 × wire + dir`.
+    /// A stream is seeded on its direction's first lossy draw: its seed
+    /// depends only on `fault_seed` and the key, so a lazy stream draws
+    /// what an eager one would, and healthy wires hold none.
+    fault_rngs: BTreeMap<usize, StdRng>,
     /// Externally asserted congestion per (wire, direction): while set,
     /// every packet entering that direction is ECN-marked regardless of
     /// queue depth. The hybrid engine drives this from flow-plane edge
@@ -601,7 +620,7 @@ impl World {
                 emit_seq: Vec::new(),
                 ext_seq: 0,
                 fault_seed: seed ^ FAULT_SEED_SALT,
-                fault_rngs: Vec::new(),
+                fault_rngs: BTreeMap::new(),
                 ext_congestion: Vec::new(),
                 node_cells: Vec::new(),
                 my_cell,
@@ -683,15 +702,7 @@ impl World {
             busy: [SimTime::ZERO; 2],
         });
         self.core.loss.push(0.0);
-        let fault_seed = self.core.fault_seed;
-        self.core
-            .fault_rngs
-            .push(Self::wire_fault_rngs(fault_seed, id));
-        let counters = Arc::<LinkCounters>::default();
-        self.core
-            .telemetry
-            .register_block(NodeKind::Link, id.0 as u64, counters.clone());
-        self.core.link_stats.push(counters);
+        self.core.link_stats.push(LinkCounters::default());
         self.core.ext_congestion.push([false, false]);
         self.wiring.map_port(a, pa, id);
         self.wiring.map_port(b, pb, id);
@@ -712,12 +723,52 @@ impl World {
         self.core.ext_congestion[wire.0][dir] = congested;
     }
 
-    /// The fault-stream pair for one wire: direction 0 (a→b) and 1.
-    fn wire_fault_rngs(fault_seed: u64, wire: WireId) -> [StdRng; 2] {
-        [
-            StdRng::seed_from_u64(derive_seed(fault_seed, (wire.0 as u64) * 2 + 1)),
-            StdRng::seed_from_u64(derive_seed(fault_seed, (wire.0 as u64) * 2 + 2)),
-        ]
+    /// Makes room for `nodes` more nodes and `wires` more wires in every
+    /// per-node and per-wire table, exactly (see [`Engine::reserve`]).
+    fn reserve_tables(&mut self, nodes: usize, wires: usize) {
+        self.nodes.reserve_exact(nodes);
+        let core = &mut self.core;
+        core.crashed.reserve_exact(nodes);
+        core.epoch.reserve_exact(nodes);
+        core.node_rngs.reserve_exact(nodes);
+        core.emit_seq.reserve_exact(nodes);
+        core.node_cells.reserve_exact(nodes);
+        core.wiring.port_map.reserve_exact(nodes);
+        core.wiring.wires.reserve_exact(wires);
+        core.loss.reserve_exact(wires);
+        core.link_stats.reserve_exact(wires);
+        core.ext_congestion.reserve_exact(wires);
+    }
+
+    /// Adds this cell's rows to `census`.
+    fn heap_census(&self, census: &mut HeapCensus) {
+        for node in self.nodes.iter().flatten() {
+            let bytes = std::mem::size_of_val(&**node) + node.heap_bytes();
+            census.add(node.heap_owner(), bytes);
+        }
+        let core = &self.core;
+        census.add(
+            "node table",
+            heap::vec(&self.nodes)
+                + heap::vec(&core.crashed)
+                + heap::vec(&core.epoch)
+                + heap::vec(&core.node_rngs)
+                + heap::vec(&core.emit_seq)
+                + heap::vec(&core.node_cells),
+        );
+        let ports: usize = core.wiring.port_map.iter().map(heap::vec).sum();
+        census.add(
+            "wiring",
+            heap::vec(&core.wiring.wires)
+                + heap::vec(&core.wiring.port_map)
+                + ports
+                + heap::vec(&core.loss)
+                + heap::vec(&core.ext_congestion),
+        );
+        census.add("link counters", heap::vec(&core.link_stats));
+        census.add("fault streams", heap::btree_map(&core.fault_rngs));
+        census.add("queue", core.queue.heap_bytes() + heap::vec(&core.outbox));
+        census.add("telemetry registry", core.telemetry.heap_bytes());
     }
 
     /// Runs every local event with a timestamp strictly before `end`
@@ -1022,6 +1073,22 @@ impl Core {
         u64::from(seq)
     }
 
+    /// Whether injected loss `p` eats the packet entering direction `dir`
+    /// of `wire`: one draw from that direction's fault stream, seeded on
+    /// its first draw from `fault_seed` and the direction alone. Out of
+    /// line: most wires never lose a packet, and the transmit path stays
+    /// small without the stream lookup.
+    #[cold]
+    #[inline(never)]
+    fn loss_draw(&mut self, wire: WireId, dir: usize, p: f64) -> bool {
+        let key = 2 * wire.0 + dir;
+        let seed = self.fault_seed;
+        self.fault_rngs
+            .entry(key)
+            .or_insert_with(|| StdRng::seed_from_u64(derive_seed(seed, key as u64 + 1)))
+            .gen_bool(p.clamp(0.0, 1.0))
+    }
+
     /// Puts a packet onto the wire at `(from, port)` at the current
     /// time. Returns its on-wire length (also when it is dropped).
     fn transmit(&mut self, from: NodeAddr, port: PortNo, mut pkt: Packet) -> usize {
@@ -1069,7 +1136,7 @@ impl Core {
         // The coin flips on this wire direction's own stream, so the
         // outcome for the n-th packet down this direction is the same
         // at any shard count.
-        if loss > 0.0 && self.fault_rngs[wid.0][dir].gen_bool(loss.clamp(0.0, 1.0)) {
+        if loss > 0.0 && self.loss_draw(wid, dir, loss) {
             self.stats.drops_loss.inc();
             self.link_stats[wid.0].drops_loss.inc();
             // A loss drop leaves a packet-category trace: it is the
@@ -1265,6 +1332,12 @@ pub trait Engine {
         self.cells()[0].wiring.at(node, port)
     }
 
+    /// The wires on `node`'s ports, in ascending port order (a wire
+    /// looped between two of its ports comes twice).
+    fn node_wires(&self, node: NodeAddr) -> impl Iterator<Item = WireId> + '_ {
+        self.cells()[0].wiring.ports(node).iter().flatten().copied()
+    }
+
     /// The two `(node, port)` endpoints of a wire.
     ///
     /// # Panics
@@ -1428,15 +1501,33 @@ pub trait Engine {
     }
 
     /// Reseeds every per-(wire, direction) fault stream (normally done
-    /// through [`ChaosPlan::apply`](crate::faults::ChaosPlan::apply)).
-    /// Wires created later derive from the new seed too.
+    /// through [`ChaosPlan::apply`](crate::faults::ChaosPlan::apply)):
+    /// the streams drawn from so far are forgotten, and each direction
+    /// seeds afresh from `seed` on its next lossy draw.
     fn set_fault_seed(&mut self, seed: u64) {
         for cell in self.cells_mut() {
             cell.fault_seed = seed;
-            for (ix, rngs) in cell.core.fault_rngs.iter_mut().enumerate() {
-                *rngs = World::wire_fault_rngs(seed, WireId(ix));
-            }
+            cell.core.fault_rngs.clear();
         }
+    }
+
+    /// Makes room for `wires` more wires and `nodes` more nodes in every
+    /// cell's tables, exactly (a builder that knows its counts calls
+    /// this first, so the tables carry no growth slack).
+    fn reserve(&mut self, nodes: usize, wires: usize) {
+        for cell in self.cells_mut() {
+            cell.reserve_tables(nodes, wires);
+        }
+    }
+
+    /// Live heap bytes by owner, counted by capacity over every cell
+    /// (see [`HeapCensus`]).
+    fn heap_census(&self) -> HeapCensus {
+        let mut census = HeapCensus::default();
+        for cell in self.cells() {
+            cell.heap_census(&mut census);
+        }
+        census
     }
 
     /// Reads every registered metric into an ordered snapshot, after
@@ -1449,7 +1540,11 @@ pub trait Engine {
             for node in cell.nodes.iter_mut().flatten() {
                 node.publish_telemetry();
             }
-            cell.telemetry.snapshot()
+            let mut snap = cell.telemetry.snapshot();
+            for (wire, counters) in cell.link_stats.iter().enumerate() {
+                snap.insert_block(NodeKind::Link, wire as u64, counters);
+            }
+            snap
         }))
     }
 
@@ -1567,6 +1662,88 @@ mod tests {
         Some(p) => p,
         None => unreachable!(),
     };
+
+    /// Sends data packets `1..=total` out of port 1, one per 10 µs, and
+    /// logs the sequence numbers it receives.
+    struct Sender {
+        total: u64,
+        sent: u64,
+        received: Vec<u64>,
+    }
+
+    impl Node for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_micros(10), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _in_port: PortNo, pkt: Packet) {
+            if let Payload::Data { seq, .. } = pkt.payload {
+                self.received.push(seq);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.sent += 1;
+            ctx.send(P1, data(self.sent, 100));
+            if self.sent < self.total {
+                ctx.set_timer(SimDuration::from_micros(10), 0);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// What each end of a lossy wire receives, on two senders in cells 0
+    /// and 1 that trade 100 packets each way at 30 % loss, with the
+    /// fault seed replaced after the 50th.
+    fn lossy_trade<E: Engine>(mut w: E) -> [Vec<u64>; 2] {
+        let ends = [0, 1].map(|cell| {
+            let node = Sender {
+                total: 100,
+                sent: 0,
+                received: Vec::new(),
+            };
+            w.add_node_in_cell(Box::new(node), cell)
+        });
+        let wire = w
+            .wire(ends[0], P1, ends[1], P1, LinkParams::ten_gig())
+            .unwrap();
+        w.set_loss(wire, 0.3);
+        w.run_until(SimTime::ZERO + SimDuration::from_micros(505));
+        w.set_fault_seed(77);
+        w.run_to_idle(u64::MAX);
+        ends.map(|n| w.node::<Sender>(n).unwrap().received.clone())
+    }
+
+    /// The lazily seeded fault streams drop exactly the packets eagerly
+    /// seeded ones would: each direction's stream seeded up front from
+    /// the world's fault seed, reseeded from the new seed at
+    /// `set_fault_seed`, one draw per packet sent. At 1 and 4 shards.
+    #[test]
+    fn lazy_fault_streams_draw_what_eager_ones_would() {
+        let seed = 3;
+        let eager = |dir: u64| {
+            let stream = |fault_seed| StdRng::seed_from_u64(derive_seed(fault_seed, dir + 1));
+            let mut rng = stream(seed ^ FAULT_SEED_SALT);
+            let mut kept = Vec::new();
+            for seq in 1..=100 {
+                if seq == 51 {
+                    rng = stream(77);
+                }
+                if !rng.gen_bool(0.3) {
+                    kept.push(seq);
+                }
+            }
+            kept
+        };
+        // Wire 0: direction 0 (a→b) is what b receives.
+        let want = [eager(1), eager(0)];
+        assert!(want[0].len() < 90 && want[1].len() < 90, "the wire drops");
+        assert_eq!(lossy_trade(World::new(seed)), want);
+        assert_eq!(lossy_trade(crate::ShardedWorld::new(seed, 4)), want);
+    }
 
     #[test]
     fn packet_takes_latency_plus_serialization() {

@@ -41,7 +41,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use dumbnet_types::SimTime;
+use dumbnet_types::{heap, SimTime};
 
 /// log2 of the bucket width in nanoseconds (4.096 µs per bucket).
 const BUCKET_SHIFT: u32 = 12;
@@ -196,6 +196,18 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> EventQueue<E> {
         EventQueue::default()
+    }
+
+    /// The heap the queue holds: the wheel and its buckets, the
+    /// overflow heap, the slab and its free list.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let buckets: usize = self.wheel.iter().map(|b| heap::deque(&b.items)).sum();
+        heap::slice(&self.wheel)
+            + buckets
+            + self.overflow.capacity() * std::mem::size_of::<Reverse<(SimTime, u64, u32)>>()
+            + heap::vec(&self.slab)
+            + heap::vec(&self.free)
     }
 
     fn store(&mut self, event: E) -> u32 {

@@ -46,7 +46,7 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use dumbnet_types::{Bandwidth, SimDuration, SimTime};
+use dumbnet_types::{heap, Bandwidth, SimDuration, SimTime};
 
 /// Identity of a capacitated edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -373,6 +373,39 @@ impl FlowSim {
             ..Edge::default()
         });
         id
+    }
+
+    /// Makes room for `additional` more edges, exactly: a caller that
+    /// knows its edge count leaves the edge table no growth slack.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve_exact(additional);
+    }
+
+    /// The heap the flow plane holds: edges and their member lists,
+    /// flows, rates, the path arena, the work lists and the solver's
+    /// scratch.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let members: usize = self.edges.iter().map(|e| heap::vec(&e.members)).sum();
+        let sc = &self.scratch;
+        heap::vec(&self.edges)
+            + members
+            + heap::vec(&self.flows)
+            + heap::vec(&self.rates)
+            + heap::vec(&self.paths)
+            + heap::btree_set(&self.active)
+            + heap::vec(&self.dirty)
+            + heap::vec(&self.changed)
+            + heap::vec(&sc.rem)
+            + heap::vec(&sc.count)
+            + heap::vec(&sc.edge_seen)
+            + heap::vec(&sc.flow_stamp)
+            + heap::vec(&sc.log)
+            + heap::vec(&sc.comp_edges)
+            + heap::vec(&sc.touched)
+            + heap::vec(&sc.edge_touched)
+            + heap::vec(&sc.heap.slots)
+            + heap::vec(&sc.heap.pos)
     }
 
     /// Number of edges created so far.

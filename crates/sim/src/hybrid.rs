@@ -33,8 +33,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use dumbnet_types::{Bandwidth, SimTime};
+use dumbnet_types::{heap, Bandwidth, SimTime};
 
+use crate::census::HeapCensus;
 use crate::engine::{Engine, NodeAddr, WireId, World, WorldStats};
 use crate::flowsim::{EdgeId, FlowEvent, FlowId, FlowSim, SolverStats};
 
@@ -60,7 +61,7 @@ struct EdgeBinding {
     /// The packet-plane wire this edge models, if bound.
     wire: Option<WireId>,
     /// Which direction of the wire (0 = a→b).
-    dir: usize,
+    dir: u8,
     /// Healthy-link capacity.
     nominal: Bandwidth,
     /// Administrative wire state (mirrors `Engine::wire_up`).
@@ -108,8 +109,9 @@ pub struct HybridWorld<W: Engine = World> {
     inner: W,
     flow: FlowSim,
     edges: Vec<EdgeBinding>,
-    /// The flow edges bound to each wire, indexed by [`WireId::raw`].
-    wire_edges: Vec<Vec<usize>>,
+    /// The flow edge bound to each direction of each wire, indexed by
+    /// [`WireId::raw`] and direction ([`UNBOUND`] where none is).
+    wire_edges: Vec<[u32; 2]>,
     /// Deferred capacity events, time-ordered (same-instant events
     /// apply in registration order).
     pending_caps: BTreeMap<SimTime, Vec<CapEvent>>,
@@ -117,6 +119,9 @@ pub struct HybridWorld<W: Engine = World> {
     pending_events: Vec<FlowEvent>,
     stats: HybridStats,
 }
+
+/// A [`HybridWorld::wire_edges`] slot with no flow edge bound.
+const UNBOUND: u32 = u32::MAX;
 
 /// Fraction of capacity an elephant-loaded edge must reach before its
 /// wire starts ECN-marking packet-plane traffic.
@@ -141,12 +146,33 @@ impl<W: Engine> HybridWorld<W> {
     /// `wire`, or an unbound edge (`None` — a purely logical segment).
     /// Edges must be created in the shared enumeration order; the
     /// returned id is dense from zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dir` is not 0 or 1, or when a flow edge is already
+    /// bound to that direction of `wire`: one direction of a wire is one
+    /// edge.
     pub fn bind_edge(&mut self, wire: Option<WireId>, dir: usize, nominal: Bandwidth) -> EdgeId {
         assert!(dir < 2, "wire direction must be 0 (a→b) or 1 (b→a)");
         let id = self.flow.add_edge(nominal);
+        if let Some(w) = wire {
+            if self.wire_edges.len() <= w.raw() {
+                // Sized once for every wire the engine has so far.
+                let len = self.inner.wire_count().max(w.raw() + 1);
+                self.wire_edges.resize(len, [UNBOUND; 2]);
+            }
+            let slot = &mut self.wire_edges[w.raw()][dir];
+            assert!(
+                *slot == UNBOUND,
+                "wire {} direction {dir} already has flow edge {}",
+                w.raw(),
+                *slot
+            );
+            *slot = u32::try_from(id.0).expect("flow edge ids fit in u32");
+        }
         self.edges.push(EdgeBinding {
             wire,
-            dir,
+            dir: dir as u8,
             nominal,
             admin_up: true,
             endpoint_down: false,
@@ -154,15 +180,15 @@ impl<W: Engine> HybridWorld<W> {
             quarantined: false,
             marked: false,
         });
-        if let Some(w) = wire {
-            if self.wire_edges.len() <= w.raw() {
-                // Sized once for every wire the engine has so far.
-                let len = self.inner.wire_count().max(w.raw() + 1);
-                self.wire_edges.resize_with(len, Vec::new);
-            }
-            self.wire_edges[w.raw()].push(id.0);
-        }
         id
+    }
+
+    /// Makes room for `additional` more flow edges in the binding and
+    /// flow-plane edge tables, exactly (a binder that knows its edge
+    /// count leaves them no growth slack).
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve_exact(additional);
+        self.flow.reserve_edges(additional);
     }
 
     /// The flow plane. Capacities of bound edges are owned by the
@@ -302,15 +328,20 @@ impl<W: Engine> HybridWorld<W> {
             CapEvent::NodeSync(node) => {
                 // A crash forces incident wires down inside the packet
                 // engine without an admin event; re-read endpoint health
-                // for every edge whose wire touches the node.
-                for ix in 0..self.edges.len() {
-                    let Some(wire) = self.edges[ix].wire else {
-                        continue;
-                    };
+                // for every edge bound to one of the node's wires, in
+                // ascending edge order.
+                let mut bound: Vec<u32> = self
+                    .inner
+                    .node_wires(node)
+                    .flat_map(|w| self.bound_to(w))
+                    .filter(|&ix| ix != UNBOUND)
+                    .collect();
+                bound.sort_unstable();
+                bound.dedup(); // a looped wire sits on two of the node's ports
+                for ix in bound {
+                    let ix = ix as usize;
+                    let wire = self.edges[ix].wire.expect("a slotted edge is bound");
                     let ((a, _), (b, _)) = self.inner.wire_endpoints(wire);
-                    if a != node && b != node {
-                        continue;
-                    }
                     let down = self.inner.is_crashed(a) || self.inner.is_crashed(b);
                     let up = self.inner.wire_up(wire);
                     let e = &mut self.edges[ix];
@@ -333,15 +364,24 @@ impl<W: Engine> HybridWorld<W> {
         }
     }
 
+    /// The flow edges bound to `wire`'s two directions ([`UNBOUND`]
+    /// where none is).
+    fn bound_to(&self, wire: WireId) -> [u32; 2] {
+        self.wire_edges
+            .get(wire.raw())
+            .copied()
+            .unwrap_or([UNBOUND; 2])
+    }
+
     /// Applies `change` to every flow edge bound to `wire`, in binding
     /// order, and pushes the effective capacity of each edge it reports
     /// changed into the flow plane.
     fn update_bound(&mut self, wire: WireId, mut change: impl FnMut(&mut EdgeBinding) -> bool) {
-        let bound = self
-            .wire_edges
-            .get(wire.raw())
-            .map_or(&[][..], Vec::as_slice);
-        for &ix in bound {
+        let mut bound = self.bound_to(wire);
+        // Binding order is ascending edge id.
+        bound.sort_unstable();
+        for ix in bound.into_iter().filter(|&ix| ix != UNBOUND) {
+            let ix = ix as usize;
             let e = &mut self.edges[ix];
             if change(e) {
                 self.flow.set_capacity(EdgeId(ix), e.capacity());
@@ -371,7 +411,7 @@ impl<W: Engine> HybridWorld<W> {
                     // The sending cell does the marking; which one that
                     // is depends on the partition, so assert everywhere.
                     for cell in self.inner.cells_mut() {
-                        cell.set_external_congestion(wire, e.dir, want);
+                        cell.set_external_congestion(wire, usize::from(e.dir), want);
                     }
                     self.stats.ecn_mark_flips += 1;
                 }
@@ -446,6 +486,21 @@ impl<W: Engine> Engine for HybridWorld<W> {
         self.sync_flow_to(now);
         self.apply_cap(&CapEvent::FaultScale(wire, goodput(p)));
         self.refresh_marks();
+    }
+
+    fn heap_census(&self) -> HeapCensus {
+        let mut census = self.inner.heap_census();
+        census.add("flow plane", self.flow.heap_bytes());
+        let caps: usize = self.pending_caps.values().map(heap::vec).sum();
+        census.add(
+            "flow bindings",
+            heap::vec(&self.edges)
+                + heap::vec(&self.wire_edges)
+                + heap::btree_map(&self.pending_caps)
+                + caps
+                + heap::vec(&self.pending_events),
+        );
+        census
     }
 }
 
@@ -593,6 +648,15 @@ mod tests {
         assert_eq!(h.hybrid_stats().ecn_mark_flips, 2);
         let _ = f;
     });
+
+    /// One direction of a wire is one flow edge: a second binding is a
+    /// caller bug, caught at bind time.
+    #[test]
+    #[should_panic(expected = "wire 0 direction 1 already has flow edge 1")]
+    fn a_wire_direction_binds_one_edge() {
+        let (mut h, wire, _e0, _e1) = rig(World::new(7));
+        h.bind_edge(Some(wire), 1, Bandwidth::gbps(10));
+    }
 
     on_both_engines!(run_until_buffers_completions, |(mut h, _w, e0, e1)| {
         let a = h.start_elephant(vec![e0], 1_250_000_000); // 1 s.

@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod census;
 pub mod engine;
 pub mod event;
 pub mod faults;
@@ -34,6 +35,7 @@ pub mod flowsim;
 pub mod hybrid;
 pub mod shard;
 
+pub use census::HeapCensus;
 pub use engine::{Ctx, Engine, LinkParams, LinkStats, Node, NodeAddr, WireId, World, WorldStats};
 pub use event::QueueStats;
 pub use faults::{ChaosPlan, CrashSchedule, PartitionSchedule};

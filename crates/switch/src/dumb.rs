@@ -374,6 +374,14 @@ impl DumbSwitch {
 }
 
 impl Node for DumbSwitch {
+    fn heap_owner(&self) -> &'static str {
+        "switches"
+    }
+
+    fn heap_bytes(&self) -> usize {
+        dumbnet_types::heap::vec(&self.monitors) + dumbnet_types::heap::arc::<SwitchCounters>()
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.telemetry()
             .register_block(NodeKind::Switch, self.id.get(), self.counters.clone());

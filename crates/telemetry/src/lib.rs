@@ -77,7 +77,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dumbnet_types::SimTime;
+use dumbnet_types::{heap, SimTime};
 
 /// Which layer of the emulator a metric or trace event belongs to.
 ///
@@ -324,13 +324,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// The cells behind a [`Histogram`] handle: immutable bounds, one count
-/// cell per bucket (the last is the overflow bucket) and the value sum.
+/// The cells behind a [`Histogram`] handle: immutable bounds, which
+/// histograms built over the same bounds share, and one cell per bucket
+/// (the last is the overflow bucket) followed by the value sum.
 #[derive(Debug)]
 struct HistogramCells {
-    bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
+    bounds: Arc<[u64]>,
+    cells: Box<[AtomicU64]>,
 }
 
 /// A fixed-bucket histogram handle (see [`HistogramSnapshot`] for the
@@ -349,46 +349,66 @@ impl Histogram {
     /// list — a single overflow bucket — is allowed).
     #[must_use]
     pub fn new(bounds: Vec<u64>) -> Histogram {
+        Histogram::with_bounds(bounds.into())
+    }
+
+    /// Creates a histogram over shared `bounds` (see [`Histogram::new`]):
+    /// histograms built from one `Arc` hold their bounds once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` is strictly increasing.
+    #[must_use]
+    pub fn with_bounds(bounds: Arc<[u64]>) -> Histogram {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramCells {
-            bounds,
-            counts,
-            sum: AtomicU64::new(0),
-        }))
+        // Buckets, the overflow bucket and the sum, in one allocation.
+        let cells = (0..bounds.len() + 2).map(|_| AtomicU64::new(0)).collect();
+        Histogram(Arc::new(HistogramCells { bounds, cells }))
     }
 
-    /// Doubling bounds: `first, first*2, …` for `buckets` bounds.
-    /// Convenient for latency-like values spanning orders of magnitude.
+    /// Doubling bounds: `first, first*2, …` for `buckets` bounds, built
+    /// in one allocation. Convenient for latency-like values spanning
+    /// orders of magnitude; a saturated bound (`u64::MAX`) is listed
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is zero (the bounds would not increase).
+    #[must_use]
+    pub fn doubling_bounds(first: u64, buckets: usize) -> Arc<[u64]> {
+        assert!(first > 0, "doubling histogram needs a positive first bound");
+        let bound = |i: usize| match u32::try_from(i).ok().and_then(|i| 1u64.checked_shl(i)) {
+            Some(scale) => first.saturating_mul(scale),
+            None => u64::MAX,
+        };
+        // Every bound after the first saturated one would repeat it.
+        let distinct = (0..buckets)
+            .position(|i| bound(i) == u64::MAX)
+            .map_or(buckets, |i| i + 1);
+        (0..distinct).map(bound).collect()
+    }
+
+    /// A histogram over [`Histogram::doubling_bounds`].
     ///
     /// # Panics
     ///
     /// Panics if `first` is zero (the bounds would not increase).
     #[must_use]
     pub fn doubling(first: u64, buckets: usize) -> Histogram {
-        assert!(first > 0, "doubling histogram needs a positive first bound");
-        let bounds = (0..buckets)
-            .scan(first, |b, _| {
-                let cur = *b;
-                *b = b.saturating_mul(2);
-                Some(cur)
-            })
-            .collect::<Vec<u64>>();
-        let mut dedup = bounds;
-        dedup.dedup(); // saturation can repeat u64::MAX
-        Histogram::new(dedup)
+        Histogram::with_bounds(Histogram::doubling_bounds(first, buckets))
     }
 
     /// Records one observation.
     pub fn observe(&self, v: u64) {
         let h = &*self.0;
-        let bucket = &h.counts[h.bounds.partition_point(|&b| b < v)];
+        let bucket = &h.cells[h.bounds.partition_point(|&b| b < v)];
         bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        h.sum.store(
-            h.sum.load(Ordering::Relaxed).wrapping_add(v),
+        let sum = &h.cells[h.cells.len() - 1];
+        sum.store(
+            sum.load(Ordering::Relaxed).wrapping_add(v),
             Ordering::Relaxed,
         );
     }
@@ -397,13 +417,21 @@ impl Histogram {
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let h = &*self.0;
-        let counts: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let (sum, counts) = h.cells.split_last().expect("the sum cell");
+        let counts: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         HistogramSnapshot {
-            bounds: h.bounds.clone(),
+            bounds: h.bounds.to_vec(),
             count: counts.iter().sum(),
             counts,
-            sum: h.sum.load(Ordering::Relaxed),
+            sum: sum.load(Ordering::Relaxed),
         }
+    }
+
+    /// The heap this handle's cells hold (its bounds not included: they
+    /// may be shared).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        heap::arc::<HistogramCells>() + heap::slice(&self.0.cells)
     }
 }
 
@@ -680,14 +708,29 @@ impl Telemetry {
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let reg = self.lock();
-        let mut metrics = BTreeMap::new();
+        let mut snap = TelemetrySnapshot::default();
         for (&(kind, node), block) in &reg.blocks {
-            block.visit(&mut |name, v| {
-                metrics.insert(MetricKey::new(kind, node, name), MetricValue::Counter(v));
-            });
+            snap.insert_block(kind, node, &**block);
         }
-        metrics.extend(reg.handles.iter().map(|(k, h)| (k.clone(), h.read())));
-        TelemetrySnapshot { metrics }
+        snap.metrics
+            .extend(reg.handles.iter().map(|(k, h)| (k.clone(), h.read())));
+        snap
+    }
+
+    /// The heap the registry itself holds: its maps, the handle names
+    /// and the trace ring. The blocks and handles it shares with their
+    /// nodes are the nodes' to count.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let reg = self.lock();
+        let names: usize = reg.handles.keys().map(|k| k.name.capacity()).sum();
+        let details: usize = reg.trace.buf.iter().map(|e| e.detail.capacity()).sum();
+        heap::arc::<Mutex<Registry>>()
+            + heap::btree_map(&reg.blocks)
+            + heap::btree_map(&reg.handles)
+            + names
+            + heap::deque(&reg.trace.buf)
+            + details
     }
 }
 
@@ -799,6 +842,16 @@ impl TelemetrySnapshot {
                 }
             }
         }
+    }
+
+    /// Adds every cell of `block` as a counter under `(kind, node, cell
+    /// name)` — how a registered block appears in a snapshot, for blocks
+    /// an engine keeps outside the registry.
+    pub fn insert_block(&mut self, kind: NodeKind, node: u64, block: &dyn Block) {
+        block.visit(&mut |name, v| {
+            self.metrics
+                .insert(MetricKey::new(kind, node, name), MetricValue::Counter(v));
+        });
     }
 
     /// Merges an iterator of per-shard snapshots with

@@ -110,4 +110,42 @@ proptest! {
         prop_assert_eq!(snap.counts.len(), buckets + 1);
         prop_assert_eq!(snap.count, 0);
     }
+
+    /// The one-allocation doubling bounds are the ones the old scan
+    /// built, saturation included: `first, 2·first, …`, with a saturated
+    /// `u64::MAX` listed once.
+    #[test]
+    fn doubling_bounds_match_the_doubling_scan(
+        first in prop_oneof![1u64..1_000, (u64::MAX / 4)..u64::MAX],
+        buckets in 0usize..80,
+    ) {
+        let mut scan: Vec<u64> = (0..buckets)
+            .scan(first, |b, _| {
+                let cur = *b;
+                *b = b.saturating_mul(2);
+                Some(cur)
+            })
+            .collect();
+        scan.dedup();
+        prop_assert_eq!(&Histogram::doubling_bounds(first, buckets)[..], &scan[..]);
+    }
+
+    /// Histograms over one shared bounds `Arc` snapshot byte for byte
+    /// like histograms that own a copy, and do not see each other's
+    /// observations.
+    #[test]
+    fn shared_bounds_snapshot_like_owned_ones(
+        bounds in bounds_strategy(),
+        values in vec(0u64..10_000, 0..64),
+    ) {
+        let shared: std::sync::Arc<[u64]> = bounds.clone().into();
+        let (a, b) = (Histogram::with_bounds(shared.clone()), Histogram::with_bounds(shared));
+        let owned = Histogram::new(bounds);
+        for &v in &values {
+            a.observe(v);
+            owned.observe(v);
+        }
+        prop_assert_eq!(a.snapshot(), owned.snapshot());
+        prop_assert_eq!(b.snapshot().count, 0);
+    }
 }

@@ -20,7 +20,7 @@
 //! order with their uplink's index (the downlink is the next index, the
 //! two being numbered back to back).
 
-use dumbnet_types::{FastHashSet, HostId, SwitchId};
+use dumbnet_types::{heap, FastHashSet, HostId, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -95,6 +95,12 @@ impl EdgeMap {
             hosts,
             kinds,
         }
+    }
+
+    /// The heap the mapping holds: its three tables.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec(&self.trunks) + heap::vec(&self.hosts) + heap::vec(&self.kinds)
     }
 
     /// Number of directed edges.

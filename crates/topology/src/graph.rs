@@ -19,7 +19,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{DumbNetError, HostId, LinkId, MacAddr, PortId, PortNo, Result, SwitchId};
+use dumbnet_types::{
+    heap, DumbNetError, HostId, LinkId, MacAddr, PortId, PortNo, Result, SwitchId,
+};
 
 /// What a switch port is wired to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -345,6 +347,18 @@ impl Topology {
             .free_port()
             .ok_or_else(|| DumbNetError::PortInUse(format!("{sb}-*")))?;
         self.connect_ports(PortId::new(sa, pa), PortId::new(sb, pb))
+    }
+
+    /// The heap the topology holds: its switch, host and link tables,
+    /// each switch's port slots, and the MAC index.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let ports: usize = self.switches.iter().map(|s| heap::vec(&s.wiring)).sum();
+        heap::vec(&self.switches)
+            + ports
+            + heap::vec(&self.hosts)
+            + heap::vec(&self.links)
+            + heap::hash_map(&self.mac_index)
     }
 
     /// Number of switches.

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_types::{mix64, FastHashMap, SwitchId};
+use dumbnet_types::{heap, mix64, FastHashMap, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -74,6 +74,13 @@ impl RouteCache {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// The heap the memoized routes hold.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let routes: usize = self.routes.values().flatten().map(Route::heap_bytes).sum();
+        heap::hash_map(&self.routes) + routes
     }
 
     /// The current topology epoch.

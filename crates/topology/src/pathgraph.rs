@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{DumbNetError, HostId, MacAddr, Path, PortId, Result, SwitchId};
+use dumbnet_types::{heap, DumbNetError, HostId, MacAddr, Path, PortId, Result, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -98,6 +98,17 @@ pub struct PathGraph {
     pub switches: BTreeSet<SwitchId>,
     /// All edges among subgraph switches (with port numbers).
     pub edges: Vec<SubEdge>,
+}
+
+impl PathGraph {
+    /// The heap the graph holds: its routes, switch set and edge list.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.primary.heap_bytes()
+            + self.backup.as_ref().map_or(0, Route::heap_bytes)
+            + heap::btree_set(&self.switches)
+            + heap::vec(&self.edges)
+    }
 }
 
 /// Builds the path graph for `src → dst` per Algorithm 1.

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{DumbNetError, HostId, Path, Result, SwitchId};
+use dumbnet_types::{heap, DumbNetError, HostId, Path, Result, SwitchId};
 
 use crate::graph::Topology;
 
@@ -19,6 +19,12 @@ pub struct Route {
 }
 
 impl Route {
+    /// The heap the switch list holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec(&self.switches)
+    }
+
     /// Creates a route from a switch sequence.
     ///
     /// # Errors

@@ -25,6 +25,7 @@ pub mod addr;
 pub mod bandwidth;
 pub mod error;
 pub mod fasthash;
+pub mod heap;
 pub mod ids;
 pub mod path;
 pub mod tag;
