@@ -1,5 +1,5 @@
 //! Figure 11(e) (extension): gray-failure recovery — binary-timeout
-//! baseline vs. EWMA gray detection.
+//! baseline vs. bounce-probe gray detection.
 //!
 //! Figure 11(b)/(c) recover from *clean* link failures: the switch sees
 //! the port drop and floods a notification. A gray failure never trips
@@ -11,10 +11,10 @@
 //! * **binary** — a coarse keepalive timeout: slow probe cadence and a
 //!   near-1.0 loss threshold, so only a total blackhole is ever
 //!   declared dead (the classic dead-peer detector).
-//! * **gray** — the DESIGN.md §10 detector: fast probes, EWMA loss
-//!   tracking, and a sensitive suspicion threshold that catches
-//!   partial loss, triggering an immediate local failover to the
-//!   cached backup before any controller round-trip.
+//! * **gray** — the DESIGN.md §10 detector: fast bounce probes, a
+//!   per-edge vote over their loss, and a sensitive threshold that
+//!   catches partial loss, triggering an immediate local failover
+//!   around the edge before any controller round-trip.
 //!
 //! Recovery is measured from the receiver's goodput bins: the time from
 //! fault injection to the first of two consecutive bins back at ≥95 %
@@ -35,9 +35,9 @@ use dumbnet_types::{HostId, MacAddr, SimDuration, SimTime};
 use crate::recovery;
 use crate::report::{json_document, json_object, Json};
 
-/// The sensitive detector: EWMA threshold low enough to catch ≥10 %
-/// injected loss (probe-level loss at 10 % wire loss is 0.1–0.19
-/// depending on whether the reply path also crosses the trunk).
+/// The sensitive detector: a threshold low enough to catch ≥10 %
+/// injected loss (a bounce probe crosses the trunk twice, so 10 % wire
+/// loss is 0.19 probe loss).
 fn gray_detector() -> GrayDetectConfig {
     GrayDetectConfig {
         suspect_threshold: 0.08,
@@ -191,7 +191,7 @@ pub fn sweep(quick: bool) -> Fig11e {
     Fig11e { points }
 }
 
-const TITLE: &str = "gray-failure recovery: binary timeout vs EWMA gray detection";
+const TITLE: &str = "gray-failure recovery: binary timeout vs bounce-probe gray detection";
 const SETUP: &str = "testbed, 480 Mbps stream, gray loss on the stream's trunk at 200 ms, \
                      recovery = 2 bins back at 95% of pre-fault goodput";
 

@@ -260,13 +260,13 @@ pub const GATES: &[Gate] = &[
     ("path-service",        "fig10_path_service",       "",        Checksum(1_300)),
     ("chaos-p05",           "fig11c_chaos_p05",         "",        Checksum(7_168)),
     ("flow-churn",          "flowsim_churn",            "--quick", Checksum(350_028_950_212_709)),
-    ("fig11e",              "fig11e_gray_recovery",     "--quick", Checksum(135_032_124)),
+    ("fig11e",              "fig11e_gray_recovery",     "--quick", Checksum(125_517_559)),
     ("fig14",               "fig14_incast_mix",         "--quick", Checksum(275_300_932)),
     ("telemetry",           "telemetry_determinism",    "",        Passes),
     ("shards",              "shard_determinism",        "",        Passes),
     ("dp-fuzz",             "dp_fuzz",    "--quick --check-determinism",    Passes),
-    ("soak",                "chaos_soak", "--seeds 8",                      Passes),
-    ("soak-sharded",        "chaos_soak", "--seeds 8 --shards 4",           SeedLinesOf("soak")),
+    ("soak",                "chaos_soak", "--seeds 24",                     Passes),
+    ("soak-sharded",        "chaos_soak", "--seeds 24 --shards 4",          SeedLinesOf("soak")),
     ("soak-hybrid",         "chaos_soak", "--seeds 24 --hybrid",            Passes),
     ("soak-hybrid-sharded", "chaos_soak", "--seeds 24 --hybrid --shards 4", SeedLinesOf("soak-hybrid")),
 ];

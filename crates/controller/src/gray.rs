@@ -19,10 +19,11 @@ use crate::replication::Replica;
 pub type Edge = (SwitchId, SwitchId);
 
 /// Distinct reporting hosts required to corroborate an edge before it
-/// is quarantined. End-to-end probe evidence attributes loss to whole
-/// paths, so a lone reporter's total loss still smears across every
-/// edge its bad paths use — only cross-host corroboration separates the
-/// truly gray edge.
+/// is quarantined. A host's walks localize loss to one edge only when
+/// some walk separates it from the others: every walk of a host starts
+/// on its own access link, so that link's loss looks the same as loss
+/// on each first-hop trunk the walks share with it. A second host's
+/// walks do not share that access link.
 const GRAY_QUORUM: usize = 2;
 
 /// Reports at or below this loss (permille) count as clean
@@ -161,7 +162,8 @@ impl GrayBoard {
                 .retain(|_, &mut (_, at)| now - at <= EVIDENCE_TTL);
         }
         let before = out.len();
-        for &edge in replica.quarantined() {
+        let held = replica.quarantined();
+        for &edge in &held {
             // `entry`, not a lookup: a leader elected mid-quarantine
             // inherits the quarantine set but an empty scoreboard, and
             // must still be able to release what it inherited.
@@ -178,12 +180,11 @@ impl GrayBoard {
                 out.push(Effect::Mark(edge, false));
             }
         }
-        let held = replica.quarantined();
         if out.len() > before {
             self.last_refresh = now;
         } else if !held.is_empty() && now - self.last_refresh >= REFRESH_INTERVAL {
             self.last_refresh = now;
-            out.push(Effect::Refresh(held.iter().copied().collect()));
+            out.push(Effect::Refresh(held.into_iter().collect()));
         }
     }
 }

@@ -357,7 +357,13 @@ impl Controller {
     /// invariant audits and benches.
     #[must_use]
     pub fn quarantined_edges(&self) -> Vec<(SwitchId, SwitchId)> {
-        self.replica.quarantined().iter().copied().collect()
+        self.replica.quarantined().into_iter().collect()
+    }
+
+    /// Whether this controller holds the lease to quarantine at `now`.
+    #[must_use]
+    pub fn leases(&self, now: SimTime) -> bool {
+        self.replica.may_mutate(now)
     }
 
     /// Per-edge quarantine flap counts from the scoreboard (the
@@ -881,10 +887,11 @@ impl Controller {
         let topo = self.topology.as_deref()?;
         let s = topo.host_by_mac(src)?.id;
         let d = topo.host_by_mac(dst)?.id;
-        if !self.replica.quarantined().is_empty() {
+        let gray = self.replica.quarantined();
+        if !gray.is_empty() {
             let mut filtered = topo.clone();
             let mut any = false;
-            for &(a, b) in self.replica.quarantined() {
+            for (a, b) in gray {
                 if let Some(l) = filtered.link_between(a, b).map(|l| l.id) {
                     if filtered.set_link_state(l, false).is_ok() {
                         any = true;
@@ -968,7 +975,6 @@ impl Controller {
                 edge,
                 loss_permille,
                 seq,
-                ..
             } => self.handle_link_suspect(ctx, (reporter, seq), edge, loss_permille),
             ControlMessage::Ping { seq, sent_at } => {
                 let echo_sent_at = sent_at;

@@ -415,10 +415,6 @@ pub struct Replica {
     /// Leader lease bookkeeping: when each peer was last heard (acks,
     /// sync requests). See [`Replica::may_mutate`].
     peer_heard: BTreeMap<MacAddr, SimTime>,
-    /// Edges under quarantine as the log says (normalized). Followers
-    /// mirror it from replicated deltas, so a promoted leader inherits
-    /// the quarantine view.
-    quarantined: BTreeSet<(SwitchId, SwitchId)>,
 }
 
 impl Replica {
@@ -445,7 +441,6 @@ impl Replica {
             election: None,
             answered_queries: BTreeSet::new(),
             peer_heard: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
         }
     }
 
@@ -473,10 +468,29 @@ impl Replica {
         self.version = version;
     }
 
-    /// Edges currently under quarantine (normalized order).
+    /// Edges under quarantine as the log says (normalized): those of a
+    /// leader's whole log, of a follower's committed prefix — its suffix
+    /// may be a deposed leader's that the next leader cuts. A hard link
+    /// transition sheds the edge's gray state.
     #[must_use]
-    pub fn quarantined(&self) -> &BTreeSet<(SwitchId, SwitchId)> {
-        &self.quarantined
+    pub fn quarantined(&self) -> BTreeSet<(SwitchId, SwitchId)> {
+        let upto = if self.is_leader() {
+            self.log.entries.len()
+        } else {
+            self.log.committed as usize
+        };
+        let mut quarantined = BTreeSet::new();
+        for delta in self.log.entries[..upto].iter().map(|e| &e.delta) {
+            let hard = delta.down.iter().copied();
+            let hard = hard.chain(delta.up.iter().map(|&(pa, pb)| (pa.switch, pb.switch)));
+            for (a, b) in hard.chain(delta.unquarantine.iter().copied()) {
+                quarantined.remove(&norm_edge(a, b));
+            }
+            for &(a, b) in &delta.quarantine {
+                quarantined.insert(norm_edge(a, b));
+            }
+        }
+        quarantined
     }
 
     /// The leader lease the gray scoreboard asks before quarantining or
@@ -835,17 +849,8 @@ impl Replica {
     }
 
     /// Enters a delta into the state machine, leader and follower
-    /// alike: mirrors its quarantine changes (a hard link transition
-    /// sheds the edge's gray state) and hands it to the adapter.
+    /// alike, and hands it to the adapter.
     fn apply(&mut self, version: u64, delta: TopoDelta, out: &mut Vec<Effect>) {
-        let hard = delta.down.iter().copied();
-        let hard = hard.chain(delta.up.iter().map(|&(pa, pb)| (pa.switch, pb.switch)));
-        for (a, b) in hard.chain(delta.unquarantine.iter().copied()) {
-            self.quarantined.remove(&norm_edge(a, b));
-        }
-        for &(a, b) in &delta.quarantine {
-            self.quarantined.insert(norm_edge(a, b));
-        }
         self.version = version;
         out.push(Effect::Apply { version, delta });
     }
@@ -1263,6 +1268,43 @@ mod tests {
         deliver(&mut r, at(5), append((1, 1), 1, Some(entry_at(2, 1))));
         deliver(&mut r, at(6), append((0, 0), 2, Some(entry_at(1, 1))));
         assert_eq!(r.log().committed(), 1);
+    }
+
+    /// A leader's quarantine is its whole log, a follower's the
+    /// committed prefix: a deposed leader's uncommitted quarantine goes
+    /// when it steps down, and a follower's arrives with the commit.
+    #[test]
+    fn quarantine_follows_the_prefix_the_log_vouches_for() {
+        let edge = (SwitchId(1), SwitchId(2));
+        let gray = TopoDelta {
+            quarantine: vec![edge],
+            ..TopoDelta::default()
+        };
+        let mut r = replica(0, ReplicaRole::Leader);
+        r.propose(gray.clone(), &mut Vec::new());
+        assert!(r.quarantined().contains(&edge));
+        let newer = ControlMessage::ReplAppend {
+            leader: mac(1),
+            term: 2,
+            prev_index: 0,
+            prev_term: 0,
+            commit: 0,
+            entry: None,
+        };
+        let out = deliver(&mut r, at(10), newer);
+        assert!(out.contains(&Effect::SteppedDown));
+        assert!(r.quarantined().is_empty(), "entry 1 never committed");
+
+        let mut r = replica(1, ReplicaRole::Follower);
+        let entry = LogEntry {
+            delta: gray,
+            ..entry_at(1, 1)
+        };
+        deliver(&mut r, at(1), append((0, 0), 0, Some(entry)));
+        assert_eq!(r.log().len(), 1);
+        assert!(r.quarantined().is_empty(), "stored, not committed");
+        deliver(&mut r, at(2), append((1, 1), 1, None));
+        assert!(r.quarantined().contains(&edge));
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! sides of a partitioned pair can legitimately claim the same term and
 //! diverge until heal. Groups of three or more always hold them.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
+use dumbnet_topology::Link;
 use dumbnet_types::{norm_edge, HostId, MacAddr, SwitchId};
 
 use dumbnet_controller::MAX_FLAPS;
@@ -106,6 +107,38 @@ impl InvariantReport {
     }
 }
 
+/// The trunks that are up. Physical ground truth is the *engine's* wire
+/// state — scheduled failures and chaos flaps act on wires, not on the
+/// (static) topology the fabric was built from.
+fn up_edges<W: Engine>(fabric: &Fabric<W>) -> HashSet<(SwitchId, SwitchId)> {
+    let up = |l: &&Link| {
+        let wire = fabric.trunk_wire(l.a.switch, l.b.switch);
+        wire.is_some_and(|w| fabric.world.wire_up(w))
+    };
+    let links = fabric.topology.links().filter(up);
+    links.map(|l| norm_edge(l.a.switch, l.b.switch)).collect()
+}
+
+/// Whether two switches are connected over `edges` (union-find).
+fn connectivity(
+    edges: impl Iterator<Item = (SwitchId, SwitchId)>,
+) -> impl Fn(SwitchId, SwitchId) -> bool {
+    let mut parent: HashMap<SwitchId, SwitchId> = HashMap::new();
+    let root = |parent: &HashMap<SwitchId, SwitchId>, mut s: SwitchId| {
+        while let Some(&p) = parent.get(&s) {
+            s = p;
+        }
+        s
+    };
+    for (a, b) in edges {
+        let (ra, rb) = (root(&parent, a), root(&parent, b));
+        if ra != rb {
+            parent.insert(ra, rb);
+        }
+    }
+    move |a, b| root(&parent, a) == root(&parent, b)
+}
+
 /// Audits `fabric` against the post-chaos invariants. Call this after
 /// the plan's faults have ended and the fabric has had time to settle
 /// (notifications flooded, patches applied) — mid-disruption the
@@ -113,18 +146,7 @@ impl InvariantReport {
 #[must_use]
 pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
     let truth = &fabric.topology;
-    // Physical ground truth is the *engine's* wire state — scheduled
-    // failures and chaos flaps act on wires, not on the (static)
-    // topology the fabric was built from.
-    let up_edges: HashSet<(SwitchId, SwitchId)> = truth
-        .links()
-        .filter(|l| {
-            fabric
-                .trunk_wire(l.a.switch, l.b.switch)
-                .is_some_and(|w| fabric.world.wire_up(w))
-        })
-        .map(|l| norm_edge(l.a.switch, l.b.switch))
-        .collect();
+    let up_edges = up_edges(fabric);
 
     let mut report = InvariantReport {
         controllers_ready: true,
@@ -247,36 +269,13 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
         }
     }
 
-    // 4: all-pairs reachability over up links (connected components of
-    // the up-graph, then hosts bucketed by attach-switch component).
-    let mut adj: HashMap<SwitchId, Vec<SwitchId>> = HashMap::new();
-    for &(a, b) in &up_edges {
-        adj.entry(a).or_default().push(b);
-        adj.entry(b).or_default().push(a);
-    }
-    let mut component: HashMap<SwitchId, usize> = HashMap::new();
-    let mut next_comp = 0;
-    for sw in truth.switches() {
-        if component.contains_key(&sw.id) {
-            continue;
-        }
-        let mut queue = VecDeque::from([sw.id]);
-        component.insert(sw.id, next_comp);
-        while let Some(s) = queue.pop_front() {
-            for &n in adj.get(&s).into_iter().flatten() {
-                if let std::collections::hash_map::Entry::Vacant(e) = component.entry(n) {
-                    e.insert(next_comp);
-                    queue.push_back(n);
-                }
-            }
-        }
-        next_comp += 1;
-    }
+    // 4: all-pairs reachability over up links.
+    let connected = connectivity(up_edges.iter().copied());
     let hosts: Vec<(HostId, SwitchId)> = truth.hosts().map(|h| (h.id, h.attached.switch)).collect();
     for (i, &(ha, sa)) in hosts.iter().enumerate() {
         for &(hb, sb) in &hosts[i + 1..] {
             report.pairs_checked += 1;
-            if component.get(&sa) != component.get(&sb) {
+            if !connected(sa, sb) {
                 report.unreachable_pairs.push((ha, hb));
             }
         }
@@ -286,33 +285,35 @@ pub fn check_invariants<W: Engine>(fabric: &Fabric<W>) -> InvariantReport {
 
 /// Outcome of the gray-failure invariant audit (DESIGN.md §10).
 ///
-/// Three properties, layered on the binary-state audit above:
+/// Four properties, layered on the binary-state audit above, against
+/// the set of edges the audit is told carry loss:
 ///
 /// 1. **No persistent blackhole while a healthy path exists**: for any
-///    host with a cached destination, if the quarantine-free up-graph
-///    still connects the pair, the host must hold at least one cached
-///    path avoiding every edge it considers quarantined — steering has
-///    a clean option, so flows are not pinned to a gray edge.
-/// 2. **Quarantine convergence after heal**: once the gray faults end
-///    and probation has had time to run, no controller and no host
-///    still holds an edge under quarantine.
-/// 3. **Bounded quarantine flaps**: no edge's controller-side
+///    host with a cached destination, if the up-graph without the edges
+///    the host holds still connects the pair, the host caches at least
+///    one path avoiding every held edge.
+/// 2. **Precision**: no controller and no host holds an edge that
+///    carries no loss. After the faults heal nothing carries loss, so
+///    this is quarantine convergence.
+/// 3. **Recall**: a live controller holds the lease to quarantine, and
+///    it holds every edge that carries loss.
+/// 4. **Bounded quarantine flaps**: no edge's controller-side
 ///    quarantine-entry count exceeds the bound — hysteresis prevents
 ///    enter/release oscillation from amplifying into a patch storm.
 #[derive(Debug, Clone, Default)]
 pub struct GrayInvariantReport {
     /// `(host, destination)` pairs where every cached path crosses a
-    /// host-quarantined edge even though the quarantine-free up-graph
-    /// still connects the pair.
+    /// held edge even though the up-graph without the held edges still
+    /// connects the pair.
     pub blackholed_pairs: Vec<(HostId, MacAddr)>,
-    /// Edges still quarantined (controller- or host-side) although the
-    /// audit was told the fabric has healed and settled. Empty when the
-    /// audit runs with `expect_clear = false`.
-    pub residual_quarantine: Vec<(SwitchId, SwitchId)>,
+    /// Edges a controller or a host holds that carry no loss.
+    pub innocent_holds: Vec<(SwitchId, SwitchId)>,
+    /// Edges that carry loss and the leader — the live controller
+    /// holding the lease to quarantine — does not hold: all of them when
+    /// no controller holds the lease.
+    pub unheld_faults: Vec<(SwitchId, SwitchId)>,
     /// Edges whose controller-side flap count exceeded the bound.
     pub excess_flaps: Vec<((SwitchId, SwitchId), u32)>,
-    /// Ordinary hosts examined.
-    pub hosts_checked: usize,
 }
 
 impl GrayInvariantReport {
@@ -320,35 +321,29 @@ impl GrayInvariantReport {
     #[must_use]
     pub fn ok(&self) -> bool {
         self.blackholed_pairs.is_empty()
-            && self.residual_quarantine.is_empty()
+            && self.innocent_holds.is_empty()
+            && self.unheld_faults.is_empty()
             && self.excess_flaps.is_empty()
     }
 }
 
-/// Audits `fabric` against the gray-failure invariants. An edge may
-/// enter quarantine at most [`MAX_FLAPS`]` + 1` times — sticky pinning
-/// caps it there. Pass `expect_clear = true` only after the gray faults
-/// have ended and probation plus host exoneration have had time to run;
-/// mid-fault the quarantines are *supposed* to be held.
+/// Audits `fabric` against the gray-failure invariants, where `lossy`
+/// lists the (normalized) edges that carry injected loss right now —
+/// none once the faults have healed and probation and host release
+/// have had time to run. An edge may enter quarantine at most
+/// [`MAX_FLAPS`]` + 1` times — sticky pinning caps it there.
 #[must_use]
 pub fn check_gray_invariants<W: Engine>(
     fabric: &Fabric<W>,
-    expect_clear: bool,
+    lossy: &[(SwitchId, SwitchId)],
 ) -> GrayInvariantReport {
     let truth = &fabric.topology;
-    let up_edges: HashSet<(SwitchId, SwitchId)> = truth
-        .links()
-        .filter(|l| {
-            fabric
-                .trunk_wire(l.a.switch, l.b.switch)
-                .is_some_and(|w| fabric.world.wire_up(w))
-        })
-        .map(|l| norm_edge(l.a.switch, l.b.switch))
-        .collect();
+    let up_edges = up_edges(fabric);
     let mut report = GrayInvariantReport::default();
 
-    // 3: bounded flaps, plus the controller half of convergence.
-    let mut residual: BTreeSet<(SwitchId, SwitchId)> = BTreeSet::new();
+    // 4, the controller half of 2, and 3.
+    let mut held: BTreeSet<(SwitchId, SwitchId)> = BTreeSet::new();
+    let mut leader: Option<Vec<(SwitchId, SwitchId)>> = None;
     for cid in fabric.controller_ids() {
         let Some(ctrl) = fabric.controller(cid) else {
             continue;
@@ -358,51 +353,35 @@ pub fn check_gray_invariants<W: Engine>(
                 report.excess_flaps.push((e, flaps));
             }
         }
-        if expect_clear {
-            residual.extend(ctrl.quarantined_edges());
+        let decided = ctrl.quarantined_edges();
+        held.extend(decided.iter().copied());
+        let live = fabric
+            .host_addr(cid)
+            .is_ok_and(|addr| !fabric.world.is_crashed(addr));
+        if live && ctrl.leases(fabric.now()) {
+            leader = Some(decided);
         }
     }
     report.excess_flaps.sort_unstable();
     report.excess_flaps.dedup();
+    let holds = leader.unwrap_or_default();
+    report.unheld_faults = lossy
+        .iter()
+        .filter(|e| !holds.contains(e))
+        .copied()
+        .collect();
 
-    // 1 + host half of 2.
+    // 1 + the host half of 2.
     for h in truth.hosts() {
         let Some(agent) = fabric.host(h.id) else {
             continue; // Controller slot.
         };
-        report.hosts_checked += 1;
-        let gray: BTreeSet<(SwitchId, SwitchId)> =
-            agent.pathtable.quarantined_edges().into_iter().collect();
-        if expect_clear {
-            residual.extend(gray.iter().copied());
-        }
+        let gray = agent.gray.as_ref().map(|g| g.held()).unwrap_or_default();
+        held.extend(gray.iter().copied());
         if gray.is_empty() {
             continue;
         }
-        // Connectivity over the quarantine-free up-graph.
-        let clean_up: HashSet<(SwitchId, SwitchId)> = up_edges
-            .iter()
-            .filter(|e| !gray.contains(*e))
-            .copied()
-            .collect();
-        let mut adj: HashMap<SwitchId, Vec<SwitchId>> = HashMap::new();
-        for &(a, b) in &clean_up {
-            adj.entry(a).or_default().push(b);
-            adj.entry(b).or_default().push(a);
-        }
-        let reachable_from = |start: SwitchId| -> HashSet<SwitchId> {
-            let mut seen = HashSet::from([start]);
-            let mut queue = VecDeque::from([start]);
-            while let Some(s) = queue.pop_front() {
-                for &n in adj.get(&s).into_iter().flatten() {
-                    if seen.insert(n) {
-                        queue.push_back(n);
-                    }
-                }
-            }
-            seen
-        };
-        let from_here = reachable_from(h.attached.switch);
+        let connected = connectivity(up_edges.iter().filter(|e| !gray.contains(e)).copied());
         for dst in agent.pathtable.destinations() {
             let Some(entry) = agent.pathtable.entry(dst) else {
                 continue;
@@ -410,7 +389,7 @@ pub fn check_gray_invariants<W: Engine>(
             let Some(dst_sw) = truth.host_by_mac(dst).map(|d| d.attached.switch) else {
                 continue;
             };
-            if !from_here.contains(&dst_sw) {
+            if !connected(h.attached.switch, dst_sw) {
                 continue; // No healthy route exists; degraded is allowed.
             }
             let has_clean = entry.all_paths().any(|p| {
@@ -425,7 +404,7 @@ pub fn check_gray_invariants<W: Engine>(
         }
     }
     report.blackholed_pairs.sort_unstable();
-    report.residual_quarantine = residual.into_iter().collect();
+    report.innocent_holds = held.into_iter().filter(|e| !lossy.contains(e)).collect();
     report
 }
 
@@ -548,9 +527,7 @@ mod tests {
         .unwrap();
 
         // Gray fault at 50 ms: the trunk drops everything but never
-        // reports link-down. Heal at 300 ms — long enough for the
-        // reply-path smear transient (healthy paths whose probe replies
-        // died crossing the gray trunk) to exonerate and release.
+        // reports link-down. Heal at 300 ms.
         let wire = fabric.trunk_wire(leaf, spine).expect("trunk exists");
         fabric.world.schedule_loss(t(50), wire, 1.0);
         fabric.world.schedule_loss(t(300), wire, 0.0);
@@ -572,7 +549,7 @@ mod tests {
             ctrl.stats().link_suspects_rx > 0,
             "no suspicion reports reached the controller"
         );
-        let mid = check_gray_invariants(&fabric, false);
+        let mid = check_gray_invariants(&fabric, &[e]);
         assert!(mid.ok(), "mid-fault gray invariants violated: {mid:?}");
         let failovers: u64 = (1..3)
             .filter_map(|h| fabric.host(dumbnet_types::HostId(h)))
@@ -582,7 +559,7 @@ mod tests {
 
         // Post-heal: probation releases the quarantine everywhere.
         fabric.run_until(t(600));
-        let after = check_gray_invariants(&fabric, true);
+        let after = check_gray_invariants(&fabric, &[]);
         assert!(after.ok(), "post-heal gray invariants violated: {after:?}");
         let ctrl = fabric.controller(dumbnet_types::HostId(0)).unwrap();
         assert!(ctrl.stats().unquarantines > 0, "quarantine never released");
@@ -591,6 +568,79 @@ mod tests {
             audit.ok(),
             "post-heal binary invariants violated: {audit:?}"
         );
+    }
+
+    /// A host's own hold gets the reaction a hard-down edge gets, before
+    /// any controller acts (the scoreboard is off here): every cached
+    /// path is re-installed around the held trunk.
+    #[test]
+    fn a_local_hold_reinstalls_around_the_edge() {
+        use dumbnet_host::agent::AppAction;
+        use dumbnet_host::{GrayDetectConfig, HostAgent};
+
+        let g = generators::testbed();
+        let (spine, leaf) = (g.group("spine")[0], g.group("leaf")[0]);
+        let mut cfg = FabricConfig::default();
+        cfg.host.gray_detect = Some(GrayDetectConfig::default());
+        let mut fabric = Fabric::build_with(g.topology, cfg, |id, mut hc| {
+            if id == HostId(1) {
+                hc.actions = vec![AppAction::DataStream {
+                    at: SimDuration::from_millis(10),
+                    dst: MacAddr::for_host(26),
+                    flow: 7,
+                    packets: 400,
+                    bytes: 1000,
+                    interval: SimDuration::from_micros(500),
+                }];
+            }
+            HostAgent::new(id, hc)
+        })
+        .unwrap();
+        let wire = fabric.trunk_wire(leaf, spine).expect("trunk exists");
+        fabric.world.schedule_loss(t(50), wire, 1.0);
+        fabric.run_until(t(150));
+        let agent = fabric.host(HostId(1)).unwrap();
+        let trunk = norm_edge(leaf, spine);
+        assert_eq!(agent.gray.as_ref().unwrap().held(), BTreeSet::from([trunk]));
+        let entry = agent.pathtable.entry(MacAddr::for_host(26)).unwrap();
+        assert!(!entry.paths.is_empty());
+        assert!(entry.all_paths().all(|p| !p.uses_edge(leaf, spine)));
+        assert!(fabric
+            .controller(HostId(0))
+            .unwrap()
+            .quarantined_edges()
+            .is_empty());
+    }
+
+    /// The precision and recall clauses, on doctored holds: a host
+    /// holding an edge with no loss on it, and a lossy edge the leader
+    /// (the one controller) does not hold.
+    #[test]
+    fn gray_audit_flags_innocent_holds_and_unheld_faults() {
+        let g = generators::testbed();
+        let (spine, leaf) = (g.group("spine")[0], g.group("leaf")[1]);
+        let lossy = norm_edge(g.group("leaf")[2], spine);
+        let mut cfg = FabricConfig::default();
+        cfg.host.gray_detect = Some(dumbnet_host::GrayDetectConfig::default());
+        let mut fabric = Fabric::build(g.topology, cfg).unwrap();
+        fabric.run_until(t(50));
+        assert!(check_gray_invariants(&fabric, &[]).ok());
+        let innocent = norm_edge(leaf, spine);
+        let addr = fabric.host_addr(HostId(3)).unwrap();
+        let agent = fabric
+            .world
+            .node_mut::<dumbnet_host::HostAgent>(addr)
+            .unwrap();
+        agent
+            .gray
+            .as_mut()
+            .unwrap()
+            .on_verdict(t(50), innocent, true);
+        let report = check_gray_invariants(&fabric, &[]);
+        assert_eq!(report.innocent_holds, [innocent]);
+        let report = check_gray_invariants(&fabric, &[innocent, lossy]);
+        assert!(report.innocent_holds.is_empty());
+        assert_eq!(report.unheld_faults, [innocent, lossy]);
     }
 
     /// The ISSUE acceptance scenario: discovery under 5% uniform packet

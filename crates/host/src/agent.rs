@@ -4,8 +4,9 @@
 //! module analog (insert tags on egress, validate/strip ø on ingress),
 //! the two-level path cache (TopoCache + PathTable), the failure-handling
 //! participant (receive switch notifications, flood host-to-host, fail
-//! over locally), the probe responder, and the measurement hooks the
-//! experiments read back (RTTs, notification delays, delivery counters).
+//! over locally), the discovery-probe responder, and the measurement
+//! hooks the experiments read back (RTTs, notification delays, delivery
+//! counters).
 //!
 //! The routing decision is pluggable via [`RoutingFn`] — the hook the
 //! flowlet-TE extension (§6.2) installs.
@@ -25,7 +26,7 @@ use dumbnet_types::{
 
 use crate::backlog::Backlog;
 use crate::failure::{
-    Edge, Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, RequestRetry, CLEAR_THRESHOLD,
+    Effect, GrayDetectConfig, GrayDetector, PatchAcceptor, RequestRetry, CLEAR_THRESHOLD,
 };
 use crate::pathtable::{FlowKey, PathTable};
 use crate::topocache::TopoCache;
@@ -405,21 +406,28 @@ impl HostAgent {
         self.pathtable.lookup(dst, flow, preferred.flatten())
     }
 
-    /// Re-installs `dst` from what the TopoCache still offers it, if
-    /// anything. The detector's health is keyed by path index, so the
-    /// new path set starts unsampled.
+    /// Re-installs `dst` from what the TopoCache still offers it with
+    /// every held edge masked; when that leaves nothing, from the paths
+    /// over live links alone — a degraded path beats a blackhole.
     fn reinstall(&mut self, dst: MacAddr) -> bool {
-        let Some((paths, backup)) = self.topocache.k_paths(dst, K_PATHS) else {
+        let held = self.gray.as_ref().map(|g| g.held()).unwrap_or_default();
+        let usable = |(paths, backup): &(Vec<_>, Option<_>)| !paths.is_empty() || backup.is_some();
+        let masked =
+            (!held.is_empty()).then(|| self.topocache.k_paths_avoiding(dst, K_PATHS, &held));
+        let found = masked.flatten().filter(usable);
+        let found = found.or_else(|| self.topocache.k_paths(dst, K_PATHS).filter(usable));
+        let Some((paths, backup)) = found else {
             return false;
         };
-        if paths.is_empty() && backup.is_none() {
-            return false;
-        }
         self.pathtable.install(dst, paths, backup);
-        if let Some(gray) = &mut self.gray {
-            gray.forget_dst(dst);
-        }
         true
+    }
+
+    /// Re-installs every cached destination ([`HostAgent::reinstall`]).
+    fn reinstall_all(&mut self) {
+        for dst in self.pathtable.destinations() {
+            self.reinstall(dst);
+        }
     }
 
     /// Resolves a path for `(dst, flow)` through the two-level cache: the
@@ -548,31 +556,17 @@ impl HostAgent {
     /// TopoCache stops offering it, cached paths over it die, link state
     /// supersedes gray suspicion, every cached destination is
     /// re-installed from what the filtered TopoCache still offers, and
-    /// those left with nothing are re-asked of the controller.
+    /// those left with nothing are re-asked of the controller. A change
+    /// to the held set gets the same re-install.
     fn edge_down(&mut self, now: SimTime, a: SwitchId, b: SwitchId, out: &mut Vec<Effect>) {
         self.topocache.mark_down(a, b);
         let orphaned = self.pathtable.invalidate_edge(a, b);
         if let Some(gray) = &mut self.gray {
             gray.forget_edge(norm_edge(a, b));
         }
-        for dst in self.pathtable.destinations() {
-            self.reinstall(dst);
-        }
+        self.reinstall_all();
         for dst in orphaned {
             self.requests.ask(now, dst, out);
-        }
-    }
-
-    /// Mirrors whether anything — this host's evidence or the
-    /// controller's quarantine — holds `edge` into the PathTable's
-    /// avoid set. The one place that set is written. Quarantine is soft
-    /// state only the detector can age out, so a host without one holds
-    /// nothing.
-    fn settle(&mut self, edge: Edge) {
-        if self.gray.as_ref().is_some_and(|g| g.holds(edge)) {
-            self.pathtable.quarantine_edge(edge.0, edge.1);
-        } else {
-            self.pathtable.restore_edge(edge.0, edge.1);
         }
     }
 
@@ -605,18 +599,22 @@ impl HostAgent {
                     self.counters.patch_batches_applied.inc();
                 }
                 Effect::ProbeLost => self.counters.probe_losses.inc(),
-                Effect::Failover(edge) => {
+                Effect::Failover(_) => {
                     self.counters.gray_failovers.inc();
-                    self.settle(edge);
+                    self.reinstall_all();
                 }
-                Effect::Settle(edge) => self.settle(edge),
+                Effect::Settle(_) => self.reinstall_all(),
                 Effect::Report(evidence) => {
                     self.counters.link_suspects_sent.inc();
                     self.send_to_controller(ctx, evidence);
                 }
-                Effect::Probe(probe) => {
-                    self.counters.probes_sent.inc();
-                    self.transmit(ctx, probe);
+                Effect::Probe(hops, probe_id) => {
+                    let (origin, walk) = (self.mac, self.topocache.bounce(&hops));
+                    if let Some(walk) = walk {
+                        self.counters.probes_sent.inc();
+                        let msg = ControlMessage::PathProbe { origin, probe_id };
+                        self.transmit(ctx, Packet::control(origin, origin, walk, msg));
+                    }
                 }
                 Effect::Arm(after) => ctx.set_timer(after, Self::PROBE_TOKEN),
                 Effect::Request((ctrl_mac, ctrl_path), dst, request_id) => {
@@ -649,15 +647,15 @@ impl HostAgent {
         for (pa, pb) in entry.delta.up {
             self.topocache.mark_up(pa.switch, pb.switch);
         }
+        let Some(gray) = &mut self.gray else {
+            return; // Quarantine is soft state only a detector ages out.
+        };
         let soft = entry.delta.quarantine.into_iter().map(|e| (e, true));
         let soft = soft.chain(entry.delta.unquarantine.into_iter().map(|e| (e, false)));
         for ((a, b), quarantined) in soft {
-            let edge = norm_edge(a, b);
-            if let Some(gray) = &mut self.gray {
-                gray.on_verdict(now, edge, quarantined);
-            }
-            self.settle(edge);
+            gray.on_verdict(now, norm_edge(a, b), quarantined);
         }
+        self.reinstall_all();
     }
 
     /// Sends `msg` to the primary controller, if one is known.
@@ -707,19 +705,8 @@ impl HostAgent {
                 }
                 self.flush_pending(ctx, dst);
             }
-            ControlMessage::PathProbe { origin, probe_id } => {
-                // Gray-failure probe responder: answer over our own
-                // routed path (the forward path under test was consumed
-                // on the way here).
-                let responder = self.mac;
-                let reply = ControlMessage::PathProbeReply {
-                    responder,
-                    probe_id,
-                };
-                let reply = Packet::control(origin, self.mac, Path::empty(), reply);
-                self.send_routed(ctx, reply, FlowKey(probe_id ^ 0x9B0B_E000));
-            }
-            ControlMessage::PathProbeReply { probe_id, .. } => {
+            // A gray probe back from its closed walk.
+            ControlMessage::PathProbe { origin, probe_id } if origin == self.mac => {
                 if let Some(gray) = &mut self.gray {
                     gray.on_reply(probe_id);
                 }
@@ -768,8 +755,10 @@ impl HostAgent {
             ControlMessage::StatsReply { switch, ports, .. } => {
                 self.series.stats_replies.push((switch, ports));
             }
-            // Messages only controllers or switches consume.
+            // Messages only controllers or switches consume, and a gray
+            // probe some other host walked (it cannot end here).
             ControlMessage::StatsQuery { .. }
+            | ControlMessage::PathProbe { .. }
             | ControlMessage::ProbeReply { .. }
             | ControlMessage::SwitchIdReply { .. }
             | ControlMessage::PathRequest { .. }
@@ -935,9 +924,15 @@ impl Node for HostAgent {
         if token == Self::PROBE_TOKEN {
             let now = ctx.now();
             return self.step(ctx, |agent, out| {
+                let dsts = agent.pathtable.destinations().into_iter();
+                let entries = dsts
+                    .filter(|&d| d != agent.mac)
+                    .filter_map(|d| agent.pathtable.entry(d));
+                let paths = entries.flat_map(|e| &e.paths);
+                let walks = paths.map(|p| p.route.switches().to_vec()).collect();
+                let can_report = agent.requests.primary().is_some();
                 if let Some(gray) = &mut agent.gray {
-                    let can_report = agent.requests.primary().is_some();
-                    gray.on_tick(now, &agent.pathtable, can_report, out);
+                    gray.on_tick(now, walks, can_report, out);
                 }
             });
         }

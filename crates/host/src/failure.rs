@@ -5,20 +5,19 @@
 //! suspicion, [`RequestRetry`] decides when a cache miss asks which
 //! controller (§5.2). All follow the calling convention of the
 //! controller's consensus core: every entry point takes what it needs
-//! to know (the time, the table version, the [`PathTable`] as data) and
+//! to know (the time, the table version, the cached walks) as data and
 //! appends [`Effect`]s to a caller-owned buffer. None reads a clock,
 //! draws randomness, sends a packet or bumps a counter —
 //! [`HostAgent`](crate::agent::HostAgent) is their adapter and applies
 //! the effects in emission order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dumbnet_packet::control::{PatchBatch, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet};
 use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, Path, SimDuration, SimTime, SwitchId};
 
 use crate::backlog::Backlog;
-use crate::pathtable::{CachedPath, PathTable};
 
 /// A normalized (undirected) switch pair.
 pub type Edge = (SwitchId, SwitchId);
@@ -47,12 +46,14 @@ pub enum Effect {
     ProbeLost,
     /// This host's own evidence now holds `edge`: a local gray failover.
     Failover(Edge),
-    /// Whether anything holds `edge` may have changed; recompute it.
+    /// The detector released `edge`, or the controller's hold on it
+    /// lapsed: the held set shrank.
     Settle(Edge),
     /// Send the primary controller this `LinkSuspect` evidence report.
     Report(ControlMessage),
-    /// Launch this `PathProbe` along the cached path under test.
-    Probe(Packet),
+    /// Send `PathProbe` `probe_id` on the closed walk out over these
+    /// hops and back.
+    Probe(Vec<SwitchId>, u64),
     /// Run the next detector round this long from now.
     Arm(SimDuration),
     /// Send this controller (over this path) a `PathRequest` for the
@@ -299,15 +300,15 @@ impl RequestRetry {
 /// default 5 ms round, so each sweep judges the round before).
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(4);
 
-/// EWMA smoothing factor for per-path loss (sample weight).
-const EWMA_ALPHA: f64 = 0.4;
+/// EWMA weight of one sample of a walk's loss.
+const EWMA_ALPHA: f64 = 0.2;
 
-/// EWMA loss at or below this exonerates a held edge. The gap to
-/// [`GrayDetectConfig::suspect_threshold`] is the hysteresis: health
-/// must really recover before the edge is forgiven.
+/// A held edge whose attributed loss is at or below this is released.
+/// The gap to [`GrayDetectConfig::suspect_threshold`] is the
+/// hysteresis: the loss must really be gone before the edge is.
 pub(crate) const CLEAR_THRESHOLD: f64 = 0.05;
 
-/// Minimum gap between successive reports for the same edge.
+/// Minimum gap between renewals of a held edge's report.
 const REPORT_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// Controller-flooded quarantine not re-asserted within this window
@@ -319,15 +320,16 @@ const CTRL_QUARANTINE_TTL: SimDuration = SimDuration::from_millis(250);
 
 /// Gray-failure detection knobs (DESIGN.md §10). `None` in
 /// [`HostAgentConfig::gray_detect`](crate::HostAgentConfig) means no
-/// detector at all — no probes, no health state, no timers.
+/// detector at all — no probes, no walk state, no timers.
 #[derive(Debug, Clone, Copy)]
 pub struct GrayDetectConfig {
-    /// Gap between detector rounds (every round probes every cached
-    /// path of every destination and sweeps the round before).
+    /// Gap between detector rounds (each sweeps the round before and
+    /// sends one probe per cached walk).
     pub probe_interval: SimDuration,
-    /// EWMA loss at or above this suspects the path's distinct edges.
+    /// An edge whose own loss rate reaches this while it tops the vote
+    /// is blamed.
     pub suspect_threshold: f64,
-    /// Minimum samples before the EWMA is trusted either way.
+    /// Samples a walk needs before it votes.
     pub min_samples: u32,
 }
 
@@ -341,47 +343,32 @@ impl Default for GrayDetectConfig {
     }
 }
 
-/// Per-path loss EWMA, keyed by `(destination, path index)`.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathHealth {
-    ewma_loss: f64,
-    samples: u32,
+/// The distinct edges a walk out over `hops` crosses (each twice).
+fn edges(hops: &[SwitchId]) -> impl Iterator<Item = Edge> + '_ {
+    hops.windows(2).map(|w| norm_edge(w[0], w[1]))
 }
 
-/// Evidence about one edge: `(EWMA loss, samples, direction)` of the
-/// worst path seen crossing it.
-type Evidence = (f64, u32, u8);
-
-/// Keeps the worse of `ev` and what `map` already holds for `edge`.
-fn note(map: &mut BTreeMap<Edge, Evidence>, edge: Edge, ev: Evidence) {
-    let slot = map.entry(edge).or_insert(ev);
-    if ev.0 > slot.0 {
-        *slot = ev;
-    }
-}
-
-/// The edges of `p` with the direction it crosses each in.
-fn edges(p: &CachedPath) -> impl Iterator<Item = (Edge, u8)> + '_ {
-    p.route.switches().windows(2).map(|w| {
-        let edge = norm_edge(w[0], w[1]);
-        (edge, u8::from(edge != (w[0], w[1])))
-    })
-}
-
-/// The gray-failure detector: a probe ledger, the per-path loss EWMA it
-/// feeds, and every reason this host has to avoid an edge that is still
-/// link-up — its own evidence (`local`) and the controller's flooded
-/// quarantine (`ctrl`, soft state with a TTL). The union of the two is
-/// [`GrayDetector::holds`]; the adapter mirrors it into the PathTable.
+/// The gray-failure detector: a probe ledger, the loss rate of every
+/// walk it probes, and the edges this host avoids though they are
+/// link-up — its own evidence (`local`, each with the walk kept across
+/// it) and the controller's quarantine (`ctrl`, soft state with a TTL),
+/// whose union is [`GrayDetector::held`]. A walk is named by its hops,
+/// this host's switch first; its probe is NetBouncer's bounce probe
+/// (Tan et al., NSDI 2019): out over the hops and back over the same
+/// links, so the prober answers itself and the edge set is exact.
 #[derive(Debug, Clone)]
 pub struct GrayDetector {
     me: MacAddr,
     cfg: GrayDetectConfig,
-    health: HashMap<(MacAddr, usize), PathHealth>,
-    /// Outstanding probes: id → (destination, path index, sent time).
-    ledger: HashMap<u64, (MacAddr, usize, SimTime)>,
+    /// Loss EWMA and samples of every walk of the probe set.
+    rates: BTreeMap<Vec<SwitchId>, (f64, u32)>,
+    /// Outstanding probes: id → (walk, sent time).
+    ledger: HashMap<u64, (Vec<SwitchId>, SimTime)>,
     next_probe_id: u64,
-    local: BTreeSet<Edge>,
+    /// Rounds run: whose turn it is among the cached walks.
+    rounds: usize,
+    /// This host's own holds, each with the walk kept across it.
+    local: BTreeMap<Edge, Vec<SwitchId>>,
     /// Controller quarantine, by when it was last (re-)asserted.
     ctrl: BTreeMap<Edge, SimTime>,
     /// Last report time per edge (rate limit).
@@ -390,15 +377,18 @@ pub struct GrayDetector {
 }
 
 impl GrayDetector {
-    /// The heap the detector holds: path health, the probe ledger and
-    /// the edge sets.
+    /// The heap the detector holds: the walks and their rates, the
+    /// probe ledger and the edge sets.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        heap::hash_map(&self.health)
+        let walks = self.rates.keys().chain(self.local.values());
+        let walks = walks.chain(self.ledger.values().map(|(hops, _)| hops));
+        heap::btree_map(&self.rates)
             + heap::hash_map(&self.ledger)
-            + heap::btree_set(&self.local)
+            + heap::btree_map(&self.local)
             + heap::btree_map(&self.ctrl)
             + heap::btree_map(&self.reported)
+            + walks.map(heap::vec).sum::<usize>()
     }
 
     /// The detector of host `me`, nothing sampled and nothing held.
@@ -407,26 +397,21 @@ impl GrayDetector {
         GrayDetector {
             me,
             cfg,
-            health: HashMap::new(),
+            rates: BTreeMap::new(),
             ledger: HashMap::new(),
             next_probe_id: 1,
-            local: BTreeSet::new(),
+            rounds: 0,
+            local: BTreeMap::new(),
             ctrl: BTreeMap::new(),
             reported: BTreeMap::new(),
             next_seq: 1,
         }
     }
 
-    /// Whether local evidence or the controller holds `edge`.
-    #[must_use]
-    pub fn holds(&self, edge: Edge) -> bool {
-        self.local.contains(&edge) || self.ctrl.contains_key(&edge)
-    }
-
     /// Every held edge (`local ∪ controller`), ascending.
     #[must_use]
     pub fn held(&self) -> BTreeSet<Edge> {
-        self.local.iter().chain(self.ctrl.keys()).copied().collect()
+        self.local.keys().chain(self.ctrl.keys()).copied().collect()
     }
 
     /// The controller's word on `edge`: quarantined (or re-asserted so),
@@ -446,40 +431,38 @@ impl GrayDetector {
         self.reported.remove(&edge);
     }
 
-    /// The path set of `dst` changed, and with it the index keying:
-    /// old samples would misattribute.
-    pub fn forget_dst(&mut self, dst: MacAddr) {
-        self.health.retain(|&(d, _), _| d != dst);
-        self.ledger.retain(|_, &mut (d, _, _)| d != dst);
-    }
-
-    /// A probe reply arrived: a clean sample, if the probe is still owed.
+    /// A probe came back to this host: a clean sample of its walk, if
+    /// the probe is still owed.
     pub fn on_reply(&mut self, probe_id: u64) {
-        if let Some((dst, ix, _)) = self.ledger.remove(&probe_id) {
-            self.sample(dst, ix, false);
+        if let Some((hops, _)) = self.ledger.remove(&probe_id) {
+            self.sample(&hops, false);
         }
     }
 
-    fn sample(&mut self, dst: MacAddr, ix: usize, lost: bool) {
-        let h = self.health.entry((dst, ix)).or_default();
+    fn sample(&mut self, hops: &[SwitchId], lost: bool) {
+        let Some((loss, samples)) = self.rates.get_mut(hops) else {
+            return; // The walk left the probe set while its probe was out.
+        };
         let sample = f64::from(u8::from(lost));
-        h.ewma_loss = if h.samples == 0 {
+        *loss = if *samples == 0 {
             sample
         } else {
-            h.ewma_loss * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
+            *loss * (1.0 - EWMA_ALPHA) + sample * EWMA_ALPHA
         };
-        h.samples = h.samples.saturating_add(1);
+        *samples = samples.saturating_add(1);
     }
 
-    /// One detector round over the host's `table`: lapse controller
-    /// quarantine the leader stopped refreshing, sweep the round before
-    /// into loss samples, judge every edge, then probe every cached
-    /// primary path. `can_report` says a controller is known to send
-    /// evidence to.
+    /// One detector round: lapse controller quarantine the leader
+    /// stopped refreshing, sweep the round before into loss samples,
+    /// judge every edge, then probe: the walk kept across each locally
+    /// held edge, and the cached `walks` in the slots left — one probe
+    /// per cached walk and round in all, taken in turn. A walk with no
+    /// edge measures nothing. `can_report` says a controller is known to
+    /// send evidence to.
     pub fn on_tick(
         &mut self,
         now: SimTime,
-        table: &PathTable,
+        walks: Vec<Vec<SwitchId>>,
         can_report: bool,
         out: &mut Vec<Effect>,
     ) {
@@ -491,114 +474,137 @@ impl GrayDetector {
             fresh
         });
         let mut expired = Vec::new();
-        self.ledger.retain(|&id, &mut (dst, ix, at)| {
-            let owed = now - at < PROBE_TIMEOUT;
+        self.ledger.retain(|&id, (hops, at)| {
+            let owed = now - *at < PROBE_TIMEOUT;
             if !owed {
-                expired.push((id, dst, ix));
+                expired.push((id, std::mem::take(hops)));
             }
             owed
         });
         expired.sort_unstable(); // Hash order must not reach the EWMA.
-        for (_, dst, ix) in expired {
+        for (_, hops) in expired {
             out.push(Effect::ProbeLost);
-            self.sample(dst, ix, true);
+            self.sample(&hops, true);
         }
-        self.judge(now, table, can_report, out);
-        for dst in table.destinations().into_iter().filter(|&d| d != self.me) {
-            let paths = table.entry(dst).map_or(&[][..], |e| &e.paths);
-            for (ix, p) in paths.iter().enumerate() {
-                let (origin, probe_id) = (self.me, self.next_probe_id);
-                self.next_probe_id += 1;
-                self.ledger.insert(probe_id, (dst, ix, now));
-                let msg = ControlMessage::PathProbe { origin, probe_id };
-                out.push(Effect::Probe(Packet::control(
-                    dst,
-                    origin,
-                    p.tags.clone(),
-                    msg,
-                )));
-            }
+        self.judge(now, can_report, out);
+        let kept: BTreeSet<Vec<SwitchId>> = self.local.values().cloned().collect();
+        let fresh = |h: &Vec<SwitchId>| h.len() > 1 && !kept.contains(h);
+        let cached: BTreeSet<Vec<SwitchId>> = walks.into_iter().filter(fresh).collect();
+        self.rates
+            .retain(|h, _| kept.contains(h) || cached.contains(h));
+        let room = cached
+            .len()
+            .saturating_sub(kept.len())
+            .max(1)
+            .min(cached.len());
+        let turn = cached
+            .iter()
+            .cycle()
+            .skip(self.rounds % cached.len().max(1));
+        self.rounds += 1;
+        for hops in kept.iter().chain(turn.take(room)) {
+            self.rates.entry(hops.clone()).or_default();
+            self.ledger.insert(self.next_probe_id, (hops.clone(), now));
+            out.push(Effect::Probe(hops.clone(), self.next_probe_id));
+            self.next_probe_id += 1;
         }
         out.push(Effect::Arm(self.cfg.probe_interval));
     }
 
-    /// The suspicion logic. A path whose EWMA crossed the threshold
-    /// implicates its edges, minus every edge a demonstrably healthy
-    /// path of the same destination also crosses. One gray edge poisons
-    /// every path over it, so the edges *all* bad paths share are the
-    /// suspects (common cause); only when they share nothing usable —
-    /// distinct causes, or the shared edges are all healthy — the blunt
-    /// union stands in. Suspects are held locally at once (failover
-    /// before any controller round-trip) and reported. A held edge that
-    /// is no longer suspect and whose worst sampled EWMA is back under
-    /// [`CLEAR_THRESHOLD`] is released locally and reported clean, so
-    /// controller probation can corroborate; in between, nothing moves.
-    fn judge(&mut self, now: SimTime, table: &PathTable, can_report: bool, out: &mut Vec<Effect>) {
-        // BTreeMaps: iteration order feeds sends.
-        let mut worst: BTreeMap<Edge, Evidence> = BTreeMap::new();
-        let mut suspects: BTreeMap<Edge, Evidence> = BTreeMap::new();
-        for dst in table.destinations() {
-            let Some(entry) = table.entry(dst) else {
-                continue;
+    /// 007's vote (Arzani et al., NSDI 2018; DESIGN.md §10.2) over the
+    /// walks with `min_samples`: each gives its loss, split evenly, to
+    /// its edges. The most-voted edge is blamed if its own rate (the
+    /// least loss of a walk over it) reaches the threshold and it is not
+    /// tied, and the walks it explains stop voting; repeat. Held at once,
+    /// a blamed edge keeps its worst walk's prefix turning at its far
+    /// end. Every other held edge is judged on its own rate over the
+    /// walks no other blame explains: released at most
+    /// [`CLEAR_THRESHOLD`], else its report is renewed.
+    fn judge(&mut self, now: SimTime, can_report: bool, out: &mut Vec<Effect>) {
+        let min = self.cfg.min_samples;
+        let walks: Vec<(&Vec<SwitchId>, f64)> = self
+            .rates
+            .iter()
+            .filter(|(_, &(_, n))| n >= min)
+            .map(|(hops, &(loss, _))| (hops, loss))
+            .collect();
+        let local = |e: &&Edge| self.local.contains_key(*e);
+        let mut explainers: BTreeSet<Edge> =
+            self.ctrl.keys().filter(|e| !local(e)).copied().collect();
+        let explained = |h: &[SwitchId], by: &BTreeSet<Edge>| edges(h).any(|e| by.contains(&e));
+        let mut blamed = Vec::new();
+        loop {
+            // Edge → (votes, least loss of a walk over it, its worst walk).
+            let mut tally: BTreeMap<Edge, (f64, f64, usize)> = BTreeMap::new();
+            let open = walks
+                .iter()
+                .enumerate()
+                .filter(|(_, (h, _))| !explained(h, &explainers));
+            for (ix, &(hops, loss)) in open {
+                for edge in edges(hops) {
+                    let t = tally.entry(edge).or_insert((0.0, 1.0, ix));
+                    let worst = if loss > walks[t.2].1 { ix } else { t.2 };
+                    *t = (t.0 + loss / (hops.len() - 1) as f64, t.1.min(loss), worst);
+                }
+            }
+            let rank = |a: &(f64, f64, usize), b: &(f64, f64, usize)| {
+                a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
             };
-            let path_edges = |ix: usize| edges(&entry.paths[ix]).map(|(e, _)| e);
-            let mut good: HashSet<Edge> = HashSet::new();
-            let mut bad: Vec<(usize, PathHealth)> = Vec::new();
-            for (ix, p) in entry.paths.iter().enumerate() {
-                let Some(&h) = self.health.get(&(dst, ix)) else {
-                    continue;
-                };
-                if h.samples < self.cfg.min_samples {
-                    continue;
-                }
-                for (edge, dir) in edges(p) {
-                    note(&mut worst, edge, (h.ewma_loss, h.samples, dir));
-                }
-                if h.ewma_loss >= self.cfg.suspect_threshold {
-                    bad.push((ix, h));
-                } else if h.ewma_loss <= CLEAR_THRESHOLD {
-                    good.extend(path_edges(ix));
-                }
-            }
-            let per_path = bad.iter().map(|&(ix, _)| path_edges(ix).collect());
-            let common: HashSet<Edge> = per_path.reduce(|a, b| &a & &b).unwrap_or_default();
-            let use_common = common.iter().any(|e| !good.contains(e));
-            for (ix, h) in bad {
-                for (edge, dir) in edges(&entry.paths[ix]) {
-                    if !good.contains(&edge) && (!use_common || common.contains(&edge)) {
-                        note(&mut suspects, edge, (h.ewma_loss, h.samples, dir));
-                    }
-                }
-            }
+            let mut ranked: Vec<_> = tally.into_iter().collect();
+            ranked.sort_by(|a, b| rank(&a.1, &b.1));
+            let (edge, (_, loss, worst)) = match ranked[..] {
+                [.., (_, a), (_, b)] if rank(&a, &b).is_eq() => break,
+                [.., top] if top.1 .1 >= self.cfg.suspect_threshold => top,
+                _ => break,
+            };
+            let hops = walks[worst].0;
+            let turn = 1 + edges(hops).position(|e| e == edge).unwrap_or(0);
+            blamed.push((edge, loss, hops[..=turn].to_vec()));
+            explainers.insert(edge);
         }
-        for (&edge, &evidence) in &suspects {
-            if self.local.insert(edge) {
+        let sampled: Vec<(Edge, f64)> = self
+            .local
+            .keys()
+            .filter(|e| !explainers.contains(e))
+            .filter_map(|&edge| {
+                let others = |e: Edge| e != edge && explainers.contains(&e);
+                let own = walks
+                    .iter()
+                    .filter(|(h, _)| edges(h).any(|e| e == edge) && !edges(h).any(others));
+                // No walk over it that no other blame explains: no sample.
+                Some((edge, own.map(|&(_, loss)| loss).reduce(f64::min)?))
+            })
+            .collect();
+        for (edge, loss, walk) in blamed {
+            let renewal = self.local.insert(edge, walk).is_some();
+            if !renewal {
                 out.push(Effect::Failover(edge));
             }
-            self.report(now, edge, evidence, can_report, out);
+            self.report(now, edge, loss, renewal, can_report, out);
         }
-        for edge in self.held() {
-            let clean = worst.get(&edge).filter(|ev| ev.0 <= CLEAR_THRESHOLD);
-            if let (false, Some(&evidence)) = (suspects.contains_key(&edge), clean) {
-                if self.local.remove(&edge) {
-                    out.push(Effect::Settle(edge));
-                }
-                self.report(now, edge, evidence, can_report, out);
+        for (edge, loss) in sampled {
+            let lapsed = loss <= CLEAR_THRESHOLD;
+            if lapsed {
+                self.local.remove(&edge);
+                out.push(Effect::Settle(edge));
             }
+            self.report(now, edge, loss, !lapsed, can_report, out);
         }
     }
 
-    /// One rate-limited evidence report.
+    /// One evidence report; a renewal only if the edge's last report is
+    /// [`REPORT_INTERVAL`] old.
     fn report(
         &mut self,
         now: SimTime,
         edge: Edge,
-        (loss, window, direction): Evidence,
+        loss: f64,
+        renewal: bool,
         can_report: bool,
         out: &mut Vec<Effect>,
     ) {
         let recent = |&t: &SimTime| now - t < REPORT_INTERVAL;
-        if !can_report || self.reported.get(&edge).is_some_and(recent) {
+        if !can_report || renewal && self.reported.get(&edge).is_some_and(recent) {
             return;
         }
         self.reported.insert(edge, now);
@@ -607,8 +613,6 @@ impl GrayDetector {
             reporter: self.me,
             edge,
             loss_permille,
-            window,
-            direction,
             seq: self.next_seq,
         }));
         self.next_seq += 1;

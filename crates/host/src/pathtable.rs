@@ -6,10 +6,8 @@
 //! binds a flow to a particular path, except when a customized routing
 //! function tells it to do otherwise."
 
-use std::collections::BTreeSet;
-
 use dumbnet_topology::Route;
-use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, Path, SwitchId};
+use dumbnet_types::{heap, FastHashMap, MacAddr, Path, SwitchId};
 
 /// Key identifying a transport flow on the sending host. The default
 /// routing function binds each key to one cached path; the flowlet
@@ -84,10 +82,6 @@ impl PathTableEntry {
 #[derive(Debug, Clone, Default)]
 pub struct PathTable {
     entries: FastHashMap<MacAddr, PathTableEntry>,
-    /// Switch pairs under quarantine (normalized, ordered): paths over
-    /// these edges stay cached (restore must be hitless) but lookups
-    /// steer flows away whenever a clean alternative exists.
-    quarantined: BTreeSet<(SwitchId, SwitchId)>,
     /// Lookup counters for the cache-effectiveness experiments.
     pub hits: u64,
     /// Lookups that found no entry (trigger a TopoCache/controller query).
@@ -96,7 +90,7 @@ pub struct PathTable {
 
 impl PathTable {
     /// The heap the table holds: entries, their paths and flow
-    /// bindings, and the quarantine set.
+    /// bindings.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let entries: usize = self
@@ -108,7 +102,7 @@ impl PathTable {
                     + heap::hash_map(&e.bindings)
             })
             .sum();
-        heap::hash_map(&self.entries) + entries + heap::btree_set(&self.quarantined)
+        heap::hash_map(&self.entries) + entries
     }
 
     /// Creates an empty table.
@@ -175,16 +169,6 @@ impl PathTable {
             // First packet of the flow: hash it over the available paths.
             (None, None) => (flow.0 as usize).wrapping_mul(0x9E37_79B9) % n,
         };
-        // Gray-failure steering: if the chosen path crosses a
-        // quarantined edge and a clean alternative exists, rebind the
-        // flow there (deterministic first-clean scan from the chosen
-        // index). With no quarantine this is a no-op, so the legacy hot
-        // path is untouched.
-        let ix = if self.quarantined.is_empty() {
-            ix
-        } else {
-            Self::steer_clean(entry, &self.quarantined, ix)
-        };
         entry.bindings.insert(flow, ix);
         entry.at(ix).map(|p| p.tags.clone())
     }
@@ -196,77 +180,11 @@ impl PathTable {
         entry.at(*entry.bindings.get(&flow)?)
     }
 
-    /// Whether `p` avoids every quarantined edge.
-    fn path_clean(quarantined: &BTreeSet<(SwitchId, SwitchId)>, p: &CachedPath) -> bool {
-        quarantined.iter().all(|&(a, b)| !p.uses_edge(a, b))
-    }
-
-    /// Deterministic quarantine-avoid: if the path at `ix` is clean,
-    /// keep it; otherwise scan the primary set from `ix + 1` (wrapping),
-    /// then the backup, and take the first clean path. When every
-    /// cached path is quarantined the original choice stands — a
-    /// degraded path still beats a blackhole.
-    fn steer_clean(
-        entry: &PathTableEntry,
-        quarantined: &BTreeSet<(SwitchId, SwitchId)>,
-        ix: usize,
-    ) -> usize {
-        if entry
-            .at(ix)
-            .is_none_or(|p| Self::path_clean(quarantined, p))
-        {
-            return ix;
-        }
-        let n = entry.paths.len();
-        for step in 1..=n {
-            let cand = if ix == BACKUP_IX {
-                step - 1
-            } else {
-                (ix + step) % n
-            };
-            if cand < n && Self::path_clean(quarantined, &entry.paths[cand]) {
-                return cand;
-            }
-        }
-        if entry
-            .backup
-            .as_ref()
-            .is_some_and(|p| Self::path_clean(quarantined, p))
-        {
-            return BACKUP_IX;
-        }
-        ix
-    }
-
-    /// Places the (undirected) edge `a`–`b` under quarantine: cached
-    /// paths over it are kept but avoided while any clean alternative
-    /// exists. Existing flow bindings migrate on their next lookup.
-    /// Returns `true` when the edge was not already quarantined.
-    pub fn quarantine_edge(&mut self, a: SwitchId, b: SwitchId) -> bool {
-        self.quarantined.insert(norm_edge(a, b))
-    }
-
-    /// Lifts the quarantine on `a`–`b` (probation passed). Flows that
-    /// were steered away keep their current clean binding — restore is
-    /// hitless. Returns `true` when the edge was quarantined.
-    pub fn restore_edge(&mut self, a: SwitchId, b: SwitchId) -> bool {
-        self.quarantined.remove(&norm_edge(a, b))
-    }
-
-    /// The currently quarantined edges, in normalized order.
-    #[must_use]
-    pub fn quarantined_edges(&self) -> Vec<(SwitchId, SwitchId)> {
-        self.quarantined.iter().copied().collect()
-    }
-
     /// Reacts to a link failure between switches `a` and `b`: drops dead
     /// paths from every entry and rebinds their flows to survivors
     /// (backup included). Returns the destinations that lost *all* paths
     /// (the caller must re-query the controller for those).
     pub fn invalidate_edge(&mut self, a: SwitchId, b: SwitchId) -> Vec<MacAddr> {
-        // Hard-down supersedes quarantine: the paths are gone, so the
-        // soft-avoid entry would only shadow a future re-quarantine.
-        self.quarantined.remove(&norm_edge(a, b));
         let mut orphaned = Vec::new();
         for (&dst, entry) in &mut self.entries {
             let before = entry.paths.len();
@@ -433,109 +351,6 @@ mod tests {
         let before = t.lookup(dst(), FlowKey(3), None).unwrap();
         t.install(dst(), paths, None);
         assert_eq!(t.lookup(dst(), FlowKey(3), None).unwrap(), before);
-    }
-
-    #[test]
-    fn quarantine_steers_flows_to_clean_paths() {
-        let mut t = PathTable::new();
-        t.install(
-            dst(),
-            vec![
-                cached(&[0, 1, 2], &[1, 1, 5]),
-                cached(&[0, 3, 2], &[2, 1, 5]),
-            ],
-            Some(cached(&[0, 4, 2], &[3, 1, 5])),
-        );
-        // Bind a flow onto path 0 (via switch 1), then quarantine that
-        // edge: the next lookup must move the flow, with no install.
-        let before = t.lookup(dst(), FlowKey(0), Some(0)).unwrap();
-        assert_eq!(before.to_string(), "1-1-5-ø");
-        assert!(t.quarantine_edge(SwitchId(1), SwitchId(0)));
-        let steered = t.lookup(dst(), FlowKey(0), None).unwrap();
-        assert_eq!(steered.to_string(), "2-1-5-ø", "flow must leave gray path");
-        // Restore is hitless: the flow keeps its clean binding.
-        assert!(t.restore_edge(SwitchId(0), SwitchId(1)));
-        assert_eq!(t.lookup(dst(), FlowKey(0), None).unwrap(), steered);
-    }
-
-    #[test]
-    fn quarantine_prefers_degraded_over_blackhole() {
-        let mut t = PathTable::new();
-        t.install(dst(), vec![cached(&[0, 1, 2], &[1, 1, 5])], None);
-        t.quarantine_edge(SwitchId(0), SwitchId(1));
-        // Every path is gray: the lookup still returns one.
-        let p = t.lookup(dst(), FlowKey(3), None).unwrap();
-        assert_eq!(p.to_string(), "1-1-5-ø");
-    }
-
-    #[test]
-    fn mixed_quarantine_and_hard_down_round_trip() {
-        let mut t = PathTable::new();
-        t.install(
-            dst(),
-            vec![
-                cached(&[0, 1, 2], &[1, 1, 5]),
-                cached(&[0, 3, 2], &[2, 1, 5]),
-            ],
-            Some(cached(&[0, 4, 2], &[3, 1, 5])),
-        );
-        // Quarantine path 0's edge, then hard-down path 1's edge: flows
-        // must land on the backup (only clean survivor).
-        t.quarantine_edge(SwitchId(0), SwitchId(1));
-        let orphaned = t.invalidate_edge(SwitchId(0), SwitchId(3));
-        assert!(orphaned.is_empty());
-        let p = t.lookup(dst(), FlowKey(5), None).unwrap();
-        assert_eq!(p.to_string(), "3-1-5-ø", "backup is the clean survivor");
-        // Hard-down on the quarantined edge clears its quarantine slot:
-        // a later re-quarantine must report "new" again.
-        let orphaned = t.invalidate_edge(SwitchId(0), SwitchId(1));
-        assert!(orphaned.is_empty());
-        assert!(t.quarantined_edges().is_empty());
-        assert!(t.quarantine_edge(SwitchId(0), SwitchId(1)));
-        // Restore and reinstall: the table serves primaries again.
-        t.restore_edge(SwitchId(0), SwitchId(1));
-        t.install(
-            dst(),
-            vec![
-                cached(&[0, 1, 2], &[1, 1, 5]),
-                cached(&[0, 3, 2], &[2, 1, 5]),
-            ],
-            Some(cached(&[0, 4, 2], &[3, 1, 5])),
-        );
-        let p = t.lookup(dst(), FlowKey(6), Some(0)).unwrap();
-        assert_eq!(p.to_string(), "1-1-5-ø");
-    }
-
-    #[test]
-    fn backup_selection_order_is_deterministic() {
-        // Same installs + same quarantine sequence ⇒ byte-identical
-        // steering decisions, run after run (the same-seed law the
-        // fig11e checksum leans on).
-        let run = || {
-            let mut t = PathTable::new();
-            t.install(
-                dst(),
-                vec![
-                    cached(&[0, 1, 2], &[1, 1, 5]),
-                    cached(&[0, 3, 2], &[2, 1, 5]),
-                    cached(&[0, 5, 2], &[4, 1, 5]),
-                ],
-                Some(cached(&[0, 4, 2], &[3, 1, 5])),
-            );
-            t.quarantine_edge(SwitchId(0), SwitchId(1));
-            t.quarantine_edge(SwitchId(0), SwitchId(5));
-            (0..64)
-                .map(|f| t.lookup(dst(), FlowKey(f), None).unwrap().to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
-        // And every steered choice avoids the quarantined edges.
-        for path in run() {
-            assert!(
-                path.starts_with("2-") || path.starts_with("3-"),
-                "{path} crosses a quarantined edge"
-            );
-        }
     }
 
     #[test]

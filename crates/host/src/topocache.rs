@@ -15,10 +15,10 @@
 //! by MACs the emulator hands out, hence `FastHashMap`; the down set
 //! keeps the default hasher because `down_edges` lends it out.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use dumbnet_topology::{PathGraph, Route};
-use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, SwitchId};
+use dumbnet_types::{heap, norm_edge, FastHashMap, MacAddr, Path, SwitchId};
 
 use crate::pathtable::CachedPath;
 
@@ -141,33 +141,59 @@ impl TopoCache {
         if let Some(hit) = self.k_memo.get(&(dst, k)) {
             return Some(hit.clone());
         }
-        let graph = self.graphs.get(&dst)?;
-        let routes = graph.k_shortest_within(k, &self.down);
-        let mut cached = Vec::with_capacity(routes.len());
-        for r in routes {
-            if let Ok(tags) = graph.tag_path(&r) {
-                cached.push(CachedPath { tags, route: r });
-            }
-        }
-        let backup = graph.backup.as_ref().and_then(|b| {
-            if self.route_alive(b) && cached.iter().all(|c| &c.route != b) {
-                graph.tag_path(b).ok().map(|tags| CachedPath {
-                    tags,
-                    route: b.clone(),
-                })
-            } else {
-                None
-            }
-        });
-        self.k_memo
-            .insert((dst, k), (cached.clone(), backup.clone()));
-        Some((cached, backup))
+        let found = extract(self.graphs.get(&dst)?, k, &self.down);
+        self.k_memo.insert((dst, k), found.clone());
+        Some(found)
     }
 
-    fn route_alive(&self, route: &Route) -> bool {
-        let mut hops = route.switches().windows(2);
-        hops.all(|w| !self.down.contains(&norm_edge(w[0], w[1])))
+    /// [`TopoCache::k_paths`] with `avoid` masked too; not memoized, as
+    /// `avoid` (a gray detector's held set) is soft state.
+    #[must_use]
+    pub fn k_paths_avoiding(
+        &mut self,
+        dst: MacAddr,
+        k: usize,
+        avoid: &BTreeSet<(SwitchId, SwitchId)>,
+    ) -> Option<(Vec<CachedPath>, Option<CachedPath>)> {
+        let masked = self.down.iter().chain(avoid).copied().collect();
+        Some(extract(self.graphs.get(&dst)?, k, &masked))
     }
+
+    /// [`PathGraph::bounce_path`] over a cached graph holding `hops`.
+    #[must_use]
+    pub fn bounce(&self, hops: &[SwitchId]) -> Option<Path> {
+        self.graphs.values().find_map(|g| g.bounce_path(hops).ok())
+    }
+}
+
+/// Up to `k` routes of `graph` avoiding `down`, with their tag paths,
+/// plus the graph's backup if it survives and is not among them.
+fn extract(
+    graph: &PathGraph,
+    k: usize,
+    down: &HashSet<(SwitchId, SwitchId)>,
+) -> (Vec<CachedPath>, Option<CachedPath>) {
+    let routes = graph.k_shortest_within(k, down);
+    let mut cached = Vec::with_capacity(routes.len());
+    for r in routes {
+        if let Ok(tags) = graph.tag_path(&r) {
+            cached.push(CachedPath { tags, route: r });
+        }
+    }
+    let alive = |r: &&Route| {
+        r.switches()
+            .windows(2)
+            .all(|w| !down.contains(&norm_edge(w[0], w[1])))
+    };
+    let fresh = |r: &&Route| alive(r) && cached.iter().all(|c| c.route != **r);
+    let backup = graph.backup.as_ref().filter(fresh).and_then(|r| {
+        let tags = graph.tag_path(r).ok()?;
+        Some(CachedPath {
+            tags,
+            route: r.clone(),
+        })
+    });
+    (cached, backup)
 }
 
 #[cfg(test)]
@@ -254,6 +280,50 @@ mod tests {
             assert_eq!(marked.k_paths(dst, 4), cold.k_paths(dst, 4), "{a}–{b}");
         }
         assert!(kept > 0 && kept < g.topology.links().count());
+    }
+
+    #[test]
+    fn bounce_tags_walk_each_cached_route_out_and_back_to_the_source_port() {
+        // Every host pair of the testbed, every route its TopoCache
+        // offers: the bounce tags, walked hop by hop on the real
+        // topology, cross the route, come back over it and end at the
+        // source host's own port.
+        let g = generators::testbed();
+        let topo = &g.topology;
+        let mut rng = StdRng::seed_from_u64(7);
+        let params = PathGraphParams::default();
+        for src in topo.hosts() {
+            for dst in topo.hosts().filter(|d| d.id != src.id) {
+                let pg = pathgraph::build(topo, src.id, dst.id, &params, &mut rng).unwrap();
+                let mut tc = TopoCache::new();
+                tc.integrate(dst.mac, pg, 1);
+                let (paths, backup) = tc.k_paths(dst.mac, 4).unwrap();
+                for p in paths.iter().chain(&backup) {
+                    let hops = p.route.switches();
+                    let tags = tc.bounce(hops).unwrap();
+                    let (last, out) = tags.tags().split_last().unwrap();
+                    let mut walked = vec![hops[0]];
+                    for tag in out {
+                        let port = tag.as_port().unwrap();
+                        let from = *walked.last().unwrap();
+                        let next = topo.neighbors(from).find(|&(q, _, _)| q == port);
+                        walked.push(next.unwrap().1);
+                    }
+                    let there_and_back = hops.iter().chain(hops.iter().rev().skip(1));
+                    assert_eq!(walked, there_and_back.copied().collect::<Vec<_>>());
+                    let home = topo
+                        .hosts_on(hops[0])
+                        .find(|&(q, _)| Some(q) == last.as_port());
+                    assert_eq!(
+                        home.map(|(_, h)| h),
+                        Some(src.id),
+                        "{} -> {}",
+                        src.id,
+                        dst.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,13 @@ use std::any::Any;
 use std::collections::BTreeSet;
 
 use dumbnet_host::failure::{Edge, Effect, GrayDetector, PatchAcceptor, RequestRetry};
-use dumbnet_host::pathtable::{CachedPath, PathTable};
+use dumbnet_host::pathtable::CachedPath;
 use dumbnet_host::{GrayDetectConfig, HostAgent, HostAgentConfig};
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Engine, LinkParams, Node, NodeAddr, World};
-use dumbnet_topology::{generators, pathgraph, Link, PathGraphParams, Route};
-use dumbnet_types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
+use dumbnet_topology::{generators, pathgraph, Link, PathGraphParams};
+use dumbnet_types::{norm_edge, HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,28 +160,21 @@ fn acceptor_ignores_an_out_of_range_segment() {
 const ME: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
 const DST: MacAddr = MacAddr([2, 0, 0, 0, 0, 9]);
 
-fn cached(switches: &[u64]) -> CachedPath {
-    CachedPath {
-        tags: Path::from_ports(switches.iter().map(|&s| s as u8 + 1)).unwrap(),
-        route: Route::new(switches.iter().map(|&s| SwitchId(s)).collect()).unwrap(),
-    }
-}
-
-fn table(paths: &[&[u64]]) -> PathTable {
-    let mut table = PathTable::new();
-    table.install(DST, paths.iter().map(|p| cached(p)).collect(), None);
-    table
-}
-
 fn at_ms(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-/// A detector with the default knobs (suspect ≥ 0.3 after 4 samples)
-/// and a clock that ticks every 5 ms.
+fn hops(switches: &[u64]) -> Vec<SwitchId> {
+    switches.iter().map(|&s| SwitchId(s)).collect()
+}
+
+/// A detector with the default knobs (blame at a loss of 0.3 once walks
+/// have 4 samples), a clock that ticks every 5 ms, and the probes of
+/// the round before.
 struct Rounds {
     detector: GrayDetector,
     now: u64,
+    owed: Vec<(Vec<SwitchId>, u64)>,
 }
 
 impl Rounds {
@@ -189,121 +182,229 @@ impl Rounds {
         Rounds {
             detector: GrayDetector::new(ME, GrayDetectConfig::default()),
             now: 0,
+            owed: Vec::new(),
         }
     }
 
-    /// One round: answers the probes of the round before along every
-    /// path index not in `lose`, ticks, and returns what the round
-    /// decided (probe launches, loss samples and the re-arm aside).
-    fn round(&mut self, table: &PathTable, lose: &[usize], can_report: bool) -> Vec<Effect> {
-        let width = table.entry(DST).map_or(0, |e| e.paths.len()) as u64;
-        let launched = (self.now / 5).saturating_sub(1) * width;
-        for ix in (0..width).filter(|ix| self.now > 0 && !lose.contains(&(*ix as usize))) {
-            self.detector.on_reply(launched + ix + 1);
+    /// One round over the cached `walks`: answers the probes of the
+    /// round before whose walk crosses none of the `faulty` edges,
+    /// ticks, and returns what the round decided (the probes it sent
+    /// aside, which `self.owed` keeps, and the loss samples and re-arm).
+    fn round(&mut self, walks: &[&[u64]], faulty: &[Edge], can_report: bool) -> Vec<Effect> {
+        let lost = |walk: &[SwitchId]| {
+            let mut edges = walk.windows(2).map(|w| norm_edge(w[0], w[1]));
+            edges.any(|e| faulty.contains(&e))
+        };
+        self.round_with(walks, lost, can_report)
+    }
+
+    /// [`Rounds::round`] with the probes whose walk `lost` says lost.
+    fn round_with(
+        &mut self,
+        walks: &[&[u64]],
+        lost: impl Fn(&[SwitchId]) -> bool,
+        can_report: bool,
+    ) -> Vec<Effect> {
+        for (walk, probe_id) in std::mem::take(&mut self.owed) {
+            if !lost(&walk) {
+                self.detector.on_reply(probe_id);
+            }
         }
         self.now += 5;
         let mut out = Vec::new();
+        let walks = walks.iter().map(|w| hops(w)).collect();
         self.detector
-            .on_tick(at_ms(self.now), table, can_report, &mut out);
+            .on_tick(at_ms(self.now), walks, can_report, &mut out);
         assert_eq!(out.pop(), Some(Effect::Arm(SimDuration::from_millis(5))));
-        let decided = |e: &Effect| !matches!(e, Effect::Probe(_) | Effect::ProbeLost);
-        out.into_iter().filter(decided).collect()
+        let owed = &mut self.owed;
+        out.retain(|e| match e {
+            Effect::Probe(walk, probe_id) => {
+                owed.push((walk.clone(), *probe_id));
+                false
+            }
+            other => *other != Effect::ProbeLost,
+        });
+        out
+    }
+
+    /// The walks probed in the last round.
+    fn probed(&self) -> Vec<Vec<SwitchId>> {
+        self.owed.iter().map(|(walk, _)| walk.clone()).collect()
     }
 }
 
-fn report(edge: Edge, loss_permille: u16, window: u32, direction: u8, seq: u64) -> Effect {
+fn report(edge: Edge, loss_permille: u16, seq: u64) -> Effect {
     Effect::Report(ControlMessage::LinkSuspect {
         reporter: ME,
         edge,
         loss_permille,
-        window,
-        direction,
         seq,
     })
 }
 
 #[test]
-fn detector_suspects_at_threshold_clears_at_five_percent_and_nothing_in_between() {
-    // Path 0 over switch 1 blackholes; path 1 over switch 2 is clean.
-    let table = table(&[&[0, 1, 9], &[0, 2, 9]]);
+fn detector_blames_the_one_edge_its_lossy_walks_share_and_keeps_a_walk_across_it() {
+    // Both walks over switch 1 lose everything; the one over 2 is clean.
+    let walks: [&[u64]; 3] = [&[0, 1, 9], &[0, 1, 8, 9], &[0, 2, 9]];
     let mut rounds = Rounds::new();
     for _ in 0..4 {
-        assert_eq!(rounds.round(&table, &[0], true), []);
+        assert_eq!(rounds.round(&walks, &[edge(0, 1)], true), []);
     }
-    // Four loss samples: both of path 0's edges, none of path 1's.
-    let suspected = [
-        Effect::Failover(edge(0, 1)),
-        report(edge(0, 1), 1000, 4, 0, 1),
-        Effect::Failover(edge(1, 9)),
-        report(edge(1, 9), 1000, 4, 0, 2),
-    ];
-    assert_eq!(rounds.round(&table, &[0], true), suspected);
-    // The path heals. EWMA 0.6, 0.36: still suspect, re-reported at
-    // most every 10 ms. 0.216 … 0.078: neither suspect nor clean —
-    // nothing moves. 0.047: released and reported clean.
-    assert_eq!(rounds.round(&table, &[], true), []);
-    let renewed = [
-        report(edge(0, 1), 360, 6, 0, 3),
-        report(edge(1, 9), 360, 6, 0, 4),
-    ];
-    assert_eq!(rounds.round(&table, &[], true), renewed);
+    // Four samples each: (0,1) tops the vote, and the walks it explains
+    // vote for nothing else — not (1,9), (1,8) or (8,9).
+    let blamed = [Effect::Failover(edge(0, 1)), report(edge(0, 1), 1000, 1)];
+    assert_eq!(rounds.round(&walks, &[edge(0, 1)], true), blamed);
+    // From now on the walk out to switch 1 and back is probed every
+    // round, and the three cached walks share the other two slots.
+    let mut cached = BTreeSet::new();
     for _ in 0..3 {
-        assert_eq!(rounds.round(&table, &[], true), []);
-        assert!(rounds.detector.holds(edge(0, 1)));
+        rounds.round(&walks, &[edge(0, 1)], true);
+        let probed = rounds.probed();
+        assert_eq!((probed.len(), &probed[0]), (3, &hops(&[0, 1])));
+        cached.extend(probed[1..].iter().cloned());
     }
-    let cleared = [
-        Effect::Settle(edge(0, 1)),
-        report(edge(0, 1), 47, 10, 0, 5),
-        Effect::Settle(edge(1, 9)),
-        report(edge(1, 9), 47, 10, 0, 6),
-    ];
-    assert_eq!(rounds.round(&table, &[], true), cleared);
-    assert!(rounds.detector.held().is_empty());
-}
-
-/// The edges `lose` gets suspected on `paths` once enough samples are in.
-fn suspects(paths: &[&[u64]], lose: &[usize]) -> Vec<Edge> {
-    let (table, mut rounds) = (table(paths), Rounds::new());
-    let last = (0..5).map(|_| rounds.round(&table, lose, false)).last();
-    let failover = |e: Effect| match e {
-        Effect::Failover(edge) => edge,
-        other => panic!("without a controller nothing else is decided: {other:?}"),
-    };
-    last.unwrap().into_iter().map(failover).collect()
+    assert_eq!(cached, walks.iter().map(|w| hops(w)).collect());
+    assert_eq!(rounds.detector.held(), BTreeSet::from([edge(0, 1)]));
 }
 
 #[test]
-fn detector_attributes_common_cause_before_the_union() {
-    // Two bad paths sharing one edge: that edge alone.
-    assert_eq!(
-        suspects(&[&[0, 1, 9], &[0, 1, 8, 9], &[0, 2, 9]], &[0, 1]),
-        [edge(0, 1)]
+fn detector_blames_neither_of_two_edges_no_walk_tells_apart() {
+    // Only one walk crosses switches 1 and 2: its three edges tie.
+    let walks: [&[u64]; 2] = [&[0, 1, 2, 9], &[0, 3, 9]];
+    let mut rounds = Rounds::new();
+    for _ in 0..8 {
+        assert_eq!(rounds.round(&walks, &[edge(1, 2)], false), []);
+    }
+    assert!(rounds.detector.held().is_empty());
+}
+
+#[test]
+fn detector_explains_away_one_fault_and_finds_the_next() {
+    // (0,1) eats two walks and (2,9) a third; (0,2) rides a clean walk
+    // too, so its own rate clears it, and once (0,1) is blamed the
+    // walks it explains leave (1,9) and (1,8) no votes.
+    let walks: [&[u64]; 5] = [&[0, 1, 9], &[0, 1, 8], &[0, 2, 9], &[0, 2, 7], &[0, 3, 9]];
+    let faulty = [edge(0, 1), edge(2, 9)];
+    let mut rounds = Rounds::new();
+    let last = (0..5).map(|_| rounds.round(&walks, &faulty, false)).last();
+    let failovers = [Effect::Failover(edge(0, 1)), Effect::Failover(edge(2, 9))];
+    assert_eq!(last.unwrap(), failovers);
+}
+
+#[test]
+fn detector_releases_on_the_edges_own_rate_never_on_one_clean_round() {
+    let walks: [&[u64]; 3] = [&[0, 1, 9], &[0, 1, 8], &[0, 2, 9]];
+    let mut rounds = Rounds::new();
+    let mut decided = Vec::new();
+    for _ in 0..10 {
+        decided.extend(rounds.round(&walks, &[edge(0, 1)], false));
+    }
+    assert_eq!(decided, [Effect::Failover(edge(0, 1))]);
+    // The fault flickers: every other round is clean, and the edge stays.
+    for flicker in 0..20 {
+        let faulty: &[Edge] = if flicker % 2 == 0 { &[] } else { &[edge(0, 1)] };
+        rounds.round(&walks, faulty, false);
+        assert_eq!(rounds.detector.held(), BTreeSet::from([edge(0, 1)]));
+    }
+    // Healed: the kept walk's rate decays under 5 % before the release,
+    // which is reported clean.
+    let released = |d: &Vec<Effect>| d.contains(&Effect::Settle(edge(0, 1)));
+    let clean: Vec<Vec<Effect>> = (0..30).map(|_| rounds.round(&walks, &[], true)).collect();
+    let at = clean.iter().position(released);
+    assert!(
+        at.is_some_and(|n| n >= 5),
+        "released after {at:?} clean rounds"
     );
-    // Two bad paths sharing nothing: distinct causes, the blunt union.
-    let union = [edge(0, 1), edge(0, 2), edge(1, 9), edge(2, 9)];
-    assert_eq!(suspects(&[&[0, 1, 9], &[0, 2, 9]], &[0, 1]), union);
-    // The one shared edge is demonstrably healthy (a clean path crosses
-    // it): the union again, minus every healthy path's edges.
-    let shared: [&[u64]; 3] = [&[0, 1, 7, 9], &[0, 1, 8, 9], &[0, 1, 9]];
-    assert_eq!(
-        suspects(&shared, &[0, 1]),
-        [edge(1, 7), edge(1, 8), edge(7, 9), edge(8, 9)]
+    assert!(
+        matches!(clean[at.unwrap()][1], Effect::Report(ControlMessage::LinkSuspect { loss_permille, .. }) if loss_permille <= 50)
     );
+    assert!(rounds.detector.held().is_empty());
+}
+
+#[test]
+fn detector_blames_no_lesser_edge_while_the_most_voted_one_is_not_lossy_enough() {
+    // The walk over (1,9) loses everything; the other walk over (0,1)
+    // loses one probe in eight, so (0,1) tops the vote without its own
+    // rate reaching the threshold. Blaming (1,9) instead would pin the
+    // loss on an edge the vote ranks second.
+    let walks: [&[u64]; 3] = [&[0, 1, 9], &[0, 1, 8], &[0, 2, 9]];
+    let mut rounds = Rounds::new();
+    for n in 0..40 {
+        let lost =
+            |walk: &[SwitchId]| walk == hops(&[0, 1, 9]) || n % 8 == 4 && walk == hops(&[0, 1, 8]);
+        assert_eq!(rounds.round_with(&walks, lost, false), [], "round {n}");
+    }
+    assert!(rounds.detector.held().is_empty());
+}
+
+#[test]
+fn detector_renews_the_report_of_a_held_edge_no_vote_singles_out() {
+    let walks: [&[u64]; 4] = [&[0, 1, 2, 9], &[0, 1, 2, 8], &[0, 1, 3, 9], &[0, 4, 2, 9]];
+    let mut rounds = Rounds::new();
+    for _ in 0..5 {
+        rounds.round(&walks, &[edge(1, 2)], false);
+    }
+    assert_eq!(rounds.detector.held(), BTreeSet::from([edge(1, 2)]));
+    // Re-installed around (1,2): only the kept walk out to switch 2
+    // crosses it, and there (0,1) ties with it, so no round blames it
+    // again. Its own rate still holds it and renews its report.
+    let around: [&[u64]; 2] = [&[0, 4, 2, 9], &[0, 4, 2, 8]];
+    let decided: Vec<Effect> = (0..20)
+        .flat_map(|_| rounds.round(&around, &[edge(1, 2)], true))
+        .collect();
+    let renewals: Vec<u64> = decided
+        .iter()
+        .map(|effect| match effect {
+            Effect::Report(ControlMessage::LinkSuspect {
+                edge: e,
+                loss_permille: 1000,
+                seq,
+                ..
+            }) if *e == edge(1, 2) => *seq,
+            other => panic!("only renewals are decided here: {other:?}"),
+        })
+        .collect();
+    assert_eq!(renewals, (1..=10).collect::<Vec<u64>>());
+    assert_eq!(rounds.detector.held(), BTreeSet::from([edge(1, 2)]));
+}
+
+#[test]
+fn detector_keeps_an_edge_whose_every_walk_another_blame_explains() {
+    // (1,2) is held on its own walks; then (0,1), in front of it on
+    // every one of them, fails too and is blamed. No walk samples (1,2)
+    // alone any more: it stays held and nothing is reported for it.
+    let walks: [&[u64]; 4] = [&[0, 1, 2, 9], &[0, 1, 2, 8], &[0, 1, 3, 9], &[0, 4, 2, 9]];
+    let mut rounds = Rounds::new();
+    let mut decided = Vec::new();
+    for _ in 0..6 {
+        decided.extend(rounds.round(&walks, &[edge(1, 2)], true));
+    }
+    assert_eq!(decided[0], Effect::Failover(edge(1, 2)));
+    let both = [edge(0, 1), edge(1, 2)];
+    let decided: Vec<Effect> = (0..20)
+        .flat_map(|_| rounds.round(&walks, &both, true))
+        .collect();
+    assert!(decided.contains(&Effect::Failover(edge(0, 1))));
+    for effect in &decided {
+        let clean = matches!(effect, Effect::Report(ControlMessage::LinkSuspect { loss_permille, .. }) if *loss_permille <= 50);
+        assert!(!matches!(effect, Effect::Settle(_)) && !clean, "{effect:?}");
+    }
+    assert_eq!(rounds.detector.held(), BTreeSet::from(both));
 }
 
 #[test]
 fn detector_lapses_controller_quarantine_but_keeps_its_own_evidence() {
-    let table = table(&[&[0, 1, 9], &[0, 2, 9]]);
+    let walks: [&[u64]; 3] = [&[0, 1, 9], &[0, 1, 8], &[0, 2, 9]];
     let mut rounds = Rounds::new();
     for _ in 0..5 {
-        rounds.round(&table, &[0], false);
+        rounds.round(&walks, &[edge(0, 1)], false);
     }
     // The controller quarantines a locally held edge and a foreign one,
     // refreshes only the foreign one once, then goes silent.
     rounds.detector.on_verdict(at_ms(25), edge(0, 1), true);
     rounds.detector.on_verdict(at_ms(25), edge(4, 5), true);
     rounds.detector.on_verdict(at_ms(100), edge(4, 5), true);
-    let expected = BTreeSet::from([edge(0, 1), edge(1, 9), edge(4, 5)]);
+    let expected = BTreeSet::from([edge(0, 1), edge(4, 5)]);
     assert_eq!(rounds.detector.held(), expected);
     let mut lapsed = Vec::new();
     while rounds.now < 355 {
@@ -312,137 +413,103 @@ fn detector_lapses_controller_quarantine_but_keeps_its_own_evidence() {
             Effect::Settle(edge) => (now, edge),
             other => panic!("only lapses are decided here: {other:?}"),
         };
-        lapsed.extend(rounds.round(&table, &[0], false).into_iter().map(settle));
+        let decided = rounds.round(&walks, &[edge(0, 1)], false);
+        lapsed.extend(decided.into_iter().map(settle));
     }
     // Strictly more than 250 ms after the last assertion, each.
     assert_eq!(lapsed, [(280, edge(0, 1)), (355, edge(4, 5))]);
-    assert_eq!(
-        rounds.detector.held(),
-        BTreeSet::from([edge(0, 1), edge(1, 9)])
-    );
+    assert_eq!(rounds.detector.held(), BTreeSet::from([edge(0, 1)]));
     // A hard-down edge sheds everything, a pardon only the controller's.
-    rounds.detector.on_verdict(at_ms(360), edge(1, 9), false);
+    rounds.detector.on_verdict(at_ms(360), edge(4, 5), true);
+    rounds.detector.on_verdict(at_ms(360), edge(4, 5), false);
     rounds.detector.forget_edge(edge(0, 1));
-    assert_eq!(rounds.detector.held(), BTreeSet::from([edge(1, 9)]));
+    assert!(rounds.detector.held().is_empty());
 }
 
 #[test]
-fn detector_rate_limits_reports_and_spends_no_sequence_without_a_controller() {
-    let table = table(&[&[0, 1], &[0, 2]]);
+fn detector_rate_limits_renewals_and_spends_no_sequence_without_a_controller() {
+    let walks: [&[u64]; 2] = [&[0, 1], &[0, 2]];
     let mut rounds = Rounds::new();
     let reports = |effects: Vec<Effect>| -> Vec<Effect> {
         let is_report = |e: &Effect| matches!(e, Effect::Report(_));
         effects.into_iter().filter(is_report).collect()
     };
     for _ in 0..5 {
-        assert_eq!(reports(rounds.round(&table, &[0], false)), []);
+        assert_eq!(reports(rounds.round(&walks, &[edge(0, 1)], false)), []);
     }
     // A controller appears: first report now, the next 10 ms later.
-    assert_eq!(
-        reports(rounds.round(&table, &[0], true)),
-        [report(edge(0, 1), 1000, 5, 0, 1)]
-    );
-    assert_eq!(reports(rounds.round(&table, &[0], true)), []);
-    assert_eq!(
-        reports(rounds.round(&table, &[0], true)),
-        [report(edge(0, 1), 1000, 7, 0, 2)]
-    );
-}
-
-/// One agent with detection on in a bare world (no wires: every probe
-/// is lost), the path set of `detector_*` installed by hand.
-struct Rig {
-    world: World,
-    addr: dumbnet_sim::NodeAddr,
-    epoch: u64,
-}
-
-impl Rig {
-    fn new() -> Rig {
-        let config = HostAgentConfig {
-            gray_detect: Some(GrayDetectConfig::default()),
-            ..HostAgentConfig::default()
-        };
-        let mut world = World::new(11);
-        let addr = world.add_node(Box::new(HostAgent::new(HostId(1), config)));
-        let mut rig = Rig {
-            world,
-            addr,
-            epoch: 0,
-        };
-        let paths = vec![cached(&[0, 1, 9]), cached(&[0, 2, 9]), cached(&[0, 3, 9])];
-        rig.agent().pathtable.install(DST, paths, None);
-        rig
-    }
-
-    fn agent(&mut self) -> &mut HostAgent {
-        self.world.node_mut::<HostAgent>(self.addr).expect("agent")
-    }
-
-    fn inject(&mut self, msg: ControlMessage) {
-        let pkt = Packet::control(ME, MacAddr::for_host(0), Path::empty(), msg);
-        let (now, nic) = (self.world.now(), PortNo::new(1).expect("valid port"));
-        self.world.inject(now, self.addr, nic, pkt);
-    }
-
-    fn patch(&mut self, delta: TopoDelta) {
-        self.epoch += 1;
-        let batch = PatchBatch::singleton(self.epoch, delta, 1);
-        self.inject(ControlMessage::TopologyPatchBatch(batch));
-    }
+    let mut renewed = || reports(rounds.round(&walks, &[edge(0, 1)], true));
+    assert_eq!(renewed(), [report(edge(0, 1), 1000, 1)]);
+    assert_eq!(renewed(), []);
+    assert_eq!(renewed(), [report(edge(0, 1), 1000, 2)]);
 }
 
 #[derive(Debug, Clone)]
 enum Step {
     Wait(u64),
-    Reply(u64),
-    Quarantine(u64, bool),
-    Down(u64),
+    Quarantine(usize, bool),
+    Down(usize),
 }
 
 fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (1u64..40).prop_map(Step::Wait),
-        (1u64..400).prop_map(Step::Reply),
-        ((1u64..5), any::<bool>()).prop_map(|(s, enter)| Step::Quarantine(s, enter)),
-        (1u64..5).prop_map(Step::Down),
+        ((0usize..4), any::<bool>()).prop_map(|(t, enter)| Step::Quarantine(t, enter)),
+        (0usize..4).prop_map(Step::Down),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After every step of any input sequence — probe rounds with lost
-    /// and answered probes, controller quarantines and pardons (lapsing
-    /// when left alone), hard-down patches — the PathTable avoids
-    /// exactly the edges the detector holds.
+    /// After every step of any input sequence — probe rounds (every
+    /// probe is lost), controller quarantines and pardons (lapsing when
+    /// left alone), hard-down patches — each cached destination holds
+    /// paths that avoid every held edge, or, when the TopoCache has
+    /// none, the paths over live links: a degraded path beats none.
     #[test]
-    fn pathtable_avoid_set_is_local_union_controller(steps in proptest::collection::vec(step(), 1..60)) {
-        let mut rig = Rig::new();
+    fn cached_paths_avoid_the_held_edges_whenever_the_topocache_can(
+        steps in proptest::collection::vec(step(), 1..40)
+    ) {
+        let mut testbed = Testbed::with_gray();
+        let trunks = testbed.trunks.clone();
+        let mut epoch = 1;
         for step in steps {
+            let at = testbed.world.now().since(SimTime::ZERO).as_millis_f64() as u64 * 1_000 + 1;
             let wait = match step {
                 Step::Wait(ms) => ms,
-                Step::Reply(probe_id) => {
-                    rig.inject(ControlMessage::PathProbeReply { responder: DST, probe_id });
-                    0
-                }
-                Step::Quarantine(s, enter) => {
-                    let (mut delta, edges) = (TopoDelta::default(), vec![edge(s, 0)]);
+                Step::Quarantine(t, enter) => {
+                    let (mut delta, edges) = (TopoDelta::default(), vec![trunks[t]]);
                     *(if enter { &mut delta.quarantine } else { &mut delta.unquarantine }) = edges;
-                    rig.patch(delta);
-                    0
+                    epoch += 1;
+                    testbed.inject(at, ControlMessage::TopologyPatchBatch(PatchBatch::singleton(epoch, delta, 1)));
+                    1
                 }
-                Step::Down(s) => {
-                    rig.patch(down(0, s));
-                    0
+                Step::Down(t) => {
+                    epoch += 1;
+                    let delta = down(trunks[t].0.get(), trunks[t].1.get());
+                    testbed.inject(at, ControlMessage::TopologyPatchBatch(PatchBatch::singleton(epoch, delta, 1)));
+                    1
                 }
             };
-            let until = rig.world.now() + SimDuration::from_millis(wait);
-            rig.world.run_until(until);
-            let agent = rig.agent();
+            let until = testbed.world.now() + SimDuration::from_millis(wait);
+            testbed.world.run_until(until);
+            let agent = testbed.world.node::<HostAgent>(testbed.host).expect("agent");
             let held = agent.gray.as_ref().expect("detection is on").held();
-            let avoided: BTreeSet<Edge> = agent.pathtable.quarantined_edges().into_iter().collect();
-            prop_assert_eq!(avoided, held);
+            let mut cache = agent.topocache.clone();
+            for dst in agent.pathtable.destinations() {
+                let entry = agent.pathtable.entry(dst).expect("cached");
+                let cached: Vec<CachedPath> = entry.all_paths().cloned().collect();
+                let (paths, backup) = cache.k_paths_avoiding(dst, 4, &held).expect("graph");
+                let avoiding: Vec<CachedPath> = paths.into_iter().chain(backup).collect();
+                let expected = if avoiding.is_empty() {
+                    let (paths, backup) = cache.k_paths(dst, 4).expect("graph");
+                    paths.into_iter().chain(backup).collect()
+                } else {
+                    avoiding
+                };
+                prop_assert_eq!(cached, expected);
+            }
         }
     }
 }
@@ -482,25 +549,44 @@ type View = (
 /// known, with two destinations cached: host 26, whose graph spans both
 /// spines, and host 6, whose graph was built with host 0's leaf cut off
 /// spine 1. `trunk` is host 0's leaf–spine-0 link, which host 6 cannot
-/// do without.
+/// do without; `trunks` are the four of host 0's and host 26's leaves.
 struct Testbed {
     world: World,
     host: NodeAddr,
     sink: NodeAddr,
     trunk: Link,
+    trunks: Vec<Edge>,
 }
 
 impl Testbed {
     fn new() -> Testbed {
+        Testbed::build(None)
+    }
+
+    /// The same host with gray detection on: every probe it sends is
+    /// lost in the sink.
+    fn with_gray() -> Testbed {
+        Testbed::build(Some(GrayDetectConfig::default()))
+    }
+
+    fn build(gray_detect: Option<GrayDetectConfig>) -> Testbed {
         let g = generators::testbed();
         let topo = &g.topology;
-        let leaf = topo.host(HostId(0)).expect("host 0").attached.switch;
+        let leaf = |h: u64| topo.host(HostId(h)).expect("host").attached.switch;
         let spine = |ix: usize| g.group("spine")[ix];
-        let trunk = *topo.link_between(leaf, spine(0)).expect("trunk");
+        let trunk = *topo.link_between(leaf(0), spine(0)).expect("trunk");
+        let mut trunks = Vec::new();
+        for (h, ix) in [(0, 0), (0, 1), (26, 0), (26, 1)] {
+            trunks.push(norm_edge(leaf(h), spine(ix)));
+        }
         let mut cut = topo.clone();
-        let spare = topo.link_between(leaf, spine(1)).expect("trunk").id;
+        let spare = topo.link_between(leaf(0), spine(1)).expect("trunk").id;
         cut.set_link_state(spare, false).expect("link exists");
-        let mut agent = HostAgent::new(HostId(0), HostAgentConfig::default());
+        let config = HostAgentConfig {
+            gray_detect,
+            ..HostAgentConfig::default()
+        };
+        let mut agent = HostAgent::new(HostId(0), config);
         for (view, dst) in [(topo, 26), (&cut, 6)] {
             let mut rng = StdRng::seed_from_u64(dst);
             let params = PathGraphParams::default();
@@ -522,6 +608,7 @@ impl Testbed {
             host,
             sink,
             trunk,
+            trunks,
         };
         let hello = ControlMessage::ControllerHello {
             controller: CTRL,
@@ -565,6 +652,12 @@ impl Testbed {
     fn settle(mut self) -> View {
         self.world
             .run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        self.clone_view()
+    }
+
+    /// Every cached destination's PathTable entry and the path requests
+    /// sent, now.
+    fn clone_view(&self) -> View {
         let agent = self.world.node::<HostAgent>(self.host).expect("agent");
         let table = &agent.pathtable;
         let entries = table.destinations().into_iter().map(|dst| {
@@ -599,6 +692,39 @@ fn stage_two_alone_leaves_the_host_where_both_stages_do() {
     let uses_trunk = |p: &CachedPath| p.uses_edge(trunk.a.switch, trunk.b.switch);
     assert!(entries[0].1.len() == 4 && !entries[0].1.iter().any(uses_trunk));
     assert_eq!(requests, [MacAddr::for_host(6)]);
+}
+
+#[test]
+fn a_quarantine_reinstalls_around_the_edge_or_keeps_the_degraded_paths() {
+    // The controller holds host 0's leaf–spine-0 trunk. Host 26 is
+    // re-installed over paths that avoid it; host 6's graph has none,
+    // so host 6 keeps the paths it has rather than none. A pardon puts
+    // host 26's paths back.
+    let mut testbed = Testbed::with_gray();
+    let (all, _) = testbed.clone_view();
+    let trunk = testbed.trunk;
+    let quarantine = |enter: bool| {
+        let mut delta = TopoDelta::default();
+        let edges = vec![(trunk.a.switch, trunk.b.switch)];
+        *(if enter {
+            &mut delta.quarantine
+        } else {
+            &mut delta.unquarantine
+        }) = edges;
+        delta
+    };
+    let batch = PatchBatch::singleton(2, quarantine(true), 1);
+    testbed.inject(1_000, ControlMessage::TopologyPatchBatch(batch));
+    testbed.world.run_until(at_ms(2));
+    let (held, _) = testbed.clone_view();
+    let uses_trunk = |p: &CachedPath| p.uses_edge(trunk.a.switch, trunk.b.switch);
+    let host_26 = &held[1];
+    assert_eq!(host_26.0, MacAddr::for_host(26));
+    assert!(!host_26.1.is_empty() && !host_26.1.iter().chain(&host_26.2).any(uses_trunk));
+    assert_eq!((&held[0], &all[0].0), (&all[0], &MacAddr::for_host(6)));
+    let batch = PatchBatch::singleton(3, quarantine(false), 1);
+    testbed.inject(3_000, ControlMessage::TopologyPatchBatch(batch));
+    assert_eq!(testbed.settle(), (all, vec![]));
 }
 
 #[test]

@@ -456,41 +456,26 @@ pub enum ControlMessage {
         /// Topology version the graph was computed against.
         topo_version: u64,
     },
-    /// Host-originated lightweight probe sent along one specific cached
-    /// path to measure that path's health (gray-failure detection). The
-    /// responder answers with [`ControlMessage::PathProbeReply`] over
-    /// its own routed path.
+    /// Host-originated gray-failure probe on a closed walk: its tags
+    /// run out over a cached path and back over the same links to the
+    /// prober itself, so no host answers it and its edge set is exact.
     PathProbe {
         /// The probing host.
         origin: MacAddr,
-        /// Correlation ID; the prober maps it back to (destination,
-        /// path index).
-        probe_id: u64,
-    },
-    /// Answer to a [`ControlMessage::PathProbe`].
-    PathProbeReply {
-        /// The replying host.
-        responder: MacAddr,
-        /// Echo of the probe's correlation ID.
+        /// Correlation ID; the prober maps it back to the walk.
         probe_id: u64,
     },
     /// Host → controller gray-failure report: "this link is dropping my
-    /// traffic while nominally up". Carries the evidence the host's
-    /// per-path health tracker accumulated so the controller can
-    /// corroborate reports across hosts before quarantining.
+    /// traffic while nominally up", with the loss rate the host's
+    /// detector attributes to it, so the controller can corroborate
+    /// reports across hosts before quarantining.
     LinkSuspect {
         /// The reporting host.
         reporter: MacAddr,
         /// The suspected link (switch pair, as carried in patches).
         edge: (SwitchId, SwitchId),
-        /// Observed loss rate over the evidence window, in permille
-        /// (0..=1000).
+        /// Attributed loss rate, in permille (0..=1000).
         loss_permille: u16,
-        /// Number of probe/ack samples the evidence window held.
-        window: u32,
-        /// Direction the loss was observed in: 0 = a→b of `edge`,
-        /// 1 = b→a, 2 = unknown/both.
-        direction: u8,
         /// Per-reporter sequence number for duplicate suppression.
         seq: u64,
     },
@@ -683,8 +668,8 @@ impl ControlMessage {
                         .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
             }
             ControlMessage::TopologyPatchBatch(batch) => 1 + batch.wire_len(),
-            ControlMessage::PathProbe { .. } | ControlMessage::PathProbeReply { .. } => 1 + 6 + 8,
-            ControlMessage::LinkSuspect { .. } => 1 + 6 + 16 + 2 + 4 + 1 + 8,
+            ControlMessage::PathProbe { .. } => 1 + 6 + 8,
+            ControlMessage::LinkSuspect { .. } => 1 + 6 + 16 + 2 + 8,
             ControlMessage::ControllerHello {
                 path_to_controller, ..
             } => 1 + 6 + path_to_controller.len() + 1 + 8 + 8,
@@ -885,20 +870,14 @@ mod tests {
             reporter: MacAddr::for_host(3),
             edge: (SwitchId(1), SwitchId(2)),
             loss_permille: 250,
-            window: 16,
-            direction: 0,
             seq: 1,
         };
-        assert_eq!(suspect.wire_size(), 1 + 6 + 16 + 2 + 4 + 1 + 8);
+        assert_eq!(suspect.wire_size(), 33);
         let probe = ControlMessage::PathProbe {
             origin: MacAddr::for_host(3),
             probe_id: 7,
         };
-        let reply = ControlMessage::PathProbeReply {
-            responder: MacAddr::for_host(4),
-            probe_id: 7,
-        };
-        assert_eq!(probe.wire_size(), reply.wire_size());
+        assert_eq!(probe.wire_size(), 15);
     }
 
     #[test]

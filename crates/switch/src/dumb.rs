@@ -562,6 +562,22 @@ mod tests {
     }
 
     #[test]
+    fn a_tag_list_that_turns_around_leaves_by_the_ingress_port() {
+        // A bounce walk's turn: the tag names the port the frame came
+        // in by, and the switch sends it back out there, as any hop.
+        let (mut w, sw, h1, h2) = one_switch_world();
+        let mac = MacAddr::for_host(1);
+        let pkt = Packet::data(mac, mac, Path::from_ports([1]).unwrap(), 0, 0, 64);
+        w.inject(SimTime::ZERO, sw, p(1), pkt);
+        w.run_to_idle(100);
+        let got = &w.node::<Sink>(h1).unwrap().got;
+        assert_eq!(got.len(), 1);
+        assert!(got[0].2.path.is_empty());
+        assert!(w.node::<Sink>(h2).unwrap().got.is_empty());
+        assert_eq!(w.node::<DumbSwitch>(sw).unwrap().stats().forwarded, 1);
+    }
+
+    #[test]
     fn exhausted_path_dropped() {
         let (mut w, sw, h1, h2) = one_switch_world();
         let pkt = Packet::data(

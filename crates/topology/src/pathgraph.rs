@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{heap, DumbNetError, HostId, MacAddr, Path, PortId, Result, SwitchId};
+use dumbnet_types::{heap, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -200,13 +200,20 @@ pub fn build<R: Rng>(
     // in ascending switch, then port, order — ascending `PortId` — so a
     // link between two admitted switches is first seen from its lower
     // end, a loop-back cable included: pushing it there and only there
-    // lists every link once, in first-sight order.
+    // lists every link once, in first-sight order. Each such link has
+    // two port ends among the admitted switches, so half their count
+    // sizes the list exactly: a cached graph holds no growth slack.
     let switches: BTreeSet<SwitchId> = (0u64..)
         .zip(&admitted)
         .filter(|&(_, &is_in)| is_in)
         .map(|(ix, _)| SwitchId::new(ix))
         .collect();
-    let mut edges = Vec::new();
+    let inside = |sw: &SwitchId| admitted[sw.get() as usize];
+    let ends: usize = switches
+        .iter()
+        .map(|&sw| topo.peers(sw).filter(inside).count())
+        .sum();
+    let mut edges = Vec::with_capacity(ends / 2);
     for &sw in &switches {
         for (port, nb, lid) in topo.neighbors(sw) {
             if !admitted[nb.get() as usize] {
@@ -223,6 +230,7 @@ pub fn build<R: Rng>(
             }
         }
     }
+    debug_assert_eq!(edges.len(), edges.capacity());
 
     Ok(PathGraph {
         src: Endpoint {
@@ -287,26 +295,44 @@ impl PathGraph {
                 self.dst.attach.switch
             )));
         }
+        let hops = route.switches().windows(2).map(|w| (w[0], w[1]));
+        self.ports(hops, self.dst.attach.port)
+    }
+
+    /// The tags of a closed walk from the source host: out over `hops`
+    /// (the source's switch first), back over the same links — the last
+    /// switch sends the frame out its ingress port — and into the
+    /// source's own port.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `hops` uses an edge absent from the subgraph.
+    pub fn bounce_path(&self, hops: &[SwitchId]) -> Result<Path> {
+        let out = hops.windows(2).map(|w| (w[0], w[1]));
+        let back = out.clone().rev().map(|(a, b)| (b, a));
+        self.ports(out.chain(back), self.src.attach.port)
+    }
+
+    /// The tags that leave each `(from, to)` hop by the cached edge's
+    /// port, then `last`.
+    fn ports(
+        &self,
+        hops: impl Iterator<Item = (SwitchId, SwitchId)>,
+        last: PortNo,
+    ) -> Result<Path> {
         let mut path = Path::empty();
-        for w in route.switches().windows(2) {
-            let port = self
-                .edges
-                .iter()
-                .find_map(|e| {
-                    if e.a.switch == w[0] && e.b.switch == w[1] {
-                        Some(e.a.port)
-                    } else if e.b.switch == w[0] && e.a.switch == w[1] {
-                        Some(e.b.port)
-                    } else {
-                        None
-                    }
-                })
-                .ok_or_else(|| {
-                    DumbNetError::PathRejected(format!("edge {} → {} not cached", w[0], w[1]))
-                })?;
+        for (from, to) in hops {
+            let port = |e: &SubEdge| match (e.a.switch, e.b.switch) {
+                (a, b) if (a, b) == (from, to) => Some(e.a.port),
+                (a, b) if (b, a) == (from, to) => Some(e.b.port),
+                _ => None,
+            };
+            let port = self.edges.iter().find_map(port).ok_or_else(|| {
+                DumbNetError::PathRejected(format!("edge {from} → {to} not cached"))
+            })?;
             path = path.push(port.into())?;
         }
-        path.push(self.dst.attach.port.into())
+        path.push(last.into())
     }
 
     /// Returns `true` if the subgraph contains an (up) edge between the

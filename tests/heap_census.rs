@@ -243,7 +243,7 @@ fn census_pins_each_owner_per_host_switch_and_wire() {
     // (owner, units, bytes): hosts and switches cost the same each; a
     // wire's bytes differ by the port tables of its two ends.
     let pins: [(&str, usize, usize); 7] = [
-        ("hosts", hosts - 1, 1_023 * 1_288),
+        ("hosts", hosts - 1, 1_023 * 1_264),
         ("switches", switches, 320 * 920),
         ("wiring", wires, 587_264),
         ("link counters", wires, 3_072 * 56),
