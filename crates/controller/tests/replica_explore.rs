@@ -3,9 +3,10 @@
 //! Three [`Replica`]s and the set of frames sent so far, stepped through
 //! *every* interleaving of: deliver any frame; fire any armed timer;
 //! propose a change on a leader; crash-restart or pause any replica — a
-//! plain depth-first search with visited-state hashing, bounded by
-//! term, log length, fault budgets and depth. No `World`, no clock, no
-//! RNG: the core's `on_*(now, …, out)` calling convention is the whole
+//! depth-first search with one fingerprint per state, bounded by term,
+//! log length, fault budgets and depth, whose violations print as the
+//! shortest [`Script`] that replays them. No `World`, no clock, no RNG:
+//! the core's `on_*(now, …, out)` calling convention is the whole
 //! interface, and this file is a second adapter beside `node.rs`.
 //!
 //! The network is the adversary, and needs only the one action. A frame
@@ -38,15 +39,17 @@
 //!    index, only chosen values learned, and every leader holds what
 //!    was chosen before its term.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use dumbnet_controller::replication::{Effect, Replica, ReplicaRole, Timer};
 use dumbnet_packet::control::{LogEntry, TopoDelta};
 use dumbnet_packet::ControlMessage;
-use dumbnet_types::{MacAddr, SimDuration, SimTime, SwitchId};
+use dumbnet_types::fasthash::FxHasher64;
+use dumbnet_types::{mix64, FastHashMap, MacAddr, SimDuration, SimTime, SwitchId};
 
 const N: usize = 3;
 const TIMERS: [Timer; 3] = [Timer::Heartbeat, Timer::Takeover, Timer::Election];
@@ -79,7 +82,7 @@ enum Action {
 }
 
 /// One replica with what the harness keeps on its behalf.
-#[derive(Clone, Hash)]
+#[derive(Clone)]
 struct Node {
     core: Replica,
     /// Armed timers, one flag per [`TIMERS`] slot. (A second chain of
@@ -90,11 +93,64 @@ struct Node {
     /// The lease oracle: the clock at which the harness last delivered
     /// an ack or sync request from each peer while this replica led.
     heard: [Option<u64>; N],
+    /// Every delta the core has applied ([`Effect::Apply`]), in order.
+    /// Nothing reads it but the open finding below, so it is not state:
+    /// the fingerprint leaves it out.
+    applied: Vec<TopoDelta>,
 }
 
-/// A frame on the net: destination, content hash (for canonical order
-/// and state hashing) and the message.
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (&self.core, self.armed, self.clock, self.heard).hash(h);
+    }
+}
+
+/// A frame on the net: destination, content key ([`intern`]; canonical
+/// order and state hashing) and the message.
 type Frame = (usize, u64, Rc<ControlMessage>);
+
+/// Every distinct message sent since the search began, by [`label`],
+/// with its content key: the order it was first sent in.
+type Sent = FastHashMap<(&'static str, u64, u64), Vec<(u64, Rc<ControlMessage>)>>;
+
+thread_local! {
+    static SENT: RefCell<Sent> = RefCell::default();
+}
+
+/// `msg`'s content key and shared body. A message sent before gets the
+/// key and the allocation it got then, so a send formats no text and
+/// allocates nothing, and two keys are equal only for equal messages.
+fn intern(msg: ControlMessage) -> (u64, Rc<ControlMessage>) {
+    SENT.with_borrow_mut(|sent| {
+        let mut same = sent.get(&label(&msg)).into_iter().flatten();
+        if let Some(known) = same.find(|(_, m)| **m == msg) {
+            return known.clone();
+        }
+        let key = sent.values().map(Vec::len).sum::<usize>() as u64;
+        let first = (key, Rc::new(msg));
+        sent.entry(label(&first.1)).or_default().push(first.clone());
+        first
+    })
+}
+
+/// A frame's name in a script: its variant, its term, and the index it
+/// speaks of — an append's entry (0: a heartbeat), an ack's match, a
+/// sync request's `after`, a query's last index, 1 for a granted vote.
+fn label(msg: &ControlMessage) -> (&'static str, u64, u64) {
+    use ControlMessage as M;
+    match msg {
+        M::ReplAppend { term, entry, .. } => {
+            ("ReplAppend", *term, entry.as_ref().map_or(0, |e| e.index))
+        }
+        M::ReplAck { term, index, .. } => ("ReplAck", *term, *index),
+        M::ReplSyncRequest { term, after, .. } => ("ReplSyncRequest", *term, *after),
+        M::LeaderQuery {
+            term, last_index, ..
+        } => ("LeaderQuery", *term, *last_index),
+        M::LeaderQueryReply { term, granted, .. } => ("LeaderQueryReply", *term, (*granted).into()),
+        other => unreachable!("the core sends replication frames only, not {other:?}"),
+    }
+}
 
 #[derive(Clone)]
 struct State {
@@ -144,6 +200,7 @@ impl State {
                 armed: [false; 3],
                 clock: 0,
                 heard: [None; N],
+                applied: Vec::new(),
             })
         };
         let mut state = State {
@@ -159,23 +216,17 @@ impl State {
         state
     }
 
-    /// Two independent 64-bit digests of everything that decides the
-    /// future (the path so far does not).
-    fn digest(&self) -> (u64, u64) {
-        let mut a = DefaultHasher::new();
-        let mut b = DefaultHasher::new();
-        0xD1CEu16.hash(&mut b);
-        for h in [&mut a, &mut b] {
-            for node in &self.nodes {
-                node.hash(h);
-            }
-            for (to, key, _) in &self.net {
-                (to, key).hash(h);
-            }
-            (&self.won, &self.history).hash(h);
-            (self.left.crashes, self.left.pauses, self.left.beats).hash(h);
+    /// One 64-bit fingerprint of everything that decides the future
+    /// (the path so far does not), as TLC keys its visited set.
+    fn fingerprint(&self) -> u64 {
+        let mut h = FxHasher64::default();
+        self.nodes.hash(&mut h);
+        for (to, key, _) in &self.net {
+            (to, key).hash(&mut h);
         }
-        (a.finish(), b.finish())
+        (&self.won, &self.history).hash(&mut h);
+        (self.left.crashes, self.left.pauses, self.left.beats).hash(&mut h);
+        mix64(h.finish())
     }
 
     /// Steps replica `i` with one input and applies the effects the way
@@ -190,9 +241,8 @@ impl State {
         input(&mut node.core, SimTime(node.clock), &mut out);
         let net = &mut self.net;
         let mut send = |to: MacAddr, msg: ControlMessage| {
-            let mut h = DefaultHasher::new();
-            format!("{msg:?}").hash(&mut h);
-            net.push((index_of(to), h.finish(), Rc::new(msg)));
+            let (key, msg) = intern(msg);
+            net.push((index_of(to), key, msg));
         };
         for effect in out {
             match effect {
@@ -212,7 +262,8 @@ impl State {
                         ));
                     }
                 }
-                Effect::Apply { .. } | Effect::SteppedDown | Effect::Dropped => {}
+                Effect::Apply { delta, .. } => node.applied.push(delta),
+                Effect::SteppedDown | Effect::Dropped => {}
             }
         }
         self.net.sort_by_key(|&(to, key, _)| (to, key));
@@ -318,8 +369,8 @@ impl State {
                 }
             }
             // 2. Term-monotone log.
-            let terms: Vec<u64> = log.entries().map(|e| e.term).collect();
-            if terms.windows(2).any(|w| w[0] > w[1]) {
+            if !log.entries().map(|e| e.term).is_sorted() {
+                let terms: Vec<u64> = log.entries().map(|e| e.term).collect();
                 return Err(format!("replica {i}: entry terms fall: {terms:?}"));
             }
             // 3. The lease.
@@ -332,8 +383,7 @@ impl State {
                 }
             }
         }
-        let replicas = self.nodes.iter().map(|n| &n.core);
-        spec(&replicas.collect::<Vec<_>>(), &mut self.history)
+        spec(&self.nodes.each_ref().map(|n| &n.core), &mut self.history)
     }
 }
 
@@ -432,56 +482,87 @@ struct Coverage {
 /// Depth-first search from the initial state. A state is expanded again
 /// only when reached by a shorter path than before, so every state
 /// within `max_depth` actions of the start is expanded with its full
-/// remaining depth. Returns the coverage, or the first violation with
-/// the action path that reaches it.
-fn explore(bounds: Bounds) -> Result<Coverage, String> {
+/// remaining depth. Returns the coverage, or a broken invariant with the
+/// [`script`] that reaches it, its length and the states visited before
+/// the first violation. After a violation of `L` actions it searches
+/// again at depth `L − 1`, so the script returned is a shortest one.
+fn explore(bounds: Bounds) -> Result<Coverage, (String, usize, usize)> {
     struct Search {
-        seen: HashMap<(u64, u64), u8>,
+        seen: FastHashMap<u64, u8>,
         path: Vec<Action>,
         cover: Coverage,
     }
     fn visit(state: &State, depth: u8, s: &mut Search) -> Result<(), String> {
-        let digest = state.digest();
-        match s.seen.get_mut(&digest) {
-            Some(best) if *best <= depth => return Ok(()),
-            Some(best) => *best = depth,
-            None => {
-                s.seen.insert(digest, depth);
-                s.cover.elections = s.cover.elections.max(state.won.len() - 1);
-                let committed = state.history.learned.keys().next_back().copied();
-                s.cover.committed = s.cover.committed.max(committed.unwrap_or(0));
-                let leased = |n: &Rc<Node>| n.core.may_mutate(SimTime(n.clock));
-                s.cover.leased += usize::from(state.nodes.iter().any(leased));
-            }
+        let best = s.seen.entry(state.fingerprint()).or_insert(u8::MAX);
+        if *best <= depth {
+            return Ok(());
         }
+        if *best == u8::MAX {
+            s.cover.elections = s.cover.elections.max(state.won.len() - 1);
+            let committed = state.history.learned.keys().next_back().copied();
+            s.cover.committed = s.cover.committed.max(committed.unwrap_or(0));
+            let leased = |n: &Rc<Node>| n.core.may_mutate(SimTime(n.clock));
+            s.cover.leased += usize::from(state.nodes.iter().any(leased));
+        }
+        *best = depth;
         if depth == state.left.max_depth || state.out_of_bounds() {
             return Ok(());
         }
         for action in state.actions() {
             s.path.push(action);
             s.cover.transitions += 1;
-            match state.apply(action) {
-                Ok(next) => visit(&next, depth + 1, s)?,
-                Err(why) => {
-                    let (steps, seen) = (s.path.len(), s.seen.len());
-                    let path = &s.path;
-                    return Err(format!(
-                        "{why}\n  after {steps} actions: {path:?}\n  ({seen} states visited)"
-                    ));
-                }
-            }
+            visit(&state.apply(action)?, depth + 1, s)?;
             s.path.pop();
         }
         Ok(())
     }
-    let mut search = Search {
-        seen: HashMap::new(),
+    SENT.with_borrow_mut(Sent::clear);
+    let mut s = Search {
+        seen: FastHashMap::default(),
         path: Vec::new(),
         cover: Coverage::default(),
     };
-    visit(&State::initial(bounds), 0, &mut search)?;
-    search.cover.states = search.seen.len();
-    Ok(search.cover)
+    let result = visit(&State::initial(bounds), 0, &mut s);
+    // The visited set is freed before any narrowing search starts.
+    s.cover.states = std::mem::take(&mut s.seen).len();
+    let (Err(why), states) = (result, s.cover.states) else {
+        return Ok(s.cover);
+    };
+    // Named now: the next search numbers the messages afresh.
+    let why = format!("{why}\n{}", script(bounds, &s.path));
+    let mut shallower = bounds;
+    shallower.max_depth = s.path.len() as u8 - 1;
+    match explore(shallower) {
+        Ok(_) => Err((why, s.path.len(), states)),
+        Err((shorter, steps, _)) => Err((shorter, steps, states)),
+    }
+}
+
+/// `path` as the [`Script`] that replays it, one action a line. A frame
+/// is named by its [`label`], or by its whole text where another frame
+/// to the same replica has that label too.
+fn script(bounds: Bounds, path: &[Action]) -> String {
+    let (mut state, mut script) = (State::initial(bounds), String::new());
+    for &action in path {
+        let line = match action {
+            Action::Deliver(ix) => {
+                let (to, _, msg) = &state.net[ix];
+                let (variant, term, index) = label(msg);
+                let named = |(t, _, m): &Frame| t == to && label(m) == (variant, term, index);
+                if state.net.iter().filter(|f| named(f)).count() == 1 {
+                    format!("s.deliver({to}, is({variant:?}, {term}, {index}))")
+                } else {
+                    let text = format!("{msg:?}");
+                    format!("s.deliver({to}, |m| format!(\"{{m:?}}\") == {text:?})")
+                }
+            }
+            Action::Fire(i, timer) => format!("s.act(Action::Fire({i}, Timer::{timer:?}))"),
+            other => format!("s.act(Action::{other:?})"),
+        };
+        writeln!(script, "    {line}.unwrap();").expect("writing to a String");
+        state = state.apply(action).unwrap_or(state);
+    }
+    script
 }
 
 /// Tier 1, with a log: seconds in a debug build.
@@ -494,12 +575,15 @@ const TIER1: Bounds = Bounds {
     beats: 2,
 };
 
-/// The CI bound with a log (release build, `-- --ignored`): both
-/// findings of the fence-based core were nine actions long, and a
-/// follower that checks only that `prev_index` exists, not its term,
-/// is caught here but not at tier 1.
+/// The CI bound with a log (release build, `-- --ignored`): two
+/// entries, ten actions, so every state of the one-entry, nine-action
+/// bound and more. Both findings of the fence-based core were nine
+/// actions long; a follower that checks only that `prev_index` exists,
+/// not its term, and a `store` that overwrites a conflicting entry but
+/// keeps the suffix after it are caught here but not at tier 1.
 const DEEP: Bounds = Bounds {
-    max_depth: 9,
+    max_log: 2,
+    max_depth: 10,
     ..TIER1
 };
 
@@ -515,7 +599,12 @@ const fn elections_only(bounds: Bounds, max_depth: u8) -> Bounds {
 
 fn run(bounds: Bounds) {
     let started = std::time::Instant::now();
-    let cover = explore(bounds).unwrap_or_else(|why| panic!("invariant violated: {why}"));
+    let cover = explore(bounds).unwrap_or_else(|(why, steps, states)| {
+        panic!(
+            "invariant violated: {why}  {steps} actions, the fewest that break it \
+             (the first violation came after {states} states)"
+        )
+    });
     let (depth, log, wall) = (bounds.max_depth, bounds.max_log, started.elapsed());
     println!("replica_explore: depth {depth}, log {log} -> {cover:?} in {wall:.1?}");
     // The search must actually reach the behaviour it claims to check.
@@ -572,26 +661,9 @@ impl Script {
     }
 }
 
-/// An append of the entry at `index` (0: a heartbeat) under `term`.
-fn is_append(index: u64, term: u64) -> impl Fn(&ControlMessage) -> bool {
-    move |m| match m {
-        ControlMessage::ReplAppend { term: t, entry, .. } => {
-            (entry.as_ref().map_or(0, |e| e.index), *t) == (index, term)
-        }
-        _ => false,
-    }
-}
-
-fn is_ack(from: usize) -> impl Fn(&ControlMessage) -> bool {
-    move |m| matches!(m, ControlMessage::ReplAck { index: 1, replica, .. } if *replica == mac(from))
-}
-
-fn is_query(term: u64) -> impl Fn(&ControlMessage) -> bool {
-    move |m| matches!(m, ControlMessage::LeaderQuery { term: t, .. } if *t == term)
-}
-
-fn is_vote(term: u64) -> impl Fn(&ControlMessage) -> bool {
-    move |m| matches!(m, ControlMessage::LeaderQueryReply { granted: true, term: t, .. } if *t == term)
+/// Picks a frame by its [`label`].
+fn is(variant: &'static str, term: u64, index: u64) -> impl Fn(&ControlMessage) -> bool {
+    move |m| label(m) == (variant, term, index)
 }
 
 /// The explorer's first finding against the fence-based core: a voter
@@ -603,11 +675,11 @@ fn is_vote(term: u64) -> impl Fn(&ControlMessage) -> bool {
 fn regression_a_stale_candidate_can_win() {
     let mut s = Script::new();
     s.act(Action::Propose(0)).unwrap();
-    s.deliver(1, is_append(1, 1)).unwrap(); // Follower 1 stores X and acks.
+    s.deliver(1, is("ReplAppend", 1, 1)).unwrap(); // Follower 1 stores X and acks.
     s.act(Action::Fire(2, Timer::Takeover)).unwrap(); // 2 never saw X.
-    s.deliver(1, is_query(2)).unwrap(); // 1's log is ahead of 2's.
+    s.deliver(1, is("LeaderQuery", 2, 0)).unwrap(); // 1's log is ahead of 2's.
     let why = s
-        .deliver(2, is_vote(2))
+        .deliver(2, is("LeaderQueryReply", 2, 1))
         .expect_err("1 voted for a log behind its own");
     assert!(why.contains("no such frame"), "{why}");
 }
@@ -622,9 +694,9 @@ fn regression_a_voter_keeps_its_stale_suffix() {
     let mut s = Script::new();
     s.act(Action::Propose(0)).unwrap(); // X, on the leader only.
     s.act(Action::Fire(1, Timer::Takeover)).unwrap();
-    s.deliver(0, is_query(2)).unwrap(); // 0 steps down, keeps X, refuses.
+    s.deliver(0, is("LeaderQuery", 2, 0)).unwrap(); // 0 steps down, keeps X, refuses.
     let why = s
-        .deliver(1, is_vote(2))
+        .deliver(1, is("LeaderQueryReply", 2, 1))
         .expect_err("0 voted for a log behind its own");
     assert!(why.contains("no such frame"), "{why}");
 }
@@ -639,27 +711,55 @@ fn regression_figure_8_commits_no_old_term_entry() {
     let mut s = Script::new();
     s.act(Action::Propose(0)).unwrap(); // X.
     s.act(Action::Fire(2, Timer::Takeover)).unwrap();
-    s.deliver(1, is_query(2)).unwrap();
-    s.deliver(2, is_vote(2)).unwrap(); // 2 leads term 2.
+    s.deliver(1, is("LeaderQuery", 2, 0)).unwrap();
+    s.deliver(2, is("LeaderQueryReply", 2, 1)).unwrap(); // 2 leads term 2.
     s.act(Action::Propose(2)).unwrap(); // Y.
-    s.deliver(0, is_query(2)).unwrap(); // 0 steps down, keeps X.
+    s.deliver(0, is("LeaderQuery", 2, 0)).unwrap(); // 0 steps down, keeps X.
     s.act(Action::Fire(0, Timer::Takeover)).unwrap();
-    s.deliver(1, is_query(3)).unwrap();
-    s.deliver(0, is_vote(3)).unwrap(); // 0 leads term 3.
+    s.deliver(1, is("LeaderQuery", 3, 1)).unwrap();
+    s.deliver(0, is("LeaderQueryReply", 3, 1)).unwrap(); // 0 leads term 3.
     s.act(Action::Fire(0, Timer::Heartbeat)).unwrap(); // Resends X.
-    s.deliver(1, is_append(1, 3)).unwrap();
-    s.deliver(0, is_ack(1)).unwrap(); // X on a majority.
+    s.deliver(1, is("ReplAppend", 3, 1)).unwrap();
+    s.deliver(0, is("ReplAck", 3, 1)).unwrap(); // X on a majority.
     assert_eq!(s.0.nodes[0].core.log().committed(), 0, "X is of term 1");
-    s.deliver(2, is_query(3)).unwrap(); // 2 steps down.
+    s.deliver(2, is("LeaderQuery", 3, 1)).unwrap(); // 2 steps down.
     s.act(Action::Fire(2, Timer::Takeover)).unwrap();
-    s.deliver(1, is_query(4)).unwrap();
-    s.deliver(2, is_vote(4)).unwrap(); // 2 leads term 4.
+    s.deliver(1, is("LeaderQuery", 4, 1)).unwrap();
+    s.deliver(2, is("LeaderQueryReply", 4, 1)).unwrap(); // 2 leads term 4.
     s.act(Action::Propose(2)).unwrap(); // Z, after Y.
     s.act(Action::Fire(2, Timer::Heartbeat)).unwrap(); // Resends Y, Z.
-    s.deliver(1, is_append(1, 4)).unwrap(); // 1 cuts X for Y.
-    s.deliver(1, is_append(2, 4)).unwrap();
-    s.deliver(2, |m| matches!(m, ControlMessage::ReplAck { index: 2, .. }))
-        .unwrap();
+    s.deliver(1, is("ReplAppend", 4, 1)).unwrap(); // 1 cuts X for Y.
+    s.deliver(1, is("ReplAppend", 4, 2)).unwrap();
+    s.deliver(2, is("ReplAck", 4, 2)).unwrap();
     let learned: Vec<u64> = s.0.history.learned.values().map(|e| e.term).collect();
     assert_eq!(learned, [2, 4], "Y and Z commit; X never did");
+}
+
+/// Open finding: a replica applies a delta before it is chosen. The
+/// leader applies on `propose` and a follower on `store`, both before
+/// commit, so a deposed leader whose entry is cut keeps its delta
+/// applied. Once the core applies on commit this becomes a
+/// `regression_*` test, and [`spec`] gains "a replica applies only
+/// chosen entries".
+#[test]
+fn open_finding_a_deposed_leader_keeps_an_unchosen_delta_applied() {
+    let mut s = Script::new();
+    s.act(Action::Propose(0)).unwrap(); // X, applied on 0 at once.
+    s.act(Action::Fire(1, Timer::Takeover)).unwrap();
+    s.deliver(2, is("LeaderQuery", 2, 0)).unwrap();
+    s.deliver(1, is("LeaderQueryReply", 2, 1)).unwrap(); // 1 leads term 2.
+    s.act(Action::Propose(1)).unwrap(); // Y, at X's index.
+    s.deliver(0, is("ReplAppend", 2, 1)).unwrap(); // 0 cuts X for Y.
+    let x = TopoDelta {
+        down: vec![(SwitchId(0), SwitchId(100))],
+        ..TopoDelta::default()
+    };
+    let zero = &s.0.nodes[0];
+    assert!(zero.core.log().entries().all(|e| e.delta != x), "X is cut");
+    assert!(zero.applied.contains(&x), "yet 0 still has X applied");
+    let chosen = s.0.history.chosen.values();
+    assert!(
+        chosen.map(|(_, e)| &e.delta).all(|d| *d != x),
+        "X was never chosen"
+    );
 }
