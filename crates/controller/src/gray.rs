@@ -2,10 +2,10 @@
 //!
 //! [`GrayBoard`] weighs the hosts' `LinkSuspect` evidence per edge and
 //! decides when the leader quarantines an edge, releases it, or
-//! re-asserts the quarantine set; [`PatchPipeline`] floods what the log
-//! commits. Same calling convention as the consensus core: `now` comes
-//! in, [`Effect`]s go out to a caller-owned buffer, and what the log
-//! says is read off the [`Replica`]. The
+//! re-asserts the quarantine set; [`PatchPipeline`] floods what the
+//! leader's log commits. Same calling convention as the consensus core:
+//! `now` comes in, [`Effect`]s go out to a caller-owned buffer, and what
+//! the log says is read off the [`Replica`]. The
 //! [`Controller`](crate::node::Controller) node is the adapter.
 
 use std::collections::BTreeMap;
@@ -57,14 +57,12 @@ const REFRESH_INTERVAL: SimDuration = SimDuration::from_millis(60);
 pub enum Effect {
     /// A fresh report entered the scoreboard.
     Accepted,
-    /// Commit a delta that quarantines (`true`) or releases the edge.
+    /// Propose a delta that quarantines (`true`) or releases the edge.
     Mark(Edge, bool),
-    /// Commit a delta re-asserting the whole quarantine set.
+    /// Propose a delta re-asserting the whole quarantine set.
     Refresh(Vec<Edge>),
-    /// A link alarm is news: commit the delta it amounts to, if any.
+    /// A link alarm is news: propose the delta it amounts to, if any.
     Learned(LinkEvent),
-    /// Arm the flush timer: a coalescing window opened.
-    Arm,
     /// Flood this epoch's entries ([`PatchPipeline::frames`]).
     Flood(u64, Vec<PatchEntry>),
 }
@@ -206,12 +204,12 @@ impl PatchPipeline {
         }
     }
 
-    /// The log committed `delta` at `version`.
-    pub fn on_commit(&mut self, version: u64, delta: TopoDelta, out: &mut Vec<Effect>) {
-        if self.pending.is_empty() {
-            out.push(Effect::Arm);
-        }
+    /// The log committed `delta` at `version`. Returns `true` when this
+    /// opens a window: the adapter arms the flush timer.
+    #[must_use]
+    pub fn on_commit(&mut self, version: u64, delta: TopoDelta) -> bool {
         self.pending.push(PatchEntry { version, delta });
+        self.pending.len() == 1
     }
 
     /// The flush timer fired: the window floods as its last version.

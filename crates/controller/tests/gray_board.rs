@@ -197,13 +197,10 @@ fn entry(version: u64) -> PatchEntry {
     PatchEntry { version, delta }
 }
 
-/// Commits the entries of `versions` into `pipeline`, one step each.
-fn commit(pipeline: &mut PatchPipeline, versions: &[u64]) -> Vec<Vec<Effect>> {
-    let step = |version| {
-        let mut out = Vec::new();
-        pipeline.on_commit(version, entry(version).delta, &mut out);
-        out
-    };
+/// Commits the entries of `versions` into `pipeline`, one step each:
+/// which of them opened a window.
+fn commit(pipeline: &mut PatchPipeline, versions: &[u64]) -> Vec<bool> {
+    let step = |version| pipeline.on_commit(version, entry(version).delta);
     versions.iter().copied().map(step).collect()
 }
 
@@ -241,22 +238,22 @@ fn pipeline_floods_each_window_once_as_its_last_version() {
     assert_eq!(flush(&mut pipeline), [], "nothing pending, nothing flooded");
     // Two commits inside one window: one timer, one flood, whose epoch
     // is the last entry's version.
-    assert_eq!(commit(&mut pipeline, &[4, 7]), [vec![Effect::Arm], vec![]]);
+    assert_eq!(commit(&mut pipeline, &[4, 7]), [true, false]);
     assert_eq!(flush(&mut pipeline), [flood(&[4, 7])]);
     assert_eq!(flush(&mut pipeline), []);
     // The flush closed the window: the next commit opens another.
-    assert_eq!(commit(&mut pipeline, &[8]), [[Effect::Arm]]);
+    assert_eq!(commit(&mut pipeline, &[8]), [true]);
     assert_eq!(flush(&mut pipeline), [flood(&[8])]);
 }
 
 #[test]
 fn pipeline_restart_drops_the_window() {
     let mut pipeline = PatchPipeline::default();
-    assert_eq!(commit(&mut pipeline, &[1, 2]), [vec![Effect::Arm], vec![]]);
+    assert_eq!(commit(&mut pipeline, &[1, 2]), [true, false]);
     pipeline.on_restart();
     assert_eq!(flush(&mut pipeline), []);
     // The timer died with the node: a new window arms a new one.
-    assert_eq!(commit(&mut pipeline, &[3]), [[Effect::Arm]]);
+    assert_eq!(commit(&mut pipeline, &[3]), [true]);
     assert_eq!(flush(&mut pipeline), [flood(&[3])]);
 }
 

@@ -38,6 +38,8 @@
 //!    from the core: at most one value chosen and learned per log
 //!    index, only chosen values learned, and every leader holds what
 //!    was chosen before its term.
+//! 6. **One writer** — the deltas a replica applies are the chosen
+//!    entries, in index order: a state machine fed only by the log.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -93,15 +95,21 @@ struct Node {
     /// The lease oracle: the clock at which the harness last delivered
     /// an ack or sync request from each peer while this replica led.
     heard: [Option<u64>; N],
-    /// Every delta the core has applied ([`Effect::Apply`]), in order.
-    /// Nothing reads it but the open finding below, so it is not state:
-    /// the fingerprint leaves it out.
+    /// Every delta the core has applied ([`Effect::Apply`]), in order:
+    /// the replica's state machine, held to what was chosen.
     applied: Vec<TopoDelta>,
 }
 
 impl Hash for Node {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        (&self.core, self.armed, self.clock, self.heard).hash(h);
+        (
+            &self.core,
+            self.armed,
+            self.clock,
+            self.heard,
+            &self.applied,
+        )
+            .hash(h);
     }
 }
 
@@ -353,7 +361,7 @@ impl State {
         })
     }
 
-    /// Invariants 1–3 of the module docs, then 4 and 5 ([`spec`]).
+    /// Invariants 1–3 of the module docs, then 4 and 5 ([`spec`]), then 6.
     fn check(&mut self) -> Result<(), String> {
         for (i, node) in self.nodes.iter().enumerate() {
             let log = node.core.log();
@@ -383,7 +391,21 @@ impl State {
                 }
             }
         }
-        spec(&self.nodes.each_ref().map(|n| &n.core), &mut self.history)
+        spec(&self.nodes.each_ref().map(|n| &n.core), &mut self.history)?;
+        // 6. The k-th delta a replica applies is the one chosen at
+        // index k.
+        for (i, node) in self.nodes.iter().enumerate() {
+            for (index, delta) in (1..).zip(&node.applied) {
+                let chosen = self.history.chosen.get(&index);
+                if chosen.is_none_or(|(_, e)| e.delta != *delta) {
+                    return Err(format!(
+                        "replica {i} applied {delta:?} as entry {index}, \
+                         which is not the entry chosen there"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -735,31 +757,33 @@ fn regression_figure_8_commits_no_old_term_entry() {
     assert_eq!(learned, [2, 4], "Y and Z commit; X never did");
 }
 
-/// Open finding: a replica applies a delta before it is chosen. The
-/// leader applies on `propose` and a follower on `store`, both before
-/// commit, so a deposed leader whose entry is cut keeps its delta
-/// applied. Once the core applies on commit this becomes a
-/// `regression_*` test, and [`spec`] gains "a replica applies only
-/// chosen entries".
+/// The open finding the commit rule closed: the core applied a delta
+/// before it was chosen — the leader on `propose`, a follower on
+/// `store` — so a deposed leader whose entry was cut kept its delta
+/// applied. Invariant 6 failed that core on its first action,
+/// `Propose(0)`. Now X is never applied, and both sides apply Y, the
+/// entry chosen at X's index, once they learn it committed.
 #[test]
-fn open_finding_a_deposed_leader_keeps_an_unchosen_delta_applied() {
+fn regression_a_deposed_leader_applies_no_unchosen_delta() {
     let mut s = Script::new();
-    s.act(Action::Propose(0)).unwrap(); // X, applied on 0 at once.
+    s.act(Action::Propose(0)).unwrap(); // X, on 0 only.
     s.act(Action::Fire(1, Timer::Takeover)).unwrap();
     s.deliver(2, is("LeaderQuery", 2, 0)).unwrap();
     s.deliver(1, is("LeaderQueryReply", 2, 1)).unwrap(); // 1 leads term 2.
     s.act(Action::Propose(1)).unwrap(); // Y, at X's index.
     s.deliver(0, is("ReplAppend", 2, 1)).unwrap(); // 0 cuts X for Y.
-    let x = TopoDelta {
-        down: vec![(SwitchId(0), SwitchId(100))],
+    s.deliver(1, is("ReplAck", 2, 1)).unwrap(); // Y commits; 1 applies it.
+    s.act(Action::Fire(1, Timer::Heartbeat)).unwrap();
+    s.deliver(0, is("ReplAppend", 2, 0)).unwrap(); // 0 learns the commit.
+    let down = |a, b| TopoDelta {
+        down: vec![(SwitchId(a), SwitchId(b))],
         ..TopoDelta::default()
     };
-    let zero = &s.0.nodes[0];
-    assert!(zero.core.log().entries().all(|e| e.delta != x), "X is cut");
-    assert!(zero.applied.contains(&x), "yet 0 still has X applied");
-    let chosen = s.0.history.chosen.values();
+    let (x, y) = (down(0, 100), down(1, 200));
     assert!(
-        chosen.map(|(_, e)| &e.delta).all(|d| *d != x),
-        "X was never chosen"
+        s.0.nodes[0].core.log().entries().all(|e| e.delta != x),
+        "X is cut"
     );
+    let applied = s.0.nodes.each_ref().map(|n| n.applied.clone());
+    assert_eq!(applied, [vec![y.clone()], vec![y], vec![]]);
 }

@@ -1,6 +1,8 @@
 //! Integration tests for the §6/§8 extensions running on a whole fabric:
 //! in-band switch statistics, ECN marking with congestion-avoiding
-//! rerouting, flowlet TE inside a live host agent, and tenant isolation.
+//! rerouting, and flowlet TE inside a live host agent. Tenant isolation
+//! is tested in `ext::vnet` (`tenant_path_via_foreign_spine_rejected`,
+//! `tenant_cannot_reach_foreign_host`).
 
 use dumbnet::ext::{EcnFlowletRouting, FlowletRouting};
 use dumbnet::fabric::{Fabric, FabricConfig};
