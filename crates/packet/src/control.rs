@@ -100,6 +100,13 @@ impl TopoDelta {
         !self.quarantine.is_empty() || !self.unquarantine.is_empty()
     }
 
+    /// The hard link transitions as `(switch pair, up)`: the downs, then
+    /// the ups.
+    pub fn hard(&self) -> impl Iterator<Item = ((SwitchId, SwitchId), bool)> + '_ {
+        let downs = self.down.iter().map(|&pair| (pair, false));
+        downs.chain(self.up.iter().map(|&(a, b)| ((a.switch, b.switch), true)))
+    }
+
     /// Bytes the delta takes on the wire.
     #[must_use]
     pub fn wire_len(&self) -> usize {
@@ -120,6 +127,15 @@ pub struct LogEntry {
     pub term: u64,
     /// The change.
     pub delta: TopoDelta,
+}
+
+impl From<&LogEntry> for PatchEntry {
+    fn from(entry: &LogEntry) -> PatchEntry {
+        PatchEntry {
+            version: entry.version,
+            delta: entry.delta.clone(),
+        }
+    }
 }
 
 /// One versioned topology change inside a [`PatchBatch`]: the delta that

@@ -535,3 +535,82 @@ fn restarted_ex_leader_does_not_split_brain() {
     let agent = fabric.host(HostId(20)).unwrap();
     assert_eq!(agent.controller(), Some(MacAddr::for_host(13)));
 }
+
+/// The testbed with controllers on hosts 0 (the leader), 13 and 25.
+fn three_controllers(patch_delay: SimDuration) -> Fabric {
+    use dumbnet::controller::Controller;
+    let controllers = [0u64, 13, 25];
+    let g = generators::testbed();
+    let cfg = FabricConfig {
+        controllers: controllers.iter().map(|&h| HostId(h)).collect(),
+        controller: ControllerConfig {
+            peers: controllers.iter().map(|&h| MacAddr::for_host(h)).collect(),
+            heartbeat: SimDuration::from_millis(20),
+            takeover_timeout: SimDuration::from_millis(100),
+            patch_delay,
+            ..ControllerConfig::default()
+        },
+        ..FabricConfig::default()
+    };
+    Fabric::build_full(g.topology, cfg, HostAgent::new, |id, mut ccfg| {
+        ccfg.is_leader = id == HostId(0);
+        Controller::new(id, ccfg)
+    })
+    .unwrap()
+}
+
+/// Fails the trunk between leaf 1 and spine 0 at `fail_ms`, crashes the
+/// leader at `crash_ms` and runs to 600 ms. The winner (host 13) must
+/// hold a committed down for the trunk, both survivors must show it
+/// down, and a patch carrying it must reach host 20.
+fn down_survives_the_leader(patch_delay_ms: u64, fail_ms: u64, crash_ms: u64) {
+    let g = generators::testbed();
+    let (leaf, spine) = (g.group("leaf")[1], g.group("spine")[0]);
+    let mut fabric = three_controllers(SimDuration::from_millis(patch_delay_ms));
+    let leader_addr = fabric.host_addr(HostId(0)).unwrap();
+    fabric.world.schedule_crash(at_ms(crash_ms), leader_addr);
+    fabric
+        .schedule_link_failure(at_ms(fail_ms), leaf, spine)
+        .unwrap();
+    fabric.run_until(at_ms(600));
+
+    let winner = fabric.controller(HostId(13)).unwrap();
+    assert!(winner.stats().is_leader, "host 13 must take over");
+    let trunk = |&(a, b): &_| (a, b) == (leaf, spine) || (b, a) == (leaf, spine);
+    let log = winner.replication();
+    let entry = log
+        .entries()
+        .find(|e| e.delta.down.iter().any(trunk))
+        .expect("the down is in the new leader's log");
+    assert!(entry.index <= log.committed(), "{entry:?} never committed");
+    for h in [13, 25] {
+        let topo = fabric
+            .controller(HostId(h))
+            .unwrap()
+            .topology
+            .clone()
+            .unwrap();
+        let link = topo.link_between(leaf, spine).unwrap();
+        assert!(!link.up, "controller {h} still shows the trunk up");
+    }
+    let arrivals = &fabric.host(HostId(20)).unwrap().stats().patch_arrivals;
+    assert!(
+        arrivals
+            .iter()
+            .any(|&(version, _)| version >= entry.version),
+        "no patch carrying the down reached host 20: {arrivals:?}"
+    );
+}
+
+#[test]
+fn an_alarm_heard_while_no_leader_lives_is_sequenced_by_the_next() {
+    // Only the two followers hear the alarm: the winner sequences it.
+    down_survives_the_leader(1, 120, 100);
+}
+
+#[test]
+fn a_commit_the_dead_leader_never_flooded_is_flooded_by_the_next() {
+    // The down commits and a heartbeat tells the followers so, but the
+    // 50 ms flush window outlives the leader: the winner floods it.
+    down_survives_the_leader(50, 100, 130);
+}
