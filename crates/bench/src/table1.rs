@@ -294,10 +294,9 @@ mod tests {
     /// reach for one, for telemetry, for randomness or for a clock.
     #[test]
     fn cores_are_pure() {
-        const CORES: [(&str, &str); 6] = [
+        const CORES: [(&str, &str); 5] = [
             ("Replica", "crates/controller/src/replication.rs"),
             ("GrayBoard", "crates/controller/src/gray.rs"),
-            ("PatchPipeline", "crates/controller/src/gray.rs"),
             ("PatchAcceptor", "crates/host/src/failure.rs"),
             ("GrayDetector", "crates/host/src/failure.rs"),
             ("RequestRetry", "crates/host/src/failure.rs"),

@@ -1,16 +1,15 @@
-//! Stage 2 of failure handling (§4.2; DESIGN.md §9, §10.3) as pure cores.
+//! The gray-failure half of stage 2 (§4.2; DESIGN.md §10.3), pure.
 //!
 //! [`GrayBoard`] weighs the hosts' `LinkSuspect` evidence per edge and
 //! decides when the leader quarantines an edge, releases it, or
-//! re-asserts the quarantine set; [`PatchPipeline`] floods what the
-//! leader's log commits. Same calling convention as the consensus core:
-//! `now` comes in, [`Effect`]s go out to a caller-owned buffer, and what
-//! the log says is read off the [`Replica`]. The
-//! [`Controller`](crate::node::Controller) node is the adapter.
+//! re-asserts the quarantine set. Same calling convention as the
+//! consensus core: `now` comes in, [`Effect`]s go out to a caller-owned
+//! buffer, and what the log says is read off the [`Replica`]. The
+//! [`Controller`](crate::node::Controller) node is the adapter; what the
+//! log commits it floods itself (DESIGN.md §9).
 
 use std::collections::BTreeMap;
 
-use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_types::{MacAddr, SimDuration, SimTime, SwitchId};
 
 use crate::replication::Replica;
@@ -52,7 +51,7 @@ const EVIDENCE_TTL: SimDuration = SimDuration::from_millis(50);
 /// detector's `CTRL_QUARANTINE_TTL` the host side).
 const REFRESH_INTERVAL: SimDuration = SimDuration::from_millis(60);
 
-/// What one step of a stage-2 core asks of its adapter.
+/// What one step of the scoreboard asks of its adapter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
     /// A fresh report entered the scoreboard.
@@ -61,10 +60,6 @@ pub enum Effect {
     Mark(Edge, bool),
     /// Propose a delta re-asserting the whole quarantine set.
     Refresh(Vec<Edge>),
-    /// A link alarm is news: propose the delta it amounts to, if any.
-    Learned(LinkEvent),
-    /// Flood this epoch's entries ([`PatchPipeline::frames`]).
-    Flood(u64, Vec<PatchEntry>),
 }
 
 /// Suspicion scoreboard entry for one normalized switch edge.
@@ -184,62 +179,5 @@ impl GrayBoard {
             self.last_refresh = now;
             out.push(Effect::Refresh(held.into_iter().collect()));
         }
-    }
-}
-
-/// The stage-2 patch pipeline (DESIGN.md §9): drops duplicate and stale
-/// alarms, and coalesces every committed delta into one epoch per flush
-/// window, open exactly while entries are pending.
-#[derive(Debug, Clone, Default)]
-pub struct PatchPipeline {
-    alarms: LinkEventFilter,
-    pending: Vec<PatchEntry>,
-}
-
-impl PatchPipeline {
-    /// A link alarm arrived.
-    pub fn on_alarm(&mut self, event: LinkEvent, out: &mut Vec<Effect>) {
-        if self.alarms.admit(event) {
-            out.push(Effect::Learned(event));
-        }
-    }
-
-    /// The log committed `delta` at `version`. Returns `true` when this
-    /// opens a window: the adapter arms the flush timer.
-    #[must_use]
-    pub fn on_commit(&mut self, version: u64, delta: TopoDelta) -> bool {
-        self.pending.push(PatchEntry { version, delta });
-        self.pending.len() == 1
-    }
-
-    /// The flush timer fired: the window floods as its last version.
-    pub fn on_flush(&mut self, out: &mut Vec<Effect>) {
-        if let Some(epoch) = self.pending.last().map(|e| e.version) {
-            out.push(Effect::Flood(epoch, std::mem::take(&mut self.pending)));
-        }
-    }
-
-    /// The node restarted and the flush timer died: the window is
-    /// dropped (the post-restart resync re-derives the topology).
-    pub fn on_restart(&mut self) {
-        self.pending.clear();
-    }
-
-    /// One flood's frames: segments of at most `max` entries.
-    pub fn frames(
-        epoch: u64,
-        term: u64,
-        entries: &[PatchEntry],
-        max: usize,
-    ) -> impl Iterator<Item = PatchBatch> + '_ {
-        let segs = u16::try_from(entries.len().div_ceil(max)).unwrap_or(u16::MAX);
-        let frame = move |(seg, chunk): (usize, &[PatchEntry])| PatchBatch {
-            epoch,
-            term,
-            seg: u16::try_from(seg).unwrap_or(u16::MAX),
-            segs,
-            entries: chunk.to_vec(),
-        };
-        entries.chunks(max).enumerate().map(frame)
     }
 }

@@ -13,12 +13,12 @@
 //!   drives discovery at a configurable probe rate (the controller CPU
 //!   is the bottleneck the paper measures in Figure 8), answers path
 //!   requests with path graphs (§4.3), floods stage-2 topology patches
-//!   on failures (§4.2), and adapts the cores below to the fabric:
-//!   packets and timers in, sends and committed deltas out.
-//! * [`gray`] — stage 2, `Ctx`-free: [`GrayBoard`], the gray-failure
-//!   scoreboard (quorum quarantine, probation release, flap budget,
-//!   soft-state refresh, reading the log off the [`Replica`]), and
-//!   [`PatchPipeline`] (alarm dedup, one patch epoch per flush window).
+//!   on failures (§4.2) straight from the committed log — one epoch per
+//!   flush window — and adapts the cores below to the fabric: packets
+//!   and timers in, sends and committed deltas out.
+//! * [`gray`] — stage 2's gray half, `Ctx`-free: [`GrayBoard`], the
+//!   gray-failure scoreboard (quorum quarantine, probation release, flap
+//!   budget, soft-state refresh, reading the log off the [`Replica`]).
 //! * [`replication`] — the ZooKeeper substitute: a leader-driven
 //!   majority-ack replicated log of topology changes and, around it,
 //!   [`Replica`] — heartbeat-based failover, quorum elections and the
@@ -33,6 +33,6 @@ pub mod node;
 pub mod replication;
 
 pub use discovery::{DiscoveryConfig, DiscoveryState, ProbeOut};
-pub use gray::{GrayBoard, PatchPipeline, MAX_FLAPS};
+pub use gray::{GrayBoard, MAX_FLAPS};
 pub use node::{Controller, ControllerConfig, ControllerStats};
 pub use replication::{Replica, ReplicaRole, ReplicatedLog};

@@ -7,9 +7,9 @@
 //! leadership it is only the adapter of the [`Replica`] core —
 //! replication and election packets and timers go in as inputs, and
 //! `Controller::step` turns the core's effects into routed sends,
-//! floods and timers (DESIGN.md §6.5) — and for stage 2 of the
-//! [`GrayBoard`] and [`PatchPipeline`] cores, whose effects
-//! `Controller::judge` proposes and floods (DESIGN.md §9, §10.3).
+//! floods and timers (DESIGN.md §6.5) — and of the [`GrayBoard`] core,
+//! whose verdicts `Controller::judge` proposes (DESIGN.md §10.3). Patch
+//! floods are read straight off the committed log (DESIGN.md §9.1).
 
 use std::any::Any;
 use std::sync::Arc;
@@ -17,7 +17,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dumbnet_packet::control::{LinkEvent, PatchEntry, TopoDelta};
+use dumbnet_packet::control::{
+    LinkEvent, LinkEventFilter, LogEntry, PatchBatch, PatchEntry, TopoDelta,
+};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
@@ -28,7 +30,7 @@ use dumbnet_types::{
 };
 
 use crate::discovery::{DiscoveryConfig, DiscoveryState};
-use crate::gray::{self, GrayBoard, PatchPipeline};
+use crate::gray::{self, GrayBoard};
 use crate::replication::{Effect, Replica, ReplicaRole, ReplicatedLog, Timer};
 
 /// The controller's NIC port.
@@ -265,16 +267,17 @@ pub struct Controller {
     /// Query-service queue horizon.
     busy_until: SimTime,
     hello_sent: bool,
-    /// Alarm suppression and the pending patch window: alarms and
-    /// flushes step it in [`Controller::judge`], the leader's commits in
-    /// [`Controller::step`].
-    pipeline: PatchPipeline,
+    /// Duplicate and stale alarm suppression, as on a host.
+    alarms: LinkEventFilter,
     /// A follower's admitted alarms that its topology does not show yet,
     /// one per port: it proposes them if it comes to lead before they
     /// commit (the leader may have missed them, or be gone).
     unsequenced: Vec<LinkEvent>,
-    /// The newest patch epoch this replica flooded or heard flooded.
+    /// The newest patch epoch this replica flooded or heard flooded:
+    /// committed entries past it form the flush window.
     flooded: u64,
+    /// Whether the flush timer is armed.
+    flush_armed: bool,
     /// Memoized shortest routes for hellos, heartbeats, patch floods and
     /// reply paths. Invalidation: see [`Controller::invalidate_routes`].
     route_cache: RouteCache,
@@ -337,9 +340,10 @@ impl Controller {
             effects: Vec::new(),
             busy_until: SimTime::ZERO,
             hello_sent: false,
-            pipeline: PatchPipeline::default(),
+            alarms: LinkEventFilter::default(),
             unsequenced: Vec::new(),
             flooded: 0,
+            flush_armed: false,
             route_cache: RouteCache::new(ROUTE_CACHE_SALT ^ id.get()),
             board: GrayBoard::default(),
             stage2: Vec::new(),
@@ -452,16 +456,12 @@ impl Controller {
                     }
                 }
                 Effect::Arm { timer, after } => ctx.set_timer(after, timer_token(timer)),
-                Effect::Apply { version, delta } => {
+                Effect::Apply { delta, .. } => {
                     self.apply_delta(&delta);
-                    if !self.replica.is_leader() {
-                        let mut kept = std::mem::take(&mut self.unsequenced);
-                        kept.retain(|&event| self.event_delta(event).is_some());
-                        self.unsequenced = kept;
-                    } else if self.pipeline.on_commit(version, delta) {
-                        // The leader floods what commits.
-                        ctx.set_timer(self.config.patch_delay, T_PATCH_FLUSH);
-                    }
+                    let mut kept = std::mem::take(&mut self.unsequenced);
+                    kept.retain(|&event| self.event_delta(event).is_some());
+                    self.unsequenced = kept;
+                    self.arm_flush(ctx);
                 }
                 Effect::Promoted { term } => self.take_over(ctx, term),
                 Effect::SteppedDown => {
@@ -726,18 +726,15 @@ impl Controller {
         self.invalidate_routes(delta);
     }
 
-    /// Steps a stage-2 core ([`GrayBoard`], [`PatchPipeline`]) with one
-    /// input and applies its effects in emission order. A learned alarm's
-    /// delta and a verdict's are proposed to the consensus core, which
-    /// replicates them and hands them to the pipeline once they commit;
-    /// a follower keeps a learned alarm instead (`unsequenced`).
+    /// Steps the [`GrayBoard`] with one input and proposes the verdicts
+    /// it emits to the consensus core, in emission order.
     fn judge(
         &mut self,
         ctx: &mut Ctx<'_>,
-        input: impl FnOnce(&mut Controller, SimTime, &mut Vec<gray::Effect>),
+        input: impl FnOnce(&mut GrayBoard, SimTime, &Replica, &mut Vec<gray::Effect>),
     ) {
         let mut effects = std::mem::take(&mut self.stage2);
-        input(self, ctx.now(), &mut effects);
+        input(&mut self.board, ctx.now(), &self.replica, &mut effects);
         for effect in effects.drain(..) {
             let mut delta = TopoDelta::default();
             match effect {
@@ -760,50 +757,39 @@ impl Controller {
                     });
                 }
                 gray::Effect::Refresh(held) => delta.quarantine = held,
-                gray::Effect::Learned(event) if !self.replica.is_leader() => {
-                    let port = (event.switch, event.port);
-                    self.unsequenced.retain(|e| (e.switch, e.port) != port);
-                    self.unsequenced
-                        .extend(self.event_delta(event).map(|_| event));
-                    continue;
-                }
-                gray::Effect::Learned(event) => {
-                    self.counters.link_events.inc();
-                    self.stats.event_learned_at.push((event, ctx.now()));
-                    let Some(learned) = self.event_delta(event) else {
-                        continue;
-                    };
-                    delta = learned;
-                }
-                gray::Effect::Flood(epoch, entries) => {
-                    self.flood_patch(ctx, epoch, &entries);
-                    continue;
-                }
             }
             self.step(ctx, |core, _, out| core.propose(delta, out));
         }
         self.stage2 = effects;
     }
 
-    /// Won the election for `term` ([`Effect::Promoted`]). Committed
+    /// An admitted link alarm. The leader proposes the delta it amounts
+    /// to, if any; a follower keeps it instead (`unsequenced`).
+    fn learn(&mut self, ctx: &mut Ctx<'_>, event: LinkEvent) {
+        if !self.replica.is_leader() {
+            let port = (event.switch, event.port);
+            self.unsequenced.retain(|e| (e.switch, e.port) != port);
+            self.unsequenced
+                .extend(self.event_delta(event).map(|_| event));
+            return;
+        }
+        self.counters.link_events.inc();
+        self.stats.event_learned_at.push((event, ctx.now()));
+        if let Some(delta) = self.event_delta(event) {
+            self.step(ctx, |core, _, out| core.propose(delta, out));
+        }
+    }
+
+    /// Won the election for `term` ([`Effect::Promoted`]): committed
     /// entries no flood we heard carried (our predecessor may have died
-    /// inside a flush window) go out ahead of the hellos, which vouch
-    /// for our version; then the alarms kept while following are judged.
-    /// (Not generic, so `step` and `judge` instantiate each other once.)
+    /// inside a flush window) get a flush, the hellos go out, and the
+    /// alarms kept while following are learned.
     fn take_over(&mut self, ctx: &mut Ctx<'_>, term: u64) {
         self.stats.terms_led.push(term);
         self.trace(ctx, TraceCategory::Election, || {
             format!("won election for term {term}")
         });
-        let log = self.replica.log();
-        let committed = log.entries().take(log.committed() as usize);
-        let unflooded: Vec<PatchEntry> = committed
-            .filter(|e| e.version > self.flooded)
-            .map(PatchEntry::from)
-            .collect();
-        if let Some(epoch) = unflooded.last().map(|e| e.version) {
-            self.flood_patch(ctx, epoch, &unflooded);
-        }
+        self.arm_flush(ctx);
         if self.topology.is_some() {
             self.send_hellos(ctx);
         } else if self.discovery.is_none() {
@@ -813,9 +799,9 @@ impl Controller {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
             ctx.set_timer(self.config.probe_interval, T_PUMP);
         }
-        let kept = std::mem::take(&mut self.unsequenced);
-        let kept = kept.into_iter().map(gray::Effect::Learned);
-        self.judge(ctx, |_, _, out| out.extend(kept));
+        for event in std::mem::take(&mut self.unsequenced) {
+            self.learn(ctx, event);
+        }
     }
 
     /// Hands one `LinkSuspect` report to the scoreboard, if this replica
@@ -840,16 +826,39 @@ impl Controller {
         {
             None => self.counters.dropped_malformed.inc(),
             Some(false) => {}
-            Some(true) => self.judge(ctx, |c, now, out| {
-                c.board
-                    .on_report(now, &c.replica, from, edge, loss_permille, out);
+            Some(true) => self.judge(ctx, |board, now, replica, out| {
+                board.on_report(now, replica, from, edge, loss_permille, out);
             }),
         }
     }
 
-    /// Floods one closed window, epoch `epoch`, to every known host in
-    /// `patch_batch_max`-entry segment frames.
-    fn flood_patch(&mut self, ctx: &mut Ctx<'_>, epoch: u64, entries: &[PatchEntry]) {
+    /// The flush window, newest first: the committed entries past
+    /// `flooded`, read back from the commit index.
+    fn unflooded(&self) -> impl Iterator<Item = &LogEntry> {
+        let log = self.replica.log();
+        let committed = (1..=log.committed()).rev().map_while(|i| log.entry(i));
+        committed.take_while(|e| e.version > self.flooded)
+    }
+
+    /// Arms the flush timer if this replica leads, the window is open
+    /// and no flush is pending.
+    fn arm_flush(&mut self, ctx: &mut Ctx<'_>) {
+        if self.replica.is_leader() && !self.flush_armed && self.unflooded().next().is_some() {
+            self.flush_armed = true;
+            ctx.set_timer(self.config.patch_delay, T_PATCH_FLUSH);
+        }
+    }
+
+    /// The flush timer fired: the window floods to every known host as
+    /// one epoch, its newest version, in `patch_batch_max`-entry segment
+    /// frames — also if this replica was deposed since it armed.
+    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush_armed = false;
+        let mut entries: Vec<PatchEntry> = self.unflooded().map(PatchEntry::from).collect();
+        entries.reverse();
+        let Some(epoch) = entries.last().map(|e| e.version) else {
+            return;
+        };
         let term = self.replica.log().term();
         let hosts = self.other_hosts();
         self.flooded = epoch;
@@ -864,7 +873,7 @@ impl Controller {
             let Some(path) = self.path_to(mac) else {
                 continue;
             };
-            for batch in PatchPipeline::frames(epoch, term, entries, max) {
+            for batch in PatchBatch::frames(epoch, term, &entries, max) {
                 let msg = ControlMessage::TopologyPatchBatch(batch);
                 // The flush timer already charged `patch_delay`; frames
                 // leave back to back and serialize on the wire.
@@ -998,7 +1007,9 @@ impl Controller {
             }
             ControlMessage::LinkNotification { event, .. }
             | ControlMessage::HostFlood { event, .. } => {
-                self.judge(ctx, |c, _, out| c.pipeline.on_alarm(event, out));
+                if self.alarms.admit(event) {
+                    self.learn(ctx, event);
+                }
             }
             ControlMessage::LinkSuspect {
                 reporter,
@@ -1034,6 +1045,8 @@ impl Node for Controller {
             + heap::arc::<ControllerCounters>()
             + self.probe_burst_size.heap_bytes()
             + self.patch_batch_entries.heap_bytes()
+            + self.alarms.heap_bytes()
+            + heap::vec(&self.unsequenced)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1099,13 +1112,11 @@ impl Node for Controller {
                     self.send_hellos(ctx);
                 }
             }
-            T_PATCH_FLUSH => self.judge(ctx, |c, _, out| c.pipeline.on_flush(out)),
+            T_PATCH_FLUSH => self.flush(ctx),
             T_PROBATION => {
                 // Every replica keeps the clock running (see `on_start`);
                 // the board acts only on a leader under its lease.
-                self.judge(ctx, |c, now, out| {
-                    c.board.on_probation(now, &c.replica, out);
-                });
+                self.judge(ctx, GrayBoard::on_probation);
                 ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
             }
             _ => {
@@ -1130,7 +1141,7 @@ impl Node for Controller {
         // re-arm the periodic machinery from scratch.
         self.counters.restarts.inc();
         self.busy_until = ctx.now();
-        self.pipeline.on_restart();
+        self.flush_armed = false;
         if self.config.gray {
             ctx.set_timer(PROBATION_INTERVAL, T_PROBATION);
         }
@@ -1140,6 +1151,8 @@ impl Node for Controller {
             ctx.set_timer(self.config.probe_interval, T_PUMP);
         }
         self.step(ctx, Replica::on_restart);
+        // A solo leader still leads: a window its crash cut short floods.
+        self.arm_flush(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1154,6 +1167,8 @@ impl Node for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dumbnet_sim::{Engine, NodeAddr, World};
+    use dumbnet_topology::Link;
 
     #[test]
     fn controller_identity_and_defaults() {
@@ -1166,7 +1181,6 @@ mod tests {
 
     #[test]
     fn preload_marks_ready_after_start() {
-        use dumbnet_sim::{Engine, World};
         let g = dumbnet_topology::generators::testbed();
         let cfg = ControllerConfig {
             preload: Some(g.topology.into()),
@@ -1210,7 +1224,6 @@ mod tests {
 
     #[test]
     fn down_alarm_older_than_the_ports_up_alarm_changes_nothing() {
-        use dumbnet_sim::{Engine, World};
         let g = dumbnet_topology::generators::testbed();
         let link = *g.topology.links().next().unwrap();
         let cfg = ControllerConfig {
@@ -1242,7 +1255,6 @@ mod tests {
     /// ends up.
     #[test]
     fn a_flap_before_the_ack_leaves_the_link_up() {
-        use dumbnet_sim::{Engine, World};
         let g = dumbnet_topology::generators::testbed();
         let link = *g.topology.links().next().unwrap();
         let cfg = ControllerConfig {
@@ -1280,6 +1292,69 @@ mod tests {
         let c = world.node::<Controller>(addr).unwrap();
         assert_eq!((c.replication().committed(), c.topo_version()), (2, 3));
         assert!(c.topology.as_ref().unwrap().link_at(link.a).unwrap().up);
+    }
+
+    /// A lone leader preloaded with the testbed, and the testbed's links.
+    fn solo_leader() -> (World, NodeAddr, Vec<Link>) {
+        let g = dumbnet_topology::generators::testbed();
+        let links = g.topology.links().copied().collect();
+        let cfg = ControllerConfig {
+            preload: Some(g.topology.into()),
+            ..ControllerConfig::default()
+        };
+        let mut world = World::new(11);
+        let addr = world.add_node(Box::new(Controller::new(HostId(0), cfg)));
+        (world, addr, links)
+    }
+
+    /// `link` goes down, as its first alarm, heard at `us`.
+    fn down_alarm(world: &mut World, addr: NodeAddr, us: u64, link: &Link) {
+        let event = LinkEvent {
+            switch: link.a.switch,
+            port: link.a.port,
+            up: false,
+            seq: 1,
+        };
+        let msg = ControlMessage::LinkNotification { event, ttl: 0 };
+        let pkt = Packet::control(MacAddr::BROADCAST, MacAddr::default(), Path::empty(), msg);
+        world.inject(SimTime::ZERO + SimDuration::from_micros(us), addr, NIC, pkt);
+    }
+
+    /// `(floods, entries flooded, flooded epoch)` at `us`.
+    fn floods_at(world: &mut World, addr: NodeAddr, us: u64) -> (u64, u64, u64) {
+        world.run_until(SimTime::ZERO + SimDuration::from_micros(us));
+        let c = world.node::<Controller>(addr).unwrap();
+        let entries = c.patch_batch_entries.snapshot();
+        assert_eq!(entries.count, c.stats().patch_floods);
+        (entries.count, entries.sum, c.flooded)
+    }
+
+    #[test]
+    fn commits_inside_one_window_flood_once_as_the_last_version() {
+        // Two commits inside one `patch_delay` window: one flood, whose
+        // epoch is the last entry's version.
+        let (mut world, addr, links) = solo_leader();
+        down_alarm(&mut world, addr, 1_000, &links[0]);
+        down_alarm(&mut world, addr, 1_200, &links[1]);
+        assert_eq!(floods_at(&mut world, addr, 1_900), (0, 0, 0));
+        assert_eq!(floods_at(&mut world, addr, 2_500), (1, 2, 3));
+        // The flood closed the window: the next commit opens another.
+        down_alarm(&mut world, addr, 5_000, &links[2]);
+        assert_eq!(floods_at(&mut world, addr, 5_900), (1, 2, 3));
+        assert_eq!(floods_at(&mut world, addr, 6_500), (2, 3, 4));
+    }
+
+    #[test]
+    fn a_solo_leader_floods_the_window_its_crash_cut_short() {
+        let (mut world, addr, links) = solo_leader();
+        down_alarm(&mut world, addr, 1_000, &links[0]);
+        world.schedule_crash(SimTime::ZERO + SimDuration::from_micros(1_500), addr);
+        world.schedule_restart(SimTime::ZERO + SimDuration::from_millis(3), addr);
+        assert_eq!(floods_at(&mut world, addr, 2_900), (0, 0, 0));
+        // Back at 3 ms, still the leader: the window floods a
+        // `patch_delay` later.
+        assert_eq!(floods_at(&mut world, addr, 3_900), (0, 0, 0));
+        assert_eq!(floods_at(&mut world, addr, 4_500), (1, 1, 2));
     }
 
     // Full controller behaviour (discovery over the wire, path service,

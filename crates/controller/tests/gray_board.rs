@@ -1,12 +1,11 @@
-//! The stage-2 cores stepped without a `World` — the gray-failure
-//! scoreboard (DESIGN.md §10.3) and the patch pipeline (§9): one valid
-//! fixture and one doctored input per clause, each with the exact
-//! effects expected.
+//! The gray-failure scoreboard (DESIGN.md §10.3) stepped without a
+//! `World`: one valid fixture and one doctored input per clause, each
+//! with the exact effects expected.
 
-use dumbnet_controller::gray::{Edge, Effect, GrayBoard, PatchPipeline};
+use dumbnet_controller::gray::{Edge, Effect, GrayBoard};
 use dumbnet_controller::{Replica, ReplicaRole, MAX_FLAPS};
-use dumbnet_packet::control::{LinkEvent, PatchEntry, TopoDelta};
-use dumbnet_types::{MacAddr, PortNo, SimDuration, SimTime, SwitchId};
+use dumbnet_packet::control::TopoDelta;
+use dumbnet_types::{MacAddr, SimDuration, SimTime, SwitchId};
 
 const EDGE: Edge = (SwitchId(1), SwitchId(2));
 
@@ -49,7 +48,6 @@ impl Rig {
                 Effect::Mark(edge, true) => delta.quarantine.push(*edge),
                 Effect::Mark(edge, false) => delta.unquarantine.push(*edge),
                 Effect::Refresh(held) => delta.quarantine.clone_from(held),
-                other => panic!("the board emitted {other:?}"),
             }
             self.replica.propose(delta, &mut Vec::new());
         }
@@ -178,96 +176,4 @@ fn flap_budget_exhausted_pins_the_edge_sticky() {
     // Only a hard link event resets it.
     rig.board.forget(EDGE);
     assert_eq!(rig.board.flaps(), []);
-}
-
-fn alarm(port: u8, up: bool, seq: u64) -> LinkEvent {
-    LinkEvent {
-        switch: SwitchId(1),
-        port: PortNo::new(port).unwrap(),
-        up,
-        seq,
-    }
-}
-
-fn entry(version: u64) -> PatchEntry {
-    let delta = TopoDelta {
-        down: vec![(SwitchId(version), SwitchId(version + 1))],
-        ..TopoDelta::default()
-    };
-    PatchEntry { version, delta }
-}
-
-/// Commits the entries of `versions` into `pipeline`, one step each:
-/// which of them opened a window.
-fn commit(pipeline: &mut PatchPipeline, versions: &[u64]) -> Vec<bool> {
-    let step = |version| pipeline.on_commit(version, entry(version).delta);
-    versions.iter().copied().map(step).collect()
-}
-
-fn flush(pipeline: &mut PatchPipeline) -> Vec<Effect> {
-    let mut out = Vec::new();
-    pipeline.on_flush(&mut out);
-    out
-}
-
-fn flood(versions: &[u64]) -> Effect {
-    let entries = versions.iter().copied().map(entry).collect();
-    Effect::Flood(*versions.last().unwrap(), entries)
-}
-
-#[test]
-fn pipeline_drops_duplicate_and_stale_alarms() {
-    let mut pipeline = PatchPipeline::default();
-    let mut out = Vec::new();
-    for event in [
-        alarm(1, false, 2),
-        alarm(1, false, 2), // another flood copy
-        alarm(1, true, 1),  // older than the port's newest
-        alarm(2, true, 1),  // another port's first
-        alarm(1, true, 3),
-    ] {
-        pipeline.on_alarm(event, &mut out);
-    }
-    let learned = [alarm(1, false, 2), alarm(2, true, 1), alarm(1, true, 3)];
-    assert_eq!(out, learned.map(Effect::Learned));
-}
-
-#[test]
-fn pipeline_floods_each_window_once_as_its_last_version() {
-    let mut pipeline = PatchPipeline::default();
-    assert_eq!(flush(&mut pipeline), [], "nothing pending, nothing flooded");
-    // Two commits inside one window: one timer, one flood, whose epoch
-    // is the last entry's version.
-    assert_eq!(commit(&mut pipeline, &[4, 7]), [true, false]);
-    assert_eq!(flush(&mut pipeline), [flood(&[4, 7])]);
-    assert_eq!(flush(&mut pipeline), []);
-    // The flush closed the window: the next commit opens another.
-    assert_eq!(commit(&mut pipeline, &[8]), [true]);
-    assert_eq!(flush(&mut pipeline), [flood(&[8])]);
-}
-
-#[test]
-fn pipeline_restart_drops_the_window() {
-    let mut pipeline = PatchPipeline::default();
-    assert_eq!(commit(&mut pipeline, &[1, 2]), [true, false]);
-    pipeline.on_restart();
-    assert_eq!(flush(&mut pipeline), []);
-    // The timer died with the node: a new window arms a new one.
-    assert_eq!(commit(&mut pipeline, &[3]), [true]);
-    assert_eq!(flush(&mut pipeline), [flood(&[3])]);
-}
-
-#[test]
-fn pipeline_frames_split_at_patch_batch_max() {
-    let entries: Vec<PatchEntry> = (1..=5).map(entry).collect();
-    let frames: Vec<_> = PatchPipeline::frames(5, 3, &entries, 2).collect();
-    let shape: Vec<_> = frames
-        .iter()
-        .map(|f| (f.epoch, f.term, f.seg, f.segs, f.entries.len()))
-        .collect();
-    assert_eq!(shape, [(5, 3, 0, 3, 2), (5, 3, 1, 3, 2), (5, 3, 2, 3, 1)]);
-    let rejoined: Vec<PatchEntry> = frames.into_iter().flat_map(|f| f.entries).collect();
-    assert_eq!(rejoined, entries);
-    let whole: Vec<_> = PatchPipeline::frames(5, 3, &entries, 32).collect();
-    assert_eq!((whole.len(), whole[0].segs), (1, 1));
 }

@@ -280,9 +280,9 @@ pub struct HostAgent {
     flood_backlog: Vec<(LinkEvent, u32)>,
     /// Whether the flood-repeat timer is armed.
     flood_armed: bool,
-    /// The coalescing writer's acceptance core; also owns the term
-    /// fence leader hellos pass.
-    patches: PatchAcceptor,
+    /// The coalescing writer's acceptance core; also owns the table
+    /// version and the term fence leader hellos pass.
+    pub patches: PatchAcceptor,
     /// The gray-failure core; absent when detection is off.
     pub gray: Option<Box<GrayDetector>>,
     /// The cores' effect buffer, reused across steps.
@@ -590,12 +590,11 @@ impl HostAgent {
                 Effect::Fenced => self.counters.stale_ctrl_updates.inc(),
                 Effect::Stale => self.counters.stale_patch_dropped.inc(),
                 Effect::Aborted => self.counters.coalesce_aborted.inc(),
-                Effect::Apply { epoch, entries } => {
+                Effect::Apply { entries, .. } => {
                     self.patch_batch_entries.observe(entries.len() as u64);
                     for entry in entries {
                         self.apply_patch_entry(ctx.now(), entry, &mut effects);
                     }
-                    self.topocache.topo_version = epoch;
                     self.counters.patch_batches_applied.inc();
                 }
                 Effect::ProbeLost => self.counters.probe_losses.inc(),
@@ -692,15 +691,13 @@ impl HostAgent {
                 self.transmit(ctx, pkt);
             }
             ControlMessage::PathReply {
-                request_id,
-                graph,
-                topo_version,
+                request_id, graph, ..
             } => {
                 let Some(dst) = self.requests.on_reply(request_id) else {
                     return;
                 };
                 if let Some(graph) = graph {
-                    self.topocache.integrate(dst, *graph, topo_version);
+                    self.topocache.integrate(dst, *graph, 0);
                     self.reinstall(dst);
                 }
                 self.flush_pending(ctx, dst);
@@ -715,24 +712,21 @@ impl HostAgent {
             | ControlMessage::HostFlood { event, .. } => {
                 self.handle_link_event(ctx, event);
             }
-            ControlMessage::TopologyPatchBatch(batch) => self.step(ctx, |agent, out| {
-                let held = agent.topocache.topo_version;
-                agent.patches.on_batch(held, batch, out);
-            }),
+            ControlMessage::TopologyPatchBatch(batch) => {
+                self.step(ctx, |agent, out| agent.patches.on_batch(batch, out));
+            }
             ControlMessage::ControllerHello {
                 controller,
                 path_to_controller,
-                topo_version,
                 standby,
                 term,
+                ..
             } => {
                 let now = ctx.now();
                 self.step(ctx, |agent, out| {
                     if !standby && !agent.patches.admit_term(term, out) {
                         return; // Leadership claim from a fenced stale leader.
                     }
-                    let held = &mut agent.topocache.topo_version;
-                    *held = topo_version.max(*held);
                     let hello = (controller, path_to_controller);
                     agent.requests.on_hello(now, hello, !standby, out);
                 });

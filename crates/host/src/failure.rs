@@ -1,12 +1,13 @@
 //! The host's failure path as pure cores (§4.2; DESIGN.md §9.3, §10.2).
 //!
 //! [`PatchAcceptor`] decides which stage-2 patch batches reach the
-//! two-level cache, [`GrayDetector`] turns probe outcomes into edge
-//! suspicion, [`RequestRetry`] decides when a cache miss asks which
-//! controller (§5.2). All follow the calling convention of the
-//! controller's consensus core: every entry point takes what it needs
-//! to know (the time, the table version, the cached walks) as data and
-//! appends [`Effect`]s to a caller-owned buffer. None reads a clock,
+//! two-level cache and owns the table version they move,
+//! [`GrayDetector`] turns probe outcomes into edge suspicion,
+//! [`RequestRetry`] decides when a cache miss asks which controller
+//! (§5.2). All follow the calling convention of the controller's
+//! consensus core: every entry point takes what it needs to know (the
+//! time, the cached walks) as data and appends [`Effect`]s to a
+//! caller-owned buffer. None reads a clock,
 //! draws randomness, sends a packet or bumps a counter —
 //! [`HostAgent`](crate::agent::HostAgent) is their adapter and applies
 //! the effects in emission order.
@@ -35,9 +36,9 @@ pub enum Effect {
     /// A partial multi-segment assembly was abandoned.
     Aborted,
     /// Move the table to `epoch` in one step: `entries` are the ones
-    /// above the table version, in ascending version order.
+    /// above the old table version, in ascending version order.
     Apply {
-        /// Table version after applying.
+        /// Table version after applying (the acceptor already holds it).
         epoch: u64,
         /// The entries to apply.
         entries: Vec<PatchEntry>,
@@ -76,11 +77,14 @@ struct Assembly {
 /// The coalescing writer's acceptance rules (§4.2 stage 2, receive
 /// side), in order: term fence, monotone epochs, whole-epoch assembly
 /// with only the newest epoch kept. The table never reflects half a
-/// batch: what passes leaves as one [`Effect::Apply`].
+/// batch: what passes leaves as one [`Effect::Apply`], and only that
+/// moves the table version.
 #[derive(Debug, Clone, Default)]
 pub struct PatchAcceptor {
     /// Highest leadership term heard from any controller.
     leader_term: u64,
+    /// The table version: the epoch of the last [`Effect::Apply`].
+    version: u64,
     assembly: Option<Assembly>,
 }
 
@@ -92,6 +96,12 @@ impl PatchAcceptor {
             let parts: usize = a.parts.iter().flatten().map(heap::vec).sum();
             heap::vec(&a.parts) + parts
         })
+    }
+
+    /// The table version: the epoch of the last batch handed over.
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// The term fence every leader-stamped update passes (patch batches
@@ -106,18 +116,18 @@ impl PatchAcceptor {
         true
     }
 
-    /// Judges one batch frame against a table at version `held`.
-    pub fn on_batch(&mut self, held: u64, batch: PatchBatch, out: &mut Vec<Effect>) {
+    /// Judges one batch frame against the table version.
+    pub fn on_batch(&mut self, batch: PatchBatch, out: &mut Vec<Effect>) {
         if !self.admit_term(batch.term, out) {
             return;
         }
-        if batch.epoch <= held {
+        if batch.epoch <= self.version {
             out.push(Effect::Stale);
             return;
         }
         let (seg, segs) = (usize::from(batch.seg), usize::from(batch.segs.max(1)));
         if segs == 1 {
-            return self.complete(held, batch.epoch, batch.entries, out);
+            return self.complete(batch.epoch, batch.entries, out);
         }
         if seg >= segs {
             return; // Malformed segment index (the codec rejects it on the wire).
@@ -147,27 +157,23 @@ impl PatchAcceptor {
         if asm.got == segs {
             let parts = self.assembly.take().map_or(Vec::new(), |asm| asm.parts);
             let entries = parts.into_iter().flatten().flatten().collect();
-            self.complete(held, batch.epoch, entries, out);
+            self.complete(batch.epoch, entries, out);
         }
     }
 
-    /// Hands over one complete epoch. Entries at or below `held` are
-    /// dropped — re-applying them could resurrect link state a version
-    /// in between has since overwritten — and a partial at or below
-    /// `epoch` is abandoned: its stragglers can only be stale.
-    fn complete(
-        &mut self,
-        held: u64,
-        epoch: u64,
-        mut entries: Vec<PatchEntry>,
-        out: &mut Vec<Effect>,
-    ) {
+    /// Hands over one complete epoch, which becomes the table version.
+    /// Entries at or below the old version are dropped — re-applying
+    /// them could resurrect link state a version in between has since
+    /// overwritten — and a partial at or below `epoch` is abandoned: its
+    /// stragglers can only be stale.
+    fn complete(&mut self, epoch: u64, mut entries: Vec<PatchEntry>, out: &mut Vec<Effect>) {
         if self.assembly.as_ref().is_some_and(|a| a.epoch <= epoch) {
             out.push(Effect::Aborted);
             self.assembly = None;
         }
-        entries.retain(|e| e.version > held);
+        entries.retain(|e| e.version > self.version);
         entries.sort_by_key(|e| e.version);
+        self.version = epoch;
         out.push(Effect::Apply { epoch, entries });
     }
 }

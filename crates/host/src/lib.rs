@@ -13,7 +13,8 @@
 //!   tags of bounce walks.
 //! * [`failure`] — the host's decisions as pure cores, stepped without
 //!   a simulator: [`PatchAcceptor`] (term fence, monotone epochs,
-//!   whole-epoch stage-2 assembly), [`GrayDetector`] (bounce-walk
+//!   whole-epoch stage-2 assembly, and the table version, which only an
+//!   applied epoch moves), [`GrayDetector`] (bounce-walk
 //!   ledger and loss rates, 007's per-edge vote, soft-state quarantine)
 //!   and [`RequestRetry`] (parked misses, path requests and their
 //!   retry), with the [`failure::Effect`]s they emit.

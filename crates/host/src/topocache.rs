@@ -30,8 +30,6 @@ pub struct TopoCache {
     /// Edges the host currently believes are down (from failure
     /// notifications not yet superseded by a topology patch).
     down: HashSet<(SwitchId, SwitchId)>,
-    /// Latest topology version seen from the controller.
-    pub topo_version: u64,
     /// Memoized [`TopoCache::k_paths`] results, valid for the current
     /// `(graphs, down)` state; cleared on integrate/mark_up, and on a
     /// mark_down of an edge some cached graph holds.
@@ -69,11 +67,9 @@ impl TopoCache {
         TopoCache::default()
     }
 
-    /// Integrates a path graph received from the controller.
-    pub fn integrate(&mut self, dst: MacAddr, graph: PathGraph, version: u64) {
-        if version > self.topo_version {
-            self.topo_version = version;
-        }
+    /// Integrates a path graph received from the controller. `_version`
+    /// is unread: only an applied patch moves the table version.
+    pub fn integrate(&mut self, dst: MacAddr, graph: PathGraph, _version: u64) {
         // A fresh graph reflects the controller's current view; forget
         // down-markings it already accounts for (edges absent from it
         // stay marked for other cached graphs).
@@ -225,7 +221,6 @@ mod tests {
         let mut tc = TopoCache::new();
         assert!(tc.k_paths(dst, 4).is_none());
         tc.integrate(dst, pg, 3);
-        assert_eq!(tc.topo_version, 3);
         let (paths, backup) = tc.k_paths(dst, 4).unwrap();
         assert!(paths.len() >= 2, "testbed has 2 spines: {}", paths.len());
         assert!(backup.is_some() || paths.len() >= 2);

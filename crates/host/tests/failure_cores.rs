@@ -58,13 +58,27 @@ fn apply(epoch: u64, versions: &[u64]) -> Effect {
     }
 }
 
-/// Feeds `frames` to a fresh acceptor whose adapter holds `held`
-/// throughout; returns the effects of each frame.
-fn accept(held: u64, frames: Vec<PatchBatch>) -> Vec<Vec<Effect>> {
+/// An acceptor whose table already holds version `held` (epoch `held`
+/// applied whole; nothing held at 0).
+fn acceptor_at(held: u64) -> PatchAcceptor {
     let mut acceptor = PatchAcceptor::default();
+    if held > 0 {
+        let mut out = Vec::new();
+        acceptor.on_batch(frame(held, (0, 1), &[held]), &mut out);
+        assert_eq!(out, [apply(held, &[held])]);
+    }
+    assert_eq!(acceptor.version(), held);
+    acceptor
+}
+
+/// Feeds `frames` to an acceptor at version `held`; returns the effects
+/// of each frame. An applied epoch moves the version for the frames
+/// after it.
+fn accept(held: u64, frames: Vec<PatchBatch>) -> Vec<Vec<Effect>> {
+    let mut acceptor = acceptor_at(held);
     let step = |batch| {
         let mut out = Vec::new();
-        acceptor.on_batch(held, batch, &mut out);
+        acceptor.on_batch(batch, &mut out);
         out
     };
     frames.into_iter().map(step).collect()
@@ -103,17 +117,19 @@ fn acceptor_fences_lower_terms_for_batches_and_hellos_alike() {
     // PR 6 bug 2: a fenced stale leader still floods from its side.
     let (mut acceptor, mut out) = (PatchAcceptor::default(), Vec::new());
     assert!(acceptor.admit_term(5, &mut out));
-    acceptor.on_batch(0, frame(9, (0, 1), &[9]), &mut out);
+    acceptor.on_batch(frame(9, (0, 1), &[9]), &mut out);
     assert!(!acceptor.admit_term(4, &mut out));
     assert_eq!(out, [Effect::Fenced, Effect::Fenced]);
+    assert_eq!(acceptor.version(), 0, "a fenced batch moves nothing");
     // The fence sits before the epoch check and moves with a batch.
     let newer = PatchBatch {
         term: 6,
         ..frame(9, (0, 1), &[9])
     };
-    acceptor.on_batch(0, newer, &mut out);
+    acceptor.on_batch(newer, &mut out);
     assert!(!acceptor.admit_term(5, &mut out));
     assert_eq!(out[2..], [apply(9, &[9]), Effect::Fenced]);
+    assert_eq!(acceptor.version(), 9);
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //!
 //! Only the cases that need the wire live here: what an accepted or
 //! refused batch does to the two-level cache, the arrival series and
-//! the counters. The acceptance rules themselves are pinned effect by
-//! effect in `failure_cores.rs` — the duplicate flood round by
+//! the counters, and that a hello or a path reply leaves the table
+//! version to the patches. The acceptance rules themselves are pinned
+//! effect by effect in `failure_cores.rs` — the duplicate flood round by
 //! `acceptor_drops_stale_reorders_and_replayed_entries`, the superseded
 //! partial and its straggler by
 //! `acceptor_abandons_superseded_partials_and_their_stragglers`.
@@ -19,7 +20,10 @@ use dumbnet_host::agent::{HostAgent, HostAgentConfig};
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
 use dumbnet_packet::{ControlMessage, Packet};
 use dumbnet_sim::{Engine, World};
+use dumbnet_topology::{generators, pathgraph, PathGraphParams};
 use dumbnet_types::{HostId, MacAddr, Path, PortId, PortNo, SimDuration, SimTime, SwitchId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn at_us(us: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_micros(us)
@@ -106,7 +110,7 @@ fn stale_patch_after_newer_is_dropped() {
         "stale patch clobbered the newer table: {:?}",
         agent.topocache.down_edges()
     );
-    assert_eq!(agent.topocache.topo_version, 3);
+    assert_eq!(agent.patches.version(), 3);
     let stats = agent.stats();
     assert_eq!(stats.stale_patch_dropped, 1, "stale drop not counted");
     assert_eq!(stats.patch_batches_applied, 1);
@@ -152,7 +156,7 @@ fn multi_segment_batch_applies_atomically() {
             agent.topocache.down_edges().is_empty(),
             "half a batch became visible"
         );
-        assert_eq!(agent.topocache.topo_version, 0);
+        assert_eq!(agent.patches.version(), 0);
         assert_eq!(agent.stats().patch_batches_applied, 0);
     }
     rig.inject(
@@ -168,7 +172,7 @@ fn multi_segment_batch_applies_atomically() {
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
     assert_eq!(agent.topocache.down_edges().len(), 2);
-    assert_eq!(agent.topocache.topo_version, 2);
+    assert_eq!(agent.patches.version(), 2);
     assert_eq!(agent.stats().patch_batches_applied, 1);
 }
 
@@ -188,7 +192,7 @@ fn batch_from_fenced_stale_leader_is_dropped() {
     );
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
-    assert_eq!(agent.topocache.topo_version, 2);
+    assert_eq!(agent.patches.version(), 2);
     assert_eq!(agent.topocache.down_edges().len(), 1);
     assert_eq!(agent.stats().stale_ctrl_updates, 1);
 }
@@ -227,7 +231,7 @@ fn entries_at_or_below_table_version_are_skipped_within_a_batch() {
     );
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
-    assert_eq!(agent.topocache.topo_version, 4);
+    assert_eq!(agent.patches.version(), 4);
     assert!(
         agent
             .topocache
@@ -246,6 +250,71 @@ fn entries_at_or_below_table_version_are_skipped_within_a_batch() {
             .collect::<Vec<_>>(),
         vec![2, 3, 4]
     );
+}
+
+/// A leader hello from host 0 at term 1, claiming topology `version`.
+fn hello(version: u64) -> ControlMessage {
+    ControlMessage::ControllerHello {
+        controller: MacAddr::for_host(0),
+        path_to_controller: Path::from_ports([1]).expect("valid path"),
+        topo_version: version,
+        standby: false,
+        term: 1,
+    }
+}
+
+/// Asserts the agent applied exactly `patch(3, down(4, 7))`.
+fn applied_the_flood_of_3(agent: &HostAgent) {
+    let stats = agent.stats();
+    assert_eq!(
+        (stats.patch_batches_applied, stats.stale_patch_dropped),
+        (1, 0)
+    );
+    assert_eq!(agent.patches.version(), 3);
+    assert!(agent
+        .topocache
+        .down_edges()
+        .contains(&(SwitchId(4), SwitchId(7))));
+}
+
+#[test]
+fn a_hello_does_not_move_the_table_version() {
+    // The hello vouches for version 3, but the host never applied the
+    // deltas up to it: the patch that carries them must still apply.
+    let mut rig = Rig::new();
+    rig.inject(at_us(100), hello(3));
+    rig.inject(at_us(200), patch(3, down(4, 7)));
+    rig.world.run_until(at_us(500));
+    applied_the_flood_of_3(rig.agent());
+}
+
+#[test]
+fn a_path_reply_does_not_move_the_table_version() {
+    // A ping's pong misses the PathTable and asks the controller; the
+    // reply is built at version 3, between the commit of 3 and its
+    // flood. The flood must still apply.
+    let mut rig = Rig::new();
+    rig.inject(at_us(100), hello(1));
+    let ping = ControlMessage::Ping {
+        seq: 1,
+        sent_at: at_us(150),
+    };
+    rig.inject(at_us(150), ping);
+    rig.world.run_until(at_us(180));
+    assert_eq!(rig.agent().stats().path_requests, 1);
+    let g = generators::testbed();
+    let mut rng = StdRng::seed_from_u64(7);
+    let params = PathGraphParams::default();
+    let graph = pathgraph::build(&g.topology, HostId(1), HostId(0), &params, &mut rng);
+    let reply = ControlMessage::PathReply {
+        request_id: 1,
+        graph: Some(Box::new(graph.expect("graph"))),
+        topo_version: 3,
+    };
+    rig.inject(at_us(200), reply);
+    rig.inject(at_us(300), patch(3, down(4, 7)));
+    rig.world.run_until(at_us(500));
+    applied_the_flood_of_3(rig.agent());
 }
 
 #[test]

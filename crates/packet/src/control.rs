@@ -211,6 +211,25 @@ impl PatchBatch {
         }
     }
 
+    /// One flood of epoch `epoch`: `entries` in segment frames of at
+    /// most `max` entries each.
+    pub fn frames(
+        epoch: u64,
+        term: u64,
+        entries: &[PatchEntry],
+        max: usize,
+    ) -> impl Iterator<Item = PatchBatch> + '_ {
+        let segs = u16::try_from(entries.len().div_ceil(max)).unwrap_or(u16::MAX);
+        let frame = move |(seg, chunk): (usize, &[PatchEntry])| PatchBatch {
+            epoch,
+            term,
+            seg: u16::try_from(seg).unwrap_or(u16::MAX),
+            segs,
+            entries: chunk.to_vec(),
+        };
+        entries.chunks(max).enumerate().map(frame)
+    }
+
     /// Whether any entry carries quarantine state, forcing the V2 wire
     /// encoding for the whole batch.
     #[must_use]
@@ -469,7 +488,8 @@ pub enum ControlMessage {
         request_id: u64,
         /// The cached subgraph (§4.3), if the destination exists.
         graph: Option<Box<PathGraph>>,
-        /// Topology version the graph was computed against.
+        /// Topology version the graph was computed against. Unread; it
+        /// stays because `wire_size` charges its 8 bytes.
         topo_version: u64,
     },
     /// Host-originated gray-failure probe on a closed walk: its tags
@@ -507,7 +527,8 @@ pub enum ControlMessage {
         controller: MacAddr,
         /// Tag path from the host back to the controller.
         path_to_controller: Path,
-        /// Current topology version.
+        /// The sender's topology version. Unread; it stays because
+        /// `wire_size` charges its 8 bytes.
         topo_version: u64,
         /// Whether the sender is a standby replica. Hosts send new path
         /// queries to every live controller round-robin (§4: "we use
@@ -810,6 +831,28 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn patch_batch_frames_split_at_the_segment_size() {
+        let entry = |version: u64| PatchEntry {
+            version,
+            delta: TopoDelta {
+                down: vec![(SwitchId(version), SwitchId(version + 1))],
+                ..TopoDelta::default()
+            },
+        };
+        let entries: Vec<PatchEntry> = (1..=5).map(entry).collect();
+        let frames: Vec<_> = PatchBatch::frames(5, 3, &entries, 2).collect();
+        let shape: Vec<_> = frames
+            .iter()
+            .map(|f| (f.epoch, f.term, f.seg, f.segs, f.entries.len()))
+            .collect();
+        assert_eq!(shape, [(5, 3, 0, 3, 2), (5, 3, 1, 3, 2), (5, 3, 2, 3, 1)]);
+        let rejoined: Vec<PatchEntry> = frames.into_iter().flat_map(|f| f.entries).collect();
+        assert_eq!(rejoined, entries);
+        let whole: Vec<_> = PatchBatch::frames(5, 3, &entries, 32).collect();
+        assert_eq!((whole.len(), whole[0].segs), (1, 1));
     }
 
     #[test]

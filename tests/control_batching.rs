@@ -134,7 +134,7 @@ fn events_within_flush_window_coalesce_into_one_epoch() {
     let agent = fabric.host(HostId(26)).expect("host");
     let astats = agent.stats();
     assert_eq!(astats.patch_batches_applied, 1);
-    assert_eq!(agent.topocache.topo_version, 3);
+    assert_eq!(agent.patches.version(), 3);
     assert_eq!(
         astats
             .patch_arrivals
@@ -177,7 +177,7 @@ fn segmented_epochs_reassemble_end_to_end() {
     assert_eq!(stats.patches_sent, 2 * (hosts - 1));
     let agent = fabric.host(HostId(26)).expect("host");
     assert_eq!(agent.stats().patch_batches_applied, 1);
-    assert_eq!(agent.topocache.topo_version, 3);
+    assert_eq!(agent.patches.version(), 3);
 }
 
 /// Windowed discovery (the pipelined probe pump) must converge to the

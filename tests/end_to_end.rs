@@ -614,3 +614,31 @@ fn a_commit_the_dead_leader_never_flooded_is_flooded_by_the_next() {
     // 50 ms flush window outlives the leader: the winner floods it.
     down_survives_the_leader(50, 100, 130);
 }
+
+#[test]
+fn a_promotion_floods_only_what_no_flood_carried() {
+    // The down commits and floods as epoch 2, which both followers
+    // hear; the leader dies before a heartbeat tells them it committed.
+    // The winner's no-op commits the inherited entry with it, and its
+    // flood carries the no-op alone.
+    use dumbnet::telemetry::{MetricValue, NodeKind};
+    let g = generators::testbed();
+    let (leaf, spine) = (g.group("leaf")[1], g.group("spine")[0]);
+    let mut fabric = three_controllers(SimDuration::from_millis(1));
+    let leader_addr = fabric.host_addr(HostId(0)).unwrap();
+    fabric.world.schedule_crash(at_ms(110), leader_addr);
+    fabric
+        .schedule_link_failure(at_ms(105), leaf, spine)
+        .unwrap();
+    fabric.run_until(at_ms(600));
+    let winner = fabric.controller(HostId(13)).unwrap();
+    assert!(winner.stats().is_leader, "host 13 must take over");
+    assert_eq!(winner.topo_version(), 3, "the down and the no-op");
+    let snapshot = fabric.telemetry_snapshot();
+    let floods = |h: u64| match snapshot.get(NodeKind::Controller, h, "patch_batch_entries") {
+        Some(MetricValue::Histogram(floods)) => (floods.count, floods.sum),
+        other => panic!("controller {h}: {other:?}"),
+    };
+    assert_eq!(floods(0), (1, 1), "the dead leader flooded epoch 2");
+    assert_eq!(floods(13), (1, 1), "the winner re-sent an epoch it heard");
+}
