@@ -31,7 +31,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use dumbnet_types::{
-    DumbNetError, FastHashMap, MacAddr, Path, PortNo, Result, SimDuration, SimTime, SwitchId, Tag,
+    heap, DumbNetError, FastHashMap, MacAddr, Path, PortNo, Result, SimDuration, SimTime, SwitchId,
+    Tag,
 };
 
 use dumbnet_topology::Topology;
@@ -377,6 +378,32 @@ pub struct DiscoveryState {
 }
 
 impl DiscoveryState {
+    /// The heap the state machine holds: the per-switch progress, the
+    /// job queue, the probe ledger and the verify-mode hint.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let switches: usize = self
+            .switches
+            .iter()
+            .map(|s| {
+                heap::vec(&s.fwd)
+                    + heap::vec(&s.ret)
+                    + heap::btree_map(&s.link_ports)
+                    + heap::btree_map(&s.host_ports)
+            })
+            .sum();
+        let deadlines: usize = self.deadlines.iter().map(heap::deque).sum();
+        let ledger = heap::vec(&self.outstanding.slab) + heap::deque(&self.outstanding.index);
+        heap::vec(&self.switches)
+            + switches
+            + heap::hash_map(&self.switch_ix)
+            + heap::deque(&self.jobs)
+            + ledger
+            + deadlines
+            + heap::deque(&self.retries)
+            + self.config.hint.as_ref().map_or(0, Topology::heap_bytes)
+    }
+
     /// Creates a fresh state machine for the prober with address `mac`.
     #[must_use]
     pub fn new(mac: MacAddr, config: DiscoveryConfig) -> DiscoveryState {

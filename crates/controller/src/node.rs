@@ -22,7 +22,7 @@ use dumbnet_packet::control::{
 };
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
-use dumbnet_telemetry::{counter_block, Gauge, Histogram, NodeKind, TraceCategory};
+use dumbnet_telemetry::{counter_block, Doubling, Level, NodeKind, TraceCategory};
 use dumbnet_topology::{pathgraph, PathGraph, PathGraphParams, RouteCache, Topology};
 use dumbnet_types::{
     heap, mix64, norm_edge, DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result,
@@ -223,7 +223,9 @@ pub struct ControllerStats {
 }
 
 counter_block! {
-    /// Live counters behind the scalar half of [`ControllerStats`].
+    /// The controller's one registry entry: the live counters behind
+    /// the scalar half of [`ControllerStats`], its gauges and its
+    /// histograms.
     struct ControllerCounters => ControllerStats {
         probes_sent,
         path_requests,
@@ -244,6 +246,16 @@ counter_block! {
         /// `publish_telemetry`.
         route_cache_hits,
         route_cache_misses,
+        /// 1 while this replica leads, 0 otherwise (synced in
+        /// `publish_telemetry`).
+        is_leader: Level,
+        /// Current leadership term (synced in `publish_telemetry`).
+        term: Level,
+        /// Probes emitted per pump tick (the in-flight window actually
+        /// achieved; capped by `probe_window`).
+        probe_burst_size: Doubling<1, 8>,
+        /// Patch entries coalesced per flood round.
+        patch_batch_entries: Doubling<1, 8>,
     }
 }
 
@@ -289,16 +301,6 @@ pub struct Controller {
     /// Measurement series (scalar counters live in `counters`).
     stats: ControllerStats,
     counters: Arc<ControllerCounters>,
-    /// 1 while this replica leads, 0 otherwise (synced in
-    /// `publish_telemetry`).
-    leader_gauge: Gauge,
-    /// Current leadership term (synced in `publish_telemetry`).
-    term_gauge: Gauge,
-    /// Probes emitted per pump tick (the in-flight window actually
-    /// achieved; capped by `probe_window`).
-    probe_burst_size: Histogram,
-    /// Patch entries coalesced per flood round.
-    patch_batch_entries: Histogram,
 }
 
 impl Controller {
@@ -349,10 +351,6 @@ impl Controller {
             stage2: Vec::new(),
             stats,
             counters: Arc::default(),
-            leader_gauge: Gauge::new(),
-            term_gauge: Gauge::new(),
-            probe_burst_size: Histogram::doubling(1, 8),
-            patch_batch_entries: Histogram::doubling(1, 8),
             config,
         }
     }
@@ -647,7 +645,7 @@ impl Controller {
             }
         }
         if sent > 0 {
-            self.probe_burst_size.observe(sent as u64);
+            self.counters.probe_burst_size.observe(sent as u64);
             ctx.set_timer(self.config.probe_interval, T_PUMP);
             return;
         }
@@ -863,7 +861,9 @@ impl Controller {
         let hosts = self.other_hosts();
         self.flooded = epoch;
         self.counters.patch_floods.inc();
-        self.patch_batch_entries.observe(entries.len() as u64);
+        self.counters
+            .patch_batch_entries
+            .observe(entries.len() as u64);
         self.trace(ctx, TraceCategory::Route, || {
             let (n, to) = (entries.len(), hosts.len());
             format!("floods patch batch epoch {epoch} ({n} entries) to {to} hosts")
@@ -1043,23 +1043,18 @@ impl Node for Controller {
         topology.map_or(0, |t| heap::arc::<Topology>() + t.heap_bytes())
             + self.route_cache.heap_bytes()
             + heap::arc::<ControllerCounters>()
-            + self.probe_burst_size.heap_bytes()
-            + self.patch_batch_entries.heap_bytes()
+            + self.replica.heap_bytes()
+            + self
+                .discovery
+                .as_ref()
+                .map_or(0, DiscoveryState::heap_bytes)
             + self.alarms.heap_bytes()
             + heap::vec(&self.unsequenced)
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let (telemetry, node) = (ctx.telemetry(), self.id.get());
-        telemetry.register_block(NodeKind::Controller, node, self.counters.clone());
-        telemetry.register_gauge(NodeKind::Controller, node, "is_leader", &self.leader_gauge);
-        telemetry.register_gauge(NodeKind::Controller, node, "term", &self.term_gauge);
-        for (name, h) in [
-            ("probe_burst_size", &self.probe_burst_size),
-            ("patch_batch_entries", &self.patch_batch_entries),
-        ] {
-            telemetry.register_histogram(NodeKind::Controller, node, name, h);
-        }
+        ctx.telemetry()
+            .register_block(NodeKind::Controller, self.id.get(), self.counters.clone());
         if self.config.run_discovery && self.config.is_leader {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
             ctx.set_timer(START_DELAY, T_PUMP);
@@ -1129,11 +1124,12 @@ impl Node for Controller {
     }
 
     fn publish_telemetry(&mut self) {
-        self.leader_gauge.set(i64::from(self.replica.is_leader()));
-        self.term_gauge.set(self.replica.log().term() as i64);
+        let c = &self.counters;
+        c.is_leader.set(i64::from(self.replica.is_leader()));
+        c.term.set(self.replica.log().term() as i64);
         let rc = self.route_cache.stats();
-        self.counters.route_cache_hits.set(rc.hits);
-        self.counters.route_cache_misses.set(rc.misses);
+        c.route_cache_hits.set(rc.hits);
+        c.route_cache_misses.set(rc.misses);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -1324,7 +1320,7 @@ mod tests {
     fn floods_at(world: &mut World, addr: NodeAddr, us: u64) -> (u64, u64, u64) {
         world.run_until(SimTime::ZERO + SimDuration::from_micros(us));
         let c = world.node::<Controller>(addr).unwrap();
-        let entries = c.patch_batch_entries.snapshot();
+        let entries = c.counters.patch_batch_entries.snapshot();
         assert_eq!(entries.count, c.stats().patch_floods);
         (entries.count, entries.sum, c.flooded)
     }

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dumbnet_packet::control::{LogEntry, TopoDelta};
 use dumbnet_packet::ControlMessage;
-use dumbnet_types::{norm_edge, MacAddr, SimDuration, SimTime, SwitchId};
+use dumbnet_types::{heap, norm_edge, MacAddr, SimDuration, SimTime, SwitchId};
 
 /// Role of this replica in the controller group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -436,6 +436,24 @@ impl Replica {
             answered_queries: BTreeSet::new(),
             peer_heard: BTreeMap::new(),
         }
+    }
+
+    /// The heap this replica holds: the log (its entries and their
+    /// deltas) and the election, query and lease bookkeeping.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let log = &self.log;
+        let deltas: usize = log.entries.iter().map(|e| e.delta.heap_bytes()).sum();
+        heap::vec(&log.members)
+            + heap::vec(&log.entries)
+            + deltas
+            + heap::vec(&log.matched)
+            + self
+                .election
+                .as_ref()
+                .map_or(0, |e| heap::btree_set(&e.votes))
+            + heap::btree_set(&self.answered_queries)
+            + heap::btree_map(&self.peer_heard)
     }
 
     /// Read access to the replicated log.

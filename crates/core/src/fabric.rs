@@ -333,7 +333,11 @@ impl<W: Engine> Fabric<W> {
         for sw in topology.switches() {
             let node = DumbSwitch::new(sw.id, sw.ports, config.switch);
             let cell = cells.map_or(0, |a| a.switch_cell(sw.id));
-            switch_addr.push(world.add_node_in_cell(Box::new(node), cell));
+            let addr = world.add_node_in_cell(Box::new(node), cell);
+            if let Some(top) = sw.top_port() {
+                world.reserve_ports(addr, top);
+            }
+            switch_addr.push(addr);
         }
         // Hosts (agents or controllers).
         let mut host_addr = Vec::with_capacity(topology.host_count());
@@ -348,6 +352,7 @@ impl<W: Engine> Fabric<W> {
             } else {
                 world.add_node_in_cell(Box::new(mk_host(h.id, config.host.clone())), cell)
             };
+            world.reserve_ports(addr, NIC);
             host_addr.push(addr);
         }
         // Trunk links.

@@ -13,12 +13,12 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use dumbnet_packet::control::{LinkEvent, LinkEventFilter, PatchEntry};
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
-use dumbnet_telemetry::{counter_block, Histogram, NodeKind};
+use dumbnet_telemetry::{counter_block, Doubling, NodeKind};
 use dumbnet_types::{
     heap, norm_edge, DumbNetError, HostId, MacAddr, Path, PortNo, Result, SimDuration, SimTime,
     SwitchId,
@@ -212,7 +212,8 @@ pub struct AgentStats {
 }
 
 counter_block! {
-    /// Live counters behind the scalar half of [`AgentStats`].
+    /// The agent's one registry entry: the live counters behind the
+    /// scalar half of [`AgentStats`], and its histograms.
     struct AgentCounters => AgentStats {
         path_requests,
         queued_on_miss,
@@ -235,6 +236,12 @@ counter_block! {
         /// `publish_telemetry` so workload aggregation can read snapshots.
         delivered_packets,
         delivered_bytes,
+        /// Completed RTT samples, in nanoseconds: 1 µs first bucket,
+        /// doubling out to ~33 ms.
+        rtt_ns: Doubling<1_024, 16>,
+        /// Patch entries applied per coalesced epoch (batch-size
+        /// visibility on the receive side).
+        patch_batch_entries: Doubling<1, 8>,
     }
 }
 
@@ -249,13 +256,6 @@ struct Series {
     ecn_marked: HashMap<u64, u64>,
     stats_replies: Vec<(SwitchId, Vec<dumbnet_packet::control::PortStat>)>,
 }
-
-/// Bounds of every agent's `rtt_ns` histogram: 1 µs first bucket,
-/// doubling out to ~33 ms. Built once and shared.
-static RTT_BOUNDS: LazyLock<Arc<[u64]>> = LazyLock::new(|| Histogram::doubling_bounds(1_024, 16));
-
-/// Bounds of every agent's `patch_batch_entries` histogram.
-static BATCH_BOUNDS: LazyLock<Arc<[u64]>> = LazyLock::new(|| Histogram::doubling_bounds(1, 8));
 
 /// The host agent node.
 pub struct HostAgent {
@@ -290,11 +290,6 @@ pub struct HostAgent {
     /// Measurement series (scalar counters live in `counters`).
     series: Series,
     counters: Arc<AgentCounters>,
-    /// Completed RTT samples, in nanoseconds ([`RTT_BOUNDS`]).
-    rtt_ns: Histogram,
-    /// Patch entries applied per coalesced epoch (batch-size visibility
-    /// on the receive side).
-    patch_batch_entries: Histogram,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -349,8 +344,6 @@ impl HostAgent {
             config,
             series: Series::default(),
             counters: Arc::default(),
-            rtt_ns: Histogram::with_bounds(Arc::clone(&RTT_BOUNDS)),
-            patch_batch_entries: Histogram::with_bounds(Arc::clone(&BATCH_BOUNDS)),
         }
     }
 
@@ -591,7 +584,9 @@ impl HostAgent {
                 Effect::Stale => self.counters.stale_patch_dropped.inc(),
                 Effect::Aborted => self.counters.coalesce_aborted.inc(),
                 Effect::Apply { entries, .. } => {
-                    self.patch_batch_entries.observe(entries.len() as u64);
+                    self.counters
+                        .patch_batch_entries
+                        .observe(entries.len() as u64);
                     for entry in entries {
                         self.apply_patch_entry(ctx.now(), entry, &mut effects);
                     }
@@ -739,7 +734,7 @@ impl HostAgent {
             }
             ControlMessage::Pong { seq, echo_sent_at } => {
                 let rtt = (ctx.now() - echo_sent_at) + self.config.stack_delay;
-                self.rtt_ns.observe(rtt.nanos());
+                self.counters.rtt_ns.observe(rtt.nanos());
                 self.series.rtts.push((seq, echo_sent_at, rtt));
             }
             ControlMessage::EcnEcho { flow } => {
@@ -829,20 +824,11 @@ impl Node for HostAgent {
             + heap::vec(&s.stats_replies)
             + replies
             + heap::arc::<AgentCounters>()
-            + self.rtt_ns.heap_bytes()
-            + self.patch_batch_entries.heap_bytes()
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let (telemetry, node) = (ctx.telemetry(), self.id.get());
-        telemetry.register_block(NodeKind::Host, node, self.counters.clone());
-        telemetry.register_histogram(NodeKind::Host, node, "rtt_ns", &self.rtt_ns);
-        telemetry.register_histogram(
-            NodeKind::Host,
-            node,
-            "patch_batch_entries",
-            &self.patch_batch_entries,
-        );
+        ctx.telemetry()
+            .register_block(NodeKind::Host, self.id.get(), self.counters.clone());
         for (ix, action) in self.config.actions.iter().enumerate() {
             let at = match action {
                 AppAction::PingSeries { at, .. } | AppAction::DataStream { at, .. } => *at,

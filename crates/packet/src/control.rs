@@ -84,6 +84,13 @@ pub struct TopoDelta {
 }
 
 impl TopoDelta {
+    /// The heap the delta's four lists hold.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use dumbnet_types::heap::vec;
+        vec(&self.down) + vec(&self.up) + vec(&self.quarantine) + vec(&self.unquarantine)
+    }
+
     /// Returns `true` when the delta carries no changes.
     #[must_use]
     pub fn is_empty(&self) -> bool {

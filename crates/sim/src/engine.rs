@@ -47,6 +47,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -181,35 +182,57 @@ struct Wire {
     busy: [SimTime; 2],
 }
 
+/// One port slot: the wire on the port as its index + 1, so an empty
+/// slot is the niche and a slot is 4 bytes (wire indices fit in `u32`,
+/// asserted where wires are added).
+type PortSlot = Option<NonZeroU32>;
+
+fn slot_wire(slot: NonZeroU32) -> WireId {
+    WireId(slot.get() as usize - 1)
+}
+
 #[derive(Debug, Default)]
 struct Wiring {
     wires: Vec<Wire>,
     /// Dense per-node port table, indexed `[node][port]` (ports are
     /// 1..=254, so slot 0 is always empty). Replaces a hash map on the
     /// transmit hot path: wire lookup is two array indexes.
-    port_map: Vec<Vec<Option<WireId>>>,
+    port_map: Vec<Vec<PortSlot>>,
 }
 
 impl Wiring {
     /// `node`'s port table (empty for an unknown or unwired node).
-    fn ports(&self, node: NodeAddr) -> &[Option<WireId>] {
+    fn ports(&self, node: NodeAddr) -> &[PortSlot] {
         self.port_map.get(node.0).map_or(&[], Vec::as_slice)
     }
 
     fn at(&self, node: NodeAddr, port: PortNo) -> Option<WireId> {
-        *self.ports(node).get(usize::from(port.get()))?
+        self.ports(node)
+            .get(usize::from(port.get()))?
+            .map(slot_wire)
     }
 
-    fn map_port(&mut self, node: NodeAddr, port: PortNo, id: WireId) {
+    fn node_ports(&mut self, node: NodeAddr) -> &mut Vec<PortSlot> {
         if self.port_map.len() <= node.0 {
             self.port_map.resize_with(node.0 + 1, Vec::new);
         }
-        let ports = &mut self.port_map[node.0];
+        &mut self.port_map[node.0]
+    }
+
+    /// Sizes `node`'s table for ports up to `top` in one exact
+    /// allocation; wiring them then fills it without growing it.
+    fn reserve_ports(&mut self, node: NodeAddr, top: PortNo) {
+        let ports = self.node_ports(node);
+        ports.reserve_exact((usize::from(top.get()) + 1).saturating_sub(ports.len()));
+    }
+
+    fn map_port(&mut self, node: NodeAddr, port: PortNo, id: WireId) {
         let ix = usize::from(port.get());
+        let ports = self.node_ports(node);
         if ports.len() <= ix {
             ports.resize(ix + 1, None);
         }
-        ports[ix] = Some(id);
+        ports[ix] = NonZeroU32::new(u32::try_from(id.0 + 1).expect("wire index fits in u32"));
     }
 }
 
@@ -1335,7 +1358,13 @@ pub trait Engine {
     /// The wires on `node`'s ports, in ascending port order (a wire
     /// looped between two of its ports comes twice).
     fn node_wires(&self, node: NodeAddr) -> impl Iterator<Item = WireId> + '_ {
-        self.cells()[0].wiring.ports(node).iter().flatten().copied()
+        self.cells()[0]
+            .wiring
+            .ports(node)
+            .iter()
+            .flatten()
+            .copied()
+            .map(slot_wire)
     }
 
     /// The two `(node, port)` endpoints of a wire.
@@ -1517,6 +1546,16 @@ pub trait Engine {
     fn reserve(&mut self, nodes: usize, wires: usize) {
         for cell in self.cells_mut() {
             cell.reserve_tables(nodes, wires);
+        }
+    }
+
+    /// Sizes `node`'s port table for ports `1..=top` in every cell, in
+    /// one exact allocation (a builder that knows each node's highest
+    /// wired port calls this before wiring, so the table carries no
+    /// growth slack). Wiring a port past `top` still grows the table.
+    fn reserve_ports(&mut self, node: NodeAddr, top: PortNo) {
+        for cell in self.cells_mut() {
+            cell.core.wiring.reserve_ports(node, top);
         }
     }
 
@@ -1886,6 +1925,28 @@ mod tests {
         let c = w.add_node(Box::new(Echo::new(false)));
         w.wire(a, P1, b, P1, LinkParams::ten_gig()).unwrap();
         assert!(w.wire(a, P1, c, P1, LinkParams::ten_gig()).is_err());
+    }
+
+    #[test]
+    fn a_reserved_port_table_is_sized_once_and_still_grows() {
+        let mut w = World::new(0);
+        let (a, b) = (
+            w.add_node(Box::new(Echo::new(false))),
+            w.add_node(Box::new(Echo::new(false))),
+        );
+        let (p2, p5) = (PortNo::new(2).unwrap(), PortNo::new(5).unwrap());
+        w.reserve_ports(a, p2);
+        let first = w.wire(a, p2, b, P1, LinkParams::ten_gig()).unwrap();
+        let second = w.wire(a, P1, b, p2, LinkParams::ten_gig()).unwrap();
+        // Slots 0..=2, exactly, in the one allocation the reserve made.
+        assert_eq!(w.core.wiring.port_map[a.0].capacity(), 3);
+        // A port past the reserved top grows the table.
+        let third = w.wire(a, p5, b, p5, LinkParams::ten_gig()).unwrap();
+        assert_eq!(w.wire_at(a, p2), Some(first));
+        assert_eq!(w.wire_at(a, P1), Some(second));
+        assert_eq!(w.wire_at(a, p5), Some(third));
+        assert_eq!(w.wire_at(a, PortNo::new(4).unwrap()), None);
+        assert_eq!(w.node_wires(a).collect::<Vec<_>>(), [second, first, third]);
     }
 
     #[test]

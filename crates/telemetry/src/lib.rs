@@ -9,20 +9,23 @@
 //!
 //! # Model
 //!
-//! A node's counters are one [`Block`]: a struct of inline [`Cell`]s,
-//! declared — names, storage and stats view together — by one
-//! [`counter_block!`], held by the node as an `Arc` and registered once
-//! with [`Telemetry::register_block`] under `(NodeKind, node id)`. The
-//! block is the storage: the node increments a field on its hot path (a
-//! plain load and store, no lookup), and a [`TelemetrySnapshot`] reads
-//! the same cells through the registry, expanding each block to one
-//! [`MetricKey`] of `(NodeKind, node id, cell name)` per cell — so
-//! snapshot order depends on the names alone, never on how cells are
-//! grouped or listed. What is not a plain per-node counter is a one-off
-//! shared handle registered under its own key: fixed-bucket
-//! [`Histogram`], [`Gauge`], and [`Counter`] (an `Arc<Cell>`).
-//! Registration replaces, so a node that is crash-restarted registers
-//! the same block and handles again without losing counts.
+//! A node's metrics are one [`Block`]: a struct of inline counter
+//! [`Cell`]s, gauge [`Level`]s and [`Doubling`] histograms, declared —
+//! names, storage and stats view together — by one [`counter_block!`],
+//! held by the node as an `Arc` and registered once with
+//! [`Telemetry::register_block`] under `(NodeKind, node id)`, so a node
+//! is one registry entry and one allocation. The block is the storage:
+//! the node increments a field on its hot path (a plain load and store,
+//! no lookup), and a [`TelemetrySnapshot`] reads the same fields through
+//! the registry, expanding each block to one [`MetricKey`] of
+//! `(NodeKind, node id, field name)` per field — so snapshot order
+//! depends on the names alone, never on how fields are grouped or
+//! listed. A metric no node owns (a
+//! benchmark kernel's) is a one-off shared handle registered under its
+//! own key: fixed-bucket [`Histogram`], [`Gauge`] (an `Arc<Level>`), and
+//! [`Counter`] (an `Arc<Cell>`); it snapshots exactly as the same metric
+//! held in a block. Registration replaces, so a node that is
+//! crash-restarted registers the same block again without losing counts.
 //!
 //! # The single-writer contract
 //!
@@ -30,7 +33,7 @@
 //! shard (the one its node or wire lives in) and read only at a barrier
 //! or snapshot, when no shard is running. Under that contract a write
 //! needs no read-modify-write instruction and no lock: [`Cell::add`],
-//! [`Gauge::add`] and [`Histogram::observe`] are a relaxed load followed
+//! [`Level::add`] and [`Histogram::observe`] are a relaxed load followed
 //! by a relaxed store on an `AtomicU64`. They are atomics only so that
 //! blocks and handles stay `Send + Sync` in safe code — a worker thread
 //! can carry its shard's blocks, and the barrier that hands the shard
@@ -119,28 +122,25 @@ impl fmt::Display for NodeKind {
 
 /// Registry key: `(kind, node id, metric name)`.
 ///
-/// Names are `&'static str` by convention (metric names are code, not
-/// data) but stored as `String` so derived per-peer metrics can be
-/// built at runtime when needed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Metric names are code, not data: every block cell and handle is
+/// registered under a `&'static str`, so a key owns no heap. A name
+/// built at run time still finds its metric through
+/// [`TelemetrySnapshot::get`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey {
     /// Layer the metric belongs to.
     pub kind: NodeKind,
     /// Node identity within the layer (id value, wire index, 0 for world).
     pub node: u64,
     /// Metric name, `snake_case`.
-    pub name: String,
+    pub name: &'static str,
 }
 
 impl MetricKey {
     /// Builds a key.
     #[must_use]
-    pub fn new(kind: NodeKind, node: u64, name: impl Into<String>) -> MetricKey {
-        MetricKey {
-            kind,
-            node,
-            name: name.into(),
-        }
+    pub fn new(kind: NodeKind, node: u64, name: &'static str) -> MetricKey {
+        MetricKey { kind, node, name }
     }
 }
 
@@ -186,37 +186,66 @@ impl Cell {
     }
 }
 
-/// A node's counters: fixed names and the [`Cell`]s behind them in one
+/// A metric stored inline in a [`Block`]: a [`Cell`] (counter), a
+/// [`Level`] (gauge) or a [`Doubling`] (histogram).
+pub trait Metric: Send + Sync {
+    /// The current value, as a snapshot holds it.
+    fn read(&self) -> MetricValue;
+}
+
+impl Metric for Cell {
+    fn read(&self) -> MetricValue {
+        MetricValue::Counter(self.get())
+    }
+}
+
+impl Metric for Level {
+    fn read(&self) -> MetricValue {
+        MetricValue::Gauge(self.get())
+    }
+}
+
+impl<const FIRST: u64, const N: usize> Metric for Doubling<FIRST, N> {
+    fn read(&self) -> MetricValue {
+        MetricValue::Histogram(self.snapshot())
+    }
+}
+
+/// A node's metrics: fixed names and the [`Metric`]s behind them in one
 /// allocation, registered once with [`Telemetry::register_block`].
 /// Implemented by [`counter_block!`], never by hand.
 pub trait Block: Send + Sync + fmt::Debug {
-    /// Calls `f(name, value)` for every cell, in declaration order.
-    fn visit(&self, f: &mut dyn FnMut(&'static str, u64));
+    /// Calls `f(name, metric)` for every field, in declaration order.
+    fn visit(&self, f: &mut dyn FnMut(&'static str, &dyn Metric));
 }
 
-/// Declares a [`Block`]: a private struct with one [`Cell`] per listed
-/// name, its `Default`, and the `Block` impl that names each cell after
-/// its field.
+/// Declares a [`Block`]: a private struct with one field per listed
+/// name, its `Default`, and the `Block` impl that names each metric
+/// after its field. A field is a [`Cell`] unless typed: `name: Level`
+/// or `name: Doubling<FIRST, N>`.
 ///
-/// * `struct B { a, b }` — the block alone.
-/// * `struct B => V { a, b } + { c }` — also `B::fill(&self, &mut V)`,
-///   which copies `a` and `b` into the same-named `u64` fields of the
-///   existing view struct `V`; the cells after `+` are in the registry
-///   but not in the view, and `V` may have fields of its own.
+/// * `struct B { a, b, c: Level }` — the block alone.
+/// * `struct B => V { a, b } + { c, d: Doubling<1, 8> }` — also
+///   `B::fill(&self, &mut V)`, which copies the cells `a` and `b` into
+///   the same-named `u64` fields of the existing view struct `V`; the
+///   fields after `+` are in the registry but not in the view, and `V`
+///   may have fields of its own.
 /// * `struct B => #[derive(..)] pub struct V { /** doc */ a, .. }` —
 ///   also declares `V` itself, one documented `pub u64` field per cell,
 ///   with an `AddAssign` that sums every field.
 #[macro_export]
 macro_rules! counter_block {
-    ($(#[$m:meta])* struct $B:ident { $($(#[$fm:meta])* $f:ident),* $(,)? }) => {
+    (@ty) => { $crate::Cell };
+    (@ty $t:ty) => { $t };
+    ($(#[$m:meta])* struct $B:ident { $($(#[$fm:meta])* $f:ident $(: $t:ty)?),* $(,)? }) => {
         $(#[$m])*
         #[derive(Debug, Default)]
         struct $B {
-            $($(#[$fm])* $f: $crate::Cell,)*
+            $($(#[$fm])* $f: $crate::counter_block!(@ty $($t)?),)*
         }
         impl $crate::Block for $B {
-            fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
-                $(f(stringify!($f), self.$f.get());)*
+            fn visit(&self, f: &mut dyn FnMut(&'static str, &dyn $crate::Metric)) {
+                $(f(stringify!($f), &self.$f);)*
             }
         }
     };
@@ -234,9 +263,9 @@ macro_rules! counter_block {
         $crate::counter_block! { $(#[$m])* struct $B => $V { $($f),* } }
     };
     ($(#[$m:meta])* struct $B:ident => $V:ident { $($(#[$fm:meta])* $f:ident),* $(,)? }
-     $(+ { $($(#[$hm:meta])* $h:ident),* $(,)? })?) => {
+     $(+ { $($(#[$hm:meta])* $h:ident $(: $t:ty)?),* $(,)? })?) => {
         $crate::counter_block! {
-            $(#[$m])* struct $B { $($(#[$fm])* $f,)* $($($(#[$hm])* $h,)*)? }
+            $(#[$m])* struct $B { $($(#[$fm])* $f,)* $($($(#[$hm])* $h $(: $t)?,)*)? }
         }
         impl $B {
             fn fill(&self, view: &mut $V) {
@@ -268,18 +297,14 @@ impl std::ops::Deref for Counter {
     }
 }
 
-/// A signed, settable metric handle (levels: queue depths, leadership,
-/// version numbers). Single-writer, like [`Counter`].
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
+/// One signed, settable `i64` level stored inline in its owner (queue
+/// depths, leadership, version numbers) — a gauge field of a
+/// [`counter_block!`] struct, or the target of a [`Gauge`] handle.
+/// Single-writer, like [`Cell`].
+#[derive(Debug, Default)]
+pub struct Level(AtomicI64);
 
-impl Gauge {
-    /// Creates a detached gauge at zero.
-    #[must_use]
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
+impl Level {
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -297,6 +322,27 @@ impl Gauge {
     #[must_use]
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A one-off gauge handle: a shared [`Level`] registered under its own
+/// name with [`Telemetry::register_gauge`]. Cloning shares the level.
+#[derive(Debug, Clone, Default)]
+pub struct Gauge(Arc<Level>);
+
+impl Gauge {
+    /// Creates a detached gauge at zero.
+    #[must_use]
+    pub fn new() -> Gauge {
+        Gauge::default()
+    }
+}
+
+impl std::ops::Deref for Gauge {
+    type Target = Level;
+
+    fn deref(&self) -> &Level {
+        &self.0
     }
 }
 
@@ -324,12 +370,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// The cells behind a [`Histogram`] handle: immutable bounds, which
-/// histograms built over the same bounds share, and one cell per bucket
-/// (the last is the overflow bucket) followed by the value sum.
+/// The cells behind a [`Histogram`] handle: immutable bounds and one
+/// cell per bucket (the last is the overflow bucket) followed by the
+/// value sum.
 #[derive(Debug)]
 struct HistogramCells {
-    bounds: Arc<[u64]>,
+    bounds: Box<[u64]>,
     cells: Box<[AtomicU64]>,
 }
 
@@ -349,28 +395,20 @@ impl Histogram {
     /// list — a single overflow bucket — is allowed).
     #[must_use]
     pub fn new(bounds: Vec<u64>) -> Histogram {
-        Histogram::with_bounds(bounds.into())
-    }
-
-    /// Creates a histogram over shared `bounds` (see [`Histogram::new`]):
-    /// histograms built from one `Arc` hold their bounds once.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bounds` is strictly increasing.
-    #[must_use]
-    pub fn with_bounds(bounds: Arc<[u64]>) -> Histogram {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
         // Buckets, the overflow bucket and the sum, in one allocation.
         let cells = (0..bounds.len() + 2).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramCells { bounds, cells }))
+        Histogram(Arc::new(HistogramCells {
+            bounds: bounds.into(),
+            cells,
+        }))
     }
 
-    /// Doubling bounds: `first, first*2, …` for `buckets` bounds, built
-    /// in one allocation. Convenient for latency-like values spanning
+    /// A histogram over doubling bounds: `first, first*2, …` for
+    /// `buckets` bounds. Convenient for latency-like values spanning
     /// orders of magnitude; a saturated bound (`u64::MAX`) is listed
     /// once.
     ///
@@ -378,27 +416,8 @@ impl Histogram {
     ///
     /// Panics if `first` is zero (the bounds would not increase).
     #[must_use]
-    pub fn doubling_bounds(first: u64, buckets: usize) -> Arc<[u64]> {
-        assert!(first > 0, "doubling histogram needs a positive first bound");
-        let bound = |i: usize| match u32::try_from(i).ok().and_then(|i| 1u64.checked_shl(i)) {
-            Some(scale) => first.saturating_mul(scale),
-            None => u64::MAX,
-        };
-        // Every bound after the first saturated one would repeat it.
-        let distinct = (0..buckets)
-            .position(|i| bound(i) == u64::MAX)
-            .map_or(buckets, |i| i + 1);
-        (0..distinct).map(bound).collect()
-    }
-
-    /// A histogram over [`Histogram::doubling_bounds`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first` is zero (the bounds would not increase).
-    #[must_use]
     pub fn doubling(first: u64, buckets: usize) -> Histogram {
-        Histogram::with_bounds(Histogram::doubling_bounds(first, buckets))
+        Histogram::new(doubling_bounds(first, buckets))
     }
 
     /// Records one observation.
@@ -426,12 +445,75 @@ impl Histogram {
             sum: sum.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// The heap this handle's cells hold (its bounds not included: they
-    /// may be shared).
+/// Bound `i` of a doubling histogram: `first * 2^i`, saturating at
+/// `u64::MAX`.
+fn doubling_bound(first: u64, i: usize) -> u64 {
+    match u32::try_from(i).ok().and_then(|i| 1u64.checked_shl(i)) {
+        Some(scale) => first.saturating_mul(scale),
+        None => u64::MAX,
+    }
+}
+
+/// The first `buckets` doubling bounds from `first`, cut after the first
+/// saturated one (every later bound would repeat it).
+fn doubling_bounds(first: u64, buckets: usize) -> Vec<u64> {
+    assert!(first > 0, "doubling histogram needs a positive first bound");
+    let distinct = (0..buckets)
+        .position(|i| doubling_bound(first, i) == u64::MAX)
+        .map_or(buckets, |i| i + 1);
+    (0..distinct).map(|i| doubling_bound(first, i)).collect()
+}
+
+/// A histogram over [`Histogram::doubling`]`(FIRST, N)`'s bounds, stored
+/// inline in its owner — a field of a [`counter_block!`] struct — so it
+/// costs no allocation and no registry entry of its own. It observes and
+/// snapshots exactly as that handle does. Single-writer, like [`Cell`].
+#[derive(Debug)]
+pub struct Doubling<const FIRST: u64, const N: usize> {
+    counts: [Cell; N],
+    overflow: Cell,
+    sum: Cell,
+}
+
+impl<const FIRST: u64, const N: usize> Default for Doubling<FIRST, N> {
+    fn default() -> Self {
+        Doubling {
+            counts: std::array::from_fn(|_| Cell::default()),
+            overflow: Cell::default(),
+            sum: Cell::default(),
+        }
+    }
+}
+
+impl<const FIRST: u64, const N: usize> Doubling<FIRST, N> {
+    /// Records one observation.
+    pub fn observe(&self, v: u64) {
+        // Bounds past a saturated one never count: `v <= u64::MAX` stops
+        // the search there.
+        match (0..N).find(|&i| v <= doubling_bound(FIRST, i)) {
+            Some(i) => self.counts[i].inc(),
+            None => self.overflow.inc(),
+        }
+        self.sum.add(v);
+    }
+
+    /// A copy of the current state.
     #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        heap::arc::<HistogramCells>() + heap::slice(&self.0.cells)
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let bounds = doubling_bounds(FIRST, N);
+        let counts: Vec<u64> = self.counts[..bounds.len()]
+            .iter()
+            .chain([&self.overflow])
+            .map(Cell::get)
+            .collect();
+        HistogramSnapshot {
+            bounds,
+            count: counts.iter().sum(),
+            counts,
+            sum: self.sum.get(),
+        }
     }
 }
 
@@ -469,8 +551,8 @@ enum Handle {
 impl Handle {
     fn read(&self) -> MetricValue {
         match self {
-            Handle::Counter(c) => MetricValue::Counter(c.get()),
-            Handle::Gauge(g) => MetricValue::Gauge(g.get()),
+            Handle::Counter(c) => c.read(),
+            Handle::Gauge(g) => g.read(),
             Handle::Histogram(h) => MetricValue::Histogram(h.snapshot()),
         }
     }
@@ -612,8 +694,8 @@ impl Telemetry {
         self.inner.lock().expect("telemetry lock")
     }
 
-    /// Registers a node's counter block: every cell of `block` appears
-    /// in snapshots under `(kind, node, cell name)`. One map entry per
+    /// Registers a node's block: every metric of `block` appears in
+    /// snapshots under `(kind, node, field name)`. One map entry per
     /// node; registering the same `(kind, node)` again (a restarted
     /// node) replaces the entry.
     pub fn register_block(&self, kind: NodeKind, node: u64, block: Arc<dyn Block>) {
@@ -643,7 +725,7 @@ impl Telemetry {
         self.register(kind, node, name, Handle::Histogram(h.clone()));
     }
 
-    /// Number of registered metrics: one per block cell plus one per
+    /// Number of registered metrics: one per block field plus one per
     /// one-off handle.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -702,7 +784,7 @@ impl Telemetry {
     }
 
     /// Reads every registered metric into an ordered snapshot: blocks
-    /// expand to one `(kind, node, cell name)` counter per cell, so the
+    /// expand to one `(kind, node, field name)` metric per field, so the
     /// map's key order — not block layout — fixes the order. A pure
     /// read: no counter is modified.
     #[must_use]
@@ -713,22 +795,20 @@ impl Telemetry {
             snap.insert_block(kind, node, &**block);
         }
         snap.metrics
-            .extend(reg.handles.iter().map(|(k, h)| (k.clone(), h.read())));
+            .extend(reg.handles.iter().map(|(k, h)| (*k, h.read())));
         snap
     }
 
-    /// The heap the registry itself holds: its maps, the handle names
-    /// and the trace ring. The blocks and handles it shares with their
-    /// nodes are the nodes' to count.
+    /// The heap the registry itself holds: its maps and the trace ring.
+    /// The blocks and handles it shares with their nodes are the nodes'
+    /// to count.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         let reg = self.lock();
-        let names: usize = reg.handles.keys().map(|k| k.name.capacity()).sum();
         let details: usize = reg.trace.buf.iter().map(|e| e.detail.capacity()).sum();
         heap::arc::<Mutex<Registry>>()
             + heap::btree_map(&reg.blocks)
             + heap::btree_map(&reg.handles)
-            + names
             + heap::deque(&reg.trace.buf)
             + details
     }
@@ -742,10 +822,15 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// The value under `(kind, node, name)`, if registered.
+    /// The value under `(kind, node, name)`, if registered. `name` may
+    /// be built at run time: the lookup seeks to the node's first key
+    /// and scans that node's metrics only.
     #[must_use]
     pub fn get(&self, kind: NodeKind, node: u64, name: &str) -> Option<&MetricValue> {
-        self.metrics.get(&MetricKey::new(kind, node, name))
+        self.metrics
+            .range(MetricKey::new(kind, node, "")..)
+            .take_while(|(k, _)| k.kind == kind && k.node == node)
+            .find_map(|(k, v)| (k.name == name).then_some(v))
     }
 
     /// Counter value under the key, or 0 when absent / not a counter.
@@ -809,7 +894,7 @@ impl TelemetrySnapshot {
         for (k, v) in &other.metrics {
             match self.metrics.get_mut(k) {
                 None => {
-                    self.metrics.insert(k.clone(), v.clone());
+                    self.metrics.insert(*k, v.clone());
                 }
                 Some(MetricValue::Counter(a)) => {
                     if let MetricValue::Counter(b) = v {
@@ -844,13 +929,13 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Adds every cell of `block` as a counter under `(kind, node, cell
-    /// name)` — how a registered block appears in a snapshot, for blocks
-    /// an engine keeps outside the registry.
+    /// Adds every metric of `block` under `(kind, node, field name)` —
+    /// how a registered block appears in a snapshot, for blocks an
+    /// engine keeps outside the registry.
     pub fn insert_block(&mut self, kind: NodeKind, node: u64, block: &dyn Block) {
-        block.visit(&mut |name, v| {
+        block.visit(&mut |name, m| {
             self.metrics
-                .insert(MetricKey::new(kind, node, name), MetricValue::Counter(v));
+                .insert(MetricKey::new(kind, node, name), m.read());
         });
     }
 
@@ -876,7 +961,7 @@ impl TelemetrySnapshot {
             let prev = before.metrics.get(k);
             if prev != Some(after) {
                 entries.push(DiffEntry {
-                    key: k.clone(),
+                    key: *k,
                     before: prev.cloned(),
                     after: after.clone(),
                 });
@@ -901,7 +986,7 @@ impl TelemetrySnapshot {
             out.push_str("\",\"node\":");
             out.push_str(&k.node.to_string());
             out.push_str(",\"name\":\"");
-            json_escape_into(&mut out, &k.name);
+            json_escape_into(&mut out, k.name);
             out.push_str("\",");
             match v {
                 MetricValue::Counter(c) => {
@@ -1055,7 +1140,10 @@ mod tests {
 
     fn names(block: &dyn Block) -> Vec<(&'static str, u64)> {
         let mut out = Vec::new();
-        block.visit(&mut |name, v| out.push((name, v)));
+        block.visit(&mut |name, m| match m.read() {
+            MetricValue::Counter(v) => out.push((name, v)),
+            other => panic!("{name} is not a counter: {other:?}"),
+        });
         out
     }
 

@@ -4,12 +4,13 @@
 //! `v` lands in the first bucket whose inclusive upper bound is `>= v`,
 //! and anything beyond the last bound lands in the overflow slot. These
 //! tests pin that rule against arbitrary bound layouts and inputs, and
-//! pin the doubling-constructor geometry the RTT histograms rely on.
+//! pin the doubling-constructor geometry the RTT histograms rely on,
+//! and the inline [`Doubling`] histogram to the handle it stands for.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use dumbnet_telemetry::Histogram;
+use dumbnet_telemetry::{Doubling, Histogram};
 
 /// Strictly increasing bounds, built from positive gaps so the
 /// constructor's monotonicity assertion always holds.
@@ -111,9 +112,8 @@ proptest! {
         prop_assert_eq!(snap.count, 0);
     }
 
-    /// The one-allocation doubling bounds are the ones the old scan
-    /// built, saturation included: `first, 2·first, …`, with a saturated
-    /// `u64::MAX` listed once.
+    /// The doubling bounds are the ones a saturating scan builds:
+    /// `first, 2·first, …`, with a saturated `u64::MAX` listed once.
     #[test]
     fn doubling_bounds_match_the_doubling_scan(
         first in prop_oneof![1u64..1_000, (u64::MAX / 4)..u64::MAX],
@@ -127,25 +127,28 @@ proptest! {
             })
             .collect();
         scan.dedup();
-        prop_assert_eq!(&Histogram::doubling_bounds(first, buckets)[..], &scan[..]);
+        prop_assert_eq!(Histogram::doubling(first, buckets).snapshot().bounds, scan);
     }
 
-    /// Histograms over one shared bounds `Arc` snapshot byte for byte
-    /// like histograms that own a copy, and do not see each other's
-    /// observations.
+    /// An inline [`Doubling`] observes and snapshots exactly as the
+    /// [`Histogram::doubling`] handle over the same bounds: the node
+    /// layouts (`<1_024, 16>`, `<1, 8>`) and a geometry that saturates
+    /// before its last bound.
     #[test]
-    fn shared_bounds_snapshot_like_owned_ones(
-        bounds in bounds_strategy(),
-        values in vec(0u64..10_000, 0..64),
+    fn inline_doubling_snapshots_like_the_handle(
+        values in vec(prop_oneof![0u64..100_000_000, any::<u64>()], 0..64),
     ) {
-        let shared: std::sync::Arc<[u64]> = bounds.clone().into();
-        let (a, b) = (Histogram::with_bounds(shared.clone()), Histogram::with_bounds(shared));
-        let owned = Histogram::new(bounds);
-        for &v in &values {
-            a.observe(v);
-            owned.observe(v);
+        fn check<const FIRST: u64, const N: usize>(values: &[u64]) -> Result<(), TestCaseError> {
+            let (inline, handle) = (Doubling::<FIRST, N>::default(), Histogram::doubling(FIRST, N));
+            for &v in values {
+                inline.observe(v);
+                handle.observe(v);
+            }
+            prop_assert_eq!(inline.snapshot(), handle.snapshot());
+            Ok(())
         }
-        prop_assert_eq!(a.snapshot(), owned.snapshot());
-        prop_assert_eq!(b.snapshot().count, 0);
+        check::<1_024, 16>(&values)?;
+        check::<1, 8>(&values)?;
+        check::<{ u64::MAX / 3 }, 5>(&values)?;
     }
 }

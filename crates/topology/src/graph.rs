@@ -103,6 +103,15 @@ impl SwitchInfo {
             .filter_map(|(ix, slot)| slot.attachment().map(|att| (port_at(ix), att)))
     }
 
+    /// The highest wired port, if any.
+    #[must_use]
+    pub fn top_port(&self) -> Option<PortNo> {
+        self.wiring
+            .iter()
+            .rposition(|&slot| slot != PortSlot::Free)
+            .and_then(PortNo::from_index)
+    }
+
     /// First unwired port, if any (used by generators and tests).
     #[must_use]
     pub fn free_port(&self) -> Option<PortNo> {
@@ -692,6 +701,10 @@ mod tests {
     /// oracles for every switch pair (one unknown switch included).
     fn assert_matches_oracles(t: &Topology) {
         t.check_invariants().unwrap();
+        for info in t.switches() {
+            let last = info.wired_ports().last().map(|(p, _)| p);
+            assert_eq!(info.top_port(), last, "top_port({})", info.id);
+        }
         let ids: Vec<SwitchId> = (0..=t.switch_count() as u64).map(SwitchId::new).collect();
         for &a in &ids {
             assert_eq!(

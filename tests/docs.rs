@@ -3,7 +3,7 @@
 //! their new count, so the budget only falls.
 
 /// DESIGN.md + EXPERIMENTS.md, in lines.
-const CAP: usize = 3_870;
+const CAP: usize = 3_866;
 
 #[test]
 fn design_and_experiments_stay_within_their_line_budget() {

@@ -12,8 +12,9 @@
 //! unknown.
 //!
 //! It also pins each owner's bytes per host, switch and wire right after
-//! `Fabric::build_hybrid`, and the allocation count of that build, so a
-//! layout change that moves the heap fails here and names its owner.
+//! `Fabric::build_hybrid`, the allocation count of that build, and the
+//! registry's bytes per node once every node has started, so a layout
+//! change that moves the heap fails here and names its owner.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -224,40 +225,11 @@ fn census_explains_the_fabric_mix_peak() {
     peak.assert_explained("fabric_mix shape");
 }
 
-/// The census rows of a freshly built k = 16 hybrid fabric, per unit.
-/// A layout change that moves one of these fails with the owner's name;
-/// update the pin together with DESIGN's per-wire and per-host tables.
-#[test]
-fn census_pins_each_owner_per_host_switch_and_wire() {
-    let topo = generators::fat_tree(K, HOSTS_PER_EDGE, None).topology;
-    let (hosts, switches) = (topo.host_count(), topo.switch_count());
-    let wires = topo.link_count() + hosts;
-    let cfg = FabricConfig {
-        seed: SEED,
-        ..FabricConfig::default()
-    };
-    // One build outside the counted window first: `host::agent`'s
-    // histogram bounds are `LazyLock`s that the first build in the
-    // process initializes, so without it the count would depend on
-    // whether an earlier test got there first.
-    drop(Fabric::build_hybrid(topo.clone(), cfg.clone()).expect("fat-tree fabric builds"));
-    start();
-    let fabric = Fabric::build_hybrid(topo, cfg).expect("fat-tree fabric builds");
-    let build_allocs = allocs();
-    let census = fabric.heap_census();
-    // (owner, units, bytes): hosts and switches cost the same each; a
-    // wire's bytes differ by the port tables of its two ends.
-    let pins: [(&str, usize, usize); 7] = [
-        ("hosts", hosts - 1, 1_023 * 1_264),
-        ("switches", switches, 320 * 920),
-        ("wiring", wires, 587_264),
-        ("link counters", wires, 3_072 * 56),
-        ("fault streams", wires, 0),
-        ("flow bindings", wires, 3_072 * 88),
-        ("flow plane", wires, 3_072 * 96),
-    ];
+/// Pins that moved, one line each: `(owner, units, pinned bytes)`
+/// against the census.
+fn moved_pins(census: &HeapCensus, pins: &[(&str, usize, usize)]) -> Vec<String> {
     let mut moved = Vec::new();
-    for (owner, units, pinned) in pins {
+    for &(owner, units, pinned) in pins {
         let got = census.get(owner);
         if got != pinned {
             moved.push(format!(
@@ -267,12 +239,57 @@ fn census_pins_each_owner_per_host_switch_and_wire() {
             ));
         }
     }
-    const BUILD_ALLOCS: u64 = 9_453;
+    moved
+}
+
+/// The census rows of a freshly built k = 16 hybrid fabric, per unit,
+/// and the registry's row once it has started. A layout change that
+/// moves one of these fails with the owner's name; update the pin
+/// together with DESIGN's per-wire and per-host tables.
+#[test]
+fn census_pins_each_owner_per_host_switch_and_wire() {
+    let topo = generators::fat_tree(K, HOSTS_PER_EDGE, None).topology;
+    let (hosts, switches) = (topo.host_count(), topo.switch_count());
+    let wires = topo.link_count() + hosts;
+    let cfg = FabricConfig {
+        seed: SEED,
+        ..FabricConfig::default()
+    };
+    start();
+    let mut fabric = Fabric::build_hybrid(topo, cfg).expect("fat-tree fabric builds");
+    let build_allocs = allocs();
+    let census = fabric.heap_census();
+    // (owner, units, bytes): hosts and switches cost the same each; a
+    // wire's bytes differ by the port tables of its two ends (a host's
+    // holds its NIC's slot, a switch's one 4-byte slot per port).
+    let mut moved = moved_pins(
+        &census,
+        &[
+            ("hosts", hosts - 1, 1_023 * 1_152),
+            ("switches", switches, 320 * 920),
+            ("wiring", wires, 387_840),
+            ("link counters", wires, 3_072 * 56),
+            ("fault streams", wires, 0),
+            ("flow bindings", wires, 3_072 * 88),
+            ("flow plane", wires, 3_072 * 96),
+        ],
+    );
+    const BUILD_ALLOCS: u64 = 4_393;
     if build_allocs != BUILD_ALLOCS {
         moved.push(format!(
             "build_hybrid: {build_allocs} allocations, pinned {BUILD_ALLOCS}"
         ));
     }
+    // Started, every node has registered its one block: the registry
+    // holds one map entry per node (the world's and the wires' blocks
+    // sit in the engine) and no handle, so a node's metric registered
+    // as a handle of its own moves this row.
+    fabric.run_until(SimTime::ZERO + SimDuration::from_nanos(1));
+    let nodes = hosts + switches;
+    moved.extend(moved_pins(
+        &fabric.heap_census(),
+        &[("telemetry registry", nodes, 86_456)],
+    ));
     assert!(
         moved.is_empty(),
         "heap census pins moved:\n{}\n{census}",

@@ -2,13 +2,17 @@
 //! be a pure function of the seed and the schedule, and the registry
 //! must agree with every `stats()` view assembled from it.
 
+use std::sync::Arc;
+
 use dumbnet::fabric::{Fabric, FabricConfig};
 use dumbnet::host::agent::AppAction;
 use dumbnet::host::HostAgent;
 use dumbnet::packet::Packet;
 use dumbnet::sim::{Engine, LinkParams, NodeAddr, ShardedWorld, WireId, World};
 use dumbnet::switch::{DumbSwitch, DumbSwitchConfig};
-use dumbnet::telemetry::{MetricValue, NodeKind};
+use dumbnet::telemetry::{
+    counter_block, Counter, Doubling, Gauge, Histogram, Level, MetricValue, NodeKind, Telemetry,
+};
 use dumbnet::topology::generators;
 use dumbnet::types::{HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 
@@ -235,7 +239,7 @@ fn snapshot_holds_exactly_the_expected_metric_names() {
             MetricValue::Histogram(_) => "histogram",
         };
         let of_node = got.entry((key.kind, key.node)).or_default();
-        of_node.insert((key.name.as_str(), ty));
+        of_node.insert((key.name, ty));
     }
     for kind in want.keys() {
         assert!(
@@ -252,6 +256,62 @@ fn snapshot_holds_exactly_the_expected_metric_names() {
             "{kind}/{node}: missing {missing:?}, not in the table {unexpected:?}"
         );
     }
+}
+
+counter_block! {
+    /// A node's block with one metric of each kind, the way a host or a
+    /// controller holds them.
+    struct Mixed { sent, leader: Level, rtt_ns: Doubling<1_024, 16>, batch: Doubling<1, 8> }
+}
+
+/// A gauge and histograms held in a block snapshot exactly as the same
+/// metrics registered as one-off handles: equal values under the same
+/// keys, in the same order, and byte-identical JSON.
+#[test]
+fn block_held_gauges_and_histograms_snapshot_like_handles() {
+    let rtts = [0, 1_024, 1_025, 5_000, 40_000_000, u64::MAX];
+    let blocks = Telemetry::new(0);
+    let block = Arc::<Mixed>::default();
+    blocks.register_block(NodeKind::Controller, 4, block.clone());
+    block.sent.add(5);
+    block.leader.set(-1);
+    rtts.iter().for_each(|&v| block.rtt_ns.observe(v));
+    block.batch.observe(3);
+
+    // The oracle: the same names and values, one handle each.
+    let handles = Telemetry::new(0);
+    let (sent, leader) = (Counter::new(), Gauge::new());
+    let (rtt_ns, batch) = (Histogram::doubling(1_024, 16), Histogram::doubling(1, 8));
+    sent.add(5);
+    leader.set(-1);
+    rtts.iter().for_each(|&v| rtt_ns.observe(v));
+    batch.observe(3);
+    let node = (NodeKind::Controller, 4);
+    handles.register_counter(node.0, node.1, "sent", &sent);
+    handles.register_gauge(node.0, node.1, "leader", &leader);
+    handles.register_histogram(node.0, node.1, "rtt_ns", &rtt_ns);
+    handles.register_histogram(node.0, node.1, "batch", &batch);
+
+    let (got, want) = (blocks.snapshot(), handles.snapshot());
+    assert_eq!(got, want);
+    assert!(
+        got.metrics.iter().eq(want.metrics.iter()),
+        "same keys, same order"
+    );
+    assert_eq!(got.to_json(), want.to_json());
+    assert_eq!(blocks.len(), handles.len());
+
+    // A name built at run time finds a block-held metric.
+    let name = |parts: &[&str]| parts.concat();
+    assert_eq!(got.counter(node.0, node.1, &name(&["se", "nt"])), 5);
+    assert_eq!(got.gauge(node.0, node.1, &name(&["lead", "er"])), -1);
+    match got.get(node.0, node.1, &name(&["rtt", "_ns"])) {
+        Some(MetricValue::Histogram(h)) => assert_eq!(h.count, rtts.len() as u64),
+        other => panic!("rtt_ns must be a histogram, got {other:?}"),
+    }
+    assert_eq!(got.get(node.0, node.1, &name(&["absent"])), None);
+    assert_eq!(got.get(node.0, 5, &name(&["sent"])), None);
+    assert_eq!(got.get(NodeKind::Host, 4, &name(&["sent"])), None);
 }
 
 /// A packet storm down a chain of eight dumb switches, one per cell of
