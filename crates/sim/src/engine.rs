@@ -303,6 +303,8 @@ const INJECTED: u32 = u32::MAX;
 // an event spends it on: a field added to either must show up here, not
 // as a silent return of the `memcpy` calls.
 const _: () = assert!(std::mem::size_of::<Event>() <= 128);
+// An event's slab slot in the queue (`tests/heap_census.rs` counts it).
+const _: () = assert!(std::mem::size_of::<Option<Event>>() == 120);
 const _: () = assert!(std::mem::size_of::<Packet>() == 104);
 
 impl Event {
